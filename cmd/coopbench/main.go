@@ -28,7 +28,6 @@ type benchOptions struct {
 	full      bool
 	only      string
 	ablations bool
-	shards    int
 	output    cli.OutputFlags
 }
 
@@ -37,8 +36,6 @@ func main() {
 	flag.BoolVar(&opts.full, "full", false, "run at the paper's full scale (1000 peers, 512 pieces; minutes of runtime)")
 	flag.StringVar(&opts.only, "only", "", "single experiment to run (see -list)")
 	flag.BoolVar(&opts.ablations, "ablations", false, "run the ablation sweeps instead of the figures")
-	flag.IntVar(&opts.shards, "shards", 0,
-		"event-engine shards per swarm (0: serial engine; N>=1: parallel engine, output identical for every N)")
 	opts.output.Register(flag.CommandLine)
 	list := flag.Bool("list", false, "list runnable experiments and exit")
 	flag.Parse()
@@ -58,7 +55,6 @@ func run(opts benchOptions, stdout io.Writer) error {
 	if opts.full {
 		scale = core.FullScale()
 	}
-	scale.Shards = opts.shards
 
 	names := []string{"figure4", "figure5", "figure6"}
 	if opts.ablations {

@@ -72,7 +72,6 @@ func run(opts options, stdout io.Writer) error {
 		core.WithSeed(opts.scale.Seed),
 		core.WithHorizon(opts.scale.Horizon),
 		core.WithSeeder(opts.seederRate),
-		core.WithShards(opts.scale.Shards),
 	}
 	if opts.freeRiders > 0 {
 		plan := core.MostEffectiveAttack(a)

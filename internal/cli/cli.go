@@ -38,18 +38,16 @@ func (l *StringList) Set(v string) error {
 }
 
 // ScaleFlags bundles the swarm-scale flags shared by the simulation
-// binaries: -peers, -pieces, -seed, -horizon, -shards.
+// binaries: -peers, -pieces, -seed, -horizon.
 type ScaleFlags struct {
 	Peers   int
 	Pieces  int
 	Seed    int64
 	Horizon float64
-	Shards  int
 }
 
 // DefaultScale returns the paper's laptop-friendly default scale
-// (200 peers, 128 pieces of 256 KB, seed 1, 12000 s horizon, serial
-// engine).
+// (200 peers, 128 pieces of 256 KB, seed 1, 12000 s horizon).
 func DefaultScale() ScaleFlags {
 	return ScaleFlags{Peers: 200, Pieces: 128, Seed: 1, Horizon: 12000}
 }
@@ -61,8 +59,6 @@ func (s *ScaleFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Pieces, "pieces", s.Pieces, "file pieces (256 KB each)")
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "random seed")
 	fs.Float64Var(&s.Horizon, "horizon", s.Horizon, "simulated-time cap in seconds")
-	fs.IntVar(&s.Shards, "shards", s.Shards,
-		"event-engine shards per swarm (0: serial engine; N>=1: parallel engine, output identical for every N)")
 }
 
 // ReplicationFlags bundles the replication flags: -reps and -workers.

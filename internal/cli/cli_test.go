@@ -41,6 +41,19 @@ func TestScaleFlagsDefaultsAndOverride(t *testing.T) {
 	}
 }
 
+// TestScaleFlagsRejectShards pins that the removed -shards flag fails
+// loudly: a stale script must not silently run without it.
+func TestScaleFlagsRejectShards(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	s := DefaultScale()
+	s.Register(fs)
+	err := fs.Parse([]string{"-shards", "2"})
+	if err == nil || !strings.Contains(err.Error(), "not defined: -shards") {
+		t.Errorf("Parse(-shards 2) = %v, want an unknown-flag error", err)
+	}
+}
+
 func TestReplicationAndOutputFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	r := ReplicationFlags{Reps: 1}

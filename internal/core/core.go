@@ -16,9 +16,9 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/incentive"
 	"repro/internal/probe"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Algorithm identifies an incentive mechanism; see Algorithms for the set.
@@ -77,11 +77,6 @@ func WithIncentiveParams(p incentive.Params) Option { return sim.WithIncentive(p
 
 // WithSeeder sets the origin server's upload rate in bytes/second.
 func WithSeeder(rate float64) Option { return sim.WithSeeder(rate) }
-
-// WithShards selects the sharded parallel event engine with n shards
-// (n >= 1); 0 restores the serial engine. Sharded output is identical for
-// every n >= 1.
-func WithShards(n int) Option { return sim.WithShards(n) }
 
 // WithFaults injects failures: abortRate of compliant peers crash
 // mid-download, and the seeder exits at seederExitAt (0 disables either
@@ -234,9 +229,9 @@ func Experiments() []string { return experiment.Names() }
 // RunExperiment executes one named table/figure reproduction, writing the
 // report to w and CSV/JSON artifacts under outDir ("" skips artifacts).
 func RunExperiment(name string, scale ExperimentScale, w io.Writer, outDir string) error {
-	var sink *trace.Sink
+	var sink *report.Sink
 	if outDir != "" {
-		sink = trace.NewSink(outDir)
+		sink = report.NewSink(outDir)
 	}
 	if err := experiment.Run(name, scale, w, sink); err != nil {
 		return err

@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // runOne executes a single configured run.
@@ -26,7 +26,7 @@ func runOne(cfg sim.Config) (*sim.Result, error) {
 // old sequential loops did. With a live sink, the batch runs manifested and
 // every member's run manifest is persisted as <name>-manifests.json; the
 // results are byte-identical either way.
-func runBatch(name string, sink *trace.Sink, cfgs []sim.Config) ([]*sim.Result, error) {
+func runBatch(name string, sink *report.Sink, cfgs []sim.Config) ([]*sim.Result, error) {
 	if sink == nil {
 		results, err := runner.Run(cfgs)
 		if err != nil {
@@ -46,8 +46,8 @@ func runBatch(name string, sink *trace.Sink, cfgs []sim.Config) ([]*sim.Result, 
 
 // AblationAlphaBT sweeps BitTorrent's optimistic-unchoke share: the design
 // tradeoff between bootstrap speed (α up) and free-riding exposure (α up).
-func AblationAlphaBT(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: BitTorrent optimistic-unchoke share alpha_BT",
+func AblationAlphaBT(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: BitTorrent optimistic-unchoke share alpha_BT",
 		"alpha_BT", "MeanBoot(s)", "MeanDL(s)", "Susceptibility")
 	alphas := []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 	cfgs := make([]sim.Config, 0, len(alphas))
@@ -74,8 +74,8 @@ func AblationAlphaBT(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationNBT sweeps BitTorrent's reciprocity slot count n_BT (Table I's
 // clustering parameter).
-func AblationNBT(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: BitTorrent reciprocity slots n_BT",
+func AblationNBT(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: BitTorrent reciprocity slots n_BT",
 		"n_BT", "MeanDL(s)", "Fairness(d/u)", "F(Eq.3)")
 	slots := []int{1, 2, 4, 8, 16}
 	cfgs := make([]sim.Config, 0, len(slots))
@@ -101,8 +101,8 @@ func AblationNBT(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationSeeder sweeps seeder capacity: the bootstrap path every
 // mechanism shares (Table II's n_S term).
-func AblationSeeder(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: seeder capacity vs bootstrap and completion",
+func AblationSeeder(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: seeder capacity vs bootstrap and completion",
 		"SeederRate(B/s)", "Algorithm", "MeanBoot(s)", "MeanDL(s)", "Completed")
 	type point struct {
 		rate float64
@@ -134,8 +134,8 @@ func AblationSeeder(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationNeighborView sweeps the compliant neighbor-set size and contrasts
 // it with the large-view exploit, quantifying why the exploit works.
-func AblationNeighborView(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: neighbor-set size vs large-view susceptibility (BitTorrent, 20% free-riders)",
+func AblationNeighborView(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: neighbor-set size vs large-view susceptibility (BitTorrent, 20% free-riders)",
 		"MaxNeighbors", "LargeView", "Susceptibility", "MeanDL(s)")
 	type point struct {
 		neighbors int
@@ -172,8 +172,8 @@ func AblationNeighborView(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationWhitewash sweeps the whitewashing interval against FairTorrent:
 // faster identity churn means deficits never accumulate.
-func AblationWhitewash(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: FairTorrent whitewash interval (20% free-riders)",
+func AblationWhitewash(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: FairTorrent whitewash interval (20% free-riders)",
 		"Interval(s)", "Susceptibility", "CompliantMeanDL(s)")
 	intervals := []float64{10, 30, 60, 120, 1e9}
 	cfgs := make([]sim.Config, 0, len(intervals))
@@ -202,8 +202,8 @@ func AblationWhitewash(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationFalsePraise compares passive free-riding with false-praise
 // collusion against the reputation algorithm (Table III's collusion row).
-func AblationFalsePraise(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: reputation-system collusion via false praise (20% free-riders)",
+func AblationFalsePraise(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: reputation-system collusion via false praise (20% free-riders)",
 		"Attack", "Susceptibility", "CompliantMeanDL(s)")
 	plans := []attack.Plan{
 		{Kind: attack.Passive},
@@ -230,8 +230,8 @@ func AblationFalsePraise(scale Scale, w io.Writer, sink *trace.Sink) error {
 // AblationIndirect isolates T-Chain's indirect reciprocity by comparing its
 // bootstrap speed against pure reciprocity (no initiation at all) and
 // BitTorrent (altruism-only bootstrap).
-func AblationIndirect(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: bootstrapping with and without indirect reciprocity",
+func AblationIndirect(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: bootstrapping with and without indirect reciprocity",
 		"Mechanism", "MeanBoot(s)", "Bootstrapped@30s")
 	algos := []algo.Algorithm{algo.TChain, algo.BitTorrent, algo.Reciprocity}
 	cfgs := make([]sim.Config, 0, len(algos))

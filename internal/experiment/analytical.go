@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/analysis"
-	"repro/internal/trace"
+	"repro/internal/report"
 )
 
 // analysisScenario builds the capacity mix used by the analytical tables:
@@ -25,13 +25,13 @@ func analysisScenario() (*analysis.Scenario, error) {
 
 // Table1 prints the equilibrium download rates of Table I for the analysis
 // capacity mix, one row per algorithm with the per-tier utilization.
-func Table1(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Table1(_ Scale, w io.Writer, sink *report.Sink) error {
 	s, err := analysisScenario()
 	if err != nil {
 		return err
 	}
 	tiers := []float64{8, 4, 2, 1}
-	tbl := trace.NewTable("Table I: equilibrium download utilization d_i - u_S/N by capacity tier",
+	tbl := report.NewTable("Table I: equilibrium download utilization d_i - u_S/N by capacity tier",
 		"Algorithm", "U=8", "U=4", "U=2", "U=1")
 	share := s.SeederRate / float64(s.N())
 	for _, a := range algo.All() {
@@ -59,12 +59,12 @@ func Table1(_ Scale, w io.Writer, sink *trace.Sink) error {
 }
 
 // Figure2 prints the idealized fairness/efficiency ranking of Corollary 1.
-func Figure2(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Figure2(_ Scale, w io.Writer, sink *report.Sink) error {
 	s, err := analysisScenario()
 	if err != nil {
 		return err
 	}
-	tbl := trace.NewTable("Figure 2: idealized equilibrium fairness and efficiency",
+	tbl := report.NewTable("Figure 2: idealized equilibrium fairness and efficiency",
 		"Algorithm", "E (Eq.2)", "F (Eq.3)", "E/E_opt")
 	opt := s.OptimalEfficiency()
 	for _, a := range algo.All() {
@@ -90,12 +90,12 @@ func Figure2(_ Scale, w io.Writer, sink *trace.Sink) error {
 // Figure3 prints the mean piece-exchange probabilities under imperfect
 // piece availability (Proposition 2 / Corollary 2) for a sweep of swarm
 // maturities, reproducing the efficiency re-ranking of Figure 3.
-func Figure3(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Figure3(_ Scale, w io.Writer, sink *report.Sink) error {
 	const (
 		m = 128 // pieces
 		n = 500 // users
 	)
-	tbl := trace.NewTable("Figure 3: mean exchange probability by swarm maturity (M=128, N=500)",
+	tbl := report.NewTable("Figure 3: mean exchange probability by swarm maturity (M=128, N=500)",
 		"Distribution", "pi_Altruism", "pi_TChain", "pi_BT", "pi_DR")
 	dists := []struct {
 		name string
@@ -142,9 +142,9 @@ func flashCrowdDist(m int) analysis.PieceCountDist {
 // Table2 prints the flash-crowd bootstrap probabilities with the paper's
 // example parameters; the rightmost column should read 0.1%, 71.4%, 39.6%,
 // 71.4%, 22.2%, 91.8%.
-func Table2(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Table2(_ Scale, w io.Writer, sink *report.Sink) error {
 	p := analysis.TableIIExample()
-	tbl := trace.NewTable(
+	tbl := report.NewTable(
 		fmt.Sprintf("Table II: bootstrap probability (N=%d, n_S=%d, K=%d, z=%d, pi_DR=%.2f, n_BT=%d, omega=%.2f, n_FT=%d)",
 			p.N, p.NS, p.K, p.Z, p.PiDR, p.NBT, p.Omega, p.NFT),
 		"Algorithm", "Probability", "Paper")
@@ -168,7 +168,7 @@ func Table2(_ Scale, w io.Writer, sink *trace.Sink) error {
 // Lemma3 prints E[T_B(P)] for a sweep of flash-crowd sizes, per algorithm,
 // using each algorithm's Table II probability at the example operating
 // point.
-func Lemma3(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Lemma3(_ Scale, w io.Writer, sink *report.Sink) error {
 	params := analysis.TableIIExample()
 	sizes := []int{1, 10, 100, 1000}
 	headers := make([]string, 0, len(sizes)+1)
@@ -176,7 +176,7 @@ func Lemma3(_ Scale, w io.Writer, sink *trace.Sink) error {
 	for _, p := range sizes {
 		headers = append(headers, fmt.Sprintf("E[T_B(%d)]", p))
 	}
-	tbl := trace.NewTable("Lemma 3: expected slots until P newcomers bootstrap", headers...)
+	tbl := report.NewTable("Lemma 3: expected slots until P newcomers bootstrap", headers...)
 	for _, a := range algo.All() {
 		prob, err := params.BootstrapProbability(a)
 		if err != nil {
@@ -204,7 +204,7 @@ func Lemma3(_ Scale, w io.Writer, sink *trace.Sink) error {
 
 // Table3 prints the free-riding exposure of each algorithm: exploitable
 // resources and collusion probability.
-func Table3(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Table3(_ Scale, w io.Writer, sink *report.Sink) error {
 	s, err := analysisScenario()
 	if err != nil {
 		return err
@@ -227,7 +227,7 @@ func Table3(_ Scale, w io.Writer, sink *trace.Sink) error {
 	if err != nil {
 		return err
 	}
-	tbl := trace.NewTable(
+	tbl := report.NewTable(
 		fmt.Sprintf("Table III: free-riding exposure (Sum U=%.4g, alpha_BT=%.2f, alpha_R=%.2f, omega=%.2f, m=%d)",
 			p.TotalCapacity, p.AlphaBT, p.AlphaR, p.Omega, p.FreeRiders),
 		"Algorithm", "Exploitable", "Fraction of Sum U", "Collusion prob")
@@ -242,12 +242,12 @@ func Table3(_ Scale, w io.Writer, sink *trace.Sink) error {
 
 // Prop3 sweeps a reputation skew on one mid-capacity user and prints how
 // both fairness and efficiency degrade (Proposition 3).
-func Prop3(_ Scale, w io.Writer, sink *trace.Sink) error {
+func Prop3(_ Scale, w io.Writer, sink *report.Sink) error {
 	s, err := analysisScenario()
 	if err != nil {
 		return err
 	}
-	tbl := trace.NewTable("Proposition 3: reputation skew vs fairness and efficiency",
+	tbl := report.NewTable("Proposition 3: reputation skew vs fairness and efficiency",
 		"Skew factor", "F", "E (normalized)")
 	baseReps := analysis.ProportionalReputations(s.Capacities)
 	_, e0, err := analysis.ReputationEquilibrium(baseReps, s.Capacities)

@@ -1,7 +1,7 @@
 // Package experiment contains one runnable harness per table and figure in
 // the paper's evaluation, plus the ablations DESIGN.md calls out. Each
 // harness prints the same rows/series the paper reports and optionally
-// persists CSV/JSON artifacts through a trace.Sink.
+// persists CSV/JSON artifacts through a report.Sink.
 package experiment
 
 import (
@@ -10,7 +10,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/trace"
+	"repro/internal/report"
 )
 
 // Scale sets the simulation size for the Section V experiments. The paper's
@@ -21,10 +21,6 @@ type Scale struct {
 	NumPieces int
 	Horizon   float64
 	Seed      int64
-	// Shards selects the simulator's execution engine for every run in the
-	// experiment: 0 is the serial engine, N >= 1 the sharded parallel
-	// engine with N shards. Rendered output is identical for every N >= 1.
-	Shards int
 }
 
 // FullScale reproduces the paper's experimental scale.
@@ -35,7 +31,7 @@ func TestScale() Scale { return Scale{NumPeers: 100, NumPieces: 48, Horizon: 900
 
 // Runner executes one experiment, writing human-readable output to w and
 // artifacts to sink (which may be nil).
-type Runner func(scale Scale, w io.Writer, sink *trace.Sink) error
+type Runner func(scale Scale, w io.Writer, sink *report.Sink) error
 
 // registry maps experiment IDs to runners. IDs follow the paper's artifact
 // names: table1..table3, figure2..figure6, lemma3, prop3, plus ablations.
@@ -77,7 +73,7 @@ func Names() []string {
 }
 
 // Run executes the named experiment.
-func Run(name string, scale Scale, w io.Writer, sink *trace.Sink) error {
+func Run(name string, scale Scale, w io.Writer, sink *report.Sink) error {
 	runner, ok := registry[strings.ToLower(name)]
 	if !ok {
 		return fmt.Errorf("experiment: unknown experiment %q (have: %s)",

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/report"
 )
 
 func TestNamesSortedAndComplete(t *testing.T) {
@@ -54,7 +54,7 @@ func TestAnalyticalExperiments(t *testing.T) {
 	}
 	for name, wants := range cases {
 		var sb strings.Builder
-		sink := trace.NewSink(filepath.Join(t.TempDir(), name))
+		sink := report.NewSink(filepath.Join(t.TempDir(), name))
 		if err := Run(name, TestScale(), &sb, sink); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -109,7 +109,7 @@ func TestSimulationFigures(t *testing.T) {
 	scale := TestScale()
 	for _, name := range []string{"figure4", "figure5", "figure6"} {
 		var sb strings.Builder
-		sink := trace.NewSink(filepath.Join(t.TempDir(), name))
+		sink := report.NewSink(filepath.Join(t.TempDir(), name))
 		if err := Run(name, scale, &sb, sink); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

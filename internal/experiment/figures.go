@@ -7,15 +7,15 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // simConfig builds the Section V configuration for one algorithm at the
 // given scale, with any extra options applied on top.
 func simConfig(a algo.Algorithm, scale Scale, opts ...sim.Option) sim.Config {
-	base := []sim.Option{sim.WithHorizon(scale.Horizon), sim.WithSeed(scale.Seed), sim.WithShards(scale.Shards)}
+	base := []sim.Option{sim.WithHorizon(scale.Horizon), sim.WithSeed(scale.Seed)}
 	return sim.Default(a, scale.NumPeers, scale.NumPieces, append(base, opts...)...)
 }
 
@@ -24,7 +24,7 @@ func simConfig(a algo.Algorithm, scale Scale, opts ...sim.Option) sim.Config {
 // the runner pool; results come back in algo.All() order, keeping the
 // rendered tables byte-identical to the old sequential loop. With a live
 // sink, each batch member's run manifest is persisted as <name>-manifests.
-func runAll(scale Scale, name string, sink *trace.Sink, perAlgo func(algo.Algorithm) []sim.Option) (map[algo.Algorithm]*sim.Result, error) {
+func runAll(scale Scale, name string, sink *report.Sink, perAlgo func(algo.Algorithm) []sim.Option) (map[algo.Algorithm]*sim.Result, error) {
 	algos := algo.All()
 	cfgs := make([]sim.Config, len(algos))
 	for i, a := range algos {
@@ -56,8 +56,8 @@ func fmtOr(v float64, alt string) string {
 
 // summarizeRuns renders the standard per-algorithm summary table and
 // persists each run's time series.
-func summarizeRuns(title, prefix string, results map[algo.Algorithm]*sim.Result, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable(title,
+func summarizeRuns(title, prefix string, results map[algo.Algorithm]*sim.Result, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable(title,
 		"Algorithm", "Completed", "MeanDL(s)", "MedianDL(s)", "Fairness(d/u)", "F(Eq.3)", "MeanBoot(s)", "Susceptibility")
 	for _, a := range algo.All() {
 		r := results[a]
@@ -108,9 +108,9 @@ func summarizeRuns(title, prefix string, results map[algo.Algorithm]*sim.Result,
 				ts.Name = a.String()
 				zoom = append(zoom, ts)
 			}
-			fmt.Fprintln(w, trace.Chart("Bootstrapped fraction vs time (early window)", 64, 12, zoom...))
+			fmt.Fprintln(w, report.Chart("Bootstrapped fraction vs time (early window)", 64, 12, zoom...))
 		case sim.SeriesCompleted:
-			fmt.Fprintln(w, trace.Chart("Completed fraction vs time", 64, 12, merged...))
+			fmt.Fprintln(w, report.Chart("Completed fraction vs time", 64, 12, merged...))
 		}
 	}
 	return nil
@@ -118,7 +118,7 @@ func summarizeRuns(title, prefix string, results map[algo.Algorithm]*sim.Result,
 
 // Figure4 reproduces the compliant-swarm comparison: (a) download-time
 // efficiency, (b) fairness over time, (c) bootstrapping speed.
-func Figure4(scale Scale, w io.Writer, sink *trace.Sink) error {
+func Figure4(scale Scale, w io.Writer, sink *report.Sink) error {
 	results, err := runAll(scale, "figure4", sink, nil)
 	if err != nil {
 		return err
@@ -130,7 +130,7 @@ func Figure4(scale Scale, w io.Writer, sink *trace.Sink) error {
 // Figure5 reproduces the 20% free-rider comparison with each algorithm's
 // most effective attack (collusion for T-Chain, whitewashing for
 // FairTorrent, passive otherwise).
-func Figure5(scale Scale, w io.Writer, sink *trace.Sink) error {
+func Figure5(scale Scale, w io.Writer, sink *report.Sink) error {
 	results, err := runAll(scale, "figure5", sink, func(a algo.Algorithm) []sim.Option {
 		return []sim.Option{sim.WithFreeRiders(0.2, attack.MostEffective(a))}
 	})
@@ -142,7 +142,7 @@ func Figure5(scale Scale, w io.Writer, sink *trace.Sink) error {
 }
 
 // Figure6 adds the large-view exploit on top of Figure 5's attacks.
-func Figure6(scale Scale, w io.Writer, sink *trace.Sink) error {
+func Figure6(scale Scale, w io.Writer, sink *report.Sink) error {
 	results, err := runAll(scale, "figure6", sink, func(a algo.Algorithm) []sim.Option {
 		return []sim.Option{sim.WithFreeRiders(0.2, attack.MostEffective(a).WithLargeView())}
 	})

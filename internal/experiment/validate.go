@@ -8,15 +8,15 @@ import (
 	"repro/internal/algo"
 	"repro/internal/analysis"
 	"repro/internal/attack"
+	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ValidateAvailability cross-validates the paper's piece-availability model
 // (Eqs. 4–7) against the simulator: it pauses an altruism swarm mid-run,
 // measures the empirical pairwise exchange feasibility, and compares it
 // with the closed forms evaluated on the observed piece-count distribution.
-func ValidateAvailability(scale Scale, w io.Writer, sink *trace.Sink) error {
+func ValidateAvailability(scale Scale, w io.Writer, sink *report.Sink) error {
 	// Calibration run: find the mean download time so the snapshot lands
 	// mid-download, when piece counts are spread out and the model is
 	// interesting.
@@ -29,7 +29,7 @@ func ValidateAvailability(scale Scale, w io.Writer, sink *trace.Sink) error {
 		return errors.New("experiment: calibration run never completed; raise the horizon")
 	}
 
-	tbl := trace.NewTable(
+	tbl := report.NewTable(
 		"Validation: Eq. 4-7 exchange model vs simulator across swarm phases",
 		"Phase", "t(s)", "Peers", "pi_A model", "pi_A sim", "pi_DR model", "pi_DR sim")
 	phases := []struct {
@@ -91,8 +91,8 @@ func ValidateAvailability(scale Scale, w io.Writer, sink *trace.Sink) error {
 // AblationPropShare compares BitTorrent's equal-split unchoking with
 // PropShare's contribution-proportional allocation [5] — the related-work
 // variant the paper cites as an attempt to reduce free-riding.
-func AblationPropShare(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: BitTorrent vs PropShare (extension), with and without 20% free-riders",
+func AblationPropShare(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: BitTorrent vs PropShare (extension), with and without 20% free-riders",
 		"Mechanism", "FreeRiders", "MeanDL(s)", "F(Eq.3)", "Susceptibility")
 	type point struct {
 		a  algo.Algorithm
@@ -129,8 +129,8 @@ func AblationPropShare(scale Scale, w io.Writer, sink *trace.Sink) error {
 
 // AblationArrival contrasts the paper's flash crowd with a steady Poisson
 // arrival stream — the regime where bootstrapping pressure is spread out.
-func AblationArrival(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: flash crowd vs Poisson arrivals",
+func AblationArrival(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: flash crowd vs Poisson arrivals",
 		"Mechanism", "Arrivals", "MeanBoot(s)", "MeanDL(s)", "Completed")
 	type point struct {
 		a     algo.Algorithm
@@ -171,8 +171,8 @@ func AblationArrival(scale Scale, w io.Writer, sink *trace.Sink) error {
 // AblationChurn injects mid-download crashes and a seeder exit, measuring
 // how each mechanism's surviving population fares — robustness beyond the
 // paper's leave-on-completion churn.
-func AblationChurn(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable("Ablation: failure injection (15% peer crashes; seeder exits at horizon/8)",
+func AblationChurn(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable("Ablation: failure injection (15% peer crashes; seeder exits at horizon/8)",
 		"Mechanism", "Failures", "SurvivorCompleted", "MeanDL(s)")
 	type point struct {
 		a     algo.Algorithm

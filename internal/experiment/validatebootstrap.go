@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/analysis"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ValidateBootstrap compares Table II's bootstrap dynamics (iterated via
@@ -17,8 +17,8 @@ import (
 // fraction (Figure 4c), per algorithm. The comparison targets the *speed
 // ordering* and rough time scales — the analytical model works in abstract
 // timeslots, which we map to seconds using the mean piece-upload rate.
-func ValidateBootstrap(scale Scale, w io.Writer, sink *trace.Sink) error {
-	tbl := trace.NewTable(
+func ValidateBootstrap(scale Scale, w io.Writer, sink *report.Sink) error {
+	tbl := report.NewTable(
 		"Validation: Table II bootstrap dynamics vs simulator (time to 50% / 90% bootstrapped)",
 		"Algorithm", "Model t50(s)", "Sim t50(s)", "Model t90(s)", "Sim t90(s)")
 

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/analysis"
+	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ValidateFluid compares the classic fluid model's completion curve
@@ -15,7 +15,7 @@ import (
 // efficiency analysis) against the simulator's measured completion
 // trajectory for the altruism mechanism — the regime the fluid model's
 // uniform-exchange assumption describes.
-func ValidateFluid(scale Scale, w io.Writer, sink *trace.Sink) error {
+func ValidateFluid(scale Scale, w io.Writer, sink *report.Sink) error {
 	cfg := simConfig(algo.Altruism, scale)
 	res, err := runOne(cfg)
 	if err != nil {
@@ -29,7 +29,7 @@ func ValidateFluid(scale Scale, w io.Writer, sink *trace.Sink) error {
 		SeedRate: cfg.SeederRate / fileBytes,
 	}
 
-	tbl := trace.NewTable(
+	tbl := report.NewTable(
 		fmt.Sprintf("Validation: fluid model vs simulator, altruism (N=%d, mu=%.3g files/s, s=%.3g files/s)",
 			fluid.N, fluid.Mu, fluid.SeedRate),
 		"Completed", "Fluid t(s)", "Sim t(s)")

@@ -123,6 +123,10 @@ func TestStatsShim(t *testing.T) {
 			t.Fatalf("leecher %d incomplete: %v", i+1, err)
 		}
 	}
+	// Stats() and Snapshot() are read at two instants; trailing Have and
+	// receipt frames still flow after completion, so quiesce first (Stop
+	// returns once every goroutine of the node has exited).
+	c.stopAll()
 	for _, n := range c.nodes {
 		st := n.Stats()
 		snap := n.Metrics().Snapshot()

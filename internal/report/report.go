@@ -1,6 +1,6 @@
-// Package trace renders experiment outputs: aligned text tables for the
+// Package report renders experiment outputs: aligned text tables for the
 // terminal, CSV files for plotting, and JSON for downstream tooling.
-package trace
+package report
 
 import (
 	"encoding/json"
@@ -89,7 +89,7 @@ func (t *Table) CSV() (string, error) {
 	writeRow := func(cells []string) error {
 		for i, cell := range cells {
 			if strings.ContainsAny(cell, ",\n\"") {
-				return fmt.Errorf("trace: cell %q needs quoting; use simple values", cell)
+				return fmt.Errorf("report: cell %q needs quoting; use simple values", cell)
 			}
 			if i > 0 {
 				sb.WriteByte(',')
@@ -151,7 +151,7 @@ func (s *Sink) AddJSON(name string, v any) error {
 	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("trace: marshal %s: %w", name, err)
+		return fmt.Errorf("report: marshal %s: %w", name, err)
 	}
 	s.files[name+".json"] = string(data)
 	return nil
@@ -175,12 +175,12 @@ func (s *Sink) Flush() error {
 		return nil
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("report: %w", err)
 	}
 	for name, content := range s.files {
 		path := filepath.Join(s.dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return fmt.Errorf("trace: writing %s: %w", path, err)
+			return fmt.Errorf("report: writing %s: %w", path, err)
 		}
 	}
 	return nil

@@ -32,8 +32,8 @@ type Standing struct {
 
 // Ledger tracks cumulative upload contributions per peer, credited only
 // through attestations its policy admits. Safe for concurrent use: the
-// simulator mutates it from one goroutine (or one per shard lane), the
-// live network node from many.
+// simulator mutates it from one goroutine, the live network node from
+// many.
 type Ledger struct {
 	policy attest.Policy
 

@@ -21,13 +21,8 @@ type Manifest struct {
 	Algorithm string `json:"algorithm"`
 	// Seed is the run's random seed.
 	Seed int64 `json:"seed"`
-	// Workers is the pool size the batch executed on, after the
-	// shards-aware cap (see Warning).
+	// Workers is the pool size the batch executed on.
 	Workers int `json:"workers"`
-	// Warning flags a workers × shards budget problem for this batch:
-	// either a defaulted pool was capped to fit GOMAXPROCS, or an explicit
-	// worker count oversubscribes the cores. Empty when the budget fits.
-	Warning string `json:"warning,omitempty"`
 	// Config is the run's configuration after Validate's normalization —
 	// re-running exactly this config reproduces the run bit-for-bit.
 	Config sim.Config `json:"config"`
@@ -75,7 +70,7 @@ func MetricSummary(r *sim.Result) map[string]float64 {
 // assembles its manifest. The counter probe is allocation-free on the
 // dispatch path and cannot perturb the run (pinned by the sim tests), so
 // manifested results stay byte-identical to plain ones.
-func runOneManifested(index int, cfg sim.Config, workers int, warning string) (*sim.Result, *Manifest, error) {
+func runOneManifested(index int, cfg sim.Config, workers int) (*sim.Result, *Manifest, error) {
 	setupStart := time.Now()
 	sw, err := sim.NewSwarm(cfg)
 	if err != nil {
@@ -96,7 +91,6 @@ func runOneManifested(index int, cfg sim.Config, workers int, warning string) (*
 		Algorithm:       res.Config.Algorithm.String(),
 		Seed:            res.Config.Seed,
 		Workers:         workers,
-		Warning:         warning,
 		Config:          res.Config,
 		SetupMS:         setup.Seconds() * 1e3,
 		RunMS:           time.Since(runStart).Seconds() * 1e3,
@@ -118,9 +112,9 @@ func (p *Pool) RunManifested(cfgs []sim.Config) ([]*sim.Result, []*Manifest, err
 	}
 	results := make([]*sim.Result, len(cfgs))
 	manifests := make([]*Manifest, len(cfgs))
-	workers, warning := p.effectiveWorkers(len(cfgs), cfgs)
-	err := p.forEach(len(cfgs), workers, func(i int) error {
-		res, m, err := runOneManifested(i, cfgs[i], workers, warning)
+	workers := min(p.workers, len(cfgs))
+	err := p.forEach(len(cfgs), func(i int) error {
+		res, m, err := runOneManifested(i, cfgs[i], workers)
 		results[i], manifests[i] = res, m
 		return err
 	})

@@ -48,58 +48,15 @@ func DefaultWorkers() int {
 // for concurrent use.
 type Pool struct {
 	workers int
-	// explicit records that the worker count was requested (New(n) or
-	// REPRO_WORKERS) rather than defaulted; explicit counts are honored
-	// even when sharded swarms would oversubscribe the cores, with a
-	// warning in the manifests instead of a silent cap.
-	explicit bool
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
 // DefaultWorkers().
 func New(workers int) *Pool {
-	if workers > 0 {
-		return &Pool{workers: workers, explicit: true}
+	if workers <= 0 {
+		workers = DefaultWorkers()
 	}
-	if v := os.Getenv(EnvWorkers); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return &Pool{workers: n, explicit: true}
-		}
-	}
-	return &Pool{workers: runtime.GOMAXPROCS(0)}
-}
-
-// effectiveWorkers bounds the pool size for one batch. Sharded swarms run
-// cfg.Shards goroutines each, so a defaulted pool is capped to keep
-// workers × shards within GOMAXPROCS (each job still gets at least one
-// worker); an explicit worker count is honored but flagged. The returned
-// warning (empty when the product fits) is recorded in batch manifests.
-func (p *Pool) effectiveWorkers(n int, cfgs []sim.Config) (int, string) {
-	workers := min(p.workers, n)
-	shards := 0
-	for _, c := range cfgs {
-		if c.Shards > shards {
-			shards = c.Shards
-		}
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if shards <= 1 || workers*shards <= procs {
-		return workers, ""
-	}
-	if p.explicit {
-		return workers, fmt.Sprintf(
-			"oversubscribed: %d workers x %d shards exceeds GOMAXPROCS=%d (explicit worker count honored)",
-			workers, shards, procs)
-	}
-	capped := max(1, procs/shards)
-	if capped >= workers {
-		return workers, fmt.Sprintf(
-			"oversubscribed: %d workers x %d shards exceeds GOMAXPROCS=%d",
-			workers, shards, procs)
-	}
-	return capped, fmt.Sprintf(
-		"workers capped %d -> %d: %d-shard swarms on GOMAXPROCS=%d",
-		workers, capped, shards, procs)
+	return &Pool{workers: workers}
 }
 
 // Workers returns the pool's worker count.
@@ -115,8 +72,7 @@ func (p *Pool) Run(cfgs []sim.Config) ([]*sim.Result, error) {
 		return nil, nil
 	}
 	results := make([]*sim.Result, len(cfgs))
-	workers, _ := p.effectiveWorkers(len(cfgs), cfgs)
-	err := p.forEach(len(cfgs), workers, func(i int) error {
+	err := p.forEach(len(cfgs), func(i int) error {
 		res, err := runOne(cfgs[i])
 		results[i] = res
 		return err
@@ -136,12 +92,13 @@ type jobError struct {
 func (e *jobError) Error() string { return e.err.Error() }
 func (e *jobError) Unwrap() error { return e.err }
 
-// forEach runs job(0..n-1) across the given number of workers
-// (sequentially for a single worker) and returns a *jobError for the
-// lowest-indexed failure, or nil. Job completion order is unconstrained;
-// callers index into pre-sized slices to preserve submission order.
-func (p *Pool) forEach(n, workers int, job func(i int) error) error {
+// forEach runs job(0..n-1) across the pool's workers (sequentially for a
+// single worker) and returns a *jobError for the lowest-indexed failure,
+// or nil. Job completion order is unconstrained; callers index into
+// pre-sized slices to preserve submission order.
+func (p *Pool) forEach(n int, job func(i int) error) error {
 	errs := make([]error, n)
+	workers := min(p.workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			errs[i] = job(i)

@@ -3,7 +3,6 @@ package runner
 import (
 	"encoding/json"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -183,60 +182,5 @@ func TestDefaultWorkersEnvOverride(t *testing.T) {
 	}
 	if got := New(5).Workers(); got != 5 {
 		t.Errorf("explicit worker count ignored: %d", got)
-	}
-}
-
-func TestEffectiveWorkersShardBudget(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	sharded := testConfig(algo.BitTorrent, 1)
-	sharded.Shards = procs + 1 // guarantees workers*shards > GOMAXPROCS
-	cfgs := []sim.Config{sharded, sharded, sharded, sharded}
-
-	// A defaulted pool is capped (to >= 1 worker) with a warning.
-	def := &Pool{workers: procs}
-	workers, warn := def.effectiveWorkers(len(cfgs), cfgs)
-	if workers < 1 || workers*sharded.Shards > procs && workers != 1 {
-		t.Fatalf("defaulted pool picked %d workers for %d-shard jobs on GOMAXPROCS=%d", workers, sharded.Shards, procs)
-	}
-	if warn == "" {
-		t.Fatal("defaulted oversubscribed batch produced no warning")
-	}
-
-	// An explicit worker count is honored but flagged.
-	exp := New(procs)
-	workers, warn = exp.effectiveWorkers(len(cfgs), cfgs)
-	if want := min(procs, len(cfgs)); workers != want {
-		t.Fatalf("explicit pool ran %d workers, want %d", workers, want)
-	}
-	if !strings.Contains(warn, "oversubscribed") {
-		t.Fatalf("explicit oversubscribed batch warning = %q", warn)
-	}
-
-	// Serial configs are never capped or warned.
-	plain := []sim.Config{testConfig(algo.BitTorrent, 1)}
-	if workers, warn = def.effectiveWorkers(len(plain), plain); workers != 1 || warn != "" {
-		t.Fatalf("serial batch got workers=%d warn=%q", workers, warn)
-	}
-}
-
-func TestManifestWarnsOnOversubscribedShards(t *testing.T) {
-	cfg := testConfig(algo.BitTorrent, 3)
-	cfg.Shards = runtime.GOMAXPROCS(0) + 1
-	pool := New(4) // explicit: honored, so the manifest must carry the warning
-	_, manifests, err := pool.RunManifested([]sim.Config{cfg, cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range manifests {
-		if !strings.Contains(m.Warning, "oversubscribed") {
-			t.Fatalf("manifest warning = %q, want oversubscription flag", m.Warning)
-		}
-	}
-	data, err := json.Marshal(manifests[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "\"warning\"") {
-		t.Fatal("warning missing from manifest JSON")
 	}
 }

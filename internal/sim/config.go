@@ -78,17 +78,6 @@ type Config struct {
 	SeederExitAt float64 `json:"seeder_exit_at"`
 	// Seed drives every random choice; runs replay bit-for-bit.
 	Seed int64 `json:"seed"`
-	// Shards selects the execution engine. 0 (the default) runs the serial
-	// single-threaded engine, byte-compatible with every previous release.
-	// N >= 1 runs the sharded parallel engine with N shards: peers are
-	// partitioned into per-shard event heaps executing concurrently under a
-	// conservative lookahead window, with per-peer RNG streams. Sharded
-	// runs are deterministic and byte-identical for every N >= 1 (Shards=1
-	// and Shards=8 produce the same Result), but they are a *different*
-	// timing model from the serial engine — per-peer instead of global RNG
-	// draws, window-quantized control events — so Shards=0 and Shards=1
-	// outputs differ. See DESIGN.md §12.
-	Shards int `json:"shards,omitempty"`
 
 	// naiveScan disables the incremental interest/rarity indexes and routes
 	// interest queries and piece selection through the original full-scan
@@ -201,9 +190,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SeederExitAt < 0 {
 		return fmt.Errorf("sim: SeederExitAt %g negative", c.SeederExitAt)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: Shards %d negative", c.Shards)
 	}
 	return nil
 }

@@ -113,13 +113,3 @@ func TestOptionsSetFields(t *testing.T) {
 		t.Errorf("options diverge from direct mutation:\n got %+v\nwant %+v", cfg, want)
 	}
 }
-
-// TestWithChurnDeprecatedWrapper pins the deprecated combined option to its
-// two replacements so old callers keep compiling and behaving identically.
-func TestWithChurnDeprecatedWrapper(t *testing.T) {
-	old := Default(algo.BitTorrent, 50, 16, WithChurn(0.1, 99))
-	split := Default(algo.BitTorrent, 50, 16, WithAbortRate(0.1), WithSeederExit(99))
-	if !reflect.DeepEqual(old, split) {
-		t.Errorf("WithChurn diverges from WithAbortRate+WithSeederExit:\n got %+v\nwant %+v", old, split)
-	}
-}

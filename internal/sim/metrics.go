@@ -167,7 +167,7 @@ func (m *metricsCollector) Sample(now float64) {
 func (s *Swarm) sample(now float64) {
 	s.emitSample(now)
 	if s.live() {
-		s.controlAfter(s.cfg.SampleInterval, s.sample)
+		s.engine.After(s.cfg.SampleInterval, s.sample)
 	}
 }
 
@@ -209,8 +209,8 @@ func (s *Swarm) buildResult() *Result {
 		PeerUploaded:      s.metrics.peerUploaded,
 		SeederUploaded:    s.seeder.uploaded,
 		FreeRiderCredited: s.metrics.freeRiderCredited,
-		Duration:          s.now(),
-		EventsProcessed:   s.processed(),
+		Duration:          s.engine.Now(),
+		EventsProcessed:   s.engine.Processed(),
 		snapshot:          s.snapshot,
 	}
 	for i, p := range s.peers {

@@ -84,25 +84,6 @@ func WithSeederExit(at float64) Option {
 	return func(c *Config) { c.SeederExitAt = at }
 }
 
-// WithChurn injects failures: abortRate of compliant peers crash
-// mid-download, and the seeder exits at seederExitAt (0 disables either).
-//
-// Deprecated: use WithAbortRate and WithSeederExit, which name the two
-// unrelated knobs separately.
-func WithChurn(abortRate, seederExitAt float64) Option {
-	return func(c *Config) {
-		c.AbortRate = abortRate
-		c.SeederExitAt = seederExitAt
-	}
-}
-
-// WithShards selects the sharded parallel engine with n shards (n >= 1);
-// 0 restores the serial engine. Sharded output is identical for every
-// n >= 1, so n only trades wall-clock speed against core usage.
-func WithShards(n int) Option {
-	return func(c *Config) { c.Shards = n }
-}
-
 // WithSnapshotAt records an availability snapshot at the given virtual
 // time (used by the validation experiments).
 func WithSnapshotAt(t float64) Option {

@@ -57,14 +57,6 @@ type peer struct {
 
 	retry   eventsim.Timer   // pending idle-retry; the zero Timer when none
 	retryFn eventsim.Handler // cached retry closure, allocated once per peer
-
-	// Sharded-engine state, nil/unused under the serial engine. Each peer is
-	// one lane with its own RNG stream, so its draws are independent of how
-	// lanes are packed onto shards; kickFn is the cached barrier-kick
-	// handler scheduled whenever barrier-side state changes make the peer
-	// worth re-polling.
-	laneRNG *rand.Rand
-	kickFn  eventsim.Handler
 }
 
 // peerView adapts a peer to incentive.NodeView. One instance per peer,
@@ -76,7 +68,6 @@ type peer struct {
 type peerView struct {
 	swarm   *Swarm
 	peer    *peer
-	now     float64 // current virtual time under the sharded engine
 	scratch []incentive.PeerID
 	cursor  int
 	topoGen uint64 // swarm topology generation the scratch was built at
@@ -86,27 +77,8 @@ type peerView struct {
 var _ incentive.NodeView = (*peerView)(nil)
 
 func (v *peerView) Self() incentive.PeerID { return v.peer.id }
-
-// Now returns the current virtual time. Under the sharded engine shards
-// advance concurrently, so there is no global clock to consult; the
-// dispatching handler stamps v.now before invoking strategy code.
-func (v *peerView) Now() float64 {
-	if v.swarm.sh != nil {
-		return v.now
-	}
-	return v.swarm.engine.Now()
-}
-
-// RNG returns the random stream strategy code must use: the swarm-global
-// stream under the serial engine, the peer's own lane stream under the
-// sharded engine (the global stream is not safe — or deterministic — to
-// share across concurrently executing shards).
-func (v *peerView) RNG() *rand.Rand {
-	if v.swarm.sh != nil {
-		return v.peer.laneRNG
-	}
-	return v.swarm.rng
-}
+func (v *peerView) Now() float64           { return v.swarm.engine.Now() }
+func (v *peerView) RNG() *rand.Rand        { return v.swarm.rng }
 
 // Neighbors returns the IDs of currently active neighbors. The returned
 // slice is valid until the next call on this view, and the caller may

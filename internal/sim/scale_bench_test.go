@@ -58,38 +58,3 @@ func BenchmarkSwarmLargeNaive(b *testing.B) {
 	cfg.naiveScan = true
 	runScaleBench(b, cfg)
 }
-
-// BenchmarkSwarmLargeSharded is the 5000×256 swarm on the sharded parallel
-// engine with 8 shards — the same population and piece count as
-// BenchmarkSwarmLarge, run concurrently under the conservative lookahead
-// barrier. The sharded engine is its own deterministic timing model
-// (per-peer RNG streams, window-quantized control), so events/op differs
-// from the serial row; the wall-clock ratio against BenchmarkSwarmLarge is
-// the parallelism win on the recording machine's core count.
-func BenchmarkSwarmLargeSharded(b *testing.B) {
-	cfg := largeConfig()
-	cfg.Shards = 8
-	runScaleBench(b, cfg)
-}
-
-// hugeConfig is the population-scale shape the parallel engine targets: a
-// 100,000-peer flash crowd over a 16 MB file (64 × 256 KB pieces). The
-// piece count is kept modest so a run is dominated by swarm dynamics
-// (interest, choking, availability) rather than per-peer completion grind.
-func hugeConfig() Config {
-	cfg := Default(algo.BitTorrent, 100_000, 64)
-	cfg.Seed = 42
-	cfg.Horizon = 30000
-	cfg.Shards = 8
-	return cfg
-}
-
-// BenchmarkSwarmHuge runs the 100k-peer swarm on the sharded engine —
-// population scale that the serial engine's single heap makes impractical.
-// scripts/bench.sh scale records it in BENCH_scale.json.
-func BenchmarkSwarmHuge(b *testing.B) {
-	if testing.Short() {
-		b.Skip("100k-peer run")
-	}
-	runScaleBench(b, hugeConfig())
-}

@@ -33,13 +33,9 @@ func newSeeder(s *Swarm) *seeder {
 		alloc:    bandwidth.NewAllocator(rate, s.cfg.SeederSlots),
 		distrust: make(map[int]bool),
 	}
-	sd.retryFn = func(now float64) {
+	sd.retryFn = func(float64) {
 		sd.retrying = false
-		if s.sh != nil {
-			sd.shardSchedule(now)
-		} else {
-			sd.schedule()
-		}
+		sd.schedule()
 	}
 	return sd
 }
@@ -91,7 +87,7 @@ func (sd *seeder) startUpload() bool {
 		return false
 	}
 	s.emitUnchoke(s.engine.Now(), int(SeederID), int(receiver.id))
-	pieceIdx := s.pickPiece(s.rng, nil, receiver)
+	pieceIdx := s.pickPiece(nil, receiver)
 	if pieceIdx < 0 {
 		return false
 	}
@@ -129,7 +125,7 @@ func (sd *seeder) deliver(receiver *peer, pieceIdx int, now float64) {
 
 	if receiver.active {
 		receiver.rawDown += bytes
-		if s.credited(s.rng, nil, receiver) {
+		if s.credited(nil, receiver) {
 			s.credit(SeederID, receiver, pieceIdx, bytes, now)
 		} else {
 			sd.distrust[int(receiver.id)] = true

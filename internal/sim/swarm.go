@@ -29,13 +29,6 @@ type Swarm struct {
 	availability *piece.Availability
 	seeder       *seeder
 
-	// Sharded-engine state (cfg.Shards >= 1): sh replaces engine as the
-	// executor, lanes 0..NumPeers-1 are the peers, seederLane hosts the
-	// seeder, and seederRNG is its dedicated stream. See shard.go.
-	sh         *eventsim.Sharded[shardRec]
-	seederRNG  *rand.Rand
-	seederLane int
-
 	arrivedCount   int
 	activeCount    int
 	completedCount int // compliant completions
@@ -97,11 +90,6 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 		metrics:      &metricsCollector{},
 	}
 	s.indexed = !cfg.naiveScan
-	if cfg.Shards > 0 {
-		s.seederLane = cfg.NumPeers
-		s.seederRNG = stats.NewStream(cfg.Seed, s.seederLane)
-		s.sh = eventsim.NewSharded[shardRec](cfg.Shards, cfg.NumPeers+1, lookaheadWindow(cfg), s.replayRec)
-	}
 	s.info = probe.RunInfo{
 		Algorithm: cfg.Algorithm.String(),
 		NumPeers:  cfg.NumPeers,
@@ -143,17 +131,9 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 			finishAt:    -1,
 		}
 		p.view = &peerView{swarm: s, peer: p}
-		p.retryFn = func(now float64) {
+		p.retryFn = func(float64) {
 			p.retry = eventsim.Timer{}
-			if s.sh != nil {
-				s.shardKick(p, now)
-			} else {
-				s.kick(p)
-			}
-		}
-		if s.sh != nil {
-			p.laneRNG = stats.NewStream(cfg.Seed, i)
-			p.kickFn = func(now float64) { s.shardKick(p, now) }
+			s.kick(p)
 		}
 		if p.freeRider {
 			p.strategy = attack.NewFreeRider(cfg.Algorithm)
@@ -168,18 +148,14 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 			s.numCompliant++
 		}
 		s.peers[i] = p
-		s.scheduleControlAt(p.arrival, func(now float64) { s.join(p, now) })
+		s.engine.Schedule(p.arrival, func(float64) { s.join(p) })
 	}
 
 	s.seeder = newSeeder(s)
-	if s.sh != nil {
-		s.sh.BarrierSchedule(s.seederLane, 0, func(now float64) { s.seeder.shardSchedule(now) })
-	} else {
-		s.engine.Schedule(0, func(float64) { s.seeder.schedule() })
-	}
-	s.scheduleControlAt(cfg.SampleInterval, s.sample)
+	s.engine.Schedule(0, func(float64) { s.seeder.schedule() })
+	s.engine.Schedule(cfg.SampleInterval, s.sample)
 	if cfg.SnapshotAt > 0 {
-		s.scheduleControlAt(cfg.SnapshotAt, s.takeSnapshot)
+		s.engine.Schedule(cfg.SnapshotAt, s.takeSnapshot)
 	}
 	s.scheduleFailures()
 	s.scheduleAttacks()
@@ -213,14 +189,12 @@ func (s *Swarm) lookup(id incentive.PeerID) *peer {
 }
 
 // join activates a peer at its arrival time and wires its neighborhood.
-// Under the sharded engine it runs as a control event at a barrier, so the
-// swarm-global rng draws and topology mutations below stay single-threaded.
-func (s *Swarm) join(p *peer, now float64) {
+func (s *Swarm) join(p *peer) {
 	p.joined = true
 	p.active = true
 	s.arrivedCount++
 	s.activeCount++
-	s.emitPeerJoin(now, p)
+	s.emitPeerJoin(s.engine.Now(), p)
 
 	// Connect to up to MaxNeighbors random active peers. The candidate
 	// slice is swarm-owned scratch: join runs to completion before any
@@ -246,16 +220,6 @@ func (s *Swarm) join(p *peer, now float64) {
 			}
 		}
 	}
-	if s.sh != nil {
-		// Lane state may be mid-window on other shards; kicks become lane
-		// events at the next window boundary, newcomer first, then its
-		// neighbors in wiring order.
-		s.sh.BarrierSchedule(int(p.id), now, p.kickFn)
-		for _, q := range p.neighbors {
-			s.sh.BarrierSchedule(int(q.id), now, q.kickFn)
-		}
-		return
-	}
 	s.kick(p)
 	// A newcomer is a fresh upload opportunity for its neighbors.
 	for _, q := range p.neighbors {
@@ -265,7 +229,7 @@ func (s *Swarm) join(p *peer, now float64) {
 
 // depart deactivates a peer after completion, per the paper's
 // leave-on-completion churn, removing it from all neighborhoods.
-func (s *Swarm) depart(p *peer, now float64) {
+func (s *Swarm) depart(p *peer) {
 	if !p.active {
 		return
 	}
@@ -273,7 +237,7 @@ func (s *Swarm) depart(p *peer, now float64) {
 	s.activeCount--
 	s.actives = removePeerByID(s.actives, p)
 	s.incomplete = removePeerByID(s.incomplete, p)
-	s.emitPeerLeave(now, int(p.id))
+	s.emitPeerLeave(s.engine.Now(), int(p.id))
 	p.retry.Cancel()
 	p.retry = eventsim.Timer{}
 	s.availability.RemoveBitfield(p.have)
@@ -312,66 +276,12 @@ func (s *Swarm) Run() (*Result, error) {
 		return nil, fmt.Errorf("sim: swarm already ran")
 	}
 	s.ran = true
-	var err error
-	if s.sh != nil {
-		err = s.sh.Run(s.cfg.Horizon)
-	} else {
-		err = s.engine.Run(s.cfg.Horizon)
-	}
-	if err != nil && !errors.Is(err, eventsim.ErrStopped) {
+	if err := s.engine.Run(s.cfg.Horizon); err != nil && !errors.Is(err, eventsim.ErrStopped) {
 		return nil, err
 	}
-	s.emitSample(s.now())
-	s.emitEndRun(s.now())
+	s.emitSample(s.engine.Now())
+	s.emitEndRun(s.engine.Now())
 	return s.buildResult(), nil
-}
-
-// now returns the current virtual time of whichever engine is driving the
-// run. Only meaningful outside a sharded window (at barriers, control
-// events, or after Run returns).
-func (s *Swarm) now() float64 {
-	if s.sh != nil {
-		return s.sh.Now()
-	}
-	return s.engine.Now()
-}
-
-// processed returns the total executed event count of the active engine.
-func (s *Swarm) processed() uint64 {
-	if s.sh != nil {
-		return s.sh.Processed()
-	}
-	return s.engine.Processed()
-}
-
-// scheduleControlAt schedules a swarm-level control event (join, sampler,
-// snapshot, attack or failure injection) at absolute time t. Control events
-// run single-threaded — inside the serial engine trivially, and at window
-// barriers under the sharded engine — so their handlers may touch any state.
-func (s *Swarm) scheduleControlAt(t float64, h eventsim.Handler) {
-	if s.sh != nil {
-		s.sh.ScheduleControl(t, h)
-		return
-	}
-	s.engine.Schedule(t, h)
-}
-
-// controlAfter schedules a control event d seconds from now.
-func (s *Swarm) controlAfter(d float64, h eventsim.Handler) {
-	if s.sh != nil {
-		s.sh.ControlAfter(d, h)
-		return
-	}
-	s.engine.After(d, h)
-}
-
-// stopEngine halts whichever engine is driving the run.
-func (s *Swarm) stopEngine() {
-	if s.sh != nil {
-		s.sh.Stop()
-		return
-	}
-	s.engine.Stop()
 }
 
 // live reports whether anything can still happen: peers yet to arrive or
@@ -399,9 +309,9 @@ func (s *Swarm) scheduleAttacks() {
 					s.whitewash(p)
 				}
 			}
-			s.controlAfter(plan.WhitewashInterval, tick)
+			s.engine.After(plan.WhitewashInterval, tick)
 		}
-		s.scheduleControlAt(plan.WhitewashInterval, tick)
+		s.engine.Schedule(plan.WhitewashInterval, tick)
 
 	case attack.FalsePraise:
 		var tick func(now float64)
@@ -417,9 +327,9 @@ func (s *Swarm) scheduleAttacks() {
 					_ = s.ledger.Credit(attack.ForgedClaim(int32(p.id), plan.PraiseBytes))
 				}
 			}
-			s.controlAfter(plan.PraiseInterval, tick)
+			s.engine.After(plan.PraiseInterval, tick)
 		}
-		s.scheduleControlAt(plan.PraiseInterval, tick)
+		s.engine.Schedule(plan.PraiseInterval, tick)
 	}
 }
 
@@ -442,19 +352,19 @@ func (s *Swarm) scheduleFailures() {
 			if at <= p.arrival {
 				at = p.arrival + 1
 			}
-			s.scheduleControlAt(at, func(now float64) {
+			s.engine.Schedule(at, func(now float64) {
 				if p.active && !p.have.Complete() {
 					p.aborted = true
 					s.numCompliant-- // it can never complete; don't wait for it
 					s.emitPeerAbort(now, int(p.id))
-					s.depart(p, now)
-					s.maybeStopCompliantDone(now)
+					s.depart(p)
+					s.maybeStopCompliantDone()
 				}
 			})
 		}
 	}
 	if s.cfg.SeederExitAt > 0 {
-		s.scheduleControlAt(s.cfg.SeederExitAt, func(now float64) {
+		s.engine.Schedule(s.cfg.SeederExitAt, func(now float64) {
 			s.seeder.offline = true
 			s.emitSeederExit(now)
 		})
@@ -462,13 +372,11 @@ func (s *Swarm) scheduleFailures() {
 }
 
 // maybeStopCompliantDone re-checks the early-stop condition after the
-// compliant population shrinks. Under the sharded engine the stop raised
-// here halts every shard at the current window boundary — a consistent
-// virtual time — and the remainder of the barrier is skipped.
-func (s *Swarm) maybeStopCompliantDone(now float64) {
+// compliant population shrinks.
+func (s *Swarm) maybeStopCompliantDone() {
 	if s.cfg.StopWhenCompliantDone && s.completedCount >= s.numCompliant {
-		s.emitSample(now)
-		s.stopEngine()
+		s.emitSample(s.engine.Now())
+		s.engine.Stop()
 	}
 }
 

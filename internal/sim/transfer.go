@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-
 	"repro/internal/algo"
 	"repro/internal/attack"
 	"repro/internal/attest"
@@ -92,7 +90,7 @@ func (s *Swarm) startUpload(p *peer) bool {
 	if receiver == nil || !receiver.active {
 		return false
 	}
-	pieceIdx := s.pickPiece(s.rng, p.have, receiver)
+	pieceIdx := s.pickPiece(p.have, receiver)
 	if pieceIdx < 0 {
 		return false
 	}
@@ -117,20 +115,18 @@ func (s *Swarm) startUpload(p *peer) bool {
 // receiver. senderHave == nil means the seeder (holds everything). The
 // indexed path fuses candidate enumeration, the pending filter, and the
 // rarest-first reservoir into one allocation-free bitfield scan that
-// consumes the same rng draws as the naive path. rng is the swarm stream
-// under the serial engine and the sender's lane stream under the sharded
-// engine.
-func (s *Swarm) pickPiece(rng *rand.Rand, senderHave *piece.Bitfield, receiver *peer) int {
+// consumes the same rng draws as the naive path.
+func (s *Swarm) pickPiece(senderHave *piece.Bitfield, receiver *peer) int {
 	if s.indexed {
-		return s.availability.SelectRarestMissing(rng, receiver.have, senderHave, receiver.pending)
+		return s.availability.SelectRarestMissing(s.rng, receiver.have, senderHave, receiver.pending)
 	}
-	return s.pickPieceNaive(rng, senderHave, receiver)
+	return s.pickPieceNaive(senderHave, receiver)
 }
 
 // pickPieceNaive is the pre-index scan path, kept as the reference
 // implementation for BenchmarkSwarmLargeNaive and the index equivalence
 // property test.
-func (s *Swarm) pickPieceNaive(rng *rand.Rand, senderHave *piece.Bitfield, receiver *peer) int {
+func (s *Swarm) pickPieceNaive(senderHave *piece.Bitfield, receiver *peer) int {
 	var candidates []int
 	if senderHave == nil {
 		candidates = candidatesFromSeeder(receiver)
@@ -143,7 +139,7 @@ func (s *Swarm) pickPieceNaive(rng *rand.Rand, senderHave *piece.Bitfield, recei
 			filtered = append(filtered, c)
 		}
 	}
-	return s.availability.RarestFirst(rng, filtered)
+	return s.availability.RarestFirst(s.rng, filtered)
 }
 
 // candidatesFromSeeder lists all pieces the receiver still needs.
@@ -174,7 +170,7 @@ func (s *Swarm) deliver(sender, receiver *peer, pieceIdx int, now float64) {
 
 	if receiver.active {
 		receiver.rawDown += bytes
-		if s.credited(s.rng, sender, receiver) {
+		if s.credited(sender, receiver) {
 			if receiver.freeRider {
 				s.emitFreeRiderCredit(now, int(receiver.id), bytes)
 			}
@@ -199,10 +195,8 @@ func (s *Swarm) deliver(sender, receiver *peer, pieceIdx int, now float64) {
 // decryption key until the receiver reciprocates, which a free-rider never
 // does. A colluding free-rider still succeeds when the exchange would be
 // *indirect* and the randomly designated reciprocation witness is a fellow
-// colluder who falsely confirms receipt (Section IV-C). rng is the stream
-// the witness reservoir draws from: the swarm stream under the serial
-// engine, the sender's lane stream under the sharded engine.
-func (s *Swarm) credited(rng *rand.Rand, sender, receiver *peer) bool {
+// colluder who falsely confirms receipt (Section IV-C).
+func (s *Swarm) credited(sender, receiver *peer) bool {
 	if !receiver.freeRider || s.cfg.Algorithm != algo.TChain {
 		return true
 	}
@@ -216,7 +210,7 @@ func (s *Swarm) credited(rng *rand.Rand, sender, receiver *peer) bool {
 	}
 	// Indirect: the sender designates a random third peer as the
 	// reciprocation target; collusion works only if it is a colluder.
-	witness := s.randomActivePeerExcept(rng, sender, receiver)
+	witness := s.randomActivePeerExcept(sender, receiver)
 	return witness != nil && witness.freeRider
 }
 
@@ -253,11 +247,11 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 			s.completedCount++
 		}
 		if s.cfg.LeaveOnComplete {
-			s.depart(receiver, now)
+			s.depart(receiver)
 		}
 		if s.cfg.StopWhenCompliantDone && s.completedCount == s.numCompliant {
 			s.emitSample(now)
-			s.stopEngine()
+			s.engine.Stop()
 		}
 	}
 }
@@ -266,7 +260,7 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 // the two parties, or nil if none exists. sender may be nil (the seeder).
 // The id-ascending active list yields the same eligible sequence — and thus
 // the same reservoir draws — as the old full-population scan.
-func (s *Swarm) randomActivePeerExcept(rng *rand.Rand, sender, receiver *peer) *peer {
+func (s *Swarm) randomActivePeerExcept(sender, receiver *peer) *peer {
 	count := 0
 	var chosen *peer
 	for _, p := range s.actives {
@@ -274,7 +268,7 @@ func (s *Swarm) randomActivePeerExcept(rng *rand.Rand, sender, receiver *peer) *
 			continue
 		}
 		count++
-		if rng.Intn(count) == 0 {
+		if s.rng.Intn(count) == 0 {
 			chosen = p
 		}
 	}

@@ -19,12 +19,6 @@
 #       baseline for the speedup and allocation ratios
 #     - BenchmarkSwarmLargeNaive: the same swarm through the reference scan
 #       paths, byte-identical output, recorded for the live comparison
-#     - BenchmarkSwarmLargeSharded: the same 5000x256 population on the
-#       sharded parallel engine (8 shards); the wall-clock ratio against
-#       BenchmarkSwarmLarge is the parallelism win on this machine's cores
-#     - BenchmarkSwarmHuge: 100k peers x 64 pieces on 8 shards — the
-#       population scale the serial heap cannot reach (skipped when
-#       SKIP_HUGE=1; it is a multi-minute run on small machines)
 #   node -> BENCH_node.json
 #     - BenchmarkClusterThroughput/mem-32: a full 32-node swarm download
 #       over the in-memory transport — the protocol/node data path without
@@ -142,27 +136,17 @@ observability)
     "BenchmarkSwarmCounterProbe:$ctr_line"
   ;;
 scale)
-  scale_out=$(go test -run=NONE -bench='^BenchmarkSwarmLarge(Naive|Sharded)?$' -benchtime="${BENCHTIME:-1x}" -benchmem ./internal/sim)
+  scale_out=$(go test -run=NONE -bench='^BenchmarkSwarmLarge(Naive)?$' -benchtime="${BENCHTIME:-1x}" -benchmem ./internal/sim)
   idx_line=$(echo "$scale_out" | grep '^BenchmarkSwarmLarge-\|^BenchmarkSwarmLarge ')
   naive_line=$(echo "$scale_out" | grep '^BenchmarkSwarmLargeNaive')
-  sharded_line=$(echo "$scale_out" | grep '^BenchmarkSwarmLargeSharded')
   # The pre-index hot path as measured on the commit before the indexes
   # landed (same 5000x256 config, same machine class) — the fixed yardstick
   # for the >=3x speedup / >=5x allocation acceptance ratios.
   pre_pr='BenchmarkSwarmLargePrePR 1 13049753111 ns/op 3936846848 B/op 16312755 allocs/op'
-  entries=(
-    "BenchmarkSwarmLarge:$idx_line"
-    "BenchmarkSwarmLargeNaive:$naive_line"
-    "BenchmarkSwarmLargeSharded:$sharded_line"
+  emit BENCH_scale.json \
+    "BenchmarkSwarmLarge:$idx_line" \
+    "BenchmarkSwarmLargeNaive:$naive_line" \
     "BenchmarkSwarmLargePrePR(pinned):$pre_pr"
-  )
-  # The 100k-peer row is minutes of runtime on small machines; SKIP_HUGE=1
-  # records the rest without it.
-  if [ "${SKIP_HUGE:-0}" != 1 ]; then
-    huge_line=$(go test -run=NONE -bench='^BenchmarkSwarmHuge$' -benchtime="${BENCHTIME:-1x}" -timeout=30m -benchmem ./internal/sim | grep '^BenchmarkSwarmHuge')
-    entries+=("BenchmarkSwarmHuge:$huge_line")
-  fi
-  emit BENCH_scale.json "${entries[@]}"
   ;;
 node)
   node_out=$(go test -run=NONE -bench='^BenchmarkClusterThroughput$' -benchtime="${BENCHTIME:-2x}" -benchmem ./internal/node)

