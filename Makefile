@@ -1,7 +1,7 @@
-# Developer entry points. `make check` is the CI gate; `make bench`
-# records the parallel-runner trajectory numbers to BENCH_parallel.json.
+# Developer entry points. `make check` is the CI gate; `make bench` runs
+# the repo's one benchmark (BENCHMARK.json, bench/README.md).
 
-.PHONY: check test bench bench-observability bench-scale bench-node bench-metrics bench-discovery bench-attest bench-trace trace-slowest
+.PHONY: check test bench trace-slowest
 
 check:
 	./scripts/check.sh
@@ -10,28 +10,7 @@ test:
 	go build ./... && go test ./...
 
 bench:
-	./scripts/bench.sh
-
-bench-observability:
-	./scripts/bench.sh observability
-
-bench-scale:
-	./scripts/bench.sh scale
-
-bench-node:
-	./scripts/bench.sh node
-
-bench-metrics:
-	./scripts/bench.sh metrics
-
-bench-discovery:
-	./scripts/bench.sh discovery
-
-bench-attest:
-	./scripts/bench.sh attest
-
-bench-trace:
-	./scripts/bench.sh trace
+	bash bench/run.sh
 
 trace-slowest:
 	./scripts/trace_slowest.sh

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -50,6 +51,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "coopnode: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// warnLogger is the node's operator-facing log: warnings and errors (a
+// refused handshake, a conflicting identity) as text lines on stderr, so
+// they never mix into stdout's -json output.
+func warnLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 }
 
 // seedOptions parameterize the seed subcommand.
@@ -158,6 +166,7 @@ func startSeed(opts seedOptions, stdout io.Writer) (*node.Node, *nodeTelemetry, 
 		Identity:   identity,
 		Discover:   discoverConfig(opts.dht, opts.degree),
 		Tracer:     traceCollector(opts.telemetry),
+		Log:        warnLogger(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -289,6 +298,7 @@ func runGet(opts getOptions, stdout io.Writer) error {
 		Identity:   identity,
 		Discover:   discoverConfig(opts.dht, opts.degree),
 		Tracer:     traceCollector(opts.telemetry),
+		Log:        warnLogger(),
 	})
 	if err != nil {
 		return err

@@ -2,10 +2,10 @@ package attest
 
 import "testing"
 
-// The bench.sh attest target records these: the Ed25519 identity-signature
-// cost (admission, witness receipts, cross-process swarms) and the session
-// MAC cost (per-piece receipts on the cluster hot path). The gap between
-// them is why the two-scheme design exists.
+// These measure the Ed25519 identity-signature cost (admission, witness
+// receipts, cross-process swarms) and the session MAC cost (per-piece
+// receipts on the cluster hot path). The gap between them is why the
+// two-scheme design exists.
 
 func benchPair(b *testing.B) (*Verifier, *Key) {
 	b.Helper()

@@ -96,11 +96,6 @@ func WithConfig(mod func(*sim.Config)) Option { return sim.WithConfig(mod) }
 // probe package for the hook catalogue and the Base embedding helper.
 type Probe = probe.Probe
 
-// NewCounterProbe returns a probe that tallies every hook event — the
-// cheapest way to see what a run did (see Manifest.HookCounts for the
-// batch-run equivalent).
-func NewCounterProbe() *probe.Counter { return &probe.Counter{} }
-
 // Manifest is the structured record of one run: validated config, seed,
 // timings, event counts, and final metrics. See SimulateManifested and
 // Replication.Manifests.

@@ -281,7 +281,8 @@ func TestLookupQueryBudgetBounded(t *testing.T) {
 
 // BenchmarkDHTLookup measures one iterative lookup (alpha=3, k=16) on a
 // converged 1024-node overlay with in-memory queries: the routing-layer
-// cost floor under bench.sh's discovery target, excluding transport time.
+// cost floor under BenchmarkDiscoveryConvergence256, excluding transport
+// time.
 func BenchmarkDHTLookup(b *testing.B) {
 	const n, k, alpha = 1024, 16, 3
 	net := newFakeNetwork(n, k, 5)

@@ -14,10 +14,9 @@
 //     cache-line-padded per-CPU-ish shards so concurrent producers do not
 //     bounce a shared line; Value/Snapshot folds the shards on the (rare,
 //     cold) read path.
-//  3. One vocabulary. The simulator's probe stream (probe.Metrics) and
-//     the live node adapt onto the same Registry, so dashboards and
-//     scripts read one metric namespace regardless of which data path
-//     produced it.
+//  3. One vocabulary. Every live subsystem (node_, discovery_)
+//     registers in the same Registry, so dashboards and scripts read one
+//     metric namespace regardless of which layer produced a series.
 //
 // Consistency model: every cell is updated with atomic operations, so a
 // Snapshot is tear-free per metric value but not a cross-metric linearized

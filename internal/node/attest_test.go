@@ -62,6 +62,10 @@ func sumCounter(c *Cluster, name string) int64 {
 func TestClusterAttestationEndToEnd(t *testing.T) {
 	const leechers = 4
 	c := startSignedCluster(t, transport.NewMem(), leechers)
+	// Completion does not quiesce the swarm: a duplicate delivery still in
+	// flight would be signed and credited between the ledger snapshot and
+	// the counter reads below. Stop first so the books are closed.
+	c.Stop()
 
 	// Racing duplicate deliveries are genuine uploads and are credited too
 	// (Store.Put is idempotent), so delivery-derived quantities are lower

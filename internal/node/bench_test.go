@@ -2,12 +2,10 @@ package node
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/metrics"
 	"repro/internal/piece"
 	"repro/internal/tracing"
 	"repro/internal/transport"
@@ -52,78 +50,48 @@ func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) str
 	return time.Since(start), (nodes - 1) * benchPieces
 }
 
+// benchThroughput runs benchCluster b.N times, each on a fresh network
+// from newTransport, and reports completed piece deliveries across all
+// leechers per wall-clock second.
+func benchThroughput(b *testing.B, newTransport func() transport.Transport, listenAddr string, nodes int, extra ...ClusterOption) {
+	var elapsed time.Duration
+	var pieces int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, p := benchCluster(b, newTransport(), func(int) string { return listenAddr }, nodes, extra...)
+		elapsed += d
+		pieces += p
+	}
+	b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
+}
+
+func memTransport() transport.Transport { return transport.NewMem() }
+func tcpTransport() transport.Transport { return transport.NewTCP() }
+
 // BenchmarkClusterThroughput measures the live data path end to end: a full
 // swarm download over the in-memory transport (the protocol/node hot path
-// without kernel sockets) and over real TCP loopback. pieces/sec counts
-// completed piece deliveries across all leechers; allocs/op is the headline
-// the frame pooling and writer batching attack.
-//
-// Both variants run fully instrumented — per-node metrics plus a shared
-// transport.Metrics bundle — so the number this benchmark reports is the
-// telemetry-on cost, which scripts/bench.sh compares against the
-// pre-instrumentation BENCH_node.json baseline.
+// without kernel sockets) and over real TCP loopback, with the default
+// signed receipts and per-node metrics. allocs/op is the headline the frame
+// pooling and writer batching attack.
 func BenchmarkClusterThroughput(b *testing.B) {
-	b.Run("mem-32", func(b *testing.B) {
-		var elapsed time.Duration
-		var pieces int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tm := transport.NewMetrics(metrics.NewRegistry())
-			d, p := benchCluster(b, transport.NewMemInstrumented(tm), func(int) string { return "" }, 32)
-			elapsed += d
-			pieces += p
-		}
-		b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
-	})
-	b.Run(fmt.Sprintf("tcp-%d", 16), func(b *testing.B) {
-		var elapsed time.Duration
-		var pieces int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tm := transport.NewMetrics(metrics.NewRegistry())
-			d, p := benchCluster(b, transport.NewTCPInstrumented(tm), func(int) string { return "127.0.0.1:0" }, 16)
-			elapsed += d
-			pieces += p
-		}
-		b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
-	})
+	b.Run("mem-32", func(b *testing.B) { benchThroughput(b, memTransport, "", 32) })
+	b.Run("tcp-16", func(b *testing.B) { benchThroughput(b, tcpTransport, "127.0.0.1:0", 16) })
 }
 
 // BenchmarkClusterThroughputUnsigned is the same mem-32 swarm with
 // attestation disabled: the trust-the-report configuration the signed
-// default is compared against. scripts/bench.sh attest runs both and
-// reports the signing overhead as a same-machine delta, immune to baseline
-// drift between benchmark-recording sessions.
+// default is compared against. Run both in one invocation so the signing
+// overhead is a same-machine delta.
 func BenchmarkClusterThroughputUnsigned(b *testing.B) {
-	var elapsed time.Duration
-	var pieces int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tm := transport.NewMetrics(metrics.NewRegistry())
-		d, p := benchCluster(b, transport.NewMemInstrumented(tm), func(int) string { return "" }, 32,
-			WithoutAttestation())
-		elapsed += d
-		pieces += p
-	}
-	b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
+	benchThroughput(b, memTransport, "", 32, WithoutAttestation())
 }
 
 // BenchmarkClusterThroughputTraced is the mem-32 swarm with causal tracing
-// sampling one push in 32 — a realistic always-on production rate, and the
-// instrumented configuration scripts/bench.sh trace compares against the
-// untraced run on the same machine. The delta is the whole observed cost of
-// tracing: span minting, clock reads in the write loop, wire trace-context
-// extensions, continuation chains, and collector inserts.
+// sampling one push in 32 — a realistic always-on production rate. Against
+// the untraced run on the same machine the delta is the whole observed cost
+// of tracing: span minting, clock reads in the write loop, wire
+// trace-context extensions, continuation chains, and collector inserts.
 func BenchmarkClusterThroughputTraced(b *testing.B) {
-	var elapsed time.Duration
-	var pieces int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tm := transport.NewMetrics(metrics.NewRegistry())
-		d, p := benchCluster(b, transport.NewMemInstrumented(tm), func(int) string { return "" }, 32,
-			WithTracing(tracing.Config{SampleEvery: 32, Capacity: 1 << 13}))
-		elapsed += d
-		pieces += p
-	}
-	b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
+	benchThroughput(b, memTransport, "", 32,
+		WithTracing(tracing.Config{SampleEvery: 32, Capacity: 1 << 13}))
 }

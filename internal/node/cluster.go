@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 )
 
 // Topology selects how a cluster wires its nodes together. The zero value
-// is the full mesh; Discovery and DiscoveryWith build DHT-wired topologies.
+// is the full mesh; Discovery builds a DHT-wired topology.
 type Topology struct {
 	discover *DiscoverConfig // nil = full mesh
 }
@@ -32,10 +31,9 @@ var FullMesh = Topology{}
 // 2*degree). k is the routing bucket capacity and lookup width, alpha the
 // lookup parallelism; zero values take the DiscoverConfig defaults. The
 // maintenance intervals are tightened for in-process swarms (50ms degree
-// ticks, sub-second gossip) so clusters converge in test-scale time; use
-// DiscoveryWith for deployment-scale tuning.
+// ticks, sub-second gossip) so clusters converge in test-scale time.
 func Discovery(k, alpha, degree int) Topology {
-	return DiscoveryWith(DiscoverConfig{
+	c := DiscoverConfig{
 		K:                k,
 		Alpha:            alpha,
 		TargetDegree:     degree,
@@ -44,13 +42,7 @@ func Discovery(k, alpha, degree int) Topology {
 		RefreshInterval:  time.Second,
 		PingInterval:     2 * time.Second,
 		QueryTimeout:     500 * time.Millisecond,
-	})
-}
-
-// DiscoveryWith wires the swarm through the discovery layer with full
-// control over the DiscoverConfig.
-func DiscoveryWith(cfg DiscoverConfig) Topology {
-	c := cfg.withDefaults()
+	}.withDefaults()
 	return Topology{discover: &c}
 }
 
@@ -73,7 +65,6 @@ type clusterOptions struct {
 	attScheme        attest.Scheme
 	unsigned         bool
 	tracing          *tracing.Config
-	logger           *slog.Logger
 }
 
 // ClusterOption customizes StartCluster; options that reject their argument
@@ -155,7 +146,7 @@ func WithDecisionInterval(d time.Duration) ClusterOption {
 }
 
 // WithTopology selects the swarm wiring: FullMesh (the default) or
-// Discovery/DiscoveryWith.
+// Discovery.
 func WithTopology(t Topology) ClusterOption {
 	return func(o *clusterOptions) error {
 		o.topology = t
@@ -197,19 +188,6 @@ func WithAttestScheme(s attest.Scheme) ClusterOption {
 func WithTracing(cfg tracing.Config) ClusterOption {
 	return func(o *clusterOptions) error {
 		o.tracing = &cfg
-		return nil
-	}
-}
-
-// WithLogger gives every node a structured logger (default: discard). The
-// logger is passed raw; each node derives its own child with a "node"
-// attribute, so one handler serializes the whole swarm's events.
-func WithLogger(l *slog.Logger) ClusterOption {
-	return func(o *clusterOptions) error {
-		if l == nil {
-			return fmt.Errorf("node: WithLogger(nil)")
-		}
-		o.logger = l
 		return nil
 	}
 }
@@ -378,7 +356,6 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 		Ledger:           c.Ledger,
 		Discover:         disc,
 		Tracer:           c.Tracer,
-		Log:              c.opts.logger,
 	})
 	if err != nil {
 		return nil, err

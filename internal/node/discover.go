@@ -243,19 +243,36 @@ func (n *Node) evictableLocked() *remote {
 	return nil
 }
 
-// lingerRedirect holds a refused connection open until the redirected
-// dialer hangs up, bounded by a watchdog. Transports that deliver
-// asynchronously (injected latency) would otherwise destroy the redirect's
-// Nodes frame in flight when the caller's deferred Close tears the
-// connection down — leaving the refused dialer with no contacts to try,
+// redirect refuses a handshake at capacity but leaves the dialer better
+// off: the closest contacts we know toward it, then Bye. It then holds the
+// connection open until the dialer hangs up, bounded by a watchdog —
+// transports that deliver asynchronously (injected latency) would otherwise
+// destroy the Nodes frame in flight when the caller's deferred Close tears
+// the connection down, leaving the refused dialer with no contacts to try,
 // which at bootstrap time strands it permanently.
-func (n *Node) lingerRedirect(conn transport.Conn) {
+func (n *Node) redirect(conn transport.Conn, peerID int) {
+	n.disc.redirects.Inc()
+	if conn.Send(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}) != nil ||
+		conn.Send(protocol.Bye{}) != nil {
+		return
+	}
+	defer n.watchConn(conn, redirectLinger)()
+	for {
+		if _, err := conn.Recv(); err != nil {
+			return
+		}
+	}
+}
+
+// watchConn bounds the life of a connection — transport.Conn has no
+// deadlines — by closing it after d or on node shutdown, whichever comes
+// first. The caller defers stop, which retires the watchdog goroutine.
+func (n *Node) watchConn(conn transport.Conn, d time.Duration) (stop func()) {
 	done := make(chan struct{})
-	defer close(done)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		t := time.NewTimer(redirectLinger)
+		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
 		case <-done:
@@ -265,11 +282,7 @@ func (n *Node) lingerRedirect(conn transport.Conn) {
 			conn.Close()
 		}
 	}()
-	for {
-		if _, err := conn.Recv(); err != nil {
-			return
-		}
-	}
+	return func() { close(done) }
 }
 
 // discoverLoop is the discovery heartbeat: degree and liveness maintenance
@@ -624,9 +637,8 @@ func (n *Node) closestInfos(target discovery.ID) []protocol.NodeInfo {
 // queryContact is the discovery.QueryFunc the lookups run on: a transient
 // connection that speaks FindNode as its very first frame — no Hello, so
 // the remote's accept path serves a discovery mini-session instead of a
-// peer handshake — and waits for the matching Nodes reply. transport.Conn
-// has no deadlines, so a watchdog goroutine bounds the RPC by closing the
-// conn on QueryTimeout or node shutdown.
+// peer handshake — and waits for the matching Nodes reply, bounded by the
+// QueryTimeout watchdog.
 func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discovery.Contact, error) {
 	d := n.disc
 	if c.NodeID == n.cfg.ID {
@@ -639,21 +651,7 @@ func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discove
 		return nil, err
 	}
 	defer conn.Close()
-	done := make(chan struct{})
-	defer close(done)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTimer(d.cfg.QueryTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			conn.Close()
-		case <-n.done:
-			conn.Close()
-		}
-	}()
+	defer n.watchConn(conn, d.cfg.QueryTimeout)()
 	d.mu.Lock()
 	d.querySeq++
 	seq := d.querySeq
@@ -700,21 +698,7 @@ func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 			return
 		}
 		defer conn.Close()
-		done := make(chan struct{})
-		defer close(done)
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			t := time.NewTimer(d.cfg.QueryTimeout)
-			defer t.Stop()
-			select {
-			case <-done:
-			case <-t.C:
-				conn.Close()
-			case <-n.done:
-				conn.Close()
-			}
-		}()
+		defer n.watchConn(conn, d.cfg.QueryTimeout)()
 		if conn.Send(receipt) != nil || conn.Send(protocol.Bye{}) != nil {
 			return
 		}
@@ -732,21 +716,7 @@ func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 // watchdog expires. The caller (handleConn) owns conn registration and
 // close.
 func (n *Node) serveDiscovery(conn transport.Conn, first protocol.Message) {
-	done := make(chan struct{})
-	defer close(done)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTimer(discoverySessionTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			conn.Close()
-		case <-n.done:
-			conn.Close()
-		}
-	}()
+	defer n.watchConn(conn, discoverySessionTimeout)()
 	msg := first
 	for {
 		switch m := msg.(type) {

@@ -288,11 +288,10 @@ func TestClusterJoin(t *testing.T) {
 	}
 }
 
-// BenchmarkDiscoveryConvergence256 is the bench.sh discovery target's
-// swarm-scale half: a 256-node cluster bootstrapped from three contacts,
-// timed from start until the DHT has wired every node (degree >= 1) and
-// until every leecher completes the download. s/wire and s/complete land in
-// BENCH_dht.json alongside the routing-layer lookup latency.
+// BenchmarkDiscoveryConvergence256 is discovery at swarm scale: a 256-node
+// cluster bootstrapped from three contacts, timed from start until the DHT
+// has wired every node (degree >= 1), reported as s/wire, and until every
+// leecher completes the download, reported as s/complete.
 func BenchmarkDiscoveryConvergence256(b *testing.B) {
 	manifest, err := piece.SyntheticManifest(testPieces, testPieceSize)
 	if err != nil {

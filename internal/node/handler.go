@@ -87,15 +87,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	}
 	if !dialer {
 		if n.disc != nil && !n.roomForPeer() {
-			// At capacity: refuse the handshake but leave the dialer better
-			// off — the closest contacts we know toward it, then Bye. Linger
-			// until the dialer hangs up so an asynchronous transport actually
-			// delivers the redirect before the deferred Close kills it.
-			n.disc.redirects.Inc()
-			if conn.Send(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}) == nil &&
-				conn.Send(protocol.Bye{}) == nil {
-				n.lingerRedirect(conn)
-			}
+			n.redirect(conn, peerID) // at capacity
 			return
 		}
 		if conn.Send(hello) != nil || conn.Send(n.bitfieldMsg()) != nil {
@@ -127,11 +119,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 			delete(n.recentSends, evicted.id)
 		} else {
 			n.mu.Unlock()
-			n.disc.redirects.Inc()
-			if conn.Send(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}) == nil &&
-				conn.Send(protocol.Bye{}) == nil {
-				n.lingerRedirect(conn)
-			}
+			n.redirect(conn, peerID)
 			return
 		}
 	}
@@ -203,11 +191,18 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	switch m := msg.(type) {
 	case protocol.Bitfield:
+		// The peer's geometry must be the manifest's before any bit is
+		// touched: a larger NumPieces would index past r.have (Set panics,
+		// under n.mu) or spin this loop for 2^31 rounds holding the lock.
+		size := r.have.Size()
+		if int(m.NumPieces) != size || len(m.Bits) < (size+7)/8 {
+			return n.dropHostile(r, msg)
+		}
 		n.mu.Lock()
-		for i := int32(0); i < m.NumPieces; i++ {
-			if int(i/8) < len(m.Bits) && m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
-				r.have.Set(int(i))
-				n.noteWantedLocked(int(i))
+		for i := 0; i < size; i++ {
+			if m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
+				r.have.Set(i)
+				n.noteWantedLocked(i)
 			}
 		}
 		// Re-derive both interest counters in one popcount pass.
@@ -215,8 +210,11 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.mu.Unlock()
 
 	case protocol.Have:
+		if m.Index < 0 || int(m.Index) >= r.have.Size() {
+			return n.dropHostile(r, msg)
+		}
 		n.mu.Lock()
-		if int(m.Index) < r.have.Size() && r.have.Set(int(m.Index)) {
+		if r.have.Set(int(m.Index)) {
 			if n.myBits.Has(int(m.Index)) {
 				r.theyNeed-- // they caught up on a piece we hold
 			} else {
@@ -275,6 +273,14 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		return true
 	}
 	return false
+}
+
+// dropHostile ends the link to a peer whose frame no honest node could
+// have sent (an index or geometry outside the manifest). It always reports
+// true, dispatch's "close this connection"; the node itself carries on.
+func (n *Node) dropHostile(r *remote, msg protocol.Message) bool {
+	n.log.Warn("peer dropped: frame outside the manifest", "peer", r.id, "frame", msg.MsgType())
+	return true
 }
 
 // handlePiece verifies and stores a plaintext piece, credits the sender,

@@ -1,0 +1,186 @@
+package node
+
+import (
+	"bytes"
+	"log/slog"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/algo"
+	"repro/internal/attest"
+	"repro/internal/piece"
+	"repro/internal/protocol"
+	"repro/internal/transport"
+)
+
+// startSeed starts a lone altruistic seed holding the whole test file on tr;
+// mod, when non-nil, adjusts its Config first.
+func startSeed(t *testing.T, tr transport.Transport, mod func(*Config)) (*Node, *piece.Manifest) {
+	t.Helper()
+	manifest, content := clusterFixture(t)
+	store, err := piece.NewSeedStore(manifest, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		ID: 0, Algorithm: algo.Altruism, Store: store, Transport: tr,
+		DecisionInterval: 2 * time.Millisecond,
+	}
+	if mod != nil {
+		mod(&cfg)
+	}
+	seed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seed.Stop() })
+	return seed, manifest
+}
+
+// rawPeer dials addr, sends frames in order, and drains the connection in
+// the background. The returned channel closes when the node hangs up.
+func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protocol.Message) <-chan struct{} {
+	t.Helper()
+	conn, err := tr.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	for _, m := range frames {
+		if err := conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	return hungUp
+}
+
+// TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
+// frame no honest peer could produce. Frames that index outside the
+// manifest's bitfield must cost the sender its link; the rest are ignored.
+// Either way the node keeps serving — a second, honest leecher completes —
+// and Stop returns promptly, which it cannot if a handler died holding
+// n.mu.
+func TestHostileFramesDropLinkNotNode(t *testing.T) {
+	const n = testPieces
+	ones := bytes.Repeat([]byte{0xFF}, (n+64)/8)
+	cases := []struct {
+		name     string
+		frame    protocol.Message
+		wantDrop bool
+	}{
+		{"have-negative", protocol.Have{Index: -1}, true},
+		{"have-past-end", protocol.Have{Index: n}, true},
+		{"bitfield-oversized", protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
+		{"bitfield-huge-no-bits", protocol.Bitfield{NumPieces: 1 << 30}, true},
+		{"bitfield-short-bits", protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
+		{"sealed-negative", protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}}, false},
+		{"piece-past-end", protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
+		{"key-unknown", protocol.Key{KeyID: 12345}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := transport.NewMem()
+			seed, manifest := startSeed(t, tr, nil)
+			hungUp := rawPeer(t, tr, seed.Addr(),
+				protocol.Hello{PeerID: 99, NumPieces: n},
+				protocol.Bitfield{NumPieces: n, Bits: make([]byte, (n+7)/8)},
+				tc.frame)
+			if tc.wantDrop {
+				select {
+				case <-hungUp:
+				case <-time.After(10 * time.Second):
+					t.Fatal("node kept the link to a peer that sent a frame outside the manifest")
+				}
+			}
+
+			honest, err := New(Config{
+				ID: 1, Algorithm: algo.Altruism, Store: piece.NewStore(manifest),
+				Transport: tr, Bootstrap: []string{seed.Addr()},
+				DecisionInterval: 2 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := honest.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer honest.Stop()
+			if err := waitComplete(t, honest, 20*time.Second); err != nil {
+				t.Fatalf("honest leecher did not complete after the hostile frame (%v): %+v", err, honest.Stats())
+			}
+
+			stopped := make(chan struct{})
+			go func() {
+				seed.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Stop did not return within 2s of a hostile frame")
+			}
+		})
+	}
+}
+
+// lockedBuffer lets the node's goroutines log while the test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTOFURefusalWarns pins the one log line an operator must see: a
+// handshake whose key conflicts with the directory is refused with a Warn
+// naming the claimed peer.
+func TestTOFURefusalWarns(t *testing.T) {
+	var out lockedBuffer
+	dir := attest.NewDirectory()
+	dir.Register(7, attest.NewKeyFromSeed(7, 1).Identity())
+	tr := transport.NewMem()
+	seed, _ := startSeed(t, tr, func(cfg *Config) {
+		cfg.Identity = attest.NewKeyFromSeed(0, 1)
+		cfg.Directory = dir
+		cfg.Log = slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	})
+	// An imposter claims the registered peer 7 under a different key.
+	imposter := attest.NewKeyFromSeed(7, 2)
+	hungUp := rawPeer(t, tr, seed.Addr(),
+		protocol.Hello{PeerID: 7, NumPieces: testPieces, PubKey: imposter.Public()})
+	select {
+	case <-hungUp:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node kept the link to an imposter")
+	}
+	logged := out.String()
+	for _, want := range []string{"level=WARN", "handshake refused", "node=0", "peer=7"} {
+		if !strings.Contains(logged, want) {
+			t.Errorf("log output missing %q:\n%s", want, logged)
+		}
+	}
+}

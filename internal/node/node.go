@@ -109,8 +109,9 @@ type Config struct {
 	Tracer *tracing.Collector
 	// Log receives the node's structured events (peer churn, attestation
 	// refusals, shutdown drains) with trace/span IDs attached where a
-	// trace is live. Nil discards everything — the default, and the only
-	// mode the hot paths are benchmarked in.
+	// trace is live. Nil discards everything — what in-process clusters
+	// run with, and the only mode the hot paths are benchmarked in;
+	// coopnode passes a stderr handler at Warn.
 	Log *slog.Logger
 	// Seed drives the node's random choices; 0 derives one from ID.
 	Seed int64

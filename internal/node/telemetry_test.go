@@ -205,18 +205,19 @@ func TestSampler(t *testing.T) {
 		s.Stop()
 		t.Fatal(err)
 	}
-	// Let at least one post-completion sample land.
+	// Let a post-completion sample land with the books closed: the store
+	// reports complete a moment before the last piece's bytes are credited.
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
 		case r := <-rowCh:
-			if r.Complete {
+			if r.Complete && r.CreditedBytes == int64(len(c.content)) {
 				s.Stop()
 				goto done
 			}
 		case <-deadline:
 			s.Stop()
-			t.Fatal("no complete sample observed")
+			t.Fatal("no complete, fully credited sample observed")
 		}
 	}
 done:

@@ -178,27 +178,6 @@ func TestPackageDecodeOwnsStorage(t *testing.T) {
 	}
 }
 
-func TestEncodeToNReportsFrameSize(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := EncodeToN(&buf, Piece{Index: 9, RepaysKeyID: NoRepay, Data: make([]byte, 512)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != buf.Len() {
-		t.Errorf("EncodeToN = %d, wrote %d bytes", n, buf.Len())
-	}
-	dec := NewDecoder(&buf)
-	if got := dec.LastFrameSize(); got != 0 {
-		t.Errorf("LastFrameSize before first Decode = %d, want 0", got)
-	}
-	if _, err := dec.Decode(); err != nil {
-		t.Fatal(err)
-	}
-	if got := dec.LastFrameSize(); got != n {
-		t.Errorf("LastFrameSize = %d, want encoded size %d", got, n)
-	}
-}
-
 // BenchmarkFrameRoundTrip drives the steady-state wire path — EncodeTo with
 // a pooled frame buffer into a Decoder with reusable scratch — and is the
 // allocs-per-frame guard scripts/check.sh pins: after warm-up, one

@@ -331,27 +331,16 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 // contiguous frame first, so an unbuffered socket sees one syscall per
 // frame and a buffered writer one copy, with no per-frame allocation.
 func EncodeTo(w io.Writer, m Message) error {
-	_, err := EncodeToN(w, m)
-	return err
-}
-
-// EncodeToN is EncodeTo returning the encoded frame size in bytes (header
-// plus payload) so instrumented transports can observe wire volume without
-// wrapping w. On error the returned size is 0.
-func EncodeToN(w io.Writer, m Message) (int, error) {
 	bp := framePool.Get().(*[]byte)
 	buf, err := AppendFrame((*bp)[:0], m)
-	n := 0
 	if err == nil {
-		n = len(buf)
 		if _, werr := w.Write(buf); werr != nil {
 			err = fmt.Errorf("protocol: writing frame: %w", werr)
-			n = 0
 		}
 	}
 	*bp = buf[:0]
 	framePool.Put(bp)
-	return n, err
+	return err
 }
 
 // Decoder reads framed messages from one stream through a reusable scratch
@@ -369,8 +358,6 @@ func EncodeToN(w io.Writer, m Message) (int, error) {
 type Decoder struct {
 	r       io.Reader
 	scratch []byte
-	// lastFrame is the wire size of the most recent successful Decode.
-	lastFrame int
 	// header lives in the Decoder (not a Decode local) so passing it to
 	// io.ReadFull does not make it escape to a fresh heap allocation per
 	// frame.
@@ -379,12 +366,6 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
-
-// LastFrameSize returns the wire size in bytes (header plus payload) of the
-// frame returned by the most recent successful Decode, or 0 before the
-// first frame. Instrumented transports read it after each Decode to record
-// inbound wire volume.
-func (d *Decoder) LastFrameSize() int { return d.lastFrame }
 
 // Decode reads one framed message. io.EOF passes through unwrapped for
 // clean shutdown detection, exactly like the package-level Decode.
@@ -403,11 +384,7 @@ func (d *Decoder) Decode() (Message, error) {
 	if _, err := io.ReadFull(d.r, payload); err != nil {
 		return nil, fmt.Errorf("protocol: reading payload: %w", err)
 	}
-	m, err := unmarshalPayload(Type(d.header[4]), payload, true)
-	if err == nil {
-		d.lastFrame = headerSize + int(size)
-	}
-	return m, err
+	return unmarshalPayload(Type(d.header[4]), payload, true)
 }
 
 // Decode reads one framed message from r. Unlike Decoder.Decode, the

@@ -81,9 +81,9 @@ type Config struct {
 
 	// naiveScan disables the incremental interest/rarity indexes and routes
 	// interest queries and piece selection through the original full-scan
-	// paths. Unexported on purpose: it exists so package tests and
-	// BenchmarkSwarmLargeNaive can pin the two implementations against each
-	// other, not as a user knob — both paths produce byte-identical runs.
+	// paths. Unexported on purpose: it exists so package tests can pin the
+	// two implementations against each other, not as a user knob — both
+	// paths produce byte-identical runs.
 	naiveScan bool
 }
 

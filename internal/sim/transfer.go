@@ -124,8 +124,7 @@ func (s *Swarm) pickPiece(senderHave *piece.Bitfield, receiver *peer) int {
 }
 
 // pickPieceNaive is the pre-index scan path, kept as the reference
-// implementation for BenchmarkSwarmLargeNaive and the index equivalence
-// property test.
+// implementation for the index equivalence property test.
 func (s *Swarm) pickPieceNaive(senderHave *piece.Bitfield, receiver *peer) int {
 	var candidates []int
 	if senderHave == nil {

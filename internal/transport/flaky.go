@@ -20,7 +20,6 @@ type Flaky struct {
 	dropProb   float64
 	minLatency time.Duration
 	maxLatency time.Duration
-	m          *Metrics // nil when uninstrumented
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -52,17 +51,6 @@ func WithDropProb(p float64) FlakyOption {
 func WithDropSeed(seed int64) FlakyOption {
 	return func(f *Flaky) error {
 		f.rng = rand.New(rand.NewSource(seed))
-		return nil
-	}
-}
-
-// WithMetrics records the injected degradations into m: every dropped
-// frame increments transport_dropped_total, and every latency draw lands
-// in the transport_injected_delay_ns histogram — so a fault-injection run
-// can report exactly how much damage it actually did.
-func WithMetrics(m *Metrics) FlakyOption {
-	return func(f *Flaky) error {
-		f.m = m
 		return nil
 	}
 }
@@ -133,23 +121,18 @@ func (f *Flaky) drop(m protocol.Message) bool {
 		return false
 	}
 	f.mu.Lock()
-	dropped := f.rng.Float64() < f.dropProb
-	f.mu.Unlock()
-	if dropped {
-		f.m.noteDrop()
-	}
-	return dropped
+	defer f.mu.Unlock()
+	return f.rng.Float64() < f.dropProb
 }
 
 // delay draws one message's transit time from the configured range.
 func (f *Flaky) delay() time.Duration {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	d := f.minLatency
 	if span := f.maxLatency - f.minLatency; span > 0 {
 		d += time.Duration(f.rng.Int63n(int64(span) + 1))
 	}
-	f.mu.Unlock()
-	f.m.noteDelay(int64(d))
 	return d
 }
 

@@ -18,7 +18,6 @@ import (
 // frozen once sent, which the node guarantees by never mutating stored
 // piece data.
 type Mem struct {
-	m          *Metrics
 	mu         sync.Mutex
 	listeners  map[string]*memListener
 	nextAddr   int
@@ -30,15 +29,6 @@ var _ Transport = (*Mem)(nil)
 // NewMem returns an empty in-memory network.
 func NewMem() *Mem {
 	return &Mem{listeners: make(map[string]*memListener)}
-}
-
-// NewMemInstrumented returns an in-memory network whose connections count
-// frames into m. Messages pass by reference, so only frame counts are
-// recorded — there is no wire framing to measure bytes or flushes from.
-func NewMemInstrumented(m *Metrics) *Mem {
-	mem := NewMem()
-	mem.m = m
-	return mem
 }
 
 // Listen binds addr ("" auto-generates a unique address).
@@ -77,8 +67,8 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 	const depth = 256
 	aToB := make(chan protocol.Message, depth)
 	bToA := make(chan protocol.Message, depth)
-	dialSide := &memConn{send: aToB, recv: bToA, remote: addr, m: m.m, done: make(chan struct{})}
-	acceptSide := &memConn{send: bToA, recv: aToB, remote: dialerAddr, m: m.m, done: make(chan struct{})}
+	dialSide := &memConn{send: aToB, recv: bToA, remote: addr, done: make(chan struct{})}
+	acceptSide := &memConn{send: bToA, recv: aToB, remote: dialerAddr, done: make(chan struct{})}
 	dialSide.peer, acceptSide.peer = acceptSide, dialSide
 	select {
 	case l.backlog <- acceptSide:
@@ -123,7 +113,6 @@ type memConn struct {
 	send   chan protocol.Message
 	recv   chan protocol.Message
 	remote string
-	m      *Metrics // nil when uninstrumented
 	peer   *memConn
 	done   chan struct{}
 	once   sync.Once
@@ -158,7 +147,6 @@ func (c *memConn) Send(m protocol.Message) error {
 	case <-c.peer.done:
 		return ErrClosed
 	case c.send <- m:
-		c.m.noteSentFrames(1)
 		return nil
 	}
 }
@@ -167,13 +155,11 @@ func (c *memConn) Recv() (protocol.Message, error) {
 	// Drain buffered messages even after close, then report ErrClosed.
 	select {
 	case m := <-c.recv:
-		c.m.noteReceivedFrames(1)
 		return m, nil
 	default:
 	}
 	select {
 	case m := <-c.recv:
-		c.m.noteReceivedFrames(1)
 		return m, nil
 	case <-c.done:
 		return nil, ErrClosed
@@ -181,7 +167,6 @@ func (c *memConn) Recv() (protocol.Message, error) {
 		// Peer closed: drain anything already buffered.
 		select {
 		case m := <-c.recv:
-			c.m.noteReceivedFrames(1)
 			return m, nil
 		default:
 			return nil, ErrClosed

@@ -12,18 +12,12 @@ import (
 )
 
 // TCP is the real-network Transport: protocol frames over TCP connections.
-type TCP struct {
-	m *Metrics
-}
+type TCP struct{}
 
 var _ Transport = TCP{}
 
 // NewTCP returns the TCP transport.
 func NewTCP() TCP { return TCP{} }
-
-// NewTCPInstrumented returns a TCP transport whose connections record wire
-// volume, frame sizes, and flush batch sizes into m.
-func NewTCPInstrumented(m *Metrics) TCP { return TCP{m: m} }
 
 // Listen binds a TCP address; use "127.0.0.1:0" to let the kernel pick a
 // port and read it back from Listener.Addr.
@@ -32,7 +26,7 @@ func (t TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return &tcpListener{inner: l, m: t.m}, nil
+	return &tcpListener{inner: l}, nil
 }
 
 // Dial connects to a TCP listener.
@@ -41,12 +35,11 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return newTCPConn(c, t.m), nil
+	return newTCPConn(c), nil
 }
 
 type tcpListener struct {
 	inner net.Listener
-	m     *Metrics
 	once  sync.Once
 }
 
@@ -60,7 +53,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 		}
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return newTCPConn(c, l.m), nil
+	return newTCPConn(c), nil
 }
 
 func (l *tcpListener) Close() error {
@@ -82,7 +75,6 @@ func (l *tcpListener) Addr() string { return l.inner.Addr().String() }
 type tcpConn struct {
 	inner   net.Conn
 	dec     *protocol.Decoder
-	m       *Metrics // nil when uninstrumented
 	writeMu sync.Mutex
 	bw      *bufio.Writer
 	once    sync.Once
@@ -91,11 +83,10 @@ type tcpConn struct {
 var _ Conn = (*tcpConn)(nil)
 var _ BatchSender = (*tcpConn)(nil)
 
-func newTCPConn(c net.Conn, m *Metrics) *tcpConn {
+func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{
 		inner: c,
 		dec:   protocol.NewDecoder(bufio.NewReaderSize(c, 64<<10)),
-		m:     m,
 		bw:    bufio.NewWriterSize(c, 64<<10),
 	}
 }
@@ -111,12 +102,9 @@ func sendErr(err error) error {
 func (c *tcpConn) Send(m protocol.Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	n, err := protocol.EncodeToN(c.bw, m)
-	if err != nil {
+	if err := protocol.EncodeTo(c.bw, m); err != nil {
 		return sendErr(err)
 	}
-	c.m.noteFrameOut(n)
-	c.m.noteFlush(1)
 	return sendErr(c.bw.Flush())
 }
 
@@ -127,13 +115,10 @@ func (c *tcpConn) SendBatch(ms []protocol.Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	for _, m := range ms {
-		n, err := protocol.EncodeToN(c.bw, m)
-		if err != nil {
+		if err := protocol.EncodeTo(c.bw, m); err != nil {
 			return sendErr(err)
 		}
-		c.m.noteFrameOut(n)
 	}
-	c.m.noteFlush(len(ms))
 	return sendErr(c.bw.Flush())
 }
 
@@ -145,7 +130,6 @@ func (c *tcpConn) Recv() (protocol.Message, error) {
 		}
 		return nil, err
 	}
-	c.m.noteFrameIn(c.dec.LastFrameSize())
 	return m, nil
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the repo's tier-1 gate plus the race detector: formatting,
 # vet, build, the full test suite under -race (the parallel replication
-# runner is exercised concurrently by the experiment tests), and the
-# probe-overhead guard (an attached counter probe must not change the
-# swarm hot path's allocation count).
+# runner is exercised concurrently by the experiment tests), the benchmark
+# module's own vet and tests (bench/ is a separate module pinned against
+# this one's public API), the named discovery and attestation gates, and
+# the allocation guards on the hot paths.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,13 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmark module =="
+# bench/ is its own module (replace repro => ../), so the sweeps above do
+# not see it. It is the repo's only performance recorder and compiles
+# against the root packages' exported API; this is the step that catches a
+# deletion or rename here breaking it.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== discovery churn race gate =="
 # The discovery subsystem's integration test again, explicitly and by name:
