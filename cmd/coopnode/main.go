@@ -53,27 +53,78 @@ func main() {
 	}
 }
 
-// warnLogger is the node's operator-facing log: warnings and errors (a
-// refused handshake, a conflicting identity) as text lines on stderr, so
-// they never mix into stdout's -json output.
-func warnLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
+// nodeFlags are the flags seed and get share: everything that shapes the
+// node itself rather than what it does with the file.
+type nodeFlags struct {
+	listen     string
+	algoName   string
+	uploadRate float64
+	id         int
+	sign       bool
+	dht        bool
+	degree     int
+	output     cli.OutputFlags
+	telemetry  cli.TelemetryFlags
+}
+
+// register declares the shared flags on fs; defaultID is the subcommand's
+// default -id (0 for the seed, 1 for a getter).
+func (f *nodeFlags) register(fs *flag.FlagSet, defaultID int) {
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:0", "TCP listen address")
+	fs.StringVar(&f.algoName, "algo", "tchain", "incentive mechanism")
+	fs.Float64Var(&f.uploadRate, "rate", 0, "upload throttle in bytes/second (0 = unthrottled)")
+	fs.IntVar(&f.id, "id", defaultID, "node ID (unique within the swarm)")
+	fs.BoolVar(&f.sign, "sign", false, "sign per-piece receipts and verify peers' (Ed25519; peer keys pinned trust-on-first-use)")
+	fs.BoolVar(&f.dht, "dht", false, "run DHT peer discovery and gossip membership (degree-bounded partial mesh)")
+	fs.IntVar(&f.degree, "degree", 0, "with -dht: target neighbor degree (0 = default 8; hard cap is twice the target)")
+	f.output.RegisterJSON(fs)
+	f.telemetry.Register(fs)
+}
+
+// newNode builds (without starting) the TCP node the flags describe over
+// store: the swarm's origin when seedMode is set, otherwise a peer that
+// dials bootstrap.
+func (f *nodeFlags) newNode(mechanism algo.Algorithm, store *piece.Store, seedMode bool, bootstrap []string) (*node.Node, error) {
+	// The signing key is fresh per process: cross-process swarms pin each
+	// other's public keys trust-on-first-use from the handshake, so durable
+	// identity is the operator's concern, not this CLI's.
+	var identity *attest.Key
+	if f.sign {
+		var err error
+		if identity, err = attest.NewKey(int32(f.id)); err != nil {
+			return nil, err
+		}
+	}
+	// Without -dht the node keeps the full-mesh behavior: every bootstrap
+	// peer dialed and kept.
+	var discover *node.DiscoverConfig
+	if f.dht {
+		discover = &node.DiscoverConfig{TargetDegree: f.degree}
+	}
+	return node.New(node.Config{
+		ID:         f.id,
+		Algorithm:  mechanism,
+		Store:      store,
+		Transport:  transport.NewTCP(),
+		ListenAddr: f.listen,
+		Bootstrap:  bootstrap,
+		UploadRate: f.uploadRate,
+		SeedMode:   seedMode,
+		Identity:   identity,
+		Discover:   discover,
+		Tracer:     traceCollector(f.telemetry),
+		// Warnings and errors (a refused handshake, a conflicting identity)
+		// as text lines on stderr, so they never mix into stdout's -json.
+		Log: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	})
 }
 
 // seedOptions parameterize the seed subcommand.
 type seedOptions struct {
+	nodeFlags
 	filePath     string
 	manifestPath string
-	listen       string
-	algoName     string
 	pieceSize    int
-	uploadRate   float64
-	id           int
-	sign         bool
-	dht          bool
-	degree       int
-	output       cli.OutputFlags
-	telemetry    cli.TelemetryFlags
 }
 
 func seedFlags(args []string) (seedOptions, error) {
@@ -81,16 +132,8 @@ func seedFlags(args []string) (seedOptions, error) {
 	var opts seedOptions
 	fs.StringVar(&opts.filePath, "file", "", "file to seed (required)")
 	fs.StringVar(&opts.manifestPath, "manifest", "", "where to write the swarm manifest (default <file>.manifest)")
-	fs.StringVar(&opts.listen, "listen", "127.0.0.1:0", "TCP listen address")
-	fs.StringVar(&opts.algoName, "algo", "tchain", "incentive mechanism")
 	fs.IntVar(&opts.pieceSize, "piecesize", 256<<10, "piece size in bytes")
-	fs.Float64Var(&opts.uploadRate, "rate", 0, "upload throttle in bytes/second (0 = unthrottled)")
-	fs.IntVar(&opts.id, "id", 0, "node ID (unique within the swarm)")
-	fs.BoolVar(&opts.sign, "sign", false, "sign per-piece receipts and verify peers' (Ed25519; peer keys pinned trust-on-first-use)")
-	fs.BoolVar(&opts.dht, "dht", false, "run DHT peer discovery and gossip membership (degree-bounded partial mesh)")
-	fs.IntVar(&opts.degree, "degree", 0, "with -dht: target neighbor degree (0 = default 8; hard cap is twice the target)")
-	opts.output.RegisterJSON(fs)
-	opts.telemetry.Register(fs)
+	opts.register(fs, 0)
 	if err := fs.Parse(args); err != nil {
 		return opts, err
 	}
@@ -151,23 +194,7 @@ func startSeed(opts seedOptions, stdout io.Writer) (*node.Node, *nodeTelemetry, 
 	if err != nil {
 		return nil, nil, err
 	}
-	identity, err := signingKey(opts.sign, opts.id)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := node.New(node.Config{
-		ID:         opts.id,
-		Algorithm:  mechanism,
-		Store:      store,
-		Transport:  transport.NewTCP(),
-		ListenAddr: opts.listen,
-		UploadRate: opts.uploadRate,
-		SeedMode:   true,
-		Identity:   identity,
-		Discover:   discoverConfig(opts.dht, opts.degree),
-		Tracer:     traceCollector(opts.telemetry),
-		Log:        warnLogger(),
-	})
+	n, err := opts.newNode(mechanism, store, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,19 +232,11 @@ func startSeed(opts seedOptions, stdout io.Writer) (*node.Node, *nodeTelemetry, 
 
 // getOptions parameterize the get subcommand.
 type getOptions struct {
+	nodeFlags
 	manifestPath string
 	outPath      string
 	peers        cli.StringList
-	listen       string
-	algoName     string
-	uploadRate   float64
-	id           int
-	sign         bool
-	dht          bool
-	degree       int
 	timeout      time.Duration
-	output       cli.OutputFlags
-	telemetry    cli.TelemetryFlags
 }
 
 // getReport is the get subcommand's -json payload; it doubles as the
@@ -235,16 +254,8 @@ func getFlags(args []string) (getOptions, error) {
 	fs.StringVar(&opts.manifestPath, "manifest", "", "swarm manifest file (required)")
 	fs.StringVar(&opts.outPath, "out", "", "where to write the downloaded file (required)")
 	fs.Var(&opts.peers, "peer", "peer address to bootstrap from (repeatable, at least one)")
-	fs.StringVar(&opts.listen, "listen", "127.0.0.1:0", "TCP listen address")
-	fs.StringVar(&opts.algoName, "algo", "tchain", "incentive mechanism")
-	fs.Float64Var(&opts.uploadRate, "rate", 0, "upload throttle in bytes/second (0 = unthrottled)")
-	fs.IntVar(&opts.id, "id", 1, "node ID (unique within the swarm)")
-	fs.BoolVar(&opts.sign, "sign", false, "sign per-piece receipts and verify peers' (Ed25519; peer keys pinned trust-on-first-use)")
-	fs.BoolVar(&opts.dht, "dht", false, "run DHT peer discovery and gossip membership (degree-bounded partial mesh)")
-	fs.IntVar(&opts.degree, "degree", 0, "with -dht: target neighbor degree (0 = default 8; hard cap is twice the target)")
 	fs.DurationVar(&opts.timeout, "timeout", 10*time.Minute, "give up after this long")
-	opts.output.RegisterJSON(fs)
-	opts.telemetry.Register(fs)
+	opts.register(fs, 1)
 	if err := fs.Parse(args); err != nil {
 		return opts, err
 	}
@@ -283,23 +294,7 @@ func runGet(opts getOptions, stdout io.Writer) error {
 		return err
 	}
 	store := piece.NewStore(manifest)
-	identity, err := signingKey(opts.sign, opts.id)
-	if err != nil {
-		return err
-	}
-	n, err := node.New(node.Config{
-		ID:         opts.id,
-		Algorithm:  mechanism,
-		Store:      store,
-		Transport:  transport.NewTCP(),
-		ListenAddr: opts.listen,
-		Bootstrap:  opts.peers,
-		UploadRate: opts.uploadRate,
-		Identity:   identity,
-		Discover:   discoverConfig(opts.dht, opts.degree),
-		Tracer:     traceCollector(opts.telemetry),
-		Log:        warnLogger(),
-	})
+	n, err := opts.newNode(mechanism, store, false, opts.peers)
 	if err != nil {
 		return err
 	}
@@ -355,27 +350,6 @@ func runGet(opts getOptions, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  %.1f pieces/s, %.0f KB/s, %d frames out, %d frames in\n",
 		summary.PiecesPerSec, summary.BytesPerSec/1024, summary.FramesSent, summary.FramesReceived)
 	return nil
-}
-
-// signingKey mints the node's attestation keypair when -sign is on. The
-// key is fresh per process: cross-process swarms pin each other's public
-// keys trust-on-first-use from the handshake, so durable identity is the
-// operator's concern, not this CLI's.
-func signingKey(sign bool, id int) (*attest.Key, error) {
-	if !sign {
-		return nil, nil
-	}
-	return attest.NewKey(int32(id))
-}
-
-// discoverConfig maps the -dht/-degree flags onto a node DiscoverConfig;
-// nil (full-mesh behavior, every bootstrap peer dialed and kept) when -dht
-// is off.
-func discoverConfig(dht bool, degree int) *node.DiscoverConfig {
-	if !dht {
-		return nil
-	}
-	return &node.DiscoverConfig{TargetDegree: degree}
 }
 
 func waitForInterrupt() {

@@ -66,13 +66,15 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 
 	var seedOut strings.Builder
 	seed, seedTel, err := startSeed(seedOptions{
+		nodeFlags: nodeFlags{
+			listen:    "127.0.0.1:0",
+			algoName:  "tchain",
+			id:        0,
+			telemetry: cli.TelemetryFlags{MetricsAddr: "127.0.0.1:0"},
+		},
 		filePath:     srcPath,
 		manifestPath: filepath.Join(dir, "payload.manifest"),
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
 		pieceSize:    8 << 10,
-		id:           0,
-		telemetry:    cli.TelemetryFlags{MetricsAddr: "127.0.0.1:0"},
 	}, &seedOut)
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +94,14 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	outPath := filepath.Join(dir, "copy.bin")
 	var getOut strings.Builder
 	err = runGet(getOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "tchain",
+			id:       1,
+		},
 		manifestPath: filepath.Join(dir, "payload.manifest"),
 		outPath:      outPath,
 		peers:        cli.StringList{seed.Addr()},
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
-		id:           1,
 		timeout:      60 * time.Second,
 	}, &getOut)
 	if err != nil {
@@ -115,14 +119,16 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	// and frame counters.
 	var jsonOut strings.Builder
 	err = runGet(getOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "tchain",
+			id:       2,
+			output:   cli.OutputFlags{JSON: true},
+		},
 		manifestPath: filepath.Join(dir, "payload.manifest"),
 		outPath:      filepath.Join(dir, "copy2.bin"),
 		peers:        cli.StringList{seed.Addr()},
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
-		id:           2,
 		timeout:      60 * time.Second,
-		output:       cli.OutputFlags{JSON: true},
 	}, &jsonOut)
 	if err != nil {
 		t.Fatal(err)
@@ -182,15 +188,17 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	dumpPath := filepath.Join(dir, "telemetry.json")
 	var out3 strings.Builder
 	err = runGet(getOptions{
+		nodeFlags: nodeFlags{
+			listen:    "127.0.0.1:0",
+			algoName:  "tchain",
+			id:        3,
+			output:    cli.OutputFlags{JSON: true},
+			telemetry: cli.TelemetryFlags{MetricsAddr: "127.0.0.1:0", MetricsOut: dumpPath},
+		},
 		manifestPath: filepath.Join(dir, "payload.manifest"),
 		outPath:      filepath.Join(dir, "copy3.bin"),
 		peers:        cli.StringList{seed.Addr()},
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
-		id:           3,
 		timeout:      60 * time.Second,
-		output:       cli.OutputFlags{JSON: true},
-		telemetry:    cli.TelemetryFlags{MetricsAddr: "127.0.0.1:0", MetricsOut: dumpPath},
 	}, &out3)
 	if err != nil {
 		t.Fatal(err)
@@ -244,13 +252,15 @@ func TestSeedAndGetSigned(t *testing.T) {
 
 	var seedOut strings.Builder
 	seed, seedTel, err := startSeed(seedOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "tchain",
+			id:       0,
+			sign:     true,
+		},
 		filePath:     srcPath,
 		manifestPath: filepath.Join(dir, "payload.manifest"),
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
 		pieceSize:    8 << 10,
-		id:           0,
-		sign:         true,
 	}, &seedOut)
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +271,15 @@ func TestSeedAndGetSigned(t *testing.T) {
 	outPath := filepath.Join(dir, "copy.bin")
 	var getOut strings.Builder
 	err = runGet(getOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "tchain",
+			id:       1,
+			sign:     true,
+		},
 		manifestPath: filepath.Join(dir, "payload.manifest"),
 		outPath:      outPath,
 		peers:        cli.StringList{seed.Addr()},
-		listen:       "127.0.0.1:0",
-		algoName:     "tchain",
-		id:           1,
-		sign:         true,
 		timeout:      60 * time.Second,
 	}, &getOut)
 	if err != nil {
@@ -321,14 +333,16 @@ func TestSeedAndGetDHT(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed, seedTel, err := startSeed(seedOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "altruism",
+			id:       0,
+			dht:      true,
+			degree:   4,
+		},
 		filePath:     srcPath,
 		manifestPath: filepath.Join(dir, "payload.manifest"),
-		listen:       "127.0.0.1:0",
-		algoName:     "altruism",
 		pieceSize:    4 << 10,
-		id:           0,
-		dht:          true,
-		degree:       4,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -340,14 +354,16 @@ func TestSeedAndGetDHT(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "copy.bin")
 	err = runGet(getOptions{
+		nodeFlags: nodeFlags{
+			listen:   "127.0.0.1:0",
+			algoName: "altruism",
+			id:       1,
+			dht:      true,
+			degree:   4,
+		},
 		manifestPath: filepath.Join(dir, "payload.manifest"),
 		outPath:      outPath,
 		peers:        cli.StringList{seed.Addr()},
-		listen:       "127.0.0.1:0",
-		algoName:     "altruism",
-		id:           1,
-		dht:          true,
-		degree:       4,
 		timeout:      60 * time.Second,
 	}, io.Discard)
 	if err != nil {
@@ -364,10 +380,12 @@ func TestSeedAndGetDHT(t *testing.T) {
 
 func TestRunGetBadManifest(t *testing.T) {
 	err := runGet(getOptions{
+		nodeFlags: nodeFlags{
+			algoName: "tchain",
+		},
 		manifestPath: filepath.Join(t.TempDir(), "missing.json"),
 		outPath:      "out.bin",
 		peers:        cli.StringList{"127.0.0.1:1"},
-		algoName:     "tchain",
 		timeout:      time.Second,
 	}, &strings.Builder{})
 	if err == nil {
@@ -377,8 +395,10 @@ func TestRunGetBadManifest(t *testing.T) {
 
 func TestStartSeedBadAlgorithm(t *testing.T) {
 	_, _, err := startSeed(seedOptions{
+		nodeFlags: nodeFlags{
+			algoName: "nonsense",
+		},
 		filePath: "whatever.bin",
-		algoName: "nonsense",
 	}, &strings.Builder{})
 	if err == nil {
 		t.Fatal("bad algorithm accepted")

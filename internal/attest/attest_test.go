@@ -203,35 +203,6 @@ func TestDeterministicKeys(t *testing.T) {
 	}
 }
 
-func TestVerifyBatch(t *testing.T) {
-	dir, _, b := newTestPair(t)
-	v := NewVerifier(dir)
-	var atts []Attestation
-	for i := 0; i < 8; i++ {
-		atts = append(atts, b.Attest(SchemeEd25519, 1, int32(i), [32]byte{}, 100))
-	}
-	atts[3].Sig[0] ^= 1          // forged
-	atts[6] = atts[5]            // replay within the batch
-	atts = append(atts, atts[0]) // replay of an earlier entry
-	errs := v.VerifyBatch(atts)
-	for i, err := range errs {
-		switch i {
-		case 3:
-			if !errors.Is(err, ErrBadSignature) {
-				t.Errorf("entry 3: got %v, want ErrBadSignature", err)
-			}
-		case 6, 8:
-			if !errors.Is(err, ErrReplayed) {
-				t.Errorf("entry %d: got %v, want ErrReplayed", i, err)
-			}
-		default:
-			if err != nil {
-				t.Errorf("entry %d: %v", i, err)
-			}
-		}
-	}
-}
-
 func TestWindowAdmit(t *testing.T) {
 	var w window
 	seqs := []struct {

@@ -36,27 +36,6 @@ func BenchmarkAttestVerifyEd25519(b *testing.B) {
 	}
 }
 
-func BenchmarkAttestVerifyBatchEd25519(b *testing.B) {
-	v, recv := benchPair(b)
-	const batch = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		atts := make([]Attestation, batch)
-		for j := range atts {
-			atts[j] = recv.Attest(SchemeEd25519, 1, int32(j), [32]byte{}, 4096)
-		}
-		b.StartTimer()
-		errs := v.VerifyBatch(atts)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkAttestSignSession(b *testing.B) {
 	_, recv := benchPair(b)
 	b.ReportAllocs()

@@ -3,7 +3,6 @@ package attest
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
-	"runtime"
 	"sync"
 )
 
@@ -159,48 +158,4 @@ func (v *Verifier) Verify(att Attestation) error {
 // receipt that passes Check may still be rejected by Verify as a replay.
 func (v *Verifier) Check(att Attestation) error {
 	return v.checkSig(&att)
-}
-
-// VerifyBatch validates a batch, fanning the signature checks across CPUs
-// and then admitting sequences in batch order. The returned slice has one
-// entry per attestation, nil for the valid ones. Ed25519 verification
-// dominates batch cost, so the parallel section is the signature pass.
-func (v *Verifier) VerifyBatch(atts []Attestation) []error {
-	errs := make([]error, len(atts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(atts) {
-		workers = len(atts)
-	}
-	if workers > 1 {
-		var next int
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= len(atts) {
-						return
-					}
-					errs[i] = v.checkSig(&atts[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range atts {
-			errs[i] = v.checkSig(&atts[i])
-		}
-	}
-	for i := range atts {
-		if errs[i] == nil {
-			errs[i] = v.admitSeq(&atts[i])
-		}
-	}
-	return errs
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Class is one upload-capacity tier with a population weight.
@@ -92,12 +91,6 @@ func (d Distribution) Sample(rng *rand.Rand, n int) ([]float64, error) {
 	return out, nil
 }
 
-// SortDescending orders capacities U₁ ≥ U₂ ≥ … ≥ U_N in place, matching the
-// paper's indexing convention.
-func SortDescending(capacities []float64) {
-	sort.Sort(sort.Reverse(sort.Float64Slice(capacities)))
-}
-
 // CheckBalance verifies the paper's Section IV assumption that no user holds
 // a disproportionate share of total capacity: Uᵢ ≤ Σ_{j≠i} Uⱼ for all i.
 // It returns the first violating index, or -1 if the assumption holds.
@@ -132,9 +125,6 @@ func NewAllocator(rate float64, slots int) *Allocator {
 	}
 	return &Allocator{Rate: rate, Slots: slots}
 }
-
-// Busy returns the number of slots currently transferring.
-func (a *Allocator) Busy() int { return a.busy }
 
 // Free returns the number of idle slots.
 func (a *Allocator) Free() int { return a.Slots - a.busy }

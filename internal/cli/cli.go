@@ -124,12 +124,6 @@ func (t *TelemetryFlags) Register(fs *flag.FlagSet) {
 		"write collected trace spans as a Chrome trace-event file on exit (implies -trace-sample 1 when that is unset)")
 }
 
-// Active reports whether any telemetry output was requested.
-func (t *TelemetryFlags) Active() bool {
-	return t.MetricsAddr != "" || t.Dashboard || t.MetricsOut != "" ||
-		t.TraceSample > 0 || t.TraceOut != ""
-}
-
 // WriteJSON renders v to w as indented JSON — the one renderer behind
 // every binary's -json mode, so their output framing matches.
 func WriteJSON(w io.Writer, v any) error {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/bandwidth"
 	"repro/internal/experiment"
-	"repro/internal/incentive"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -71,9 +70,6 @@ func WithFreeRiders(fraction float64, plan AttackPlan) Option {
 
 // WithBandwidth sets the peer upload-capacity mix.
 func WithBandwidth(d bandwidth.Distribution) Option { return sim.WithBandwidth(d) }
-
-// WithIncentiveParams tunes α_BT, n_BT, α_R, and the tit-for-tat round.
-func WithIncentiveParams(p incentive.Params) Option { return sim.WithIncentive(p) }
 
 // WithSeeder sets the origin server's upload rate in bytes/second.
 func WithSeeder(rate float64) Option { return sim.WithSeeder(rate) }

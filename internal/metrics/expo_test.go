@@ -22,7 +22,7 @@ func TestPrometheusGolden(t *testing.T) {
 	reg.Counter(`node_frames_sent_total{class="control"}`).Add(12)
 	reg.Counter(`node_peer_download_bytes_total{peer="0"}`).Add(8192)
 	reg.Counter(`node_peer_download_bytes_total{peer="2"}`).Add(4096)
-	reg.Gauge("node_outbox_depth").Set(3)
+	reg.RegisterGaugeFunc("node_outbox_depth", func() int64 { return 3 })
 	h := reg.Histogram("node_span_want_to_verified_ns")
 	for _, v := range []int64{1, 3, 3, 900, 1024} {
 		h.Observe(v)

@@ -1,6 +1,6 @@
 // Package metrics is the live cluster's telemetry core: sharded,
-// allocation-free counters, gauges, and log-bucketed latency histograms
-// behind a namespaced Registry with point-in-time snapshots, Prometheus
+// allocation-free counters, pull-style gauges, and log-bucketed latency
+// histograms behind a namespaced Registry with point-in-time snapshots, Prometheus
 // text-format and JSON exposition, and expvar publication.
 //
 // Design constraints, in order (mirroring internal/probe's contract for
@@ -107,25 +107,6 @@ func (c *Counter) Value() int64 {
 	return total
 }
 
-// Gauge is a settable instantaneous value. Gauges are low-rate (queue
-// depths, in-flight counts), so a single atomic cell suffices — Set and
-// Add are one atomic operation, no allocation.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// NewGauge returns a standalone gauge; prefer Registry.Gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores the gauge's current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (use negative deltas to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // histBuckets is the number of log₂ buckets: bucket i holds observations
 // v with bits.Len64(v) == i, i.e. bucket 0 holds v ≤ 0 and bucket i≥1
 // holds [2^(i-1), 2^i). 64-bit values need at most index 64.
@@ -170,9 +151,6 @@ func (h *Histogram) Observe(v int64) {
 	s.sum.Add(v)
 	s.buckets[bucketIndex(v)].Add(1)
 }
-
-// ObserveDuration records a latency in nanoseconds.
-func (h *Histogram) ObserveDuration(ns int64) { h.Observe(ns) }
 
 // Snapshot merges the shards into a point-in-time view (see the package
 // comment for the exact consistency guarantee).

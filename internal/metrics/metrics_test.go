@@ -12,13 +12,12 @@ import (
 	"testing"
 )
 
-// TestMetricsConcurrent hammers one counter, one gauge, and one histogram
-// from GOMAXPROCS goroutines and asserts the merged totals — the sharded
+// TestMetricsConcurrent hammers one counter and one histogram from
+// GOMAXPROCS goroutines and asserts the merged totals — the sharded
 // write path must lose nothing under -race.
 func TestMetricsConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("test_ops_total")
-	g := reg.Gauge("test_inflight")
 	h := reg.Histogram("test_latency_ns")
 
 	workers := runtime.GOMAXPROCS(0)
@@ -30,8 +29,6 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Add(2)
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(int64(i%1000 + 1))
 			}
 		}(w)
@@ -41,9 +38,6 @@ func TestMetricsConcurrent(t *testing.T) {
 	total := int64(workers) * perWorker
 	if got := c.Value(); got != 2*total {
 		t.Errorf("counter = %d, want %d", got, 2*total)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
 	}
 	hs := h.Snapshot()
 	if hs.Count != uint64(total) {
@@ -72,9 +66,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Counter("x") != reg.Counter("x") {
 		t.Error("Counter not idempotent")
-	}
-	if reg.Gauge("y") != reg.Gauge("y") {
-		t.Error("Gauge not idempotent")
 	}
 	if reg.Histogram("z") != reg.Histogram("z") {
 		t.Error("Histogram not idempotent")
@@ -147,7 +138,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`node_peer_upload_bytes_total{peer="3"}`).Add(4096)
 	reg.Counter("node_frames_received_total").Add(17)
-	reg.Gauge("node_outbox_depth").Set(5)
+	reg.RegisterGaugeFunc("node_outbox_depth", func() int64 { return 5 })
 	h := reg.Histogram("node_span_want_to_verified_ns")
 	h.Observe(1500)
 	h.Observe(90000)

@@ -22,7 +22,6 @@ import (
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	gaugeFuncs map[string]func() int64
 }
@@ -31,7 +30,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		gaugeFuncs: make(map[string]func() int64),
 	}
@@ -50,19 +48,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = NewGauge()
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -76,10 +61,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterGaugeFunc registers a pull-style gauge computed at snapshot
-// time — for values already maintained elsewhere (store piece counts,
-// peer-map sizes). fn runs outside the registry lock and must be safe to
-// call from any goroutine; it must not call back into Snapshot.
+// RegisterGaugeFunc registers a gauge. Gauges are pull-style: computed at
+// snapshot time from values already maintained elsewhere (store piece
+// counts, peer-map sizes, queue depths). fn runs outside the registry
+// lock and must be safe to call from any goroutine; it must not call back
+// into Snapshot.
 func (r *Registry) RegisterGaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -87,9 +73,8 @@ func (r *Registry) RegisterGaugeFunc(name string, fn func() int64) {
 }
 
 // Snapshot is a point-in-time view of a Registry, JSON-round-trippable
-// (the /metrics?format=json payload decodes back into this type). Gauge
-// functions are folded into Gauges. See the package comment for the
-// consistency model.
+// (the /metrics?format=json payload decodes back into this type). See the
+// package comment for the consistency model.
 type Snapshot struct {
 	// Counters maps series name to merged counter value.
 	Counters map[string]int64 `json:"counters"`
@@ -107,10 +92,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		counters[name] = c
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g
-	}
 	hists := make(map[string]*Histogram, len(r.histograms))
 	for name, h := range r.histograms {
 		hists[name] = h
@@ -123,14 +104,11 @@ func (r *Registry) Snapshot() Snapshot {
 
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]int64, len(gauges)+len(funcs)),
+		Gauges:     make(map[string]int64, len(funcs)),
 		Histograms: make(map[string]HistogramSnapshot, len(hists)),
 	}
 	for name, c := range counters {
 		snap.Counters[name] = c.Value()
-	}
-	for name, g := range gauges {
-		snap.Gauges[name] = g.Value()
 	}
 	for name, fn := range funcs {
 		snap.Gauges[name] = fn()

@@ -28,21 +28,20 @@ var FullMesh = Topology{}
 // Discovery wires the swarm through the Kademlia discovery layer: every
 // node bootstraps off at most three seeds and finds the rest of the swarm
 // via lookups and gossip, keeping its neighbor set near degree (hard cap
-// 2*degree). k is the routing bucket capacity and lookup width, alpha the
-// lookup parallelism; zero values take the DiscoverConfig defaults. The
-// maintenance intervals are tightened for in-process swarms (50ms degree
-// ticks, sub-second gossip) so clusters converge in test-scale time.
-func Discovery(k, alpha, degree int) Topology {
+// 2*degree). k is the routing bucket capacity and lookup width; zero
+// values take the DiscoverConfig defaults. The maintenance intervals are
+// tightened for in-process swarms (50ms degree ticks, sub-second gossip)
+// so clusters converge in test-scale time.
+func Discovery(k, degree int) Topology {
 	c := DiscoverConfig{
 		K:                k,
-		Alpha:            alpha,
 		TargetDegree:     degree,
 		MaintainInterval: 50 * time.Millisecond,
 		AnnounceInterval: 500 * time.Millisecond,
 		RefreshInterval:  time.Second,
 		PingInterval:     2 * time.Second,
 		QueryTimeout:     500 * time.Millisecond,
-	}.withDefaults()
+	}
 	return Topology{discover: &c}
 }
 

@@ -24,14 +24,11 @@ import (
 type DiscoverConfig struct {
 	// K is the bucket capacity and lookup width (Kademlia's k; default 16).
 	K int
-	// Alpha is the lookup parallelism (default 3).
-	Alpha int
-	// TargetDegree is how many neighbors the node dials toward (default 8).
+	// TargetDegree is how many neighbors the node dials toward (default
+	// 8). Accepted neighbors are capped at twice that; surplus inbound
+	// handshakes are redirected — answered with the closest known contacts
+	// plus Bye — instead of registered.
 	TargetDegree int
-	// MaxDegree caps accepted neighbors; surplus inbound handshakes are
-	// redirected — answered with the closest known contacts plus Bye —
-	// instead of registered (default 2*TargetDegree).
-	MaxDegree int
 	// MaintainInterval is the degree/liveness maintenance tick (default 150ms).
 	MaintainInterval time.Duration
 	// AnnounceInterval is how often the node gossips its own contact
@@ -41,11 +38,9 @@ type DiscoverConfig struct {
 	// runs (default 3s).
 	RefreshInterval time.Duration
 	// PingInterval is how long a neighbor link may stay silent before it is
-	// pinged (default 5s).
+	// pinged (default 5s); after three such intervals of silence it is
+	// declared dead and closed.
 	PingInterval time.Duration
-	// PingTimeout is how long a link may stay silent before it is declared
-	// dead and closed (default 3*PingInterval).
-	PingTimeout time.Duration
 	// QueryTimeout bounds one transient FindNode RPC (default 1s).
 	QueryTimeout time.Duration
 }
@@ -55,17 +50,8 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 	if c.K <= 0 {
 		c.K = 16
 	}
-	if c.Alpha <= 0 {
-		c.Alpha = 3
-	}
 	if c.TargetDegree <= 0 {
 		c.TargetDegree = 8
-	}
-	if c.MaxDegree <= 0 {
-		c.MaxDegree = 2 * c.TargetDegree
-	}
-	if c.MaxDegree < c.TargetDegree {
-		c.MaxDegree = c.TargetDegree
 	}
 	if c.MaintainInterval <= 0 {
 		c.MaintainInterval = 150 * time.Millisecond
@@ -79,9 +65,6 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 	if c.PingInterval <= 0 {
 		c.PingInterval = 5 * time.Second
 	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = 3 * c.PingInterval
-	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = time.Second
 	}
@@ -89,6 +72,8 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 }
 
 const (
+	// lookupAlpha is the iterative lookup's parallelism (Kademlia's alpha).
+	lookupAlpha = 3
 	// announceTTL bounds gossip propagation depth; with fanout 3 an
 	// announce reaches ~fanout^TTL nodes, plenty for the swarm sizes the
 	// repo runs while keeping traffic linear.
@@ -107,7 +92,7 @@ const (
 	redirectLinger = 2 * time.Second
 	// starveTicksToWiden is how many consecutive maintain ticks a node must
 	// spend starved — incomplete and gaining no pieces — before it dials
-	// past TargetDegree toward MaxDegree for fresh links.
+	// past TargetDegree toward maxDegree for fresh links.
 	starveTicksToWiden = 4
 	// starveTicksToRotate is the longer starvation threshold at which the
 	// node drops one random neighbor to force rewiring: its current links
@@ -124,8 +109,10 @@ var errSelfQuery = errors.New("node: discovery query to self")
 // every hook in the hot paths checks that, so discovery-off nodes run the
 // exact pre-discovery code.
 type discState struct {
-	cfg   DiscoverConfig
-	table *discovery.Table
+	cfg         DiscoverConfig
+	maxDegree   int           // hard neighbor cap: 2*TargetDegree
+	pingTimeout time.Duration // silence that expires a link: 3*PingInterval
+	table       *discovery.Table
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -161,16 +148,19 @@ type discState struct {
 //	discovery_lookup_ns                    iterative lookup latency histogram
 //	discovery_queries_sent_total / discovery_queries_served_total
 //	discovery_announces_sent_total / _forwarded_total / _stale_total
-//	discovery_redirects_total              inbound handshakes refused at MaxDegree
+//	discovery_redirects_total              inbound handshakes refused at the degree cap
 //	discovery_dial_failures_total
 //	discovery_pings_sent_total
 //	discovery_peers_expired_total          links closed by the ping timeout
 //	discovery_rewires_total                links dropped by starvation rewiring
 //	discovery_bucket_occupancy{bucket=N}   contacts per k-bucket (gauges)
 func newDiscState(cfg DiscoverConfig, nodeID int, seed int64, reg *metrics.Registry) *discState {
+	cfg = cfg.withDefaults()
 	d := &discState{
-		cfg:            cfg.withDefaults(),
-		table:          discovery.NewTable(nodeID, cfg.withDefaults().K),
+		cfg:            cfg,
+		maxDegree:      2 * cfg.TargetDegree,
+		pingTimeout:    3 * cfg.PingInterval,
+		table:          discovery.NewTable(nodeID, cfg.K),
 		rng:            rand.New(rand.NewSource(seed ^ 0x5bd1e995)),
 		seen:           make(map[int32]uint32),
 		dialing:        make(map[int]bool),
@@ -214,12 +204,12 @@ func (n *Node) RoutingTable() *discovery.Table {
 }
 
 // roomForPeer reports whether another neighbor could be admitted: the
-// degree is below MaxDegree, or an exhausted link (see evictableLocked)
+// degree is below maxDegree, or an exhausted link (see evictableLocked)
 // could be dropped to make room.
 func (n *Node) roomForPeer() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.peers) < n.disc.cfg.MaxDegree || n.evictableLocked() != nil
+	return len(n.peers) < n.disc.maxDegree || n.evictableLocked() != nil
 }
 
 // evictableLocked (n.mu held) returns a neighbor whose link carries no
@@ -228,7 +218,7 @@ func (n *Node) roomForPeer() bool {
 // newcomer is what keeps a degree-saturated clique of finished nodes from
 // locking the rest of the swarm out: without it, the seed's early
 // neighbors complete, stay wired to each other forever, and a late joiner
-// finds every node with content at MaxDegree.
+// finds every node with content at maxDegree.
 func (n *Node) evictableLocked() *remote {
 	if !n.myBits.Complete() {
 		return nil
@@ -347,7 +337,7 @@ func (n *Node) spawnLookup(target discovery.ID) {
 			d.mu.Unlock()
 		}()
 		start := time.Now()
-		d.table.Lookup(target, d.cfg.K, d.cfg.Alpha, n.queryContact)
+		d.table.Lookup(target, d.cfg.K, lookupAlpha, n.queryContact)
 		d.lookupNs.Observe(time.Since(start).Nanoseconds())
 	}()
 }
@@ -367,7 +357,7 @@ func (n *Node) spawnLookup(target discovery.ID) {
 // deliver — under T-Chain a late joiner surrounded by finished peers
 // receives sealed pieces it cannot reciprocate for, so no key ever
 // arrives. After starveTicksToWiden no-progress ticks the dial goal
-// widens from TargetDegree to MaxDegree; after starveTicksToRotate the
+// widens from TargetDegree to maxDegree; after starveTicksToRotate the
 // node starts dropping one random neighbor per rotation interval,
 // churning its link set through the candidate table until something —
 // typically a plaintext-serving seed — feeds it.
@@ -384,7 +374,7 @@ func (n *Node) maintainDegree() {
 	}
 	goal := d.cfg.TargetDegree
 	if d.starveTicks >= starveTicksToWiden {
-		goal = d.cfg.MaxDegree
+		goal = d.maxDegree
 	}
 	var victim *remote
 	if d.starveTicks >= starveTicksToRotate && len(n.peers) > 0 {
@@ -464,7 +454,7 @@ func (n *Node) maintainDegree() {
 // contact we are not already wired to — the precondition for starvation
 // rewiring to be worth a dropped link.
 func (n *Node) hasUnconnectedCandidate(connected map[int]bool) bool {
-	for _, c := range n.disc.table.NeighborCandidates(2 * n.disc.cfg.MaxDegree) {
+	for _, c := range n.disc.table.NeighborCandidates(2 * n.disc.maxDegree) {
 		if c.NodeID != n.cfg.ID && !connected[c.NodeID] {
 			return true
 		}
@@ -518,21 +508,15 @@ func (n *Node) dialContact(c discovery.Contact) {
 }
 
 // checkLiveness pings neighbors whose link has been silent past
-// PingInterval and closes links silent past PingTimeout; the closed
+// PingInterval and closes links silent past pingTimeout; the closed
 // connection's read loop then runs the normal peer teardown.
 func (n *Node) checkLiveness() {
 	d := n.disc
-	n.mu.Lock()
-	peers := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		peers = append(peers, r)
-	}
-	n.mu.Unlock()
 	now := n.sinceStartNs()
-	for _, r := range peers {
+	for _, r := range n.remotes() {
 		idle := now - r.lastRecv.Load()
 		switch {
-		case idle > d.cfg.PingTimeout.Nanoseconds():
+		case idle > d.pingTimeout.Nanoseconds():
 			d.peersExpired.Inc()
 			r.conn.Close()
 		case idle > d.cfg.PingInterval.Nanoseconds() &&
@@ -543,7 +527,7 @@ func (n *Node) checkLiveness() {
 			seq := d.pingSeq
 			d.mu.Unlock()
 			d.pingsSent.Inc()
-			r.enqueue(protocol.Ping{Seq: seq})
+			r.enqueue(protocol.Ping{Seq: seq}, false, nil)
 		}
 	}
 }
@@ -561,7 +545,7 @@ func (n *Node) sendAnnounce() {
 	n.mu.Lock()
 	sent := len(n.peers)
 	for _, r := range n.peers {
-		r.enqueue(msg)
+		r.enqueue(msg, false, nil)
 	}
 	n.mu.Unlock()
 	d.announcesSent.Add(int64(sent))
@@ -587,6 +571,9 @@ func (n *Node) handleAnnounce(r *remote, m protocol.Announce) {
 		return
 	}
 	d.table.Add(discovery.Contact{NodeID: int(m.ID), Addr: m.Addr})
+	// The TTL is the sender's claim: clamp it to what an honest origin
+	// starts with, or one Announce{TTL: 255} is relayed by the whole swarm.
+	m.TTL = min(m.TTL, announceTTL)
 	if m.TTL == 0 {
 		return
 	}
@@ -607,7 +594,7 @@ func (n *Node) handleAnnounce(r *remote, m protocol.Announce) {
 	}
 	n.mu.Unlock()
 	for _, p := range targets {
-		p.enqueue(m)
+		p.enqueue(m, false, nil)
 	}
 	d.announcesFwd.Add(int64(len(targets)))
 }

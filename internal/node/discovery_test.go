@@ -35,7 +35,7 @@ func TestDiscoverySwarmAllAlgorithms(t *testing.T) {
 			c, err := StartCluster(manifest, content,
 				WithAlgorithm(a),
 				WithLeechers(12),
-				WithTopology(Discovery(8, 3, 4)),
+				WithTopology(Discovery(8, 4)),
 				WithDecisionInterval(2*time.Millisecond),
 			)
 			if err != nil {
@@ -61,7 +61,7 @@ func TestDiscoveryDegreeBounded(t *testing.T) {
 	const leechers = 39
 	c, err := StartCluster(manifest, content,
 		WithLeechers(leechers),
-		WithTopology(Discovery(8, 3, 6)),
+		WithTopology(Discovery(8, 6)),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestDiscoveryChurn64(t *testing.T) {
 	c, err := StartCluster(manifest, content,
 		WithTransport(tr),
 		WithLeechers(leechers),
-		WithTopology(Discovery(8, 3, 6)),
+		WithTopology(Discovery(8, 6)),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 		WithTransport(tr),
 		WithAlgorithm(algo.TChain),
 		WithLeechers(8),
-		WithTopology(Discovery(8, 3, 4)),
+		WithTopology(Discovery(8, 4)),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -232,7 +232,7 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 		Transport:        tr,
 		Bootstrap:        []string{c.Nodes[3].Addr(), c.Nodes[4].Addr(), c.Nodes[5].Addr()},
 		DecisionInterval: 2 * time.Millisecond,
-		Discover:         &DiscoverConfig{K: 8, Alpha: 3, TargetDegree: 3},
+		Discover:         &DiscoverConfig{K: 8, TargetDegree: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestClusterJoin(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	c, err := StartCluster(manifest, content,
 		WithLeechers(8),
-		WithTopology(Discovery(8, 3, 4)),
+		WithTopology(Discovery(8, 4)),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -305,7 +305,7 @@ func BenchmarkDiscoveryConvergence256(b *testing.B) {
 		start := time.Now()
 		c, err := StartCluster(manifest, content,
 			WithLeechers(255),
-			WithTopology(Discovery(16, 3, 8)),
+			WithTopology(Discovery(16, 8)),
 			WithDecisionInterval(5*time.Millisecond),
 		)
 		if err != nil {

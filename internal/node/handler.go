@@ -95,7 +95,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		}
 	}
 
-	r := newRemote(peerID, conn, n.cfg.Store.Manifest().NumPieces(), theirHello.Addr, n.metrics, n.tracer, n.cfg.ID)
+	r := newRemote(n, peerID, conn, theirHello.Addr)
 	r.lastRecv.Store(n.sinceStartNs())
 	n.mu.Lock()
 	if _, dup := n.peers[peerID]; dup || peerID == n.cfg.ID {
@@ -103,20 +103,18 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		return // duplicate connection (simultaneous dial) or self-dial
 	}
 	var evicted *remote
-	if n.disc != nil && len(n.peers) >= n.disc.cfg.MaxDegree {
+	if n.disc != nil && len(n.peers) >= n.disc.maxDegree {
 		// Late capacity check under the lock, covering both sides: the
 		// accept path's early redirect races concurrent handshakes (at
 		// startup, a whole swarm dials the bootstrap nodes inside one
 		// accept window), and our own in-flight dials could otherwise land
 		// past the cap. An exhausted link (both ends complete) is evicted
-		// to make room; otherwise MaxDegree is a hard bound, so refuse even
+		// to make room; otherwise maxDegree is a hard bound, so refuse even
 		// a link we dialed — but always redirect with contacts and linger
 		// for the hangup: a refused dialer that learns nothing may have no
 		// other way into the swarm.
 		if evicted = n.evictableLocked(); evicted != nil {
-			delete(n.peers, evicted.id)
-			n.strategy.Forget(incentive.PeerID(evicted.id))
-			delete(n.recentSends, evicted.id)
+			n.unlinkLocked(evicted)
 		} else {
 			n.mu.Unlock()
 			n.redirect(conn, peerID)
@@ -144,16 +142,12 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		// Peer exchange: hand the new neighbor the closest contacts we know
 		// toward it, piggybacked on the handshake. This is what lets a swarm
 		// bootstrapped from two or three seeds fan out.
-		r.enqueue(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))})
+		r.enqueue(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}, false, nil)
 	}
 
 	defer func() {
 		n.mu.Lock()
-		if n.peers[peerID] == r {
-			delete(n.peers, peerID)
-			n.strategy.Forget(incentive.PeerID(peerID))
-			delete(n.recentSends, peerID)
-		}
+		n.unlinkLocked(r)
 		revoked := n.recip.Forget(peerID)
 		n.mu.Unlock()
 		for _, keyID := range revoked {
@@ -247,7 +241,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 
 	case protocol.Ping:
 		if n.disc != nil && !m.Ack {
-			r.enqueue(protocol.Ping{Seq: m.Seq, Ack: true})
+			r.enqueue(protocol.Ping{Seq: m.Seq, Ack: true}, false, nil)
 		}
 
 	case protocol.FindNode:
@@ -256,7 +250,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		// already knows us.
 		if n.disc != nil {
 			n.disc.queriesServed.Inc()
-			r.enqueue(protocol.Nodes{Seq: m.Seq, Contacts: n.closestInfos(discovery.ID(m.Target))})
+			r.enqueue(protocol.Nodes{Seq: m.Seq, Contacts: n.closestInfos(discovery.ID(m.Target))}, false, nil)
 		}
 
 	case protocol.Nodes:
@@ -379,7 +373,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 			receipt = protocol.AttestedReceipt{KeyID: m.KeyID, Att: wAtt, Trace: h.context()}
 		}
 		if connected {
-			origin.enqueue(receipt)
+			origin.enqueue(receipt, false, nil)
 		} else if n.disc != nil && m.OriginAddr != "" {
 			// On a degree-bounded mesh the witness may not neighbor the
 			// origin; deliver the receipt over a transient connection so the
@@ -410,7 +404,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte) {
 	n.mu.Lock()
 	// Direct: send the origin a piece it needs.
-	directIdx := n.pickRandomWantedLocked(r)
+	directIdx := n.pickWantedLocked(r, false)
 	n.mu.Unlock()
 
 	if directIdx >= 0 {
@@ -460,7 +454,7 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte)
 	forwarded.Ciphertext = ciphertext
 	forwarded.Forwarded = true
 	forwarded.ForwarderID = int32(n.cfg.ID)
-	if !witness.enqueueData(forwarded) {
+	if !witness.enqueue(forwarded, true, nil) {
 		return // witness saturated; same outcome as having no witness
 	}
 	n.metrics.noteUpload(witness.id, len(ciphertext))
@@ -557,7 +551,12 @@ func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace
 	}
 	n.metrics.attestSigned.Inc()
 	if to != nil {
-		to.enqueueAck(att, h.context())
+		// An ordinary control frame: a lazy no-wakeup variant was measured
+		// and bought nothing (the drain behind each piece's Have broadcast
+		// picks acks up either way), while it stranded receipts on links with
+		// no other outbound traffic — a downloader never Have-broadcasts to a
+		// complete seed, so the seed's proof copies only flushed at close.
+		to.enqueue(protocol.Attest{Att: att, Trace: h.context()}, false, nil)
 	}
 }
 
@@ -607,7 +606,7 @@ func (n *Node) checkAck(att attest.Attestation) {
 // open — the signature must verify under an admitted identity and the
 // receipt must name the exact piece the escrow is holding the key for, so
 // a receipt can be neither minted from thin air nor replayed after the
-// key is released (releaseKeys deletes the seal's index entry).
+// key is released (the demand that carries the piece index is gone by then).
 func (n *Node) handleAttestedReceipt(m protocol.AttestedReceipt) {
 	legacy := protocol.Receipt{KeyID: m.KeyID, From: m.Att.Sender}
 	if n.verifier == nil {
@@ -619,10 +618,7 @@ func (n *Node) handleAttestedReceipt(m protocol.AttestedReceipt) {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
-	n.mu.Lock()
-	idx, held := n.sealIndex[m.KeyID]
-	n.mu.Unlock()
-	if !held || int32(idx) != m.Att.Index {
+	if idx, held := n.recip.Piece(m.KeyID); !held || int32(idx) != m.Att.Index {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
@@ -660,20 +656,16 @@ func (n *Node) markTrusted(peer int) {
 	n.trusted[peer] = true
 }
 
-// releaseKeys sends escrowed keys to a receiver.
-func (n *Node) releaseKeys(r *remote, keyIDs []uint64) {
-	for _, keyID := range keyIDs {
-		key, err := n.escrow.Release(keyID)
+// releaseKeys sends the escrowed keys of met obligations to a receiver.
+func (n *Node) releaseKeys(r *remote, met []tchain.Obligation) {
+	for _, ob := range met {
+		key, err := n.escrow.Release(ob.KeyID)
 		if err != nil {
 			continue
 		}
-		n.mu.Lock()
-		idx := n.sealIndex[keyID]
-		delete(n.sealIndex, keyID)
-		n.mu.Unlock()
-		msg := protocol.Key{KeyID: keyID, Index: int32(idx)}
+		msg := protocol.Key{KeyID: ob.KeyID, Index: int32(ob.Piece)}
 		copy(msg.Key[:], key[:])
-		r.enqueue(msg)
+		r.enqueue(msg, false, nil)
 	}
 }
 
@@ -705,7 +697,7 @@ func (n *Node) noteGainedLocked(index int) {
 		} else {
 			r.theyNeed++ // they now lack a piece we hold
 		}
-		r.enqueue(protocol.Have{Index: int32(index)})
+		r.enqueue(protocol.Have{Index: int32(index)}, false, nil)
 	}
 }
 

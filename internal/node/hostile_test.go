@@ -184,3 +184,35 @@ func TestTOFURefusalWarns(t *testing.T) {
 		}
 	}
 }
+
+// TestAnnounceTTLClamped: the gossip TTL is the sender's claim. A frame
+// arriving with TTL 255 must be forwarded with no more hops left than an
+// honest origin's announce would have at this point, or one frame with a
+// fresh (ID, Seq) is relayed by the whole swarm.
+func TestAnnounceTTLClamped(t *testing.T) {
+	manifest, _ := clusterFixture(t)
+	n, err := New(Config{
+		Algorithm: algo.Altruism, Store: piece.NewStore(manifest),
+		Transport: transport.NewMem(), Discover: &DiscoverConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := newRemote(n, 1, nopConn{}, "")
+	for id := 1; id <= 1+2*announceFanout; id++ {
+		n.peers[id] = newRemote(n, id, nopConn{}, "")
+	}
+	n.handleAnnounce(sender, protocol.Announce{ID: 99, Addr: "mem://99", Seq: 1, TTL: 255})
+	forwarded := 0
+	for _, r := range n.peers {
+		for _, m := range r.outbox {
+			forwarded++
+			if a := m.(protocol.Announce); a.TTL > announceTTL-1 {
+				t.Errorf("peer %d was forwarded TTL %d, want at most %d", r.id, a.TTL, announceTTL-1)
+			}
+		}
+	}
+	if forwarded != announceFanout {
+		t.Errorf("forwarded %d copies, want %d", forwarded, announceFanout)
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/metrics"
-	"repro/internal/tracing"
 )
 
 // nodeMetrics bundles the node's instrumentation: typed handles into one
@@ -282,41 +281,11 @@ func (n *Node) noteVerifiedLocked(index int) {
 	}
 	if w := n.wantSince[index]; w != 0 {
 		n.metrics.spanWantVerified.Observe(now - w)
-		// The always-on tail net: a piece whose want->verified span blew
-		// the slow threshold records a piece.slow span regardless of
-		// sampling, tagged with the piece's trace when one is live so the
-		// slow outlier and its causal story meet in the collector. SlowNs
-		// is nil-safe, so the untraced path pays a nil check only.
-		if slow := n.tracer.SlowNs(); slow > 0 && now-w > slow {
-			var traceID uint64
-			if n.pieceTrace != nil {
-				traceID = n.pieceTrace[index].TraceID
-			}
-			n.tracer.Record(tracing.Span{
-				TraceID: traceID, SpanID: n.tracer.NewID(),
-				Name: tracing.SpanPieceSlow, Node: n.cfg.ID, Peer: -1, Piece: index,
-				Start: n.start.Add(time.Duration(w)).UnixNano(), Dur: now - w,
-			})
-		}
 	}
 }
 
 // outboxDepth sums the queued outbound frames across peers.
-func (n *Node) outboxDepth() int64 {
-	n.mu.Lock()
-	peers := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		peers = append(peers, r)
-	}
-	n.mu.Unlock()
-	var depth int64
-	for _, r := range peers {
-		r.outMu.Lock()
-		depth += int64(len(r.outbox))
-		r.outMu.Unlock()
-	}
-	return depth
-}
+func (n *Node) outboxDepth() int64 { return queuedFrames(n.remotes()) }
 
 // Metrics returns the node's metric registry — the one from Config.Metrics,
 // or the private registry the node created when none was supplied. It is

@@ -133,7 +133,7 @@ func (c *Config) validate() error {
 // maxQueuedData bounds the bulk payload frames (Piece, SealedPiece) queued
 // per peer: enough to keep a healthy connection's writer busy, small enough
 // that a stalled peer pins at most maxQueuedData pieces of memory and the
-// upload scheduler redirects its budget elsewhere (see enqueueData).
+// upload scheduler redirects its budget elsewhere (see enqueue).
 const maxQueuedData = 16
 
 // stopFlushTimeout bounds how long Stop waits, in total across all peers,
@@ -145,10 +145,9 @@ var stopFlushTimeout = 2 * time.Second
 // remote is one connected neighbor. Outbound messages go through a
 // per-peer queue drained by a dedicated writer goroutine, so the read
 // loops never block on a slow peer (two mutually full pipes would
-// otherwise deadlock the swarm). Control frames (haves, receipts, keys)
-// are never dropped and never block; bulk data frames are bounded by
-// maxQueuedData, the node's backpressure signal.
+// otherwise deadlock the swarm); enqueue is the one way in.
 type remote struct {
+	n    *Node // owning node: its metrics, tracer and ID for span attribution
 	id   int
 	conn transport.Conn
 	have *piece.Bitfield
@@ -161,6 +160,11 @@ type remote struct {
 	// of an O(pieces/64) bitfield scan per probe with the node locked.
 	theyNeed int
 	iNeed    int
+
+	// recent stamps our pushes to this peer, piece index -> send time
+	// (under Node.mu): pickWantedLocked's resend cooldown. It lives and
+	// dies with the link, so a reconnected peer starts with none.
+	recent map[int]time.Time
 
 	outMu     sync.Mutex
 	outCond   *sync.Cond
@@ -185,111 +189,62 @@ type remote struct {
 	// inbound frame on this link and the last keepalive ping we sent.
 	lastRecv atomic.Int64
 	lastPing atomic.Int64
-
-	nm *nodeMetrics // owning node's instrumentation
-
-	tr     *tracing.Collector // nil when tracing is off
-	nodeID int                // owning node's ID, for span attribution
 }
 
-// newRemote wires the outbound queue.
-func newRemote(id int, conn transport.Conn, numPieces int, addr string, nm *nodeMetrics, tr *tracing.Collector, nodeID int) *remote {
-	r := &remote{id: id, conn: conn, have: piece.NewBitfield(numPieces), addr: addr, nm: nm, tr: tr, nodeID: nodeID}
+// newRemote wires the outbound queue of n's link to peer id.
+func newRemote(n *Node, id int, conn transport.Conn, addr string) *remote {
+	r := &remote{
+		n: n, id: id, conn: conn, addr: addr,
+		have:   piece.NewBitfield(n.cfg.Store.Manifest().NumPieces()),
+		recent: make(map[int]time.Time),
+	}
 	r.outCond = sync.NewCond(&r.outMu)
 	return r
 }
 
-// enqueue appends a control message for the writer goroutine; it never
-// blocks and is never dropped.
-func (r *remote) enqueue(m protocol.Message) {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if r.outClosed {
-		return
+// enqueue is the only way into the peer's outbox; it never blocks and
+// reports whether the frame was accepted. Bulk frames (ordinary Piece and
+// SealedPiece uploads) are bounded by maxQueuedData, the node's
+// backpressure signal: at the bound the frame is refused and counted in
+// node_backpressure_refusals_total, the caller treats the peer as
+// saturated, and the resend cooldown re-offers the piece later. Control
+// frames — haves, receipts and their signed copies, keys, and repayment
+// pieces, whose loss would strand the counterpart's escrowed key — are
+// never refused and never counted in outData. A closed outbox drops either
+// class silently. ut, when non-nil, traces the frame: the writer
+// bookkeeping rides along and request.queued is recorded on acceptance;
+// the clock is read only then.
+func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
+	var enqNs int64
+	if ut != nil {
+		enqNs = time.Now().UnixNano()
 	}
-	r.outbox = append(r.outbox, m)
-	r.outCond.Signal()
-}
-
-// enqueueAck queues a signed receipt copy for this peer. Receipts are
-// ordinary control frames: a lazy no-wakeup variant was measured and
-// bought nothing (the drain that follows each piece's Have broadcast picks
-// acks up either way), while it silently stranded receipts on links with
-// no other outbound traffic — a downloader never Have-broadcasts to a
-// complete seed, so the seed's proof copies only flushed at close.
-func (r *remote) enqueueAck(att attest.Attestation, tc tracing.Context) {
-	r.enqueue(protocol.Attest{Att: att, Trace: tc})
-}
-
-// enqueueData appends a bulk payload frame, reporting whether it was
-// accepted. A full queue refuses the frame — the caller treats the peer as
-// saturated and the scheduler's resend cooldown re-offers the piece later.
-// Each refusal lands in node_backpressure_refusals_total.
-func (r *remote) enqueueData(m protocol.Message) bool {
 	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if r.outClosed || r.outData >= maxQueuedData {
+	if r.outClosed || (bulk && r.outData >= maxQueuedData) {
 		if !r.outClosed {
-			r.nm.backpressure.Inc()
-			r.noteChokedLocked()
-		}
-		return false
-	}
-	r.outData++
-	r.outbox = append(r.outbox, m)
-	r.outCond.Signal()
-	return true
-}
-
-// noteChokedLocked emits a choke instant on the first backpressure refusal
-// of a saturated stretch (outMu held). Refusals are off the accept fast
-// path, so the tracing check costs nothing when the queue is healthy; with
-// tracing off it is a nil compare.
-func (r *remote) noteChokedLocked() {
-	if r.tr == nil || r.choked {
-		return
-	}
-	r.choked = true
-	instant(r.tr, tracing.SpanChoke, r.nodeID, r.id, -1)
-}
-
-// enqueueTraced is enqueue for a traced control frame (a repayment piece):
-// never refused, never dropped, with the request.queued span recorded on
-// acceptance and the writer bookkeeping attached.
-func (r *remote) enqueueTraced(m protocol.Message, ut *uploadTrace) {
-	enqNs := time.Now().UnixNano()
-	r.outMu.Lock()
-	if r.outClosed {
-		r.outMu.Unlock()
-		return
-	}
-	r.outbox = append(r.outbox, m)
-	r.traced = append(r.traced, ut.frame(enqNs))
-	r.outCond.Signal()
-	r.outMu.Unlock()
-	r.tr.Record(ut.queuedSpan(r.nodeID, enqNs))
-}
-
-// enqueueDataTraced is enqueueData for a traced bulk frame: same
-// backpressure contract, plus the request.queued span and the writer
-// bookkeeping on acceptance.
-func (r *remote) enqueueDataTraced(m protocol.Message, ut *uploadTrace) bool {
-	enqNs := time.Now().UnixNano()
-	r.outMu.Lock()
-	if r.outClosed || r.outData >= maxQueuedData {
-		if !r.outClosed {
-			r.nm.backpressure.Inc()
-			r.noteChokedLocked()
+			r.n.metrics.backpressure.Inc()
+			if r.n.tracer != nil && !r.choked {
+				// First refusal of a saturated stretch; writeLoop emits the
+				// matching unchoke once the queue drains below the bound.
+				r.choked = true
+				instant(r.n.tracer, tracing.SpanChoke, r.n.cfg.ID, r.id, -1)
+			}
 		}
 		r.outMu.Unlock()
 		return false
 	}
-	r.outData++
+	if bulk {
+		r.outData++
+	}
 	r.outbox = append(r.outbox, m)
-	r.traced = append(r.traced, ut.frame(enqNs))
+	if ut != nil {
+		r.traced = append(r.traced, ut.frame(enqNs))
+	}
 	r.outCond.Signal()
 	r.outMu.Unlock()
-	r.tr.Record(ut.queuedSpan(r.nodeID, enqNs))
+	if ut != nil {
+		r.n.tracer.Record(ut.queuedSpan(r.n.cfg.ID, enqNs))
+	}
 	return true
 }
 
@@ -311,6 +266,22 @@ func (r *remote) flushed() bool {
 	return r.outClosed || (len(r.outbox) == 0 && !r.writing)
 }
 
+// queued returns how many frames are waiting in the outbox.
+func (r *remote) queued() int {
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	return len(r.outbox)
+}
+
+// queuedFrames sums the frames waiting in the given peers' outboxes.
+func queuedFrames(remotes []*remote) int64 {
+	var q int64
+	for _, r := range remotes {
+		q += int64(r.queued())
+	}
+	return q
+}
+
 // closeOutbox stops the writer goroutine.
 func (r *remote) closeOutbox() {
 	r.outMu.Lock()
@@ -324,9 +295,10 @@ func (r *remote) closeOutbox() {
 // previous batch's slice is recycled, so steady state allocates nothing)
 // and hands it to the transport's batch path when available — one flush,
 // one syscall per drain on TCP. outData is decremented only after the
-// batch hits the wire, so enqueueData's bound covers frames being written,
+// batch hits the wire, so enqueue's bulk bound covers frames being written,
 // not just frames waiting.
 func (r *remote) writeLoop() {
+	nm, tr, self := r.n.metrics, r.n.tracer, r.n.cfg.ID
 	batcher, _ := r.conn.(transport.BatchSender)
 	for {
 		r.outMu.Lock()
@@ -366,22 +338,22 @@ func (r *remote) writeLoop() {
 			// nData is exactly the batch's bulk frames (Piece, SealedPiece);
 			// the rest are control frames, so the class split costs nothing
 			// beyond the bookkeeping writeLoop already does.
-			r.nm.framesBulk.Add(int64(nData))
-			r.nm.framesControl.Add(int64(len(batch) - nData))
+			nm.framesBulk.Add(int64(nData))
+			nm.framesControl.Add(int64(len(batch) - nData))
 			if len(traced) > 0 {
 				doneNs := time.Now().UnixNano()
 				for _, tf := range traced {
 					// outbox.wait: accepted by the queue → this drain began.
-					r.tr.Record(tracing.Span{
+					tr.Record(tracing.Span{
 						TraceID: tf.traceID, SpanID: tf.wait, ParentID: tf.queued,
-						Name: tracing.SpanOutboxWait, Node: r.nodeID, Peer: tf.peer, Piece: tf.piece,
+						Name: tracing.SpanOutboxWait, Node: self, Peer: tf.peer, Piece: tf.piece,
 						Start: tf.enqNs, Dur: drainNs - tf.enqNs,
 					})
 					// wire.send: the whole drain's encode+flush window — frames
 					// share one batched syscall, so they share the span bounds.
-					r.tr.Record(tracing.Span{
+					tr.Record(tracing.Span{
 						TraceID: tf.traceID, SpanID: tf.send, ParentID: tf.wait,
-						Name: tracing.SpanWireSend, Node: r.nodeID, Peer: tf.peer, Piece: tf.piece,
+						Name: tracing.SpanWireSend, Node: self, Peer: tf.peer, Piece: tf.piece,
 						Start: drainNs, Dur: doneNs - drainNs,
 					})
 				}
@@ -400,7 +372,7 @@ func (r *remote) writeLoop() {
 		}
 		r.outMu.Unlock()
 		if unchoked {
-			instant(r.tr, tracing.SpanUnchoke, r.nodeID, r.id, -1)
+			instant(tr, tracing.SpanUnchoke, self, r.id, -1)
 		}
 		if err != nil {
 			r.closeOutbox()
@@ -457,8 +429,6 @@ type Node struct {
 	peers        map[int]*remote
 	conns        map[transport.Conn]bool // every live conn, incl. pre-handshake
 	pendingSeals map[uint64]pendingSeal
-	sealIndex    map[uint64]int // keyID -> piece index, sender side
-	recentSends  map[int]map[int]time.Time
 	trusted      map[int]bool // peers that have genuinely reciprocated a seal
 	rng          *rand.Rand
 
@@ -569,8 +539,6 @@ func New(cfg Config) (*Node, error) {
 		peers:        make(map[int]*remote),
 		conns:        make(map[transport.Conn]bool),
 		pendingSeals: make(map[uint64]pendingSeal),
-		sealIndex:    make(map[uint64]int),
-		recentSends:  make(map[int]map[int]time.Time),
 		trusted:      make(map[int]bool),
 		rng:          stats.NewRNG(cfg.Seed),
 		myBits:       cfg.Store.Bitfield(),
@@ -664,11 +632,8 @@ func (n *Node) Stop() error {
 		}
 		n.mu.Lock()
 		n.stopping = true
-		remotes := make([]*remote, 0, len(n.peers))
-		for _, r := range n.peers {
-			remotes = append(remotes, r)
-		}
 		n.mu.Unlock()
+		remotes := n.remotes()
 		// Let the writer goroutines put already-queued frames on the wire
 		// before the connections go away. A caller that stops the node the
 		// instant its download completes — the CLI does exactly this — may
@@ -677,16 +642,7 @@ func (n *Node) Stop() error {
 		// seeder keeps of its uploads) would be dropped on the floor. The
 		// deadline is shared across peers so a wedged link cannot stall
 		// shutdown.
-		queuedFrames := func() int64 {
-			var q int64
-			for _, r := range remotes {
-				r.outMu.Lock()
-				q += int64(len(r.outbox))
-				r.outMu.Unlock()
-			}
-			return q
-		}
-		initial := queuedFrames()
+		initial := queuedFrames(remotes)
 		deadline := time.Now().Add(stopFlushTimeout)
 		for _, r := range remotes {
 			for !r.flushed() && time.Now().Before(deadline) {
@@ -696,7 +652,7 @@ func (n *Node) Stop() error {
 		// Shutdown drain accounting: what the window flushed versus what the
 		// connection teardown is about to drop (receipt copies, in
 		// particular — the proof a seeder keeps of its uploads).
-		remaining := queuedFrames()
+		remaining := queuedFrames(remotes)
 		n.metrics.stopDrainFrames.Add(max(initial-remaining, 0))
 		n.metrics.stopDrainDropped.Add(remaining)
 		n.log.Info("node stopped",
@@ -710,6 +666,30 @@ func (n *Node) Stop() error {
 	})
 	n.wg.Wait()
 	return n.stopErr
+}
+
+// remotes snapshots the neighbor set, for callers that go on to block,
+// poll or close connections and so must not hold mu while they do.
+func (n *Node) remotes() []*remote {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]*remote, 0, len(n.peers))
+	for _, r := range n.peers {
+		out = append(out, r)
+	}
+	return out
+}
+
+// unlinkLocked drops r from the neighbor set and the strategy's books (mu
+// held), unless a newer link to the same peer has already replaced it.
+// Everything else per-peer — interest counters, resend cooldown, outbox —
+// lives on r and goes with it.
+func (n *Node) unlinkLocked(r *remote) {
+	if n.peers[r.id] != r {
+		return
+	}
+	delete(n.peers, r.id)
+	n.strategy.Forget(incentive.PeerID(r.id))
 }
 
 // WaitCompleteContext blocks until the node holds the full file or the

@@ -68,7 +68,6 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 
 	n.mu.Lock()
 	peers := make([]DebugPeer, 0, len(n.peers))
-	remotes := make([]*remote, 0, len(n.peers))
 	for _, r := range n.peers {
 		peers = append(peers, DebugPeer{
 			ID:       r.id,
@@ -76,8 +75,8 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 			Have:     r.have.Count(),
 			TheyNeed: r.theyNeed,
 			INeed:    r.iNeed,
+			Outbox:   r.queued(), // outMu nests inside mu, as in noteGainedLocked
 		})
-		remotes = append(remotes, r)
 		for _, idx := range r.have.Indices() {
 			holders[idx]++
 		}
@@ -86,13 +85,6 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 		holders[idx]++
 	}
 	n.mu.Unlock()
-
-	// Outbox depths are read outside n.mu (each queue has its own lock).
-	for i, r := range remotes {
-		r.outMu.Lock()
-		peers[i].Outbox = len(r.outbox)
-		r.outMu.Unlock()
-	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 
 	var rarity DebugRarity

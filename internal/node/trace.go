@@ -9,7 +9,7 @@ import (
 
 // Causal tracing glue for the live data path. The node traces nothing by
 // default: Config.Tracer is nil, every hook below is skipped behind a nil
-// check, and the hot paths (enqueueData, writeLoop, handlePiece) run the
+// check, and the hot paths (enqueue, writeLoop, handlePiece) run the
 // exact pre-tracing instruction stream — scripts/check.sh pins the
 // untraced enqueue+drain path's allocation count.
 //

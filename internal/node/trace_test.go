@@ -213,7 +213,7 @@ func TestStopDrainAccounting(t *testing.T) {
 	}
 
 	conn := newBlockConn()
-	r := newRemote(1, conn, testPieces, "", n.metrics, nil, 0)
+	r := newRemote(n, 1, conn, "")
 	n.mu.Lock()
 	n.peers[1] = r
 	n.conns[conn] = true
@@ -225,24 +225,12 @@ func TestStopDrainAccounting(t *testing.T) {
 	}()
 
 	// First frame: the writer picks it up and wedges inside Send.
-	r.enqueue(protocol.Have{Index: 0})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r.outMu.Lock()
-		writing := r.writing
-		r.outMu.Unlock()
-		if writing {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("writer never picked up the first frame")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r.enqueue(protocol.Have{Index: 0}, false, nil)
+	waitFor(t, "the writer to pick up the first frame", r.isWriting)
 	// Four more queue up behind the wedged drain.
 	const stuck = 4
 	for i := 1; i <= stuck; i++ {
-		r.enqueue(protocol.Have{Index: int32(i)})
+		r.enqueue(protocol.Have{Index: int32(i)}, false, nil)
 	}
 
 	saved := stopFlushTimeout
@@ -414,8 +402,8 @@ func (nopConn) Close() error                    { return nil }
 func (nopConn) RemoteAddr() string              { return "nop://peer" }
 
 // BenchmarkOutboxUntraced pins the untraced enqueue+drain path: one bulk
-// frame through enqueueData and a writeLoop-shaped drain, tracing compiled
-// in but off. scripts/check.sh gates this at zero allocations — the proof
+// frame through enqueue(msg, true, nil) and a writeLoop-shaped drain,
+// tracing compiled in but off. scripts/check.sh gates this at zero allocations — the proof
 // that adding the tracing hooks did not touch the hot path's allocation
 // behaviour.
 func BenchmarkOutboxUntraced(b *testing.B) {
@@ -427,12 +415,12 @@ func BenchmarkOutboxUntraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := newRemote(1, nopConn{}, 4, "", n.metrics, nil, 0)
+	r := newRemote(n, 1, nopConn{}, "")
 	var msg protocol.Message = protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay, Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.enqueueData(msg) {
+		if !r.enqueue(msg, true, nil) {
 			b.Fatal("enqueue refused")
 		}
 		// Inline drain mirroring writeLoop's swap/recycle, minus the

@@ -141,12 +141,12 @@ func (n *Node) tryUpload() bool {
 		n.mu.Unlock()
 		return false
 	}
-	idx := n.pickPieceLocked(r)
+	idx := n.pickWantedLocked(r, true)
 	if idx < 0 {
 		n.mu.Unlock()
 		return false
 	}
-	n.markSentLocked(r.id, idx)
+	r.recent[idx] = time.Now()
 	// Trace decision while mu still guards pieceTrace: continue the trace
 	// this piece arrived under, or let the sampler mint a fresh one. Nil
 	// means untraced — the send path then runs the pre-tracing code exactly.
@@ -166,43 +166,20 @@ func (n *Node) tryUpload() bool {
 	return n.sendPiece(r, idx, data, protocol.NoRepay, ut)
 }
 
-// pickPieceLocked chooses a uniformly random piece the receiver needs,
-// excluding recent sends (mu held). It walks the bitfield words directly
-// with a reservoir pick, so the hot path builds no candidate slice; the
-// cached theyNeed counter short-circuits peers with nothing to gain.
-func (n *Node) pickPieceLocked(r *remote) int {
+// pickWantedLocked returns a uniformly random piece we hold that r lacks,
+// or -1 (mu held). It walks the bitfield words directly with a reservoir
+// pick, so the hot path builds no candidate slice; the cached theyNeed
+// counter short-circuits peers with nothing to gain. With cooldown set —
+// the upload scheduler — pieces pushed to r within resendCooldown are
+// skipped; the reciprocation path passes false, because repaying with a
+// piece we recently pushed is still a valid (and verifiable) repayment.
+func (n *Node) pickWantedLocked(r *remote, cooldown bool) int {
 	if r.theyNeed == 0 {
 		return -1
 	}
-	recent := n.recentSends[r.id]
-	now := time.Now()
-	mine, theirs := n.myBits.Words(), r.have.Words()
-	limit := min(len(mine), len(theirs))
-	picked, seen := -1, 0
-	for w := 0; w < limit; w++ {
-		diff := mine[w] &^ theirs[w]
-		for diff != 0 {
-			idx := w*64 + bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			if at, ok := recent[idx]; ok && now.Sub(at) < resendCooldown {
-				continue
-			}
-			seen++
-			if n.rng.Intn(seen) == 0 {
-				picked = idx
-			}
-		}
-	}
-	return picked
-}
-
-// pickRandomWantedLocked returns a uniformly random piece we hold that r
-// lacks, or -1 (mu held). Unlike pickPieceLocked it ignores the resend
-// cooldown: it serves the reciprocation path, where repaying with a piece
-// we recently pushed is still a valid (and verifiable) repayment.
-func (n *Node) pickRandomWantedLocked(r *remote) int {
-	if r.theyNeed == 0 {
-		return -1
+	var now time.Time
+	if cooldown {
+		now = time.Now()
 	}
 	mine, theirs := n.myBits.Words(), r.have.Words()
 	limit := min(len(mine), len(theirs))
@@ -212,6 +189,11 @@ func (n *Node) pickRandomWantedLocked(r *remote) int {
 		for diff != 0 {
 			idx := w*64 + bits.TrailingZeros64(diff)
 			diff &= diff - 1
+			if cooldown {
+				if at, ok := r.recent[idx]; ok && now.Sub(at) < resendCooldown {
+					continue
+				}
+			}
 			seen++
 			if n.rng.Intn(seen) == 0 {
 				picked = idx
@@ -219,47 +201,33 @@ func (n *Node) pickRandomWantedLocked(r *remote) int {
 		}
 	}
 	return picked
-}
-
-func (n *Node) markSentLocked(peerID, idx int) {
-	recent := n.recentSends[peerID]
-	if recent == nil {
-		recent = make(map[int]time.Time)
-		n.recentSends[peerID] = recent
-	}
-	recent[idx] = time.Now()
 }
 
 // sendPiece pushes plaintext and reports whether the frame was accepted
-// (repaysKeyID = NoRepay for ordinary uploads). Ordinary uploads respect
-// the peer's bounded bulk queue; repayment pieces travel the control path —
-// dropping one would strand the counterpart's escrowed key forever, so
-// they are never refused. Accounting only happens for accepted frames.
-// ut, when non-nil, traces the push (see trace.go); the frame then carries
-// the trace context to the receiver.
+// (repaysKeyID = NoRepay for ordinary uploads). Ordinary uploads are bulk
+// frames; repayment pieces travel as control frames — dropping one would
+// strand the counterpart's escrowed key forever. Accounting only happens
+// for accepted frames. ut, when non-nil, traces the push (see trace.go);
+// the frame then carries the trace context to the receiver.
 func (n *Node) sendPiece(r *remote, idx int, data []byte, repaysKeyID uint64, ut *uploadTrace) bool {
 	msg := protocol.Piece{Index: int32(idx), RepaysKeyID: repaysKeyID, Data: data}
 	if ut != nil {
 		msg.Trace = ut.tc
 	}
-	if repaysKeyID != protocol.NoRepay {
-		if ut != nil {
-			r.enqueueTraced(msg, ut)
-		} else {
-			r.enqueue(msg)
-		}
-	} else if ut != nil {
-		if !r.enqueueDataTraced(msg, ut) {
-			return false
-		}
-	} else if !r.enqueueData(msg) {
+	if !r.enqueue(msg, repaysKeyID == protocol.NoRepay, ut) {
 		return false
 	}
-	n.metrics.noteUpload(r.id, len(data))
-	n.mu.Lock()
-	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
-	n.mu.Unlock()
+	n.noteSent(r, len(data))
 	return true
+}
+
+// noteSent accounts one accepted payload push to r: the upload counters,
+// then the strategy's view of it.
+func (n *Node) noteSent(r *remote, bytes int) {
+	n.metrics.noteUpload(r.id, bytes)
+	n.mu.Lock()
+	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(bytes))
+	n.mu.Unlock()
 }
 
 // sendSealed pushes an encrypted piece and records the reciprocation
@@ -270,13 +238,10 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 	if err != nil {
 		return false
 	}
-	n.mu.Lock()
-	n.sealIndex[sealed.KeyID] = idx
-	n.mu.Unlock()
 	// Accept reciprocation observed by any witness (direct repayment
 	// arrives as a Piece with RepaysKeyID and confirms with ourselves as
-	// witness).
-	n.recip.Demand(sealed.KeyID, r.id, tchain.Obligation{Kind: tchain.Indirect, Target: tchain.AnyPeer})
+	// witness). The demand also remembers which piece the key unlocks.
+	n.recip.Demand(sealed.KeyID, r.id, tchain.Obligation{Kind: tchain.Indirect, Target: tchain.AnyPeer, Piece: idx})
 	msg := protocol.SealedPiece{
 		Index:      int32(idx),
 		KeyID:      sealed.KeyID,
@@ -288,26 +253,14 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 	if ut != nil {
 		msg.Trace = ut.tc
 	}
-	accepted := false
-	if ut != nil {
-		accepted = r.enqueueDataTraced(msg, ut)
-	} else {
-		accepted = r.enqueueData(msg)
-	}
-	if !accepted {
+	if !r.enqueue(msg, true, ut) {
 		// Queue full: unwind the seal as if it never happened, so the
 		// escrow and demand ledgers do not accumulate unsent obligations.
 		n.recip.Take(sealed.KeyID)
 		n.escrow.Revoke(sealed.KeyID)
-		n.mu.Lock()
-		delete(n.sealIndex, sealed.KeyID)
-		n.mu.Unlock()
 		return false
 	}
-	n.metrics.noteUpload(r.id, len(data))
-	n.mu.Lock()
-	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
-	n.mu.Unlock()
+	n.noteSent(r, len(data))
 
 	// Endgame fallback: if the receiver has genuinely reciprocated before
 	// and still owes this one after the grace period (typically because
@@ -322,8 +275,8 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 		if !trusted || receiver == nil {
 			return
 		}
-		if n.recip.Take(keyID) {
-			n.releaseKeys(receiver, []uint64{keyID})
+		if ob, ok := n.recip.Take(keyID); ok {
+			n.releaseKeys(receiver, []tchain.Obligation{ob})
 		}
 	})
 	return true

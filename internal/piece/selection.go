@@ -169,12 +169,3 @@ func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *
 	}
 	return best
 }
-
-// RandomPiece picks uniformly from candidates, or -1 if empty. Used by
-// strategies that do not employ rarest-first (e.g., pure altruism variants).
-func RandomPiece(rng *rand.Rand, candidates []int) int {
-	if len(candidates) == 0 {
-		return -1
-	}
-	return candidates[rng.Intn(len(candidates))]
-}

@@ -72,17 +72,3 @@ func TestRarestFirstTieBreakUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomPiece(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if got := RandomPiece(rng, nil); got != -1 {
-		t.Errorf("empty = %d", got)
-	}
-	candidates := []int{7, 8, 9}
-	for i := 0; i < 100; i++ {
-		got := RandomPiece(rng, candidates)
-		if got < 7 || got > 9 {
-			t.Fatalf("RandomPiece = %d outside candidates", got)
-		}
-	}
-}

@@ -25,9 +25,6 @@ import (
 // our memory.
 const MaxFrameSize = 16 << 20
 
-// AnyPeer is the wildcard peer ID in reciprocation demands: "any witness".
-const AnyPeer int32 = -1
-
 // Type tags a wire message.
 type Type uint8
 

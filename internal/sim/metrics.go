@@ -291,20 +291,6 @@ func (r *Result) FinalFairness() float64 {
 	return sum / float64(count)
 }
 
-// ContributionRatio returns the end-of-run Σ(uᵢ/dᵢ)/N over compliant peers
-// that downloaded anything — the literal average printed in the paper's
-// Section V preamble.
-func (r *Result) ContributionRatio() float64 {
-	var up, down []float64
-	for _, p := range r.Peers {
-		if !p.FreeRider && p.Downloaded > 0 {
-			up = append(up, p.Uploaded)
-			down = append(down, p.Downloaded)
-		}
-	}
-	return stats.RatioFairness(up, down)
-}
-
 // LogFairness returns the paper's analytical fairness statistic F (Eq. 3)
 // over compliant peers' cumulative rates.
 func (r *Result) LogFairness() float64 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/attack"
 	"repro/internal/bandwidth"
-	"repro/internal/incentive"
 )
 
 // Option customizes a Config built by Default. Options are plain
@@ -44,13 +43,6 @@ func WithFreeRiders(fraction float64, plan attack.Plan) Option {
 // WithBandwidth sets the peer upload-capacity mix.
 func WithBandwidth(d bandwidth.Distribution) Option {
 	return func(c *Config) { c.Bandwidth = d }
-}
-
-// WithIncentive replaces the mechanism parameters (α_BT, n_BT, α_R, round
-// length) wholesale; use WithConfig to tweak a single field of the
-// defaults.
-func WithIncentive(p incentive.Params) Option {
-	return func(c *Config) { c.Incentive = p }
 }
 
 // WithSeeder sets the origin server's upload rate in bytes/second.

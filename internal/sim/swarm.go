@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"repro/internal/algo"
 	"repro/internal/attack"
 	"repro/internal/attest"
 	"repro/internal/bandwidth"
@@ -389,6 +388,3 @@ func (s *Swarm) whitewash(p *peer) {
 	}
 	s.ledger.Reset(int(p.id))
 }
-
-// Algorithm returns the configured mechanism (used by metrics and tests).
-func (s *Swarm) Algorithm() algo.Algorithm { return s.cfg.Algorithm }

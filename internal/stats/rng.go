@@ -11,39 +11,6 @@ func NewRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// WeightedChoice picks an index in [0, len(weights)) with probability
-// proportional to weights[i]. Negative weights are treated as zero.
-// It returns -1 if all weights are zero or the slice is empty.
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return -1
-	}
-	target := rng.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n). If k >= n it returns all n indices in shuffled order.
 func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {

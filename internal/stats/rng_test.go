@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewRNGDeterministic(t *testing.T) {
 	a := NewRNG(42)
@@ -12,61 +9,6 @@ func TestNewRNGDeterministic(t *testing.T) {
 		if a.Int63() != b.Int63() {
 			t.Fatal("same seed diverged")
 		}
-	}
-}
-
-func TestWeightedChoiceDegenerate(t *testing.T) {
-	rng := NewRNG(1)
-	if got := WeightedChoice(rng, nil); got != -1 {
-		t.Errorf("empty = %d, want -1", got)
-	}
-	if got := WeightedChoice(rng, []float64{0, 0}); got != -1 {
-		t.Errorf("all zero = %d, want -1", got)
-	}
-	if got := WeightedChoice(rng, []float64{0, 5, 0}); got != 1 {
-		t.Errorf("single positive = %d, want 1", got)
-	}
-	if got := WeightedChoice(rng, []float64{-1, 2}); got != 1 {
-		t.Errorf("negative treated as zero: got %d, want 1", got)
-	}
-}
-
-func TestWeightedChoiceDistribution(t *testing.T) {
-	rng := NewRNG(7)
-	weights := []float64{1, 3, 6}
-	counts := make([]int, 3)
-	const trials = 60000
-	for i := 0; i < trials; i++ {
-		counts[WeightedChoice(rng, weights)]++
-	}
-	for i, w := range weights {
-		got := float64(counts[i]) / trials
-		want := w / 10
-		if got < want-0.02 || got > want+0.02 {
-			t.Errorf("index %d frequency %.3f, want ~%.3f", i, got, want)
-		}
-	}
-}
-
-func TestWeightedChoiceAlwaysValidProperty(t *testing.T) {
-	rng := NewRNG(99)
-	f := func(raw []uint8) bool {
-		weights := make([]float64, len(raw))
-		anyPos := false
-		for i, r := range raw {
-			weights[i] = float64(r)
-			if r > 0 {
-				anyPos = true
-			}
-		}
-		idx := WeightedChoice(rng, weights)
-		if !anyPos {
-			return idx == -1
-		}
-		return idx >= 0 && idx < len(weights) && weights[idx] > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

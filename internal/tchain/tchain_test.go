@@ -147,8 +147,8 @@ func TestLedgerConfirmDirect(t *testing.T) {
 		t.Errorf("wrong sender released %v", got)
 	}
 	got := l.Confirm(1, 42)
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("Confirm = %v, want [7]", got)
+	if len(got) != 1 || got[0].KeyID != 7 {
+		t.Fatalf("Confirm = %v, want key 7", got)
 	}
 	if l.Outstanding() != 0 {
 		t.Error("demand not cleared")
@@ -190,21 +190,48 @@ func TestLedgerTake(t *testing.T) {
 	l := NewReciprocationLedger()
 	l.Demand(5, 42, Obligation{Kind: Indirect, Target: AnyPeer})
 	l.Demand(6, 42, Obligation{Kind: Indirect, Target: AnyPeer})
-	if !l.Take(5) {
-		t.Fatal("Take(5) = false for outstanding demand")
+	if ob, ok := l.Take(5); !ok || ob.KeyID != 5 {
+		t.Fatalf("Take(5) = %v, %v for outstanding demand", ob, ok)
 	}
-	if l.Take(5) {
+	if _, ok := l.Take(5); ok {
 		t.Fatal("Take(5) succeeded twice")
 	}
 	if l.Outstanding() != 1 {
 		t.Errorf("Outstanding = %d, want 1", l.Outstanding())
 	}
 	// A taken demand no longer confirms.
-	if got := l.Confirm(9, 42); len(got) != 1 || got[0] != 6 {
-		t.Errorf("Confirm = %v, want [6]", got)
+	if got := l.Confirm(9, 42); len(got) != 1 || got[0].KeyID != 6 {
+		t.Errorf("Confirm = %v, want key 6", got)
 	}
-	if l.Take(999) {
+	if _, ok := l.Take(999); ok {
 		t.Error("Take of unknown key succeeded")
+	}
+}
+
+// TestLedgerCarriesPiece: the piece index a key unlocks rides its demand —
+// Confirm and Take hand back what Demand recorded, and Piece answers only
+// while the demand is outstanding, however it was settled.
+func TestLedgerCarriesPiece(t *testing.T) {
+	l := NewReciprocationLedger()
+	l.Demand(1, 42, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 11})
+	l.Demand(2, 43, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 22})
+	l.Demand(3, 44, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 33})
+	for keyID, want := range map[uint64]int{1: 11, 2: 22, 3: 33} {
+		if got, ok := l.Piece(keyID); !ok || got != want {
+			t.Errorf("Piece(%d) = %d, %v, want %d", keyID, got, ok, want)
+		}
+	}
+	if got := l.Confirm(9, 42); len(got) != 1 || got[0].KeyID != 1 || got[0].Piece != 11 {
+		t.Errorf("Confirm = %v, want key 1 for piece 11", got)
+	}
+	if ob, ok := l.Take(2); !ok || ob.Piece != 22 {
+		t.Errorf("Take(2) = %v, %v, want piece 22", ob, ok)
+	}
+	l.Forget(44)
+	for keyID := uint64(1); keyID <= 4; keyID++ {
+		if idx, ok := l.Piece(keyID); ok {
+			t.Errorf("Piece(%d) = %d after the demand was settled (or never made)", keyID, idx)
+		}
 	}
 }
 

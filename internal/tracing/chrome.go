@@ -44,8 +44,7 @@ func (t Trace) Nodes() []int {
 }
 
 // Traces groups spans by trace ID, slowest trace first. Spans with a zero
-// trace ID (swarm-wide events: chokes, rewires, slow-piece samples
-// outside any trace) are excluded.
+// trace ID (swarm-wide events: chokes, rewires) are excluded.
 func Traces(spans []Span) []Trace {
 	byID := map[uint64][]Span{}
 	for _, s := range spans {

@@ -37,7 +37,6 @@ const (
 	SpanAttestSign      = "attest.sign"      // receipt signature at the receiver
 	SpanLedgerCredit    = "ledger.credit"    // ledger verification + credit
 	SpanAttestAck       = "attest.ack"       // signed receipt copy back at the uploader (instant)
-	SpanPieceSlow       = "piece.slow"       // tail-latency sample: want -> verified exceeded SlowNs
 	SpanChoke           = "choke"            // peer outbox hit the data backpressure limit (instant)
 	SpanUnchoke         = "unchoke"          // peer outbox drained back below the limit (instant)
 	SpanDiscoveryRewire = "discovery.rewire" // overlay maintenance closed a link to rewire (instant)
@@ -76,14 +75,9 @@ func (s Span) End() int64 { return s.Start + s.Dur }
 // Config configures a Collector.
 type Config struct {
 	// SampleEvery samples one in N freshly minted piece pushes (the first
-	// push always samples, so short runs still trace). 0 disables
-	// probabilistic sampling; slow-only tracing still works if SlowNs is
-	// set.
+	// push always samples, so short runs still trace). 0 mints no traces;
+	// traces arriving from peers are still continued.
 	SampleEvery int
-	// SlowNs, when > 0, additionally records a piece.slow span for any
-	// piece whose want->verified latency exceeds it, regardless of
-	// sampling — the always-on tail-latency net.
-	SlowNs int64
 	// Capacity is the span ring size (default 4096). When full, the
 	// oldest spans are overwritten and counted in Snapshot's dropped
 	// figure.
@@ -100,7 +94,6 @@ const DefaultCapacity = 4096
 // hold their own locks across it.
 type Collector struct {
 	sampleEvery uint64
-	slowNs      int64
 
 	ids  atomic.Uint64 // span/trace ID mint; post-increment, so IDs start at 1
 	tick atomic.Uint64 // sampling clock
@@ -119,7 +112,6 @@ func NewCollector(cfg Config) *Collector {
 	}
 	return &Collector{
 		sampleEvery: uint64(max(cfg.SampleEvery, 0)),
-		slowNs:      cfg.SlowNs,
 		ring:        make([]Span, 0, capacity),
 	}
 }
@@ -135,14 +127,6 @@ func (c *Collector) Sample() bool {
 		return false
 	}
 	return (c.tick.Add(1)-1)%c.sampleEvery == 0
-}
-
-// SlowNs returns the always-on slow-piece threshold (0 = off). Nil-safe.
-func (c *Collector) SlowNs() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.slowNs
 }
 
 // Record appends a span, overwriting the oldest when the ring is full.

@@ -3,8 +3,8 @@
 # vet, build, the full test suite under -race (the parallel replication
 # runner is exercised concurrently by the experiment tests), the benchmark
 # module's own vet and tests (bench/ is a separate module pinned against
-# this one's public API), the named discovery and attestation gates, and
-# the allocation guards on the hot paths.
+# this one's public API), the named discovery and attestation gates, the
+# allocation guards on the hot paths, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,11 +119,27 @@ alloc_guard ./internal/metrics BenchmarkCounterAdd 0
 alloc_guard ./internal/metrics BenchmarkHistogramObserve 0
 
 echo "== tracing overhead guard =="
-# The per-peer outbox is the path every live frame crosses. With causal
-# tracing compiled in but not sampling, one bulk-frame enqueue plus a
+# The per-peer outbox is the path every live frame crosses, and
+# remote.enqueue is the only way into it. With causal tracing compiled in
+# but not sampling, one bulk frame through enqueue(msg, true, nil) plus a
 # writeLoop-shaped drain must stay at exactly 0 allocs/op — the proof that
-# the trace hooks (uploadTrace minting, traced-frame bookkeeping, clock
-# reads) cost nothing until a push is actually sampled.
+# the trace arguments (uploadTrace, traced-frame bookkeeping, clock reads)
+# cost nothing until a push is actually sampled.
 alloc_guard ./internal/node BenchmarkOutboxUntraced 0 10000x
+
+echo "== size =="
+# Report only, never fails: the Go line counts ROADMAP's gates and
+# CHANGES.md entries quote, counted one way. loc <dir…> prints non-test
+# and test lines under the given directories; the root module is
+# everything but bench/ (its own module) and build output.
+loc() {
+  local go_files=(find "$@" -name '*.go' -not -path './bench/*' -not -path '*/.build/*')
+  printf '%-30s %6d non-test %6d test\n' "$*" \
+    "$("${go_files[@]}" -not -name '*_test.go' -exec cat {} + | wc -l)" \
+    "$("${go_files[@]}" -name '*_test.go' -exec cat {} + | wc -l)" || true
+}
+loc .
+loc internal/node internal/sim
+loc bench
 
 echo "check: OK"
