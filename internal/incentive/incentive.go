@@ -18,8 +18,13 @@ import (
 	"repro/internal/reputation"
 )
 
-// PeerID identifies a peer within one swarm. IDs are small dense integers
-// assigned by the environment.
+// PeerID identifies a peer within one swarm. Real peers have small dense
+// non-negative IDs assigned by the environment. Negative IDs are pseudo-peers
+// — NoPeer, and the origin server (sim.SeederID, probe.SeederID) — which may
+// be the counterparty of OnSent/OnReceived/Forget but never appear in
+// Neighbors(), so no strategy can ever pick one. Environments must refuse a
+// real peer that claims a negative ID; strategies rely on it (reciprocity
+// leaves pseudo-peers out of its count of repayable debts).
 type PeerID int
 
 // NoPeer is returned by NextReceiver when no upload is currently possible.
@@ -27,7 +32,10 @@ const NoPeer PeerID = -1
 
 // NodeView is the window through which a strategy observes its peer's
 // environment. Implementations must be cheap: strategies call these methods
-// on every upload decision.
+// on every upload decision that has a candidate to weigh. A strategy that
+// knows from its own books that it has nobody to serve returns NoPeer
+// without calling the view at all. Global reputation is not part of the
+// view: the reputation strategy reads the ledger it was built with.
 type NodeView interface {
 	// Self returns the ID of the peer this strategy controls.
 	Self() PeerID
@@ -35,10 +43,11 @@ type NodeView interface {
 	Now() float64
 	// RNG returns the deterministic random source for this peer.
 	RNG() *rand.Rand
-	// Neighbors returns the currently connected candidate receivers. The
-	// returned slice is valid only until the next call on the view, and the
-	// caller may filter it in place — implementations must hand out storage
-	// they are not reading concurrently, not an internal slice they rely on.
+	// Neighbors returns the currently connected candidate receivers, all of
+	// them real peers (ID >= 0). The returned slice is valid only until the
+	// next call on the view, and the caller may filter it in place —
+	// implementations must hand out storage they are not reading
+	// concurrently, not an internal slice they rely on.
 	Neighbors() []PeerID
 	// WantsFromMe reports whether peer needs at least one piece I hold.
 	WantsFromMe(peer PeerID) bool
@@ -46,8 +55,6 @@ type NodeView interface {
 	INeedFrom(peer PeerID) bool
 	// PieceCount returns the number of pieces peer is known to hold.
 	PieceCount(peer PeerID) int
-	// Reputation returns peer's global reputation score, 0 if unknown.
-	Reputation(peer PeerID) float64
 }
 
 // Strategy is one peer's incentive mechanism. Strategies are stateful and
@@ -252,30 +259,12 @@ func (l *contribLedger) forget(id PeerID) {
 	}
 }
 
-// contribEntry pairs a candidate with its cached weight (a contribution
-// total or reputation score) so weight-ranked mechanisms evaluate each
-// candidate's maps exactly once per decision instead of once per comparison
-// or accumulation pass.
+// contribEntry pairs a candidate with its cached contribution total so
+// PropShare looks each candidate up exactly once per decision instead of
+// once per accumulation pass.
 type contribEntry struct {
 	id     PeerID
 	weight float64
-}
-
-// compareContribDesc orders entries by weight descending with ID ascending
-// as the tiebreak — a strict total order, so any sorting algorithm produces
-// the same unique result.
-func compareContribDesc(x, y contribEntry) int {
-	switch {
-	case x.weight > y.weight:
-		return -1
-	case x.weight < y.weight:
-		return 1
-	case x.id < y.id:
-		return -1
-	case x.id > y.id:
-		return 1
-	}
-	return 0
 }
 
 // randomPeer picks uniformly from candidates, or NoPeer if empty.

@@ -26,7 +26,6 @@ type fakeView struct {
 	wants      map[PeerID]bool // peer needs a piece I hold
 	iNeed      map[PeerID]bool // peer holds a piece I need
 	pieceCount map[PeerID]int
-	reps       map[PeerID]float64
 }
 
 var _ NodeView = (*fakeView)(nil)
@@ -39,7 +38,6 @@ func newFakeView(neighbors ...PeerID) *fakeView {
 		wants:      make(map[PeerID]bool),
 		iNeed:      make(map[PeerID]bool),
 		pieceCount: make(map[PeerID]int),
-		reps:       make(map[PeerID]float64),
 	}
 	for _, n := range neighbors {
 		v.wants[n] = true
@@ -58,10 +56,9 @@ func (v *fakeView) Neighbors() []PeerID {
 	copy(out, v.neighbors)
 	return out
 }
-func (v *fakeView) WantsFromMe(p PeerID) bool   { return v.wants[p] }
-func (v *fakeView) INeedFrom(p PeerID) bool     { return v.iNeed[p] }
-func (v *fakeView) PieceCount(p PeerID) int     { return v.pieceCount[p] }
-func (v *fakeView) Reputation(p PeerID) float64 { return v.reps[p] }
+func (v *fakeView) WantsFromMe(p PeerID) bool { return v.wants[p] }
+func (v *fakeView) INeedFrom(p PeerID) bool   { return v.iNeed[p] }
+func (v *fakeView) PieceCount(p PeerID) int   { return v.pieceCount[p] }
 
 func TestFactoryAllAlgorithms(t *testing.T) {
 	ledger := reputation.NewLedger(attest.AcceptAll{})
@@ -292,8 +289,6 @@ func TestReputationWeightedPick(t *testing.T) {
 	p, _ := (Params{AlphaR: 0.0001, AlphaBT: 0.2, NBT: 4, RoundSeconds: 10}).Normalize()
 	s := newReputation(p, ledger)
 	v := newFakeView(1, 2, 3)
-	v.reps[1] = ledger.Score(1)
-	v.reps[2] = ledger.Score(2)
 	counts := map[PeerID]int{}
 	const trials = 20000
 	for i := 0; i < trials; i++ {

@@ -14,7 +14,7 @@ type reputationStrategy struct {
 	params Params
 	ledger *reputation.Ledger
 
-	scratch []contribEntry // per-decision score cache, reused
+	scratch []reputation.Scored // per-decision score cache, reused
 }
 
 var _ Strategy = (*reputationStrategy)(nil)
@@ -37,26 +37,28 @@ func (r *reputationStrategy) NextReceiver(view NodeView) PeerID {
 	}
 	// Reputation-weighted pick. If every interested neighbor has zero
 	// reputation the tit-for-tat share idles, mirroring the slow
-	// bootstrapping the paper derives in Table II. Scores are read once per
-	// candidate; the accumulation order — and thus the exact float
-	// arithmetic — matches the two-pass original.
+	// bootstrapping the paper derives in Table II. All candidates' scores
+	// are read from the ledger under one lock; the accumulation order — and
+	// thus the exact float arithmetic — is the candidates' order.
 	ents := r.scratch[:0]
-	var total float64
 	for _, p := range wanting {
-		s := view.Reputation(p)
-		ents = append(ents, contribEntry{p, s})
-		total += s
+		ents = append(ents, reputation.Scored{Peer: int(p)})
 	}
 	r.scratch = ents
+	r.ledger.Scores(ents)
+	var total float64
+	for _, e := range ents {
+		total += e.Score
+	}
 	if total <= 0 {
 		return NoPeer
 	}
 	target := rng.Float64() * total
 	var acc float64
 	for _, e := range ents {
-		acc += e.weight
+		acc += e.Score
 		if target < acc {
-			return e.id
+			return PeerID(e.Peer)
 		}
 	}
 	return wanting[len(wanting)-1]

@@ -1,0 +1,244 @@
+package incentive
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/attest"
+	"repro/internal/reputation"
+)
+
+// seederID is the pseudo-peer the simulator's origin server appears as in
+// strategy callbacks (sim.SeederID; sim imports this package).
+const seederID PeerID = -2
+
+// countingView counts every call a strategy makes on the view, so a test can
+// assert that a decision was answered from the strategy's own books.
+type countingView struct {
+	*fakeView
+	calls int
+}
+
+func (v *countingView) Self() PeerID              { v.calls++; return v.fakeView.Self() }
+func (v *countingView) Now() float64              { v.calls++; return v.fakeView.Now() }
+func (v *countingView) RNG() *rand.Rand           { v.calls++; return v.fakeView.RNG() }
+func (v *countingView) Neighbors() []PeerID       { v.calls++; return v.fakeView.Neighbors() }
+func (v *countingView) WantsFromMe(p PeerID) bool { v.calls++; return v.fakeView.WantsFromMe(p) }
+func (v *countingView) INeedFrom(p PeerID) bool   { v.calls++; return v.fakeView.INeedFrom(p) }
+func (v *countingView) PieceCount(p PeerID) int   { v.calls++; return v.fakeView.PieceCount(p) }
+
+// scanReciprocity is the mechanism's decision with no shortcut: the full
+// neighbour scan as it stood before the owing count went in front of it.
+func scanReciprocity(r *reciprocity, view NodeView) PeerID {
+	best := NoPeer
+	var bestContribution float64
+	for _, n := range view.Neighbors() {
+		owed := r.received[n] - r.sent[n]
+		if owed <= 0 || !view.WantsFromMe(n) {
+			continue
+		}
+		if r.received[n] > bestContribution {
+			best, bestContribution = n, r.received[n]
+		}
+	}
+	return best
+}
+
+// recountOwing counts the real peers the books show a debt to, from scratch.
+func recountOwing(r *reciprocity) int {
+	n := 0
+	for p, got := range r.received {
+		if p >= 0 && got-r.sent[p] > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReciprocityShortcutEqualsScan drives random OnReceived / OnSent /
+// Forget sequences over real and pseudo IDs while the neighbour set and its
+// interest keep changing. At every step the decision must equal the full
+// scan's, the owing count must equal a recount and never go negative, and a
+// decision taken with nothing owed must not touch the view.
+func TestReciprocityShortcutEqualsScan(t *testing.T) {
+	ids := []PeerID{-3, seederID, 0, 1, 2, 3}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newReciprocity()
+		v := &countingView{fakeView: newFakeView()}
+		idle, busy := 0, 0
+		for step := 0; step < 2000; step++ {
+			peer := ids[rng.Intn(len(ids))]
+			// Whole small byte counts, so debts are repaid exactly and the
+			// count crosses zero in both directions many times per run.
+			bytes := float64(1 + rng.Intn(3))
+			// More sent than received, so books drift toward "nothing owed"
+			// and Forget keeps resetting them to zero.
+			switch op := rng.Intn(10); {
+			case op < 3:
+				r.OnReceived(v, peer, bytes)
+			case op < 7:
+				r.OnSent(v, peer, bytes)
+			case op < 9:
+				r.Forget(peer)
+			default:
+				v.neighbors = v.neighbors[:0]
+				for _, id := range ids {
+					if id >= 0 && rng.Intn(3) > 0 {
+						v.neighbors = append(v.neighbors, id)
+					}
+					v.wants[id] = rng.Intn(4) > 0
+				}
+			}
+			want := recountOwing(r)
+			if r.owing != want || r.owing < 0 {
+				t.Fatalf("seed %d step %d: owing = %d, recount %d", seed, step, r.owing, want)
+			}
+			v.calls = 0
+			got := r.NextReceiver(v)
+			calls := v.calls
+			if ref := scanReciprocity(r, v); got != ref {
+				t.Fatalf("seed %d step %d: NextReceiver = %v, full scan %v", seed, step, got, ref)
+			}
+			if want == 0 {
+				idle++
+				if calls != 0 {
+					t.Fatalf("seed %d step %d: idle decision made %d view calls", seed, step, calls)
+				}
+			} else {
+				busy++
+			}
+		}
+		if idle < 100 || busy < 100 {
+			t.Errorf("seed %d: %d idle and %d busy decisions; the sequence must exercise both", seed, idle, busy)
+		}
+	}
+}
+
+// TestReciprocityIdleWhenOnlySeederContributed is Figure 4's stalled case:
+// every peer owes the seeder (a pseudo-peer) forever and nobody else, and
+// that must read as idle — counting the seeder would send every poll down
+// the neighbour scan.
+func TestReciprocityIdleWhenOnlySeederContributed(t *testing.T) {
+	r := newReciprocity()
+	v := &countingView{fakeView: newFakeView(1, 2, 3)}
+	r.OnReceived(v, seederID, 1000)
+	v.calls = 0
+	if got := r.NextReceiver(v); got != NoPeer || v.calls != 0 {
+		t.Errorf("pick = %v after %d view calls, want NoPeer after none", got, v.calls)
+	}
+	r.OnReceived(v, 2, 10)
+	if got := r.NextReceiver(v); got != 2 {
+		t.Errorf("pick = %v, want creditor 2", got)
+	}
+	r.Forget(2)
+	v.calls = 0
+	if got := r.NextReceiver(v); got != NoPeer || v.calls != 0 {
+		t.Errorf("after Forget: pick = %v after %d view calls, want NoPeer after none", got, v.calls)
+	}
+}
+
+// scoreEachReputation is the reputation decision as it stood before the
+// one-lock read: one Ledger.Score call (one lock round trip) per candidate.
+func scoreEachReputation(p Params, ledger *reputation.Ledger, view NodeView) PeerID {
+	wanting := wantingNeighbors(view)
+	if len(wanting) == 0 {
+		return NoPeer
+	}
+	rng := view.RNG()
+	if rng.Float64() < p.AlphaR {
+		return randomPeer(rng, wanting)
+	}
+	var total float64
+	for _, id := range wanting {
+		total += ledger.Score(int(id))
+	}
+	if total <= 0 {
+		return NoPeer
+	}
+	target := rng.Float64() * total
+	var acc float64
+	for _, id := range wanting {
+		acc += ledger.Score(int(id))
+		if target < acc {
+			return id
+		}
+	}
+	return wanting[len(wanting)-1]
+}
+
+// TestReputationOneLockReadEqualsPerCandidate runs the strategy and the
+// per-candidate reference side by side on identically seeded RNGs while the
+// ledger, the neighbour set and its interest change: same pick, and so the
+// same number of RNG draws, at every decision.
+func TestReputationOneLockReadEqualsPerCandidate(t *testing.T) {
+	params := DefaultParams()
+	for seed := int64(1); seed <= 10; seed++ {
+		ledger := reputation.NewLedger(attest.AcceptAll{})
+		s := newReputation(params, ledger)
+		v, ref := newFakeView(), newFakeView()
+		v.rng, ref.rng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		script := rand.New(rand.NewSource(-seed))
+		picked := 0
+		for step := 0; step < 2000; step++ {
+			switch op := script.Intn(10); {
+			case op < 5:
+				// Odd byte counts make the float sums order-sensitive.
+				mustCredit(t, ledger, attest.Claim(int32(script.Intn(12)), -1, 0, int64(1+script.Intn(1<<20))))
+			case op < 6:
+				ledger.Reset(script.Intn(12))
+			default:
+				v.neighbors = v.neighbors[:0]
+				for id := PeerID(0); id < 16; id++ { // 12..15 never earn a score
+					if script.Intn(3) > 0 {
+						v.neighbors = append(v.neighbors, id)
+					}
+					v.wants[id] = script.Intn(4) > 0
+				}
+				ref.neighbors, ref.wants = v.neighbors, v.wants
+			}
+			got, want := s.NextReceiver(v), scoreEachReputation(params, ledger, ref)
+			if got != want {
+				t.Fatalf("seed %d step %d: one-lock pick %v, per-candidate pick %v", seed, step, got, want)
+			}
+			if got != NoPeer {
+				picked++
+			}
+		}
+		if picked < 500 {
+			t.Errorf("seed %d: only %d of 2000 decisions picked a peer", seed, picked)
+		}
+	}
+}
+
+// TestReputationDecisionDuringCredit: the live node credits the shared
+// ledger from its receive goroutines while the upload loop decides, so the
+// one-lock read must be safe against concurrent Credit (run under -race).
+func TestReputationDecisionDuringCredit(t *testing.T) {
+	ledger := reputation.NewLedger(attest.AcceptAll{})
+	s := newReputation(DefaultParams(), ledger)
+	v := newFakeView(0, 1, 2, 3, 4, 5, 6, 7)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ledger.Credit(attest.Claim(int32(i%8), -1, int32(i), 1)); err != nil {
+				t.Errorf("Credit: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if got := s.NextReceiver(v); got != NoPeer && (got < 0 || got > 7) {
+			t.Errorf("picked %v, not a neighbour", got)
+			break
+		}
+	}
+	close(stop)
+	<-done
+}

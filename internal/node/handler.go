@@ -69,6 +69,14 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		return // different swarm
 	}
 	peerID := int(theirHello.PeerID)
+	if peerID < 0 {
+		// Negative IDs are the strategies' pseudo-peers. A neighbor
+		// announcing -1 *is* incentive.NoPeer: every time the strategy
+		// picked it, tryUpload would read "nothing to send" and the upload
+		// loop would abandon the rest of the tick's budget.
+		n.log.Warn("handshake refused: negative peer ID", "peer", peerID)
+		return
+	}
 	if n.directory != nil && len(theirHello.PubKey) > 0 {
 		// Pin the peer's key trust-on-first-use. A key that conflicts with
 		// the pinned (or registered) one is an imposter — refuse the link; a

@@ -69,41 +69,49 @@ func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protoc
 }
 
 // TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
-// frame no honest peer could produce. Frames that index outside the
-// manifest's bitfield must cost the sender its link; the rest are ignored.
-// Either way the node keeps serving — a second, honest leecher completes —
-// and Stop returns promptly, which it cannot if a handler died holding
-// n.mu.
+// frame no honest peer could produce — or, in the one case with no frame, a
+// handshake no honest peer could produce. Frames that index outside the
+// manifest's bitfield and a Hello claiming a pseudo-peer ID must cost the
+// sender its link; the rest are ignored. Either way the node keeps serving —
+// a second, honest leecher completes — and Stop returns promptly, which it
+// cannot if a handler died holding n.mu.
 func TestHostileFramesDropLinkNotNode(t *testing.T) {
 	const n = testPieces
 	ones := bytes.Repeat([]byte{0xFF}, (n+64)/8)
 	cases := []struct {
 		name     string
-		frame    protocol.Message
+		peerID   int32
+		frame    protocol.Message // nil: the handshake alone is the attack
 		wantDrop bool
 	}{
-		{"have-negative", protocol.Have{Index: -1}, true},
-		{"have-past-end", protocol.Have{Index: n}, true},
-		{"bitfield-oversized", protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
-		{"bitfield-huge-no-bits", protocol.Bitfield{NumPieces: 1 << 30}, true},
-		{"bitfield-short-bits", protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
-		{"sealed-negative", protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}}, false},
-		{"piece-past-end", protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
-		{"key-unknown", protocol.Key{KeyID: 12345}, false},
+		{"have-negative", 99, protocol.Have{Index: -1}, true},
+		{"have-past-end", 99, protocol.Have{Index: n}, true},
+		{"bitfield-oversized", 99, protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
+		{"bitfield-huge-no-bits", 99, protocol.Bitfield{NumPieces: 1 << 30}, true},
+		{"bitfield-short-bits", 99, protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
+		{"sealed-negative", 99, protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}}, false},
+		{"piece-past-end", 99, protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
+		{"key-unknown", 99, protocol.Key{KeyID: 12345}, false},
+		// An empty-handed neighbor named incentive.NoPeer: the seed's
+		// strategy would keep picking it and reading its own pick as "idle".
+		{"hello-pseudo-peer-id", -1, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := transport.NewMem()
 			seed, manifest := startSeed(t, tr, nil)
-			hungUp := rawPeer(t, tr, seed.Addr(),
-				protocol.Hello{PeerID: 99, NumPieces: n},
-				protocol.Bitfield{NumPieces: n, Bits: make([]byte, (n+7)/8)},
-				tc.frame)
+			frames := []protocol.Message{protocol.Hello{PeerID: tc.peerID, NumPieces: n}}
+			if tc.frame != nil {
+				frames = append(frames,
+					protocol.Bitfield{NumPieces: n, Bits: make([]byte, (n+7)/8)},
+					tc.frame)
+			}
+			hungUp := rawPeer(t, tr, seed.Addr(), frames...)
 			if tc.wantDrop {
 				select {
 				case <-hungUp:
 				case <-time.After(10 * time.Second):
-					t.Fatal("node kept the link to a peer that sent a frame outside the manifest")
+					t.Fatal("node kept the link to a peer no honest peer could be")
 				}
 			}
 

@@ -42,7 +42,9 @@ import (
 
 // Config parameterizes a node.
 type Config struct {
-	// ID is the node's swarm-unique identity.
+	// ID is the node's swarm-unique identity. It must not be negative:
+	// negative incentive.PeerIDs are pseudo-peers (NoPeer, the simulator's
+	// seeder) that no strategy can pick.
 	ID int
 	// Algorithm is the incentive mechanism to run.
 	Algorithm algo.Algorithm
@@ -126,6 +128,9 @@ func (c *Config) validate() error {
 	}
 	if c.UploadRate < 0 {
 		return fmt.Errorf("node: UploadRate %g negative", c.UploadRate)
+	}
+	if c.ID < 0 {
+		return fmt.Errorf("node: ID %d negative", c.ID)
 	}
 	return nil
 }

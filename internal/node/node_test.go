@@ -103,6 +103,7 @@ func TestNodeValidation(t *testing.T) {
 		{Transport: tr}, // no store
 		{Store: store},  // no transport
 		{Store: store, Transport: tr, UploadRate: -1},
+		{Store: store, Transport: tr, ID: -1}, // incentive.NoPeer
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

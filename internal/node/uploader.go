@@ -68,10 +68,6 @@ func (v nodeView) PieceCount(p incentive.PeerID) int {
 	return r.have.Count()
 }
 
-func (v nodeView) Reputation(p incentive.PeerID) float64 {
-	return v.n.ledger.Score(int(p))
-}
-
 // view returns the strategy view; callers must hold n.mu.
 func (n *Node) view() incentive.NodeView { return nodeView{n: n} }
 

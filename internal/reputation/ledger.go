@@ -86,6 +86,23 @@ func (l *Ledger) Score(peer int) float64 {
 	return l.scores[peer]
 }
 
+// Scored pairs a peer with its score, for reading many scores at once.
+type Scored struct {
+	Peer  int
+	Score float64
+}
+
+// Scores fills in the Score of every entry from its Peer (0 for unknown
+// peers) under a single read lock, so a decision that weighs dozens of
+// candidates pays for the lock once and sees one consistent ledger state.
+func (l *Ledger) Scores(entries []Scored) {
+	l.mu.RLock()
+	for i := range entries {
+		entries[i].Score = l.scores[entries[i].Peer]
+	}
+	l.mu.RUnlock()
+}
+
 // Reset erases peer's standing, modelling a whitewashing identity reset.
 func (l *Ledger) Reset(peer int) {
 	l.mu.Lock()

@@ -119,6 +119,29 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
+// TestScoresEqualsScore: the one-lock batch read returns exactly what Score
+// returns per peer — unknown, reset and pseudo-peers read 0, and whatever the
+// caller left in the Score field is overwritten.
+func TestScoresEqualsScore(t *testing.T) {
+	l := acceptAll()
+	mustCredit(t, l, attest.Claim(1, 9, 0, 900))
+	mustCredit(t, l, attest.Claim(2, 9, 0, 100))
+	mustCredit(t, l, attest.Claim(2, 9, 1, 1))
+	mustCredit(t, l, attest.Claim(5, 9, 0, 7))
+	l.Reset(5)
+	entries := []Scored{{Peer: 2, Score: -1}, {Peer: 7, Score: 42}, {Peer: 1}, {Peer: -2, Score: 3}, {Peer: 5, Score: 7}, {Peer: 2}}
+	l.Scores(entries)
+	for _, e := range entries {
+		if want := l.Score(e.Peer); e.Score != want {
+			t.Errorf("Scores gave peer %d %g, Score gives %g", e.Peer, e.Score, want)
+		}
+	}
+	if entries[1].Score != 0 || entries[3].Score != 0 || entries[4].Score != 0 {
+		t.Errorf("unknown, pseudo and reset peers must read 0: %+v", entries)
+	}
+	l.Scores(nil) // no candidates: no-op
+}
+
 func TestLedgerConcurrent(t *testing.T) {
 	l := acceptAll()
 	var wg sync.WaitGroup
@@ -126,6 +149,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			batch := make([]Scored, 16)
 			for j := 0; j < 100; j++ {
 				if err := l.Credit(attest.Claim(int32(id), -1, int32(j), 1)); err != nil {
 					t.Errorf("Credit: %v", err)
@@ -133,6 +157,16 @@ func TestLedgerConcurrent(t *testing.T) {
 				}
 				l.Score(id)
 				l.Total()
+				for k := range batch {
+					batch[k].Peer = k
+				}
+				l.Scores(batch)
+				// Only this goroutine credits id, so the batch read must see
+				// exactly the j+1 bytes credited so far.
+				if got := batch[id].Score; got != float64(j+1) {
+					t.Errorf("Scores read %g for peer %d after %d credits", got, id, j+1)
+					return
+				}
 			}
 		}(i)
 	}

@@ -1,0 +1,81 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"repro/internal/algo"
+	"repro/internal/attack"
+)
+
+// resultDigest hashes what a run decided: how many events it processed, when
+// it ended, and every peer's finish time and byte totals, as exact bit
+// patterns. Any change to a strategy decision, an RNG draw or the event
+// order moves at least one of them.
+func resultDigest(res *Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(res.EventsProcessed)
+	put(math.Float64bits(res.Duration))
+	for _, p := range res.Peers {
+		put(math.Float64bits(p.FinishAt))
+		put(math.Float64bits(p.Uploaded))
+		put(math.Float64bits(p.Downloaded))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestResultDigestsPinned pins each mechanism's results bit for bit at tier
+// 1, where bench/golden.json pins only Figure 4's rendering and one
+// BitTorrent run. The scale is small but stall-capable: Reciprocity polls to
+// the horizon exactly as in Figure 4. The digests were recorded on the commit
+// before the O(1) idle Reciprocity decision and the one-lock reputation read
+// (ISSUE 18) and must only ever be re-recorded by a change that means to
+// alter simulation results.
+func TestResultDigestsPinned(t *testing.T) {
+	freeRiders := func(a algo.Algorithm, plan attack.Plan) Config {
+		cfg := testConfig(a)
+		cfg.FreeRiderFraction = 0.2
+		cfg.Attack = plan
+		return cfg
+	}
+	seederExit := testConfig(algo.Reciprocity)
+	seederExit.SeederExitAt = 30
+	seederExit.Horizon = 200
+
+	cases := []struct {
+		name   string
+		cfg    Config
+		events uint64
+		digest string
+	}{
+		{"reciprocity", testConfig(algo.Reciprocity), 72442, "03db6a637a57115a808bc07234766b40af751e3b8bf7d5ed62d57b4b57cd4006"},
+		{"tchain", testConfig(algo.TChain), 6853, "1f3154e993b4cc8c837234d8f8a8645fea610a832aa3953ce68f2420b3b7c554"},
+		{"bittorrent", testConfig(algo.BitTorrent), 8360, "b17dcf32e70b3f42cfe232e880969f7979a39fa0bf80b54d62a746f3b6f6ff20"},
+		{"fairtorrent", testConfig(algo.FairTorrent), 9139, "efae3d73f0e5e9bb97874dede203a0478c2a14b469e1bc94999a8de327ae9fde"},
+		{"reputation", testConfig(algo.Reputation), 7820, "b810a34318607886fcc66918236cadb007aaefb31368a995d30bb62d2f051e2a"},
+		{"altruism", testConfig(algo.Altruism), 6952, "1fb730ea32a74caf8f58be5623ecc58dd2c90c0dd920fc78126b18953540a3c9"},
+		{"propshare", testConfig(algo.PropShare), 8744, "c75cd8dac07f9dc27b02b36af347a989893e48690719d42f5328d310abb7e378"},
+		// Whitewashing free-riders drive Strategy.Forget (and Ledger.Reset)
+		// every 10 s on every compliant neighbour.
+		{"fairtorrent/whitewash", freeRiders(algo.FairTorrent, attack.Plan{Kind: attack.Whitewash}), 12701, "e217c549fb33a8dd44947f882a4e0c687249f276011e1534405fa2595c42082b"},
+		{"reciprocity/whitewash", freeRiders(algo.Reciprocity, attack.Plan{Kind: attack.Whitewash}), 72599, "17580d0d8719811eeb11ad4b95129c6807f7afaa19d20cd938b7cc8d0660f718"},
+		{"reputation/whitewash", freeRiders(algo.Reputation, attack.Plan{Kind: attack.Whitewash}), 12218, "742ed59bfe2ce831cf904323380ecf5f1f88868fd9522a0c24ac517c23ca7a1c"},
+		{"reciprocity/seeder-exit", seederExit, 19580, "e5b0e48ae7078adeb40dde7d24e6e231184ad77bfa1b51fc2b6f5834aa2c71e7"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := mustRun(t, c.cfg)
+			if got := resultDigest(res); res.EventsProcessed != c.events || got != c.digest {
+				t.Errorf("events %d digest %s, pinned %d %s", res.EventsProcessed, got, c.events, c.digest)
+			}
+		})
+	}
+}

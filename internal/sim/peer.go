@@ -186,8 +186,3 @@ func (v *peerView) PieceCount(id incentive.PeerID) int {
 	}
 	return other.have.Count()
 }
-
-// Reputation returns the global ledger score for the identified peer.
-func (v *peerView) Reputation(id incentive.PeerID) float64 {
-	return v.swarm.ledger.Score(int(id))
-}
