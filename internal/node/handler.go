@@ -350,24 +350,15 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return // malformed index; nothing downstream would accept it
 	}
 	h := n.hopStart(m.Trace, r.id, int(m.Index))
-	// The ciphertext outlives this dispatch (pending-seal escrow, possible
-	// forward), while m.Ciphertext may alias the connection's decode
-	// scratch — copy once here, then share the stable copy everywhere.
-	ciphertext := append([]byte(nil), m.Ciphertext...)
-	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
 	originID := int(m.OriginID)
 
 	if m.Forwarded {
 		// We are the witness of someone else's reciprocation: confirm it to
-		// the origin so the forwarder earns its key. We keep the ciphertext
-		// too — if the origin later releases the key to us as well we can
-		// use it, but we do not rely on that.
+		// the origin so the forwarder earns its key. The ciphertext itself is
+		// dropped — the origin releases the key to the forwarder only, so a
+		// witness could never open a copy it kept.
 		n.mu.Lock()
 		origin, connected := n.peers[originID]
-		if !n.cfg.Store.Has(int(m.Index)) {
-			n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: originID, originAddr: m.OriginAddr, tc: h.context()}
-			n.noteFirstByteLocked(int(m.Index))
-		}
 		n.mu.Unlock()
 		var receipt protocol.Message = protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
 		if n.identity != nil {
@@ -376,7 +367,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 			// exact sealed piece. Always Ed25519 — witness receipts cross
 			// trust domains (transient connections, possibly other processes).
 			hash := [32]byte(n.cfg.Store.Manifest().Hashes[m.Index])
-			wAtt := n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, int64(len(ciphertext)))
+			wAtt := n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, int64(len(m.Ciphertext)))
 			n.metrics.attestSigned.Inc()
 			receipt = protocol.AttestedReceipt{KeyID: m.KeyID, Att: wAtt, Trace: h.context()}
 		}
@@ -391,6 +382,11 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return
 	}
 
+	// The ciphertext outlives this dispatch (pending-seal escrow, possible
+	// forward), while m.Ciphertext may alias the connection's decode
+	// scratch — copy once here, then share the stable copy everywhere.
+	ciphertext := append([]byte(nil), m.Ciphertext...)
+	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
 	n.mu.Lock()
 	if n.cfg.Store.Has(int(m.Index)) {
 		n.mu.Unlock()
@@ -412,7 +408,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte) {
 	n.mu.Lock()
 	// Direct: send the origin a piece it needs.
-	directIdx := n.pickWantedLocked(r, false)
+	directIdx := n.pickWantedLocked(r, nil)
 	n.mu.Unlock()
 
 	if directIdx >= 0 {

@@ -166,10 +166,16 @@ type remote struct {
 	theyNeed int
 	iNeed    int
 
-	// recent stamps our pushes to this peer, piece index -> send time
-	// (under Node.mu): pickWantedLocked's resend cooldown. It lives and
-	// dies with the link, so a reconnected peer starts with none.
-	recent map[int]time.Time
+	// cooling marks the pieces we pushed to this peer within
+	// resendCooldown, the set tryUpload's pick excludes; coolLog holds one
+	// stamp per marked piece in push order — which is clock order, so the
+	// due ones are always at coolHead (see coolingAt). A marked piece is
+	// not pushed again, so the live log never exceeds NumPieces. Both are
+	// guarded by Node.mu and live and die with the link: a reconnected
+	// peer starts with none.
+	cooling  *piece.Bitfield
+	coolLog  []pushStamp
+	coolHead int
 
 	outMu     sync.Mutex
 	outCond   *sync.Cond
@@ -198,10 +204,11 @@ type remote struct {
 
 // newRemote wires the outbound queue of n's link to peer id.
 func newRemote(n *Node, id int, conn transport.Conn, addr string) *remote {
+	numPieces := n.cfg.Store.Manifest().NumPieces()
 	r := &remote{
 		n: n, id: id, conn: conn, addr: addr,
-		have:   piece.NewBitfield(n.cfg.Store.Manifest().NumPieces()),
-		recent: make(map[int]time.Time),
+		have:    piece.NewBitfield(numPieces),
+		cooling: piece.NewBitfield(numPieces),
 	}
 	r.outCond = sync.NewCond(&r.outMu)
 	return r

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/attest"
 	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/tracing"
@@ -43,17 +44,32 @@ func outboxFixture(t *testing.T, tr *tracing.Collector, stalled bool) (*Node, *r
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{Algorithm: algo.Altruism, Store: store, Transport: transport.NewMem(), Tracer: tr})
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store, Tracer: tr})
+	r, conn := fixtureRemote(n, 1, stalled)
+	return n, r, conn
+}
+
+// fixtureNode builds an unstarted node from cfg over a mem transport.
+func fixtureNode(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	cfg.Transport = transport.NewMem()
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return n
+}
+
+// fixtureRemote builds n's link to peer id over a gateConn, interest
+// counters derived as a handshake would; it is not entered in n.peers.
+func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 	conn := &gateConn{gate: make(chan struct{})}
 	if !stalled {
 		close(conn.gate)
 	}
-	r := newRemote(n, 1, conn, "")
+	r := newRemote(n, id, conn, "")
 	r.theyNeed, r.iNeed = n.myBits.DiffCounts(r.have)
-	return n, r, conn
+	return r, conn
 }
 
 // fillBulk queues bulk frames up to the backpressure bound.
@@ -193,42 +209,116 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestResendCooldown pins the one picker's two modes: the upload scheduler
-// (cooldown on) never re-offers a piece it pushed to this peer within
-// resendCooldown, the reciprocation path (cooldown off) may, and the
-// stamps belong to the link — a reconnected peer starts with none.
+// (excluding the link's cooling set) never re-offers a piece it pushed to
+// this peer within resendCooldown and may again exactly resendCooldown
+// later, the reciprocation path (excluding nothing) ignores the cooldown,
+// and the stamps belong to the link — a reconnected peer starts with none.
+// Time is the argument: instants on the sinceStartNs clock, no sleeping.
 func TestResendCooldown(t *testing.T) {
-	n, r, conn := outboxFixture(t, nil, false)
+	n, r, _ := outboxFixture(t, nil, false)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
-	const fresh = 5
+	const fresh, aged = 5, 9
+	t0 := int64(time.Minute)
+	t1 := t0 + int64(time.Millisecond)
+	r.cool(aged, t0) // the oldest stamp: the head of the log
 	for i := 0; i < testPieces; i++ {
-		if i != fresh {
-			r.recent[i] = time.Now()
+		if i != fresh && i != aged {
+			r.cool(i, t1)
 		}
 	}
 	for draw := 0; draw < 64; draw++ {
-		if got := n.pickWantedLocked(r, true); got != fresh {
+		if got := n.pickWantedLocked(r, r.coolingAt(t1)); got != fresh {
 			t.Fatalf("draw %d picked %d, want %d: every other piece is cooling down", draw, got, fresh)
 		}
 	}
-	r.recent[fresh] = time.Now()
-	if got := n.pickWantedLocked(r, true); got != -1 {
+	r.cool(fresh, t1)
+	if got := n.pickWantedLocked(r, r.coolingAt(t1)); got != -1 {
 		t.Errorf("picked %d with every wanted piece cooling down", got)
 	}
-	if got := n.pickWantedLocked(r, false); got < 0 {
+	if got := n.pickWantedLocked(r, nil); got < 0 {
 		t.Error("the reciprocation pick found nothing: it must ignore the cooldown")
 	}
 
-	const aged = 9
-	r.recent[aged] = time.Now().Add(-resendCooldown - time.Millisecond)
-	if got := n.pickWantedLocked(r, true); got != aged {
+	due := t0 + int64(resendCooldown)
+	if got := n.pickWantedLocked(r, r.coolingAt(due-1)); got != -1 {
+		t.Errorf("picked %d one nanosecond before the oldest stamp is due", got)
+	}
+	if got := n.pickWantedLocked(r, r.coolingAt(due)); got != aged {
 		t.Errorf("picked %d, want %d: its stamp has aged out", got, aged)
 	}
 
-	again := newRemote(n, r.id, conn, "") // the same peer, reconnected
-	again.theyNeed, again.iNeed = n.myBits.DiffCounts(again.have)
-	if len(again.recent) != 0 || n.pickWantedLocked(again, true) < 0 {
+	again, _ := fixtureRemote(n, r.id, false) // the same peer, reconnected
+	if again.cooling.Count() != 0 || len(again.coolLog) != 0 || n.pickWantedLocked(again, again.coolingAt(due)) < 0 {
 		t.Error("a reconnected peer inherited the old link's cooldown")
+	}
+
+	// A steady push stream — one piece per step, each cooling for half a
+	// sweep of the file — always finds a piece, keeps exactly one live stamp
+	// per marked piece, and never lets the log outgrow twice its live part.
+	step := int64(resendCooldown) / (testPieces / 2)
+	for i, now := 0, due; i < 10*testPieces; i, now = i+1, now+step {
+		idx := n.pickWantedLocked(again, again.coolingAt(now))
+		if idx < 0 {
+			t.Fatalf("step %d: nothing to push with half the file cooling", i)
+		}
+		again.cool(idx, now)
+		live := len(again.coolLog) - again.coolHead
+		if again.cooling.Count() != live || live > testPieces/2+1 || len(again.coolLog) > 2*live {
+			t.Fatalf("step %d: %d pieces cooling, %d live stamps in a log of %d", i, again.cooling.Count(), live, len(again.coolLog))
+		}
+	}
+}
+
+// TestWitnessKeepsNoCiphertext pins who parks a sealed piece. The receiver
+// of a seal keeps the ciphertext until its key arrives and reciprocates —
+// here by forwarding a stable copy to a witness, having no piece the origin
+// lacks. The witness of that forward keeps nothing: the origin releases the
+// key to the forwarder only, so a parked copy could never be opened and
+// would sit in pendingSeals until Stop. It still owes the origin a signed
+// receipt naming the forwarder, the piece and the ciphertext's size.
+func TestWitnessKeepsNoCiphertext(t *testing.T) {
+	const originID, otherID = 1, 2
+	manifest, _ := clusterFixture(t)
+	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest), Identity: attest.NewKeyFromSeed(0, 1)})
+	origin, _ := fixtureRemote(n, originID, false)
+	other, _ := fixtureRemote(n, otherID, false)
+	n.peers[originID], n.peers[otherID] = origin, other
+	scratch := make([]byte, testPieceSize) // stands in for the decoder's reused buffer
+	seal := protocol.SealedPiece{Index: 3, KeyID: 11, Ciphertext: scratch, OriginID: originID}
+
+	forwarded := seal
+	forwarded.Forwarded, forwarded.ForwarderID = true, otherID
+	n.dispatch(other, forwarded)
+	if got := n.Stats().SealedPending; got != 0 {
+		t.Errorf("SealedPending = %d after witnessing a forward, want 0", got)
+	}
+	if origin.queued() != 1 || other.queued() != 0 {
+		t.Fatalf("witness queued %d frames to the origin and %d to the forwarder, want 1 and 0", origin.queued(), other.queued())
+	}
+	receipt, ok := origin.outbox[0].(protocol.AttestedReceipt)
+	if !ok {
+		t.Fatalf("witness sent the origin %T, want an AttestedReceipt", origin.outbox[0])
+	}
+	if att := receipt.Att; receipt.KeyID != seal.KeyID || att.Sender != otherID || att.Receiver != 0 ||
+		att.Index != seal.Index || att.Bytes != testPieceSize || n.verifier.Check(att) != nil {
+		t.Errorf("receipt %+v does not attest peer %d forwarding %d bytes of piece %d under key %d",
+			receipt, otherID, testPieceSize, seal.Index, seal.KeyID)
+	}
+
+	n.dispatch(origin, seal)
+	if got := n.Stats().SealedPending; got != 1 {
+		t.Errorf("SealedPending = %d after receiving a seal, want 1", got)
+	}
+	if other.queued() != 1 {
+		t.Fatalf("receiver queued %d frames to its only other neighbor, want the forwarded seal", other.queued())
+	}
+	fwd, ok := other.outbox[0].(protocol.SealedPiece)
+	if !ok || !fwd.Forwarded || fwd.ForwarderID != 0 || fwd.KeyID != seal.KeyID || len(fwd.Ciphertext) != testPieceSize {
+		t.Fatalf("receiver forwarded %+v, want seal %d marked as forwarded by node 0", other.outbox[0], seal.KeyID)
+	}
+	if &fwd.Ciphertext[0] == &scratch[0] {
+		t.Error("the forwarded seal aliases the decode scratch instead of a stable copy")
 	}
 }

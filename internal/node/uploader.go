@@ -1,12 +1,12 @@
 package node
 
 import (
-	"math/bits"
 	"math/rand"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/incentive"
+	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/tchain"
 )
@@ -137,12 +137,13 @@ func (n *Node) tryUpload() bool {
 		n.mu.Unlock()
 		return false
 	}
-	idx := n.pickWantedLocked(r, true)
+	now := n.sinceStartNs()
+	idx := n.pickWantedLocked(r, r.coolingAt(now))
 	if idx < 0 {
 		n.mu.Unlock()
 		return false
 	}
-	r.recent[idx] = time.Now()
+	r.cool(idx, now)
 	// Trace decision while mu still guards pieceTrace: continue the trace
 	// this piece arrived under, or let the sampler mint a fresh one. Nil
 	// means untraced — the send path then runs the pre-tracing code exactly.
@@ -162,41 +163,47 @@ func (n *Node) tryUpload() bool {
 	return n.sendPiece(r, idx, data, protocol.NoRepay, ut)
 }
 
-// pickWantedLocked returns a uniformly random piece we hold that r lacks,
-// or -1 (mu held). It walks the bitfield words directly with a reservoir
-// pick, so the hot path builds no candidate slice; the cached theyNeed
-// counter short-circuits peers with nothing to gain. With cooldown set —
-// the upload scheduler — pieces pushed to r within resendCooldown are
-// skipped; the reciprocation path passes false, because repaying with a
-// piece we recently pushed is still a valid (and verifiable) repayment.
-func (n *Node) pickWantedLocked(r *remote, cooldown bool) int {
+// pickWantedLocked returns a uniformly random piece we hold that r lacks
+// and exclude does not mark, or -1 (mu held). The upload scheduler excludes
+// r's cooling set; the reciprocation path passes nil, because repaying with
+// a piece we recently pushed is still a valid (and verifiable) repayment.
+// The cached theyNeed counter short-circuits peers with nothing to gain.
+func (n *Node) pickWantedLocked(r *remote, exclude *piece.Bitfield) int {
 	if r.theyNeed == 0 {
 		return -1
 	}
-	var now time.Time
-	if cooldown {
-		now = time.Now()
+	return piece.SelectRandomMissing(n.rng, r.have, n.myBits, exclude)
+}
+
+// pushStamp is one coolLog entry: piece idx was pushed at sinceStartNs at.
+type pushStamp struct {
+	at  int64
+	idx int
+}
+
+// coolingAt returns r's cooling set as of now on the sinceStartNs clock (mu
+// held), after unmarking every piece whose resendCooldown has run out —
+// those stamps are a prefix of the log. The spent prefix is dropped once it
+// outweighs the live stamps, so the log stays within twice its live length
+// at amortized O(1) per push.
+func (r *remote) coolingAt(now int64) *piece.Bitfield {
+	for r.coolHead < len(r.coolLog) && now-r.coolLog[r.coolHead].at >= int64(resendCooldown) {
+		r.cooling.Clear(r.coolLog[r.coolHead].idx)
+		r.coolHead++
 	}
-	mine, theirs := n.myBits.Words(), r.have.Words()
-	limit := min(len(mine), len(theirs))
-	picked, seen := -1, 0
-	for w := 0; w < limit; w++ {
-		diff := mine[w] &^ theirs[w]
-		for diff != 0 {
-			idx := w*64 + bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			if cooldown {
-				if at, ok := r.recent[idx]; ok && now.Sub(at) < resendCooldown {
-					continue
-				}
-			}
-			seen++
-			if n.rng.Intn(seen) == 0 {
-				picked = idx
-			}
-		}
+	if r.coolHead > len(r.coolLog)/2 {
+		r.coolLog = r.coolLog[:copy(r.coolLog, r.coolLog[r.coolHead:])]
+		r.coolHead = 0
 	}
-	return picked
+	return r.cooling
+}
+
+// cool starts piece idx's resend cooldown at now (mu held). now must not
+// precede an earlier stamp: tryUpload, the only caller, reads it under mu.
+func (r *remote) cool(idx int, now int64) {
+	if r.cooling.Set(idx) {
+		r.coolLog = append(r.coolLog, pushStamp{at: now, idx: idx})
+	}
 }
 
 // sendPiece pushes plaintext and reports whether the frame was accepted

@@ -119,6 +119,48 @@ func (a *Availability) RarestFirst(rng *rand.Rand, candidates []int) int {
 	return best
 }
 
+// SelectRandomMissing picks, uniformly at random, a piece that from holds and
+// have lacks, excluding pieces marked in exclude; -1 when there is none. Only
+// exclude may be nil (nothing excluded); from and exclude count as empty
+// beyond their last word when shorter than have. It is the live node's push
+// pick, where which piece goes out is mechanism-neutral: one pass of word ops
+// counts the eligible set, a single rng draw (none for an empty set) chooses a
+// rank in it, and a second pass finds the word holding that rank — O(words)
+// whatever the number of eligible pieces, no allocation.
+func SelectRandomMissing(rng *rand.Rand, have, from, exclude *Bitfield) int {
+	limit := min(len(have.words), len(from.words))
+	eligible := func(w int) uint64 {
+		cand := from.words[w] &^ have.words[w]
+		if exclude != nil && w < len(exclude.words) {
+			cand &^= exclude.words[w]
+		}
+		if w == len(have.words)-1 && have.size%64 != 0 {
+			cand &= 1<<uint(have.size%64) - 1 // bits beyond Size() are not pieces
+		}
+		return cand
+	}
+	total := 0
+	for w := 0; w < limit; w++ {
+		total += bits.OnesCount64(eligible(w))
+	}
+	if total == 0 {
+		return -1
+	}
+	k := rng.Intn(total)
+	for w := 0; w < limit; w++ {
+		cand := eligible(w)
+		if c := bits.OnesCount64(cand); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			cand &= cand - 1 // drop the k lowest set bits
+		}
+		return w*64 + bits.TrailingZeros64(cand)
+	}
+	return -1 // unreachable: k < total
+}
+
 // SelectRarestMissing picks, local-rarest-first with uniform tie-breaking, a
 // piece that from holds and have lacks, excluding pieces marked in pending.
 // A nil from means the sender holds everything (the seeder); a nil pending

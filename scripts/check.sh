@@ -105,6 +105,13 @@ echo "== strategy decision allocation guard =="
 # benchmark's view reuses its buffers, so a nonzero count is the strategy's.
 alloc_guard ./internal/incentive BenchmarkNextReceiver 0 100000x
 
+echo "== push pick allocation guard =="
+# The live sender's piece pick runs once per push with the node lock held,
+# at 64, 1024 and 4096 wanted pieces of 4096: a few word passes over three
+# bitfields and one rng draw, so every row must stay allocation-free (and
+# ns/op flat across the rows — a per-candidate cost is what it replaced).
+alloc_guard ./internal/piece BenchmarkSelectRandomMissing 0
+
 echo "== attestation adversary gate =="
 # The proof-first ledger's security claims again, explicitly and by name,
 # under the race detector: every forgery class (unsigned claim, re-signed
