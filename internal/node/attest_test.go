@@ -146,17 +146,9 @@ func (tl tamperListener) Accept() (transport.Conn, error) {
 type tamperConn struct{ transport.Conn }
 
 func corruptAttest(m protocol.Message) protocol.Message {
-	switch f := m.(type) {
-	case protocol.Attest:
+	if f, ok := m.(protocol.Attest); ok {
 		f.Att.Sig[0] ^= 0xff
 		return f
-	case protocol.AttestBatch:
-		atts := make([]attest.Attestation, len(f.Atts))
-		copy(atts, f.Atts)
-		for i := range atts {
-			atts[i].Sig[0] ^= 0xff
-		}
-		return protocol.AttestBatch{Atts: atts}
 	}
 	return m
 }

@@ -18,10 +18,21 @@ type benchFile struct{ pieces, pieceSize int }
 // that no cost proportional to the pieces a receiver still wants can show.
 var smallFile = benchFile{pieces: 48, pieceSize: 8 << 10}
 
+// benchRun is what one swarm download cost: its wall-clock time, the piece
+// deliveries it made, and the swarm-wide Stats totals behind the two
+// ratios bench/ calls node.frames_per_piece and node.useful_upload_share.
+type benchRun struct {
+	elapsed            time.Duration
+	pieces             int
+	frames             int64
+	uploaded, credited float64
+}
+
 // benchCluster runs one full swarm download of f — a seed plus nodes-1 empty
-// nodes on tr, full-mesh bootstrapped — and returns the wall-clock time and
-// the total number of piece deliveries.
-func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) string, nodes int, f benchFile, extra ...ClusterOption) (time.Duration, int) {
+// nodes on tr, full-mesh bootstrapped — timed from StartCluster to the last
+// completion; the Stats totals are read once the swarm has stopped, when
+// they are exact.
+func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) string, nodes int, f benchFile, extra ...ClusterOption) benchRun {
 	b.Helper()
 	manifest, err := piece.SyntheticManifest(f.pieces, f.pieceSize)
 	if err != nil {
@@ -43,28 +54,41 @@ func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) str
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := c.WaitAllCompleteContext(ctx); err != nil {
+	err = c.WaitAllCompleteContext(ctx)
+	run := benchRun{elapsed: time.Since(start), pieces: (nodes - 1) * f.pieces}
+	c.Stop()
+	if err != nil {
 		b.Fatal(err)
 	}
-	return time.Since(start), (nodes - 1) * f.pieces
+	for _, n := range c.Nodes {
+		s := n.Stats()
+		run.frames += s.FramesSent
+		run.uploaded += s.UploadedBytes
+		run.credited += s.CreditedBytes
+	}
+	return run
 }
 
 // benchThroughput runs benchCluster b.N times, each on a fresh network
 // from newTransport, and reports completed piece deliveries across all
-// leechers per wall-clock second.
+// leechers per wall-clock second, frames written per delivery, and the
+// share of uploaded bytes that were a receiver's first copy.
 func benchThroughput(b *testing.B, newTransport func() transport.Transport, listenAddr string, nodes int, f benchFile, extra ...ClusterOption) {
-	var elapsed time.Duration
-	var pieces int
+	var total benchRun
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d, p := benchCluster(b, newTransport(), func(int) string { return listenAddr }, nodes, f, extra...)
-		elapsed += d
-		pieces += p
+		run := benchCluster(b, newTransport(), func(int) string { return listenAddr }, nodes, f, extra...)
+		total.elapsed += run.elapsed
+		total.pieces += run.pieces
+		total.frames += run.frames
+		total.uploaded += run.uploaded
+		total.credited += run.credited
 	}
-	b.ReportMetric(float64(pieces)/elapsed.Seconds(), "pieces/sec")
+	b.ReportMetric(float64(total.pieces)/total.elapsed.Seconds(), "pieces/sec")
+	b.ReportMetric(float64(total.frames)/float64(total.pieces), "frames/piece")
+	b.ReportMetric(total.credited/total.uploaded, "useful-share")
 }
 
 func memTransport() transport.Transport { return transport.NewMem() }
@@ -74,24 +98,66 @@ func tcpTransport() transport.Transport { return transport.NewTCP() }
 // swarm download over the in-memory transport (the protocol/node hot path
 // without kernel sockets) and over real TCP loopback, with the default
 // signed receipts and per-node metrics. allocs/op is the headline the frame
-// pooling and writer batching attack. The mem-16x4096x1K row is the
-// swarm_mem_small shape of BENCHMARK.json, the one to profile (EXPERIMENTS.md
-// has the command): with 4096 pieces outstanding, work done per wanted piece
-// dominates there and is invisible in the 48-piece rows.
+// pooling and writer batching attack. The rows after tcp-16 are the four
+// swarm workloads of BENCHMARK.json at their recorded shapes — swarm_mem_small,
+// swarm_mem_bulk, swarm_tcp, swarm_tchain — and the ones to profile
+// (EXPERIMENTS.md has the command): with thousands of pieces outstanding,
+// work done per wanted piece dominates there and is invisible in the
+// 48-piece rows.
 func BenchmarkClusterThroughput(b *testing.B) {
 	b.Run("mem-32", func(b *testing.B) { benchThroughput(b, memTransport, "", 32, smallFile) })
 	b.Run("tcp-16", func(b *testing.B) { benchThroughput(b, tcpTransport, "127.0.0.1:0", 16, smallFile) })
 	b.Run("mem-16x4096x1K", func(b *testing.B) {
 		benchThroughput(b, memTransport, "", 16, benchFile{pieces: 4096, pieceSize: 1 << 10})
 	})
+	b.Run("mem-8x1024x64K", func(b *testing.B) {
+		benchThroughput(b, memTransport, "", 8, benchFile{pieces: 1024, pieceSize: 64 << 10})
+	})
+	b.Run("tcp-8x4096x4K", func(b *testing.B) {
+		benchThroughput(b, tcpTransport, "127.0.0.1:0", 8, benchFile{pieces: 4096, pieceSize: 4 << 10})
+	})
+	b.Run("tchain-8x4096x4K", func(b *testing.B) {
+		benchThroughput(b, memTransport, "", 8, benchFile{pieces: 4096, pieceSize: 4 << 10}, WithAlgorithm(algo.TChain))
+	})
+}
+
+// BenchmarkAnnounceFanout is what one verified piece costs to announce on a
+// node with 15 neighbors — the swarm_mem_small fan-out: one gain-log append
+// and one writer wake-up per link. Indices start at 256 because boxing a
+// smaller Have allocates nothing and would hide a per-neighbor frame.
+// scripts/check.sh gates this at zero allocations.
+func BenchmarkAnnounceFanout(b *testing.B) {
+	const pieces, neighbors = 4096, 15
+	manifest := &piece.Manifest{PieceSize: 1, FileSize: pieces, Hashes: make([]piece.Hash, pieces)}
+	n, err := New(Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest), Transport: transport.NewMem()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := 1; id <= neighbors; id++ {
+		n.peers[id] = newRemote(n, id, nopConn{}, "", 0)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := 256 + i%(pieces-256)
+		n.noteGainedLocked(idx)
+		// Forget the gain, so that b.N may exceed the file: no writer runs
+		// here, and the log is only ever read from a link's cursor on.
+		n.myBits.Clear(idx)
+		n.gainLen.Store(0)
+	}
 }
 
 // BenchmarkClusterThroughputUnsigned is the same mem-32 swarm with
 // attestation disabled: the trust-the-report configuration the signed
 // default is compared against. Run both in one invocation so the signing
-// overhead is a same-machine delta.
+// overhead is a same-machine delta; the row carries the signed row's name
+// so that -bench '^BenchmarkClusterThroughput(Unsigned)?$/^mem-32$' selects
+// exactly the pair.
 func BenchmarkClusterThroughputUnsigned(b *testing.B) {
-	benchThroughput(b, memTransport, "", 32, smallFile, WithoutAttestation())
+	b.Run("mem-32", func(b *testing.B) { benchThroughput(b, memTransport, "", 32, smallFile, WithoutAttestation()) })
 }
 
 // BenchmarkClusterThroughputTraced is the mem-32 swarm with causal tracing
@@ -100,6 +166,8 @@ func BenchmarkClusterThroughputUnsigned(b *testing.B) {
 // of tracing: span minting, clock reads in the write loop, wire
 // trace-context extensions, continuation chains, and collector inserts.
 func BenchmarkClusterThroughputTraced(b *testing.B) {
-	benchThroughput(b, memTransport, "", 32, smallFile,
-		WithTracing(tracing.Config{SampleEvery: 32, Capacity: 1 << 13}))
+	b.Run("mem-32", func(b *testing.B) {
+		benchThroughput(b, memTransport, "", 32, smallFile,
+			WithTracing(tracing.Config{SampleEvery: 32, Capacity: 1 << 13}))
+	})
 }

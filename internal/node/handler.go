@@ -41,10 +41,16 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	if n.identity != nil {
 		hello.PubKey = n.identity.Public()
 	}
-	if dialer {
-		if conn.Send(hello) != nil || conn.Send(n.bitfieldMsg()) != nil {
-			return
-		}
+	// announced is the gain-log position our Bitfield is current to; the
+	// link's writer starts announcing there (see handshakeBitfield).
+	var announced int32
+	sendHandshake := func() bool {
+		var bits protocol.Bitfield
+		bits, announced = n.handshakeBitfield()
+		return conn.Send(hello) == nil && conn.Send(bits) == nil
+	}
+	if dialer && !sendHandshake() {
+		return
 	}
 	first, err := conn.Recv()
 	if err != nil {
@@ -98,12 +104,12 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 			n.redirect(conn, peerID) // at capacity
 			return
 		}
-		if conn.Send(hello) != nil || conn.Send(n.bitfieldMsg()) != nil {
+		if !sendHandshake() {
 			return
 		}
 	}
 
-	r := newRemote(n, peerID, conn, theirHello.Addr)
+	r := newRemote(n, peerID, conn, theirHello.Addr, announced)
 	r.lastRecv.Store(n.sinceStartNs())
 	n.mu.Lock()
 	if _, dup := n.peers[peerID]; dup || peerID == n.cfg.ID {
@@ -216,13 +222,26 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 			return n.dropHostile(r, msg)
 		}
 		n.mu.Lock()
-		if r.have.Set(int(m.Index)) {
-			if n.myBits.Has(int(m.Index)) {
-				r.theyNeed-- // they caught up on a piece we hold
-			} else {
-				r.iNeed++ // they now hold a piece we still need
-				n.noteWantedLocked(int(m.Index))
+		n.noteHaveLocked(r, int(m.Index))
+		n.mu.Unlock()
+
+	case protocol.HaveBatch:
+		// Every index is checked before the lock is taken, as for a single
+		// Have; an honest peer announces a piece once, so a batch longer than
+		// the manifest is hostile too. m.Indices may be a window of the
+		// sender's own gain log (Mem passes frames uncoded): read-only.
+		size := r.have.Size()
+		if len(m.Indices) > size {
+			return n.dropHostile(r, msg)
+		}
+		for _, idx := range m.Indices {
+			if idx < 0 || int(idx) >= size {
+				return n.dropHostile(r, msg)
 			}
+		}
+		n.mu.Lock()
+		for _, idx := range m.Indices {
+			n.noteHaveLocked(r, int(idx))
 		}
 		n.mu.Unlock()
 
@@ -240,9 +259,6 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 
 	case protocol.Attest:
 		n.handleAttest(r, m)
-
-	case protocol.AttestBatch:
-		n.handleAttestBatch(m)
 
 	case protocol.AttestedReceipt:
 		n.handleAttestedReceipt(m)
@@ -382,15 +398,22 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return
 	}
 
+	if n.cfg.Store.Has(int(m.Index)) {
+		return // nothing to gain; skip reciprocating for a duplicate
+	}
 	// The ciphertext outlives this dispatch (pending-seal escrow, possible
 	// forward), while m.Ciphertext may alias the connection's decode
-	// scratch — copy once here, then share the stable copy everywhere.
+	// scratch — copy once here, only now that it will be parked, then share
+	// the stable copy everywhere.
 	ciphertext := append([]byte(nil), m.Ciphertext...)
 	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
 	n.mu.Lock()
-	if n.cfg.Store.Has(int(m.Index)) {
+	if n.myBits.Has(int(m.Index)) {
+		// Gained while we copied. handlePiece sets the bit in the section
+		// that drops the index's pending seals, so a seal parked after this
+		// check is still dropped there; one parked without it never would be.
 		n.mu.Unlock()
-		return // nothing to gain; skip reciprocating for a duplicate
+		return
 	}
 	n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: originID, originAddr: m.OriginAddr, tc: h.context()}
 	n.noteFirstByteLocked(int(m.Index))
@@ -582,14 +605,6 @@ func (n *Node) handleAttest(r *remote, m protocol.Attest) {
 	n.checkAck(m.Att)
 }
 
-// handleAttestBatch checks each coalesced receipt individually; the batch
-// frame is pure transport-level coalescing (see protocol.AttestBatch).
-func (n *Node) handleAttestBatch(m protocol.AttestBatch) {
-	for i := range m.Atts {
-		n.checkAck(m.Atts[i])
-	}
-}
-
 // checkAck audits one receipt another peer signed over our upload. The
 // counters are the node's evidence feed: a bad ack means the counterparty
 // is minting receipts we could never spend.
@@ -673,35 +688,56 @@ func (n *Node) releaseKeys(r *remote, met []tchain.Obligation) {
 	}
 }
 
-// bitfieldMsg snapshots our holdings as a wire bitfield.
-func (n *Node) bitfieldMsg() protocol.Bitfield {
-	bits := n.cfg.Store.Bitfield()
+// handshakeBitfield snapshots our holdings as a wire bitfield, together
+// with the gain-log position the snapshot is current to. Both are read in
+// one mu section, so a piece verified while the handshake is still in
+// flight is either in the bitfield or past the position — where the link's
+// writer, whose cursor starts there, announces it — and never in neither.
+func (n *Node) handshakeBitfield() (protocol.Bitfield, int32) {
+	n.mu.Lock()
+	bits, at := n.myBits.Clone(), n.gainLen.Load()
+	n.mu.Unlock()
 	numPieces := bits.Size()
 	packed := make([]byte, (numPieces+7)/8)
-	for _, i := range bits.Indices() {
-		packed[i/8] |= 1 << (uint(i) % 8)
+	bits.ForEach(func(i int) { packed[i/8] |= 1 << (uint(i) % 8) })
+	return protocol.Bitfield{NumPieces: int32(numPieces), Bits: packed}, at
+}
+
+// noteHaveLocked records that r announced holding piece index (mu held; the
+// caller has checked the index against the manifest).
+func (n *Node) noteHaveLocked(r *remote, index int) {
+	if !r.have.Set(index) {
+		return
 	}
-	return protocol.Bitfield{NumPieces: int32(numPieces), Bits: packed}
+	if n.myBits.Has(index) {
+		r.theyNeed-- // they caught up on a piece we hold
+	} else {
+		r.iNeed++ // they now hold a piece we still need
+		n.noteWantedLocked(index)
+	}
 }
 
 // noteGainedLocked records a newly verified piece (mu held): it mirrors
-// the bit locally, adjusts every neighbor's interest counters, and
-// enqueues the Have announcements — enqueue never blocks, so doing it
-// under the lock trades the old per-piece target-snapshot allocation for a
-// few queue appends. Duplicate gains (two peers racing the same piece
+// the bit locally, publishes the index on the gain log, adjusts every
+// neighbor's interest counters and wakes its writer, which announces the
+// log's new tail in its next drain — one append per gain, not one queued
+// Have per neighbor. Duplicate gains (two peers racing the same piece
 // through Store.Put) are detected by the bitfield and ignored.
 func (n *Node) noteGainedLocked(index int) {
 	if !n.myBits.Set(index) {
 		return
 	}
 	n.noteVerifiedLocked(index)
+	at := n.gainLen.Load()
+	n.gainLog[at] = int32(index)
+	n.gainLen.Store(at + 1)
 	for _, r := range n.peers {
 		if r.have.Has(index) {
 			r.iNeed-- // no longer need it from them
 		} else {
 			r.theyNeed++ // they now lack a piece we hold
 		}
-		r.enqueue(protocol.Have{Index: int32(index)}, false, nil)
+		r.wake()
 	}
 }
 

@@ -86,6 +86,9 @@ func TestHostileFramesDropLinkNotNode(t *testing.T) {
 	}{
 		{"have-negative", 99, protocol.Have{Index: -1}, true},
 		{"have-past-end", 99, protocol.Have{Index: n}, true},
+		{"havebatch-negative", 99, protocol.HaveBatch{Indices: []int32{2, -1}}, true},
+		{"havebatch-past-end", 99, protocol.HaveBatch{Indices: []int32{2, n}}, true},
+		{"havebatch-more-than-pieces", 99, protocol.HaveBatch{Indices: make([]int32, n+1)}, true},
 		{"bitfield-oversized", 99, protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
 		{"bitfield-huge-no-bits", 99, protocol.Bitfield{NumPieces: 1 << 30}, true},
 		{"bitfield-short-bits", 99, protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
@@ -206,9 +209,9 @@ func TestAnnounceTTLClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := newRemote(n, 1, nopConn{}, "")
+	sender := newRemote(n, 1, nopConn{}, "", n.gainLen.Load())
 	for id := 1; id <= 1+2*announceFanout; id++ {
-		n.peers[id] = newRemote(n, id, nopConn{}, "")
+		n.peers[id] = newRemote(n, id, nopConn{}, "", n.gainLen.Load())
 	}
 	n.handleAnnounce(sender, protocol.Announce{ID: 99, Addr: "mem://99", Seq: 1, TTL: 255})
 	forwarded := 0

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,6 +185,10 @@ type remote struct {
 	outData   int                // bulk frames enqueued or being written
 	writing   bool               // a drained batch is on its way to the wire
 	outClosed bool
+	// announced is this link's cursor into the node's gain log (guarded by
+	// outMu): the peer has been told, by the handshake Bitfield or a
+	// Have/HaveBatch, of everything before it. takeBatch announces the rest.
+	announced int32
 
 	// traced carries the span bookkeeping for traced frames currently in
 	// the outbox (see trace.go); it is swapped out alongside the batch so
@@ -202,13 +207,16 @@ type remote struct {
 	lastPing atomic.Int64
 }
 
-// newRemote wires the outbound queue of n's link to peer id.
-func newRemote(n *Node, id int, conn transport.Conn, addr string) *remote {
+// newRemote wires the outbound queue of n's link to peer id. announced is
+// the gain-log position the Bitfield we sent this peer was current to (see
+// handshakeBitfield): the writer announces every gain from there on.
+func newRemote(n *Node, id int, conn transport.Conn, addr string, announced int32) *remote {
 	numPieces := n.cfg.Store.Manifest().NumPieces()
 	r := &remote{
 		n: n, id: id, conn: conn, addr: addr,
-		have:    piece.NewBitfield(numPieces),
-		cooling: piece.NewBitfield(numPieces),
+		have:      piece.NewBitfield(numPieces),
+		cooling:   piece.NewBitfield(numPieces),
+		announced: announced,
 	}
 	r.outCond = sync.NewCond(&r.outMu)
 	return r
@@ -220,12 +228,13 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string) *remote {
 // backpressure signal: at the bound the frame is refused and counted in
 // node_backpressure_refusals_total, the caller treats the peer as
 // saturated, and the resend cooldown re-offers the piece later. Control
-// frames — haves, receipts and their signed copies, keys, and repayment
-// pieces, whose loss would strand the counterpart's escrowed key — are
-// never refused and never counted in outData. A closed outbox drops either
-// class silently. ut, when non-nil, traces the frame: the writer
-// bookkeeping rides along and request.queued is recorded on acceptance;
-// the clock is read only then.
+// frames — receipts and their signed copies, keys, and repayment pieces,
+// whose loss would strand the counterpart's escrowed key — are never
+// refused and never counted in outData. (Piece announcements are not outbox
+// entries at all: the writer reads them off the node's gain log.) A closed
+// outbox drops either class silently. ut, when non-nil, traces the frame:
+// the writer bookkeeping rides along and request.queued is recorded on
+// acceptance; the clock is read only then.
 func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	var enqNs int64
 	if ut != nil {
@@ -269,19 +278,38 @@ func (r *remote) dataBacklogged() bool {
 	return r.outData >= maxQueuedData
 }
 
+// wake tells the writer the node's gain log grew. The signal is sent under
+// outMu, so it cannot fall between the writer's check of the log and its
+// Wait.
+func (r *remote) wake() {
+	r.outMu.Lock()
+	r.outCond.Signal()
+	r.outMu.Unlock()
+}
+
+// unannounced reports whether the node has gained pieces this peer has not
+// been told of (outMu held).
+func (r *remote) unannounced() bool { return r.n.gainLen.Load() != r.announced }
+
 // flushed reports whether every frame handed to this remote has reached
-// the wire: nothing queued and no drained batch mid-Send. A closed outbox
-// counts as flushed — its writer is gone and waiting would be pointless.
+// the wire: nothing queued, nothing gained and unannounced, and no drained
+// batch mid-Send. A closed outbox counts as flushed — its writer is gone
+// and waiting would be pointless.
 func (r *remote) flushed() bool {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
-	return r.outClosed || (len(r.outbox) == 0 && !r.writing)
+	return r.outClosed || (len(r.outbox) == 0 && !r.unannounced() && !r.writing)
 }
 
-// queued returns how many frames are waiting in the outbox.
+// queued returns how many frames are waiting to be written: the outbox,
+// plus one for the announcement the next drain will make of any gains past
+// the cursor.
 func (r *remote) queued() int {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
+	if r.unannounced() {
+		return len(r.outbox) + 1
+	}
 	return len(r.outbox)
 }
 
@@ -302,33 +330,71 @@ func (r *remote) closeOutbox() {
 	r.outCond.Broadcast()
 }
 
+// takeBatch blocks until the link has something to send — queued frames,
+// or gains past the announced cursor — and swaps all of it out as one batch
+// (the previous batch's slices are recycled, so steady state allocates
+// nothing per queued frame). Everything gained since the cursor leaves as
+// one frame: a Have for a single index, otherwise a HaveBatch whose Indices
+// is a window of the gain log itself — the published prefix is immutable,
+// so every link shares it uncopied. That frame leads the batch: it is what
+// stops the peer pushing us a piece we now hold, so it does not wait behind
+// the pieces queued before it. nData is the batch's bulk frames, which stay
+// counted in outData until recycle. ok is false once the outbox is closed
+// and nothing remains.
+func (r *remote) takeBatch() (batch []protocol.Message, traced []tracedFrame, nData int, ok bool) {
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	for len(r.outbox) == 0 && !r.unannounced() && !r.outClosed {
+		r.outCond.Wait()
+	}
+	if gained := r.n.gainLen.Load(); gained != r.announced {
+		window := r.n.gainLog[r.announced:gained:gained]
+		var frame protocol.Message = protocol.HaveBatch{Indices: window}
+		if len(window) == 1 {
+			frame = protocol.Have{Index: window[0]}
+		}
+		r.outbox = slices.Insert(r.outbox, 0, frame)
+		r.announced = gained
+	}
+	if len(r.outbox) == 0 {
+		return nil, nil, 0, false // closed and fully drained
+	}
+	batch, r.outbox = r.outbox, r.spare[:0]
+	traced, r.traced = r.traced, r.tracedSpare[:0]
+	r.writing = true
+	return batch, traced, r.outData, true
+}
+
+// recycle ends a drain: it hands takeBatch's slices back for reuse and
+// releases the batch's bulk budget — only now, so enqueue's bound covers
+// frames being written, not just frames waiting. It reports whether that
+// ended a backpressure stretch enqueue marked (tracing only).
+func (r *remote) recycle(batch []protocol.Message, traced []tracedFrame, nData int) (unchoked bool) {
+	clear(batch) // drop payload references before recycling the slice
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	r.spare = batch[:0]
+	r.tracedSpare = traced[:0]
+	r.outData -= nData
+	r.writing = false
+	if r.choked && r.outData < maxQueuedData {
+		r.choked = false
+		return true
+	}
+	return false
+}
+
 // writeLoop drains the outbox to the connection until closed or the
-// connection dies. Each drain takes the whole queue in one swap (the
-// previous batch's slice is recycled, so steady state allocates nothing)
-// and hands it to the transport's batch path when available — one flush,
-// one syscall per drain on TCP. outData is decremented only after the
-// batch hits the wire, so enqueue's bulk bound covers frames being written,
-// not just frames waiting.
+// connection dies. Each drain is one takeBatch, handed to the transport's
+// batch path when available — one flush, one syscall per drain on TCP.
 func (r *remote) writeLoop() {
 	nm, tr, self := r.n.metrics, r.n.tracer, r.n.cfg.ID
 	batcher, _ := r.conn.(transport.BatchSender)
 	for {
-		r.outMu.Lock()
-		for len(r.outbox) == 0 && !r.outClosed {
-			r.outCond.Wait()
+		batch, traced, nData, ok := r.takeBatch()
+		if !ok {
+			return
 		}
-		if len(r.outbox) == 0 {
-			r.outMu.Unlock()
-			return // closed and fully drained
-		}
-		batch := r.outbox
-		r.outbox = r.spare[:0]
-		traced := r.traced
-		r.traced = r.tracedSpare[:0]
-		nData := r.outData
-		r.writing = true
-		r.outMu.Unlock()
-
 		// The clock is read only when the drain carries traced frames, so
 		// untraced operation (tracing off, or nothing sampled) never pays
 		// for a timestamp here.
@@ -371,19 +437,7 @@ func (r *remote) writeLoop() {
 				}
 			}
 		}
-		clear(batch) // drop payload references before recycling the slice
-		unchoked := false
-		r.outMu.Lock()
-		r.spare = batch[:0]
-		r.tracedSpare = traced[:0]
-		r.outData -= nData
-		r.writing = false
-		if r.choked && r.outData < maxQueuedData {
-			r.choked = false
-			unchoked = true
-		}
-		r.outMu.Unlock()
-		if unchoked {
+		if r.recycle(batch, traced, nData) {
 			instant(tr, tracing.SpanUnchoke, self, r.id, -1)
 		}
 		if err != nil {
@@ -457,6 +511,14 @@ type Node struct {
 	// clone a bitfield on the hot path. noteGainedLocked keeps it (and
 	// every remote's counters) in sync with verified Puts.
 	myBits *piece.Bitfield
+	// gainLog lists the pieces verified since New in verification order,
+	// and gainLen is how many are published. It is append-only:
+	// noteGainedLocked writes the next slot under mu and then advances
+	// gainLen, so gainLog[:gainLen] never changes and the per-peer writers
+	// read it — and hand windows of it to Mem receivers — without a lock.
+	// Sized at New for every piece the store lacked; never reallocated.
+	gainLog []int32
+	gainLen atomic.Int32
 	// neighborScratch and wantScratch back the strategy view's slice
 	// results; both are reused across decisions (valid until the next view
 	// call, per incentive.NodeView's contract) and protected by mu.
@@ -538,6 +600,7 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	myBits := cfg.Store.Bitfield()
 	n := &Node{
 		cfg:          cfg,
 		strategy:     strategy,
@@ -553,7 +616,8 @@ func New(cfg Config) (*Node, error) {
 		pendingSeals: make(map[uint64]pendingSeal),
 		trusted:      make(map[int]bool),
 		rng:          stats.NewRNG(cfg.Seed),
-		myBits:       cfg.Store.Bitfield(),
+		myBits:       myBits,
+		gainLog:      make([]int32, myBits.Size()-myBits.Count()),
 		wantSince:    make([]int64, cfg.Store.Manifest().NumPieces()),
 		firstByteAt:  make([]int64, cfg.Store.Manifest().NumPieces()),
 		done:         make(chan struct{}),

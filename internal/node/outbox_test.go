@@ -67,7 +67,7 @@ func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 	if !stalled {
 		close(conn.gate)
 	}
-	r := newRemote(n, id, conn, "")
+	r := newRemote(n, id, conn, "", n.gainLen.Load())
 	r.theyNeed, r.iNeed = n.myBits.DiffCounts(r.have)
 	return r, conn
 }
@@ -86,7 +86,7 @@ func fillBulk(t *testing.T, r *remote) {
 // outbox — promises each class of frame.
 func TestOutboxContract(t *testing.T) {
 	bulk := protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay}
-	control := protocol.Have{Index: 1}
+	control := protocol.Key{KeyID: 1}
 	rows := []struct {
 		name string
 		run  func(t *testing.T)

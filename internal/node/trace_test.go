@@ -196,7 +196,9 @@ func (c *blockConn) RemoteAddr() string { return "block://peer" }
 
 // TestStopDrainAccounting wedges a peer connection and checks Stop's drain
 // counters: the frame stuck mid-Send is neither drained nor dropped, while
-// everything still queued behind it lands in node_stop_drain_dropped_total.
+// everything still queued behind it lands in node_stop_drain_dropped_total —
+// gains the link has not announced yet counting as the one frame they would
+// have left as.
 func TestStopDrainAccounting(t *testing.T) {
 	manifest, _ := clusterFixture(t)
 	n, err := New(Config{
@@ -213,7 +215,7 @@ func TestStopDrainAccounting(t *testing.T) {
 	}
 
 	conn := newBlockConn()
-	r := newRemote(n, 1, conn, "")
+	r := newRemote(n, 1, conn, "", n.gainLen.Load())
 	n.mu.Lock()
 	n.peers[1] = r
 	n.conns[conn] = true
@@ -225,13 +227,16 @@ func TestStopDrainAccounting(t *testing.T) {
 	}()
 
 	// First frame: the writer picks it up and wedges inside Send.
-	r.enqueue(protocol.Have{Index: 0}, false, nil)
+	r.enqueue(protocol.Key{KeyID: 0}, false, nil)
 	waitFor(t, "the writer to pick up the first frame", r.isWriting)
-	// Four more queue up behind the wedged drain.
-	const stuck = 4
-	for i := 1; i <= stuck; i++ {
-		r.enqueue(protocol.Have{Index: int32(i)}, false, nil)
+	// Four more queue up behind the wedged drain, and so does the
+	// announcement of two gains.
+	const stuck = 4 + 1
+	for i := 1; i < stuck; i++ {
+		r.enqueue(protocol.Key{KeyID: uint64(i)}, false, nil)
 	}
+	gain(n, 6)
+	gain(n, 7)
 
 	saved := stopFlushTimeout
 	stopFlushTimeout = 50 * time.Millisecond
@@ -402,10 +407,11 @@ func (nopConn) Close() error                    { return nil }
 func (nopConn) RemoteAddr() string              { return "nop://peer" }
 
 // BenchmarkOutboxUntraced pins the untraced enqueue+drain path: one bulk
-// frame through enqueue(msg, true, nil) and a writeLoop-shaped drain,
-// tracing compiled in but off. scripts/check.sh gates this at zero allocations — the proof
-// that adding the tracing hooks did not touch the hot path's allocation
-// behaviour.
+// frame through enqueue(msg, true, nil) and one writeLoop drain — the same
+// takeBatch/recycle pair, minus the goroutine handoff so the measurement is
+// deterministic — tracing compiled in but off. scripts/check.sh gates this
+// at zero allocations: the proof that adding the tracing hooks did not
+// touch the hot path's allocation behaviour.
 func BenchmarkOutboxUntraced(b *testing.B) {
 	manifest, err := piece.SyntheticManifest(4, 64)
 	if err != nil {
@@ -415,7 +421,7 @@ func BenchmarkOutboxUntraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := newRemote(n, 1, nopConn{}, "")
+	r := newRemote(n, 1, nopConn{}, "", n.gainLen.Load())
 	var msg protocol.Message = protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay, Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -423,28 +429,15 @@ func BenchmarkOutboxUntraced(b *testing.B) {
 		if !r.enqueue(msg, true, nil) {
 			b.Fatal("enqueue refused")
 		}
-		// Inline drain mirroring writeLoop's swap/recycle, minus the
-		// goroutine handoff so the measurement is deterministic.
-		r.outMu.Lock()
-		batch := r.outbox
-		r.outbox = r.spare[:0]
-		traced := r.traced
-		r.traced = r.tracedSpare[:0]
-		nData := r.outData
-		r.outMu.Unlock()
-		if len(traced) > 0 {
-			b.Fatal("untraced run produced traced frames")
+		batch, traced, nData, ok := r.takeBatch()
+		if !ok || len(traced) > 0 {
+			b.Fatalf("drain %d: ok = %v with %d traced frames, want an untraced batch", i, ok, len(traced))
 		}
 		for _, m := range batch {
 			if err := r.conn.Send(m); err != nil {
 				b.Fatal(err)
 			}
 		}
-		clear(batch)
-		r.outMu.Lock()
-		r.spare = batch[:0]
-		r.tracedSpare = traced[:0]
-		r.outData -= nData
-		r.outMu.Unlock()
+		r.recycle(batch, traced, nData)
 	}
 }

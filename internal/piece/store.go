@@ -142,10 +142,21 @@ func (s *Store) Manifest() *Manifest { return s.manifest }
 
 // Put verifies data against the manifest hash for piece i and stores it.
 // It returns ErrHashMismatch if verification fails and ErrOutOfRange for a
-// bad index. Re-putting a held piece is a verified no-op.
+// bad index. Re-putting a held piece is a verified no-op: the held bytes
+// already passed the hash, so comparing against them (stricter than an
+// equal digest) decides a duplicate without hashing it again.
 func (s *Store) Put(i int, data []byte) error {
 	if i < 0 || i >= s.manifest.NumPieces() {
 		return fmt.Errorf("piece %d of %d: %w", i, s.manifest.NumPieces(), ErrOutOfRange)
+	}
+	s.mu.RLock()
+	held, ok := s.data[i]
+	s.mu.RUnlock()
+	if ok {
+		if !bytes.Equal(held, data) {
+			return fmt.Errorf("piece %d: %w", i, ErrHashMismatch)
+		}
+		return nil
 	}
 	if sha256.Sum256(data) != s.manifest.Hashes[i] {
 		return fmt.Errorf("piece %d: %w", i, ErrHashMismatch)

@@ -91,6 +91,69 @@ func TestStorePutGetVerify(t *testing.T) {
 	}
 }
 
+// A held piece is re-verified against the stored bytes, not re-hashed: the
+// same bytes are a no-op that keeps the first copy, anything else is the
+// mismatch a fresh Put of it would have been.
+func TestStorePutHeldComparesBytes(t *testing.T) {
+	content := testContent(100)
+	m, _ := NewManifest(content, 40)
+	s := NewStore(m)
+	if err := s.Put(0, content[:40]); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := s.GetRef(0)
+
+	dup := append([]byte(nil), content[:40]...)
+	if err := s.Put(0, dup); err != nil {
+		t.Errorf("held + same bytes: err = %v, want nil", err)
+	}
+	if again, _ := s.GetRef(0); &again[0] != &first[0] || s.Count() != 1 {
+		t.Error("duplicate Put replaced the stored copy")
+	}
+
+	dup[17] ^= 0x01
+	if err := s.Put(0, dup); !errors.Is(err, ErrHashMismatch) {
+		t.Errorf("held + one flipped byte: err = %v, want ErrHashMismatch", err)
+	}
+	for _, wrongLen := range [][]byte{content[:39], content[:41], nil} {
+		if err := s.Put(0, wrongLen); !errors.Is(err, ErrHashMismatch) {
+			t.Errorf("held + %d bytes: err = %v, want ErrHashMismatch", len(wrongLen), err)
+		}
+	}
+	if got, _ := s.Get(0); !bytes.Equal(got, content[:40]) {
+		t.Error("a rejected duplicate changed the stored piece")
+	}
+}
+
+// Racing first Puts of one piece (two uploaders pushing it at once) must
+// all succeed and leave exactly one stored copy; run under -race.
+func TestStoreConcurrentFirstPutStoresOnce(t *testing.T) {
+	m, _ := SyntheticManifest(4, 256)
+	s := NewStore(m)
+	data := SyntheticPiece(2, 256)
+	refs := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for g := range refs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if err := s.Put(2, append([]byte(nil), data...)); err != nil {
+				t.Error(err)
+			}
+			refs[g], _ = s.GetRef(2)
+		}(g)
+	}
+	wg.Wait()
+	if s.Count() != 1 {
+		t.Errorf("Count = %d, want 1", s.Count())
+	}
+	for g, ref := range refs {
+		if len(ref) == 0 || &ref[0] != &refs[0][0] {
+			t.Errorf("goroutine %d saw a different stored copy", g)
+		}
+	}
+}
+
 func TestSeedStoreAndAssemble(t *testing.T) {
 	content := testContent(100)
 	m, _ := NewManifest(content, 33)

@@ -155,11 +155,6 @@ func (r *reader) str() string {
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-// attestationWireSize is the fixed wire width of one attestation: the
-// canonical signed fields (sender, receiver, index, hash, bytes, seq,
-// scheme) plus the signature.
-const attestationWireSize = 4 + 4 + 4 + 32 + 8 + 8 + 1 + attest.SigSize
-
 // attestation appends an attestation's wire form: every canonical field in
 // canonical order, then the signature. Fixed-width throughout.
 func (w *writer) attestation(a *attest.Attestation) {
@@ -257,10 +252,10 @@ func appendPayload(dst []byte, m Message) ([]byte, error) {
 		w.u64(msg.KeyID)
 		w.attestation(&msg.Att)
 		w.traceContext(msg.Trace)
-	case AttestBatch:
-		w.u32(uint32(len(msg.Atts)))
-		for i := range msg.Atts {
-			w.attestation(&msg.Atts[i])
+	case HaveBatch:
+		w.u32(uint32(len(msg.Indices)))
+		for _, idx := range msg.Indices {
+			w.i32(idx)
 		}
 	default:
 		return dst, fmt.Errorf("protocol: cannot marshal %T", m)
@@ -334,19 +329,19 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 		m = Attest{Att: r.attestation(), Trace: r.traceContext()}
 	case TypeAttestedReceipt:
 		m = AttestedReceipt{KeyID: r.u64(), Att: r.attestation(), Trace: r.traceContext()}
-	case TypeAttestBatch:
-		msg := AttestBatch{}
+	case TypeHaveBatch:
+		msg := HaveBatch{}
 		count := r.u32()
-		// Every attestation is fixed-width on the wire, so a count that
-		// overruns the remaining payload is malformed — reject before
-		// allocating the slice a forged header asks for.
-		if r.err == nil && uint64(count)*attestationWireSize > uint64(len(r.buf)) {
+		// Indices are fixed-width, so the count must account for the rest of
+		// the payload exactly — reject before allocating the slice a forged
+		// header asks for.
+		if r.err == nil && uint64(count)*4 != uint64(len(r.buf)) {
 			r.err = ErrMalformed
 		}
 		if r.err == nil && count > 0 {
-			msg.Atts = make([]attest.Attestation, 0, count)
-			for i := uint32(0); i < count; i++ {
-				msg.Atts = append(msg.Atts, r.attestation())
+			msg.Indices = make([]int32, count)
+			for i := range msg.Indices {
+				msg.Indices[i] = r.i32()
 			}
 		}
 		m = msg

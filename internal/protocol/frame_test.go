@@ -208,3 +208,44 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestHaveBatchRoundTripAllocs pins what a coalesced announcement costs on
+// the coded path: encoding one allocates nothing (pooled frame buffer), and
+// decoding one allocates exactly the index slice on top of what a single
+// Have costs (the interface box every decoded frame above index 255 pays).
+func TestHaveBatchRoundTripAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	dec := NewDecoder(&buf)
+	encode := func(m Message) {
+		if err := EncodeTo(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode := func() Message {
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	measure := func(m Message) (encAllocs, decAllocs float64) {
+		encode(m) // warm the frame pool and the decoder scratch
+		decode()
+		encAllocs = testing.AllocsPerRun(200, func() { buf.Reset(); encode(m) })
+		buf.Reset()
+		return encAllocs, testing.AllocsPerRun(200, func() { encode(m); decode() }) - encAllocs
+	}
+	var batch Message = HaveBatch{Indices: []int32{300, 301, 4095, 256, 1024, 2048, 777, 3000}}
+	haveEnc, haveDec := measure(Have{Index: 300})
+	batchEnc, batchDec := measure(batch)
+	if haveEnc != 0 || batchEnc != 0 {
+		t.Errorf("encode allocs: Have %.0f, HaveBatch %.0f, want 0 and 0", haveEnc, batchEnc)
+	}
+	if batchDec-haveDec != 1 {
+		t.Errorf("decode allocs: Have %.0f, HaveBatch %.0f, want exactly one more (the index slice)", haveDec, batchDec)
+	}
+	encode(batch)
+	if got := decode(); !reflect.DeepEqual(got, batch) {
+		t.Errorf("round trip: got %#v, want %#v", got, batch)
+	}
+}

@@ -20,6 +20,9 @@ func FuzzDecode(f *testing.F) {
 		Hello{PeerID: 8, NumPieces: 512, Addr: "127.0.0.1:9001", PubKey: bytes.Repeat([]byte{0xb7}, 32)},
 		Bitfield{NumPieces: 12, Bits: []byte{0xff, 0x0f}},
 		Have{Index: 42},
+		HaveBatch{},
+		HaveBatch{Indices: []int32{300}},
+		HaveBatch{Indices: []int32{7, 4095, 0, 256, 1024}},
 		Piece{Index: 3, RepaysKeyID: NoRepay, Data: []byte("payload")},
 		// The trace-context frame extension: a trailing 17-byte block on
 		// data-path frames.
@@ -81,6 +84,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(TypeBye)})
 	f.Add(append([]byte{0, 0, 0, 8, byte(TypeHave)}, make([]byte, 8)...))
 	f.Add([]byte{0, 0, 0, 2, byte(TypeHello), 0x01, 0x02})
+	// A HaveBatch whose count overruns its payload (refused before the index
+	// slice is allocated), and the retired AttestBatch type number.
+	f.Add([]byte{0, 0, 0, 8, byte(TypeHaveBatch), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 4, 15, 0, 0, 0, 0})
 	// A Piece with 17 trailing bytes that are NOT the trace extension (wrong
 	// magic) and one with a truncated extension (16 bytes) — both malformed.
 	badTrail := append([]byte{0, 0, 0, 33, byte(TypePiece)},

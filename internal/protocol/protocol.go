@@ -44,7 +44,8 @@ const (
 	TypeAnnounce
 	TypeAttest
 	TypeAttestedReceipt
-	TypeAttestBatch
+	_ // 15 was AttestBatch, retired unsent; the decoder answers ErrUnknownType
+	TypeHaveBatch
 )
 
 // String returns the type name.
@@ -78,8 +79,8 @@ func (t Type) String() string {
 		return "attest"
 	case TypeAttestedReceipt:
 		return "attested-receipt"
-	case TypeAttestBatch:
-		return "attest-batch"
+	case TypeHaveBatch:
+		return "have-batch"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -112,6 +113,14 @@ type Bitfield struct {
 // Have announces one newly acquired piece.
 type Have struct {
 	Index int32
+}
+
+// HaveBatch announces several newly acquired pieces, in the order they
+// were acquired — semantically that many Have frames. Indices is read-only
+// on both sides: over an in-process transport it is a window of the
+// sender's own gain log, shared by every link that announces it.
+type HaveBatch struct {
+	Indices []int32
 }
 
 // Piece delivers plaintext piece data. RepaysKeyID, when nonzero−1 (i.e.,
@@ -220,15 +229,6 @@ type Attest struct {
 	Trace tracing.Context
 }
 
-// AttestBatch carries several coalesced Attest receipts in one frame. A
-// busy downloader signs a receipt per piece; sending each as its own frame
-// would wake the peer's writer and reader once per delivery, so pending
-// receipts accumulate in the outbound queue and ride the next drain as a
-// single frame. Semantically identical to that many Attest frames.
-type AttestBatch struct {
-	Atts []attest.Attestation
-}
-
 // AttestedReceipt is the verifiable replacement for Receipt on the T-Chain
 // path: the witness's signed attestation that reciprocation for KeyID
 // arrived from Att.Sender. The seal's origin verifies the witness signature
@@ -283,8 +283,8 @@ func (Attest) MsgType() Type { return TypeAttest }
 // MsgType returns TypeAttestedReceipt.
 func (AttestedReceipt) MsgType() Type { return TypeAttestedReceipt }
 
-// MsgType returns TypeAttestBatch.
-func (AttestBatch) MsgType() Type { return TypeAttestBatch }
+// MsgType returns TypeHaveBatch.
+func (HaveBatch) MsgType() Type { return TypeHaveBatch }
 
 // Errors returned by Decode.
 var (

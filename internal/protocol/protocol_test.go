@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 		Hello{PeerID: 8, NumPieces: 512, Addr: "127.0.0.1:9001", PubKey: bytes.Repeat([]byte{0xb7}, 32)},
 		Bitfield{NumPieces: 12, Bits: []byte{0xff, 0x0f}},
 		Have{Index: 42},
+		HaveBatch{},
+		HaveBatch{Indices: []int32{300}},
+		HaveBatch{Indices: []int32{7, 4095, 0, 256}},
 		Piece{Index: 3, RepaysKeyID: NoRepay, Data: []byte("payload")},
 		Piece{Index: 3, RepaysKeyID: 77, Data: nil},
 		SealedPiece{
@@ -83,7 +87,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeReceipt, TypeBye, TypePing, TypeFindNode, TypeNodes, TypeAnnounce, TypeAttest, TypeAttestedReceipt} {
+	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeReceipt, TypeBye, TypePing, TypeFindNode, TypeNodes, TypeAnnounce, TypeAttest, TypeAttestedReceipt, TypeHaveBatch} {
 		if s := tt.String(); s == "" || strings.HasPrefix(s, "type(") {
 			t.Errorf("type %d has no name: %q", tt, s)
 		}
@@ -98,6 +102,42 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 0, 99}) // empty payload, type 99
 	if _, err := Decode(&buf); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("err = %v, want ErrUnknownType", err)
+	}
+}
+
+// Wire type 15 carried AttestBatch, which no sender ever built; the number
+// is retired, not recycled, so an old frame is refused rather than misread.
+func TestDecodeRejectsRetiredType15(t *testing.T) {
+	if TypeHaveBatch != 16 {
+		t.Fatalf("TypeHaveBatch = %d, want 16 (15 stays retired)", TypeHaveBatch)
+	}
+	for _, raw := range [][]byte{
+		{0, 0, 0, 0, 15},
+		{0, 0, 0, 4, 15, 0, 0, 0, 0}, // a well-formed empty AttestBatch
+	} {
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("type 15 frame %x: err = %v, want ErrUnknownType", raw, err)
+		}
+	}
+}
+
+// A HaveBatch whose count disagrees with its payload is malformed in either
+// direction, and is refused before the index slice is allocated: a forged
+// count of 2^32-1 must cost nothing.
+func TestDecodeRejectsHaveBatchCountMismatch(t *testing.T) {
+	overrun := []byte{0, 0, 0, 8, byte(TypeHaveBatch), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1}
+	short := []byte{0, 0, 0, 12, byte(TypeHaveBatch), 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2}
+	truncated := []byte{0, 0, 0, 2, byte(TypeHaveBatch), 0, 0}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, raw := range [][]byte{overrun, short, truncated} {
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("frame %x: err = %v, want ErrMalformed", raw, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing three 7-17 byte frames allocated %d bytes", grew)
 	}
 }
 

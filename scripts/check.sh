@@ -140,11 +140,18 @@ alloc_guard ./internal/metrics BenchmarkHistogramObserve 0
 echo "== tracing overhead guard =="
 # The per-peer outbox is the path every live frame crosses, and
 # remote.enqueue is the only way into it. With causal tracing compiled in
-# but not sampling, one bulk frame through enqueue(msg, true, nil) plus a
-# writeLoop-shaped drain must stay at exactly 0 allocs/op — the proof that
-# the trace arguments (uploadTrace, traced-frame bookkeeping, clock reads)
-# cost nothing until a push is actually sampled.
+# but not sampling, one bulk frame through enqueue(msg, true, nil) plus one
+# writeLoop drain (takeBatch, Send, recycle) must stay at exactly 0
+# allocs/op — the proof that the trace arguments (uploadTrace, traced-frame
+# bookkeeping, clock reads) cost nothing until a push is actually sampled.
 alloc_guard ./internal/node BenchmarkOutboxUntraced 0 10000x
+
+echo "== announcement fan-out allocation guard =="
+# A verified piece is announced from the node's gain log: one append, then
+# one writer wake-up per neighbor. With 15 neighbors it must cost 0
+# allocs/op — it was 15, one boxed Have queued per link, and that was most
+# of swarm_mem_small's allocations per piece.
+alloc_guard ./internal/node BenchmarkAnnounceFanout 0
 
 echo "== size =="
 # Report only, never fails: the Go line counts ROADMAP's gates and
