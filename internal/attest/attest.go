@@ -11,7 +11,7 @@
 // lookup, so a valid attestation is spendable exactly once and only by the
 // peer that actually received the data.
 //
-// Two signature schemes share one attestation shape:
+// Three signature schemes share one attestation shape:
 //
 //   - SchemeEd25519 signs with the receiver's long-term identity key.
 //     Used for T-Chain witness receipts, cross-process swarms (coopnode),
@@ -22,6 +22,13 @@
 //     keys sign once at admission, per-piece receipts ride the ~50× cheaper
 //     MAC. High-rate in-process swarms use it so verification stays off the
 //     throughput critical path.
+//   - SchemeLink MACs a T-Chain witness receipt with a key derived from the
+//     witness's session secret and the seal origin's ID, under its own
+//     derivation domain: the witness-to-origin link's key. The forwarder the
+//     receipt names is no party to it, so it cannot mint one, and a receipt
+//     addressed to one origin does not verify at another. It proves
+//     something only to its addressee (CheckLink); Check and Verify refuse
+//     it, so it is never credited or audited as a portable proof.
 //
 // SchemeNone marks an unsigned claim — the paper's trust-the-report world.
 // A strict Verifier rejects it; the AcceptAll policy (which models the
@@ -46,6 +53,9 @@ const (
 	SchemeEd25519
 	// SchemeSession is an HMAC-SHA256 tag under the pairwise session key.
 	SchemeSession
+	// SchemeLink is an HMAC-SHA256 tag under the signer's key for the link
+	// to one addressee, who alone can check it (see CheckLink).
+	SchemeLink
 )
 
 // String returns the scheme name.
@@ -57,6 +67,8 @@ func (s Scheme) String() string {
 		return "ed25519"
 	case SchemeSession:
 		return "session"
+	case SchemeLink:
+		return "link"
 	default:
 		return "scheme(?)"
 	}
@@ -130,6 +142,9 @@ var (
 	ErrNoSession = errors.New("attest: no session secret for signer")
 	// ErrBadScheme rejects unknown scheme tags.
 	ErrBadScheme = errors.New("attest: unknown signature scheme")
+	// ErrLinkScoped rejects a SchemeLink receipt presented as a portable
+	// proof: it convinces only the addressee its key was derived for.
+	ErrLinkScoped = errors.New("attest: link-scoped receipt is not a portable proof")
 )
 
 // Policy decides whether an attestation is sufficient evidence to credit
@@ -150,20 +165,40 @@ type AcceptAll struct{}
 // Verify accepts every attestation.
 func (AcceptAll) Verify(Attestation) error { return nil }
 
-// pairMACKey derives the directional MAC key receiver→sender from the
-// receiver's session secret. The sender ID is bound into the derivation so
-// a tag computed for one counterparty cannot be replayed as another's.
-func pairMACKey(session *[32]byte, sender int32) [32]byte {
+// The derivation domains of the MAC keys a session secret yields.
+const (
+	domainPair byte = 'p' // SchemeSession: receiver→sender per-piece receipts
+	domainLink byte = 'l' // SchemeLink: witness→origin receipts
+)
+
+// macKey derives the signer's directional MAC key toward peer from the
+// signer's session secret: under domainPair the receipt's sender, under
+// domainLink the origin a witness receipt is addressed to. The peer ID is
+// bound into the derivation so a tag computed for one counterparty cannot
+// be replayed as another's, and the domain so a per-piece receipt cannot
+// pass as a witness receipt to the same peer.
+func macKey(session *[32]byte, domain byte, peer int32) [32]byte {
 	var ctx [5]byte
-	ctx[0] = 'p' // domain: pairwise receipt key
-	binary.BigEndian.PutUint32(ctx[1:5], uint32(sender))
+	ctx[0] = domain
+	binary.BigEndian.PutUint32(ctx[1:5], uint32(peer))
 	return hmacSHA256(session, ctx[:])
 }
 
-// sessionTag computes the session-MAC tag for canonical bytes under a
-// pairwise key.
-func sessionTag(pairKey *[32]byte, canonical []byte) [macSize]byte {
-	return hmacSHA256(pairKey, canonical)
+// cachedMACKey returns cache[id], deriving and storing the key on first use.
+// The caller holds the lock that guards cache.
+func cachedMACKey[K comparable](cache map[K][32]byte, id K, session *[32]byte, domain byte, peer int32) [32]byte {
+	key, ok := cache[id]
+	if !ok {
+		key = macKey(session, domain, peer)
+		cache[id] = key
+	}
+	return key
+}
+
+// sessionTag computes the MAC tag for canonical bytes under a derived
+// (pairwise or link) key.
+func sessionTag(key *[32]byte, canonical []byte) [macSize]byte {
+	return hmacSHA256(key, canonical)
 }
 
 // hmacSHA256 is HMAC-SHA256 restricted to a 32-byte key and a single-block

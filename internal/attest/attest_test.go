@@ -165,6 +165,65 @@ func TestVerifyRejectsSessionWithoutSecret(t *testing.T) {
 	}
 }
 
+// TestLinkReceiptConvincesOnlyItsAddressee pins SchemeLink's accept rule:
+// witness 2 attests to origin 3 that forwarder 1 relayed a piece. Only the
+// addressee's CheckLink admits it; every portable path refuses it, the
+// forwarder cannot mint it from the pairwise key it shares with the witness,
+// and no other scheme's tag passes as a link tag.
+func TestLinkReceiptConvincesOnlyItsAddressee(t *testing.T) {
+	dir, fwd, wit := newTestPair(t)
+	dir.Register(3, NewKeyFromSeed(3, 42).Identity())
+	v := NewVerifier(dir)
+	att := wit.AttestLink(3, 1, 7, [32]byte{0xaa}, 4096)
+	if att.Scheme != SchemeLink || att.Sender != 1 || att.Receiver != 2 || att.Seq == 0 {
+		t.Fatalf("bad link receipt fields: %+v", att)
+	}
+	if err := v.CheckLink(att, 3); err != nil {
+		t.Fatalf("addressee rejected a genuine link receipt: %v", err)
+	}
+	if err := v.CheckLink(att, 4); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("another origin: got %v, want ErrBadSignature", err)
+	}
+	if err := v.CheckLink(att, 1); !errors.Is(err, ErrSelfAttestation) {
+		t.Errorf("the forwarder as addressee: got %v, want ErrSelfAttestation", err)
+	}
+	if err := v.Check(att); !errors.Is(err, ErrLinkScoped) {
+		t.Errorf("Check: got %v, want ErrLinkScoped", err)
+	}
+	if err := v.Verify(att); !errors.Is(err, ErrLinkScoped) {
+		t.Errorf("Verify: got %v, want ErrLinkScoped", err)
+	}
+	tampered := att
+	tampered.Index++
+	if err := v.CheckLink(tampered, 3); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("tampered index: got %v, want ErrBadSignature", err)
+	}
+
+	// The forwarder signs as itself, or relabels what it can obtain: the
+	// witness's per-piece session receipt for a plaintext piece it sent.
+	minted := fwd.AttestLink(3, 1, 7, [32]byte{0xaa}, 4096)
+	minted.Receiver = 2
+	if err := v.CheckLink(minted, 3); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("forwarder-minted: got %v, want ErrBadSignature", err)
+	}
+	perPiece := wit.Attest(SchemeSession, 1, 7, [32]byte{0xaa}, 4096)
+	if err := v.CheckLink(perPiece, 3); !errors.Is(err, ErrBadScheme) {
+		t.Errorf("session receipt: got %v, want ErrBadScheme", err)
+	}
+	perPiece.Scheme = SchemeLink
+	if err := v.CheckLink(perPiece, 3); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("session receipt relabelled: got %v, want ErrBadSignature", err)
+	}
+
+	tofu := NewDirectory()
+	if err := tofu.Observe(2, wit.Public()); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewVerifier(tofu).CheckLink(att, 3); !errors.Is(err, ErrNoSession) {
+		t.Errorf("witness known by public key only: got %v, want ErrNoSession", err)
+	}
+}
+
 func TestDirectorySealAndConflict(t *testing.T) {
 	dir := NewDirectory()
 	a := NewKeyFromSeed(1, 1)

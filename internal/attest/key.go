@@ -21,7 +21,8 @@ type Key struct {
 
 	mu       sync.Mutex
 	seq      map[int32]uint64   // next unassigned Seq per counterparty sender
-	pairKeys map[int32][32]byte // cached pairwise MAC keys
+	pairKeys map[int32][32]byte // cached pairwise MAC keys, by sender
+	linkKeys map[int32][32]byte // cached link MAC keys, by addressee
 }
 
 // NewKey generates a fresh random identity for peer id.
@@ -52,6 +53,7 @@ func newKey(id int32, edSeed [ed25519.SeedSize]byte) *Key {
 		priv:     ed25519.NewKeyFromSeed(edSeed[:]),
 		seq:      make(map[int32]uint64),
 		pairKeys: make(map[int32][32]byte),
+		linkKeys: make(map[int32][32]byte),
 	}
 	k.pub = k.priv.Public().(ed25519.PublicKey)
 	// The session secret is independent of the Ed25519 scalar but derived
@@ -80,7 +82,23 @@ func (k *Key) Identity() Identity {
 // Attest signs a receipt as this key's peer (the receiver): "sender
 // delivered piece index, content hash hash, n bytes". It assigns the next
 // sequence number for that sender and signs under the requested scheme.
+// SchemeLink receipts come from AttestLink, which names the addressee;
+// through Attest the addressee is the sender itself, whom no check admits.
 func (k *Key) Attest(scheme Scheme, sender, index int32, hash [32]byte, n int64) Attestation {
+	return k.attest(scheme, sender, sender, index, hash, n)
+}
+
+// AttestLink signs a T-Chain witness receipt addressed to origin: "forwarder
+// relayed piece index of origin's seal to me, n bytes". The tag is keyed to
+// this peer's link with origin (SchemeLink), so only origin can check it —
+// with Verifier.CheckLink — and the forwarder it names cannot produce it.
+func (k *Key) AttestLink(origin, forwarder, index int32, hash [32]byte, n int64) Attestation {
+	return k.attest(SchemeLink, forwarder, origin, index, hash, n)
+}
+
+// attest builds and signs one receipt naming sender; keyedTo is the peer a
+// MAC scheme derives its key toward.
+func (k *Key) attest(scheme Scheme, sender, keyedTo, index int32, hash [32]byte, n int64) Attestation {
 	att := Attestation{
 		Sender:   sender,
 		Receiver: k.id,
@@ -89,17 +107,15 @@ func (k *Key) Attest(scheme Scheme, sender, index int32, hash [32]byte, n int64)
 		Bytes:    n,
 		Scheme:   scheme,
 	}
-	var pairKey [32]byte
+	var key [32]byte
 	k.mu.Lock()
 	k.seq[sender]++
 	att.Seq = k.seq[sender]
-	if scheme == SchemeSession {
-		pk, ok := k.pairKeys[sender]
-		if !ok {
-			pk = pairMACKey(&k.session, sender)
-			k.pairKeys[sender] = pk
-		}
-		pairKey = pk
+	switch scheme {
+	case SchemeSession:
+		key = cachedMACKey(k.pairKeys, keyedTo, &k.session, domainPair, keyedTo)
+	case SchemeLink:
+		key = cachedMACKey(k.linkKeys, keyedTo, &k.session, domainLink, keyedTo)
 	}
 	k.mu.Unlock()
 
@@ -108,8 +124,8 @@ func (k *Key) Attest(scheme Scheme, sender, index int32, hash [32]byte, n int64)
 	switch scheme {
 	case SchemeEd25519:
 		copy(att.Sig[:], ed25519.Sign(k.priv, c))
-	case SchemeSession:
-		tag := sessionTag(&pairKey, c)
+	case SchemeSession, SchemeLink:
+		tag := sessionTag(&key, c)
 		copy(att.Sig[:], tag[:])
 	case SchemeNone:
 		// unsigned claim — nothing to do

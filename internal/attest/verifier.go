@@ -63,6 +63,7 @@ type Verifier struct {
 	mu       sync.Mutex
 	windows  map[uint64]window   // (receiver, sender) pair → replay window
 	pairKeys map[uint64][32]byte // cached session MAC keys per pair
+	linkKeys map[uint64][32]byte // cached link MAC keys per (witness, addressee)
 }
 
 // NewVerifier returns a verifier trusting identities admitted to dir.
@@ -71,6 +72,7 @@ func NewVerifier(dir *Directory) *Verifier {
 		dir:      dir,
 		windows:  make(map[uint64]window),
 		pairKeys: make(map[uint64][32]byte),
+		linkKeys: make(map[uint64][32]byte),
 	}
 }
 
@@ -91,33 +93,57 @@ func (v *Verifier) checkSig(att *Attestation) error {
 	if !ok {
 		return ErrUnknownSigner
 	}
-	var canonical [canonicalSize]byte
-	c := att.AppendCanonical(canonical[:0])
 	switch att.Scheme {
 	case SchemeEd25519:
-		if !ed25519.Verify(ident.PubKey, c, att.Sig[:]) {
+		var canonical [canonicalSize]byte
+		if !ed25519.Verify(ident.PubKey, att.AppendCanonical(canonical[:0]), att.Sig[:]) {
 			return ErrBadSignature
 		}
 	case SchemeSession:
-		if !ident.HasSession {
-			return ErrNoSession
-		}
-		pair := pairID(att.Receiver, att.Sender)
-		v.mu.Lock()
-		pk, ok := v.pairKeys[pair]
-		if !ok {
-			pk = pairMACKey(&ident.Session, att.Sender)
-			v.pairKeys[pair] = pk
-		}
-		v.mu.Unlock()
-		tag := sessionTag(&pk, c)
-		if !hmac.Equal(tag[:], att.Sig[:macSize]) {
-			return ErrBadSignature
-		}
+		return v.checkTag(att, &ident, v.pairKeys, domainPair, att.Sender)
+	case SchemeLink:
+		return ErrLinkScoped
 	default:
 		return ErrBadScheme
 	}
 	return nil
+}
+
+// checkTag validates att's MAC under the key the signer ident derives
+// toward peer in the given domain; cache is that domain's key cache.
+func (v *Verifier) checkTag(att *Attestation, ident *Identity, cache map[uint64][32]byte, domain byte, peer int32) error {
+	if !ident.HasSession {
+		return ErrNoSession
+	}
+	v.mu.Lock()
+	key := cachedMACKey(cache, pairID(att.Receiver, peer), &ident.Session, domain, peer)
+	v.mu.Unlock()
+	var canonical [canonicalSize]byte
+	tag := sessionTag(&key, att.AppendCanonical(canonical[:0]))
+	if !hmac.Equal(tag[:], att.Sig[:macSize]) {
+		return ErrBadSignature
+	}
+	return nil
+}
+
+// CheckLink validates a SchemeLink witness receipt as addressee, the origin
+// it must have been signed for: the tag has to verify under the key the
+// witness (att.Receiver) derives toward addressee, so a receipt minted by
+// anyone but the witness, or addressed to another origin, fails. Stateless,
+// like Check. The caller vouches for the channel — it should pass only
+// receipts that arrived on its authenticated link to att.Receiver.
+func (v *Verifier) CheckLink(att Attestation, addressee int32) error {
+	if att.Scheme != SchemeLink {
+		return ErrBadScheme
+	}
+	if att.Sender == att.Receiver || att.Sender == addressee {
+		return ErrSelfAttestation // an origin never forwards its own seal
+	}
+	ident, ok := v.dir.Lookup(att.Receiver)
+	if !ok {
+		return ErrUnknownSigner
+	}
+	return v.checkTag(&att, &ident, v.linkKeys, domainLink, addressee)
 }
 
 // admitSeq spends att's sequence number, rejecting replays and receipts
@@ -154,8 +180,9 @@ func (v *Verifier) Verify(att Attestation) error {
 }
 
 // Check validates att's signature and admission without consuming replay
-// state: the audit path (the /verify endpoint, witness-receipt checks). A
-// receipt that passes Check may still be rejected by Verify as a replay.
+// state: the audit path (the /verify endpoint, Ed25519 witness receipts,
+// receipt copies). A receipt that passes Check may still be rejected by
+// Verify as a replay.
 func (v *Verifier) Check(att Attestation) error {
 	return v.checkSig(&att)
 }

@@ -239,7 +239,10 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 	forged := genuine
 	forged.Sig[0] ^= 0xff
-	body, err := json.Marshal([]VerifyAttJSON{toJSON(genuine), toJSON(forged)})
+	// A witness receipt keyed to a link, even one addressed to the auditing
+	// node: it convinces that node on that link only, never an audit.
+	linkScoped := c.Key(2).AttestLink(1, 0, 0, [32]byte{}, testPieceSize)
+	body, err := json.Marshal([]VerifyAttJSON{toJSON(genuine), toJSON(forged), toJSON(linkScoped)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +259,8 @@ func TestVerifyEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		res.Body.Close()
-		if len(verdicts) != 2 || !verdicts[0].OK || verdicts[1].OK {
-			t.Fatalf("pass %d verdicts = %+v, want [genuine ok, forged refused]", pass, verdicts)
+		if len(verdicts) != 3 || !verdicts[0].OK || verdicts[1].OK || verdicts[2].OK {
+			t.Fatalf("pass %d verdicts = %+v, want [genuine ok, forged refused, link-scoped refused]", pass, verdicts)
 		}
 	}
 }

@@ -76,6 +76,15 @@ func TestClusterLifecycle(t *testing.T) {
 	if c.Ledger.Score(0) <= 0 {
 		t.Error("seed earned no reputation")
 	}
+	// A full mesh on the session scheme: every witness neighbors the origin
+	// over a keyed link, so no witness receipt needed the identity key. (The
+	// seed seals too and needs nothing back, so forwards are the rule.)
+	c.Stop()
+	link := sumCounter(c, `node_attest_receipts_total{result="ok",scheme="link"}`)
+	ed := sumCounter(c, `node_attest_receipts_total{result="ok",scheme="ed25519"}`)
+	if link == 0 || ed != 0 {
+		t.Errorf("verified witness receipts: %d link-keyed, %d Ed25519; want all of them link-keyed", link, ed)
+	}
 }
 
 // TestClusterOverDegradedTransport runs a whole cluster over a transport

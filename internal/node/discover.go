@@ -728,7 +728,7 @@ func (n *Node) serveDiscovery(conn transport.Conn, first protocol.Message) {
 			}
 			n.confirmReceipt(tchain.AnyPeer, m)
 		case protocol.AttestedReceipt:
-			n.handleAttestedReceipt(m)
+			n.handleAttestedReceipt(nil, m) // no authenticated link: Ed25519 only
 		default:
 			return // Bye, or a frame a discovery session has no business seeing
 		}

@@ -249,6 +249,16 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.handlePiece(r, m)
 
 	case protocol.SealedPiece:
+		// A frame may not speak for another peer: the witness attests
+		// ForwarderID, and handleKey credits OriginID, so each must be the
+		// peer this link authenticated.
+		speaker := m.OriginID
+		if m.Forwarded {
+			speaker = m.ForwarderID
+		}
+		if int(speaker) != r.id {
+			return n.dropHostile(r, msg)
+		}
 		n.handleSealed(r, m)
 
 	case protocol.Key:
@@ -261,7 +271,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.handleAttest(r, m)
 
 	case protocol.AttestedReceipt:
-		n.handleAttestedReceipt(m)
+		n.handleAttestedReceipt(r, m)
 
 	case protocol.Ping:
 		if n.disc != nil && !m.Ack {
@@ -294,10 +304,11 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 }
 
 // dropHostile ends the link to a peer whose frame no honest node could
-// have sent (an index or geometry outside the manifest). It always reports
-// true, dispatch's "close this connection"; the node itself carries on.
+// have sent (an index or geometry outside the manifest, a sealed piece
+// speaking for another peer). It always reports true, dispatch's "close
+// this connection"; the node itself carries on.
 func (n *Node) dropHostile(r *remote, msg protocol.Message) bool {
-	n.log.Warn("peer dropped: frame outside the manifest", "peer", r.id, "frame", msg.MsgType())
+	n.log.Warn("peer dropped: frame no honest peer sends", "peer", r.id, "frame", msg.MsgType())
 	return true
 }
 
@@ -374,26 +385,16 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		// dropped — the origin releases the key to the forwarder only, so a
 		// witness could never open a copy it kept.
 		n.mu.Lock()
-		origin, connected := n.peers[originID]
+		origin := n.peers[originID]
 		n.mu.Unlock()
-		var receipt protocol.Message = protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
-		if n.identity != nil {
-			// Sign the witness confirmation: the origin releases the key only
-			// for a receipt minted by an admitted identity that names the
-			// exact sealed piece. Always Ed25519 — witness receipts cross
-			// trust domains (transient connections, possibly other processes).
-			hash := [32]byte(n.cfg.Store.Manifest().Hashes[m.Index])
-			wAtt := n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, int64(len(m.Ciphertext)))
-			n.metrics.attestSigned.Inc()
-			receipt = protocol.AttestedReceipt{KeyID: m.KeyID, Att: wAtt, Trace: h.context()}
-		}
-		if connected {
-			origin.enqueue(receipt, false, nil)
-		} else if n.disc != nil && m.OriginAddr != "" {
+		switch {
+		case origin != nil:
+			origin.enqueue(n.witnessReceipt(origin, m, h), false, nil)
+		case n.disc != nil && m.OriginAddr != "":
 			// On a degree-bounded mesh the witness may not neighbor the
 			// origin; deliver the receipt over a transient connection so the
 			// forwarder still earns its key.
-			n.sendTransientReceipt(m.OriginAddr, receipt)
+			n.sendTransientReceipt(m.OriginAddr, n.witnessReceipt(nil, m, h))
 		}
 		return
 	}
@@ -423,6 +424,30 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return // renege: keep unreadable ciphertext, upload nothing
 	}
 	n.reciprocate(r, m, ciphertext)
+}
+
+// witnessReceipt builds the confirmation a witness owes the origin of the
+// forwarded seal m: the forwarder the link authenticated relayed this piece.
+// origin is our link to that origin, nil without one. A signing node signs
+// it — the origin releases the key only for a receipt minted by an admitted
+// identity that names the exact sealed piece — and which key signs is read
+// off the link: MAC'd to it (attest.SchemeLink) when it is keyed, which the
+// forwarder is no party to; Ed25519 when the receipt leaves over a
+// transient connection or the origin knows us by public key alone.
+func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrace) protocol.Message {
+	if n.identity == nil {
+		return protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
+	}
+	hash := [32]byte(n.cfg.Store.Manifest().Hashes[m.Index])
+	size := int64(len(m.Ciphertext))
+	var att attest.Attestation
+	if origin != nil && origin.linkKeyed {
+		att = n.identity.AttestLink(m.OriginID, m.ForwarderID, m.Index, hash, size)
+	} else {
+		att = n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, size)
+	}
+	n.metrics.attestSigned.Inc()
+	return protocol.AttestedReceipt{KeyID: m.KeyID, Att: att, Trace: h.context()}
 }
 
 // reciprocate fulfils the obligation created by a sealed piece. ciphertext
@@ -626,14 +651,34 @@ func (n *Node) checkAck(att attest.Attestation) {
 // receipt must name the exact piece the escrow is holding the key for, so
 // a receipt can be neither minted from thin air nor replayed after the
 // key is released (the demand that carries the piece index is gone by then).
-func (n *Node) handleAttestedReceipt(m protocol.AttestedReceipt) {
+// from is the link the frame arrived on, nil for a served transient session.
+// Two schemes are witness receipts: SchemeLink, accepted only on the link
+// whose authenticated peer is the witness and only when keyed to us, and
+// Ed25519. A per-piece SchemeSession receipt is keyed witness↔forwarder —
+// the one key the forwarder holds — and proves nothing here.
+func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
 	legacy := protocol.Receipt{KeyID: m.KeyID, From: m.Att.Sender}
 	if n.verifier == nil {
 		// Unsigned node: degrade to the legacy trust-the-witness path.
 		n.confirmReceipt(int(m.Att.Receiver), legacy)
 		return
 	}
-	if n.verifier.Check(m.Att) != nil {
+	verified := n.metrics.attestReceiptsEd25519
+	var err error
+	switch m.Att.Scheme {
+	case attest.SchemeLink:
+		verified = n.metrics.attestReceiptsLink
+		if from == nil || int32(from.id) != m.Att.Receiver {
+			err = attest.ErrLinkScoped
+		} else {
+			err = n.verifier.CheckLink(m.Att, int32(n.cfg.ID))
+		}
+	case attest.SchemeEd25519:
+		err = n.verifier.Check(m.Att)
+	default:
+		err = attest.ErrBadScheme
+	}
+	if err != nil {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
@@ -641,7 +686,7 @@ func (n *Node) handleAttestedReceipt(m protocol.AttestedReceipt) {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
-	n.metrics.attestReceiptsVerified.Inc()
+	verified.Inc()
 	n.confirmReceipt(int(m.Att.Receiver), legacy)
 }
 

@@ -71,8 +71,9 @@ func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protoc
 // TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
 // frame no honest peer could produce — or, in the one case with no frame, a
 // handshake no honest peer could produce. Frames that index outside the
-// manifest's bitfield and a Hello claiming a pseudo-peer ID must cost the
-// sender its link; the rest are ignored. Either way the node keeps serving —
+// manifest's bitfield, a sealed piece naming another peer as its sender and
+// a Hello claiming a pseudo-peer ID must cost the sender its link; the rest
+// are ignored. Either way the node keeps serving —
 // a second, honest leecher completes — and Stop returns promptly, which it
 // cannot if a handler died holding n.mu.
 func TestHostileFramesDropLinkNotNode(t *testing.T) {
@@ -92,7 +93,12 @@ func TestHostileFramesDropLinkNotNode(t *testing.T) {
 		{"bitfield-oversized", 99, protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
 		{"bitfield-huge-no-bits", 99, protocol.Bitfield{NumPieces: 1 << 30}, true},
 		{"bitfield-short-bits", 99, protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
-		{"sealed-negative", 99, protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}}, false},
+		{"sealed-negative", 99, protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, false},
+		// A frame may not speak for another peer: peer 99 has the seed, as
+		// witness, attest that peer 5 forwarded a seal, and names peer 5 the
+		// origin of its own seal, whom the key's arrival would credit.
+		{"sealed-forwarder-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 1, Forwarded: true, ForwarderID: 5}, true},
+		{"sealed-origin-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 5}, true},
 		{"piece-past-end", 99, protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
 		{"key-unknown", 99, protocol.Key{KeyID: 12345}, false},
 		// An empty-handed neighbor named incentive.NoPeer: the seed's

@@ -40,8 +40,12 @@ import (
 //	node_attest_credited_total          attestations the ledger accepted
 //	node_attest_rejected_total{reason=} attestations the ledger refused
 //	node_attest_acks_total{result=}     sender-side receipt copies checked
-//	node_attest_receipts_total{result=} witness-signed T-Chain receipts
+//	node_attest_receipts_total{result="ok",scheme="link"|"ed25519"}
+//	node_attest_receipts_total{result="rejected"}
+//	                                    witness-signed T-Chain receipts, the
+//	                                    verified ones by the key that signed
 //	node_attest_tofu_rejected_total     handshakes refused by the directory
+//	node_tchain_grace_releases_total    keys the endgame sweep released
 type nodeMetrics struct {
 	reg *metrics.Registry
 
@@ -61,9 +65,11 @@ type nodeMetrics struct {
 	attestCredited         *metrics.Counter
 	attestAcksOK           *metrics.Counter
 	attestAcksBad          *metrics.Counter
-	attestReceiptsVerified *metrics.Counter
+	attestReceiptsLink     *metrics.Counter
+	attestReceiptsEd25519  *metrics.Counter
 	attestReceiptsRejected *metrics.Counter
 	attestTOFURejected     *metrics.Counter
+	graceReleases          *metrics.Counter
 
 	// Ledger rejections, pre-resolved per reason so the error path never
 	// touches the registry's name map.
@@ -115,9 +121,11 @@ func newNodeMetrics(reg *metrics.Registry, n *Node) *nodeMetrics {
 		attestCredited:         reg.Counter("node_attest_credited_total"),
 		attestAcksOK:           reg.Counter(`node_attest_acks_total{result="ok"}`),
 		attestAcksBad:          reg.Counter(`node_attest_acks_total{result="bad"}`),
-		attestReceiptsVerified: reg.Counter(`node_attest_receipts_total{result="ok"}`),
+		attestReceiptsLink:     reg.Counter(`node_attest_receipts_total{result="ok",scheme="link"}`),
+		attestReceiptsEd25519:  reg.Counter(`node_attest_receipts_total{result="ok",scheme="ed25519"}`),
 		attestReceiptsRejected: reg.Counter(`node_attest_receipts_total{result="rejected"}`),
 		attestTOFURejected:     reg.Counter("node_attest_tofu_rejected_total"),
+		graceReleases:          reg.Counter("node_tchain_grace_releases_total"),
 		rejBadSig:              reg.Counter(`node_attest_rejected_total{reason="bad-signature"}`),
 		rejReplayed:            reg.Counter(`node_attest_rejected_total{reason="replayed"}`),
 		rejStale:               reg.Counter(`node_attest_rejected_total{reason="stale"}`),

@@ -89,8 +89,10 @@ type Config struct {
 	// AttestScheme selects the per-piece receipt signature. Zero with
 	// Identity set defaults to SchemeEd25519 (self-contained signatures,
 	// right for cross-process swarms); in-process clusters pass
-	// SchemeSession, the pairwise-MAC fast path. Witness receipts are
-	// always Ed25519 — they cross trust domains.
+	// SchemeSession, the pairwise-MAC fast path. Under SchemeSession a
+	// T-Chain witness receipt sent over an established link to an origin
+	// whose session secret the directory holds is MAC'd to that link
+	// (attest.SchemeLink); every other witness receipt is Ed25519.
 	AttestScheme attest.Scheme
 	// Ledger is the shared global-reputation service; nil creates a
 	// private one (reputation scores then stay local), verifying against
@@ -158,6 +160,9 @@ type remote struct {
 	conn transport.Conn
 	have *piece.Bitfield
 	addr string
+	// linkKeyed: a witness receipt for this peer's seals can be MAC'd to
+	// this link (see newRemote) instead of signed with the identity key.
+	linkKeyed bool
 
 	// theyNeed counts pieces we hold that the peer lacks; iNeed counts
 	// pieces the peer holds that we lack. Maintained incrementally under
@@ -209,7 +214,11 @@ type remote struct {
 
 // newRemote wires the outbound queue of n's link to peer id. announced is
 // the gain-log position the Bitfield we sent this peer was current to (see
-// handshakeBitfield): the writer announces every gain from there on.
+// handshakeBitfield): the writer announces every gain from there on. The
+// link is keyed for witness receipts when per-piece receipts already ride
+// session MACs and the directory holds the peer's session secret — the
+// peer then holds ours the same way, an in-process registration both ends
+// made; a peer known only by the public key in its Hello is not.
 func newRemote(n *Node, id int, conn transport.Conn, addr string, announced int32) *remote {
 	numPieces := n.cfg.Store.Manifest().NumPieces()
 	r := &remote{
@@ -219,6 +228,10 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, announced int3
 		announced: announced,
 	}
 	r.outCond = sync.NewCond(&r.outMu)
+	if n.identity != nil && n.attScheme == attest.SchemeSession {
+		ident, admitted := n.directory.Lookup(int32(id))
+		r.linkKeyed = admitted && ident.HasSession
+	}
 	return r
 }
 
@@ -497,6 +510,13 @@ type Node struct {
 	pendingSeals map[uint64]pendingSeal
 	trusted      map[int]bool // peers that have genuinely reciprocated a seal
 	rng          *rand.Rand
+
+	// graceLog holds one stamp per seal pushed, in push order — which is
+	// clock order, so the due ones are always at graceHead (see sweepGrace,
+	// the upload tick's endgame key release). Guarded by mu; it dies with
+	// the node, so nothing is released, or kept reachable, after Stop.
+	graceLog  []graceStamp
+	graceHead int
 
 	// wantSince and firstByteAt are per-piece span timestamps (nanoseconds
 	// on the sinceStartNs clock, 0 = unset), maintained under mu: want-time

@@ -277,48 +277,98 @@ func TestResendCooldown(t *testing.T) {
 // lacks. The witness of that forward keeps nothing: the origin releases the
 // key to the forwarder only, so a parked copy could never be opened and
 // would sit in pendingSeals until Stop. It still owes the origin a signed
-// receipt naming the forwarder, the piece and the ciphertext's size.
+// receipt naming the forwarder, the piece and the ciphertext's size — under
+// the key the link to the origin affords: MAC'd to a link both ends keyed
+// from registered session secrets, Ed25519 otherwise.
 func TestWitnessKeepsNoCiphertext(t *testing.T) {
-	const originID, otherID = 1, 2
+	const originID, otherID, farOriginID = 1, 2, 5
 	manifest, _ := clusterFixture(t)
-	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest), Identity: attest.NewKeyFromSeed(0, 1)})
-	origin, _ := fixtureRemote(n, originID, false)
-	other, _ := fixtureRemote(n, otherID, false)
-	n.peers[originID], n.peers[otherID] = origin, other
-	scratch := make([]byte, testPieceSize) // stands in for the decoder's reused buffer
-	seal := protocol.SealedPiece{Index: 3, KeyID: 11, Ciphertext: scratch, OriginID: originID}
+	dir := attest.NewDirectory()
+	dir.Register(originID, attest.NewKeyFromSeed(originID, 1).Identity())
+	for _, arm := range []struct {
+		name   string
+		cfg    Config
+		scheme attest.Scheme // of the receipt a neighbouring origin is sent
+	}{
+		{"ed25519", Config{}, attest.SchemeEd25519},
+		{"session", Config{Directory: dir, AttestScheme: attest.SchemeSession, Discover: &DiscoverConfig{}}, attest.SchemeLink},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := arm.cfg
+			cfg.Algorithm, cfg.Store, cfg.Identity = algo.TChain, piece.NewStore(manifest), attest.NewKeyFromSeed(0, 1)
+			n := fixtureNode(t, cfg)
+			origin, _ := fixtureRemote(n, originID, false)
+			other, _ := fixtureRemote(n, otherID, false)
+			n.peers[originID], n.peers[otherID] = origin, other
+			scratch := make([]byte, testPieceSize) // stands in for the decoder's reused buffer
+			seal := protocol.SealedPiece{Index: 3, KeyID: 11, Ciphertext: scratch, OriginID: originID}
+			// attests: the receipt names otherID forwarding the seal, under a
+			// signature the origin it is meant for accepts.
+			attests := func(receipt protocol.AttestedReceipt, scheme attest.Scheme, addressee int32) bool {
+				att := receipt.Att
+				accepted := n.verifier.Check(att) == nil
+				if scheme == attest.SchemeLink {
+					accepted = n.verifier.CheckLink(att, addressee) == nil
+				}
+				return accepted && att.Scheme == scheme && receipt.KeyID == seal.KeyID && att.Sender == otherID &&
+					att.Receiver == 0 && att.Index == seal.Index && att.Bytes == testPieceSize
+			}
 
-	forwarded := seal
-	forwarded.Forwarded, forwarded.ForwarderID = true, otherID
-	n.dispatch(other, forwarded)
-	if got := n.Stats().SealedPending; got != 0 {
-		t.Errorf("SealedPending = %d after witnessing a forward, want 0", got)
-	}
-	if origin.queued() != 1 || other.queued() != 0 {
-		t.Fatalf("witness queued %d frames to the origin and %d to the forwarder, want 1 and 0", origin.queued(), other.queued())
-	}
-	receipt, ok := origin.outbox[0].(protocol.AttestedReceipt)
-	if !ok {
-		t.Fatalf("witness sent the origin %T, want an AttestedReceipt", origin.outbox[0])
-	}
-	if att := receipt.Att; receipt.KeyID != seal.KeyID || att.Sender != otherID || att.Receiver != 0 ||
-		att.Index != seal.Index || att.Bytes != testPieceSize || n.verifier.Check(att) != nil {
-		t.Errorf("receipt %+v does not attest peer %d forwarding %d bytes of piece %d under key %d",
-			receipt, otherID, testPieceSize, seal.Index, seal.KeyID)
-	}
+			forwarded := seal
+			forwarded.Forwarded, forwarded.ForwarderID = true, otherID
+			n.dispatch(other, forwarded)
+			if got := n.Stats().SealedPending; got != 0 {
+				t.Errorf("SealedPending = %d after witnessing a forward, want 0", got)
+			}
+			if origin.queued() != 1 || other.queued() != 0 {
+				t.Fatalf("witness queued %d frames to the origin and %d to the forwarder, want 1 and 0", origin.queued(), other.queued())
+			}
+			receipt, ok := origin.outbox[0].(protocol.AttestedReceipt)
+			if !ok {
+				t.Fatalf("witness sent the origin %T, want an AttestedReceipt", origin.outbox[0])
+			}
+			if !attests(receipt, arm.scheme, originID) {
+				t.Errorf("receipt %+v does not attest, under the %v scheme, peer %d forwarding %d bytes of piece %d under key %d",
+					receipt, arm.scheme, otherID, testPieceSize, seal.Index, seal.KeyID)
+			}
 
-	n.dispatch(origin, seal)
-	if got := n.Stats().SealedPending; got != 1 {
-		t.Errorf("SealedPending = %d after receiving a seal, want 1", got)
-	}
-	if other.queued() != 1 {
-		t.Fatalf("receiver queued %d frames to its only other neighbor, want the forwarded seal", other.queued())
-	}
-	fwd, ok := other.outbox[0].(protocol.SealedPiece)
-	if !ok || !fwd.Forwarded || fwd.ForwarderID != 0 || fwd.KeyID != seal.KeyID || len(fwd.Ciphertext) != testPieceSize {
-		t.Fatalf("receiver forwarded %+v, want seal %d marked as forwarded by node 0", other.outbox[0], seal.KeyID)
-	}
-	if &fwd.Ciphertext[0] == &scratch[0] {
-		t.Error("the forwarded seal aliases the decode scratch instead of a stable copy")
+			if n.disc != nil {
+				// An origin we do not neighbor gets its receipt over a transient
+				// connection, where no link key exists: Ed25519 whatever the scheme.
+				l, err := n.cfg.Transport.Listen("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				far := forwarded
+				far.OriginID, far.OriginAddr = farOriginID, l.Addr()
+				n.dispatch(other, far)
+				conn, err := l.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, err := conn.Recv()
+				conn.Close()
+				n.wg.Wait() // the transient sender, released by the close
+				if receipt, ok := msg.(protocol.AttestedReceipt); err != nil || !ok || !attests(receipt, attest.SchemeEd25519, farOriginID) {
+					t.Errorf("transient session delivered %+v (%v), want an Ed25519 receipt for the forward", msg, err)
+				}
+			}
+
+			n.dispatch(origin, seal)
+			if got := n.Stats().SealedPending; got != 1 {
+				t.Errorf("SealedPending = %d after receiving a seal, want 1", got)
+			}
+			if other.queued() != 1 {
+				t.Fatalf("receiver queued %d frames to its only other neighbor, want the forwarded seal", other.queued())
+			}
+			fwd, ok := other.outbox[0].(protocol.SealedPiece)
+			if !ok || !fwd.Forwarded || fwd.ForwarderID != 0 || fwd.KeyID != seal.KeyID || len(fwd.Ciphertext) != testPieceSize {
+				t.Fatalf("receiver forwarded %+v, want seal %d marked as forwarded by node 0", other.outbox[0], seal.KeyID)
+			}
+			if &fwd.Ciphertext[0] == &scratch[0] {
+				t.Error("the forwarded seal aliases the decode scratch instead of a stable copy")
+			}
+		})
 	}
 }

@@ -77,7 +77,8 @@ const resendCooldown = 3 * time.Second
 
 // reciprocationGrace is how long a seal's key stays strictly escrowed for a
 // *trusted* receiver before the endgame fallback releases it (see
-// markTrusted). Untrusted receivers get no grace: reciprocate or starve.
+// markTrusted and sweepGrace). Untrusted receivers get no grace:
+// reciprocate or starve.
 const reciprocationGrace = 2 * time.Second
 
 // uploadLoop is the decision engine: a token bucket refilled at UploadRate
@@ -107,6 +108,7 @@ func (n *Node) uploadLoop() {
 				budget = 8 * pieceSize // unthrottled: bounded burst per tick
 			}
 			last = now
+			n.sweepGrace(n.sinceStartNs())
 			for budget >= pieceSize {
 				if !n.tryUpload() {
 					break
@@ -263,24 +265,59 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 		n.escrow.Revoke(sealed.KeyID)
 		return false
 	}
-	n.noteSent(r, len(data))
-
-	// Endgame fallback: if the receiver has genuinely reciprocated before
-	// and still owes this one after the grace period (typically because
-	// nobody in the swarm needs anything anymore), release the key.
-	keyID := sealed.KeyID
-	receiverID := r.id
-	time.AfterFunc(reciprocationGrace, func() {
-		n.mu.Lock()
-		trusted := n.trusted[receiverID]
-		receiver := n.peers[receiverID]
-		n.mu.Unlock()
-		if !trusted || receiver == nil {
-			return
-		}
-		if ob, ok := n.recip.Take(keyID); ok {
-			n.releaseKeys(receiver, []tchain.Obligation{ob})
-		}
+	// Account the push as noteSent does and, in the same mu section, queue
+	// the seal for the endgame sweep: due stamps are read under mu, so the
+	// log's push order is its clock order.
+	n.metrics.noteUpload(r.id, len(data))
+	n.mu.Lock()
+	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
+	n.graceLog = append(n.graceLog, graceStamp{
+		due: n.sinceStartNs() + int64(reciprocationGrace), keyID: sealed.KeyID, receiver: r.id,
 	})
+	n.mu.Unlock()
 	return true
+}
+
+// graceStamp is one graceLog entry: the seal under keyID, pushed to
+// receiver, leaves strict escrow at sinceStartNs due.
+type graceStamp struct {
+	due      int64
+	keyID    uint64
+	receiver int
+}
+
+// sweepGrace is the endgame fallback, run by the upload tick with now on
+// the sinceStartNs clock: every seal whose reciprocationGrace has run out —
+// those stamps are a prefix of the log — leaves the log, and if its
+// receiver has genuinely reciprocated before, is still linked and still
+// owes this one (typically because nobody in the swarm needs anything
+// anymore), its key is released. An untrusted receiver's demand stays
+// outstanding. The spent prefix is dropped as coolingAt drops its own, so
+// the log stays within twice its live length; an idle sweep is one
+// emptiness check.
+func (n *Node) sweepGrace(now int64) {
+	type grant struct {
+		to *remote
+		ob tchain.Obligation
+	}
+	var grants []grant // stays nil unless a key is still owed: the rare case
+	n.mu.Lock()
+	for n.graceHead < len(n.graceLog) && n.graceLog[n.graceHead].due <= now {
+		g := n.graceLog[n.graceHead]
+		n.graceHead++
+		if to := n.peers[g.receiver]; to != nil && n.trusted[g.receiver] {
+			if ob, owed := n.recip.Take(g.keyID); owed {
+				grants = append(grants, grant{to, ob})
+			}
+		}
+	}
+	if n.graceHead > len(n.graceLog)/2 {
+		n.graceLog = n.graceLog[:copy(n.graceLog, n.graceLog[n.graceHead:])]
+		n.graceHead = 0
+	}
+	n.mu.Unlock()
+	for _, g := range grants {
+		n.metrics.graceReleases.Inc()
+		n.releaseKeys(g.to, []tchain.Obligation{g.ob})
+	}
 }

@@ -118,9 +118,17 @@ echo "== attestation adversary gate =="
 # capture, sybil sock-puppet, self-receipt, replay) earns zero verified
 # reputation; a full signed swarm's books balance to the byte; and a
 # man-in-the-middle corrupting every receipt copy in flight is caught on
-# the ack audit path without touching the ledger.
+# the ack audit path without touching the ledger. T-Chain's witness
+# receipts too: every receipt an origin must refuse (minted by the
+# forwarder, addressed elsewhere, off its link, a per-piece receipt
+# re-wrapped, wrong piece, replayed) leaves the key in escrow, and a stopped
+# node keeps nothing alive — no timer outlives it.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestStoppedTChainNodeIsCollectable' ./internal/node
+if grep -n 'time\.AfterFunc' $(ls internal/node/*.go | grep -v '_test\.go$'); then
+  echo "internal/node arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
+  exit 1
+fi
 
 echo "== attestation allocation guard =="
 # Session-scheme receipts ride the in-process cluster hot path (one sign at
@@ -129,6 +137,10 @@ echo "== attestation allocation guard =="
 # escaping to the heap.
 alloc_guard ./internal/attest BenchmarkAttestSignSession 0
 alloc_guard ./internal/attest BenchmarkAttestVerifySession 0
+# Link-scheme witness receipts are the same MAC under another key: one sign
+# per forward at the witness, one check at the origin.
+alloc_guard ./internal/attest BenchmarkAttestSignLink 0
+alloc_guard ./internal/attest BenchmarkAttestVerifyLink 0
 
 echo "== metrics allocation guard =="
 # The sharded metrics core sits on every hot path the node instruments, so
