@@ -10,6 +10,10 @@
 // evidence that the unverified baseline would credit and a proof-checking
 // ledger must refuse. Their helpers mint the exact malicious inputs so
 // ledger tests and live-cluster runs exercise identical forgeries.
+//
+// RePush is a live-wire adversary rather than a simulated one: it speaks
+// the node protocol over a real connection and delivers one piece again and
+// again, the client that farms credit for upload nobody needed.
 package attack
 
 import (
@@ -18,6 +22,8 @@ import (
 	"repro/internal/algo"
 	"repro/internal/attest"
 	"repro/internal/incentive"
+	"repro/internal/protocol"
+	"repro/internal/transport"
 )
 
 // Kind enumerates free-rider behaviours.
@@ -164,6 +170,50 @@ func SybilReceipt(sybil *attest.Key, beneficiary, index int32, bytes int64) atte
 func SelfReceipt(key *attest.Key, index int32, bytes int64) attest.Attestation {
 	att := key.Attest(attest.SchemeEd25519, key.ID(), index, [32]byte{}, bytes)
 	return att
+}
+
+// RePush plays the duplicate-delivery client of Nielson et al., "Building
+// Better Incentives for Robustness in BitTorrent": over conn, already dialed
+// to the victim, it handshakes as peer id of a numPieces-piece swarm and
+// pushes the same piece — index, whose bytes are data — times times. Each
+// copy is genuine, hash-verifying upload, and a receiver that receipts
+// every delivery (each receipt has a fresh sequence number, so no replay
+// window objects) pays tit-for-tat rank, FairTorrent deficit and reputation
+// score for one piece's worth of content; one that credits first deliveries
+// only pays for the first copy, and nothing if it held the piece already.
+// It returns once the last copy is written; the caller closes conn.
+func RePush(conn transport.Conn, id, numPieces, index int32, data []byte, times int) error {
+	return pushAsSeed(conn, id, numPieces, times, func(int) (int32, []byte) { return index, data })
+}
+
+// pushAsSeed handshakes over conn as peer id claiming every one of numPieces
+// pieces — so the far side never uploads to it and there is nothing to read
+// past the handshake — and pushes the pieces next yields, times of them.
+func pushAsSeed(conn transport.Conn, id, numPieces int32, times int, next func(i int) (index int32, data []byte)) error {
+	bits := make([]byte, (numPieces+7)/8)
+	for i := range bits {
+		bits[i] = 0xff
+	}
+	for _, m := range []protocol.Message{
+		protocol.Hello{PeerID: id, NumPieces: numPieces},
+		protocol.Bitfield{NumPieces: numPieces, Bits: bits},
+	} {
+		if err := conn.Send(m); err != nil {
+			return fmt.Errorf("attack: handshake as peer %d: %w", id, err)
+		}
+	}
+	for range 2 { // the far side's Hello and Bitfield
+		if _, err := conn.Recv(); err != nil {
+			return fmt.Errorf("attack: handshake as peer %d: %w", id, err)
+		}
+	}
+	for i := 0; i < times; i++ {
+		index, data := next(i)
+		if err := conn.Send(protocol.Piece{Index: index, RepaysKeyID: protocol.NoRepay, Data: data}); err != nil {
+			return fmt.Errorf("attack: push %d of piece %d: %w", i+1, index, err)
+		}
+	}
+	return nil
 }
 
 // FreeRider is the incentive.Strategy a free-riding peer runs: it never

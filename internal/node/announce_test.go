@@ -95,10 +95,11 @@ func gain(n *Node, index int) {
 // Bitfield (already sent) nor any Have (no link to announce on yet), so the
 // peer believed we lacked it for the life of the link. The Bitfield and the
 // link's gain-log cursor are now read in one section, and the writer's
-// first check sees the backlog.
+// first check sees the backlog — with no signal from anyone: the node's tick
+// is an hour away, so nothing else could have announced it.
 func TestHandshakeAnnouncesGainsInFlight(t *testing.T) {
 	manifest, content := clusterFixture(t)
-	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest)})
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest), DecisionInterval: time.Hour})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,9 @@ func TestHandshakeAnnouncesGainsInFlight(t *testing.T) {
 // TestWriterCoalescesGains: gains made while the writer is held up in Send
 // leave as exactly one frame, in gain order and ahead of what was queued
 // before them, and the link is not flushed until that frame has reached the
-// conn.
+// conn. A gain signals nobody, so the first one needs the tick's flushLinks
+// to reach a parked writer; the burst needs none — the writer finds it when
+// it comes back from the conn.
 func TestWriterCoalescesGains(t *testing.T) {
 	manifest, _ := clusterFixture(t)
 	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest)})
@@ -148,7 +151,8 @@ func TestWriterCoalescesGains(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); r.writeLoop() }()
 
-	gain(n, 9) // the writer takes this one and stalls on the shut gate
+	gain(n, 9)
+	n.flushLinks() // the writer takes the gain and stalls on the shut gate
 	waitFor(t, "the writer to take the first announcement", r.isWriting)
 	queued := protocol.Key{KeyID: 5}
 	r.enqueue(queued, false, nil)

@@ -62,15 +62,15 @@ func sumCounter(c *Cluster, name string) int64 {
 func TestClusterAttestationEndToEnd(t *testing.T) {
 	const leechers = 4
 	c := startSignedCluster(t, transport.NewMem(), leechers)
-	// Completion does not quiesce the swarm: a duplicate delivery still in
-	// flight would be signed and credited between the ledger snapshot and
-	// the counter reads below. Stop first so the books are closed.
+	// Completion does not quiesce the swarm: the last receipt copies are
+	// still waiting for a tick. Stop first, which drains them, so the books
+	// are closed.
 	c.Stop()
 
-	// Racing duplicate deliveries are genuine uploads and are credited too
-	// (Store.Put is idempotent), so delivery-derived quantities are lower
-	// bounds while proofs, scores, and counters must agree exactly.
-	minDeliveries := int64(leechers * testPieces)
+	// Only a first delivery is receipted: a racing duplicate (Store.Put is
+	// idempotent) earns nothing, so the books hold exactly one proof per
+	// piece per leecher.
+	deliveries := int64(leechers * testPieces)
 
 	var valid, invalid uint64
 	var score float64
@@ -79,8 +79,8 @@ func TestClusterAttestationEndToEnd(t *testing.T) {
 		invalid += s.Invalid
 		score += s.Score
 	}
-	if int64(valid) < minDeliveries || invalid != 0 {
-		t.Errorf("ledger proofs = %d valid / %d invalid, want >= %d / 0", valid, invalid, minDeliveries)
+	if int64(valid) != deliveries || invalid != 0 {
+		t.Errorf("ledger proofs = %d valid / %d invalid, want %d / 0", valid, invalid, deliveries)
 	}
 	if want := float64(valid) * testPieceSize; score != want {
 		t.Errorf("ledger score sum = %g, want %g (one piece per proof)", score, want)

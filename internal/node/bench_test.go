@@ -20,11 +20,12 @@ var smallFile = benchFile{pieces: 48, pieceSize: 8 << 10}
 
 // benchRun is what one swarm download cost: its wall-clock time, the piece
 // deliveries it made, and the swarm-wide Stats totals behind the two
-// ratios bench/ calls node.frames_per_piece and node.useful_upload_share.
+// ratios bench/ calls node.frames_per_piece and node.useful_upload_share,
+// and behind frames per writer drain.
 type benchRun struct {
 	elapsed            time.Duration
 	pieces             int
-	frames             int64
+	frames, drains     int64
 	uploaded, credited float64
 }
 
@@ -65,6 +66,7 @@ func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) str
 	for _, n := range c.Nodes {
 		s := n.Stats()
 		run.frames += s.FramesSent
+		run.drains += s.Drains
 		run.uploaded += s.UploadedBytes
 		run.credited += s.CreditedBytes
 	}
@@ -73,8 +75,9 @@ func benchCluster(b *testing.B, tr transport.Transport, listenAddr func(int) str
 
 // benchThroughput runs benchCluster b.N times, each on a fresh network
 // from newTransport, and reports completed piece deliveries across all
-// leechers per wall-clock second, frames written per delivery, and the
-// share of uploaded bytes that were a receiver's first copy.
+// leechers per wall-clock second, frames written per delivery, frames per
+// writer drain (how well the outboxes coalesce: a drain is one flush), and
+// the share of uploaded bytes that were a receiver's first copy.
 func benchThroughput(b *testing.B, newTransport func() transport.Transport, listenAddr string, nodes int, f benchFile, extra ...ClusterOption) {
 	var total benchRun
 	b.ReportAllocs()
@@ -83,11 +86,13 @@ func benchThroughput(b *testing.B, newTransport func() transport.Transport, list
 		total.elapsed += run.elapsed
 		total.pieces += run.pieces
 		total.frames += run.frames
+		total.drains += run.drains
 		total.uploaded += run.uploaded
 		total.credited += run.credited
 	}
 	b.ReportMetric(float64(total.pieces)/total.elapsed.Seconds(), "pieces/sec")
 	b.ReportMetric(float64(total.frames)/float64(total.pieces), "frames/piece")
+	b.ReportMetric(float64(total.frames)/float64(total.drains), "frames/drain")
 	b.ReportMetric(total.credited/total.uploaded, "useful-share")
 }
 
@@ -123,8 +128,9 @@ func BenchmarkClusterThroughput(b *testing.B) {
 
 // BenchmarkAnnounceFanout is what one verified piece costs to announce on a
 // node with 15 neighbors — the swarm_mem_small fan-out: one gain-log append
-// and one writer wake-up per link. Indices start at 256 because boxing a
-// smaller Have allocates nothing and would hide a per-neighbor frame.
+// and each link's interest counters, no writer woken. Indices start at 256
+// because boxing a smaller Have allocates nothing and would hide a
+// per-neighbor frame.
 // scripts/check.sh gates this at zero allocations.
 func BenchmarkAnnounceFanout(b *testing.B) {
 	const pieces, neighbors = 4096, 15

@@ -317,56 +317,80 @@ func (n *Node) dropHostile(r *remote, msg protocol.Message) bool {
 // alias the connection's decode scratch; Store.Put is the zero-copy
 // hand-off (verify, then copy into the store), after which the scratch is
 // free to be reused by the next Recv.
+//
+// Only a first delivery earns anything. Store.Put accepts a copy of a held
+// piece (two peers racing the same index, or a client re-pushing one piece
+// on purpose), and every receipt carries a fresh sequence number, so the
+// ledger's replay window would credit each copy; whether this is the
+// delivery that set the bit is therefore decided once, under mu, and a
+// duplicate is counted and otherwise ignored.
 func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	h := n.hopStart(m.Trace, r.id, int(m.Index))
 	if err := n.cfg.Store.Put(int(m.Index), m.Data); err != nil {
-		return // forged or duplicate data; Put verified the hash
+		return // forged data; Put verified the hash
 	}
 	h.step(tracing.SpanStoreVerify)
 	// Continuation anchored at the verify span: onward uploads of this piece
 	// extend the same trace from here.
 	cont := h.context()
-	// Sign (or, unsigned, claim) the receipt outside n.mu — Ed25519 is two
-	// orders of magnitude slower than anything else under that lock.
-	att := n.signReceipt(int32(r.id), m.Index, len(m.Data))
-	h.step(tracing.SpanAttestSign)
-	n.creditAttestation(r, att, h)
-	if h != nil && n.logDebug {
-		n.log.Debug("piece verified", "piece", m.Index, "from", r.id,
-			"trace", traceHex(m.Trace.TraceID))
-	}
 	n.mu.Lock()
-	if n.pieceTrace != nil && cont.Traced() {
-		n.pieceTrace[m.Index] = cont
-	}
 	n.noteFirstByteLocked(int(m.Index))
-	// A racing duplicate (Put is idempotent) still credits the ledger as
-	// before, but the byte counters only attribute first deliveries so
-	// per-peer sums equal verified content bytes.
-	if n.myBits.Has(int(m.Index)) {
-		n.metrics.noteDuplicate(len(m.Data))
-	} else {
-		n.metrics.noteDownload(r.id, len(m.Data))
-	}
-	n.strategy.OnReceived(n.view(), incentive.PeerID(r.id), float64(len(m.Data)))
 	// A pending seal for this index is now moot; drop the ciphertext.
 	for keyID, pending := range n.pendingSeals {
 		if pending.index == int(m.Index) {
 			delete(n.pendingSeals, keyID)
 		}
 	}
-	n.noteGainedLocked(int(m.Index))
+	first := n.noteDeliveryLocked(r.id, int(m.Index), len(m.Data), cont)
 	n.mu.Unlock()
-	n.checkComplete()
+	if first {
+		n.receiptFor(r, r.id, m.Index, len(m.Data), h)
+		if h != nil && n.logDebug {
+			n.log.Debug("piece verified", "piece", m.Index, "from", r.id,
+				"trace", traceHex(m.Trace.TraceID))
+		}
+	}
 
 	if m.RepaysKeyID != protocol.NoRepay {
-		// Direct reciprocation for a seal we sent to r.
+		// Direct reciprocation for a seal we sent to r. It proves upload
+		// spent, not utility, so it counts whatever it carried.
 		released := n.recip.Confirm(n.cfg.ID, r.id)
 		if len(released) > 0 {
 			n.markTrusted(r.id)
 		}
 		n.releaseKeys(r, released)
 	}
+}
+
+// noteDeliveryLocked books one verified plaintext delivery of piece index
+// from peer sender (mu held) and reports whether it was the first: the
+// delivery that sets the bit is attributed to its sender in the byte
+// counters and the strategy, announced, and handed its trace continuation;
+// any later copy only counts as duplicate bytes.
+func (n *Node) noteDeliveryLocked(sender, index, size int, cont tracing.Context) bool {
+	if !n.noteGainedLocked(index) {
+		n.metrics.noteDuplicate(size)
+		return false
+	}
+	if n.pieceTrace != nil && cont.Traced() {
+		n.pieceTrace[index] = cont
+	}
+	n.metrics.noteDownload(sender, size)
+	n.strategy.OnReceived(n.view(), incentive.PeerID(sender), float64(size))
+	return true
+}
+
+// receiptFor signs (or, unsigned, claims) the receipt for a first delivery
+// from sender, credits it, and queues the sender's copy on to — the link to
+// that sender, nil when it has gone. It runs outside n.mu: Ed25519 is two
+// orders of magnitude slower than anything else under that lock, so the
+// attest.sign span of a traced delivery also covers the bookkeeping section
+// before it.
+func (n *Node) receiptFor(to *remote, sender int, index int32, size int, h *hopTrace) {
+	att := n.signReceipt(int32(sender), index, size)
+	h.step(tracing.SpanAttestSign)
+	n.creditAttestation(to, att, h)
+	n.checkComplete()
 }
 
 // handleSealed stores the ciphertext and reciprocates per T-Chain: repay
@@ -456,7 +480,7 @@ func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrac
 func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte) {
 	n.mu.Lock()
 	// Direct: send the origin a piece it needs.
-	directIdx := n.pickWantedLocked(r, nil)
+	directIdx := n.pickRepaymentLocked(r, n.sinceStartNs())
 	n.mu.Unlock()
 
 	if directIdx >= 0 {
@@ -537,26 +561,13 @@ func (n *Node) handleKey(m protocol.Key) {
 		return // wrong key or corrupt ciphertext: hash check failed
 	}
 	h.step(tracing.SpanStoreVerify)
-	cont := h.context()
-	att := n.signReceipt(int32(pending.originID), int32(pending.index), len(plaintext))
-	h.step(tracing.SpanAttestSign)
 	n.mu.Lock()
 	origin := n.peers[pending.originID]
+	first := n.noteDeliveryLocked(pending.originID, pending.index, len(plaintext), h.context())
 	n.mu.Unlock()
-	n.creditAttestation(origin, att, h)
-	n.mu.Lock()
-	if n.pieceTrace != nil && cont.Traced() {
-		n.pieceTrace[pending.index] = cont
+	if first {
+		n.receiptFor(origin, pending.originID, int32(pending.index), len(plaintext), h)
 	}
-	if n.myBits.Has(pending.index) {
-		n.metrics.noteDuplicate(len(plaintext))
-	} else {
-		n.metrics.noteDownload(pending.originID, len(plaintext))
-	}
-	n.strategy.OnReceived(n.view(), incentive.PeerID(pending.originID), float64(len(plaintext)))
-	n.noteGainedLocked(pending.index)
-	n.mu.Unlock()
-	n.checkComplete()
 }
 
 // handleReceipt processes an unsigned witness confirmation: release the key
@@ -603,11 +614,11 @@ func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace
 	}
 	n.metrics.attestSigned.Inc()
 	if to != nil {
-		// An ordinary control frame: a lazy no-wakeup variant was measured
-		// and bought nothing (the drain behind each piece's Have broadcast
-		// picks acks up either way), while it stranded receipts on links with
-		// no other outbound traffic — a downloader never Have-broadcasts to a
-		// complete seed, so the seed's proof copies only flushed at close.
+		// Queued without a signal (see enqueue): the sender is not blocked on
+		// its proof copy, and a writer woken per receipt is a write per piece.
+		// The upload tick's flushLinks sends it within a DecisionInterval even
+		// on a link with no other outbound traffic — a downloader never
+		// announces anything a complete seed is waiting to hear.
 		to.enqueue(protocol.Attest{Att: att, Trace: h.context()}, false, nil)
 	}
 }
@@ -762,15 +773,17 @@ func (n *Node) noteHaveLocked(r *remote, index int) {
 	}
 }
 
-// noteGainedLocked records a newly verified piece (mu held): it mirrors
-// the bit locally, publishes the index on the gain log, adjusts every
-// neighbor's interest counters and wakes its writer, which announces the
-// log's new tail in its next drain — one append per gain, not one queued
-// Have per neighbor. Duplicate gains (two peers racing the same piece
-// through Store.Put) are detected by the bitfield and ignored.
-func (n *Node) noteGainedLocked(index int) {
+// noteGainedLocked records a verified piece (mu held) and reports whether
+// it was new: it mirrors the bit locally, publishes the index on the gain
+// log and adjusts every neighbor's interest counters — one append per gain,
+// not one queued Have per neighbor, and no writer is signalled: a link
+// announces the log's new tail in its next drain, which the upload tick's
+// flushLinks causes if nothing sooner does. Duplicate gains (two peers
+// racing the same piece through Store.Put) are detected by the bitfield and
+// ignored.
+func (n *Node) noteGainedLocked(index int) bool {
 	if !n.myBits.Set(index) {
-		return
+		return false
 	}
 	n.noteVerifiedLocked(index)
 	at := n.gainLen.Load()
@@ -782,8 +795,8 @@ func (n *Node) noteGainedLocked(index int) {
 		} else {
 			r.theyNeed++ // they now lack a piece we hold
 		}
-		r.wake()
 	}
+	return true
 }
 
 // checkComplete closes the completion channel once the store fills up.

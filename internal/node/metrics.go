@@ -20,6 +20,9 @@ import (
 //
 //	node_uploaded_bytes_total / node_credited_bytes_total
 //	node_frames_sent_total{class="control"|"bulk"} / node_frames_received_total
+//	node_drains_total                   writer drains that reached the wire (one
+//	                                    flush each): frames sent per drain is
+//	                                    how well the outboxes coalesce
 //	node_backpressure_refusals_total    bulk frames refused by a full peer queue
 //	node_pieces_verified_total
 //	node_duplicate_piece_bytes_total    verified deliveries of pieces already held
@@ -53,6 +56,7 @@ type nodeMetrics struct {
 	creditedBytes  *metrics.Counter
 	framesControl  *metrics.Counter
 	framesBulk     *metrics.Counter
+	drains         *metrics.Counter
 	framesIn       *metrics.Counter
 	backpressure   *metrics.Counter
 	piecesVerified *metrics.Counter
@@ -103,6 +107,7 @@ func newNodeMetrics(reg *metrics.Registry, n *Node) *nodeMetrics {
 		creditedBytes:         reg.Counter("node_credited_bytes_total"),
 		framesControl:         reg.Counter(`node_frames_sent_total{class="control"}`),
 		framesBulk:            reg.Counter(`node_frames_sent_total{class="bulk"}`),
+		drains:                reg.Counter("node_drains_total"),
 		framesIn:              reg.Counter("node_frames_received_total"),
 		backpressure:          reg.Counter("node_backpressure_refusals_total"),
 		piecesVerified:        reg.Counter("node_pieces_verified_total"),

@@ -244,10 +244,13 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, announced int3
 // frames — receipts and their signed copies, keys, and repayment pieces,
 // whose loss would strand the counterpart's escrowed key — are never
 // refused and never counted in outData. (Piece announcements are not outbox
-// entries at all: the writer reads them off the node's gain log.) A closed
-// outbox drops either class silently. ut, when non-nil, traces the frame:
-// the writer bookkeeping rides along and request.queued is recorded on
-// acceptance; the clock is read only then.
+// entries at all: the writer reads them off the node's gain log.) Every
+// accepted frame signals the writer except a receipt copy (protocol.Attest):
+// its addressee is not waiting on it, so it rides the next drain — whichever
+// frame causes one, or the upload tick's flushLinks. A closed outbox drops
+// either class silently. ut, when non-nil, traces the frame: the writer
+// bookkeeping rides along and request.queued is recorded on acceptance; the
+// clock is read only then.
 func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	var enqNs int64
 	if ut != nil {
@@ -274,7 +277,9 @@ func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	if ut != nil {
 		r.traced = append(r.traced, ut.frame(enqNs))
 	}
-	r.outCond.Signal()
+	if _, lazy := m.(protocol.Attest); !lazy {
+		r.outCond.Signal()
+	}
 	r.outMu.Unlock()
 	if ut != nil {
 		r.n.tracer.Record(ut.queuedSpan(r.n.cfg.ID, enqNs))
@@ -291,18 +296,25 @@ func (r *remote) dataBacklogged() bool {
 	return r.outData >= maxQueuedData
 }
 
-// wake tells the writer the node's gain log grew. The signal is sent under
-// outMu, so it cannot fall between the writer's check of the log and its
-// Wait.
-func (r *remote) wake() {
-	r.outMu.Lock()
-	r.outCond.Signal()
-	r.outMu.Unlock()
-}
-
 // unannounced reports whether the node has gained pieces this peer has not
 // been told of (outMu held).
 func (r *remote) unannounced() bool { return r.n.gainLen.Load() != r.announced }
+
+// pending reports whether the link has anything to send: queued frames, or
+// gains past its announced cursor (outMu held).
+func (r *remote) pending() bool { return len(r.outbox) > 0 || r.unannounced() }
+
+// flush signals the writer if anything is pending — the announcements and
+// receipt copies that were left without a signal of their own. The check and
+// the signal share one outMu section, so the signal cannot fall between the
+// writer's own check and its Wait.
+func (r *remote) flush() {
+	r.outMu.Lock()
+	if r.pending() {
+		r.outCond.Signal()
+	}
+	r.outMu.Unlock()
+}
 
 // flushed reports whether every frame handed to this remote has reached
 // the wire: nothing queued, nothing gained and unannounced, and no drained
@@ -311,7 +323,7 @@ func (r *remote) unannounced() bool { return r.n.gainLen.Load() != r.announced }
 func (r *remote) flushed() bool {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
-	return r.outClosed || (len(r.outbox) == 0 && !r.unannounced() && !r.writing)
+	return r.outClosed || (!r.pending() && !r.writing)
 }
 
 // queued returns how many frames are waiting to be written: the outbox,
@@ -357,7 +369,7 @@ func (r *remote) closeOutbox() {
 func (r *remote) takeBatch() (batch []protocol.Message, traced []tracedFrame, nData int, ok bool) {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
-	for len(r.outbox) == 0 && !r.unannounced() && !r.outClosed {
+	for !r.pending() && !r.outClosed {
 		r.outCond.Wait()
 	}
 	if gained := r.n.gainLen.Load(); gained != r.announced {
@@ -431,6 +443,7 @@ func (r *remote) writeLoop() {
 			// beyond the bookkeeping writeLoop already does.
 			nm.framesBulk.Add(int64(nData))
 			nm.framesControl.Add(int64(len(batch) - nData))
+			nm.drains.Inc()
 			if len(traced) > 0 {
 				doneNs := time.Now().UnixNano()
 				for _, tf := range traced {
@@ -483,6 +496,7 @@ type Stats struct {
 	SealedPending  int     // ciphertext pieces awaiting keys
 	Neighbors      int
 	FramesSent     int64 // wire frames written across all peers
+	Drains         int64 // writer drains behind FramesSent: one flush (on TCP, one write) each
 	FramesReceived int64 // wire frames dispatched across all peers
 }
 
@@ -742,6 +756,10 @@ func (n *Node) Stop() error {
 		deadline := time.Now().Add(stopFlushTimeout)
 		for _, r := range remotes {
 			for !r.flushed() && time.Now().Before(deadline) {
+				// The flush tick died with n.done: signal the writer here, on
+				// every poll, since a handler still mid-frame may queue one
+				// more receipt copy or gain behind the last signal.
+				r.flush()
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -823,6 +841,7 @@ func (n *Node) Stats() Stats {
 		SealedPending:  len(n.pendingSeals),
 		Neighbors:      len(n.peers),
 		FramesSent:     n.metrics.framesControl.Value() + n.metrics.framesBulk.Value(),
+		Drains:         n.metrics.drains.Value(),
 		FramesReceived: n.metrics.framesIn.Value(),
 	}
 }

@@ -203,24 +203,38 @@ func TestTCPCluster(t *testing.T) {
 }
 
 // TestReputationContributorPreferred: with the reputation mechanism, the
-// ledger accumulates real upload credit for contributors.
+// ledger accumulates real upload credit for contributors — every byte of
+// content a leecher ends up with is credited exactly once, to the node that
+// delivered it first, and nobody holds more credit than it uploaded. (Who
+// ends up richest is not pinned: the mechanism feeds the best-reputed
+// wanting neighbor, so one early relayer can out-earn the seed, and the
+// seed used to come out on top only because its duplicate pushes were
+// credited too.)
 func TestReputationContributorPreferred(t *testing.T) {
-	c := newCluster(t, transport.NewMem(), memAddrs, algo.Reputation, 3, nil)
-	for i := 1; i <= 3; i++ {
+	const leechers = 3
+	c := newCluster(t, transport.NewMem(), memAddrs, algo.Reputation, leechers, nil)
+	for i := 1; i <= leechers; i++ {
 		if err := waitComplete(t, c.nodes[i], 20*time.Second); err != nil {
 			t.Fatalf("leecher %d incomplete: %v", i, err)
 		}
 	}
-	// The seed must have earned the highest reputation.
+	// Completion does not close the books: a handler that stored an earlier
+	// piece may still be crediting it. Stop waits for every handler.
+	c.stopAll()
 	ledger := c.nodes[0].ledger
-	seedScore := ledger.Score(0)
-	if seedScore <= 0 {
+	if ledger.Score(0) <= 0 {
 		t.Fatal("seed has no reputation despite uploading")
 	}
-	for i := 1; i <= 3; i++ {
-		if ledger.Score(i) > seedScore {
-			t.Errorf("leecher %d outscored the seed", i)
+	var total float64
+	for i, n := range c.nodes {
+		score := ledger.Score(i)
+		total += score
+		if uploaded := n.Stats().UploadedBytes; score > uploaded {
+			t.Errorf("node %d holds %g bytes of credit for %g bytes uploaded", i, score, uploaded)
 		}
+	}
+	if want := float64(leechers * testPieces * testPieceSize); total != want {
+		t.Errorf("ledger holds %g bytes of credit, want %g: each leecher's file, once", total, want)
 	}
 }
 

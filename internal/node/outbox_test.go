@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,32 @@ func TestOutboxContract(t *testing.T) {
 			r.closeOutbox()
 			<-done
 		}},
+		{"every frame but a receipt copy signals the writer at once", func(t *testing.T) {
+			// Whatever a counterpart is blocked on — a piece, the key or the
+			// receipt that releases one, a keepalive's deadline — wakes the
+			// writer from enqueue; only the sender's proof copy waits for the
+			// tick (TestFlushClock has that half).
+			n, r, _ := outboxFixture(t, nil, false)
+			for i, m := range []protocol.Message{
+				bulk, protocol.SealedPiece{KeyID: 1}, control, protocol.Receipt{KeyID: 1},
+				protocol.AttestedReceipt{KeyID: 1}, protocol.Ping{Seq: 1}, protocol.Nodes{},
+			} {
+				woke := parkOn(r)
+				r.enqueue(m, i < 2, nil)
+				expectWoken(t, woke, "a queued "+reflect.TypeOf(m).Name())
+			}
+			data, err := n.cfg.Store.GetRef(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			woke := parkOn(r)
+			n.sendPiece(r, 2, data, 7, nil)
+			expectWoken(t, woke, "a repayment piece")
+
+			woke = parkOn(r)
+			r.enqueue(protocol.Attest{}, false, nil)
+			expectParked(t, woke, "a queued receipt copy")
+		}},
 		{"a closed outbox drops both classes without counting a refusal", func(t *testing.T) {
 			n, r, _ := outboxFixture(t, nil, false)
 			r.closeOutbox()
@@ -211,7 +238,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestResendCooldown pins the one picker's two modes: the upload scheduler
 // (excluding the link's cooling set) never re-offers a piece it pushed to
 // this peer within resendCooldown and may again exactly resendCooldown
-// later, the reciprocation path (excluding nothing) ignores the cooldown,
+// later, the reciprocation path prefers a piece outside the cooldown, stamps
+// what it picks and ignores the cooldown only when nothing else is wanted,
 // and the stamps belong to the link — a reconnected peer starts with none.
 // Time is the argument: instants on the sinceStartNs clock, no sleeping.
 func TestResendCooldown(t *testing.T) {
@@ -233,12 +261,16 @@ func TestResendCooldown(t *testing.T) {
 			t.Fatalf("draw %d picked %d, want %d: every other piece is cooling down", draw, got, fresh)
 		}
 	}
-	r.cool(fresh, t1)
+	// The reciprocation pick prefers the one piece not pushed to r lately,
+	// and stamps it: the scheduler must not seal r the same piece next tick.
+	if got := n.pickRepaymentLocked(r, t1); got != fresh {
+		t.Errorf("the reciprocation pick chose %d, want %d: the only piece outside the cooldown", got, fresh)
+	}
 	if got := n.pickWantedLocked(r, r.coolingAt(t1)); got != -1 {
 		t.Errorf("picked %d with every wanted piece cooling down", got)
 	}
-	if got := n.pickWantedLocked(r, nil); got < 0 {
-		t.Error("the reciprocation pick found nothing: it must ignore the cooldown")
+	if got := n.pickRepaymentLocked(r, t1); got < 0 {
+		t.Error("the reciprocation pick found nothing: with every wanted piece cooling it must ignore the cooldown")
 	}
 
 	due := t0 + int64(resendCooldown)

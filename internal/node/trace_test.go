@@ -3,6 +3,7 @@ package node
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -194,63 +195,123 @@ func (c *blockConn) Close() error {
 
 func (c *blockConn) RemoteAddr() string { return "block://peer" }
 
-// TestStopDrainAccounting wedges a peer connection and checks Stop's drain
-// counters: the frame stuck mid-Send is neither drained nor dropped, while
-// everything still queued behind it lands in node_stop_drain_dropped_total —
-// gains the link has not announced yet counting as the one frame they would
-// have left as.
+// closeHookConn is a gateConn whose Close runs onClose.
+type closeHookConn struct {
+	*gateConn
+	onClose func()
+}
+
+func (c *closeHookConn) Close() error {
+	c.onClose()
+	return nil
+}
+
+// TestStopDrainAccounting checks Stop's drain window and its counters on
+// the two links that matter. A wedged one: the frame stuck mid-Send is
+// neither drained nor dropped, while everything still queued behind it lands
+// in node_stop_drain_dropped_total — gains the link has not announced yet
+// counting as the one frame they would have left as. And a healthy one
+// whose writer is parked over gains and receipt copies no one signalled: the
+// tick that would have flushed them died with n.done (here it is an hour
+// away to begin with), so Stop must signal the writer itself — everything
+// reaches the wire, nothing is dropped, and Stop returns at once instead of
+// waiting out stopFlushTimeout.
 func TestStopDrainAccounting(t *testing.T) {
-	manifest, _ := clusterFixture(t)
-	n, err := New(Config{
-		ID:        0,
-		Algorithm: algo.Altruism,
-		Store:     piece.NewStore(manifest),
-		Transport: transport.NewMem(),
+	// link starts a node and registers one running link of it over conn.
+	link := func(t *testing.T, conn transport.Conn) (*Node, *remote) {
+		manifest, _ := clusterFixture(t)
+		n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest), DecisionInterval: time.Hour})
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		r := newRemote(n, 1, conn, "", n.gainLen.Load())
+		n.mu.Lock()
+		n.peers[1] = r
+		n.conns[conn] = true
+		n.mu.Unlock()
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			r.writeLoop()
+		}()
+		return n, r
+	}
+
+	t.Run("wedged", func(t *testing.T) {
+		n, r := link(t, newBlockConn())
+		// First frame: the writer picks it up and wedges inside Send.
+		r.enqueue(protocol.Key{KeyID: 0}, false, nil)
+		waitFor(t, "the writer to pick up the first frame", r.isWriting)
+		// Four more queue up behind the wedged drain, and so does the
+		// announcement of two gains.
+		const stuck = 4 + 1
+		for i := 1; i < stuck; i++ {
+			r.enqueue(protocol.Key{KeyID: uint64(i)}, false, nil)
+		}
+		gain(n, 6)
+		gain(n, 7)
+
+		saved := stopFlushTimeout
+		stopFlushTimeout = 50 * time.Millisecond
+		defer func() { stopFlushTimeout = saved }()
+		if err := n.Stop(); err != nil {
+			t.Fatal(err)
+		}
+
+		if got := n.metrics.stopDrainDropped.Value(); got != stuck {
+			t.Errorf("node_stop_drain_dropped_total = %d, want %d", got, stuck)
+		}
+		if got := n.metrics.stopDrainFrames.Value(); got != 0 {
+			t.Errorf("node_stop_drain_frames_total = %d, want 0 (the drain window was wedged)", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
-		t.Fatal(err)
-	}
 
-	conn := newBlockConn()
-	r := newRemote(n, 1, conn, "", n.gainLen.Load())
-	n.mu.Lock()
-	n.peers[1] = r
-	n.conns[conn] = true
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		r.writeLoop()
-	}()
+	t.Run("parked", func(t *testing.T) {
+		conn := &gateConn{gate: make(chan struct{})}
+		close(conn.gate)
+		// Closing the conn ends the writer, as the reader's teardown does on a
+		// real link; Stop closes it only after the drain window.
+		var r *remote
+		n, r := link(t, &closeHookConn{conn, func() { r.closeOutbox() }})
+		// One signalled frame, and the wait for it to land, leaves the writer
+		// on its way back to its Wait; the rest is queued behind its back.
+		first := protocol.Key{KeyID: 9}
+		r.enqueue(first, false, nil)
+		waitFor(t, "the first frame to land", r.flushed)
+		acks := []protocol.Message{
+			protocol.Attest{Att: n.signReceipt(1, 2, testPieceSize)},
+			protocol.Attest{Att: n.signReceipt(1, 3, testPieceSize)},
+		}
+		for _, ack := range acks {
+			r.enqueue(ack, false, nil)
+		}
+		gain(n, 6)
+		gain(n, 7)
 
-	// First frame: the writer picks it up and wedges inside Send.
-	r.enqueue(protocol.Key{KeyID: 0}, false, nil)
-	waitFor(t, "the writer to pick up the first frame", r.isWriting)
-	// Four more queue up behind the wedged drain, and so does the
-	// announcement of two gains.
-	const stuck = 4 + 1
-	for i := 1; i < stuck; i++ {
-		r.enqueue(protocol.Key{KeyID: uint64(i)}, false, nil)
-	}
-	gain(n, 6)
-	gain(n, 7)
-
-	saved := stopFlushTimeout
-	stopFlushTimeout = 50 * time.Millisecond
-	defer func() { stopFlushTimeout = saved }()
-	if err := n.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := n.metrics.stopDrainDropped.Value(); got != stuck {
-		t.Errorf("node_stop_drain_dropped_total = %d, want %d", got, stuck)
-	}
-	if got := n.metrics.stopDrainFrames.Value(); got != 0 {
-		t.Errorf("node_stop_drain_frames_total = %d, want 0 (the drain window was wedged)", got)
-	}
+		began := time.Now()
+		if err := n.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(began); took > stopFlushTimeout/4 {
+			t.Errorf("Stop took %v with a healthy link: it waited on a writer nobody signalled (stopFlushTimeout is %v)", took, stopFlushTimeout)
+		}
+		if got := n.metrics.stopDrainDropped.Value(); got != 0 {
+			t.Errorf("node_stop_drain_dropped_total = %d, want 0", got)
+		}
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		var sentAcks int
+		var sentHaves []int32
+		for _, m := range conn.sent {
+			if _, ack := m.(protocol.Attest); ack {
+				sentAcks++
+			}
+			sentHaves = append(sentHaves, announced(m)...)
+		}
+		if sentAcks != len(acks) || !slices.Equal(sentHaves, []int32{6, 7}) {
+			t.Errorf("wire saw %d receipt copies and announcements of %v in %+v, want %d and [6 7]", sentAcks, sentHaves, conn.sent, len(acks))
+		}
+	})
 }
 
 // TestDebugDHTAndBucketGauges checks the routing-table health surfaces: the

@@ -81,13 +81,13 @@ const resendCooldown = 3 * time.Second
 // reciprocate or starve.
 const reciprocationGrace = 2 * time.Second
 
-// uploadLoop is the decision engine: a token bucket refilled at UploadRate
-// drives strategy-chosen piece pushes.
+// uploadLoop is the node's one clock. Each DecisionInterval tick sweeps the
+// endgame grace queue, flushes the control traffic nobody is waiting on (see
+// flushLinks) and then spends the upload budget: a token bucket refilled at
+// UploadRate drives strategy-chosen piece pushes. A free-rider skips only
+// that last half — it still owes its neighbors announcements and receipts.
 func (n *Node) uploadLoop() {
 	defer n.wg.Done()
-	if n.cfg.FreeRide {
-		return // free-riders never upload
-	}
 	ticker := time.NewTicker(n.cfg.DecisionInterval)
 	defer ticker.Stop()
 
@@ -99,6 +99,11 @@ func (n *Node) uploadLoop() {
 		case <-n.done:
 			return
 		case now := <-ticker.C:
+			n.sweepGrace(n.sinceStartNs())
+			n.flushLinks()
+			if n.cfg.FreeRide {
+				continue // free-riders never upload
+			}
 			if n.cfg.UploadRate > 0 {
 				budget += n.cfg.UploadRate * now.Sub(last).Seconds()
 				if maxBudget := 4 * pieceSize; budget > maxBudget {
@@ -108,7 +113,6 @@ func (n *Node) uploadLoop() {
 				budget = 8 * pieceSize // unthrottled: bounded burst per tick
 			}
 			last = now
-			n.sweepGrace(n.sinceStartNs())
 			for budget >= pieceSize {
 				if !n.tryUpload() {
 					break
@@ -117,6 +121,21 @@ func (n *Node) uploadLoop() {
 			}
 		}
 	}
+}
+
+// flushLinks is the flush clock for control traffic no counterpart is
+// blocked on: piece announcements (gains past a link's announced cursor) and
+// receipt copies signal no writer when they arise, and this pass, once a
+// tick, signals every link that has any — one walk of n.peers under mu
+// (outMu nests inside it), nothing allocated, no idle link woken. Frames a
+// counterpart is waiting on signal their writer from enqueue, and whatever
+// drain they cause carries the link's announcements and copies with it.
+func (n *Node) flushLinks() {
+	n.mu.Lock()
+	for _, r := range n.peers {
+		r.flush()
+	}
+	n.mu.Unlock()
 }
 
 // tryUpload asks the strategy for a receiver and pushes one piece; reports
@@ -167,14 +186,32 @@ func (n *Node) tryUpload() bool {
 
 // pickWantedLocked returns a uniformly random piece we hold that r lacks
 // and exclude does not mark, or -1 (mu held). The upload scheduler excludes
-// r's cooling set; the reciprocation path passes nil, because repaying with
-// a piece we recently pushed is still a valid (and verifiable) repayment.
-// The cached theyNeed counter short-circuits peers with nothing to gain.
+// r's cooling set; the reciprocation path falls back to nil (see
+// pickRepaymentLocked). The cached theyNeed counter short-circuits peers
+// with nothing to gain.
 func (n *Node) pickWantedLocked(r *remote, exclude *piece.Bitfield) int {
 	if r.theyNeed == 0 {
 		return -1
 	}
 	return piece.SelectRandomMissing(n.rng, r.have, n.myBits, exclude)
+}
+
+// pickRepaymentLocked picks the piece that repays one of r's seals at now on
+// the sinceStartNs clock, or -1 (mu held), and starts its resend cooldown so
+// the upload scheduler does not seal r the same piece a moment later. A
+// piece outside r's cooling set is preferred — one we sealed to r just now
+// would arrive twice — but when every wanted piece is cooling any of them
+// will do: a recently pushed piece is still a valid (and verifiable)
+// repayment.
+func (n *Node) pickRepaymentLocked(r *remote, now int64) int {
+	idx := n.pickWantedLocked(r, r.coolingAt(now))
+	if idx < 0 {
+		idx = n.pickWantedLocked(r, nil)
+	}
+	if idx >= 0 {
+		r.cool(idx, now)
+	}
+	return idx
 }
 
 // pushStamp is one coolLog entry: piece idx was pushed at sinceStartNs at.
@@ -200,8 +237,9 @@ func (r *remote) coolingAt(now int64) *piece.Bitfield {
 	return r.cooling
 }
 
-// cool starts piece idx's resend cooldown at now (mu held). now must not
-// precede an earlier stamp: tryUpload, the only caller, reads it under mu.
+// cool starts piece idx's resend cooldown at now (mu held); a piece already
+// cooling keeps its stamp. now must not precede an earlier stamp: both
+// callers, tryUpload and pickRepaymentLocked, read it under mu.
 func (r *remote) cool(idx int, now int64) {
 	if r.cooling.Set(idx) {
 		r.coolLog = append(r.coolLog, pushStamp{at: now, idx: idx})

@@ -4,7 +4,8 @@
 # runner is exercised concurrently by the experiment tests), the benchmark
 # module's own vet and tests (bench/ is a separate module pinned against
 # this one's public API), the named discovery and attestation gates, the
-# allocation guards on the hot paths, and a report-only size table.
+# allocation guards on the hot paths, the flush clock's frames-per-piece
+# ceiling, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,9 +123,15 @@ echo "== attestation adversary gate =="
 # receipts too: every receipt an origin must refuse (minted by the
 # forwarder, addressed elsewhere, off its link, a per-piece receipt
 # re-wrapped, wrong piece, replayed) leaves the key in escrow, and a stopped
-# node keeps nothing alive — no timer outlives it.
-go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce' ./internal/attack
+# node keeps nothing alive — no timer outlives it. And the credit that needs
+# no forgery: a client re-pushing one piece the receiver holds earns nothing,
+# on the ledger or in the node's books. The receipt copies all of this
+# audits travel on the flush clock, so its tests are gated here too: nothing
+# signals a writer for an announcement or a copy, the tick does, a free-rider
+# still ticks, and Stop drains what the dead tick left.
+go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestStoppedTChainNodeIsCollectable' ./internal/node
+go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains' ./internal/node
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go | grep -v '_test\.go$'); then
   echo "internal/node arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
   exit 1
@@ -159,11 +166,31 @@ echo "== tracing overhead guard =="
 alloc_guard ./internal/node BenchmarkOutboxUntraced 0 10000x
 
 echo "== announcement fan-out allocation guard =="
-# A verified piece is announced from the node's gain log: one append, then
-# one writer wake-up per neighbor. With 15 neighbors it must cost 0
-# allocs/op — it was 15, one boxed Have queued per link, and that was most
-# of swarm_mem_small's allocations per piece.
+# A verified piece is announced from the node's gain log: one append and the
+# neighbors' interest counters, no frame queued and no writer woken — the
+# links announce the log's tail on their next drain, which the upload tick
+# causes if nothing sooner does. With 15 neighbors it must cost 0 allocs/op —
+# it was 15, one boxed Have queued per link, and that was most of
+# swarm_mem_small's allocations per piece.
 alloc_guard ./internal/node BenchmarkAnnounceFanout 0
+
+echo "== flush clock guard =="
+# Announcements and receipt copies ride the node's tick, not a writer
+# wake-up per event per link: the swarm_tcp shape writes about 3.0 frames per
+# delivered piece (4.7 when every gain woke every link's writer and each
+# wake-up left as its own one- or two-index Have). A ceiling between the two,
+# so a per-event wake cannot creep back unnoticed.
+frames_out=$(go test -run=NONE -bench='^BenchmarkClusterThroughput$/^tcp-8x4096x4K$' -benchtime=3x ./internal/node)
+echo "$frames_out"
+frames_per_piece=$(echo "$frames_out" | awk '/^BenchmarkClusterThroughput\/tcp-8x4096x4K/ {for (i = 2; i <= NF; i++) if ($i == "frames/piece") print $(i-1)}')
+if [ -z "$frames_per_piece" ]; then
+  echo "flush clock guard: no frames/piece in the benchmark output" >&2
+  exit 1
+fi
+if awk -v f="$frames_per_piece" 'BEGIN {exit !(f > 3.8)}'; then
+  echo "flush clock guard: $frames_per_piece frames per piece on tcp-8x4096x4K (ceiling 3.8)" >&2
+  exit 1
+fi
 
 echo "== size =="
 # Report only, never fails: the Go line counts ROADMAP's gates and
