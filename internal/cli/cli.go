@@ -195,11 +195,6 @@ func (p *ProfileFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.TracePath, "trace", p.TracePath, "write a runtime execution trace to this file")
 }
 
-// Active reports whether any profiling output was requested.
-func (p *ProfileFlags) Active() bool {
-	return p.CPUPath != "" || p.MemPath != "" || p.TracePath != ""
-}
-
 // Start begins CPU profiling and execution tracing for the requested
 // outputs. On error, anything already started is stopped.
 func (p *ProfileFlags) Start() error {

@@ -2,7 +2,10 @@
 // paper's six incentive mechanisms, the swarm simulator, the closed-form
 // performance model, and the experiment harnesses behind a small,
 // stable API. The example programs and command-line tools are written
-// against this package only.
+// against this package only — which is why it restates the handful of
+// sim.WithX options they use under its own name: a caller that needs one
+// more knob imports internal/sim (Option is an alias, so the two compose),
+// and everything else never learns the simulator's package layout.
 package core
 
 import (
@@ -83,10 +86,6 @@ func WithFaults(abortRate, seederExitAt float64) Option {
 		sim.WithSeederExit(seederExitAt)(c)
 	}
 }
-
-// WithConfig applies an arbitrary low-level mutation for knobs the other
-// options do not cover.
-func WithConfig(mod func(*sim.Config)) Option { return sim.WithConfig(mod) }
 
 // Probe observes a simulation run through the swarm's hook stream; see the
 // probe package for the hook catalogue and the Base embedding helper.

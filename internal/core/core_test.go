@@ -37,7 +37,7 @@ func TestSimulateOptions(t *testing.T) {
 		WithHorizon(900),
 		WithSeeder(2<<20),
 		WithFreeRiders(0.2, MostEffectiveAttack(BitTorrent)),
-		WithConfig(func(c *sim.Config) { c.MaxNeighbors = 20 }),
+		sim.WithConfig(func(c *sim.Config) { c.MaxNeighbors = 20 }),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestSimulateOptions(t *testing.T) {
 		t.Error("free-riders present but susceptibility 0")
 	}
 	if res.Config.MaxNeighbors != 20 {
-		t.Error("WithConfig mutation lost")
+		t.Error("a sim option composed with core's was lost")
 	}
 }
 

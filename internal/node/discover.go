@@ -10,7 +10,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/tchain"
 	"repro/internal/tracing"
 	"repro/internal/transport"
 )
@@ -667,13 +666,12 @@ func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discove
 	}
 }
 
-// sendTransientReceipt delivers a T-Chain receipt frame (Receipt, or
-// AttestedReceipt on a signing node) to an origin the witness is not wired
-// to: dial, send, and hold the connection open until the origin hangs up
-// (an asynchronous transport would destroy the in-flight frame on an
-// immediate close), bounded by the query-timeout watchdog. Fire-and-forget
-// — a lost receipt costs one key release, which the origin's endgame grace
-// covers for trusted receivers.
+// sendTransientReceipt delivers a T-Chain witness receipt to an origin the
+// witness is not wired to: dial, send, and hold the connection open until
+// the origin hangs up (an asynchronous transport would destroy the in-flight
+// frame on an immediate close), bounded by the query-timeout watchdog.
+// Fire-and-forget — a lost receipt costs one key release, which the origin's
+// endgame grace covers for trusted receivers.
 func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 	d := n.disc
 	n.wg.Add(1)
@@ -718,17 +716,11 @@ func (n *Node) serveDiscovery(conn transport.Conn, first protocol.Message) {
 					return
 				}
 			}
-		case protocol.Receipt:
-			// A witness that does not neighbor us confirms a reciprocation
-			// out of band (see sendTransientReceipt). Signing nodes refuse
-			// the unsigned form, same as on established links.
-			if n.identity != nil {
-				n.metrics.attestReceiptsRejected.Inc()
-				return
-			}
-			n.confirmReceipt(tchain.AnyPeer, m)
 		case protocol.AttestedReceipt:
-			n.handleAttestedReceipt(nil, m) // no authenticated link: Ed25519 only
+			// A witness that does not neighbor us confirms a reciprocation
+			// out of band (see sendTransientReceipt). No authenticated link: a
+			// signing node accepts Ed25519 only.
+			n.handleAttestedReceipt(nil, m)
 		default:
 			return // Bye, or a frame a discovery session has no business seeing
 		}

@@ -162,11 +162,8 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	defer func() {
 		n.mu.Lock()
 		n.unlinkLocked(r)
-		revoked := n.recip.Forget(peerID)
+		n.escrow.Forget(peerID) // under mu: no new link to peerID seals in between
 		n.mu.Unlock()
-		for _, keyID := range revoked {
-			n.escrow.Revoke(keyID)
-		}
 		n.log.Debug("peer disconnected", "peer", peerID)
 	}()
 
@@ -262,10 +259,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.handleSealed(r, m)
 
 	case protocol.Key:
-		n.handleKey(m)
-
-	case protocol.Receipt:
-		n.handleReceipt(r, m)
+		n.handleKey(r, m)
 
 	case protocol.Attest:
 		n.handleAttest(r, m)
@@ -336,9 +330,9 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	n.mu.Lock()
 	n.noteFirstByteLocked(int(m.Index))
 	// A pending seal for this index is now moot; drop the ciphertext.
-	for keyID, pending := range n.pendingSeals {
+	for ref, pending := range n.pendingSeals {
 		if pending.index == int(m.Index) {
-			delete(n.pendingSeals, keyID)
+			delete(n.pendingSeals, ref)
 		}
 	}
 	first := n.noteDeliveryLocked(r.id, int(m.Index), len(m.Data), cont)
@@ -354,11 +348,9 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	if m.RepaysKeyID != protocol.NoRepay {
 		// Direct reciprocation for a seal we sent to r. It proves upload
 		// spent, not utility, so it counts whatever it carried.
-		released := n.recip.Confirm(n.cfg.ID, r.id)
-		if len(released) > 0 {
-			n.markTrusted(r.id)
+		for _, k := range n.escrow.Confirm(r.id) {
+			r.sendKey(k)
 		}
-		n.releaseKeys(r, released)
 	}
 }
 
@@ -401,7 +393,6 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return // malformed index; nothing downstream would accept it
 	}
 	h := n.hopStart(m.Trace, r.id, int(m.Index))
-	originID := int(m.OriginID)
 
 	if m.Forwarded {
 		// We are the witness of someone else's reciprocation: confirm it to
@@ -409,7 +400,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		// dropped — the origin releases the key to the forwarder only, so a
 		// witness could never open a copy it kept.
 		n.mu.Lock()
-		origin := n.peers[originID]
+		origin := n.peers[int(m.OriginID)]
 		n.mu.Unlock()
 		switch {
 		case origin != nil:
@@ -440,7 +431,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		n.mu.Unlock()
 		return
 	}
-	n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: originID, originAddr: m.OriginAddr, tc: h.context()}
+	n.pendingSeals[sealRef{origin: r.id, keyID: m.KeyID}] = pendingSeal{sealed: sealed, index: int(m.Index), tc: h.context()}
 	n.noteFirstByteLocked(int(m.Index))
 	n.mu.Unlock()
 
@@ -452,25 +443,25 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 
 // witnessReceipt builds the confirmation a witness owes the origin of the
 // forwarded seal m: the forwarder the link authenticated relayed this piece.
-// origin is our link to that origin, nil without one. A signing node signs
-// it — the origin releases the key only for a receipt minted by an admitted
+// origin is our link to that origin, nil without one. An unsigned node sends
+// the bare claim (the paper's trust model); a signing node signs it — the
+// origin releases the key only for a receipt minted by an admitted
 // identity that names the exact sealed piece — and which key signs is read
 // off the link: MAC'd to it (attest.SchemeLink) when it is keyed, which the
 // forwarder is no party to; Ed25519 when the receipt leaves over a
 // transient connection or the origin knows us by public key alone.
 func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrace) protocol.Message {
-	if n.identity == nil {
-		return protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
-	}
-	hash := [32]byte(n.cfg.Store.Manifest().Hashes[m.Index])
 	size := int64(len(m.Ciphertext))
-	var att attest.Attestation
-	if origin != nil && origin.linkKeyed {
-		att = n.identity.AttestLink(m.OriginID, m.ForwarderID, m.Index, hash, size)
-	} else {
-		att = n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, size)
+	att := attest.Claim(m.ForwarderID, int32(n.cfg.ID), m.Index, size)
+	if n.identity != nil {
+		hash := [32]byte(n.cfg.Store.Manifest().Hashes[m.Index])
+		if origin != nil && origin.linkKeyed {
+			att = n.identity.AttestLink(m.OriginID, m.ForwarderID, m.Index, hash, size)
+		} else {
+			att = n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, size)
+		}
+		n.metrics.attestSigned.Inc()
 	}
-	n.metrics.attestSigned.Inc()
 	return protocol.AttestedReceipt{KeyID: m.KeyID, Att: att, Trace: h.context()}
 }
 
@@ -536,24 +527,24 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte)
 	n.metrics.noteUpload(witness.id, len(ciphertext))
 }
 
-// handleKey decrypts a pending seal, verifies, stores, and credits the
-// origin.
-func (n *Node) handleKey(m protocol.Key) {
+// handleKey decrypts the seal r parked here under m.KeyID, verifies, stores,
+// and credits r. A KeyID means something only to the escrow that issued it,
+// so a Key opens nothing but its own sender's seals: one naming another
+// origin's finds no match and is ignored, exactly as an honest Key for a
+// seal that plaintext has since superseded is.
+func (n *Node) handleKey(r *remote, m protocol.Key) {
+	ref := sealRef{origin: r.id, keyID: m.KeyID}
 	n.mu.Lock()
-	pending, ok := n.pendingSeals[m.KeyID]
-	if ok {
-		delete(n.pendingSeals, m.KeyID)
-	}
+	pending, ok := n.pendingSeals[ref]
+	delete(n.pendingSeals, ref)
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
 	// Resume the trace the seal arrived under: the decrypt+verify and the
 	// credit belong to the seal's causal story, not the key frame's.
-	h := n.hopResume(pending.tc, pending.originID, pending.index)
-	var key tchain.Key
-	copy(key[:], m.Key[:])
-	plaintext, err := tchain.Open(pending.sealed, key)
+	h := n.hopResume(pending.tc, r.id, pending.index)
+	plaintext, err := tchain.Open(pending.sealed, tchain.Key(m.Key))
 	if err != nil {
 		return
 	}
@@ -562,25 +553,11 @@ func (n *Node) handleKey(m protocol.Key) {
 	}
 	h.step(tracing.SpanStoreVerify)
 	n.mu.Lock()
-	origin := n.peers[pending.originID]
-	first := n.noteDeliveryLocked(pending.originID, pending.index, len(plaintext), h.context())
+	first := n.noteDeliveryLocked(r.id, pending.index, len(plaintext), h.context())
 	n.mu.Unlock()
 	if first {
-		n.receiptFor(origin, pending.originID, int32(pending.index), len(plaintext), h)
+		n.receiptFor(r, r.id, int32(pending.index), len(plaintext), h)
 	}
-}
-
-// handleReceipt processes an unsigned witness confirmation: release the key
-// to the receiver that reciprocated. Note the trust assumption — a forged
-// receipt from a colluder extracts the key without real reciprocation,
-// exactly the paper's T-Chain collusion attack. A signing node therefore
-// refuses this frame outright and releases keys only for AttestedReceipt.
-func (n *Node) handleReceipt(r *remote, m protocol.Receipt) {
-	if n.identity != nil {
-		n.metrics.attestReceiptsRejected.Inc()
-		return
-	}
-	n.confirmReceipt(r.id, m)
 }
 
 // signReceipt builds the receiver-side attestation for one verified piece
@@ -655,23 +632,23 @@ func (n *Node) checkAck(att attest.Attestation) {
 	n.metrics.attestAcksOK.Inc()
 }
 
-// handleAttestedReceipt applies a witness-signed T-Chain receipt: the
-// witness (Att.Receiver) attests that the forwarder (Att.Sender) relayed
-// our sealed piece. This closes the collusion hole unsigned receipts leave
-// open — the signature must verify under an admitted identity and the
-// receipt must name the exact piece the escrow is holding the key for, so
-// a receipt can be neither minted from thin air nor replayed after the
-// key is released (the demand that carries the piece index is gone by then).
+// handleAttestedReceipt applies a witness's T-Chain receipt: the witness
+// (Att.Receiver) attests that the forwarder (Att.Sender) relayed our sealed
+// piece. An unsigned node takes the witness's word — a forged receipt from a
+// colluder then extracts the key without real reciprocation, exactly the
+// paper's T-Chain collusion attack. A signing node closes that hole: the
+// signature must verify under an admitted identity (a bare claim is refused)
+// and the receipt must name the exact piece the escrow is holding the key
+// for, so a receipt can be neither minted from thin air nor replayed after
+// the key is released (the entry that carries the piece index is gone by then).
 // from is the link the frame arrived on, nil for a served transient session.
 // Two schemes are witness receipts: SchemeLink, accepted only on the link
 // whose authenticated peer is the witness and only when keyed to us, and
 // Ed25519. A per-piece SchemeSession receipt is keyed witness↔forwarder —
 // the one key the forwarder holds — and proves nothing here.
 func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
-	legacy := protocol.Receipt{KeyID: m.KeyID, From: m.Att.Sender}
 	if n.verifier == nil {
-		// Unsigned node: degrade to the legacy trust-the-witness path.
-		n.confirmReceipt(int(m.Att.Receiver), legacy)
+		n.confirmReceipt(int(m.Att.Sender))
 		return
 	}
 	verified := n.metrics.attestReceiptsEd25519
@@ -693,55 +670,36 @@ func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
-	if idx, held := n.recip.Piece(m.KeyID); !held || int32(idx) != m.Att.Index {
+	if idx, held := n.escrow.Piece(m.KeyID); !held || int32(idx) != m.Att.Index {
 		n.metrics.attestReceiptsRejected.Inc()
 		return
 	}
 	verified.Inc()
-	n.confirmReceipt(int(m.Att.Receiver), legacy)
+	n.confirmReceipt(int(m.Att.Sender))
 }
 
-// confirmReceipt applies one receipt from the given witness. Receipts also
-// arrive over transient connections (a witness that does not neighbor the
-// origin), where the witness identity is unauthenticated anyway — the
-// demands are AnyPeer, so the witness ID only matters for targeted
-// obligations.
-func (n *Node) confirmReceipt(witnessID int, m protocol.Receipt) {
-	released := n.recip.Confirm(witnessID, int(m.From))
+// confirmReceipt applies one accepted witness receipt: forwarder has
+// reciprocated, so the escrow releases what it owes — to its link, if it
+// still has one.
+func (n *Node) confirmReceipt(forwarder int) {
+	released := n.escrow.Confirm(forwarder)
+	if len(released) == 0 {
+		return
+	}
 	n.mu.Lock()
-	receiver := n.peers[int(m.From)]
+	receiver := n.peers[forwarder]
 	n.mu.Unlock()
-	if len(released) > 0 {
-		n.markTrusted(int(m.From))
+	if receiver == nil {
+		return
 	}
-	if receiver != nil {
-		n.releaseKeys(receiver, released)
+	for _, k := range released {
+		receiver.sendKey(k)
 	}
 }
 
-// markTrusted records that a peer completed a genuine reciprocation. A
-// trusted peer later benefits from the endgame key-release fallback
-// (reciprocationGrace): when the swarm is drained and nobody needs
-// anything, the obligation is unfulfillable through no fault of the
-// receiver. Free-riders never reciprocate, never earn trust, and never
-// benefit from the fallback.
-func (n *Node) markTrusted(peer int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trusted[peer] = true
-}
-
-// releaseKeys sends the escrowed keys of met obligations to a receiver.
-func (n *Node) releaseKeys(r *remote, met []tchain.Obligation) {
-	for _, ob := range met {
-		key, err := n.escrow.Release(ob.KeyID)
-		if err != nil {
-			continue
-		}
-		msg := protocol.Key{KeyID: ob.KeyID, Index: int32(ob.Piece)}
-		copy(msg.Key[:], key[:])
-		r.enqueue(msg, false, nil)
-	}
+// sendKey queues one released key for r, the receiver it was sealed for.
+func (r *remote) sendKey(k tchain.Released) {
+	r.enqueue(protocol.Key{KeyID: k.KeyID, Index: int32(k.Piece), Key: k.Key}, false, nil)
 }
 
 // handshakeBitfield snapshots our holdings as a wire bitfield, together

@@ -43,8 +43,9 @@ func startSeed(t *testing.T, tr transport.Transport, mod func(*Config)) (*Node, 
 }
 
 // rawPeer dials addr, sends frames in order, and drains the connection in
-// the background. The returned channel closes when the node hangs up.
-func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protocol.Message) <-chan struct{} {
+// the background. The returned channel closes when the node hangs up; the
+// connection is for a test that has more to send.
+func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protocol.Message) (transport.Conn, <-chan struct{}) {
 	t.Helper()
 	conn, err := tr.Dial(addr)
 	if err != nil {
@@ -65,7 +66,7 @@ func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protoc
 			}
 		}
 	}()
-	return hungUp
+	return conn, hungUp
 }
 
 // TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
@@ -115,7 +116,7 @@ func TestHostileFramesDropLinkNotNode(t *testing.T) {
 					protocol.Bitfield{NumPieces: n, Bits: make([]byte, (n+7)/8)},
 					tc.frame)
 			}
-			hungUp := rawPeer(t, tr, seed.Addr(), frames...)
+			_, hungUp := rawPeer(t, tr, seed.Addr(), frames...)
 			if tc.wantDrop {
 				select {
 				case <-hungUp:
@@ -187,7 +188,7 @@ func TestTOFURefusalWarns(t *testing.T) {
 	})
 	// An imposter claims the registered peer 7 under a different key.
 	imposter := attest.NewKeyFromSeed(7, 2)
-	hungUp := rawPeer(t, tr, seed.Addr(),
+	_, hungUp := rawPeer(t, tr, seed.Addr(),
 		protocol.Hello{PeerID: 7, NumPieces: testPieces, PubKey: imposter.Public()})
 	select {
 	case <-hungUp:

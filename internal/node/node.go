@@ -478,11 +478,17 @@ func (r *remote) writeLoop() {
 // key finally lands, handleKey resumes the trace there, so the decrypt and
 // verify appear in the same causal story as the seal's wire hop.
 type pendingSeal struct {
-	sealed     *tchain.Sealed
-	index      int
-	originID   int
-	originAddr string
-	tc         tracing.Context
+	sealed *tchain.Sealed
+	index  int
+	tc     tracing.Context
+}
+
+// sealRef names a parked seal: the neighbor that sealed it and the KeyID
+// that neighbor's escrow issued. Every escrow counts from 0, so the KeyID
+// alone names a different seal at each origin.
+type sealRef struct {
+	origin int
+	keyID  uint64
 }
 
 // Stats is a snapshot of a node's counters, assembled from the metrics
@@ -504,9 +510,13 @@ type Stats struct {
 type Node struct {
 	cfg      Config
 	strategy incentive.Strategy
-	escrow   *tchain.Escrow
-	recip    *tchain.ReciprocationLedger
-	ledger   *reputation.Ledger
+	// escrow is everything this node knows about the seals it has pushed:
+	// keys, who owes for them, grace deadlines and who has ever reciprocated.
+	// Its lock is a leaf — taken under mu by sweepGrace, never the reverse —
+	// and it dies with the node, so nothing is released, or kept reachable,
+	// after Stop.
+	escrow *tchain.Escrow
+	ledger *reputation.Ledger
 
 	// identity/directory/verifier are the attestation plumbing (nil when
 	// Config.Identity is nil): the key that signs our receipts, the
@@ -521,16 +531,8 @@ type Node struct {
 	stopping     bool
 	peers        map[int]*remote
 	conns        map[transport.Conn]bool // every live conn, incl. pre-handshake
-	pendingSeals map[uint64]pendingSeal
-	trusted      map[int]bool // peers that have genuinely reciprocated a seal
+	pendingSeals map[sealRef]pendingSeal
 	rng          *rand.Rand
-
-	// graceLog holds one stamp per seal pushed, in push order — which is
-	// clock order, so the due ones are always at graceHead (see sweepGrace,
-	// the upload tick's endgame key release). Guarded by mu; it dies with
-	// the node, so nothing is released, or kept reachable, after Stop.
-	graceLog  []graceStamp
-	graceHead int
 
 	// wantSince and firstByteAt are per-piece span timestamps (nanoseconds
 	// on the sinceStartNs clock, 0 = unset), maintained under mu: want-time
@@ -639,7 +641,6 @@ func New(cfg Config) (*Node, error) {
 		cfg:          cfg,
 		strategy:     strategy,
 		escrow:       tchain.NewEscrow(),
-		recip:        tchain.NewReciprocationLedger(),
 		ledger:       ledger,
 		identity:     cfg.Identity,
 		directory:    directory,
@@ -647,8 +648,7 @@ func New(cfg Config) (*Node, error) {
 		attScheme:    cfg.AttestScheme,
 		peers:        make(map[int]*remote),
 		conns:        make(map[transport.Conn]bool),
-		pendingSeals: make(map[uint64]pendingSeal),
-		trusted:      make(map[int]bool),
+		pendingSeals: make(map[sealRef]pendingSeal),
 		rng:          stats.NewRNG(cfg.Seed),
 		myBits:       myBits,
 		gainLog:      make([]int32, myBits.Size()-myBits.Count()),

@@ -157,7 +157,7 @@ func TestOutboxContract(t *testing.T) {
 			// tick (TestFlushClock has that half).
 			n, r, _ := outboxFixture(t, nil, false)
 			for i, m := range []protocol.Message{
-				bulk, protocol.SealedPiece{KeyID: 1}, control, protocol.Receipt{KeyID: 1},
+				bulk, protocol.SealedPiece{KeyID: 1}, control,
 				protocol.AttestedReceipt{KeyID: 1}, protocol.Ping{Seq: 1}, protocol.Nodes{},
 			} {
 				woke := parkOn(r)

@@ -12,6 +12,8 @@ import (
 	"repro/internal/attest"
 	"repro/internal/piece"
 	"repro/internal/protocol"
+	"repro/internal/tchain"
+	"repro/internal/transport"
 )
 
 // runTChainCluster moves the fixture file through a 4-node T-Chain cluster,
@@ -87,17 +89,18 @@ func sealTo(t *testing.T, n *Node, r *remote, idx int) uint64 {
 	if !n.sendSealed(r, idx, data, nil) {
 		t.Fatalf("seal of piece %d to peer %d refused", idx, r.id)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.graceLog[len(n.graceLog)-1].keyID
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	return r.outbox[len(r.outbox)-1].(protocol.SealedPiece).KeyID
 }
 
-// TestGraceSweep pins the endgame key release on passed-in time: three
-// seals queued, to a receiver that has reciprocated before, one that never
-// has, and one that has but left. Nothing is released before the first
-// stamp is due; once all are, exactly the trusted, still-linked receiver is
-// sent its key; and a long push/sweep stream keeps the log compact. The
-// instants are sinceStartNs values handed to sweepGrace — no sleeping.
+// TestGraceSweep pins the wiring of the endgame key release — the rule
+// itself is tchain's TestSweepGrace: the upload tick hands the escrow the
+// node's clock and its neighbor set, and a released key leaves as a Key
+// frame on its receiver's outbox, counted. Three seals: to a receiver that
+// has reciprocated before, one that never has, and one that has but is no
+// longer in n.peers. The instants are sinceStartNs values handed to
+// sweepGrace — no sleeping.
 func TestGraceSweep(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	store, err := piece.NewSeedStore(manifest, content)
@@ -111,54 +114,145 @@ func TestGraceSweep(t *testing.T) {
 	stranger, _ := fixtureRemote(n, strangerID, false)
 	departed, _ := fixtureRemote(n, departedID, false)
 	n.peers[trustedID], n.peers[strangerID] = trusted, stranger
-	n.trusted[trustedID], n.trusted[departedID] = true, true
+	for _, r := range []*remote{trusted, departed} {
+		sealTo(t, n, r, 0)
+		n.escrow.Confirm(r.id) // r has reciprocated once
+	}
 
+	earliest := n.sinceStartNs() + int64(reciprocationGrace)
 	trustedKey := sealTo(t, n, trusted, 1)
 	strangerKey := sealTo(t, n, stranger, 2)
 	departedKey := sealTo(t, n, departed, 3)
-	firstDue, lastDue := n.graceLog[0].due, n.graceLog[2].due
+	latest := n.sinceStartNs() + int64(reciprocationGrace)
 
-	n.sweepGrace(firstDue - 1)
-	if n.graceHead != 0 || n.recip.Outstanding() != 3 || n.escrow.Pending() != 3 ||
-		len(keysQueued(trusted))+len(keysQueued(stranger))+len(keysQueued(departed)) != 0 {
-		t.Fatalf("a sweep one nanosecond early moved something: head %d, %d demands, %d keys escrowed",
-			n.graceHead, n.recip.Outstanding(), n.escrow.Pending())
+	n.sweepGrace(earliest - 1)
+	if n.escrow.Pending() != 3 || len(keysQueued(trusted))+len(keysQueued(stranger))+len(keysQueued(departed)) != 0 {
+		t.Fatalf("a sweep before any seal was due moved something: %d keys escrowed of 3", n.escrow.Pending())
 	}
 
-	n.sweepGrace(lastDue)
+	n.sweepGrace(latest)
 	if got := keysQueued(trusted); len(got) != 1 || got[0] != trustedKey {
 		t.Errorf("trusted receiver was queued keys %v, want [%d]", got, trustedKey)
 	}
-	if _, held := n.recip.Piece(trustedKey); held || n.escrow.Pending() != 2 {
-		t.Errorf("released key left its demand (%v) or escrow entry (%d pending, want 2) behind", held, n.escrow.Pending())
+	if _, held := n.escrow.Piece(trustedKey); held || n.escrow.Pending() != 2 {
+		t.Errorf("released key still in the escrow (%v), or %d pending, want 2", held, n.escrow.Pending())
 	}
-	if _, held := n.recip.Piece(strangerKey); !held || len(keysQueued(stranger)) != 0 {
-		t.Error("a receiver that never reciprocated was released a key, or lost its demand")
+	if _, held := n.escrow.Piece(strangerKey); !held || len(keysQueued(stranger)) != 0 {
+		t.Error("a receiver that never reciprocated was released a key, or lost its entry")
 	}
-	if _, held := n.recip.Piece(departedKey); !held || len(keysQueued(departed)) != 0 {
-		t.Error("a departed receiver was released a key: unlink, not the sweep, settles its demands")
-	}
-	if live := len(n.graceLog) - n.graceHead; live != 0 {
-		t.Errorf("%d stamps still queued after a sweep past the last one", live)
+	if _, held := n.escrow.Piece(departedKey); !held || len(keysQueued(departed)) != 0 {
+		t.Error("a departed receiver was released a key: unlink, not the sweep, settles what it owes")
 	}
 	if got := counter(n, "node_tchain_grace_releases_total"); got != 1 {
 		t.Errorf("node_tchain_grace_releases_total = %d, want 1", got)
 	}
+}
 
-	// A steady stream — one seal per step, 64 steps to a grace period —
-	// keeps about 64 stamps live; the spent prefix must not pile up behind
-	// them, nor the backing array outgrow twice what the log may hold.
-	const perGrace = 64
-	step := int64(reciprocationGrace) / perGrace
-	for i, now := 0, lastDue; i < 10_000; i, now = i+1, now+step {
-		n.mu.Lock()
-		n.graceLog = append(n.graceLog, graceStamp{due: now + int64(reciprocationGrace), keyID: uint64(1000 + i), receiver: strangerID})
-		n.mu.Unlock()
-		n.sweepGrace(now)
-		live := len(n.graceLog) - n.graceHead
-		if live > perGrace+1 || len(n.graceLog) > 2*live || cap(n.graceLog) > 4*(perGrace+1) {
-			t.Fatalf("step %d: %d live stamps in a log of %d (cap %d)", i, live, len(n.graceLog), cap(n.graceLog))
-		}
+// rawLink dials addr as peer id holding nothing and completes the handshake;
+// the test sends on the returned connection.
+func rawLink(t *testing.T, tr transport.Transport, addr string, id int32) transport.Conn {
+	t.Helper()
+	conn, _ := rawPeer(t, tr, addr,
+		protocol.Hello{PeerID: id, NumPieces: testPieces},
+		protocol.Bitfield{NumPieces: testPieces, Bits: make([]byte, (testPieces+7)/8)})
+	return conn
+}
+
+func send(t *testing.T, conn transport.Conn, m protocol.Message) {
+	t.Helper()
+	if err := conn.Send(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawSeal seals piece idx as origin would under keyID, returning the frame
+// and the Key frame that opens it.
+func rawSeal(t *testing.T, origin int32, keyID uint64, idx int) (protocol.SealedPiece, protocol.Key) {
+	t.Helper()
+	escrow := tchain.NewEscrow()
+	sealed, err := escrow.Seal(piece.SyntheticPiece(idx, testPieceSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := escrow.Release(sealed.KeyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return protocol.SealedPiece{Index: int32(idx), KeyID: keyID, Nonce: sealed.Nonce, Ciphertext: sealed.Ciphertext, OriginID: origin},
+		protocol.Key{KeyID: keyID, Index: int32(idx), Key: key}
+}
+
+// startTChainLeecher starts an empty-handed T-Chain node on a fresh mem
+// transport, for raw peers to seal to.
+func startTChainLeecher(t *testing.T) (*Node, transport.Transport) {
+	t.Helper()
+	manifest, _ := clusterFixture(t)
+	tr := transport.NewMem()
+	n, err := New(Config{
+		ID: 0, Algorithm: algo.TChain, Store: piece.NewStore(manifest), Transport: tr,
+		DecisionInterval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Stop() })
+	return n, tr
+}
+
+// TestParkedSealsDoNotCollideAcrossOrigins: every escrow numbers its keys
+// from 0, so two origins each sealing a different piece under KeyID 0 is the
+// common case, not a coincidence. Both seals must stay parked side by side,
+// and each origin's key must open its own: parked by KeyID alone, the second
+// seal overwrote the first, the first key then opened the wrong ciphertext,
+// failed the hash and threw both away.
+func TestParkedSealsDoNotCollideAcrossOrigins(t *testing.T) {
+	n, tr := startTChainLeecher(t)
+	links := map[int32]transport.Conn{1: rawLink(t, tr, n.Addr(), 1), 2: rawLink(t, tr, n.Addr(), 2)}
+	keys := map[int32]protocol.Key{}
+	for origin, conn := range links {
+		var seal protocol.SealedPiece
+		seal, keys[origin] = rawSeal(t, origin, 0, int(origin))
+		send(t, conn, seal)
+	}
+	waitFor(t, "both origins' seals to be parked", func() bool { return n.Stats().SealedPending == 2 })
+	for origin, conn := range links {
+		send(t, conn, keys[origin])
+	}
+	waitFor(t, "both pieces to verify into the store", func() bool {
+		return n.cfg.Store.Has(1) && n.cfg.Store.Has(2)
+	})
+	if st := n.Stats(); st.SealedPending != 0 || st.CreditedBytes != 2*testPieceSize {
+		t.Errorf("after both keys: %d seals parked, %g bytes credited; want 0 and %d", st.SealedPending, st.CreditedBytes, 2*testPieceSize)
+	}
+}
+
+// TestKeyOpensOnlyItsSendersSeal: a KeyID is a small integer any neighbor can
+// guess. A Key from peer 2 naming the seal peer 1 parked here neither opens
+// nor removes it — and does not cost peer 2 its link, since an honest late
+// Key for a seal plaintext has superseded looks the same. Peer 1's own key
+// then opens the seal as if nothing had happened.
+func TestKeyOpensOnlyItsSendersSeal(t *testing.T) {
+	n, tr := startTChainLeecher(t)
+	origin, guesser := rawLink(t, tr, n.Addr(), 1), rawLink(t, tr, n.Addr(), 2)
+	seal, key := rawSeal(t, 1, 7, 3)
+	send(t, origin, seal)
+	waitFor(t, "the seal to be parked", func() bool { return n.Stats().SealedPending == 1 })
+
+	before := n.Stats().FramesReceived
+	send(t, guesser, protocol.Key{KeyID: 7, Index: 3})
+	waitFor(t, "the guessed Key to be dispatched", func() bool { return n.Stats().FramesReceived > before })
+	if st := n.Stats(); st.SealedPending != 1 || st.Neighbors != 2 || n.cfg.Store.Has(3) {
+		t.Fatalf("after another peer's Key: %d seals parked, %d neighbors, piece held %v; want 1, 2, false",
+			st.SealedPending, st.Neighbors, n.cfg.Store.Has(3))
+	}
+
+	send(t, origin, key)
+	waitFor(t, "the origin's own key to open its seal", func() bool { return n.cfg.Store.Has(3) })
+	if got := n.Stats().Neighbors; got != 2 {
+		t.Errorf("%d neighbors at the end, want both links still up", got)
 	}
 }
 
@@ -192,11 +286,10 @@ func TestSealedPieceSpeaksOnlyForItsLink(t *testing.T) {
 
 // TestWitnessReceiptAdversaries drives every witness receipt an origin must
 // refuse through dispatch — or, for a frame with no link, the served
-// transient session — on an origin holding one outstanding demand: node 0
-// sealed a piece to forwarder 1; witness 2 and bystander 3 are neighbors
-// too. Each row must leave the key in escrow and the demand outstanding and
-// count one rejection. Then the honest link receipt releases the key, and a
-// replay of it is refused.
+// transient session — on an origin holding one key in escrow: node 0 sealed
+// a piece to forwarder 1; witness 2 and bystander 3 are neighbors too. Each
+// row must leave the key in escrow and count one rejection. Then the honest
+// link receipt releases the key, and a replay of it is refused.
 func TestWitnessReceiptAdversaries(t *testing.T) {
 	const originID, forwarderID, witnessID, bystanderID = 0, 1, 2, 3
 	const idx = 5
@@ -247,6 +340,10 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 		{"per-piece-session-receipt-rewrapped", perPiece, witnessID},
 		{"per-piece-receipt-relabelled-link", func() attest.Attestation { a := perPiece; a.Scheme = attest.SchemeLink; return a }(), witnessID},
 		{"wrong-piece", witness.AttestLink(originID, forwarderID, idx+1, hash(idx+1), testPieceSize), witnessID},
+		// What an unsigned witness sends, and all an unsigned origin asks for:
+		// to a signing origin it is a claim anyone can type.
+		{"unsigned-claim", attest.Claim(forwarderID, witnessID, idx, testPieceSize), witnessID},
+		{"unsigned-claim-over-a-transient-session", attest.Claim(forwarderID, witnessID, idx, testPieceSize), -1},
 	}
 	const rejectedSeries = `node_attest_receipts_total{result="rejected"}`
 	deliver := func(att attest.Attestation, via int) {
@@ -273,8 +370,8 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			refused(t, row.att, row.via)
-			if _, held := n.recip.Piece(keyID); !held || n.escrow.Pending() != 1 {
-				t.Errorf("demand outstanding: %v, keys escrowed: %d; want true and 1", held, n.escrow.Pending())
+			if _, held := n.escrow.Piece(keyID); !held || n.escrow.Pending() != 1 {
+				t.Errorf("key still held: %v, keys escrowed: %d; want true and 1", held, n.escrow.Pending())
 			}
 		})
 	}
@@ -288,8 +385,8 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	if got := keysQueued(links[forwarderID]); len(got) != 1 || got[0] != keyID {
 		t.Fatalf("the honest link receipt queued the forwarder keys %v, want [%d]", got, keyID)
 	}
-	if n.escrow.Pending() != 0 || n.recip.Outstanding() != 0 {
-		t.Errorf("after release: %d keys escrowed, %d demands; want none", n.escrow.Pending(), n.recip.Outstanding())
+	if n.escrow.Pending() != 0 {
+		t.Errorf("after release: %d keys escrowed; want none", n.escrow.Pending())
 	}
 	if got := counter(n, `node_attest_receipts_total{result="ok",scheme="link"}`); got != 1 {
 		t.Errorf("link-keyed receipts verified = %d, want 1", got)
@@ -299,4 +396,49 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 		refused(t, honest, witnessID)
 	})
 	n.wg.Wait() // the transient session's watchdog
+}
+
+// TestUnsignedWitnessReceipt: without identities there is one receipt frame
+// too — the witness sends an AttestedReceipt carrying its bare claim, and an
+// unsigned origin takes its word (the paper's trust model) and releases the
+// forwarder's key.
+func TestUnsignedWitnessReceipt(t *testing.T) {
+	const originID, forwarderID, witnessID = 0, 1, 2
+	manifest, content := clusterFixture(t)
+	store, err := piece.NewSeedStore(manifest, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := fixtureNode(t, Config{ID: originID, Algorithm: algo.TChain, Store: store})
+	origin.start = time.Now()
+	toForwarder, _ := fixtureRemote(origin, forwarderID, false)
+	fromWitness, _ := fixtureRemote(origin, witnessID, false)
+	origin.peers[forwarderID], origin.peers[witnessID] = toForwarder, fromWitness
+	keyID := sealTo(t, origin, toForwarder, 5)
+
+	witness := fixtureNode(t, Config{ID: witnessID, Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
+	toOrigin, _ := fixtureRemote(witness, originID, false)
+	fromForwarder, _ := fixtureRemote(witness, forwarderID, false)
+	witness.peers[originID], witness.peers[forwarderID] = toOrigin, fromForwarder
+	forwarded := protocol.SealedPiece{
+		Index: 5, KeyID: keyID, Ciphertext: make([]byte, testPieceSize),
+		OriginID: originID, Forwarded: true, ForwarderID: forwarderID,
+	}
+	if witness.dispatch(fromForwarder, forwarded) {
+		t.Fatal("the witness dropped an honest forward")
+	}
+	if len(toOrigin.outbox) != 1 {
+		t.Fatalf("the witness queued the origin %d frames, want its receipt", len(toOrigin.outbox))
+	}
+	receipt, ok := toOrigin.outbox[0].(protocol.AttestedReceipt)
+	if want := attest.Claim(forwarderID, witnessID, 5, testPieceSize); !ok || receipt.KeyID != keyID || receipt.Att != want {
+		t.Fatalf("the witness sent %#v, want an AttestedReceipt for key %d carrying %+v", toOrigin.outbox[0], keyID, want)
+	}
+
+	if origin.dispatch(fromWitness, receipt) {
+		t.Error("the origin dropped the witness's link")
+	}
+	if got := keysQueued(toForwarder); len(got) != 1 || got[0] != keyID || origin.escrow.Pending() != 0 {
+		t.Errorf("the forwarder was queued keys %v with %d left in escrow, want [%d] and none", got, origin.escrow.Pending(), keyID)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/protocol"
-	"repro/internal/tchain"
 )
 
 // nodeView adapts the node's state to incentive.NodeView. All methods are
@@ -76,9 +75,11 @@ func (n *Node) view() incentive.NodeView { return nodeView{n: n} }
 const resendCooldown = 3 * time.Second
 
 // reciprocationGrace is how long a seal's key stays strictly escrowed for a
-// *trusted* receiver before the endgame fallback releases it (see
-// markTrusted and sweepGrace). Untrusted receivers get no grace:
-// reciprocate or starve.
+// *trusted* receiver — one that has genuinely reciprocated before — ahead of
+// the endgame fallback releasing it (see sweepGrace): when the swarm is
+// drained and nobody needs anything, the obligation is unfulfillable through
+// no fault of the receiver. Untrusted receivers get no grace: reciprocate or
+// starve.
 const reciprocationGrace = 2 * time.Second
 
 // uploadLoop is the node's one clock. Each DecisionInterval tick sweeps the
@@ -273,18 +274,15 @@ func (n *Node) noteSent(r *remote, bytes int) {
 	n.mu.Unlock()
 }
 
-// sendSealed pushes an encrypted piece and records the reciprocation
-// demand; the key stays in escrow until the receiver (or a witness)
-// confirms. ut, when non-nil, traces the push.
+// sendSealed pushes an encrypted piece, booked in the escrow as owed by r;
+// the key stays there until r reciprocates — a repaying piece, or any
+// witness's receipt for a forward — or the endgame sweep lets it go. ut,
+// when non-nil, traces the push.
 func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool {
-	sealed, err := n.escrow.Seal(data)
+	sealed, err := n.escrow.SealFor(data, r.id, idx, n.sinceStartNs()+int64(reciprocationGrace))
 	if err != nil {
 		return false
 	}
-	// Accept reciprocation observed by any witness (direct repayment
-	// arrives as a Piece with RepaysKeyID and confirms with ourselves as
-	// witness). The demand also remembers which piece the key unlocks.
-	n.recip.Demand(sealed.KeyID, r.id, tchain.Obligation{Kind: tchain.Indirect, Target: tchain.AnyPeer, Piece: idx})
 	msg := protocol.SealedPiece{
 		Index:      int32(idx),
 		KeyID:      sealed.KeyID,
@@ -297,65 +295,24 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 		msg.Trace = ut.tc
 	}
 	if !r.enqueue(msg, true, ut) {
-		// Queue full: unwind the seal as if it never happened, so the
-		// escrow and demand ledgers do not accumulate unsent obligations.
-		n.recip.Take(sealed.KeyID)
+		// Queue full: unwind the seal as if it never happened, so the escrow
+		// does not accumulate unsent obligations.
 		n.escrow.Revoke(sealed.KeyID)
 		return false
 	}
-	// Account the push as noteSent does and, in the same mu section, queue
-	// the seal for the endgame sweep: due stamps are read under mu, so the
-	// log's push order is its clock order.
-	n.metrics.noteUpload(r.id, len(data))
-	n.mu.Lock()
-	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
-	n.graceLog = append(n.graceLog, graceStamp{
-		due: n.sinceStartNs() + int64(reciprocationGrace), keyID: sealed.KeyID, receiver: r.id,
-	})
-	n.mu.Unlock()
+	n.noteSent(r, len(data))
 	return true
 }
 
-// graceStamp is one graceLog entry: the seal under keyID, pushed to
-// receiver, leaves strict escrow at sinceStartNs due.
-type graceStamp struct {
-	due      int64
-	keyID    uint64
-	receiver int
-}
-
 // sweepGrace is the endgame fallback, run by the upload tick with now on
-// the sinceStartNs clock: every seal whose reciprocationGrace has run out —
-// those stamps are a prefix of the log — leaves the log, and if its
-// receiver has genuinely reciprocated before, is still linked and still
-// owes this one (typically because nobody in the swarm needs anything
-// anymore), its key is released. An untrusted receiver's demand stays
-// outstanding. The spent prefix is dropped as coolingAt drops its own, so
-// the log stays within twice its live length; an idle sweep is one
-// emptiness check.
+// the sinceStartNs clock: the escrow releases what trusted receivers still
+// owe past their reciprocationGrace, and each key goes out on the link that
+// makes its receiver "still linked" — looked up in the section that said so.
 func (n *Node) sweepGrace(now int64) {
-	type grant struct {
-		to *remote
-		ob tchain.Obligation
-	}
-	var grants []grant // stays nil unless a key is still owed: the rare case
 	n.mu.Lock()
-	for n.graceHead < len(n.graceLog) && n.graceLog[n.graceHead].due <= now {
-		g := n.graceLog[n.graceHead]
-		n.graceHead++
-		if to := n.peers[g.receiver]; to != nil && n.trusted[g.receiver] {
-			if ob, owed := n.recip.Take(g.keyID); owed {
-				grants = append(grants, grant{to, ob})
-			}
-		}
-	}
-	if n.graceHead > len(n.graceLog)/2 {
-		n.graceLog = n.graceLog[:copy(n.graceLog, n.graceLog[n.graceHead:])]
-		n.graceHead = 0
-	}
-	n.mu.Unlock()
-	for _, g := range grants {
+	defer n.mu.Unlock()
+	for _, k := range n.escrow.Sweep(now, func(id int) bool { return n.peers[id] != nil }) {
 		n.metrics.graceReleases.Inc()
-		n.releaseKeys(g.to, []tchain.Obligation{g.ob})
+		n.peers[k.Receiver].sendKey(k)
 	}
 }

@@ -222,9 +222,6 @@ func appendPayload(dst []byte, m Message) ([]byte, error) {
 		w.u64(msg.KeyID)
 		w.i32(msg.Index)
 		w.buf = append(w.buf, msg.Key[:]...)
-	case Receipt:
-		w.u64(msg.KeyID)
-		w.i32(msg.From)
 	case Bye:
 		// empty payload
 	case Ping:
@@ -299,8 +296,6 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 		msg := Key{KeyID: r.u64(), Index: r.i32()}
 		copy(msg.Key[:], r.take(len(msg.Key)))
 		m = msg
-	case TypeReceipt:
-		m = Receipt{KeyID: r.u64(), From: r.i32()}
 	case TypeBye:
 		m = Bye{}
 	case TypePing:

@@ -51,7 +51,7 @@ func FuzzDecode(f *testing.F) {
 			Forwarded: true, ForwarderID: 5,
 		},
 		Key{KeyID: 55, Index: 2, Key: [32]byte{0xaa}},
-		Receipt{KeyID: 55, From: 4},
+		AttestedReceipt{KeyID: 55, Att: attest.Claim(4, 6, 2, 1024)},
 		Bye{},
 		Ping{Seq: 17, Ack: true},
 		FindNode{Seq: 18, Target: 0xdeadbeefcafe},

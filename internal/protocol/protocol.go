@@ -36,7 +36,7 @@ const (
 	TypePiece
 	TypeSealedPiece
 	TypeKey
-	TypeReceipt
+	_ // 7 was Receipt, retired for AttestedReceipt carrying an unsigned claim; ErrUnknownType
 	TypeBye
 	TypePing
 	TypeFindNode
@@ -63,8 +63,6 @@ func (t Type) String() string {
 		return "sealed-piece"
 	case TypeKey:
 		return "key"
-	case TypeReceipt:
-		return "receipt"
 	case TypeBye:
 		return "bye"
 	case TypePing:
@@ -165,14 +163,6 @@ type Key struct {
 	Key   [32]byte
 }
 
-// Receipt is the witness's confirmation to a seal's origin: "I received a
-// reciprocation from From" — the trigger for key release (and the message a
-// colluder forges in the paper's T-Chain collusion attack).
-type Receipt struct {
-	KeyID uint64
-	From  int32
-}
-
 // Bye announces a graceful departure.
 type Bye struct{}
 
@@ -229,11 +219,12 @@ type Attest struct {
 	Trace tracing.Context
 }
 
-// AttestedReceipt is the verifiable replacement for Receipt on the T-Chain
-// path: the witness's signed attestation that reciprocation for KeyID
-// arrived from Att.Sender. The seal's origin verifies the witness signature
-// before releasing the key, which is exactly the check whose absence the
-// paper's T-Chain collusion attack (a forged Receipt frame) exploits.
+// AttestedReceipt is the witness's confirmation to a seal's origin — the
+// trigger for key release: its attestation that reciprocation for KeyID
+// arrived from Att.Sender. A signing origin verifies the witness signature
+// before releasing the key; an unsigned swarm sends a bare attest.Claim,
+// which is exactly the frame a colluder forges in the paper's T-Chain
+// collusion attack.
 type AttestedReceipt struct {
 	KeyID uint64
 	Att   attest.Attestation
@@ -258,9 +249,6 @@ func (SealedPiece) MsgType() Type { return TypeSealedPiece }
 
 // MsgType returns TypeKey.
 func (Key) MsgType() Type { return TypeKey }
-
-// MsgType returns TypeReceipt.
-func (Receipt) MsgType() Type { return TypeReceipt }
 
 // MsgType returns TypeBye.
 func (Bye) MsgType() Type { return TypeBye }

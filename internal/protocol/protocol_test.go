@@ -48,7 +48,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Forwarded: true, ForwarderID: 5,
 		},
 		Key{KeyID: 55, Index: 2, Key: [32]byte{0xaa}},
-		Receipt{KeyID: 55, From: 4},
+		AttestedReceipt{KeyID: 55, Att: attest.Claim(4, 6, 2, 1024)}, // an unsigned witness's receipt
 		Bye{},
 		Ping{Seq: 17, Ack: true},
 		FindNode{Seq: 18, Target: 0xdeadbeefcafe},
@@ -87,7 +87,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeReceipt, TypeBye, TypePing, TypeFindNode, TypeNodes, TypeAnnounce, TypeAttest, TypeAttestedReceipt, TypeHaveBatch} {
+	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeBye, TypePing, TypeFindNode, TypeNodes, TypeAnnounce, TypeAttest, TypeAttestedReceipt, TypeHaveBatch} {
 		if s := tt.String(); s == "" || strings.HasPrefix(s, "type(") {
 			t.Errorf("type %d has no name: %q", tt, s)
 		}
@@ -117,6 +117,22 @@ func TestDecodeRejectsRetiredType15(t *testing.T) {
 	} {
 		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
 			t.Errorf("type 15 frame %x: err = %v, want ErrUnknownType", raw, err)
+		}
+	}
+}
+
+// Wire type 7 carried Receipt{KeyID, From}, which AttestedReceipt carrying an
+// unsigned claim says whole; the number is retired the same way.
+func TestDecodeRejectsRetiredType7(t *testing.T) {
+	if TypeKey != 6 || TypeBye != 8 {
+		t.Fatalf("TypeKey = %d, TypeBye = %d, want 6 and 8 (7 stays retired)", TypeKey, TypeBye)
+	}
+	for _, raw := range [][]byte{
+		{0, 0, 0, 0, 7},
+		{0, 0, 0, 12, 7, 0, 0, 0, 0, 0, 0, 0, 55, 0, 0, 0, 4}, // a well-formed Receipt{55, 4}
+	} {
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("type 7 frame %x: err = %v, want ErrUnknownType", raw, err)
 		}
 	}
 }

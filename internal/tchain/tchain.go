@@ -5,11 +5,11 @@
 //
 // The simulator models this rule abstractly (credit withheld from peers
 // that renege); the live node (internal/node) uses this package for the
-// real thing: AES-256-CTR sealing, sender-side key escrow, and the
-// reciprocation ledger that decides when a key may be released. Piece
-// integrity after decryption is checked against the swarm manifest's
-// SHA-256 hashes, so a wrong or withheld key can never smuggle corrupt data
-// into a store.
+// real thing: AES-256-CTR sealing and the sender-side escrow — one book of
+// which receiver owes a reciprocation for which key, and so when a key may
+// be released. Piece integrity after decryption is checked against the
+// swarm manifest's SHA-256 hashes, so a wrong or withheld key can never
+// smuggle corrupt data into a store.
 package tchain
 
 import (
@@ -47,51 +47,92 @@ var (
 	ErrEmpty      = errors.New("tchain: empty plaintext")
 )
 
-// Escrow is a sender-side key vault: Seal encrypts a piece under a fresh
-// key and parks the key; Release hands the key out exactly once, after the
-// caller has verified reciprocation. Safe for concurrent use.
+// Released is one key leaving the book, with what the caller needs to send
+// it: the receiver it was sealed for and the piece it unlocks.
+type Released struct {
+	KeyID    uint64
+	Receiver int
+	Piece    int
+	Key      Key
+}
+
+// owed is one pushed seal whose key is still held: for whom, for which
+// piece, and when its grace runs out on the caller's clock.
+type owed struct {
+	key      Key
+	receiver int
+	piece    int
+	due      int64
+}
+
+// noReceiver is the receiver of a plain Seal: no Confirm names it and no
+// Sweep trusts it, so only Release or Revoke settles such a key.
+const noReceiver = -1
+
+// Escrow is the sender's one book of the seals it has pushed: each key with
+// the receiver that owes a reciprocation for it, the piece it unlocks and
+// its grace deadline, plus the receivers that have ever reciprocated. A key
+// leaves the book exactly once — released, swept, revoked or forgotten —
+// and nothing is kept for it afterwards. The book reads no clock: deadlines
+// and sweep instants are the caller's. Safe for concurrent use.
 type Escrow struct {
-	mu     sync.Mutex
-	rand   io.Reader
-	nextID uint64
-	keys   map[uint64]Key
+	mu      sync.Mutex
+	rand    io.Reader
+	nextID  uint64
+	owed    map[uint64]owed
+	trusted map[int]bool
 }
 
 // NewEscrow returns an escrow drawing keys from crypto/rand.
-func NewEscrow() *Escrow {
-	return &Escrow{rand: rand.Reader, keys: make(map[uint64]Key)}
-}
+func NewEscrow() *Escrow { return NewEscrowWithRand(rand.Reader) }
 
 // NewEscrowWithRand returns an escrow drawing randomness from r —
 // deterministic tests inject a seeded reader here.
 func NewEscrowWithRand(r io.Reader) *Escrow {
-	return &Escrow{rand: r, keys: make(map[uint64]Key)}
+	return &Escrow{rand: r, owed: make(map[uint64]owed), trusted: make(map[int]bool)}
 }
 
-// Seal encrypts plaintext under a fresh key, escrows the key, and returns
-// the sealed piece.
+// Seal encrypts plaintext under a fresh key, escrows the key for nobody in
+// particular, and returns the sealed piece.
 func (e *Escrow) Seal(plaintext []byte) (*Sealed, error) {
+	return e.SealFor(plaintext, noReceiver, 0, 0)
+}
+
+// SealFor encrypts plaintext under a fresh key and books the key as owed by
+// receiver for piece, strictly escrowed until due. The key and nonce are
+// drawn and booked in one section (r need not be concurrency-safe); the
+// cipher pass runs outside it.
+func (e *Escrow) SealFor(plaintext []byte, receiver, piece int, due int64) (*Sealed, error) {
 	if len(plaintext) == 0 {
 		return nil, ErrEmpty
 	}
-	var key Key
-	var nonce [NonceSize]byte
+	o := owed{receiver: receiver, piece: piece, due: due}
+	sealed := &Sealed{}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, err := io.ReadFull(e.rand, key[:]); err != nil {
-		return nil, fmt.Errorf("tchain: drawing key: %w", err)
+	_, err := io.ReadFull(e.rand, o.key[:])
+	if err == nil {
+		_, err = io.ReadFull(e.rand, sealed.Nonce[:])
 	}
-	if _, err := io.ReadFull(e.rand, nonce[:]); err != nil {
-		return nil, fmt.Errorf("tchain: drawing nonce: %w", err)
+	if err == nil {
+		sealed.KeyID = e.nextID
+		e.nextID++
+		e.owed[sealed.KeyID] = o
 	}
-	ciphertext, err := xorStream(key, nonce, plaintext)
+	e.mu.Unlock()
 	if err != nil {
+		return nil, fmt.Errorf("tchain: drawing key and nonce: %w", err)
+	}
+	if sealed.Ciphertext, err = xorStream(o.key, sealed.Nonce, plaintext); err != nil {
+		e.Revoke(sealed.KeyID)
 		return nil, err
 	}
-	id := e.nextID
-	e.nextID++
-	e.keys[id] = key
-	return &Sealed{KeyID: id, Nonce: nonce, Ciphertext: ciphertext}, nil
+	return sealed, nil
+}
+
+// take removes keyID's entry and returns it as a release (mu held).
+func (e *Escrow) take(keyID uint64, o owed) Released {
+	delete(e.owed, keyID)
+	return Released{KeyID: keyID, Receiver: o.receiver, Piece: o.piece, Key: o.key}
 }
 
 // Release removes and returns the key for keyID. The second call for the
@@ -99,27 +140,82 @@ func (e *Escrow) Seal(plaintext []byte) (*Sealed, error) {
 func (e *Escrow) Release(keyID uint64) (Key, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key, ok := e.keys[keyID]
+	o, ok := e.owed[keyID]
 	if !ok {
 		return Key{}, fmt.Errorf("key %d: %w", keyID, ErrUnknownKey)
 	}
-	delete(e.keys, keyID)
-	return key, nil
+	return e.take(keyID, o).Key, nil
 }
 
-// Revoke discards the key for keyID (the receiver reneged); the ciphertext
-// it guards becomes permanently useless.
+// Revoke discards the key for keyID (the seal was never sent, or the
+// receiver reneged); the ciphertext it guards becomes permanently useless.
 func (e *Escrow) Revoke(keyID uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.keys, keyID)
+	delete(e.owed, keyID)
+}
+
+// Confirm reports a reciprocation by from, observed directly or by any
+// witness: every key from still owes is released, and from is trusted from
+// here on (see Sweep). A confirmation that finds nothing owed earns nothing.
+func (e *Escrow) Confirm(from int) []Released {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []Released
+	for keyID, o := range e.owed {
+		if o.receiver == from {
+			out = append(out, e.take(keyID, o))
+		}
+	}
+	if len(out) > 0 {
+		e.trusted[from] = true
+	}
+	return out
+}
+
+// Sweep is the endgame fallback at now on the clock the deadlines were
+// given on: it releases every key past its deadline whose receiver has
+// reciprocated before and is still linked — typically owed only because
+// nobody in the swarm needs anything anymore. A receiver that never
+// reciprocated gets no grace, and an unlinked one's keys wait for Forget.
+func (e *Escrow) Sweep(now int64, linked func(receiver int) bool) []Released {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []Released
+	for keyID, o := range e.owed {
+		if o.due <= now && e.trusted[o.receiver] && linked(o.receiver) {
+			out = append(out, e.take(keyID, o))
+		}
+	}
+	return out
+}
+
+// Piece returns the piece keyID's key unlocks while the key is held; false
+// once it has left the book — a receipt naming a settled key matches nothing.
+func (e *Escrow) Piece(keyID uint64) (int, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	o, ok := e.owed[keyID]
+	return o.piece, ok
+}
+
+// Forget revokes every key a departed receiver still owes for. Its trust
+// survives: a peer that reconnects has still reciprocated before.
+func (e *Escrow) Forget(receiver int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for keyID, o := range e.owed {
+		if o.receiver == receiver {
+			delete(e.owed, keyID)
+		}
+	}
 }
 
 // Pending returns the number of escrowed (unreleased) keys.
 func (e *Escrow) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.keys)
+	return len(e.owed)
 }
 
 // Open decrypts a sealed piece with the given key. Callers must verify the

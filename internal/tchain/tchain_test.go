@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
@@ -109,137 +111,348 @@ func TestSealEmpty(t *testing.T) {
 	}
 }
 
+// TestEscrowConcurrent runs every method of the book from 32 goroutines at
+// once (under -race this is the lock's test): each seals for its own
+// receiver, confirms, seals again and settles the second seal one of four
+// ways. Whatever the interleaving, each goroutine's keys come back to it and
+// the book ends empty.
 func TestEscrowConcurrent(t *testing.T) {
 	e := NewEscrow() // crypto/rand is already concurrency-safe
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
-		go func() {
+		go func(receiver int) {
 			defer wg.Done()
-			sealed, err := e.Seal([]byte("payload"))
+			payload := []byte("payload")
+			first, err := e.SealFor(payload, receiver, 1, 10)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := e.Release(sealed.KeyID); err != nil {
-				t.Error(err)
+			if idx, held := e.Piece(first.KeyID); !held || idx != 1 {
+				t.Errorf("Piece(%d) = %d, %v before anything settled it", first.KeyID, idx, held)
 			}
-		}()
+			got := e.Confirm(receiver)
+			if len(got) != 1 || got[0].KeyID != first.KeyID || got[0].Receiver != receiver {
+				t.Errorf("Confirm(%d) = %+v, want key %d", receiver, got, first.KeyID)
+				return
+			}
+			if plain, err := Open(first, got[0].Key); err != nil || !bytes.Equal(plain, payload) {
+				t.Errorf("released key does not open its seal: %q, %v", plain, err)
+			}
+			second, err := e.SealFor(payload, receiver, 2, 10)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			switch receiver % 4 {
+			case 0:
+				swept := e.Sweep(10, func(id int) bool { return id == receiver })
+				if len(swept) != 1 || swept[0].KeyID != second.KeyID {
+					t.Errorf("Sweep for %d = %+v, want key %d", receiver, swept, second.KeyID)
+				}
+			case 1:
+				e.Forget(receiver)
+			case 2:
+				e.Revoke(second.KeyID)
+			case 3:
+				if _, err := e.Release(second.KeyID); err != nil {
+					t.Error(err)
+				}
+			}
+			e.Pending()
+		}(i)
 	}
 	wg.Wait()
 	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after all released", e.Pending())
+		t.Errorf("Pending = %d after every key was settled", e.Pending())
 	}
 }
 
-func TestLedgerConfirmDirect(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(7, 42, Obligation{Kind: Direct, Target: 1}) // receiver 42 owes peer 1 (us)
-	if got := l.Outstanding(); got != 1 {
-		t.Fatalf("Outstanding = %d", got)
+// The TestLedger* tests hold the escrow to what a ledger of debts must do:
+// who owes which key, settled once, by the one way that may settle it.
+
+// sealFor books one seal and returns its KeyID.
+func sealFor(t *testing.T, e *Escrow, receiver, piece int, due int64) uint64 {
+	t.Helper()
+	sealed, err := e.SealFor([]byte("data"), receiver, piece, due)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wrong witness: nothing released.
-	if got := l.Confirm(99, 42); got != nil {
-		t.Errorf("wrong witness released %v", got)
-	}
-	// Wrong sender: nothing released.
-	if got := l.Confirm(1, 5); got != nil {
-		t.Errorf("wrong sender released %v", got)
-	}
-	got := l.Confirm(1, 42)
-	if len(got) != 1 || got[0].KeyID != 7 {
-		t.Fatalf("Confirm = %v, want key 7", got)
-	}
-	if l.Outstanding() != 0 {
-		t.Error("demand not cleared")
-	}
-	// Replay confirmation releases nothing.
-	if got := l.Confirm(1, 42); got != nil {
-		t.Errorf("replay released %v", got)
-	}
+	return sealed.KeyID
 }
 
+func keyIDs(released []Released) []uint64 {
+	ids := make([]uint64, 0, len(released))
+	for _, k := range released {
+		ids = append(ids, k.KeyID)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// everyone is the Sweep argument of a caller linked to every receiver.
+func everyone(int) bool { return true }
+
+// TestLedgerConfirmMultiple: one reciprocation by a receiver releases every
+// key it owes and nobody else's, whoever witnessed it; a replay, or a
+// confirmation for a receiver that owes nothing, releases nothing.
 func TestLedgerConfirmMultiple(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(1, 42, Obligation{Kind: Indirect, Target: 9})
-	l.Demand(2, 42, Obligation{Kind: Indirect, Target: 9})
-	l.Demand(3, 42, Obligation{Kind: Indirect, Target: 8}) // different target
-	got := l.Confirm(9, 42)
-	if len(got) != 2 {
-		t.Fatalf("Confirm = %v, want two keys", got)
+	e := NewEscrowWithRand(testRand())
+	a, b := sealFor(t, e, 42, 1, 0), sealFor(t, e, 42, 2, 0)
+	other := sealFor(t, e, 43, 3, 0)
+	if got := e.Confirm(5); got != nil {
+		t.Errorf("a receiver owing nothing was released %+v", got)
 	}
-	if l.Outstanding() != 1 {
-		t.Errorf("Outstanding = %d, want 1", l.Outstanding())
+	got := e.Confirm(42)
+	if ids := keyIDs(got); !slices.Equal(ids, []uint64{a, b}) {
+		t.Fatalf("Confirm(42) released keys %v, want [%d %d]", ids, a, b)
+	}
+	for _, k := range got {
+		if k.Receiver != 42 {
+			t.Errorf("key %d released for receiver %d, want 42", k.KeyID, k.Receiver)
+		}
+	}
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d, want receiver 43's one key", e.Pending())
+	}
+	if got := e.Confirm(42); got != nil {
+		t.Errorf("replayed confirmation released %+v", got)
+	}
+	if _, err := e.Release(other); err != nil {
+		t.Errorf("the other receiver's key was disturbed: %v", err)
 	}
 }
 
-func TestLedgerForget(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(1, 42, Obligation{Kind: Direct, Target: 1})
-	l.Demand(2, 43, Obligation{Kind: Direct, Target: 1})
-	revoked := l.Forget(42)
-	if len(revoked) != 1 || revoked[0] != 1 {
-		t.Fatalf("Forget = %v", revoked)
-	}
-	if l.Outstanding() != 1 {
-		t.Errorf("Outstanding = %d", l.Outstanding())
-	}
-}
-
+// TestLedgerTake: Release claims one key and leaves the same
+// receiver's others owed; a released key no longer confirms.
 func TestLedgerTake(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(5, 42, Obligation{Kind: Indirect, Target: AnyPeer})
-	l.Demand(6, 42, Obligation{Kind: Indirect, Target: AnyPeer})
-	if ob, ok := l.Take(5); !ok || ob.KeyID != 5 {
-		t.Fatalf("Take(5) = %v, %v for outstanding demand", ob, ok)
+	e := NewEscrowWithRand(testRand())
+	a, b := sealFor(t, e, 42, 1, 0), sealFor(t, e, 42, 2, 0)
+	if _, err := e.Release(a); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := l.Take(5); ok {
-		t.Fatal("Take(5) succeeded twice")
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d, want 1", e.Pending())
 	}
-	if l.Outstanding() != 1 {
-		t.Errorf("Outstanding = %d, want 1", l.Outstanding())
-	}
-	// A taken demand no longer confirms.
-	if got := l.Confirm(9, 42); len(got) != 1 || got[0].KeyID != 6 {
-		t.Errorf("Confirm = %v, want key 6", got)
-	}
-	if _, ok := l.Take(999); ok {
-		t.Error("Take of unknown key succeeded")
+	if ids := keyIDs(e.Confirm(42)); !slices.Equal(ids, []uint64{b}) {
+		t.Errorf("Confirm after Release(%d) released %v, want [%d]", a, ids, b)
 	}
 }
 
-// TestLedgerCarriesPiece: the piece index a key unlocks rides its demand —
-// Confirm and Take hand back what Demand recorded, and Piece answers only
-// while the demand is outstanding, however it was settled.
+// TestLedgerForget: a departed receiver's keys are revoked, not
+// released, and nobody else's are touched; the trust it earned survives, so
+// after a reconnect the sweep still covers it.
+func TestLedgerForget(t *testing.T) {
+	e := NewEscrowWithRand(testRand())
+	sealFor(t, e, 42, 1, 0)
+	e.Confirm(42) // 42 has reciprocated once
+	gone := sealFor(t, e, 42, 2, 0)
+	kept := sealFor(t, e, 43, 3, 0)
+	e.Forget(42)
+	if _, err := e.Release(gone); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("forgotten receiver's key still releasable: %v", err)
+	}
+	if idx, held := e.Piece(kept); !held || idx != 3 {
+		t.Errorf("Forget(42) disturbed receiver 43's key: piece %d, held %v", idx, held)
+	}
+	back := sealFor(t, e, 42, 4, 100)
+	if ids := keyIDs(e.Sweep(100, everyone)); !slices.Equal(ids, []uint64{back}) {
+		t.Errorf("sweep after reconnect released %v, want [%d]: trust did not survive Forget", ids, back)
+	}
+}
+
+// TestLedgerCarriesPiece: the piece a key unlocks rides its entry — every
+// way out hands back what SealFor recorded, and Piece answers only while
+// the key is held, however it was settled.
 func TestLedgerCarriesPiece(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(1, 42, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 11})
-	l.Demand(2, 43, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 22})
-	l.Demand(3, 44, Obligation{Kind: Indirect, Target: AnyPeer, Piece: 33})
-	for keyID, want := range map[uint64]int{1: 11, 2: 22, 3: 33} {
-		if got, ok := l.Piece(keyID); !ok || got != want {
+	e := NewEscrowWithRand(testRand())
+	confirmed, swept := sealFor(t, e, 42, 11, 0), sealFor(t, e, 43, 22, 5)
+	forgotten, revoked, released := sealFor(t, e, 44, 33, 0), sealFor(t, e, 45, 44, 0), sealFor(t, e, 46, 55, 0)
+	for keyID, want := range map[uint64]int{confirmed: 11, swept: 22, forgotten: 33, revoked: 44, released: 55} {
+		if got, ok := e.Piece(keyID); !ok || got != want {
 			t.Errorf("Piece(%d) = %d, %v, want %d", keyID, got, ok, want)
 		}
 	}
-	if got := l.Confirm(9, 42); len(got) != 1 || got[0].KeyID != 1 || got[0].Piece != 11 {
-		t.Errorf("Confirm = %v, want key 1 for piece 11", got)
+	if got := e.Confirm(42); len(got) != 1 || got[0].KeyID != confirmed || got[0].Piece != 11 {
+		t.Errorf("Confirm = %+v, want key %d for piece 11", got, confirmed)
 	}
-	if ob, ok := l.Take(2); !ok || ob.Piece != 22 {
-		t.Errorf("Take(2) = %v, %v, want piece 22", ob, ok)
+	e.Confirm(43) // owes nothing yet: earns no trust
+	if got := e.Sweep(5, everyone); got != nil {
+		t.Errorf("Sweep released %+v to a receiver that never reciprocated", got)
 	}
-	l.Forget(44)
-	for keyID := uint64(1); keyID <= 4; keyID++ {
-		if idx, ok := l.Piece(keyID); ok {
-			t.Errorf("Piece(%d) = %d after the demand was settled (or never made)", keyID, idx)
+	e.Revoke(swept)
+	e.Forget(44)
+	e.Revoke(revoked)
+	if _, err := e.Release(released); err != nil {
+		t.Error(err)
+	}
+	for keyID := uint64(0); keyID <= released+1; keyID++ {
+		if idx, ok := e.Piece(keyID); ok {
+			t.Errorf("Piece(%d) = %d after the key was settled (or never sealed)", keyID, idx)
 		}
 	}
 }
 
-func TestConfirmAnyPeerWildcard(t *testing.T) {
-	l := NewReciprocationLedger()
-	l.Demand(1, 42, Obligation{Kind: Indirect, Target: AnyPeer})
-	if got := l.Confirm(12345, 42); len(got) != 1 {
-		t.Errorf("wildcard confirm = %v", got)
+// TestSweepGrace pins the endgame release on passed-in time: four seals with
+// one deadline, to a receiver that has reciprocated before, one that never
+// has, one that has but is no longer linked, and one whose seal is confirmed
+// before the deadline. Nothing moves a nanosecond early; at the deadline
+// exactly the trusted, linked receiver's key is released; the stranger's and
+// the departed one's stay owed until Forget settles them.
+func TestSweepGrace(t *testing.T) {
+	const trusted, stranger, departed, settled = 1, 2, 3, 4
+	const due = int64(2e9)
+	e := NewEscrowWithRand(testRand())
+	for _, id := range []int{trusted, departed, settled} {
+		sealFor(t, e, id, 0, 0)
+		e.Confirm(id)
+	}
+	linked := func(id int) bool { return id != departed }
+	keys := map[int]uint64{}
+	for _, id := range []int{trusted, stranger, departed, settled} {
+		keys[id] = sealFor(t, e, id, 10+id, due)
+	}
+	if ids := keyIDs(e.Confirm(settled)); !slices.Equal(ids, []uint64{keys[settled]}) {
+		t.Fatalf("Confirm(settled) released %v, want [%d]", ids, keys[settled])
+	}
+
+	if got := e.Sweep(due-1, linked); got != nil || e.Pending() != 3 {
+		t.Fatalf("a sweep one nanosecond early released %+v, %d keys left of 3", got, e.Pending())
+	}
+	got := e.Sweep(due, linked)
+	if len(got) != 1 || got[0].KeyID != keys[trusted] || got[0].Receiver != trusted || got[0].Piece != 10+trusted {
+		t.Fatalf("Sweep at the deadline = %+v, want key %d of receiver %d", got, keys[trusted], trusted)
+	}
+	if got := e.Sweep(due+int64(time.Hour), linked); got != nil {
+		t.Errorf("a later sweep released %+v: strangers get no grace, the unlinked wait for Forget", got)
+	}
+	for _, id := range []int{stranger, departed} {
+		if _, held := e.Piece(keys[id]); !held {
+			t.Errorf("receiver %d's key left the book without a release", id)
+		}
+	}
+	e.Forget(departed)
+	e.Forget(stranger)
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after the last receivers unlinked", e.Pending())
+	}
+}
+
+// TestEscrowSteadyStream: 10,000 seal/sweep steps, each seal settled one of
+// the ways a live node settles it — confirmed, swept at its deadline,
+// cancelled, or revoked with its receiver. The book keeps nothing for a key
+// that has left it: only the current grace period's seals are ever held.
+func TestEscrowSteadyStream(t *testing.T) {
+	const grace, perGrace = int64(2e9), 64
+	e := NewEscrowWithRand(testRand())
+	sealFor(t, e, 1, 0, 0)
+	e.Confirm(1) // receiver 1 is trusted: the sweep settles what it is left owing
+	for i, now := 0, int64(0); i < 10_000; i, now = i+1, now+grace/perGrace {
+		switch i % 4 {
+		case 0:
+			sealFor(t, e, 1, i, now+grace) // left for the sweep
+		case 1:
+			sealFor(t, e, 2, i, now+grace)
+			e.Confirm(2)
+		case 2:
+			e.Revoke(sealFor(t, e, 3, i, now+grace))
+		case 3:
+			sealFor(t, e, 4, i, now+grace)
+			e.Forget(4)
+		}
+		e.Sweep(now, everyone)
+		if held := e.Pending(); held > perGrace/4+1 {
+			t.Fatalf("step %d: %d keys held, want at most the %d still inside their grace", i, held, perGrace/4+1)
+		}
+	}
+	if e.Sweep(int64(10_000)*grace, everyone); e.Pending() != 0 {
+		t.Errorf("Pending = %d after a sweep past every deadline", e.Pending())
+	}
+}
+
+// TestEscrowProperty drives seeded random seal / cancel / confirm / sweep /
+// forget sequences against a model and holds the book to its invariants:
+// every key leaves at most once, and only by a way that may take it (a
+// sweep never releases to a receiver that has not confirmed, or is not
+// linked, or before the deadline); Pending is seals minus releases, cancels
+// and revocations; and forgetting every receiver empties the book.
+func TestEscrowProperty(t *testing.T) {
+	const receivers = 6
+	type seal struct {
+		receiver int
+		due      int64
+		gone     bool
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEscrowWithRand(rng)
+		seals := map[uint64]*seal{}
+		confirmed := map[int]bool{}
+		live := 0
+		leave := func(how string, keyID uint64) *seal {
+			s := seals[keyID]
+			if s == nil || s.gone {
+				t.Fatalf("seed %d: %s took key %d, which was never sealed or had already left", seed, how, keyID)
+			}
+			s.gone = true
+			live--
+			return s
+		}
+		var now int64
+		for step := 0; step < 2000; step++ {
+			now += rng.Int63n(50)
+			receiver := rng.Intn(receivers)
+			switch rng.Intn(6) {
+			case 0, 1:
+				due := now + rng.Int63n(200)
+				seals[sealFor(t, e, receiver, step, due)] = &seal{receiver: receiver, due: due}
+				live++
+			case 2: // cancel a key, held or not
+				keyID := uint64(rng.Intn(len(seals) + 1))
+				if s := seals[keyID]; s != nil && !s.gone {
+					leave("Revoke", keyID)
+				}
+				e.Revoke(keyID)
+			case 3:
+				for _, k := range e.Confirm(receiver) {
+					if s := leave("Confirm", k.KeyID); s.receiver != receiver || k.Receiver != receiver {
+						t.Fatalf("seed %d: Confirm(%d) released key %d, owed by %d", seed, receiver, k.KeyID, s.receiver)
+					}
+					confirmed[receiver] = true
+				}
+			case 4:
+				unlinked := rng.Intn(receivers)
+				for _, k := range e.Sweep(now, func(id int) bool { return id != unlinked }) {
+					s := leave("Sweep", k.KeyID)
+					if !confirmed[s.receiver] || s.receiver == unlinked || s.due > now {
+						t.Fatalf("seed %d: sweep at %d (receiver %d unlinked) released key %d: receiver %d, confirmed %v, due %d",
+							seed, now, unlinked, k.KeyID, s.receiver, confirmed[s.receiver], s.due)
+					}
+				}
+			case 5:
+				e.Forget(receiver)
+				for keyID, s := range seals {
+					if s.receiver == receiver && !s.gone {
+						leave("Forget", keyID)
+					}
+				}
+			}
+			if got := e.Pending(); got != live {
+				t.Fatalf("seed %d step %d: Pending = %d, want %d (seals minus releases, cancels and revocations)", seed, step, got, live)
+			}
+		}
+		for keyID, s := range seals {
+			if _, held := e.Piece(keyID); held == s.gone {
+				t.Fatalf("seed %d: key %d held = %v, model says gone = %v", seed, keyID, held, s.gone)
+			}
+		}
+		for id := 0; id < receivers; id++ {
+			e.Forget(id)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: %d keys left after forgetting every receiver", seed, e.Pending())
+		}
 	}
 }
 

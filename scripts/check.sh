@@ -123,17 +123,28 @@ echo "== attestation adversary gate =="
 # receipts too: every receipt an origin must refuse (minted by the
 # forwarder, addressed elsewhere, off its link, a per-piece receipt
 # re-wrapped, wrong piece, replayed) leaves the key in escrow, and a stopped
-# node keeps nothing alive — no timer outlives it. And the credit that needs
-# no forgery: a client re-pushing one piece the receiver holds earns nothing,
-# on the ledger or in the node's books. The receipt copies all of this
+# node keeps nothing alive — no timer outlives it. The escrow those receipts
+# release from is one book, held to its invariants by a seeded property test
+# (every key leaves at most once, no sweep releases to a receiver that never
+# reciprocated) and read on passed-in time only; and a parked seal answers to
+# the origin that sealed it, not to a KeyID any neighbor can guess: two
+# origins' seals under one KeyID both open, and another peer's Key neither
+# opens nor removes one. And the credit that needs no forgery: a client
+# re-pushing one piece the receiver holds earns nothing, on the ledger or in
+# the node's books. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
 # signals a writer for an announcement or a copy, the tick does, a free-rider
 # still ticks, and Stop drains what the dead tick left.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestStoppedTChainNodeIsCollectable' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestStoppedTChainNodeIsCollectable|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal' ./internal/node
+go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace' ./internal/tchain
 go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains' ./internal/node
-if grep -n 'time\.AfterFunc' $(ls internal/node/*.go | grep -v '_test\.go$'); then
-  echo "internal/node arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
+if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
+  echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
+  exit 1
+fi
+if grep -n 'time\.\(Now\|Since\)' $(ls internal/tchain/*.go | grep -v '_test\.go$'); then
+  echo "internal/tchain reads a clock: the escrow takes time as an argument (the node's sinceStartNs)" >&2
   exit 1
 fi
 
@@ -205,6 +216,7 @@ loc() {
 }
 loc .
 loc internal/node internal/sim
+loc internal/tchain internal/node
 loc bench
 
 echo "check: OK"
