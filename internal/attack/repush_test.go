@@ -16,10 +16,18 @@ import (
 // TestRePusherEarnsNothing runs the duplicate-delivery client against a live
 // node that already holds the piece it pushes, beside an honest uploader
 // that moves the same number of bytes in pieces the node lacked — same
-// handshake, same frames, only the indices differ. The honest one is
-// credited to the byte, in the node's counters and on the ledger its
-// Reputation strategy ranks by; the re-pusher ends with nothing in either.
+// handshake, same frames, only the indices differ — under each of the six
+// mechanisms: a first delivery is decided in one place whatever the strategy.
+// The honest one is credited to the byte, in the node's counters and on the
+// ledger the Reputation strategy ranks by; the re-pusher ends with nothing in
+// either.
 func TestRePusherEarnsNothing(t *testing.T) {
+	for _, mech := range algo.All() {
+		t.Run(mech.String(), func(t *testing.T) { rePushAgainst(t, mech) })
+	}
+}
+
+func rePushAgainst(t *testing.T, mech algo.Algorithm) {
 	const pieces, size, pushes = 16, 512, 8
 	const rePusherID, honestID = 1, 2
 	manifest, err := piece.SyntheticManifest(pieces, size)
@@ -33,7 +41,7 @@ func TestRePusherEarnsNothing(t *testing.T) {
 	}
 	ledger := reputation.NewLedger(attest.AcceptAll{})
 	tr := transport.NewMem()
-	victim, err := node.New(node.Config{Algorithm: algo.Reputation, Store: store, Transport: tr, Ledger: ledger})
+	victim, err := node.New(node.Config{Algorithm: mech, Store: store, Transport: tr, Ledger: ledger})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"maps"
 	"time"
 
 	"repro/internal/attest"
@@ -163,6 +164,9 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		n.mu.Lock()
 		n.unlinkLocked(r)
 		n.escrow.Forget(peerID) // under mu: no new link to peerID seals in between
+		// Its seals parked here are dead too: its side of this unlink
+		// Forgets their keys, and no Key can arrive but on this link.
+		maps.DeleteFunc(n.pendingSeals, func(ref sealRef, _ pendingSeal) bool { return ref.origin == peerID })
 		n.mu.Unlock()
 		n.log.Debug("peer disconnected", "peer", peerID)
 	}()
@@ -189,10 +193,10 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 
 // dispatch handles one inbound message; it reports whether the connection
 // should close. Messages arrive under the transport's zero-copy contract:
-// bulk byte fields may alias connection-owned scratch that the next Recv
-// reuses, so every handler either consumes them synchronously (Bitfield,
-// Piece via Store.Put's verify-and-copy) or copies what it retains
-// (SealedPiece ciphertext).
+// Piece.Data and Bitfield.Bits may alias connection-owned scratch that the
+// next Recv reuses, so their handlers consume them synchronously (Piece via
+// Store.Put's verify-and-copy); a SealedPiece's ciphertext is the frame's
+// own, parked and forwarded as it is and never written to.
 func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	switch m := msg.(type) {
 	case protocol.Bitfield:
@@ -254,6 +258,15 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 			speaker = m.ForwarderID
 		}
 		if int(speaker) != r.id {
+			return n.dropHostile(r, msg)
+		}
+		manifest := n.cfg.Store.Manifest()
+		if m.Index < 0 || int(m.Index) >= manifest.NumPieces() {
+			return false // malformed index; nothing downstream would accept it
+		}
+		// A seal is a whole piece: a short one parks and opens to nothing,
+		// and a short forward would buy the forwarder's keys for a byte.
+		if len(m.Ciphertext) != manifest.PieceLength(int(m.Index)) {
 			return n.dropHostile(r, msg)
 		}
 		n.handleSealed(r, m)
@@ -329,12 +342,6 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	cont := h.context()
 	n.mu.Lock()
 	n.noteFirstByteLocked(int(m.Index))
-	// A pending seal for this index is now moot; drop the ciphertext.
-	for ref, pending := range n.pendingSeals {
-		if pending.index == int(m.Index) {
-			delete(n.pendingSeals, ref)
-		}
-	}
 	first := n.noteDeliveryLocked(r.id, int(m.Index), len(m.Data), cont)
 	n.mu.Unlock()
 	if first {
@@ -357,13 +364,15 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 // noteDeliveryLocked books one verified plaintext delivery of piece index
 // from peer sender (mu held) and reports whether it was the first: the
 // delivery that sets the bit is attributed to its sender in the byte
-// counters and the strategy, announced, and handed its trace continuation;
-// any later copy only counts as duplicate bytes.
+// counters and the strategy, announced, and handed its trace continuation,
+// and every seal still parked for the piece is dropped as moot; any later
+// copy only counts as duplicate bytes.
 func (n *Node) noteDeliveryLocked(sender, index, size int, cont tracing.Context) bool {
 	if !n.noteGainedLocked(index) {
 		n.metrics.noteDuplicate(size)
 		return false
 	}
+	maps.DeleteFunc(n.pendingSeals, func(_ sealRef, p pendingSeal) bool { return p.index == index })
 	if n.pieceTrace != nil && cont.Traced() {
 		n.pieceTrace[index] = cont
 	}
@@ -385,13 +394,11 @@ func (n *Node) receiptFor(to *remote, sender int, index int32, size int, h *hopT
 	n.checkComplete()
 }
 
-// handleSealed stores the ciphertext and reciprocates per T-Chain: repay
+// handleSealed parks the ciphertext and reciprocates per T-Chain: repay
 // the origin directly when possible, otherwise forward the seal to a third
-// peer (who will send the origin a receipt). Free-riders renege.
+// peer (who will send the origin a receipt). Free-riders renege. dispatch
+// has checked the index and that the ciphertext is the whole piece.
 func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
-	if m.Index < 0 || int(m.Index) >= n.cfg.Store.Manifest().NumPieces() {
-		return // malformed index; nothing downstream would accept it
-	}
 	h := n.hopStart(m.Trace, r.id, int(m.Index))
 
 	if m.Forwarded {
@@ -414,23 +421,17 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		return
 	}
 
-	if n.cfg.Store.Has(int(m.Index)) {
-		return // nothing to gain; skip reciprocating for a duplicate
-	}
-	// The ciphertext outlives this dispatch (pending-seal escrow, possible
-	// forward), while m.Ciphertext may alias the connection's decode
-	// scratch — copy once here, only now that it will be parked, then share
-	// the stable copy everywhere.
-	ciphertext := append([]byte(nil), m.Ciphertext...)
-	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
+	// The ciphertext is the frame's own buffer (the sender's, over Mem):
+	// parked, and possibly forwarded, as it is — nothing writes to it.
 	n.mu.Lock()
 	if n.myBits.Has(int(m.Index)) {
-		// Gained while we copied. handlePiece sets the bit in the section
-		// that drops the index's pending seals, so a seal parked after this
-		// check is still dropped there; one parked without it never would be.
+		// Nothing to gain; skip reciprocating for a duplicate. A first
+		// delivery sets the bit in the section that drops the index's parked
+		// seals, so a seal parked before that is still dropped there.
 		n.mu.Unlock()
 		return
 	}
+	sealed := tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: m.Ciphertext}
 	n.pendingSeals[sealRef{origin: r.id, keyID: m.KeyID}] = pendingSeal{sealed: sealed, index: int(m.Index), tc: h.context()}
 	n.noteFirstByteLocked(int(m.Index))
 	n.mu.Unlock()
@@ -438,7 +439,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 	if n.cfg.FreeRide {
 		return // renege: keep unreadable ciphertext, upload nothing
 	}
-	n.reciprocate(r, m, ciphertext)
+	n.reciprocate(r, m)
 }
 
 // witnessReceipt builds the confirmation a witness owes the origin of the
@@ -465,10 +466,8 @@ func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrac
 	return protocol.AttestedReceipt{KeyID: m.KeyID, Att: att, Trace: h.context()}
 }
 
-// reciprocate fulfils the obligation created by a sealed piece. ciphertext
-// is the caller's stable copy of m.Ciphertext, safe to enqueue for an
-// asynchronous writer.
-func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte) {
+// reciprocate fulfils the obligation created by a sealed piece.
+func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	n.mu.Lock()
 	// Direct: send the origin a piece it needs.
 	directIdx := n.pickRepaymentLocked(r, n.sinceStartNs())
@@ -518,13 +517,12 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte)
 		return // no neighbor but the origin itself; the key may never arrive
 	}
 	forwarded := m
-	forwarded.Ciphertext = ciphertext
 	forwarded.Forwarded = true
 	forwarded.ForwarderID = int32(n.cfg.ID)
 	if !witness.enqueue(forwarded, true, nil) {
 		return // witness saturated; same outcome as having no witness
 	}
-	n.metrics.noteUpload(witness.id, len(ciphertext))
+	n.metrics.noteUpload(witness.id, len(m.Ciphertext))
 }
 
 // handleKey decrypts the seal r parked here under m.KeyID, verifies, stores,
@@ -544,10 +542,14 @@ func (n *Node) handleKey(r *remote, m protocol.Key) {
 	// Resume the trace the seal arrived under: the decrypt+verify and the
 	// credit belong to the seal's causal story, not the key frame's.
 	h := n.hopResume(pending.tc, r.id, pending.index)
-	plaintext, err := tchain.Open(pending.sealed, tchain.Key(m.Key))
+	// Into the link's scratch, never in place: Confirm releases every key a
+	// receiver owes, so this one can land while a forward of the very same
+	// buffer is still queued for a witness. Store.Put copies what it keeps.
+	plaintext, err := tchain.OpenInto(r.opened, &pending.sealed, tchain.Key(m.Key))
 	if err != nil {
 		return
 	}
+	r.opened = plaintext
 	if err := n.cfg.Store.Put(pending.index, plaintext); err != nil {
 		return // wrong key or corrupt ciphertext: hash check failed
 	}
@@ -647,6 +649,12 @@ func (n *Node) checkAck(att attest.Attestation) {
 // Ed25519. A per-piece SchemeSession receipt is keyed witness↔forwarder —
 // the one key the forwarder holds — and proves nothing here.
 func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
+	// Signed or not, a receipt for less than the whole piece is no
+	// reciprocation: a one-byte forward would buy every key owed.
+	if m.Att.Bytes <= 0 || m.Att.Bytes != int64(n.cfg.Store.Manifest().PieceLength(int(m.Att.Index))) {
+		n.metrics.attestReceiptsRejected.Inc()
+		return
+	}
 	if n.verifier == nil {
 		n.confirmReceipt(int(m.Att.Sender))
 		return

@@ -72,14 +72,15 @@ func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protoc
 // TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
 // frame no honest peer could produce — or, in the one case with no frame, a
 // handshake no honest peer could produce. Frames that index outside the
-// manifest's bitfield, a sealed piece naming another peer as its sender and
-// a Hello claiming a pseudo-peer ID must cost the sender its link; the rest
-// are ignored. Either way the node keeps serving —
-// a second, honest leecher completes — and Stop returns promptly, which it
-// cannot if a handler died holding n.mu.
+// manifest's bitfield, a sealed piece naming another peer as its sender or
+// shorter than its piece, and a Hello claiming a pseudo-peer ID must cost
+// the sender its link; the rest are ignored. Either way the node keeps
+// serving — a second, honest leecher completes — and Stop returns promptly,
+// which it cannot if a handler died holding n.mu.
 func TestHostileFramesDropLinkNotNode(t *testing.T) {
 	const n = testPieces
 	ones := bytes.Repeat([]byte{0xFF}, (n+64)/8)
+	whole := make([]byte, testPieceSize)
 	cases := []struct {
 		name     string
 		peerID   int32
@@ -98,8 +99,13 @@ func TestHostileFramesDropLinkNotNode(t *testing.T) {
 		// A frame may not speak for another peer: peer 99 has the seed, as
 		// witness, attest that peer 5 forwarded a seal, and names peer 5 the
 		// origin of its own seal, whom the key's arrival would credit.
-		{"sealed-forwarder-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 1, Forwarded: true, ForwarderID: 5}, true},
-		{"sealed-origin-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 5}, true},
+		{"sealed-forwarder-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 1, Forwarded: true, ForwarderID: 5}, true},
+		{"sealed-origin-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 5}, true},
+		// A seal is a whole piece. A short one would be parked to open to
+		// nothing; a short forward would have the seed, as witness, receipt
+		// one byte — and the origin release every key peer 99 owes for it.
+		{"sealed-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, true},
+		{"sealed-forward-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 1, Forwarded: true, ForwarderID: 99}, true},
 		{"piece-past-end", 99, protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
 		{"key-unknown", 99, protocol.Key{KeyID: 12345}, false},
 		// An empty-handed neighbor named incentive.NoPeer: the seed's

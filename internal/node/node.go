@@ -210,6 +210,10 @@ type remote struct {
 	// inbound frame on this link and the last keepalive ping we sent.
 	lastRecv atomic.Int64
 	lastPing atomic.Int64
+
+	// opened is handleKey's plaintext scratch, reused across the keys this
+	// link delivers; only the link's reader goroutine touches it.
+	opened []byte
 }
 
 // newRemote wires the outbound queue of n's link to peer id. announced is
@@ -478,7 +482,7 @@ func (r *remote) writeLoop() {
 // key finally lands, handleKey resumes the trace there, so the decrypt and
 // verify appear in the same causal story as the seal's wire hop.
 type pendingSeal struct {
-	sealed *tchain.Sealed
+	sealed tchain.Sealed
 	index  int
 	tc     tracing.Context
 }

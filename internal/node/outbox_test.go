@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -303,15 +304,17 @@ func TestResendCooldown(t *testing.T) {
 	}
 }
 
-// TestWitnessKeepsNoCiphertext pins who parks a sealed piece. The receiver
-// of a seal keeps the ciphertext until its key arrives and reciprocates —
-// here by forwarding a stable copy to a witness, having no piece the origin
-// lacks. The witness of that forward keeps nothing: the origin releases the
-// key to the forwarder only, so a parked copy could never be opened and
-// would sit in pendingSeals until Stop. It still owes the origin a signed
-// receipt naming the forwarder, the piece and the ciphertext's size — under
-// the key the link to the origin affords: MAC'd to a link both ends keyed
-// from registered session secrets, Ed25519 otherwise.
+// TestWitnessKeepsNoCiphertext pins who parks a sealed piece, and in which
+// buffer. The receiver of a seal keeps the frame's own ciphertext until its
+// key arrives and reciprocates — here by forwarding that same buffer to a
+// witness, having no piece the origin lacks; when the key lands while the
+// forward is still queued, the open must leave that buffer ciphertext. The
+// witness of a forward keeps nothing: the origin releases the key to the
+// forwarder only, so a parked copy could never be opened and would sit in
+// pendingSeals until Stop. It still owes the origin a signed receipt naming
+// the forwarder, the piece and the ciphertext's size — under the key the
+// link to the origin affords: MAC'd to a link both ends keyed from
+// registered session secrets, Ed25519 otherwise.
 func TestWitnessKeepsNoCiphertext(t *testing.T) {
 	const originID, otherID, farOriginID = 1, 2, 5
 	manifest, _ := clusterFixture(t)
@@ -332,8 +335,8 @@ func TestWitnessKeepsNoCiphertext(t *testing.T) {
 			origin, _ := fixtureRemote(n, originID, false)
 			other, _ := fixtureRemote(n, otherID, false)
 			n.peers[originID], n.peers[otherID] = origin, other
-			scratch := make([]byte, testPieceSize) // stands in for the decoder's reused buffer
-			seal := protocol.SealedPiece{Index: 3, KeyID: 11, Ciphertext: scratch, OriginID: originID}
+			seal, key := rawSeal(t, originID, 11, 3)
+			ciphertext := bytes.Clone(seal.Ciphertext)
 			// attests: the receipt names otherID forwarding the seal, under a
 			// signature the origin it is meant for accepts.
 			attests := func(receipt protocol.AttestedReceipt, scheme attest.Scheme, addressee int32) bool {
@@ -398,8 +401,16 @@ func TestWitnessKeepsNoCiphertext(t *testing.T) {
 			if !ok || !fwd.Forwarded || fwd.ForwarderID != 0 || fwd.KeyID != seal.KeyID || len(fwd.Ciphertext) != testPieceSize {
 				t.Fatalf("receiver forwarded %+v, want seal %d marked as forwarded by node 0", other.outbox[0], seal.KeyID)
 			}
-			if &fwd.Ciphertext[0] == &scratch[0] {
-				t.Error("the forwarded seal aliases the decode scratch instead of a stable copy")
+			if &fwd.Ciphertext[0] != &seal.Ciphertext[0] {
+				t.Error("the forward copied the ciphertext instead of sharing the frame's buffer")
+			}
+
+			n.dispatch(origin, key)
+			if !n.cfg.Store.Has(int(seal.Index)) || n.Stats().SealedPending != 0 {
+				t.Fatal("the origin's key did not open its parked seal")
+			}
+			if !bytes.Equal(fwd.Ciphertext, ciphertext) || bytes.Equal(fwd.Ciphertext, piece.SyntheticPiece(int(seal.Index), testPieceSize)) {
+				t.Error("opening the seal rewrote the buffer its queued forward will put on the wire")
 			}
 		})
 	}

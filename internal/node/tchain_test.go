@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -256,6 +257,59 @@ func TestKeyOpensOnlyItsSendersSeal(t *testing.T) {
 	}
 }
 
+// TestMootSealsAreDropped: a parked seal goes as soon as it can open nothing
+// new. Two origins seal piece 3 and origin 1's Key delivers it: origin 2's
+// seal is dropped in the same step, not opened and decrypted later only for
+// the store to find the piece held. And a seal goes with its origin's link,
+// since that origin's side of the unlink revokes its key.
+func TestMootSealsAreDropped(t *testing.T) {
+	n, tr := startTChainLeecher(t)
+	first, second := rawLink(t, tr, n.Addr(), 1), rawLink(t, tr, n.Addr(), 2)
+	seal, key := rawSeal(t, 1, 0, 3)
+	send(t, first, seal)
+	seal, _ = rawSeal(t, 2, 0, 3)
+	send(t, second, seal)
+	waitFor(t, "both origins' seals of piece 3 to be parked", func() bool { return n.Stats().SealedPending == 2 })
+	send(t, first, key)
+	waitFor(t, "origin 2's seal to be dropped once origin 1's key delivers the piece", func() bool {
+		return n.Stats().SealedPending == 0
+	})
+	if !n.cfg.Store.Has(3) {
+		t.Fatal("piece 3 was not delivered")
+	}
+
+	seal, _ = rawSeal(t, 1, 1, 4)
+	send(t, first, seal)
+	waitFor(t, "origin 1's seal of piece 4 to be parked", func() bool { return n.Stats().SealedPending == 1 })
+	first.Close()
+	waitFor(t, "the unlinked origin's seal to be dropped", func() bool { return n.Stats().SealedPending == 0 })
+}
+
+// TestKeysOpenBackToBack: every key a link delivers is opened into that
+// link's one scratch buffer, so two opened back to back must still leave
+// both pieces intact in the store — Store.Put keeps a copy, not the scratch.
+func TestKeysOpenBackToBack(t *testing.T) {
+	manifest, _ := clusterFixture(t)
+	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
+	origin, _ := fixtureRemote(n, 1, false)
+	n.peers[1] = origin
+	pieces := []int{4, 9}
+	var keys []protocol.Key
+	for keyID, idx := range pieces {
+		seal, key := rawSeal(t, 1, uint64(keyID), idx)
+		n.dispatch(origin, seal)
+		keys = append(keys, key)
+	}
+	for _, key := range keys {
+		n.dispatch(origin, key)
+	}
+	for _, idx := range pieces {
+		if got, err := n.cfg.Store.GetRef(idx); err != nil || !bytes.Equal(got, piece.SyntheticPiece(idx, testPieceSize)) {
+			t.Errorf("piece %d after both keys: err %v, intact %v", idx, err, bytes.Equal(got, piece.SyntheticPiece(idx, testPieceSize)))
+		}
+	}
+}
+
 // TestSealedPieceSpeaksOnlyForItsLink: the witness attests ForwarderID and
 // handleKey credits OriginID, so both must be the peer the link
 // authenticated. Peer 2 claiming peer 3 forwarded peer 1's seal, or that
@@ -340,6 +394,8 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 		{"per-piece-session-receipt-rewrapped", perPiece, witnessID},
 		{"per-piece-receipt-relabelled-link", func() attest.Attestation { a := perPiece; a.Scheme = attest.SchemeLink; return a }(), witnessID},
 		{"wrong-piece", witness.AttestLink(originID, forwarderID, idx+1, hash(idx+1), testPieceSize), witnessID},
+		// A genuine receipt for a one-byte forward: no reciprocation at all.
+		{"truncated-forward", witness.AttestLink(originID, forwarderID, idx, hash(idx), 1), witnessID},
 		// What an unsigned witness sends, and all an unsigned origin asks for:
 		// to a signing origin it is a claim anyone can type.
 		{"unsigned-claim", attest.Claim(forwarderID, witnessID, idx, testPieceSize), witnessID},
@@ -401,7 +457,7 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 // TestUnsignedWitnessReceipt: without identities there is one receipt frame
 // too — the witness sends an AttestedReceipt carrying its bare claim, and an
 // unsigned origin takes its word (the paper's trust model) and releases the
-// forwarder's key.
+// forwarder's key, unless the claim is for less than the whole piece.
 func TestUnsignedWitnessReceipt(t *testing.T) {
 	const originID, forwarderID, witnessID = 0, 1, 2
 	manifest, content := clusterFixture(t)
@@ -435,6 +491,13 @@ func TestUnsignedWitnessReceipt(t *testing.T) {
 		t.Fatalf("the witness sent %#v, want an AttestedReceipt for key %d carrying %+v", toOrigin.outbox[0], keyID, want)
 	}
 
+	// Taking the witness's word is not taking it for less than the piece.
+	truncated := receipt
+	truncated.Att.Bytes = 1
+	origin.dispatch(fromWitness, truncated)
+	if got := keysQueued(toForwarder); len(got) != 0 || origin.escrow.Pending() != 1 {
+		t.Fatalf("a claim for one byte of the piece queued the forwarder keys %v", got)
+	}
 	if origin.dispatch(fromWitness, receipt) {
 		t.Error("the origin dropped the witness's link")
 	}

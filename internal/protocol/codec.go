@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -261,8 +262,7 @@ func appendPayload(dst []byte, m Message) ([]byte, error) {
 }
 
 // unmarshalPayload decodes one payload. With zeroCopy set, the returned
-// message's bulk byte fields (Piece.Data, SealedPiece.Ciphertext,
-// Bitfield.Bits) alias payload.
+// message's bulk byte fields (Piece.Data, Bitfield.Bits) alias payload.
 func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 	r := &reader{buf: payload, zeroCopy: zeroCopy}
 	var m Message
@@ -285,7 +285,12 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 	case TypeSealedPiece:
 		msg := SealedPiece{Index: r.i32(), KeyID: r.u64()}
 		copy(msg.Nonce[:], r.take(len(msg.Nonce)))
-		msg.Ciphertext = r.bytes()
+		// Ciphertext outlives the frame (the receiver parks it until its key
+		// lands, and may forward it), so, like Hello.PubKey, it is always
+		// materialized rather than aliasing the decode scratch.
+		if msg.Ciphertext = r.bytes(); r.zeroCopy {
+			msg.Ciphertext = bytes.Clone(msg.Ciphertext)
+		}
 		msg.OriginID = r.i32()
 		msg.OriginAddr = r.str()
 		msg.Forwarded = r.boolean()

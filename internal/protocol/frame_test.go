@@ -153,6 +153,30 @@ func TestDecoderScratchReuse(t *testing.T) {
 	}
 }
 
+// TestDecoderOwnsCiphertext: a receiver parks a SealedPiece's ciphertext
+// until its key lands, so the scratch decoder hands it out as storage of its
+// own — byte-identical after the next Decode has rewritten the scratch.
+func TestDecoderOwnsCiphertext(t *testing.T) {
+	var buf bytes.Buffer
+	first := bytes.Repeat([]byte{0xAA}, 64)
+	for i, ct := range [][]byte{first, bytes.Repeat([]byte{0xBB}, 64)} {
+		if err := EncodeTo(&buf, SealedPiece{Index: int32(i), KeyID: uint64(i), Ciphertext: ct}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := NewDecoder(&buf)
+	m1, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m1.(SealedPiece).Ciphertext; !bytes.Equal(got, first) {
+		t.Errorf("first ciphertext after the next Decode = %x…, want it intact", got[:4])
+	}
+}
+
 func TestPackageDecodeOwnsStorage(t *testing.T) {
 	// The one-shot Decode must return retainable storage even when frames
 	// share a reader.

@@ -334,12 +334,13 @@ func EncodeTo(w io.Writer, m Message) error {
 // transport.Conn's Recv contract) and must not be shared.
 //
 // Zero-copy contract: the bulk byte fields of a returned message
-// (Piece.Data, SealedPiece.Ciphertext, Bitfield.Bits) alias the decoder's
-// scratch and are valid only until the next Decode call. Consume them
-// before reading the next frame — handing piece data to piece.Store.Put,
-// which verifies and copies, is the canonical zero-copy hand-off; the
-// scratch is released for reuse simply by calling Decode again. Retaining a
-// field past that point requires an explicit copy.
+// (Piece.Data, Bitfield.Bits) alias the decoder's scratch and are valid
+// only until the next Decode call. Consume them before reading the next
+// frame — handing piece data to piece.Store.Put, which verifies and copies,
+// is the canonical zero-copy hand-off; the scratch is released for reuse
+// simply by calling Decode again. Retaining such a field past that point
+// requires an explicit copy. SealedPiece.Ciphertext and Hello.PubKey, which
+// their consumers keep, are owned by the message.
 type Decoder struct {
 	r       io.Reader
 	scratch []byte

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -76,9 +77,12 @@ const noReceiver = -1
 // and nothing is kept for it afterwards. The book reads no clock: deadlines
 // and sweep instants are the caller's. Safe for concurrent use.
 type Escrow struct {
-	mu      sync.Mutex
-	rand    io.Reader
-	nextID  uint64
+	mu     sync.Mutex
+	rand   io.Reader
+	nextID uint64
+	// draw receives each seal's key‖nonce under mu: a field, so the read
+	// into it costs no allocation per seal.
+	draw    [KeySize + NonceSize]byte
 	owed    map[uint64]owed
 	trusted map[int]bool
 }
@@ -95,36 +99,39 @@ func NewEscrowWithRand(r io.Reader) *Escrow {
 // Seal encrypts plaintext under a fresh key, escrows the key for nobody in
 // particular, and returns the sealed piece.
 func (e *Escrow) Seal(plaintext []byte) (*Sealed, error) {
-	return e.SealFor(plaintext, noReceiver, 0, 0)
+	sealed, err := e.SealFor(plaintext, noReceiver, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &sealed, nil
 }
 
 // SealFor encrypts plaintext under a fresh key and books the key as owed by
-// receiver for piece, strictly escrowed until due. The key and nonce are
-// drawn and booked in one section (r need not be concurrency-safe); the
-// cipher pass runs outside it.
-func (e *Escrow) SealFor(plaintext []byte, receiver, piece int, due int64) (*Sealed, error) {
+// receiver for piece, strictly escrowed until due. The key and then the
+// nonce are drawn in one read and booked in one section (r need not be
+// concurrency-safe); the cipher pass runs outside it. The ciphertext is a
+// fresh buffer nothing writes to again, so every hop may share it.
+func (e *Escrow) SealFor(plaintext []byte, receiver, piece int, due int64) (Sealed, error) {
 	if len(plaintext) == 0 {
-		return nil, ErrEmpty
+		return Sealed{}, ErrEmpty
 	}
 	o := owed{receiver: receiver, piece: piece, due: due}
-	sealed := &Sealed{}
+	var sealed Sealed
 	e.mu.Lock()
-	_, err := io.ReadFull(e.rand, o.key[:])
+	_, err := io.ReadFull(e.rand, e.draw[:])
 	if err == nil {
-		_, err = io.ReadFull(e.rand, sealed.Nonce[:])
-	}
-	if err == nil {
+		o.key, sealed.Nonce = Key(e.draw[:KeySize]), [NonceSize]byte(e.draw[KeySize:])
 		sealed.KeyID = e.nextID
 		e.nextID++
 		e.owed[sealed.KeyID] = o
 	}
 	e.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("tchain: drawing key and nonce: %w", err)
+		return Sealed{}, fmt.Errorf("tchain: drawing key and nonce: %w", err)
 	}
-	if sealed.Ciphertext, err = xorStream(o.key, sealed.Nonce, plaintext); err != nil {
+	if sealed.Ciphertext, err = xorStream(nil, o.key, sealed.Nonce, plaintext); err != nil {
 		e.Revoke(sealed.KeyID)
-		return nil, err
+		return Sealed{}, err
 	}
 	return sealed, nil
 }
@@ -218,22 +225,33 @@ func (e *Escrow) Pending() int {
 	return len(e.owed)
 }
 
-// Open decrypts a sealed piece with the given key. Callers must verify the
-// plaintext against the manifest hash — CTR provides no integrity on its
-// own.
-func Open(s *Sealed, key Key) ([]byte, error) {
+// Open decrypts a sealed piece with the given key into a fresh buffer.
+// Callers must verify the plaintext against the manifest hash — CTR
+// provides no integrity on its own.
+func Open(s *Sealed, key Key) ([]byte, error) { return OpenInto(nil, s, key) }
+
+// OpenInto is Open writing the plaintext into dst's storage when its
+// capacity suffices, and returns it. s.Ciphertext is only read; dst must
+// not overlap it, since a sealed buffer may still be queued for another
+// peer.
+func OpenInto(dst []byte, s *Sealed, key Key) ([]byte, error) {
 	if s == nil || len(s.Ciphertext) == 0 {
 		return nil, ErrEmpty
 	}
-	return xorStream(key, s.Nonce, s.Ciphertext)
+	return xorStream(dst, key, s.Nonce, s.Ciphertext)
 }
 
-func xorStream(key Key, nonce [NonceSize]byte, data []byte) ([]byte, error) {
+// xorStream runs AES-CTR over data into dst's storage (grown if short).
+// The IV is staged in that storage first: NewCTR copies it, and its iv
+// argument escapes, so passing nonce[:] would cost a heap object per call.
+func xorStream(dst []byte, key Key, nonce [NonceSize]byte, data []byte) ([]byte, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("tchain: %w", err)
 	}
-	out := make([]byte, len(data))
-	cipher.NewCTR(block, nonce[:]).XORKeyStream(out, data)
+	out := slices.Grow(dst[:0], max(len(data), NonceSize))
+	stream := cipher.NewCTR(block, append(out, nonce[:]...))
+	out = out[:len(data)]
+	stream.XORKeyStream(out, data)
 	return out, nil
 }

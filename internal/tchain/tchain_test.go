@@ -137,7 +137,7 @@ func TestEscrowConcurrent(t *testing.T) {
 				t.Errorf("Confirm(%d) = %+v, want key %d", receiver, got, first.KeyID)
 				return
 			}
-			if plain, err := Open(first, got[0].Key); err != nil || !bytes.Equal(plain, payload) {
+			if plain, err := Open(&first, got[0].Key); err != nil || !bytes.Equal(plain, payload) {
 				t.Errorf("released key does not open its seal: %q, %v", plain, err)
 			}
 			second, err := e.SealFor(payload, receiver, 2, 10)
@@ -452,6 +452,102 @@ func TestEscrowProperty(t *testing.T) {
 		}
 		if e.Pending() != 0 {
 			t.Fatalf("seed %d: %d keys left after forgetting every receiver", seed, e.Pending())
+		}
+	}
+}
+
+// TestSealForByValue: a seal returned by value opens with the key its
+// receiver is released, and the one key‖nonce read draws what two reads —
+// key first, then nonce — drew from a seeded reader, seal after seal.
+func TestSealForByValue(t *testing.T) {
+	const seed = 7
+	want := rand.New(rand.NewSource(seed))
+	e := NewEscrowWithRand(rand.New(rand.NewSource(seed)))
+	plaintext := bytes.Repeat([]byte("piece"), 100)
+	for i := 0; i < 3; i++ {
+		var key Key
+		var nonce [NonceSize]byte
+		want.Read(key[:])
+		want.Read(nonce[:])
+		sealed, err := e.SealFor(plaintext, 42, i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := e.Confirm(42)
+		if len(released) != 1 || released[0].Key != key || sealed.Nonce != nonce {
+			t.Fatalf("seal %d: released %+v with nonce %x, want key %x and nonce %x", i, released, sealed.Nonce, key, nonce)
+		}
+		if got, err := Open(&sealed, key); err != nil || !bytes.Equal(got, plaintext) {
+			t.Fatalf("seal %d does not open: %v", i, err)
+		}
+	}
+}
+
+// TestOpenIntoLeavesSealAlone: OpenInto only reads the ciphertext — a sealed
+// buffer may still be queued for another peer — and writes the plaintext
+// into dst's storage when it is large enough, allocating only the cipher
+// and its CTR stream.
+func TestOpenIntoLeavesSealAlone(t *testing.T) {
+	e := NewEscrowWithRand(testRand())
+	plaintext := bytes.Repeat([]byte{0x5a}, 4096)
+	sealed, err := e.Seal(plaintext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := e.Release(sealed.KeyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ciphertext := bytes.Clone(sealed.Ciphertext)
+	dst := make([]byte, 0, len(plaintext))
+	got, err := OpenInto(dst, sealed, key)
+	if err != nil || !bytes.Equal(got, plaintext) {
+		t.Fatalf("OpenInto = %v, plaintext intact %v", err, bytes.Equal(got, plaintext))
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Error("OpenInto allocated though dst had the capacity")
+	}
+	if !bytes.Equal(sealed.Ciphertext, ciphertext) {
+		t.Error("OpenInto wrote into the sealed buffer")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { OpenInto(dst, sealed, key) }); allocs > 2 {
+		t.Errorf("OpenInto into a large enough dst: %.0f allocs, want at most 2 (cipher, CTR)", allocs)
+	}
+}
+
+// BenchmarkSealFor seals and settles one 4 KB piece: the ciphertext, the
+// cipher and its CTR stream are the only allocations (check.sh: ≤ 3).
+func BenchmarkSealFor(b *testing.B) {
+	e := NewEscrow()
+	plaintext := make([]byte, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sealed, err := e.SealFor(plaintext, 1, 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Revoke(sealed.KeyID)
+	}
+}
+
+// BenchmarkOpenInto opens one 4 KB seal into a reused buffer: the cipher
+// and its CTR stream are the only allocations (check.sh: ≤ 2).
+func BenchmarkOpenInto(b *testing.B) {
+	e := NewEscrow()
+	sealed, err := e.Seal(make([]byte, 4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := e.Release(sealed.KeyID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 0, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = OpenInto(dst, sealed, key); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -21,9 +21,10 @@ type Conn interface {
 	// for TCP) once the peer closes.
 	//
 	// Zero-copy contract: the bulk byte fields of a returned message
-	// (Piece.Data, SealedPiece.Ciphertext, Bitfield.Bits) may alias
-	// transport-owned buffers that the next Recv on the same connection
-	// reuses. Consume or copy them before the next Recv call.
+	// (Piece.Data, Bitfield.Bits) may alias transport-owned buffers that
+	// the next Recv on the same connection reuses. Consume or copy them
+	// before the next Recv call. SealedPiece.Ciphertext may be kept, read
+	// only: over Mem it is the sender's own buffer.
 	Recv() (protocol.Message, error)
 	// Close tears the connection down; it is idempotent.
 	Close() error

@@ -129,15 +129,20 @@ echo "== attestation adversary gate =="
 # reciprocated) and read on passed-in time only; and a parked seal answers to
 # the origin that sealed it, not to a KeyID any neighbor can guess: two
 # origins' seals under one KeyID both open, and another peer's Key neither
-# opens nor removes one. And the credit that needs no forgery: a client
-# re-pushing one piece the receiver holds earns nothing, on the ledger or in
-# the node's books. The receipt copies all of this
+# opens nor removes one. A seal or forward shorter than its piece costs the
+# link, a receipt for less than the piece releases nothing, a parked seal
+# goes once its piece is delivered or its origin unlinks, and a key that
+# lands while its seal's forward is queued never opens into that buffer. And
+# the credit that needs no forgery: a client re-pushing one piece the
+# receiver holds earns nothing under any of the six mechanisms, on the
+# ledger or in the node's books. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
 # signals a writer for an announcement or a copy, the tick does, a free-rider
 # still ticks, and Stop drains what the dead tick left.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestStoppedTChainNodeIsCollectable|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal' ./internal/node
-go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace' ./internal/tchain
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
+go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
+go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
 go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains' ./internal/node
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
@@ -159,6 +164,13 @@ alloc_guard ./internal/attest BenchmarkAttestVerifySession 0
 # per forward at the witness, one check at the origin.
 alloc_guard ./internal/attest BenchmarkAttestSignLink 0
 alloc_guard ./internal/attest BenchmarkAttestVerifyLink 0
+
+echo "== sealed path allocation guard =="
+# T-Chain's one buffer per hop: a 4 KB seal allocates its ciphertext, the
+# AES cipher and its CTR stream, nothing for the escrow's bookkeeping; an
+# open into a reused buffer allocates only the cipher and the stream.
+alloc_guard ./internal/tchain BenchmarkSealFor 3
+alloc_guard ./internal/tchain BenchmarkOpenInto 2
 
 echo "== metrics allocation guard =="
 # The sharded metrics core sits on every hot path the node instruments, so
@@ -217,6 +229,7 @@ loc() {
 loc .
 loc internal/node internal/sim
 loc internal/tchain internal/node
+loc internal/tchain internal/node internal/protocol
 loc bench
 
 echo "check: OK"
