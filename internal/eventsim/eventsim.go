@@ -3,11 +3,11 @@
 //
 // The engine is single-threaded by design — discrete-event simulation derives
 // its reproducibility from a total order over events, so all model code runs
-// on the goroutine that calls Run. Events scheduled for the same instant are
-// ordered by scheduling sequence number, which makes runs bit-for-bit
-// repeatable for a fixed seed. (Many engines may run concurrently — one per
-// goroutine — as long as each engine stays confined to its goroutine; the
-// parallel replication runner in internal/runner relies on exactly that.)
+// on the goroutine that calls Run. Events scheduled for the same instant run
+// in the order they were scheduled, which makes runs bit-for-bit repeatable
+// for a fixed seed. (Many engines may run concurrently — one per goroutine —
+// as long as each engine stays confined to its goroutine; the parallel
+// replication runner in internal/runner relies on exactly that.)
 //
 // Event records are recycled through a per-engine free list: in steady state
 // a Schedule/fire cycle performs no heap allocation, which matters because
@@ -15,19 +15,27 @@
 // carry a generation number so a stale handle held across a recycle can
 // never cancel the record's next occupant.
 //
-// The priority queue is a hand-rolled 4-ary heap over small value entries
-// (time, seq, record pointer) rather than container/heap over record
-// pointers: sift comparisons then touch only the contiguous entry array —
-// no interface dispatch, no pointer chasing into recycled records — and the
-// shallower tree halves the sift depth. Because (time, seq) is a strict
-// total order, every heap shape pops events in exactly the same sequence,
-// so this is invisible to simulation results.
+// The priority queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and
+// Tarjan's radix heap, with base-16 digits) keyed by the IEEE-754 bits of
+// each event's time, which order non-negative times exactly as the times
+// themselves. Schedule refuses the past, so no key is ever below the last
+// one popped (the floor), and a record lives in the bucket named by the
+// highest digit in which its key differs from the floor and its value there.
+// Bucket 0 holds the keys equal to the floor; when it runs dry, the lowest
+// non-empty bucket is re-spread around its own least key, and each record
+// moves down only a few times in its life. The buckets are FIFO lists
+// threaded through the records themselves, so the queue costs no memory
+// beyond them, and every list stays in scheduling order: pushes append the
+// newest record, and a re-spread walks its bucket in order into buckets that
+// are empty. Equal times therefore pop first-come first-served, the same
+// sequence a sort by (time, scheduling order) gives.
 package eventsim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run when the simulation was halted explicitly
@@ -38,14 +46,19 @@ var ErrStopped = errors.New("eventsim: stopped")
 // may schedule further events.
 type Handler func(now float64)
 
-// event is one schedulable record. Ordering state lives in the heap entry,
-// not here; gen counts free-list recycles so stale Timer handles become
-// inert.
+// event is one schedulable record. key is the bits of its time and next
+// links it into its bucket (or the free list). gen counts free-list recycles
+// in steps of two so stale Timer handles become inert; its low bit marks the
+// current occupant canceled.
 type event struct {
-	gen      uint64
-	handler  Handler
-	canceled bool
+	key     uint64
+	next    *event
+	gen     uint64
+	handler Handler
 }
+
+// canceled reports whether the record's current occupant was canceled.
+func (ev *event) canceled() bool { return ev.gen&1 != 0 }
 
 // Timer is a handle to a scheduled event that can be canceled. The zero
 // Timer is valid and inert: Cancel is a no-op and Canceled reports false.
@@ -57,48 +70,53 @@ type Timer struct {
 
 // Cancel prevents the event from firing. Canceling an already-fired,
 // already-canceled, or zero timer is a no-op. Cancel is O(1); the queue
-// drops canceled entries lazily when they surface, but the handler closure
+// drops canceled records lazily when they surface, but the handler closure
 // (and everything it captures) is released immediately so a canceled timer
 // never retains model state until pop time.
 func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled {
-		t.ev.canceled = true
+	if t.ev != nil && t.ev.gen == t.gen {
+		t.ev.gen |= 1
 		t.ev.handler = nil
 	}
 }
 
 // Canceled reports whether Cancel was called before the event fired.
-func (t Timer) Canceled() bool { return t.ev != nil && t.ev.gen == t.gen && t.ev.canceled }
+func (t Timer) Canceled() bool { return t.ev != nil && t.ev.gen == t.gen|1 }
 
 // Pending reports whether the event is still scheduled: not canceled, not
 // yet fired, and not a zero handle.
-func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled }
+func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
 
-// heapEntry is one priority-queue slot: the ordering key plus the record it
-// schedules. Entries are plain values so sifting stays within one cache-hot
-// array.
-type heapEntry struct {
-	time float64
-	seq  uint64
-	ev   *event
-}
+// The queue's buckets. A key that equals the floor is in bucket 0; any
+// other is in bucket level·radix + digit, where level is the highest
+// base-radix digit in which it differs from the floor and digit is its own
+// value there (never 0: it exceeds the floor's). Bucket order is key order,
+// and a re-spread moves every record at least one level down, so a record
+// moves at most 64/digitBits times and, in practice, only as many times as
+// there are digits between its delay and the queue's spacing.
+const (
+	digitBits  = 4
+	radix      = 1 << digitBits
+	numBuckets = 64 / digitBits * radix
+)
 
-// entryLess orders entries by (time, seq) — a strict total order, since seq
-// is unique per engine.
-func entryLess(a, b heapEntry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+// bucket is one radix bucket: a FIFO list of records and the least key on it.
+type bucket struct {
+	head, tail *event
+	min        uint64
 }
 
 // Engine is the simulation core. The zero value is not usable; construct
 // with New.
 type Engine struct {
-	now       float64
-	seq       uint64
-	queue     []heapEntry
-	free      []*event // recycled event records
+	now float64
+	// floor is the key every queued key is measured against: no queued key
+	// is below it.
+	floor     uint64
+	buckets   [numBuckets]bucket
+	occupied  [numBuckets / 64]uint64 // bit b%64 of word b/64 set iff buckets[b] is non-empty
+	queued    int
+	free      *event // recycled records, linked through next
 	stopped   bool
 	processed uint64
 }
@@ -115,78 +133,103 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of queued (possibly canceled) events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queued }
 
-// heapPush inserts an entry, sifting up through 4-ary parents with the
-// hole-move technique (one store per level instead of a swap).
-func (e *Engine) heapPush(en heapEntry) {
-	q := append(e.queue, en)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entryLess(en, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
+// link appends ev to the bucket its distance from the floor names.
+func (e *Engine) link(ev *event) {
+	b := 0
+	if x := ev.key ^ e.floor; x != 0 {
+		level := (bits.Len64(x) - 1) / digitBits
+		b = level*radix + int(ev.key>>(level*digitBits))&(radix-1)
 	}
-	q[i] = en
-	e.queue = q
+	bk := &e.buckets[b]
+	ev.next = nil
+	if bk.head == nil {
+		bk.head, bk.min = ev, ev.key
+		e.occupied[b/64] |= 1 << (b % 64)
+	} else {
+		bk.tail.next = ev
+		bk.min = min(bk.min, ev.key)
+	}
+	bk.tail = ev
 }
 
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() heapEntry {
-	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = heapEntry{}
-	q = q[:n]
-	e.queue = q
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := min(c+4, n)
-			for j := c + 1; j < end; j++ {
-				if entryLess(q[j], q[m]) {
-					m = j
-				}
-			}
-			if !entryLess(q[m], last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = last
+// lowest returns the lowest non-empty bucket; the queue must be non-empty.
+// Every key in a bucket is below every key in a higher one, so its min is
+// the least queued key.
+func (e *Engine) lowest() int {
+	w := 0
+	for e.occupied[w] == 0 {
+		w++
 	}
-	return top
+	return w*64 + bits.TrailingZeros64(e.occupied[w])
+}
+
+// live reports whether any queued record is not canceled. It stops at the
+// first live record, which is almost always the first one it looks at.
+func (e *Engine) live() bool {
+	for b := range e.buckets {
+		for ev := e.buckets[b].head; ev != nil; ev = ev.next {
+			if !ev.canceled() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pop unlinks and returns the earliest record; the queue must be non-empty.
+// When bucket 0 is empty, the floor rises to the lowest non-empty bucket's
+// least key. A lone record there is the earliest and pops in place;
+// otherwise the bucket is re-spread: its records keep their order and land
+// in lower buckets, which are all empty, the least ones in bucket 0.
+func (e *Engine) pop() *event {
+	b := e.lowest()
+	if b != 0 {
+		bk := &e.buckets[b]
+		e.floor = bk.min
+		if bk.head != bk.tail {
+			ev := bk.head
+			*bk = bucket{}
+			e.occupied[b/64] &^= 1 << (b % 64)
+			for ev != nil {
+				next := ev.next
+				e.link(ev)
+				ev = next
+			}
+			b = 0
+		}
+	}
+	bk := &e.buckets[b]
+	ev := bk.head
+	if bk.head = ev.next; bk.head == nil {
+		bk.tail = nil
+		e.occupied[b/64] &^= 1 << (b % 64)
+	}
+	ev.next = nil
+	e.queued--
+	return ev
 }
 
 // acquire returns a recycled event record, or a fresh one when the free
 // list is empty.
 func (e *Engine) acquire() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if ev := e.free; ev != nil {
+		e.free = ev.next
+		ev.next = nil
 		return ev
 	}
 	return &event{}
 }
 
 // release returns a popped event to the free list, bumping its generation
-// so outstanding Timer handles go stale and dropping the handler reference.
+// to the next even value so outstanding Timer handles go stale, and
+// dropping the handler reference.
 func (e *Engine) release(ev *event) {
-	ev.gen++
+	ev.gen = (ev.gen | 1) + 1
 	ev.handler = nil
-	ev.canceled = false
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // Schedule runs h at absolute virtual time t. Scheduling in the past (t less
@@ -200,10 +243,19 @@ func (e *Engine) Schedule(t float64, h Handler) Timer {
 	if math.IsNaN(t) {
 		panic("eventsim: schedule at NaN")
 	}
+	if t == 0 {
+		t = 0 // -0 has the sign bit set; key it as +0, the instant it equals
+	}
+	if e.queued == 0 {
+		// Popping canceled records may have raised the floor past Now;
+		// with nothing queued, it can drop back to Now.
+		e.floor = math.Float64bits(e.now)
+	}
 	ev := e.acquire()
+	ev.key = math.Float64bits(t)
 	ev.handler = h
-	e.heapPush(heapEntry{time: t, seq: e.seq, ev: ev})
-	e.seq++
+	e.link(ev)
+	e.queued++
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -218,27 +270,41 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run executes events in time order until the queue drains, the virtual
 // clock passes horizon, or Stop is called. A non-positive horizon means no
 // horizon. It returns ErrStopped if halted by Stop, nil otherwise.
+//
+// The horizon is checked against the least queued key before anything is
+// popped, so wherever a handler or the caller can Schedule, the floor is at
+// most Now or the queue is empty: a Schedule into the gap a horizon stop
+// leaves is as monotone as any other, and nothing needs rebuilding.
 func (e *Engine) Run(horizon float64) error {
 	e.stopped = false
-	for len(e.queue) > 0 {
+	for e.queued > 0 {
 		if e.stopped {
 			return ErrStopped
 		}
-		if top := e.queue[0]; top.ev.canceled {
-			e.release(e.heapPop().ev)
-			continue
-		} else if horizon > 0 && top.time > horizon {
-			// Leave it queued so a subsequent Run with a later horizon
-			// continues.
-			e.now = horizon
+		if horizon > 0 && math.Float64frombits(e.buckets[e.lowest()].min) > horizon {
+			if e.live() {
+				// Leave it queued so a subsequent Run with a later horizon
+				// continues.
+				e.now = horizon
+				return nil
+			}
+			// Only canceled records remain: they surface and drop without
+			// moving the clock.
+			for e.queued > 0 {
+				e.release(e.pop())
+			}
 			return nil
 		}
-		en := e.heapPop()
+		ev := e.pop()
+		if ev.canceled() {
+			e.release(ev)
+			continue
+		}
 		// Recycle before dispatch so the handler's own scheduling reuses
 		// this record; the handler and time are copied out first.
-		h := en.ev.handler
-		e.release(en.ev)
-		e.now = en.time
+		h := ev.handler
+		e.now = math.Float64frombits(ev.key)
+		e.release(ev)
 		e.processed++
 		h(e.now)
 	}
@@ -247,15 +313,15 @@ func (e *Engine) Run(horizon float64) error {
 
 // Step executes exactly one event and reports whether one was available.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		en := e.heapPop()
-		if en.ev.canceled {
-			e.release(en.ev)
+	for e.queued > 0 {
+		ev := e.pop()
+		if ev.canceled() {
+			e.release(ev)
 			continue
 		}
-		h := en.ev.handler
-		e.release(en.ev)
-		e.now = en.time
+		h := ev.handler
+		e.now = math.Float64frombits(ev.key)
+		e.release(ev)
 		e.processed++
 		h(e.now)
 		return true

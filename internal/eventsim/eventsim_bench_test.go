@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -46,6 +47,25 @@ func BenchmarkSteadyStateReuse(b *testing.B) {
 	tick := Handler(func(float64) {})
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now(), tick)
+		e.Step()
+	}
+}
+
+// BenchmarkIdlePolls is Figure 4's stalled Reciprocity run in miniature:
+// 1000 peers, each re-arming its idle poll U(0.5, 1.5) s ahead every time it
+// fires, so the queue stays 1000 deep. One op is one event; scripts/check.sh
+// holds it at 0 allocs/op.
+func BenchmarkIdlePolls(b *testing.B) {
+	e := New()
+	rng := rand.New(rand.NewSource(1))
+	var poll Handler
+	poll = func(float64) { e.After(0.5+rng.Float64(), poll) }
+	for i := 0; i < 1000; i++ {
+		e.Schedule(rng.Float64(), poll)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

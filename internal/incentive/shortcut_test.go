@@ -2,6 +2,7 @@ package incentive
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attest"
@@ -135,6 +136,178 @@ func TestReciprocityIdleWhenOnlySeederContributed(t *testing.T) {
 	v.calls = 0
 	if got := r.NextReceiver(v); got != NoPeer || v.calls != 0 {
 		t.Errorf("after Forget: pick = %v after %d view calls, want NoPeer after none", got, v.calls)
+	}
+}
+
+// mapFairTorrent is FairTorrent as it stood with its deficits in a Go map.
+type mapFairTorrent map[PeerID]float64
+
+func (m mapFairTorrent) NextReceiver(view NodeView) PeerID {
+	best, bestDeficit, ties := NoPeer, 0.0, 0
+	for _, p := range wantingNeighbors(view) {
+		d := m[p]
+		switch {
+		case best == NoPeer || d < bestDeficit:
+			best, bestDeficit, ties = p, d, 1
+		case d == bestDeficit:
+			ties++
+			if view.RNG().Intn(ties) == 0 {
+				best = p
+			}
+		}
+	}
+	return best
+}
+
+// TestFairTorrentTableEqualsMap drives the table and the map through random
+// OnSent / OnReceived / Forget / NextReceiver sequences on twin RNGs, over
+// dense IDs, IDs up to 2³¹−1 and pseudo-peers: same pick at every decision,
+// and the same deficit for every real peer at every step.
+func TestFairTorrentTableEqualsMap(t *testing.T) {
+	ids := []PeerID{-3, seederID, 1<<31 - 1, 1<<31 - 2, 1 << 20, 12345}
+	for id := PeerID(0); id < 40; id++ {
+		ids = append(ids, id)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		f, ref := newFairTorrent(), mapFairTorrent{}
+		v, rv := newFakeView(), newFakeView()
+		v.rng, rv.rng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		script := rand.New(rand.NewSource(-seed))
+		picked := 0
+		for step := 0; step < 3000; step++ {
+			peer := ids[script.Intn(len(ids))]
+			bytes := float64(1 + script.Intn(3)) // small whole counts: deficits return to 0 and tie
+			switch op := script.Intn(10); {
+			case op < 3:
+				f.OnSent(v, peer, bytes)
+				if peer >= 0 {
+					ref[peer] += bytes
+				}
+			case op < 6:
+				f.OnReceived(v, peer, bytes)
+				if peer >= 0 {
+					ref[peer] -= bytes
+				}
+			case op < 7:
+				f.Forget(peer)
+				delete(ref, peer)
+			case op < 8:
+				v.neighbors = v.neighbors[:0]
+				for _, id := range ids {
+					if id >= 0 && script.Intn(3) > 0 {
+						v.neighbors = append(v.neighbors, id)
+					}
+					v.wants[id] = script.Intn(4) > 0
+				}
+				rv.neighbors, rv.wants = v.neighbors, v.wants
+			}
+			got, want := f.NextReceiver(v), ref.NextReceiver(rv)
+			if got != want {
+				t.Fatalf("seed %d step %d: table pick %v, map pick %v", seed, step, got, want)
+			}
+			if got != NoPeer {
+				picked++
+			}
+			for _, id := range ids {
+				if id >= 0 && f.deficit.get(id) != ref[id] {
+					t.Fatalf("seed %d step %d: deficit[%d] = %g, map %g", seed, step, id, f.deficit.get(id), ref[id])
+				}
+			}
+		}
+		if picked < 1000 {
+			t.Errorf("seed %d: only %d of 3000 decisions picked a peer", seed, picked)
+		}
+		if real := len(ids) - 2; f.deficit.used > real {
+			t.Errorf("seed %d: table holds %d entries for %d real IDs; pseudo-peers are never stored", seed, f.deficit.used, real)
+		}
+	}
+}
+
+// sliceTChain is T-Chain's obligation FIFO as it stood: a slice popped with
+// obligations[1:], so every append past the cap re-grew it.
+type sliceTChain struct{ obligations []PeerID }
+
+func (s *sliceTChain) NextReceiver(view NodeView) PeerID {
+	for len(s.obligations) > 0 {
+		target := s.obligations[0]
+		s.obligations = s.obligations[1:]
+		if view.WantsFromMe(target) {
+			return target
+		}
+	}
+	return randomPeer(view.RNG(), wantingNeighbors(view))
+}
+
+func (s *sliceTChain) OnReceived(view NodeView, from PeerID) {
+	if view.WantsFromMe(from) {
+		s.obligations = append(s.obligations, from)
+	} else if w := randomPeer(view.RNG(), wantingNeighborsExcept(view, from)); w != NoPeer {
+		s.obligations = append(s.obligations, w)
+	}
+	if maxQ := 4 * len(view.Neighbors()); maxQ > 0 && len(s.obligations) > maxQ {
+		s.obligations = s.obligations[len(s.obligations)-maxQ:]
+	}
+}
+
+func (s *sliceTChain) Forget(peer PeerID) {
+	kept := s.obligations[:0]
+	for _, o := range s.obligations {
+		if o != peer {
+			kept = append(kept, o)
+		}
+	}
+	s.obligations = kept
+}
+
+// TestTChainQueueEqualsSlice runs the storage-reusing FIFO beside the slice
+// it replaced on twin RNGs, with bursts of receipts that hit the drop-oldest
+// cap, decisions that drain the queue, Forgets and a changing neighborhood:
+// the same pick at every decision and the same pending obligations, in the
+// same order, after every step.
+func TestTChainQueueEqualsSlice(t *testing.T) {
+	ids := []PeerID{seederID, 0, 1, 2, 3, 4, 5, 6, 7}
+	for seed := int64(1); seed <= 20; seed++ {
+		q, ref := newTChain(), &sliceTChain{}
+		v, rv := newFakeView(1, 2), newFakeView(1, 2)
+		v.rng, rv.rng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		script := rand.New(rand.NewSource(-seed))
+		most := 0
+		for step := 0; step < 3000; step++ {
+			switch op := script.Intn(10); {
+			case op < 5:
+				for k := 1 + script.Intn(6); k > 0; k-- {
+					from := ids[script.Intn(len(ids))]
+					q.OnReceived(v, from, 1)
+					ref.OnReceived(rv, from)
+				}
+			case op < 8:
+				if got, want := q.NextReceiver(v), ref.NextReceiver(rv); got != want {
+					t.Fatalf("seed %d step %d: queue pick %v, slice pick %v", seed, step, got, want)
+				}
+			case op < 9:
+				peer := ids[script.Intn(len(ids))]
+				q.Forget(peer)
+				ref.Forget(peer)
+			default:
+				v.neighbors = v.neighbors[:0]
+				for _, id := range ids {
+					if id >= 0 && script.Intn(3) == 0 {
+						v.neighbors = append(v.neighbors, id)
+					}
+					v.wants[id] = script.Intn(4) > 0
+				}
+				rv.neighbors, rv.wants = v.neighbors, v.wants
+			}
+			if pending := q.obligations[q.head:]; !slices.Equal(pending, ref.obligations) {
+				t.Fatalf("seed %d step %d: pending %v, slice %v", seed, step, pending, ref.obligations)
+			}
+			// Storage stays within twice the longest queue so far: served
+			// and dropped entries are reused, not leaked.
+			most = max(most, len(ref.obligations))
+			if len(q.obligations) > 2*most+1 {
+				t.Fatalf("seed %d step %d: queue storage at %d entries, longest queue %d", seed, step, len(q.obligations), most)
+			}
+		}
 	}
 }
 

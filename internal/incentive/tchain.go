@@ -19,15 +19,17 @@ import (
 // renege. This strategy implements the traffic-shaping side: obligations
 // take absolute priority over opportunistic uploads.
 type tChain struct {
-	obligations []PeerID           // FIFO reciprocation queue
-	received    map[PeerID]float64 // local reputation: bytes received per peer
+	// obligations is the FIFO reciprocation queue: obligations[head:] are
+	// pending, oldest first. Serving one advances head, and oblige slides
+	// the pending tail back to the front once head reaches half the slice,
+	// so the queue reuses its storage instead of re-growing it.
+	obligations []PeerID
+	head        int
 }
 
 var _ Strategy = (*tChain)(nil)
 
-func newTChain() *tChain {
-	return &tChain{received: make(map[PeerID]float64)}
-}
+func newTChain() *tChain { return &tChain{} }
 
 func (*tChain) Algorithm() algo.Algorithm { return algo.TChain }
 
@@ -35,9 +37,9 @@ func (t *tChain) NextReceiver(view NodeView) PeerID {
 	// Serve reciprocation obligations first. Targets that left the swarm or
 	// no longer need anything are dropped — their exchange completed
 	// through another path.
-	for len(t.obligations) > 0 {
-		target := t.obligations[0]
-		t.obligations = t.obligations[1:]
+	for t.head < len(t.obligations) {
+		target := t.obligations[t.head]
+		t.head++
 		if view.WantsFromMe(target) {
 			return target
 		}
@@ -54,33 +56,42 @@ func (t *tChain) NextReceiver(view NodeView) PeerID {
 func (t *tChain) OnSent(NodeView, PeerID, float64) {}
 
 func (t *tChain) OnReceived(view NodeView, from PeerID, bytes float64) {
-	t.received[from] += bytes
 	// Create the reciprocation obligation: direct when the sender needs one
 	// of our pieces, otherwise indirect toward a random neighbor that does
 	// (after this receive we hold at least one piece, so even a newcomer
 	// can participate once anyone needs that piece).
 	if view.WantsFromMe(from) {
-		t.obligations = append(t.obligations, from)
+		t.oblige(from)
 	} else if w := randomPeer(view.RNG(), wantingNeighborsExcept(view, from)); w != NoPeer {
-		t.obligations = append(t.obligations, w)
+		t.oblige(w)
 	}
 	// Cap the queue: an obligation backlog longer than the neighborhood
 	// means we are upload-bound; dropping the oldest keeps memory bounded
 	// without changing behaviour (they would be stale by service time).
-	if maxQ := 4 * len(view.Neighbors()); maxQ > 0 && len(t.obligations) > maxQ {
-		t.obligations = t.obligations[len(t.obligations)-maxQ:]
+	if maxQ := 4 * len(view.Neighbors()); maxQ > 0 && len(t.obligations)-t.head > maxQ {
+		t.head = len(t.obligations) - maxQ
 	}
 }
 
+// oblige queues an obligation to p behind the pending ones. A slide moves
+// no more entries than were served or dropped since the last one, so it
+// costs O(1) amortized.
+func (t *tChain) oblige(p PeerID) {
+	if t.head > 0 && 2*t.head >= len(t.obligations) {
+		n := copy(t.obligations, t.obligations[t.head:])
+		t.obligations, t.head = t.obligations[:n], 0
+	}
+	t.obligations = append(t.obligations, p)
+}
+
 func (t *tChain) Forget(peer PeerID) {
-	delete(t.received, peer)
 	kept := t.obligations[:0]
-	for _, o := range t.obligations {
+	for _, o := range t.obligations[t.head:] {
 		if o != peer {
 			kept = append(kept, o)
 		}
 	}
-	t.obligations = kept
+	t.obligations, t.head = kept, 0
 }
 
 // wantingNeighborsExcept filters wantingNeighbors to exclude one peer.

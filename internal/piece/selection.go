@@ -3,6 +3,8 @@ package piece
 import (
 	"math/bits"
 	"math/rand"
+
+	"repro/internal/stats"
 )
 
 // Availability tracks, for each piece index, how many peers in a view hold
@@ -111,7 +113,7 @@ func (a *Availability) RarestFirst(rng *rand.Rand, candidates []int) int {
 			// Reservoir-sample among ties so selection stays uniform without
 			// a second pass.
 			ties++
-			if rng.Intn(ties) == 0 {
+			if stats.OneIn(rng, ties) {
 				best = c
 			}
 		}
@@ -202,7 +204,7 @@ func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *
 				best, bestCount, ties = idx, count, 1
 			case count == bestCount:
 				ties++
-				if rng.Intn(ties) == 0 {
+				if stats.OneIn(rng, ties) {
 					best = idx
 				}
 			}

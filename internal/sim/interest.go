@@ -37,6 +37,94 @@ import "repro/internal/incentive"
 // never-connected peers) fall back to the original bitfield scans, so the
 // indexed and naive paths are observably identical.
 
+// adjacency is one peer's per-neighbor arrays, structure-of-arrays: index k
+// of each describes the link to neighbors[k] (the invariants above).
+type adjacency struct {
+	neighbors   []*peer
+	neighborIDs []incentive.PeerID
+	linkIdx     []int32 // my counter slot in Swarm.linkNeeds
+	wantsFlags  []bool  // neighbor needs a piece I hold
+	needsFlags  []bool  // neighbor holds a piece I need
+	revIdx      []int32 // my slot in the neighbor's arrays
+	nbrOff      []int32 // the neighbor's offset in Swarm.haveWords
+}
+
+// push appends one link's entries.
+func (a *adjacency) push(q *peer, li int32, needs, wants bool, rev int32) {
+	a.neighbors = append(a.neighbors, q)
+	a.neighborIDs = append(a.neighborIDs, q.id)
+	a.linkIdx = append(a.linkIdx, li)
+	a.needsFlags = append(a.needsFlags, needs)
+	a.wantsFlags = append(a.wantsFlags, wants)
+	a.revIdx = append(a.revIdx, rev)
+	a.nbrOff = append(a.nbrOff, q.wordOff)
+}
+
+// emptied returns a cut to no links, keeping its storage.
+func (a adjacency) emptied() adjacency {
+	return adjacency{
+		a.neighbors[:0], a.neighborIDs[:0], a.linkIdx[:0], a.wantsFlags[:0],
+		a.needsFlags[:0], a.revIdx[:0], a.nbrOff[:0],
+	}
+}
+
+// slabWindows is how many windows one slab allocation holds.
+const slabWindows = 64
+
+// adjacencySlabs hands each joining peer its adjacency as a window of
+// swarm-level slabs, per entries long — twice MaxNeighbors: its own links
+// plus about as many from later joiners — so those links allocate nothing.
+// Three-index slicing caps every window: a peer that outgrows its window
+// appends into a private copy, never into another peer's window, and the
+// window it leaves goes to the next peer to join. Degrees are heavy-tailed
+// (early joiners collect the links of everyone after them), so without that
+// reuse the windows the early joiners outgrow would cost more memory than
+// growing every array link by link.
+type adjacencySlabs struct {
+	per   int
+	spare []adjacency // vacated windows, handed out first
+	rest  adjacency   // the newest slab's windows not yet handed out
+}
+
+// window returns an empty window, carving a new slab when none is spare.
+func (a *adjacencySlabs) window() adjacency {
+	if n := len(a.spare); n > 0 {
+		w := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		return w
+	}
+	if len(a.rest.neighbors) == 0 {
+		n := slabWindows * a.per
+		a.rest = adjacency{
+			make([]*peer, n), make([]incentive.PeerID, n), make([]int32, n), make([]bool, n),
+			make([]bool, n), make([]int32, n), make([]int32, n),
+		}
+	}
+	r := &a.rest
+	return adjacency{
+		cut(&r.neighbors, a.per), cut(&r.neighborIDs, a.per), cut(&r.linkIdx, a.per),
+		cut(&r.wantsFlags, a.per), cut(&r.needsFlags, a.per), cut(&r.revIdx, a.per),
+		cut(&r.nbrOff, a.per),
+	}
+}
+
+// cut takes the first n elements of *s as an empty, capacity-n window.
+func cut[T any](s *[]T, n int) []T {
+	w := (*s)[:0:n]
+	*s = (*s)[n:]
+	return w
+}
+
+// attach appends p's side of its link to q. When that outgrows p's slab
+// window, the window is spare from then on.
+func (s *Swarm) attach(p, q *peer, li int32, needs, wants bool, rev int32) {
+	old := p.adjacency
+	p.push(q, li, needs, wants, rev)
+	if len(old.neighbors) == s.adj.per && cap(old.neighbors) == s.adj.per {
+		s.adj.spare = append(s.adj.spare, old.emptied())
+	}
+}
+
 // connect wires the symmetric link p—q if absent, seeding both interest
 // counters from a single popcount pass over the two bitfields. Counter slot
 // pairs are recycled through the swarm's free list, so churn does not grow
@@ -64,21 +152,9 @@ func (s *Swarm) connect(p, q *peer) {
 	s.linkNeeds[li+1] = int32(pOnly) // q's needs across the link
 	j, k := len(p.neighbors), len(q.neighbors)
 	p.idxByID[q.id] = int32(j)
-	p.neighbors = append(p.neighbors, q)
-	p.neighborIDs = append(p.neighborIDs, q.id)
-	p.linkIdx = append(p.linkIdx, li)
-	p.needsFlags = append(p.needsFlags, qOnly > 0)
-	p.wantsFlags = append(p.wantsFlags, pOnly > 0)
-	p.revIdx = append(p.revIdx, int32(k))
-	p.nbrOff = append(p.nbrOff, q.wordOff)
+	s.attach(p, q, li, qOnly > 0, pOnly > 0, int32(k))
 	q.idxByID[p.id] = int32(k)
-	q.neighbors = append(q.neighbors, p)
-	q.neighborIDs = append(q.neighborIDs, p.id)
-	q.linkIdx = append(q.linkIdx, li+1)
-	q.needsFlags = append(q.needsFlags, pOnly > 0)
-	q.wantsFlags = append(q.wantsFlags, qOnly > 0)
-	q.revIdx = append(q.revIdx, int32(j))
-	q.nbrOff = append(q.nbrOff, p.wordOff)
+	s.attach(q, p, li+1, pOnly > 0, qOnly > 0, int32(j))
 }
 
 // detach removes slot i (the link to p) from q's adjacency in O(1), with the
@@ -123,13 +199,7 @@ func (s *Swarm) dropEdges(p *peer) {
 		s.linkNeeds[base+1] = 0
 		s.freeLinks = append(s.freeLinks, base)
 	}
-	p.neighbors = p.neighbors[:0]
-	p.neighborIDs = p.neighborIDs[:0]
-	p.linkIdx = p.linkIdx[:0]
-	p.needsFlags = p.needsFlags[:0]
-	p.wantsFlags = p.wantsFlags[:0]
-	p.revIdx = p.revIdx[:0]
-	p.nbrOff = p.nbrOff[:0]
+	p.adjacency = p.emptied()
 	clear(p.idxByID)
 }
 

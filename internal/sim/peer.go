@@ -24,18 +24,13 @@ type peer struct {
 	view     *peerView
 
 	// The per-neighbor interest index, structure-of-arrays: index i of each
-	// slice describes the link to neighbors[i], and idxByID resolves a
-	// neighbor ID to that slot. See interest.go for the invariants. Keeping
-	// counters and flags in this peer's contiguous storage lets the hot-path
-	// queries and the noteGained maintenance scan walk dense memory.
-	neighbors   []*peer
-	neighborIDs []incentive.PeerID
-	linkIdx     []int32 // linkIdx[i]: my counter slot in Swarm.linkNeeds
-	wantsFlags  []bool  // wantsFlags[i]: neighbor i needs a piece I hold
-	needsFlags  []bool  // needsFlags[i]: neighbor i holds a piece I need
-	revIdx      []int32 // revIdx[i]: my slot in neighbor i's arrays
-	nbrOff      []int32 // nbrOff[i]: neighbor i's offset in Swarm.haveWords
-	idxByID     map[incentive.PeerID]int32
+	// of adjacency's slices describes the link to neighbors[i], and idxByID
+	// resolves a neighbor ID to that slot. See interest.go for the
+	// invariants. Keeping counters and flags in this peer's contiguous
+	// storage lets the hot-path queries and the noteGained maintenance scan
+	// walk dense memory.
+	adjacency
+	idxByID map[incentive.PeerID]int32
 
 	freeRider bool
 	aborted   bool // crashed mid-download (failure injection)

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/eventsim"
 	"repro/internal/probe"
+	"repro/internal/stats"
 )
 
 // seeder is the origin server: it holds every piece and uploads
@@ -79,7 +80,7 @@ func (sd *seeder) startUpload() bool {
 			continue
 		}
 		count++
-		if s.rng.Intn(count) == 0 {
+		if stats.OneIn(s.rng, count) {
 			receiver = p
 		}
 	}

@@ -44,6 +44,8 @@ type Swarm struct {
 	// freeLinks recycles slot pairs released by departs. See interest.go.
 	linkNeeds []int32
 	freeLinks []int32
+	// adj backs every peer's per-neighbor arrays (see interest.go).
+	adj adjacencySlabs
 	// actives and incomplete are id-ascending lists of active peers and of
 	// active peers still downloading, maintained incrementally on
 	// join/depart/completion. They replace the full-population scans in
@@ -86,6 +88,7 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 		rng:          stats.NewRNG(cfg.Seed),
 		ledger:       reputation.NewLedger(attest.AcceptAll{}),
 		availability: piece.NewAvailability(cfg.NumPieces),
+		adj:          adjacencySlabs{per: min(2*cfg.MaxNeighbors, cfg.NumPeers-1)},
 		metrics:      &metricsCollector{},
 	}
 	s.indexed = !cfg.naiveScan
@@ -202,6 +205,7 @@ func (s *Swarm) join(p *peer) {
 	// same candidate sequence the old full-population scan produced.
 	candidates := append(s.joinScratch[:0], s.actives...)
 	s.joinScratch = candidates
+	p.adjacency = s.adj.window()
 	s.actives = insertPeerByID(s.actives, p)
 	s.incomplete = insertPeerByID(s.incomplete, p)
 	stats.Shuffle(s.rng, candidates)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/probe"
+	"repro/internal/stats"
 )
 
 // kick attempts to fill all of p's free upload slots, and arranges an idle
@@ -267,7 +268,7 @@ func (s *Swarm) randomActivePeerExcept(sender, receiver *peer) *peer {
 			continue
 		}
 		count++
-		if s.rng.Intn(count) == 0 {
+		if stats.OneIn(s.rng, count) {
 			chosen = p
 		}
 	}

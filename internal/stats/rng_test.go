@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestNewRNGDeterministic(t *testing.T) {
 	a := NewRNG(42)
@@ -63,5 +66,70 @@ func TestExponentialMean(t *testing.T) {
 	mean := sum / trials
 	if mean < 2.4 || mean > 2.6 {
 		t.Errorf("empirical mean %.3f, want ~2.5", mean)
+	}
+}
+
+// TestOneInMatchesIntn runs OneIn and rng.Intn(n) == 0 on twin generators
+// for every n from 1 to 5000 and a few beyond the table: same answer every
+// time, and the generators still in step afterwards.
+func TestOneInMatchesIntn(t *testing.T) {
+	a, b := NewRNG(7), NewRNG(7)
+	check := func(n int) {
+		for i := 0; i < 40; i++ {
+			if got, want := OneIn(a, n), b.Intn(n) == 0; got != want {
+				t.Fatalf("n=%d draw %d: OneIn = %v, Intn(n) == 0 is %v", n, i, got, want)
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("n=%d draw %d: generators out of step", n, i)
+			}
+		}
+	}
+	for n := 1; n <= 5000; n++ {
+		check(n)
+	}
+	for _, n := range []int{oneInLimit - 1, oneInLimit, 100000, 1<<31 - 1, 1 << 31, 1<<40 + 3} {
+		check(n)
+	}
+}
+
+// scriptSource plays back fixed Int31 values (Int31 is Int63's top 31 bits).
+type scriptSource struct {
+	vals []int32
+	read int
+}
+
+func (s *scriptSource) Int63() int64 {
+	v := s.vals[s.read]
+	s.read++
+	return int64(v) << 32
+}
+func (s *scriptSource) Seed(int64) {}
+
+// TestOneInRejection forces the branch random draws almost never reach: a
+// draw above Intn's rejection bound is redrawn, by both, the same number of
+// times. The scripts also put multiples of n right at the bound, where a
+// wrong divisibility constant would show.
+func TestOneInRejection(t *testing.T) {
+	for _, n := range []int{3, 7, 1000, 4999, 5000, oneInLimit - 1} {
+		bound := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		top := bound / int32(n) * int32(n) // the largest multiple of n accepted
+		for _, script := range [][]int32{
+			{bound + 1, 1<<31 - 1, top},
+			{bound + 1, top - 1},
+			{1<<31 - 1, bound},
+			{bound + 1, bound + 1, 0},
+			{top - int32(n)},
+		} {
+			a := &scriptSource{vals: script}
+			b := &scriptSource{vals: script}
+			got, want := OneIn(rand.New(a), n), rand.New(b).Intn(n) == 0
+			if got != want || a.read != b.read {
+				t.Errorf("n=%d script %v: OneIn = %v after %d draws, Intn(n) == 0 is %v after %d",
+					n, script, got, a.read, want, b.read)
+			}
+			if script[0] > bound && a.read < 2 {
+				t.Errorf("n=%d script %v: a draw above the bound %d was accepted", n, script, bound)
+			}
+		}
 	}
 }

@@ -85,10 +85,18 @@ fi
 echo "== scale regression guard =="
 # One 5000x256 run drives ~1.3M upload decisions; the interest/rarity
 # indexes keep the decision loop allocation-free, so whole-run allocs/op
-# stay dominated by per-peer setup (~480k). The ceiling is ~2x the measured
-# number: an allocation sneaking into the per-decision path would add
-# millions and trip it immediately.
-alloc_guard ./internal/sim BenchmarkSwarmLarge 1000000 1x
+# stay dominated by per-peer setup (~260k, since each peer's adjacency is
+# carved from swarm-level slabs rather than grown link by link; ~480k
+# before). The ceiling is the measured number plus 10%: an allocation
+# sneaking into the per-decision path would add millions, and adjacency
+# growing per link again would add ~220k.
+alloc_guard ./internal/sim BenchmarkSwarmLarge 286700 1x
+
+echo "== event queue allocation guard =="
+# Figure 4's stalled run in miniature: 1000 idle polls re-arming U(0.5, 1.5)
+# s ahead. The radix queue threads its buckets through the free-listed event
+# records, so a pop, a re-spread and a re-arm must allocate nothing.
+alloc_guard ./internal/eventsim BenchmarkIdlePolls 0
 
 echo "== wire-path allocation guard =="
 # One piece-sized frame through the steady-state wire path (pooled
