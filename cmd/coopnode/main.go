@@ -56,15 +56,14 @@ func main() {
 // nodeFlags are the flags seed and get share: everything that shapes the
 // node itself rather than what it does with the file.
 type nodeFlags struct {
-	listen     string
-	algoName   string
-	uploadRate float64
-	id         int
-	sign       bool
-	dht        bool
-	degree     int
-	output     cli.OutputFlags
-	telemetry  cli.TelemetryFlags
+	listen       string
+	algoName     string
+	uploadRate   float64
+	id           int
+	sign         bool
+	maxNeighbors int
+	output       cli.OutputFlags
+	telemetry    cli.TelemetryFlags
 }
 
 // register declares the shared flags on fs; defaultID is the subcommand's
@@ -75,8 +74,7 @@ func (f *nodeFlags) register(fs *flag.FlagSet, defaultID int) {
 	fs.Float64Var(&f.uploadRate, "rate", 0, "upload throttle in bytes/second (0 = unthrottled)")
 	fs.IntVar(&f.id, "id", defaultID, "node ID (unique within the swarm)")
 	fs.BoolVar(&f.sign, "sign", false, "sign per-piece receipts and verify peers' (Ed25519; peer keys pinned trust-on-first-use)")
-	fs.BoolVar(&f.dht, "dht", false, "run DHT peer discovery and gossip membership (degree-bounded partial mesh)")
-	fs.IntVar(&f.degree, "degree", 0, "with -dht: target neighbor degree (0 = default 8; hard cap is twice the target)")
+	fs.IntVar(&f.maxNeighbors, "max-neighbors", 0, "most peers this node dials: its -peer list, then contacts its peers pass on (0 = the paper's 50)")
 	f.output.RegisterJSON(fs)
 	f.telemetry.Register(fs)
 }
@@ -95,24 +93,18 @@ func (f *nodeFlags) newNode(mechanism algo.Algorithm, store *piece.Store, seedMo
 			return nil, err
 		}
 	}
-	// Without -dht the node keeps the full-mesh behavior: every bootstrap
-	// peer dialed and kept.
-	var discover *node.DiscoverConfig
-	if f.dht {
-		discover = &node.DiscoverConfig{TargetDegree: f.degree}
-	}
 	return node.New(node.Config{
-		ID:         f.id,
-		Algorithm:  mechanism,
-		Store:      store,
-		Transport:  transport.NewTCP(),
-		ListenAddr: f.listen,
-		Bootstrap:  bootstrap,
-		UploadRate: f.uploadRate,
-		SeedMode:   seedMode,
-		Identity:   identity,
-		Discover:   discover,
-		Tracer:     traceCollector(f.telemetry),
+		ID:           f.id,
+		Algorithm:    mechanism,
+		Store:        store,
+		Transport:    transport.NewTCP(),
+		ListenAddr:   f.listen,
+		Bootstrap:    bootstrap,
+		MaxNeighbors: f.maxNeighbors,
+		UploadRate:   f.uploadRate,
+		SeedMode:     seedMode,
+		Identity:     identity,
+		Tracer:       traceCollector(f.telemetry),
 		// Warnings and errors (a refused handshake, a conflicting identity)
 		// as text lines on stderr, so they never mix into stdout's -json.
 		Log: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/cli"
 	"repro/internal/metrics"
+	"repro/internal/node"
+	"repro/internal/piece"
 )
 
 func TestSeedFlags(t *testing.T) {
@@ -39,12 +43,15 @@ func TestGetFlags(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	opts, err := getFlags([]string{"-manifest", "m.json", "-out", "f.bin", "-peer", "a:1", "-peer", "b:2", "-json"})
+	opts, err := getFlags([]string{"-manifest", "m.json", "-out", "f.bin", "-peer", "a:1", "-peer", "b:2", "-json", "-max-neighbors", "6"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(opts.peers) != 2 {
 		t.Errorf("peers = %v", opts.peers)
+	}
+	if opts.maxNeighbors != 6 {
+		t.Errorf("-max-neighbors parsed as %d, want 6", opts.maxNeighbors)
 	}
 	if !opts.output.JSON {
 		t.Error("-json not parsed")
@@ -318,11 +325,11 @@ func TestSeedAndGetSigned(t *testing.T) {
 	}
 }
 
-// TestSeedAndGetDHT repeats the download with -dht on both ends: the
-// getter bootstraps off the seed's address and the pair runs the
-// discovery membership layer (routing tables, gossip, pings) over real
-// TCP instead of pinning a static mesh.
-func TestSeedAndGetDHT(t *testing.T) {
+// TestSeedAndGetPeerExchange: a seed and two getters over real TCP, each
+// getter told only the seed's address and dialing at most -max-neighbors 2.
+// The getters must find each other through peer exchange — the seed lists
+// the earlier one to the later one in its handshake — and both complete.
+func TestSeedAndGetPeerExchange(t *testing.T) {
 	dir := t.TempDir()
 	srcPath := filepath.Join(dir, "payload.bin")
 	content := make([]byte, 32<<10)
@@ -334,11 +341,10 @@ func TestSeedAndGetDHT(t *testing.T) {
 	}
 	seed, seedTel, err := startSeed(seedOptions{
 		nodeFlags: nodeFlags{
-			listen:   "127.0.0.1:0",
-			algoName: "altruism",
-			id:       0,
-			dht:      true,
-			degree:   4,
+			listen:       "127.0.0.1:0",
+			algoName:     "altruism",
+			id:           0,
+			maxNeighbors: 2,
 		},
 		filePath:     srcPath,
 		manifestPath: filepath.Join(dir, "payload.manifest"),
@@ -349,32 +355,48 @@ func TestSeedAndGetDHT(t *testing.T) {
 	}
 	defer seed.Stop()
 	defer seedTel.stop(nil)
-	if seed.RoutingTable() == nil {
-		t.Fatal("-dht seed runs without a routing table")
-	}
-	outPath := filepath.Join(dir, "copy.bin")
-	err = runGet(getOptions{
-		nodeFlags: nodeFlags{
-			listen:   "127.0.0.1:0",
-			algoName: "altruism",
-			id:       1,
-			dht:      true,
-			degree:   4,
-		},
-		manifestPath: filepath.Join(dir, "payload.manifest"),
-		outPath:      outPath,
-		peers:        cli.StringList{seed.Addr()},
-		timeout:      60 * time.Second,
-	}, io.Discard)
+	manifestFile, err := os.Open(filepath.Join(dir, "payload.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(outPath)
+	manifest, err := piece.DecodeManifest(manifestFile)
+	manifestFile.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("downloaded file differs from the original")
+	getters := make([]*node.Node, 2)
+	for i := range getters {
+		f := nodeFlags{listen: "127.0.0.1:0", id: i + 1, maxNeighbors: 2}
+		n, err := f.newNode(algo.Altruism, piece.NewStore(manifest), false, []string{seed.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Stop()
+		getters[i] = n
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, n := range getters {
+		if err := n.WaitCompleteContext(ctx); err != nil {
+			t.Fatalf("getter %d: %v", n.ID(), err)
+		}
+		got, err := n.StoreHandle().Assemble()
+		if err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("getter %d assembled a different file (%v)", n.ID(), err)
+		}
+	}
+	// Linked to the seed and to each other: two neighbours each.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		a, b := getters[0].Stats().Neighbors, getters[1].Stats().Neighbors
+		if a == 2 && b == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("getters have %d and %d neighbours, want 2 each: peer exchange never linked them", a, b)
+		}
 	}
 }
 

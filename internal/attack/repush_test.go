@@ -52,12 +52,12 @@ func rePushAgainst(t *testing.T, mech algo.Algorithm) {
 
 	// settled returns once the victim has fully handled the frames frames a
 	// client sent on conn. A link's frames are handled in order and counted
-	// on arrival, so a trailing Ping (ignored without discovery) being
-	// counted means everything before it is done.
+	// on arrival, so a trailing empty Nodes frame (no contacts to learn)
+	// being counted means everything before it is done.
 	var expected int64
 	settled := func(conn transport.Conn, frames int64) {
 		t.Helper()
-		if err := conn.Send(protocol.Ping{}); err != nil {
+		if err := conn.Send(protocol.Nodes{}); err != nil {
 			t.Fatal(err)
 		}
 		expected += frames + 1

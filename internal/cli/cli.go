@@ -97,8 +97,8 @@ func (o *OutputFlags) RegisterJSON(fs *flag.FlagSet) {
 }
 
 // TelemetryFlags bundles the live-node observability flags: -metrics-addr
-// (the per-node HTTP listener serving /metrics, /debug/swarm, /debug/dht,
-// /debug/trace, and /debug/vars), -dashboard (a live one-line terminal
+// (the per-node HTTP listener serving /metrics, /debug/swarm,
+// /debug/trace, /verify and /debug/vars), -dashboard (a live one-line terminal
 // view), -metrics-out (a final JSON telemetry dump: snapshot plus sampler
 // time-series), and the causal-tracing pair -trace-sample/-trace-out.
 type TelemetryFlags struct {

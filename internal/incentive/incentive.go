@@ -92,6 +92,13 @@ type Params struct {
 	AlphaR float64
 }
 
+// DefaultMaxNeighbors is the paper's view size (§V): a newcomer links to up
+// to this many random active peers, so a strategy chooses among at most that
+// many neighbours it dialed (Figure 6's large-view free-rider lifts the cap).
+// sim.Default and the live node's Config.MaxNeighbors both default to it, so
+// the two artefacts state one topology.
+const DefaultMaxNeighbors = 50
+
 // DefaultParams returns the paper's experimental settings.
 func DefaultParams() Params {
 	return Params{AlphaBT: 0.2, NBT: 4, RoundSeconds: 10, AlphaR: 0.1}

@@ -14,7 +14,7 @@
 //     cache-line-padded per-CPU-ish shards so concurrent producers do not
 //     bounce a shared line; Value/Snapshot folds the shards on the (rare,
 //     cold) read path.
-//  3. One vocabulary. Every live subsystem (node_, discovery_)
+//  3. One vocabulary. Every live subsystem (node_, …)
 //     registers in the same Registry, so dashboards and scripts read one
 //     metric namespace regardless of which layer produced a series.
 //

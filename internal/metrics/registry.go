@@ -10,7 +10,7 @@ import (
 )
 
 // Registry is a namespace of metrics. Names follow the repo's scheme
-// (DESIGN.md §7): snake_case, a subsystem prefix (node_, discovery_),
+// (DESIGN.md §7): snake_case, a subsystem prefix (node_),
 // counters suffixed _total (_bytes_total for byte volumes),
 // nanosecond histograms suffixed _ns. A series may carry one static
 // label baked into its name — `node_peer_upload_bytes_total{peer="3"}` —

@@ -107,7 +107,10 @@ func TestHandshakeAnnouncesGainsInFlight(t *testing.T) {
 
 	conn := newScriptConn()
 	n.wg.Add(1)
-	go n.handleConn(conn, true)
+	go func() {
+		defer n.wg.Done()
+		n.handleConn(conn, 0)
+	}()
 	if _, ok := conn.next(t, 5*time.Second, "our Hello").(protocol.Hello); !ok {
 		t.Fatal("the dialer did not open with a Hello")
 	}

@@ -140,7 +140,7 @@ func BenchmarkAnnounceFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 	for id := 1; id <= neighbors; id++ {
-		n.peers[id] = newRemote(n, id, nopConn{}, "", 0)
+		n.peers[id] = newRemote(n, id, nopConn{}, "", 0, 0)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

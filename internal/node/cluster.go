@@ -1,54 +1,27 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/attest"
+	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/reputation"
+	"repro/internal/stats"
 	"repro/internal/tracing"
 	"repro/internal/transport"
 )
 
-// Topology selects how a cluster wires its nodes together. The zero value
-// is the full mesh; Discovery builds a DHT-wired topology.
-type Topology struct {
-	discover *DiscoverConfig // nil = full mesh
-}
-
-// FullMesh bootstraps every node with the addresses of all earlier nodes,
-// so the swarm is a complete graph — the classic wiring, where every node's
-// degree is N-1.
-var FullMesh = Topology{}
-
-// Discovery wires the swarm through the Kademlia discovery layer: every
-// node bootstraps off at most three seeds and finds the rest of the swarm
-// via lookups and gossip, keeping its neighbor set near degree (hard cap
-// 2*degree). k is the routing bucket capacity and lookup width; zero
-// values take the DiscoverConfig defaults. The maintenance intervals are
-// tightened for in-process swarms (50ms degree ticks, sub-second gossip)
-// so clusters converge in test-scale time.
-func Discovery(k, degree int) Topology {
-	c := DiscoverConfig{
-		K:                k,
-		TargetDegree:     degree,
-		MaintainInterval: 50 * time.Millisecond,
-		AnnounceInterval: 500 * time.Millisecond,
-		RefreshInterval:  time.Second,
-		PingInterval:     2 * time.Second,
-		QueryTimeout:     500 * time.Millisecond,
-	}
-	return Topology{discover: &c}
-}
-
-// clusterKeySeed derives the default deterministic node keypairs; any
-// fixed value works, it only needs to be stable across runs so cluster
-// tests and benchmarks are reproducible.
-const clusterKeySeed int64 = 0x1CDC5
+// clusterSeed derives the default deterministic node keypairs and seeds the
+// tracker's draws; any fixed value works, it only needs to be stable across
+// runs so cluster tests and benchmarks are reproducible.
+const clusterSeed int64 = 0x1CDC5
 
 // clusterOptions is the resolved cluster configuration.
 type clusterOptions struct {
@@ -59,7 +32,7 @@ type clusterOptions struct {
 	freeRiders       map[int]bool
 	uploadRate       float64
 	decisionInterval time.Duration
-	topology         Topology
+	maxNeighbors     int
 	identity         func(id int) *attest.Key
 	attScheme        attest.Scheme
 	unsigned         bool
@@ -144,11 +117,16 @@ func WithDecisionInterval(d time.Duration) ClusterOption {
 	}
 }
 
-// WithTopology selects the swarm wiring: FullMesh (the default) or
-// Discovery.
-func WithTopology(t Topology) ClusterOption {
+// WithMaxNeighbors sets every node's Config.MaxNeighbors, the topology knob
+// sim.Config names the same way (default incentive.DefaultMaxNeighbors): the
+// tracker hands a joining node at most that many peers, and it dials no
+// more. At or above the node count the swarm is a full mesh.
+func WithMaxNeighbors(n int) ClusterOption {
 	return func(o *clusterOptions) error {
-		o.topology = t
+		if n < 0 {
+			return fmt.Errorf("node: negative MaxNeighbors %d", n)
+		}
+		o.maxNeighbors = n
 		return nil
 	}
 }
@@ -201,11 +179,6 @@ func WithoutAttestation() ClusterOption {
 	}
 }
 
-// maxBootstrapSeeds is how many existing nodes a discovery-wired joiner is
-// pointed at; everything beyond these few contacts is learned through the
-// DHT and gossip.
-const maxBootstrapSeeds = 3
-
 // Cluster is a running in-process swarm. Stop it when done; Join attaches
 // additional leechers while it runs.
 type Cluster struct {
@@ -229,6 +202,7 @@ type Cluster struct {
 	opts     clusterOptions
 	manifest *piece.Manifest
 	content  []byte
+	tracker  *rand.Rand // draws bootstrap lists; startNode's alone
 
 	mu       sync.Mutex
 	keys     map[int]*attest.Key
@@ -240,12 +214,12 @@ type Cluster struct {
 
 // StartCluster builds and starts an in-process swarm: one seed holding all
 // of content plus WithLeechers downloading peers, sharing one reputation
-// ledger, wired per WithTopology. By default every node gets a
-// deterministic Ed25519 identity registered in a shared directory (sealed
-// after startup — closed membership), receipts travel signed, and the
-// shared ledger credits only verified proofs; WithoutAttestation restores
-// the unsigned baseline. On error, any nodes already started are stopped
-// before returning.
+// ledger, each wired by the cluster's tracker (see bootstrapList). By
+// default every node gets a deterministic Ed25519 identity registered in a
+// shared directory (sealed after startup — closed membership), receipts
+// travel signed, and the shared ledger credits only verified proofs;
+// WithoutAttestation restores the unsigned baseline. On error, any nodes
+// already started are stopped before returning.
 func StartCluster(manifest *piece.Manifest, content []byte, opts ...ClusterOption) (*Cluster, error) {
 	if manifest == nil || len(content) == 0 {
 		return nil, fmt.Errorf("node: cluster needs a manifest and content")
@@ -253,7 +227,7 @@ func StartCluster(manifest *piece.Manifest, content []byte, opts ...ClusterOptio
 	o := clusterOptions{
 		algorithm:  algo.Altruism,
 		listenAddr: func(int) string { return "" },
-		identity:   func(id int) *attest.Key { return attest.NewKeyFromSeed(int32(id), clusterKeySeed) },
+		identity:   func(id int) *attest.Key { return attest.NewKeyFromSeed(int32(id), clusterSeed) },
 		attScheme:  attest.SchemeSession,
 	}
 	for _, opt := range opts {
@@ -270,6 +244,7 @@ func StartCluster(manifest *piece.Manifest, content []byte, opts ...ClusterOptio
 		manifest: manifest,
 		content:  content,
 		keys:     make(map[int]*attest.Key),
+		tracker:  stats.NewRNG(clusterSeed),
 	}
 	if o.tracing != nil {
 		c.Tracer = tracing.NewCollector(*o.tracing)
@@ -316,18 +291,6 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 	} else {
 		store = piece.NewStore(c.manifest)
 	}
-	bootstrap := make([]string, 0, len(c.Nodes))
-	for _, prev := range c.Nodes {
-		if c.opts.topology.discover != nil && len(bootstrap) >= maxBootstrapSeeds {
-			break
-		}
-		bootstrap = append(bootstrap, prev.Addr())
-	}
-	var disc *DiscoverConfig
-	if c.opts.topology.discover != nil {
-		cp := *c.opts.topology.discover
-		disc = &cp
-	}
 	var key *attest.Key
 	if c.Directory != nil {
 		if key = c.opts.identity(id); key != nil {
@@ -345,7 +308,8 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 		Store:            store,
 		Transport:        c.opts.transport,
 		ListenAddr:       c.opts.listenAddr(id),
-		Bootstrap:        bootstrap,
+		Bootstrap:        c.bootstrapList(),
+		MaxNeighbors:     c.opts.maxNeighbors,
 		UploadRate:       c.opts.uploadRate,
 		DecisionInterval: c.opts.decisionInterval,
 		FreeRide:         c.opts.freeRiders[id],
@@ -353,7 +317,6 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 		Directory:        c.Directory,
 		AttestScheme:     c.opts.attScheme,
 		Ledger:           c.Ledger,
-		Discover:         disc,
 		Tracer:           c.Tracer,
 	})
 	if err != nil {
@@ -366,12 +329,39 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 	return n, nil
 }
 
+// bootstrapList is the tracker's answer to a joining node, as in
+// sim.Swarm.join: the seed, which serves every incomplete peer, plus up to
+// MaxNeighbors-1 other live nodes drawn at random — all of them, in join
+// order, while they fit, so a cluster no larger than MaxNeighbors is a full
+// mesh.
+func (c *Cluster) bootstrapList() []string {
+	var addrs []string
+	var others []*Node
+	for i, n := range c.Nodes {
+		switch {
+		case n.stopped():
+		case i == 0:
+			addrs = append(addrs, n.Addr())
+		default:
+			others = append(others, n)
+		}
+	}
+	limit := cmp.Or(c.opts.maxNeighbors, incentive.DefaultMaxNeighbors) - len(addrs)
+	if len(others) > limit {
+		c.tracker.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
+		others = others[:limit]
+	}
+	for _, n := range others {
+		addrs = append(addrs, n.Addr())
+	}
+	return addrs
+}
+
 // Join attaches one more leecher to the running swarm, bootstrapped the
-// same way StartCluster wires nodes (under a Discovery topology: off the
-// cluster's first few nodes, finding everyone else through the DHT). The
-// node is appended to Nodes and returned; stopping it individually models a
-// peer leaving. Join is not safe to call concurrently with itself or with
-// reads of Nodes.
+// same way StartCluster wires nodes (see bootstrapList). The node is
+// appended to Nodes and returned; stopping it individually models a peer
+// leaving. Join is not safe to call concurrently with itself or with reads
+// of Nodes.
 func (c *Cluster) Join() (*Node, error) {
 	c.mu.Lock()
 	if c.stopped {

@@ -3,39 +3,83 @@ package node
 import (
 	"context"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/piece"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 )
 
-// discoveryDegreeOK asserts the hard degree bound for every running node.
-func discoveryDegreeOK(t *testing.T, nodes []*Node, maxDegree int) {
+// dialsOK asserts the dial budget for every running node: the connections
+// it opened and still holds, links and dials in flight alike, are at most
+// maxNeighbors.
+func dialsOK(t *testing.T, nodes []*Node, maxNeighbors int) {
 	t.Helper()
 	for _, n := range nodes {
-		if got := n.Stats().Neighbors; got > maxDegree {
-			t.Errorf("node %d degree %d exceeds max %d", n.ID(), got, maxDegree)
+		n.mu.Lock()
+		dialed := len(n.dialing)
+		n.mu.Unlock()
+		if dialed > maxNeighbors {
+			t.Errorf("node %d holds %d dialed connections, above MaxNeighbors %d", n.ID(), dialed, maxNeighbors)
 		}
 	}
 }
 
-// TestDiscoverySwarmAllAlgorithms: a DHT-wired swarm (every node bootstraps
-// off at most three contacts, degree-bounded partial mesh) must complete
-// under every mechanism that can initiate uploads, exactly like the full
-// mesh does. (Pure reciprocity stalls by design — Lemma 2 — on any
-// topology.)
+// dialLog wraps a transport and records every Dial. An address under
+// "trap://" connects to a peer that accepts and never says a word.
+type dialLog struct {
+	transport.Transport
+	mu    sync.Mutex
+	addrs []string
+}
+
+func (d *dialLog) Dial(addr string) (transport.Conn, error) {
+	d.mu.Lock()
+	d.addrs = append(d.addrs, addr)
+	d.mu.Unlock()
+	if strings.HasPrefix(addr, "trap://") {
+		return &silentConn{closed: make(chan struct{})}, nil
+	}
+	return d.Transport.Dial(addr)
+}
+
+func (d *dialLog) dialed() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.addrs...)
+}
+
+// silentConn swallows what it is sent and blocks every Recv until closed.
+type silentConn struct {
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *silentConn) Send(protocol.Message) error { return nil }
+func (c *silentConn) Recv() (protocol.Message, error) {
+	<-c.closed
+	return nil, transport.ErrClosed
+}
+func (c *silentConn) Close() error       { c.once.Do(func() { close(c.closed) }); return nil }
+func (c *silentConn) RemoteAddr() string { return "trap://silent" }
+
+// TestDiscoverySwarmAllAlgorithms: a tracker-wired partial mesh (every node
+// handed the seed and three random earlier nodes) must complete under every
+// mechanism that can initiate uploads, exactly like the full mesh does.
+// (Pure reciprocity stalls by design — Lemma 2 — on any topology.)
 func TestDiscoverySwarmAllAlgorithms(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.Altruism, algo.BitTorrent, algo.FairTorrent, algo.Reputation, algo.TChain} {
-		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
 			manifest, content := clusterFixture(t)
 			c, err := StartCluster(manifest, content,
 				WithAlgorithm(a),
 				WithLeechers(12),
-				WithTopology(Discovery(8, 4)),
+				WithMaxNeighbors(4),
 				WithDecisionInterval(2*time.Millisecond),
 			)
 			if err != nil {
@@ -45,23 +89,22 @@ func TestDiscoverySwarmAllAlgorithms(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 45*time.Second)
 			defer cancel()
 			if err := c.WaitAllCompleteContext(ctx); err != nil {
-				t.Fatalf("discovery swarm under %v did not complete: %v", a, err)
+				t.Fatalf("tracker-wired swarm under %v did not complete: %v", a, err)
 			}
-			discoveryDegreeOK(t, c.Nodes, 8) // max = 2*target
+			dialsOK(t, c.Nodes, 4)
 		})
 	}
 }
 
-// TestDiscoveryDegreeBounded: in a 40-node discovered swarm the partial
-// mesh must stay strictly degree-bounded — nobody's neighbor set approaches
-// N-1 — while routing tables grow well past the bootstrap set and the
+// TestDiscoveryDegreeBounded: in a 40-node tracker-wired swarm every node
+// dials at most MaxNeighbors, the mesh stays well short of complete, and the
 // download still completes.
 func TestDiscoveryDegreeBounded(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	const leechers = 39
 	c, err := StartCluster(manifest, content,
 		WithLeechers(leechers),
-		WithTopology(Discovery(8, 6)),
+		WithMaxNeighbors(6),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -71,32 +114,24 @@ func TestDiscoveryDegreeBounded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := c.WaitAllCompleteContext(ctx); err != nil {
-		t.Fatalf("discovered swarm did not complete: %v", err)
+		t.Fatalf("tracker-wired swarm did not complete: %v", err)
 	}
-	discoveryDegreeOK(t, c.Nodes, 12)
-	// Convergence: most nodes route far more of the swarm than the three
-	// contacts they bootstrapped from.
-	converged := 0
+	dialsOK(t, c.Nodes, 6)
+	ends := 0
 	for _, n := range c.Nodes {
-		if n.RoutingTable().Size() > maxBootstrapSeeds {
-			converged++
-		}
+		ends += n.Stats().Neighbors
 	}
-	if converged < len(c.Nodes)*3/4 {
-		t.Errorf("only %d/%d routing tables grew past the bootstrap set", converged, len(c.Nodes))
-	}
-	// Full-mesh nodes have no routing table at all.
-	if c.Nodes[0].RoutingTable() == nil {
-		t.Error("discovery node reports no routing table")
+	if full := (leechers + 1) * leechers; ends >= full/2 {
+		t.Errorf("%d link ends of a full mesh's %d: the tracker's cap did not keep the mesh partial", ends, full)
 	}
 }
 
 // TestDiscoveryChurn64: a 64-node swarm on a lossy, laggy transport, with
 // 20% of the leechers replaced mid-download (stop 13, join 13). Survivors
-// and joiners must all complete, the degree bound must hold throughout, and
-// tearing everything down must leak no goroutines. Run under -race this is
-// the discovery subsystem's integration gate (scripts/check.sh runs it by
-// name).
+// and joiners must all complete, every node must hold at most MaxNeighbors
+// dialed connections, and tearing everything down must leak no goroutines.
+// Run under -race this is membership's integration gate (scripts/check.sh
+// runs it by name).
 func TestDiscoveryChurn64(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	before := runtime.NumGoroutine()
@@ -112,7 +147,7 @@ func TestDiscoveryChurn64(t *testing.T) {
 	c, err := StartCluster(manifest, content,
 		WithTransport(tr),
 		WithLeechers(leechers),
-		WithTopology(Discovery(8, 6)),
+		WithMaxNeighbors(6),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -120,9 +155,8 @@ func TestDiscoveryChurn64(t *testing.T) {
 	}
 	defer c.Stop()
 
-	// Let the swarm wire up and start downloading, then churn: every fifth
-	// leecher leaves (node IDs 5, 10, ..., 65 minus the seed) and a fresh
-	// one joins in its place.
+	// Let the swarm wire up and start downloading, then churn: every fourth
+	// leecher from node 5 on leaves and a fresh one joins in its place.
 	time.Sleep(500 * time.Millisecond)
 	stopped := make(map[int]bool)
 	for i := 5; i <= leechers && len(stopped) < 13; i += 4 {
@@ -148,8 +182,11 @@ func TestDiscoveryChurn64(t *testing.T) {
 		}
 		if err := n.WaitCompleteContext(ctx); err != nil {
 			st := n.Stats()
-			t.Fatalf("survivor %d did not complete: %v (pieces %d, neighbors %d, table %d)",
-				n.ID(), err, st.Pieces, st.Neighbors, n.RoutingTable().Size())
+			n.mu.Lock()
+			known := len(n.contacts)
+			n.mu.Unlock()
+			t.Fatalf("survivor %d did not complete: %v (pieces %d, neighbors %d, contacts %d)",
+				n.ID(), err, st.Pieces, st.Neighbors, known)
 		}
 	}
 	if len(joined) != 13 {
@@ -163,16 +200,7 @@ func TestDiscoveryChurn64(t *testing.T) {
 		}
 		live = append(live, n)
 	}
-	discoveryDegreeOK(t, live, 12)
-	converged := 0
-	for _, n := range live {
-		if n.RoutingTable().Size() > maxBootstrapSeeds {
-			converged++
-		}
-	}
-	if converged < len(live)*3/4 {
-		t.Errorf("only %d/%d routing tables grew past the bootstrap set", converged, len(live))
-	}
+	dialsOK(t, live, 6)
 
 	if err := c.Stop(); err != nil {
 		t.Fatalf("cluster stop: %v", err)
@@ -198,13 +226,10 @@ func TestDiscoveryChurn64(t *testing.T) {
 
 // TestDiscoveryTChainLateJoiner: a node that wires into a T-Chain swarm
 // only after everyone else has finished hits the protocol's nastiest
-// corner. Every neighbor is complete, so sealed pieces keep arriving but
-// no reciprocation is possible — the origins need nothing, and no witness
-// lacks any piece — so no key is ever released and no trust is ever
-// earned. The joiner's bootstrap set deliberately excludes the
-// plaintext-serving seed and its target degree equals the bootstrap size,
-// leaving starvation rewiring as the only way out: detect zero progress,
-// widen past TargetDegree, and rotate links until one lands on the seed.
+// corner: every neighbor is complete, so sealed pieces arrive that it can
+// hardly reciprocate for. The joiner is handed nodes 3–5 and not the
+// plaintext-serving seed; it must find the seed, and complete, through the
+// contacts those three pass on in their handshakes alone.
 func TestDiscoveryTChainLateJoiner(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	tr := transport.NewMem()
@@ -212,7 +237,7 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 		WithTransport(tr),
 		WithAlgorithm(algo.TChain),
 		WithLeechers(8),
-		WithTopology(Discovery(8, 4)),
+		WithMaxNeighbors(4),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -232,7 +257,6 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 		Transport:        tr,
 		Bootstrap:        []string{c.Nodes[3].Addr(), c.Nodes[4].Addr(), c.Nodes[5].Addr()},
 		DecisionInterval: 2 * time.Millisecond,
-		Discover:         &DiscoverConfig{K: 8, TargetDegree: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +272,26 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 		t.Fatalf("late joiner never completed: %v (pieces %d, neighbors %d, sealed pending %d)",
 			err, st.Pieces, st.Neighbors, st.SealedPending)
 	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		joiner.mu.Lock()
+		seedLinked := joiner.peers[0] != nil
+		joiner.mu.Unlock()
+		if seedLinked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never linked to the seed it was only told of by peer exchange")
+		}
+	}
 }
 
-// TestClusterJoin: nodes attached to a running discovered swarm bootstrap
-// off the same few contacts, find the swarm, and complete.
+// TestClusterJoin: nodes attached to a running tracker-wired swarm get the
+// same kind of bootstrap list, dial no more than it, and complete.
 func TestClusterJoin(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	c, err := StartCluster(manifest, content,
 		WithLeechers(8),
-		WithTopology(Discovery(8, 4)),
+		WithMaxNeighbors(4),
 		WithDecisionInterval(2*time.Millisecond),
 	)
 	if err != nil {
@@ -281,6 +316,7 @@ func TestClusterJoin(t *testing.T) {
 			t.Errorf("joiner %d incomplete", n.ID())
 		}
 	}
+	dialsOK(t, c.Nodes, 4)
 	// Join after Stop must refuse.
 	c.Stop()
 	if _, err := c.Join(); err == nil {
@@ -288,11 +324,48 @@ func TestClusterJoin(t *testing.T) {
 	}
 }
 
-// BenchmarkDiscoveryConvergence256 is discovery at swarm scale: a 256-node
-// cluster bootstrapped from three contacts, timed from start until the DHT
-// has wired every node (degree >= 1), reported as s/wire, and until every
-// leecher completes the download, reported as s/complete.
-func BenchmarkDiscoveryConvergence256(b *testing.B) {
+// TestFullMeshOpensEachLinkOnce: a default 16-node cluster — the bench's
+// swarm shape, below MaxNeighbors — is the full mesh, and peer exchange adds
+// no dial to it: exactly one connection per pair, 120, even after the
+// nodes have ticked long enough to act on every contact they were passed.
+func TestFullMeshOpensEachLinkOnce(t *testing.T) {
+	manifest, content := clusterFixture(t)
+	tr := &dialLog{Transport: transport.NewMem()}
+	const nodes = 16
+	c, err := StartCluster(manifest, content,
+		WithTransport(tr),
+		WithLeechers(nodes-1),
+		WithDecisionInterval(2*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		wired := 0
+		for _, n := range c.Nodes {
+			if n.Stats().Neighbors == nodes-1 {
+				wired++
+			}
+		}
+		if wired == nodes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d nodes linked to every other", wired, nodes)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // ten ticks
+	if got := len(tr.dialed()); got != nodes*(nodes-1)/2 {
+		t.Errorf("the cluster opened %d connections, want %d: one per pair", got, nodes*(nodes-1)/2)
+	}
+}
+
+// BenchmarkJoinConvergence256 is membership at swarm scale: a 256-node
+// cluster whose tracker hands each node the seed and seven random earlier
+// nodes, timed from start until every node has a link, reported as s/wire,
+// and until every leecher completes the download, reported as s/complete.
+func BenchmarkJoinConvergence256(b *testing.B) {
 	manifest, err := piece.SyntheticManifest(testPieces, testPieceSize)
 	if err != nil {
 		b.Fatal(err)
@@ -305,7 +378,7 @@ func BenchmarkDiscoveryConvergence256(b *testing.B) {
 		start := time.Now()
 		c, err := StartCluster(manifest, content,
 			WithLeechers(255),
-			WithTopology(Discovery(16, 8)),
+			WithMaxNeighbors(8),
 			WithDecisionInterval(5*time.Millisecond),
 		)
 		if err != nil {

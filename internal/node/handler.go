@@ -2,10 +2,10 @@ package node
 
 import (
 	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/attest"
-	"repro/internal/discovery"
 	"repro/internal/incentive"
 	"repro/internal/protocol"
 	"repro/internal/tchain"
@@ -14,9 +14,10 @@ import (
 )
 
 // handleConn performs the handshake and then dispatches inbound messages
-// until the connection dies. When dialer is true, this side speaks first.
-func (n *Node) handleConn(conn transport.Conn, dialer bool) {
-	defer n.wg.Done()
+// until the connection dies. arrival is the link's place in this node's
+// accept order, 0 when this node dialed it; the dialer speaks first.
+func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
+	dialer := arrival == 0
 	n.mu.Lock()
 	if n.stopping {
 		// Stop already swept the conns map; registering now would leak a
@@ -59,16 +60,13 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	}
 	theirHello, ok := first.(protocol.Hello)
 	if !ok {
-		// Not a handshake. With discovery on, the accept side serves a
-		// transient discovery session (a FindNode-first connection is how
-		// lookups query us), and the dial side reads a capacity redirect —
-		// the peer answered our Hello with contacts to try instead.
-		if n.disc != nil {
-			if !dialer {
-				n.serveDiscovery(conn, first)
-			} else if m, redirected := first.(protocol.Nodes); redirected {
-				n.addNodeInfos(m.Contacts)
-			}
+		// Not a handshake. The one frame a connection may open with instead
+		// is a witness receipt from a witness with no link to us (see
+		// sendTransientReceipt); anything else, and anything after it, ends
+		// the connection. No authenticated link: a signing node accepts
+		// Ed25519 only.
+		if m, receipt := first.(protocol.AttestedReceipt); receipt && !dialer {
+			n.handleAttestedReceipt(nil, m)
 		}
 		return
 	}
@@ -95,70 +93,36 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 			return
 		}
 	}
-	if n.disc != nil {
-		// Learn the contact whatever happens next; a redirected dialer is
-		// still a real, routable node.
-		n.disc.table.Add(discovery.Contact{NodeID: peerID, Addr: theirHello.Addr})
-	}
-	if !dialer {
-		if n.disc != nil && !n.roomForPeer() {
-			n.redirect(conn, peerID) // at capacity
-			return
-		}
-		if !sendHandshake() {
-			return
-		}
+	if !dialer && !sendHandshake() {
+		return
 	}
 
-	r := newRemote(n, peerID, conn, theirHello.Addr, announced)
-	r.lastRecv.Store(n.sinceStartNs())
+	r := newRemote(n, peerID, conn, theirHello.Addr, arrival, announced)
 	n.mu.Lock()
 	if _, dup := n.peers[peerID]; dup || peerID == n.cfg.ID {
 		n.mu.Unlock()
 		return // duplicate connection (simultaneous dial) or self-dial
 	}
-	var evicted *remote
-	if n.disc != nil && len(n.peers) >= n.disc.maxDegree {
-		// Late capacity check under the lock, covering both sides: the
-		// accept path's early redirect races concurrent handshakes (at
-		// startup, a whole swarm dials the bootstrap nodes inside one
-		// accept window), and our own in-flight dials could otherwise land
-		// past the cap. An exhausted link (both ends complete) is evicted
-		// to make room; otherwise maxDegree is a hard bound, so refuse even
-		// a link we dialed — but always redirect with contacts and linger
-		// for the hangup: a refused dialer that learns nothing may have no
-		// other way into the swarm.
-		if evicted = n.evictableLocked(); evicted != nil {
-			n.unlinkLocked(evicted)
-		} else {
-			n.mu.Unlock()
-			n.redirect(conn, peerID)
-			return
-		}
-	}
 	// Seed the interest counters against an empty peer bitfield; the
 	// peer's Bitfield message re-derives them the moment it lands.
 	r.theyNeed, r.iNeed = n.myBits.DiffCounts(r.have)
 	n.peers[peerID] = r
-	n.mu.Unlock()
-	if evicted != nil {
-		// Closing the evicted link outside the lock lets its read loop run
-		// the normal teardown; it only skips the peer-map cleanup done above.
-		evicted.conn.Close()
+	n.contacts = slices.DeleteFunc(n.contacts, func(c contact) bool { return c.id == peerID })
+	var exchange protocol.Message
+	if !dialer {
+		exchange = n.peerExchangeLocked(r)
 	}
+	n.mu.Unlock()
 	n.log.Debug("peer connected", "peer", peerID, "dialer", dialer)
+	if exchange != nil {
+		r.enqueue(exchange, false, nil)
+	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		r.writeLoop()
 	}()
 	defer r.closeOutbox()
-	if n.disc != nil {
-		// Peer exchange: hand the new neighbor the closest contacts we know
-		// toward it, piggybacked on the handshake. This is what lets a swarm
-		// bootstrapped from two or three seeds fan out.
-		r.enqueue(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}, false, nil)
-	}
 
 	defer func() {
 		n.mu.Lock()
@@ -182,9 +146,6 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 			return
 		}
 		n.metrics.framesIn.Inc()
-		if n.disc != nil {
-			r.lastRecv.Store(n.sinceStartNs())
-		}
 		if done := n.dispatch(r, msg); done {
 			return
 		}
@@ -280,29 +241,10 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	case protocol.AttestedReceipt:
 		n.handleAttestedReceipt(r, m)
 
-	case protocol.Ping:
-		if n.disc != nil && !m.Ack {
-			r.enqueue(protocol.Ping{Seq: m.Seq, Ack: true}, false, nil)
-		}
-
-	case protocol.FindNode:
-		// Lookups normally query over transient connections, but answering
-		// on an established link too costs nothing and helps a peer that
-		// already knows us.
-		if n.disc != nil {
-			n.disc.queriesServed.Inc()
-			r.enqueue(protocol.Nodes{Seq: m.Seq, Contacts: n.closestInfos(discovery.ID(m.Target))}, false, nil)
-		}
-
 	case protocol.Nodes:
-		if n.disc != nil {
-			n.addNodeInfos(m.Contacts)
-		}
-
-	case protocol.Announce:
-		if n.disc != nil {
-			n.handleAnnounce(r, m)
-		}
+		// Hints, not claims: a bad contact costs one failed dial, never the
+		// link that carried it.
+		n.learnContacts(m.Contacts)
 
 	case protocol.Bye:
 		return true
@@ -412,9 +354,9 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		switch {
 		case origin != nil:
 			origin.enqueue(n.witnessReceipt(origin, m, h), false, nil)
-		case n.disc != nil && m.OriginAddr != "":
-			// On a degree-bounded mesh the witness may not neighbor the
-			// origin; deliver the receipt over a transient connection so the
+		case m.OriginAddr != "":
+			// Below a full mesh the witness may not neighbor the origin;
+			// deliver the receipt over a transient connection so the
 			// forwarder still earns its key.
 			n.sendTransientReceipt(m.OriginAddr, n.witnessReceipt(nil, m, h))
 		}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attest"
+	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/transport"
@@ -70,59 +72,98 @@ func rawPeer(t *testing.T, tr transport.Transport, addr string, frames ...protoc
 }
 
 // TestHostileFramesDropLinkNotNode sends, after a valid handshake, one
-// frame no honest peer could produce — or, in the one case with no frame, a
-// handshake no honest peer could produce. Frames that index outside the
-// manifest's bitfield, a sealed piece naming another peer as its sender or
-// shorter than its piece, and a Hello claiming a pseudo-peer ID must cost
-// the sender its link; the rest are ignored. Either way the node keeps
-// serving — a second, honest leecher completes — and Stop returns promptly,
-// which it cannot if a handler died holding n.mu.
+// frame no honest peer could produce — or, in one case with no frame, a
+// handshake no honest peer could produce, and in one more a frame in place
+// of the handshake. Frames that index outside the manifest's bitfield, a
+// sealed piece naming another peer as its sender or shorter than its piece,
+// a Hello claiming a pseudo-peer ID, and a first frame that is neither a
+// Hello nor a witness receipt must cost the sender its link; the rest are
+// ignored, and the link stays up. Contacts are such hints: whatever a Nodes
+// frame lists — this node by ID or by address, a pseudo-peer ID, no
+// address, ten thousand nodes — the node never dials itself, a pseudo-peer
+// or nowhere, never holds more than 2×MaxNeighbors contacts and never dials
+// past MaxNeighbors. Either way the node keeps serving — a second, honest
+// leecher completes — and Stop returns promptly, which it cannot if a
+// handler died holding n.mu or a connection's goroutine never returned.
 func TestHostileFramesDropLinkNotNode(t *testing.T) {
 	const n = testPieces
 	ones := bytes.Repeat([]byte{0xFF}, (n+64)/8)
 	whole := make([]byte, testPieceSize)
+	flood := make([]protocol.NodeInfo, 10000)
+	for i := range flood {
+		flood[i] = protocol.NodeInfo{ID: int32(1000 + i), Addr: fmt.Sprintf("trap://flood-%d", i)}
+	}
 	cases := []struct {
 		name     string
 		peerID   int32
 		frame    protocol.Message // nil: the handshake alone is the attack
 		wantDrop bool
+		noHello  bool // frame is sent in place of the handshake
 	}{
-		{"have-negative", 99, protocol.Have{Index: -1}, true},
-		{"have-past-end", 99, protocol.Have{Index: n}, true},
-		{"havebatch-negative", 99, protocol.HaveBatch{Indices: []int32{2, -1}}, true},
-		{"havebatch-past-end", 99, protocol.HaveBatch{Indices: []int32{2, n}}, true},
-		{"havebatch-more-than-pieces", 99, protocol.HaveBatch{Indices: make([]int32, n+1)}, true},
-		{"bitfield-oversized", 99, protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true},
-		{"bitfield-huge-no-bits", 99, protocol.Bitfield{NumPieces: 1 << 30}, true},
-		{"bitfield-short-bits", 99, protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true},
-		{"sealed-negative", 99, protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, false},
+		{"have-negative", 99, protocol.Have{Index: -1}, true, false},
+		{"have-past-end", 99, protocol.Have{Index: n}, true, false},
+		{"havebatch-negative", 99, protocol.HaveBatch{Indices: []int32{2, -1}}, true, false},
+		{"havebatch-past-end", 99, protocol.HaveBatch{Indices: []int32{2, n}}, true, false},
+		{"havebatch-more-than-pieces", 99, protocol.HaveBatch{Indices: make([]int32, n+1)}, true, false},
+		{"bitfield-oversized", 99, protocol.Bitfield{NumPieces: n + 64, Bits: ones}, true, false},
+		{"bitfield-huge-no-bits", 99, protocol.Bitfield{NumPieces: 1 << 30}, true, false},
+		{"bitfield-short-bits", 99, protocol.Bitfield{NumPieces: n, Bits: ones[:1]}, true, false},
+		{"sealed-negative", 99, protocol.SealedPiece{Index: -1, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, false, false},
 		// A frame may not speak for another peer: peer 99 has the seed, as
 		// witness, attest that peer 5 forwarded a seal, and names peer 5 the
 		// origin of its own seal, whom the key's arrival would credit.
-		{"sealed-forwarder-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 1, Forwarded: true, ForwarderID: 5}, true},
-		{"sealed-origin-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 5}, true},
+		{"sealed-forwarder-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 1, Forwarded: true, ForwarderID: 5}, true, false},
+		{"sealed-origin-not-the-link", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: whole, OriginID: 5}, true, false},
 		// A seal is a whole piece. A short one would be parked to open to
 		// nothing; a short forward would have the seed, as witness, receipt
 		// one byte — and the origin release every key peer 99 owes for it.
-		{"sealed-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, true},
-		{"sealed-forward-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 1, Forwarded: true, ForwarderID: 99}, true},
-		{"piece-past-end", 99, protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false},
-		{"key-unknown", 99, protocol.Key{KeyID: 12345}, false},
+		{"sealed-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 99}, true, false},
+		{"sealed-forward-short", 99, protocol.SealedPiece{Index: 2, KeyID: 7, Ciphertext: []byte{1}, OriginID: 1, Forwarded: true, ForwarderID: 99}, true, false},
+		{"piece-past-end", 99, protocol.Piece{Index: n, RepaysKeyID: protocol.NoRepay, Data: []byte{1}}, false, false},
+		{"key-unknown", 99, protocol.Key{KeyID: 12345}, false, false},
 		// An empty-handed neighbor named incentive.NoPeer: the seed's
 		// strategy would keep picking it and reading its own pick as "idle".
-		{"hello-pseudo-peer-id", -1, nil, true},
+		{"hello-pseudo-peer-id", -1, nil, true, false},
+		// Only a witness receipt may stand in for a Hello (see
+		// sendTransientReceipt).
+		{"first-frame-not-hello", 99, protocol.Have{Index: 0}, true, true},
+		// The seed is node 0, listening at a fresh Mem's first address.
+		{"nodes-self", 99, protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: 0, Addr: "trap://self-id"}, {ID: 7, Addr: "mem://0"}}}, false, false},
+		{"nodes-negative-id", 99, protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: -1, Addr: "trap://negative"}}}, false, false},
+		{"nodes-empty-addr", 99, protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: 5, Addr: ""}}}, false, false},
+		{"nodes-flood", 99, protocol.Nodes{Contacts: flood}, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := transport.NewMem()
-			seed, manifest := startSeed(t, tr, nil)
+			dials := &dialLog{Transport: tr}
+			seed, manifest := startSeed(t, dials, nil)
 			frames := []protocol.Message{protocol.Hello{PeerID: tc.peerID, NumPieces: n}}
-			if tc.frame != nil {
+			switch {
+			case tc.noHello:
+				frames = []protocol.Message{tc.frame}
+			case tc.frame != nil:
 				frames = append(frames,
 					protocol.Bitfield{NumPieces: n, Bits: make([]byte, (n+7)/8)},
 					tc.frame)
 			}
-			_, hungUp := rawPeer(t, tr, seed.Addr(), frames...)
+			conn, hungUp := rawPeer(t, tr, seed.Addr(), frames...)
+			if flood, ok := tc.frame.(protocol.Nodes); ok && len(flood.Contacts) > incentive.DefaultMaxNeighbors {
+				// Three more windows of the flood, each opening with contacts
+				// not yet listed: more than the contact set holds, twice what
+				// the dial budget allows. Each trap holds its dial open.
+				for k := 1; k < 4; k++ {
+					if err := conn.Send(protocol.Nodes{Contacts: flood.Contacts[k*incentive.DefaultMaxNeighbors:]}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for deadline := time.Now().Add(10 * time.Second); len(dials.dialed()) < incentive.DefaultMaxNeighbors; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("node dialed %d flood contacts, want its whole budget of %d", len(dials.dialed()), incentive.DefaultMaxNeighbors)
+					}
+				}
+				time.Sleep(20 * time.Millisecond) // ten ticks past the budget
+			}
 			if tc.wantDrop {
 				select {
 				case <-hungUp:
@@ -146,6 +187,35 @@ func TestHostileFramesDropLinkNotNode(t *testing.T) {
 			if err := waitComplete(t, honest, 20*time.Second); err != nil {
 				t.Fatalf("honest leecher did not complete after the hostile frame (%v): %+v", err, honest.Stats())
 			}
+			if !tc.wantDrop {
+				select {
+				case <-hungUp:
+					t.Error("node dropped the link over a frame it should have ignored")
+				default:
+				}
+			}
+			// The only dials a row may cause are the flood's, each held open by
+			// a silent trap: the budget, not the list, bounds them.
+			flooded := 0
+			for _, addr := range dials.dialed() {
+				if !strings.HasPrefix(addr, "trap://flood-") {
+					t.Errorf("node dialed %q", addr)
+				}
+				flooded++
+			}
+			if flooded > incentive.DefaultMaxNeighbors {
+				t.Errorf("node dialed %d flood contacts, above MaxNeighbors %d", flooded, incentive.DefaultMaxNeighbors)
+			}
+			seed.mu.Lock()
+			if len(seed.contacts) > 2*incentive.DefaultMaxNeighbors {
+				t.Errorf("contact set grew to %d, past its bound %d", len(seed.contacts), 2*incentive.DefaultMaxNeighbors)
+			}
+			for _, c := range seed.contacts {
+				if c.id < 0 || c.id == 0 || c.addr == "" || c.addr == seed.Addr() {
+					t.Errorf("node keeps contact %+v", c)
+				}
+			}
+			seed.mu.Unlock()
 
 			stopped := make(chan struct{})
 			go func() {
@@ -206,37 +276,5 @@ func TestTOFURefusalWarns(t *testing.T) {
 		if !strings.Contains(logged, want) {
 			t.Errorf("log output missing %q:\n%s", want, logged)
 		}
-	}
-}
-
-// TestAnnounceTTLClamped: the gossip TTL is the sender's claim. A frame
-// arriving with TTL 255 must be forwarded with no more hops left than an
-// honest origin's announce would have at this point, or one frame with a
-// fresh (ID, Seq) is relayed by the whole swarm.
-func TestAnnounceTTLClamped(t *testing.T) {
-	manifest, _ := clusterFixture(t)
-	n, err := New(Config{
-		Algorithm: algo.Altruism, Store: piece.NewStore(manifest),
-		Transport: transport.NewMem(), Discover: &DiscoverConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := newRemote(n, 1, nopConn{}, "", n.gainLen.Load())
-	for id := 1; id <= 1+2*announceFanout; id++ {
-		n.peers[id] = newRemote(n, id, nopConn{}, "", n.gainLen.Load())
-	}
-	n.handleAnnounce(sender, protocol.Announce{ID: 99, Addr: "mem://99", Seq: 1, TTL: 255})
-	forwarded := 0
-	for _, r := range n.peers {
-		for _, m := range r.outbox {
-			forwarded++
-			if a := m.(protocol.Announce); a.TTL > announceTTL-1 {
-				t.Errorf("peer %d was forwarded TTL %d, want at most %d", r.id, a.TTL, announceTTL-1)
-			}
-		}
-	}
-	if forwarded != announceFanout {
-		t.Errorf("forwarded %d copies, want %d", forwarded, announceFanout)
 	}
 }

@@ -13,8 +13,9 @@
 //
 // Simplifications relative to a full deployment, recorded in DESIGN.md:
 // the reputation algorithm's global scores live in a shared
-// reputation.Ledger (standing in for EigenTrust's gossip); witnesses only
-// notify seal origins they are already connected to (examples run meshes).
+// reputation.Ledger (standing in for EigenTrust's gossip), and membership is
+// the simulator's: a tracker's bootstrap list plus peer exchange on the
+// handshake (membership.go), not a DHT.
 package node
 
 import (
@@ -57,8 +58,14 @@ type Config struct {
 	Transport transport.Transport
 	// ListenAddr is where to accept inbound connections.
 	ListenAddr string
-	// Bootstrap addresses are dialed at startup.
+	// Bootstrap addresses are dialed at startup, at most MaxNeighbors of
+	// them: a tracker's answer (Cluster is one) or an operator's -peer list.
 	Bootstrap []string
+	// MaxNeighbors caps the links this node dials — its bootstrap list and
+	// the peer-exchange refills — as sim.Config.MaxNeighbors caps a
+	// newcomer's; links other nodes dial to it are not capped, as in the
+	// simulator. 0 means incentive.DefaultMaxNeighbors.
+	MaxNeighbors int
 	// UploadRate throttles uploads in bytes/second; 0 means unthrottled.
 	UploadRate float64
 	// DecisionInterval is the upload-scheduler tick (default 20 ms).
@@ -103,10 +110,6 @@ type Config struct {
 	// is per-node — sharing one across nodes merges their counters into an
 	// aggregate view, which is valid but loses the per-node breakdown.
 	Metrics *metrics.Registry
-	// Discover enables decentralized peer discovery (Kademlia routing +
-	// gossip membership, see DiscoverConfig); nil keeps the node purely
-	// bootstrap-wired, exactly the pre-discovery behaviour.
-	Discover *DiscoverConfig
 	// Tracer enables causal tracing of the live data path (see
 	// internal/tracing and trace.go). Cluster nodes share one collector so
 	// cross-node spans land in a single ring; nil disables tracing
@@ -135,6 +138,9 @@ func (c *Config) validate() error {
 	if c.ID < 0 {
 		return fmt.Errorf("node: ID %d negative", c.ID)
 	}
+	if c.MaxNeighbors < 0 {
+		return fmt.Errorf("node: MaxNeighbors %d negative", c.MaxNeighbors)
+	}
 	return nil
 }
 
@@ -160,6 +166,10 @@ type remote struct {
 	conn transport.Conn
 	have *piece.Bitfield
 	addr string
+	// arrival orders the links this node accepted (1, 2, …, in accept
+	// order); 0 marks one it dialed. Peer exchange lists a dialer only the
+	// neighbours that arrived before it (see peerExchangeLocked).
+	arrival uint64
 	// linkKeyed: a witness receipt for this peer's seals can be MAC'd to
 	// this link (see newRemote) instead of signed with the identity key.
 	linkKeyed bool
@@ -205,12 +215,6 @@ type remote struct {
 	tracedSpare []tracedFrame
 	choked      bool
 
-	// lastRecv and lastPing are sinceStartNs timestamps for discovery's
-	// failure detector (maintained only when discovery is on): the last
-	// inbound frame on this link and the last keepalive ping we sent.
-	lastRecv atomic.Int64
-	lastPing atomic.Int64
-
 	// opened is handleKey's plaintext scratch, reused across the keys this
 	// link delivers; only the link's reader goroutine touches it.
 	opened []byte
@@ -223,10 +227,10 @@ type remote struct {
 // session MACs and the directory holds the peer's session secret — the
 // peer then holds ours the same way, an in-process registration both ends
 // made; a peer known only by the public key in its Hello is not.
-func newRemote(n *Node, id int, conn transport.Conn, addr string, announced int32) *remote {
+func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64, announced int32) *remote {
 	numPieces := n.cfg.Store.Manifest().NumPieces()
 	r := &remote{
-		n: n, id: id, conn: conn, addr: addr,
+		n: n, id: id, conn: conn, addr: addr, arrival: arrival,
 		have:      piece.NewBitfield(numPieces),
 		cooling:   piece.NewBitfield(numPieces),
 		announced: announced,
@@ -537,6 +541,12 @@ type Node struct {
 	conns        map[transport.Conn]bool // every live conn, incl. pre-handshake
 	pendingSeals map[sealRef]pendingSeal
 	rng          *rand.Rand
+	// contacts and dialing are the membership state (membership.go):
+	// peer-exchange hints for links not yet made, at most 2×MaxNeighbors of
+	// them, and the addresses of this node's outbound connections, each held
+	// from the dial until the link ends — the dial budget MaxNeighbors caps.
+	contacts []contact
+	dialing  map[string]bool
 
 	// wantSince and firstByteAt are per-piece span timestamps (nanoseconds
 	// on the sinceStartNs clock, 0 = unset), maintained under mu: want-time
@@ -566,7 +576,6 @@ type Node struct {
 	wantScratch     []incentive.PeerID
 
 	metrics *nodeMetrics // never nil after New
-	disc    *discState   // nil unless Config.Discover is set
 
 	// tracer is the causal-trace collector (nil = tracing off, the
 	// zero-overhead default); log is never nil (a discard logger stands in
@@ -582,6 +591,7 @@ type Node struct {
 	pieceTrace []tracing.Context
 
 	listener transport.Listener
+	accepted uint64 // links accepted so far; acceptLoop's alone
 	done     chan struct{}
 	closed   sync.Once
 	stopErr  error // set inside closed.Do, read after wg.Wait
@@ -602,6 +612,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID)*7919 + 17
+	}
+	if cfg.MaxNeighbors == 0 {
+		cfg.MaxNeighbors = incentive.DefaultMaxNeighbors
 	}
 	var verifier *attest.Verifier
 	directory := cfg.Directory
@@ -653,6 +666,7 @@ func New(cfg Config) (*Node, error) {
 		peers:        make(map[int]*remote),
 		conns:        make(map[transport.Conn]bool),
 		pendingSeals: make(map[sealRef]pendingSeal),
+		dialing:      make(map[string]bool),
 		rng:          stats.NewRNG(cfg.Seed),
 		myBits:       myBits,
 		gainLog:      make([]int32, myBits.Size()-myBits.Count()),
@@ -679,9 +693,6 @@ func New(cfg Config) (*Node, error) {
 		reg = metrics.NewRegistry()
 	}
 	n.metrics = newNodeMetrics(reg, n)
-	if cfg.Discover != nil {
-		n.disc = newDiscState(*cfg.Discover, cfg.ID, cfg.Seed, reg)
-	}
 	if cfg.Store.Complete() {
 		n.completeOnce.Do(func() { close(n.completeCh) })
 	}
@@ -703,8 +714,8 @@ func (n *Node) Addr() string {
 	return n.listener.Addr()
 }
 
-// Start binds the listener, dials bootstrap peers, and launches the accept
-// and upload loops.
+// Start binds the listener, dials the bootstrap peers (at most
+// MaxNeighbors), and launches the accept and upload loops.
 func (n *Node) Start() error {
 	l, err := n.cfg.Transport.Listen(n.cfg.ListenAddr)
 	if err != nil {
@@ -716,21 +727,21 @@ func (n *Node) Start() error {
 	n.wg.Add(1)
 	go n.acceptLoop()
 
+	// Dialed in order, before the upload tick can refill: an acceptor
+	// answers with the neighbours that arrived before us (peerExchangeLocked).
+	// While a tracker's list holds every live node, each of those is on it
+	// and already marked here, so peer exchange adds no dial to a full mesh.
 	for _, addr := range n.cfg.Bootstrap {
-		conn, err := n.cfg.Transport.Dial(addr)
-		if err != nil {
-			continue // bootstrap peers are best-effort
+		n.mu.Lock()
+		reserved := n.reserveDialLocked(addr)
+		n.mu.Unlock()
+		if reserved {
+			n.dial(addr) // bootstrap peers are best-effort
 		}
-		n.wg.Add(1)
-		go n.handleConn(conn, true)
 	}
 
 	n.wg.Add(1)
 	go n.uploadLoop()
-	if n.disc != nil {
-		n.wg.Add(1)
-		go n.discoverLoop()
-	}
 	return nil
 }
 
@@ -784,6 +795,16 @@ func (n *Node) Stop() error {
 	})
 	n.wg.Wait()
 	return n.stopErr
+}
+
+// stopped reports whether Stop has begun.
+func (n *Node) stopped() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // remotes snapshots the neighbor set, for callers that go on to block,
@@ -857,7 +878,12 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return
 		}
+		n.accepted++
+		arrival := n.accepted
 		n.wg.Add(1)
-		go n.handleConn(conn, false)
+		go func() {
+			defer n.wg.Done()
+			n.handleConn(conn, arrival)
+		}()
 	}
 }

@@ -69,7 +69,7 @@ func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 	if !stalled {
 		close(conn.gate)
 	}
-	r := newRemote(n, id, conn, "", n.gainLen.Load())
+	r := newRemote(n, id, conn, "", 0, n.gainLen.Load())
 	r.theyNeed, r.iNeed = n.myBits.DiffCounts(r.have)
 	return r, conn
 }
@@ -153,13 +153,13 @@ func TestOutboxContract(t *testing.T) {
 		}},
 		{"every frame but a receipt copy signals the writer at once", func(t *testing.T) {
 			// Whatever a counterpart is blocked on — a piece, the key or the
-			// receipt that releases one, a keepalive's deadline — wakes the
-			// writer from enqueue; only the sender's proof copy waits for the
-			// tick (TestFlushClock has that half).
+			// receipt that releases one, the contacts a joiner dials next —
+			// wakes the writer from enqueue; only the sender's proof copy waits
+			// for the tick (TestFlushClock has that half).
 			n, r, _ := outboxFixture(t, nil, false)
 			for i, m := range []protocol.Message{
 				bulk, protocol.SealedPiece{KeyID: 1}, control,
-				protocol.AttestedReceipt{KeyID: 1}, protocol.Ping{Seq: 1}, protocol.Nodes{},
+				protocol.AttestedReceipt{KeyID: 1}, protocol.Nodes{},
 			} {
 				woke := parkOn(r)
 				r.enqueue(m, i < 2, nil)
@@ -326,7 +326,7 @@ func TestWitnessKeepsNoCiphertext(t *testing.T) {
 		scheme attest.Scheme // of the receipt a neighbouring origin is sent
 	}{
 		{"ed25519", Config{}, attest.SchemeEd25519},
-		{"session", Config{Directory: dir, AttestScheme: attest.SchemeSession, Discover: &DiscoverConfig{}}, attest.SchemeLink},
+		{"session", Config{Directory: dir, AttestScheme: attest.SchemeSession}, attest.SchemeLink},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			cfg := arm.cfg
@@ -367,27 +367,25 @@ func TestWitnessKeepsNoCiphertext(t *testing.T) {
 					receipt, arm.scheme, otherID, testPieceSize, seal.Index, seal.KeyID)
 			}
 
-			if n.disc != nil {
-				// An origin we do not neighbor gets its receipt over a transient
-				// connection, where no link key exists: Ed25519 whatever the scheme.
-				l, err := n.cfg.Transport.Listen("")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer l.Close()
-				far := forwarded
-				far.OriginID, far.OriginAddr = farOriginID, l.Addr()
-				n.dispatch(other, far)
-				conn, err := l.Accept()
-				if err != nil {
-					t.Fatal(err)
-				}
-				msg, err := conn.Recv()
-				conn.Close()
-				n.wg.Wait() // the transient sender, released by the close
-				if receipt, ok := msg.(protocol.AttestedReceipt); err != nil || !ok || !attests(receipt, attest.SchemeEd25519, farOriginID) {
-					t.Errorf("transient session delivered %+v (%v), want an Ed25519 receipt for the forward", msg, err)
-				}
+			// An origin we do not neighbor gets its receipt over a transient
+			// connection, where no link key exists: Ed25519 whatever the scheme.
+			l, err := n.cfg.Transport.Listen("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			far := forwarded
+			far.OriginID, far.OriginAddr = farOriginID, l.Addr()
+			n.dispatch(other, far)
+			conn, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, err := conn.Recv()
+			conn.Close()
+			n.wg.Wait() // the transient sender, released by the close
+			if receipt, ok := msg.(protocol.AttestedReceipt); err != nil || !ok || !attests(receipt, attest.SchemeEd25519, farOriginID) {
+				t.Errorf("transient session delivered %+v (%v), want an Ed25519 receipt for the forward", msg, err)
 			}
 
 			n.dispatch(origin, seal)

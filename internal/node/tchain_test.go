@@ -339,8 +339,8 @@ func TestSealedPieceSpeaksOnlyForItsLink(t *testing.T) {
 }
 
 // TestWitnessReceiptAdversaries drives every witness receipt an origin must
-// refuse through dispatch — or, for a frame with no link, the served
-// transient session — on an origin holding one key in escrow: node 0 sealed
+// refuse through dispatch — or, for a frame with no link, the accept path's
+// transient receipt (a connection opening with the receipt) — on an origin holding one key in escrow: node 0 sealed
 // a piece to forwarder 1; witness 2 and bystander 3 are neighbors too. Each
 // row must leave the key in escrow and count one rejection. Then the honest
 // link receipt releases the key, and a replay of it is refused.
@@ -361,7 +361,6 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	n := fixtureNode(t, Config{
 		ID: originID, Algorithm: algo.TChain, Store: store,
 		Identity: keys[originID], Directory: dir, AttestScheme: attest.SchemeSession,
-		Discover: &DiscoverConfig{}, // a served transient session is a row
 	})
 	n.start = time.Now()
 	links := make(map[int]*remote)
@@ -383,7 +382,7 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	rows := []struct {
 		name string
 		att  attest.Attestation
-		via  int // the link the frame arrives on; -1 = a served transient session
+		via  int // the link the frame arrives on; -1 = the first frame of an accepted connection
 	}{
 		{"forwarder-minted-own-link", minted, forwarderID},
 		{"forwarder-minted-on-witness-link", minted, witnessID},
@@ -405,7 +404,7 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	deliver := func(att attest.Attestation, via int) {
 		frame := protocol.AttestedReceipt{KeyID: keyID, Att: att}
 		if via < 0 {
-			n.serveDiscovery(nopConn{}, frame)
+			n.handleConn(&firstFrameConn{first: frame}, 1)
 			return
 		}
 		if n.dispatch(links[via], frame) {
@@ -451,7 +450,21 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 		links[forwarderID].outbox = nil
 		refused(t, honest, witnessID)
 	})
-	n.wg.Wait() // the transient session's watchdog
+}
+
+// firstFrameConn is an accepted connection whose dialer opens with one frame
+// and hangs up.
+type firstFrameConn struct {
+	nopConn
+	first protocol.Message
+}
+
+func (c *firstFrameConn) Recv() (protocol.Message, error) {
+	if m := c.first; m != nil {
+		c.first = nil
+		return m, nil
+	}
+	return nil, transport.ErrClosed
 }
 
 // TestUnsignedWitnessReceipt: without identities there is one receipt frame

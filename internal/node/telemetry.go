@@ -242,55 +242,6 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// DebugDHTContact is one routed contact in the /debug/dht payload.
-type DebugDHTContact struct {
-	ID   int    `json:"id"`
-	Addr string `json:"addr"`
-	// LastSeenSec is how many seconds ago the contact was last seen alive.
-	LastSeenSec float64 `json:"last_seen_sec"`
-}
-
-// DebugDHTBucket is one nonempty k-bucket: Bucket is the distance scale
-// (highest set bit of the XOR distance to this node).
-type DebugDHTBucket struct {
-	Bucket   int               `json:"bucket"`
-	Contacts []DebugDHTContact `json:"contacts"`
-}
-
-// DebugDHT is the /debug/dht payload: the routing table's health view —
-// per-bucket occupancy and contact freshness.
-type DebugDHT struct {
-	ID      int              `json:"id"`
-	K       int              `json:"k"`
-	Size    int              `json:"size"`
-	Buckets []DebugDHTBucket `json:"buckets"`
-}
-
-// DebugDHTInfo assembles the routing-table snapshot, or a zero-bucket view
-// when the node runs without discovery.
-func (n *Node) DebugDHTInfo() DebugDHT {
-	info := DebugDHT{ID: n.cfg.ID}
-	t := n.RoutingTable()
-	if t == nil {
-		return info
-	}
-	info.K = t.K()
-	info.Size = t.Size()
-	now := time.Now()
-	for _, b := range t.Buckets() {
-		db := DebugDHTBucket{Bucket: b.Index, Contacts: make([]DebugDHTContact, 0, len(b.Contacts))}
-		for _, c := range b.Contacts {
-			db.Contacts = append(db.Contacts, DebugDHTContact{
-				ID:          c.Contact.NodeID,
-				Addr:        c.Contact.Addr,
-				LastSeenSec: now.Sub(c.LastSeen).Seconds(),
-			})
-		}
-		info.Buckets = append(info.Buckets, db)
-	}
-	return info
-}
-
 // handleDebugTrace serves /debug/trace: the collector's current span ring as
 // JSON ({"dropped": N, "spans": [...]}), or a Chrome trace-event file with
 // ?format=chrome (load it in chrome://tracing or Perfetto). ?trace=<hex id>
@@ -334,7 +285,6 @@ func (n *Node) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 //
 //	/metrics      Prometheus text (JSON Snapshot with ?format=json)
 //	/debug/swarm  the DebugSwarm peer table and rarity summary
-//	/debug/dht    routing-table health: buckets, contacts, last-seen ages
 //	/debug/trace  trace-collector spans (?format=chrome for chrome://tracing,
 //	              ?trace=<hex> to filter one trace); 404 when tracing is off
 //	/debug/vars   standard expvar, including this node's registry
@@ -352,16 +302,6 @@ func MetricsMux(n *Node) *http.ServeMux {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(n.DebugSwarmInfo())
-	})
-	mux.HandleFunc("/debug/dht", func(w http.ResponseWriter, _ *http.Request) {
-		if n.RoutingTable() == nil {
-			http.Error(w, "discovery disabled on this node", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.DebugDHTInfo())
 	})
 	mux.HandleFunc("/debug/trace", n.handleDebugTrace)
 	mux.Handle("/debug/vars", expvar.Handler())

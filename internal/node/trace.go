@@ -191,7 +191,7 @@ func (h *hopTrace) context() tracing.Context {
 }
 
 // instant records a standalone instant span, used for swarm-wide events
-// (choke/unchoke, discovery rewires) that belong to no single trace.
+// (choke/unchoke) that belong to no single trace.
 func instant(tr *tracing.Collector, name string, node, peer, piece int) {
 	tr.Record(tracing.Span{
 		SpanID: tr.NewID(), Name: name, Node: node, Peer: peer, Piece: piece,

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attest"
-	"repro/internal/discovery"
 	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/reputation"
@@ -19,7 +18,8 @@ import (
 )
 
 // startChain builds a 3-node line topology over real TCP — seed 0 — 1 — 2,
-// node 2 knowing only node 1 — with every push traced into one shared
+// each node dialing only its predecessor (MaxNeighbors 1, so node 2 leaves
+// the seed node 1 passes on undialed) — with every push traced into one shared
 // collector. A piece reaching node 2 must hop through node 1, so its trace
 // must span all three nodes.
 func startChain(t *testing.T) ([]*Node, *tracing.Collector) {
@@ -50,6 +50,7 @@ func startChain(t *testing.T) ([]*Node, *tracing.Collector) {
 			Transport:        transport.NewTCP(),
 			ListenAddr:       "127.0.0.1:0",
 			Bootstrap:        bootstrap,
+			MaxNeighbors:     1,
 			DecisionInterval: 2 * time.Millisecond,
 			Ledger:           ledger,
 			Tracer:           tr,
@@ -224,7 +225,7 @@ func TestStopDrainAccounting(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
-		r := newRemote(n, 1, conn, "", n.gainLen.Load())
+		r := newRemote(n, 1, conn, "", 0, n.gainLen.Load())
 		n.mu.Lock()
 		n.peers[1] = r
 		n.conns[conn] = true
@@ -314,90 +315,6 @@ func TestStopDrainAccounting(t *testing.T) {
 	})
 }
 
-// TestDebugDHTAndBucketGauges checks the routing-table health surfaces: the
-// /debug/dht payload and the discovery_bucket_occupancy gauges must both
-// reflect contacts added to the table.
-func TestDebugDHTAndBucketGauges(t *testing.T) {
-	manifest, _ := clusterFixture(t)
-	n, err := New(Config{
-		ID:        0,
-		Algorithm: algo.Altruism,
-		Store:     piece.NewStore(manifest),
-		Transport: transport.NewMem(),
-		Discover:  &DiscoverConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No Start: the table and gauges work without the loops running.
-	table := n.RoutingTable()
-	contacts := []int{1, 2, 3, 9}
-	for _, id := range contacts {
-		if _, added := table.Add(discovery.Contact{NodeID: id, Addr: "mem://x"}); !added {
-			t.Fatalf("contact %d not added", id)
-		}
-	}
-
-	info := n.DebugDHTInfo()
-	if info.Size != len(contacts) {
-		t.Fatalf("DebugDHTInfo.Size = %d, want %d", info.Size, len(contacts))
-	}
-	seen := 0
-	for _, b := range info.Buckets {
-		if len(b.Contacts) == 0 {
-			t.Errorf("bucket %d reported empty", b.Bucket)
-		}
-		for _, c := range b.Contacts {
-			if c.LastSeenSec < 0 || c.LastSeenSec > 60 {
-				t.Errorf("contact %d last seen %.1fs ago, want recent", c.ID, c.LastSeenSec)
-			}
-			if got := discovery.BucketOf(table.Self(), discovery.IDOf(c.ID)); got != b.Bucket {
-				t.Errorf("contact %d filed under bucket %d, want %d", c.ID, b.Bucket, got)
-			}
-			seen++
-		}
-	}
-	if seen != len(contacts) {
-		t.Fatalf("buckets list %d contacts, want %d", seen, len(contacts))
-	}
-
-	snap := n.Metrics().Snapshot()
-	total := int64(0)
-	for _, b := range info.Buckets {
-		name := `discovery_bucket_occupancy{bucket="` + itoa(b.Bucket) + `"}`
-		if got := snap.Gauges[name]; got != int64(len(b.Contacts)) {
-			t.Errorf("%s = %d, want %d", name, got, len(b.Contacts))
-		}
-		total += int64(len(b.Contacts))
-	}
-	if got := snap.Gauges["discovery_table_size"]; got != total {
-		t.Errorf("discovery_table_size = %d, want %d", got, total)
-	}
-
-	// The HTTP surface serves the same view.
-	mux := MetricsMux(n)
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dht", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/dht status %d", rec.Code)
-	}
-	var payload DebugDHT
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Size != len(contacts) {
-		t.Errorf("/debug/dht size = %d, want %d", payload.Size, len(contacts))
-	}
-}
-
-// itoa avoids importing strconv for two-digit bucket numbers in tests.
-func itoa(v int) string {
-	if v >= 10 {
-		return string(rune('0'+v/10)) + string(rune('0'+v%10))
-	}
-	return string(rune('0' + v))
-}
-
 // TestDebugTraceEndpoint checks /debug/trace: 404 with tracing off, JSON
 // spans and Chrome export with it on.
 func TestDebugTraceEndpoint(t *testing.T) {
@@ -482,7 +399,7 @@ func BenchmarkOutboxUntraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := newRemote(n, 1, nopConn{}, "", n.gainLen.Load())
+	r := newRemote(n, 1, nopConn{}, "", 0, n.gainLen.Load())
 	var msg protocol.Message = protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay, Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()

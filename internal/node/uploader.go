@@ -84,9 +84,11 @@ const reciprocationGrace = 2 * time.Second
 
 // uploadLoop is the node's one clock. Each DecisionInterval tick sweeps the
 // endgame grace queue, flushes the control traffic nobody is waiting on (see
-// flushLinks) and then spends the upload budget: a token bucket refilled at
-// UploadRate drives strategy-chosen piece pushes. A free-rider skips only
-// that last half — it still owes its neighbors announcements and receipts.
+// flushLinks), dials one peer-exchange contact if the node is short of
+// links (see refill) and then spends the upload budget: a token bucket
+// refilled at UploadRate drives strategy-chosen piece pushes. A free-rider
+// skips only that last part — it still owes its neighbors announcements and
+// receipts, and still needs links to download over.
 func (n *Node) uploadLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.DecisionInterval)
@@ -102,6 +104,7 @@ func (n *Node) uploadLoop() {
 		case now := <-ticker.C:
 			n.sweepGrace(n.sinceStartNs())
 			n.flushLinks()
+			n.refill()
 			if n.cfg.FreeRide {
 				continue // free-riders never upload
 			}

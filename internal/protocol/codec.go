@@ -225,24 +225,12 @@ func appendPayload(dst []byte, m Message) ([]byte, error) {
 		w.buf = append(w.buf, msg.Key[:]...)
 	case Bye:
 		// empty payload
-	case Ping:
-		w.u32(msg.Seq)
-		w.boolean(msg.Ack)
-	case FindNode:
-		w.u32(msg.Seq)
-		w.u64(msg.Target)
 	case Nodes:
-		w.u32(msg.Seq)
 		w.u32(uint32(len(msg.Contacts)))
 		for _, c := range msg.Contacts {
 			w.i32(c.ID)
 			w.str(c.Addr)
 		}
-	case Announce:
-		w.i32(msg.ID)
-		w.str(msg.Addr)
-		w.u32(msg.Seq)
-		w.u8(msg.TTL)
 	case Attest:
 		w.attestation(&msg.Att)
 		w.traceContext(msg.Trace)
@@ -303,12 +291,8 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 		m = msg
 	case TypeBye:
 		m = Bye{}
-	case TypePing:
-		m = Ping{Seq: r.u32(), Ack: r.boolean()}
-	case TypeFindNode:
-		m = FindNode{Seq: r.u32(), Target: r.u64()}
 	case TypeNodes:
-		msg := Nodes{Seq: r.u32()}
+		msg := Nodes{}
 		count := r.u32()
 		// Each contact costs at least 8 bytes (ID + address length), so a
 		// count beyond the remaining payload is malformed — reject before
@@ -323,8 +307,6 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 			}
 		}
 		m = msg
-	case TypeAnnounce:
-		m = Announce{ID: r.i32(), Addr: r.str(), Seq: r.u32(), TTL: r.u8()}
 	case TypeAttest:
 		m = Attest{Att: r.attestation(), Trace: r.traceContext()}
 	case TypeAttestedReceipt:

@@ -53,10 +53,7 @@ func FuzzDecode(f *testing.F) {
 		Key{KeyID: 55, Index: 2, Key: [32]byte{0xaa}},
 		AttestedReceipt{KeyID: 55, Att: attest.Claim(4, 6, 2, 1024)},
 		Bye{},
-		Ping{Seq: 17, Ack: true},
-		FindNode{Seq: 18, Target: 0xdeadbeefcafe},
-		Nodes{Seq: 18, Contacts: []NodeInfo{{ID: 3, Addr: "mem://3"}}},
-		Announce{ID: 12, Addr: "mem://12", Seq: 4, TTL: 2},
+		Nodes{Contacts: []NodeInfo{{ID: 3, Addr: "mem://3"}}},
 		Attest{Att: attest.Attestation{
 			Sender: 3, Receiver: 4, Index: 11,
 			Hash:  [32]byte{0xde, 0xad},
@@ -84,10 +81,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(TypeBye)})
 	f.Add(append([]byte{0, 0, 0, 8, byte(TypeHave)}, make([]byte, 8)...))
 	f.Add([]byte{0, 0, 0, 2, byte(TypeHello), 0x01, 0x02})
-	// A HaveBatch whose count overruns its payload (refused before the index
-	// slice is allocated), and the retired AttestBatch type number.
+	// A HaveBatch and a Nodes whose counts overrun their payloads (refused
+	// before the slice is allocated), and retired type numbers: AttestBatch,
+	// then Ping, FindNode and Announce carrying their old payloads.
 	f.Add([]byte{0, 0, 0, 8, byte(TypeHaveBatch), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 8, byte(TypeNodes), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1})
 	f.Add([]byte{0, 0, 0, 4, 15, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 5, 9, 0, 0, 0, 17, 1})
+	f.Add([]byte{0, 0, 0, 12, 10, 0, 0, 0, 18, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 13, 12, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 4, 2})
 	// A Piece with 17 trailing bytes that are NOT the trace extension (wrong
 	// magic) and one with a truncated extension (16 bytes) — both malformed.
 	badTrail := append([]byte{0, 0, 0, 33, byte(TypePiece)},

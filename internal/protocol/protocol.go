@@ -38,10 +38,10 @@ const (
 	TypeKey
 	_ // 7 was Receipt, retired for AttestedReceipt carrying an unsigned claim; ErrUnknownType
 	TypeBye
-	TypePing
-	TypeFindNode
+	_ // 9 was Ping, retired with the DHT's liveness probes; ErrUnknownType
+	_ // 10 was FindNode, retired with the DHT's lookups; ErrUnknownType
 	TypeNodes
-	TypeAnnounce
+	_ // 12 was Announce, retired with the DHT's gossip; ErrUnknownType
 	TypeAttest
 	TypeAttestedReceipt
 	_ // 15 was AttestBatch, retired unsent; the decoder answers ErrUnknownType
@@ -65,14 +65,8 @@ func (t Type) String() string {
 		return "key"
 	case TypeBye:
 		return "bye"
-	case TypePing:
-		return "ping"
-	case TypeFindNode:
-		return "find-node"
 	case TypeNodes:
 		return "nodes"
-	case TypeAnnounce:
-		return "announce"
 	case TypeAttest:
 		return "attest"
 	case TypeAttestedReceipt:
@@ -166,22 +160,6 @@ type Key struct {
 // Bye announces a graceful departure.
 type Bye struct{}
 
-// Ping is the discovery layer's liveness probe. A request (Ack false) asks
-// the receiver to echo the Seq back with Ack set; any frame arriving on a
-// connection refreshes its liveness, so the reply doubles as a keepalive.
-type Ping struct {
-	Seq uint32
-	Ack bool
-}
-
-// FindNode asks a peer for the closest contacts it knows to Target (a
-// Kademlia XOR-distance ID, see internal/discovery). Seq correlates the
-// Nodes reply on connections multiplexing several lookups.
-type FindNode struct {
-	Seq    uint32
-	Target uint64
-}
-
 // NodeInfo is one routable contact carried in a Nodes frame: a swarm node
 // ID plus the address its listener can be dialed at.
 type NodeInfo struct {
@@ -189,23 +167,11 @@ type NodeInfo struct {
 	Addr string
 }
 
-// Nodes carries a contact list: the reply to a FindNode (echoing its Seq),
-// or an unsolicited peer-exchange gossip frame (Seq 0) piggybacked on the
-// handshake and on capacity redirects.
+// Nodes is peer exchange: the accepting side of a handshake lists
+// neighbours the dialer may link to next. Contacts are hints — the
+// receiver filters and bounds them — never claims that cost a link.
 type Nodes struct {
-	Seq      uint32
 	Contacts []NodeInfo
-}
-
-// Announce gossips swarm membership: "node ID participates and listens at
-// Addr". Seq increases with every re-announce by the origin so receivers
-// can discard stale duplicates; TTL bounds how many hops a forwarded
-// announce travels.
-type Announce struct {
-	ID   int32
-	Addr string
-	Seq  uint32
-	TTL  uint8
 }
 
 // Attest carries a transfer attestation on piece delivery: the receiver's
@@ -253,17 +219,8 @@ func (Key) MsgType() Type { return TypeKey }
 // MsgType returns TypeBye.
 func (Bye) MsgType() Type { return TypeBye }
 
-// MsgType returns TypePing.
-func (Ping) MsgType() Type { return TypePing }
-
-// MsgType returns TypeFindNode.
-func (FindNode) MsgType() Type { return TypeFindNode }
-
 // MsgType returns TypeNodes.
 func (Nodes) MsgType() Type { return TypeNodes }
-
-// MsgType returns TypeAnnounce.
-func (Announce) MsgType() Type { return TypeAnnounce }
 
 // MsgType returns TypeAttest.
 func (Attest) MsgType() Type { return TypeAttest }

@@ -50,11 +50,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 		Key{KeyID: 55, Index: 2, Key: [32]byte{0xaa}},
 		AttestedReceipt{KeyID: 55, Att: attest.Claim(4, 6, 2, 1024)}, // an unsigned witness's receipt
 		Bye{},
-		Ping{Seq: 17, Ack: true},
-		FindNode{Seq: 18, Target: 0xdeadbeefcafe},
-		Nodes{Seq: 18, Contacts: []NodeInfo{{ID: 3, Addr: "mem://3"}, {ID: 9, Addr: "127.0.0.1:9000"}}},
-		Nodes{Seq: 0},
-		Announce{ID: 12, Addr: "mem://12", Seq: 4, TTL: 2},
+		Nodes{Contacts: []NodeInfo{{ID: 3, Addr: "mem://3"}, {ID: 9, Addr: "127.0.0.1:9000"}}},
+		Nodes{},
 		Attest{Att: attest.Attestation{
 			Sender: 3, Receiver: 4, Index: 11,
 			Hash:  [32]byte{0xde, 0xad},
@@ -87,7 +84,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeBye, TypePing, TypeFindNode, TypeNodes, TypeAnnounce, TypeAttest, TypeAttestedReceipt, TypeHaveBatch} {
+	for _, tt := range []Type{TypeHello, TypeBitfield, TypeHave, TypePiece, TypeSealedPiece, TypeKey, TypeBye, TypeNodes, TypeAttest, TypeAttestedReceipt, TypeHaveBatch} {
 		if s := tt.String(); s == "" || strings.HasPrefix(s, "type(") {
 			t.Errorf("type %d has no name: %q", tt, s)
 		}
@@ -97,11 +94,33 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownType: a tag no sender uses is refused, and so is
+// every retired one, even carrying the payload its old type had.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0, 99}) // empty payload, type 99
-	if _, err := Decode(&buf); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("err = %v, want ErrUnknownType", err)
+	if TypeNodes != 11 || TypeAttest != 13 {
+		t.Fatalf("TypeNodes = %d, TypeAttest = %d, want 11 and 13 (9, 10 and 12 stay retired)", TypeNodes, TypeAttest)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"never-assigned-99", []byte{0, 0, 0, 0, 99}},
+		{"retired-ping", []byte{0, 0, 0, 5, 9, 0, 0, 0, 17, 1}},                               // Ping{Seq: 17, Ack: true}
+		{"retired-find-node", []byte{0, 0, 0, 12, 10, 0, 0, 0, 18, 0, 0, 0, 0, 0, 0, 0, 1}},   // FindNode{Seq: 18, Target: 1}
+		{"retired-announce", []byte{0, 0, 0, 13, 12, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 4, 2}}, // Announce{ID: 12, Addr: "", Seq: 4, TTL: 2}
+	} {
+		if _, err := Decode(bytes.NewReader(tc.raw)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("%s: err = %v, want ErrUnknownType", tc.name, err)
+		}
+	}
+}
+
+// A Nodes count the payload cannot hold is malformed, and refused before
+// the contact slice is allocated.
+func TestDecodeRejectsNodesCountOverrun(t *testing.T) {
+	raw := []byte{0, 0, 0, 8, byte(TypeNodes), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1}
+	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("err = %v, want ErrMalformed", err)
 	}
 }
 

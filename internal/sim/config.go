@@ -101,7 +101,7 @@ func Default(a algo.Algorithm, numPeers, numPieces int, opts ...Option) Config {
 		ArrivalWindow:         10,
 		Horizon:               20000,
 		SampleInterval:        5,
-		MaxNeighbors:          50,
+		MaxNeighbors:          incentive.DefaultMaxNeighbors,
 		UploadSlots:           4,
 		SeederRate:            1 << 20,
 		SeederSlots:           8,

@@ -29,17 +29,16 @@ import (
 // Span names recorded by the node. A span either has a duration (Dur > 0)
 // or is an instantaneous event (Dur == 0).
 const (
-	SpanRequestQueued   = "request.queued"   // upload decision made -> frame accepted by the peer outbox
-	SpanOutboxWait      = "outbox.wait"      // dwell in the per-peer outbox behind earlier frames (backpressure)
-	SpanWireSend        = "wire.send"        // encode + syscall on the sending side
-	SpanWireRecv        = "wire.recv"        // frame decoded on the receiving side (instant)
-	SpanStoreVerify     = "store.verify"     // hash verification + store write
-	SpanAttestSign      = "attest.sign"      // receipt signature at the receiver
-	SpanLedgerCredit    = "ledger.credit"    // ledger verification + credit
-	SpanAttestAck       = "attest.ack"       // signed receipt copy back at the uploader (instant)
-	SpanChoke           = "choke"            // peer outbox hit the data backpressure limit (instant)
-	SpanUnchoke         = "unchoke"          // peer outbox drained back below the limit (instant)
-	SpanDiscoveryRewire = "discovery.rewire" // overlay maintenance closed a link to rewire (instant)
+	SpanRequestQueued = "request.queued" // upload decision made -> frame accepted by the peer outbox
+	SpanOutboxWait    = "outbox.wait"    // dwell in the per-peer outbox behind earlier frames (backpressure)
+	SpanWireSend      = "wire.send"      // encode + syscall on the sending side
+	SpanWireRecv      = "wire.recv"      // frame decoded on the receiving side (instant)
+	SpanStoreVerify   = "store.verify"   // hash verification + store write
+	SpanAttestSign    = "attest.sign"    // receipt signature at the receiver
+	SpanLedgerCredit  = "ledger.credit"  // ledger verification + credit
+	SpanAttestAck     = "attest.ack"     // signed receipt copy back at the uploader (instant)
+	SpanChoke         = "choke"          // peer outbox hit the data backpressure limit (instant)
+	SpanUnchoke       = "unchoke"        // peer outbox drained back below the limit (instant)
 )
 
 // Context is the trace identity carried across the wire: which trace a

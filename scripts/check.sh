@@ -3,9 +3,9 @@
 # vet, build, the full test suite under -race (the parallel replication
 # runner is exercised concurrently by the experiment tests), the benchmark
 # module's own vet and tests (bench/ is a separate module pinned against
-# this one's public API), the named discovery and attestation gates, the
-# allocation guards on the hot paths, the flush clock's frames-per-piece
-# ceiling, and a report-only size table.
+# this one's public API), the named membership and attestation gates, the
+# node's timer-site ceiling, the allocation guards on the hot paths, the
+# flush clock's frames-per-piece ceiling, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,13 +57,28 @@ echo "== benchmark module =="
 # deletion or rename here breaking it.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== discovery churn race gate =="
-# The discovery subsystem's integration test again, explicitly and by name:
-# a 64-node DHT-discovered swarm on a lossy, laggy transport with 20% of
-# the leechers replaced mid-download, under the race detector. Survivors
-# and joiners must complete, the degree bound must hold, and Stop must
-# leak no goroutines even if the main sweep is ever narrowed.
-go test -race -count=1 -run 'TestDiscoveryChurn64' ./internal/node
+echo "== membership churn race gate =="
+# Membership's integration test again, explicitly and by name: a 64-node
+# tracker-wired swarm (MaxNeighbors 6) on a lossy, laggy transport with 20%
+# of the leechers replaced mid-download, under the race detector. Survivors
+# and joiners must complete, no node may hold more than MaxNeighbors dialed
+# connections, and Stop must leak no goroutines even if the main sweep is
+# ever narrowed. Beside it, peer exchange adds no dial to the bench's full
+# mesh: 16 nodes open exactly 120 connections.
+go test -race -count=1 -run 'TestDiscoveryChurn64|TestFullMeshOpensEachLinkOnce' ./internal/node
+
+echo "== node timer-site ceiling =="
+# Every timer the live node arms is a site a clock seam must thread through
+# (ROADMAP keystone stage 1): the upload tick, the telemetry sampler, the
+# transient-receipt watchdog and Stop's drain poll. A fifth needs a reason,
+# not a quiet ticker.
+timer_sites=$(grep -cE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $(ls internal/node/*.go | grep -v '_test\.go$') | awk -F: '{s += $2} END {print s}')
+echo "internal/node timer sites: $timer_sites"
+if [ "$timer_sites" -gt 4 ]; then
+  echo "timer guard: non-test internal/node has $timer_sites timer sites (ceiling 4)" >&2
+  grep -nE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $(ls internal/node/*.go | grep -v '_test\.go$') >&2
+  exit 1
+fi
 
 echo "== probe overhead guard =="
 # -benchtime=3x, not 1x: a one-time lazy allocation in the first swarm run
