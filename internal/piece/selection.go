@@ -8,25 +8,41 @@ import (
 )
 
 // Availability tracks, for each piece index, how many peers in a view hold
-// it, alongside a rarity histogram: hist[c] counts the pieces held by exactly
-// c peers, and the minimum occupied bucket is maintained incrementally so the
-// current rarity floor is an O(1) query. Swarm simulators maintain one global
-// instance; live nodes maintain one per neighborhood. Not safe for concurrent
-// use.
+// it, alongside cumulative rarity levels: level c is the bitset of pieces
+// held by at most c peers. The levels live in one slab, words uint64s each,
+// that doubles as the highest count rises; every stored level at or above
+// the highest count holds all pieces, and bits past the last piece are set
+// in every level. A count change moves one bit in one level, and
+// SelectRarestMissing masks its candidates with the level of the running
+// best. Swarm simulators maintain one global instance. Not safe for
+// concurrent use.
 type Availability struct {
 	counts []int
-	hist   []int // hist[c] = number of pieces with availability exactly c
-	minC   int   // smallest c with hist[c] > 0; 0 for an empty piece space
+	le     []uint64 // level c is le[c*words : (c+1)*words]
+	words  int
+	levels int // stored levels; always above every count
 }
 
 // NewAvailability returns a zeroed availability index over numPieces pieces.
 func NewAvailability(numPieces int) *Availability {
-	a := &Availability{
-		counts: make([]int, numPieces),
-		hist:   make([]int, 1, 64),
-	}
-	a.hist[0] = numPieces
+	a := &Availability{counts: make([]int, numPieces), words: (numPieces + 63) / 64}
+	a.grow(8)
 	return a
+}
+
+// grow extends the slab to n levels; the new levels hold every piece.
+func (a *Availability) grow(n int) {
+	le := make([]uint64, n*a.words)
+	copy(le, a.le)
+	for i := len(a.le); i < len(le); i++ {
+		le[i] = ^uint64(0)
+	}
+	a.le, a.levels = le, n
+}
+
+// level returns the pieces held by at most c peers, c below a.levels.
+func (a *Availability) level(c int) []uint64 {
+	return a.le[c*a.words : (c+1)*a.words]
 }
 
 // AddPiece records that one more peer holds piece i.
@@ -36,16 +52,10 @@ func (a *Availability) AddPiece(i int) {
 	}
 	c := a.counts[i]
 	a.counts[i] = c + 1
-	a.hist[c]--
-	if c+1 >= len(a.hist) {
-		a.hist = append(a.hist, 0)
+	if c+1 == a.levels {
+		a.grow(2 * a.levels)
 	}
-	a.hist[c+1]++
-	// The minimum bucket only drains upward; sum(hist) is constant, so the
-	// walk terminates and is amortized O(1) across a run.
-	for a.minC < len(a.hist)-1 && a.hist[a.minC] == 0 {
-		a.minC++
-	}
+	a.le[c*a.words+i/64] &^= 1 << (uint(i) % 64)
 }
 
 // RemovePiece records that one fewer peer holds piece i (e.g., peer left).
@@ -53,13 +63,9 @@ func (a *Availability) RemovePiece(i int) {
 	if i < 0 || i >= len(a.counts) || a.counts[i] == 0 {
 		return
 	}
-	c := a.counts[i]
-	a.counts[i] = c - 1
-	a.hist[c]--
-	a.hist[c-1]++
-	if c-1 < a.minC {
-		a.minC = c - 1
-	}
+	c := a.counts[i] - 1
+	a.counts[i] = c
+	a.le[c*a.words+i/64] |= 1 << (uint(i) % 64)
 }
 
 // AddBitfield records every piece in b as held by one more peer.
@@ -80,17 +86,22 @@ func (a *Availability) Count(i int) int {
 	return a.counts[i]
 }
 
-// MinCount returns the lowest availability across all pieces — the rarity
-// floor — in O(1). An empty piece space reports 0.
-func (a *Availability) MinCount() int { return a.minC }
-
-// Histogram returns a copy of the rarity histogram: the element at index c is
-// the number of pieces held by exactly c peers. Intended for diagnostics and
-// invariant checks, not hot paths.
-func (a *Availability) Histogram() []int {
-	out := make([]int, len(a.hist))
-	copy(out, a.hist)
-	return out
+// AtMost returns a copy of the pieces held by at most c peers: the rarity
+// level SelectRarestMissing masks with. Intended for invariant checks, not
+// hot paths.
+func (a *Availability) AtMost(c int) *Bitfield {
+	b := NewBitfield(len(a.counts))
+	if c < 0 {
+		return b
+	}
+	copy(b.words, a.level(min(c, a.levels-1)))
+	if tail := b.size % 64; tail != 0 {
+		b.words[len(b.words)-1] &= 1<<uint(tail) - 1
+	}
+	for _, w := range b.words {
+		b.count += bits.OnesCount64(w)
+	}
+	return b
 }
 
 // RarestFirst picks from candidates the piece with the lowest availability,
@@ -166,20 +177,20 @@ func SelectRandomMissing(rng *rand.Rand, have, from, exclude *Bitfield) int {
 // SelectRarestMissing picks, local-rarest-first with uniform tie-breaking, a
 // piece that from holds and have lacks, excluding pieces marked in pending.
 // A nil from means the sender holds everything (the seeder); a nil pending
-// excludes nothing. It is the fused, allocation-free equivalent of
-// have.MissingFrom(from) followed by a pending filter and RarestFirst: it
-// visits the same candidates in the same ascending order and consumes exactly
-// the same rng draws, so simulations that switch to it replay byte-for-byte.
-// The reservoir tie-breaking is why the scan cannot stop early — a later
-// candidate tying the current best must still consume a draw — so the win
-// here is eliminating the candidate-slice allocation, not the scan itself.
+// excludes nothing; pieces beyond the availability's range count as held by
+// nobody. It is the fused, allocation-free equivalent of
+// have.MissingFrom(from) followed by a pending filter and RarestFirst, and
+// consumes exactly the same rng draws, so simulations that switch to it
+// replay byte-for-byte. Candidates are visited in the same ascending order,
+// but each word is masked with the rarity level of the running best (and
+// re-masked at every new best), so only the candidates that tie or beat it
+// are visited at all — exactly the ones that draw or move the pick.
 func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *Bitfield) int {
 	if have == nil {
 		return -1
 	}
-	best := -1
-	bestCount := int(^uint(0) >> 1)
-	ties := 0
+	best, bestCount, ties := -1, 0, 0
+	var level []uint64 // pieces held by at most bestCount peers, once ties > 0
 	for w := range have.words {
 		var cand uint64
 		if from == nil {
@@ -190,6 +201,9 @@ func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *
 		if pending != nil && w < len(pending.words) {
 			cand &^= pending.words[w]
 		}
+		if w < len(level) {
+			cand &= level[w]
+		}
 		for cand != 0 {
 			idx := w*64 + bits.TrailingZeros64(cand)
 			if idx >= have.size {
@@ -199,10 +213,13 @@ func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *
 			if idx < len(a.counts) {
 				count = a.counts[idx]
 			}
-			switch {
-			case count < bestCount:
+			if ties == 0 || count < bestCount {
 				best, bestCount, ties = idx, count, 1
-			case count == bestCount:
+				level = a.level(count)
+				if w < len(level) {
+					cand &= level[w]
+				}
+			} else { // count == bestCount: the level admits nothing more common
 				ties++
 				if stats.OneIn(rng, ties) {
 					best = idx

@@ -180,3 +180,92 @@ func TestSelectRandomMissingUniform(t *testing.T) {
 		}
 	}
 }
+
+// rarestRef is the reference SelectRarestMissing is checked against: the
+// candidate list MissingFrom builds (every missing piece for a nil from),
+// minus pending, handed to RarestFirst.
+func rarestRef(rng *rand.Rand, a *Availability, have, from, pending *Bitfield) int {
+	var candidates []int
+	if from == nil {
+		for i := 0; i < have.Size(); i++ {
+			if !have.Has(i) {
+				candidates = append(candidates, i)
+			}
+		}
+	} else {
+		candidates = have.MissingFrom(from)
+	}
+	filtered := candidates[:0]
+	for _, c := range candidates {
+		if pending == nil || !pending.Has(c) {
+			filtered = append(filtered, c)
+		}
+	}
+	return a.RarestFirst(rng, filtered)
+}
+
+// TestSelectRarestMissingMatchesRarestFirst drives random AddPiece,
+// RemovePiece, AddBitfield and RemoveBitfield sequences (counts high enough
+// to grow the rarity levels several times) and after each step compares a
+// pick over random operands with the reference: nil from (the seeder), nil
+// pending, sizes off the word boundary, and have/from/pending longer or
+// shorter than the availability. A twin rng runs the reference, so the next
+// Int63 of both must agree too — a pick that draws once more or once less
+// than RarestFirst fails even when it lands on the same piece.
+func TestSelectRarestMissingMatchesRarestFirst(t *testing.T) {
+	gen := rand.New(rand.NewSource(6))
+	rng, twin := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	sizes := []int{1, 5, 63, 64, 65, 100, 130, 512}
+	densities := []float64{0, 0.05, 0.5, 0.95, 1}
+	picked := 0
+	for trial := 0; trial < 60; trial++ {
+		n := sizes[gen.Intn(len(sizes))]
+		a := NewAvailability(n)
+		var held []*Bitfield // bitfields added whole, for RemoveBitfield
+		for step := 0; step < 150; step++ {
+			switch op := gen.Intn(10); {
+			case op < 4:
+				a.AddPiece(gen.Intn(n + 2))
+			case op < 6:
+				a.RemovePiece(gen.Intn(n + 2))
+			case op < 8:
+				b := randomBitfield(gen, n, densities[gen.Intn(len(densities))])
+				a.AddBitfield(b)
+				held = append(held, b)
+			default:
+				if len(held) > 0 {
+					k := gen.Intn(len(held))
+					a.RemoveBitfield(held[k])
+					held = append(held[:k], held[k+1:]...)
+				}
+			}
+			size := n
+			if gen.Intn(4) == 0 {
+				size = sizes[gen.Intn(len(sizes))] // longer or shorter than the availability
+			}
+			have := randomBitfield(gen, size, densities[gen.Intn(len(densities))])
+			var from, pending *Bitfield
+			if gen.Intn(3) != 0 {
+				from = randomBitfield(gen, size, densities[gen.Intn(len(densities))])
+			}
+			if gen.Intn(3) != 0 {
+				pending = randomBitfield(gen, size, 0.2)
+			}
+			want := rarestRef(twin, a, have, from, pending)
+			got := a.SelectRarestMissing(rng, have, from, pending)
+			if got != want {
+				t.Fatalf("trial %d step %d (n %d, size %d, nil from %v, nil pending %v): picked %d, want %d",
+					trial, step, n, size, from == nil, pending == nil, got, want)
+			}
+			if x, y := rng.Int63(), twin.Int63(); x != y {
+				t.Fatalf("trial %d step %d: rng state diverged after picking %d", trial, step, got)
+			}
+			if got >= 0 {
+				picked++
+			}
+		}
+	}
+	if picked < 1000 {
+		t.Fatalf("only %d non-empty picks; the generator is not exercising the selector", picked)
+	}
+}

@@ -79,11 +79,11 @@ type Config struct {
 	// Seed drives every random choice; runs replay bit-for-bit.
 	Seed int64 `json:"seed"`
 
-	// naiveScan disables the incremental interest/rarity indexes and routes
-	// interest queries and piece selection through the original full-scan
-	// paths. Unexported on purpose: it exists so package tests can pin the
-	// two implementations against each other, not as a user knob — both
-	// paths produce byte-identical runs.
+	// naiveScan disables the incremental interest index and routes interest
+	// queries through the original full-scan paths. Unexported on purpose:
+	// it exists so package tests can pin the two implementations against
+	// each other, not as a user knob — both paths produce byte-identical
+	// runs.
 	naiveScan bool
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/piece"
 	"repro/internal/probe"
 )
 
@@ -144,24 +145,31 @@ func checkInterestIndex(s *Swarm) error {
 			}
 		}
 	}
-	// The rarity index must agree with a per-piece recount over active peers.
+	// The rarity index must agree with a per-piece recount over active
+	// peers, count by count and level by level: level c holds exactly the
+	// pieces held by at most c peers, and every level past the highest
+	// count (up to the clamped top) holds them all.
 	counts := make([]int, s.cfg.NumPieces)
 	for _, p := range s.peers {
 		if p.active {
 			p.have.ForEach(func(i int) { counts[i]++ })
 		}
 	}
-	minC := 0
 	for i, c := range counts {
 		if got := s.availability.Count(i); got != c {
 			return fmt.Errorf("piece %d: availability %d, recount %d", i, got, c)
 		}
-		if i == 0 || c < minC {
-			minC = c
-		}
 	}
-	if s.cfg.NumPieces > 0 && s.availability.MinCount() != minC {
-		return fmt.Errorf("MinCount %d, recount %d", s.availability.MinCount(), minC)
+	for c := 0; c <= len(s.peers)+1; c++ {
+		level := s.availability.AtMost(c)
+		if level.Size() != len(counts) {
+			return fmt.Errorf("level %d spans %d pieces, want %d", c, level.Size(), len(counts))
+		}
+		for i, n := range counts {
+			if level.Has(i) != (n <= c) {
+				return fmt.Errorf("level %d: piece %d (recount %d) has bit %v", c, i, n, level.Has(i))
+			}
+		}
 	}
 	return nil
 }
@@ -211,7 +219,8 @@ func (p *indexCheckProbe) EndRun(float64)                         { p.check() }
 // identity churn, a seeder exit — while an attached probe cross-checks the
 // incremental indexes against naive Bitfield recomputation at every
 // topology change. Each trace then replays with the indexes disabled
-// (cfg.naiveScan) and must produce the identical Result, proving the indexed
+// (cfg.naiveScan, and pickPieceNaive for the piece pick) and must produce
+// the identical Result, proving the indexed
 // and naive paths are the same simulation.
 func TestInterestIndexMatchesNaive(t *testing.T) {
 	if testing.Short() {
@@ -265,6 +274,7 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 			t.Logf("naive config rejected: %v", err)
 			return false
 		}
+		naiveSwarm.refPick = naiveSwarm.pickPieceNaive
 		naiveRes, err := naiveSwarm.Run()
 		if err != nil {
 			t.Logf("naive run failed: %v", err)
@@ -280,4 +290,34 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// pickPieceNaive is the reference piece pick the naive replay injects:
+// enumerate the receiver's missing pieces, drop those in flight, and hand
+// the list to RarestFirst.
+func (s *Swarm) pickPieceNaive(senderHave *piece.Bitfield, receiver *peer) int {
+	var candidates []int
+	if senderHave == nil {
+		candidates = candidatesFromSeeder(receiver)
+	} else {
+		candidates = receiver.have.MissingFrom(senderHave)
+	}
+	filtered := candidates[:0]
+	for _, c := range candidates {
+		if !receiver.pending.Has(c) {
+			filtered = append(filtered, c)
+		}
+	}
+	return s.availability.RarestFirst(s.rng, filtered)
+}
+
+// candidatesFromSeeder lists all pieces the receiver still needs.
+func candidatesFromSeeder(receiver *peer) []int {
+	out := make([]int, 0, receiver.have.Size()-receiver.have.Count())
+	for i := 0; i < receiver.have.Size(); i++ {
+		if !receiver.have.Has(i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }

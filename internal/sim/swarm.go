@@ -55,10 +55,13 @@ type Swarm struct {
 	actives    []*peer
 	incomplete []*peer
 
-	// indexed enables the incremental interest/rarity indexes (the default);
+	// indexed enables the incremental interest index (the default);
 	// cfg.naiveScan turns it off so tests and benchmarks can run the
 	// reference scan paths against the same inputs.
 	indexed bool
+	// refPick, when set by a test, replaces the indexed piece pick with a
+	// reference implementation (see pickPiece).
+	refPick func(senderHave *piece.Bitfield, receiver *peer) int
 	// topoGen increments whenever an edge is torn down; peerView uses it to
 	// invalidate cached edge pointers (see interest.go).
 	topoGen uint64

@@ -113,44 +113,16 @@ func (s *Swarm) startUpload(p *peer) bool {
 
 // pickPiece selects, local-rarest-first, a piece the receiver needs from
 // the sender's holdings, excluding pieces already in flight toward the
-// receiver. senderHave == nil means the seeder (holds everything). The
-// indexed path fuses candidate enumeration, the pending filter, and the
-// rarest-first reservoir into one allocation-free bitfield scan that
-// consumes the same rng draws as the naive path.
+// receiver. senderHave == nil means the seeder (holds everything).
+// SelectRarestMissing fuses candidate enumeration, the pending filter, and
+// the rarest-first reservoir into one allocation-free bitfield scan; a test
+// may inject a reference picker (refPick) that must make the same picks
+// with the same rng draws.
 func (s *Swarm) pickPiece(senderHave *piece.Bitfield, receiver *peer) int {
-	if s.indexed {
-		return s.availability.SelectRarestMissing(s.rng, receiver.have, senderHave, receiver.pending)
+	if s.refPick != nil {
+		return s.refPick(senderHave, receiver)
 	}
-	return s.pickPieceNaive(senderHave, receiver)
-}
-
-// pickPieceNaive is the pre-index scan path, kept as the reference
-// implementation for the index equivalence property test.
-func (s *Swarm) pickPieceNaive(senderHave *piece.Bitfield, receiver *peer) int {
-	var candidates []int
-	if senderHave == nil {
-		candidates = candidatesFromSeeder(receiver)
-	} else {
-		candidates = receiver.have.MissingFrom(senderHave)
-	}
-	filtered := candidates[:0]
-	for _, c := range candidates {
-		if !receiver.pending.Has(c) {
-			filtered = append(filtered, c)
-		}
-	}
-	return s.availability.RarestFirst(s.rng, filtered)
-}
-
-// candidatesFromSeeder lists all pieces the receiver still needs.
-func candidatesFromSeeder(receiver *peer) []int {
-	out := make([]int, 0, receiver.have.Size()-receiver.have.Count())
-	for i := 0; i < receiver.have.Size(); i++ {
-		if !receiver.have.Has(i) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return s.availability.SelectRarestMissing(s.rng, receiver.have, senderHave, receiver.pending)
 }
 
 // deliver completes a peer-to-peer transfer: releases the sender's slot,

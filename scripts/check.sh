@@ -136,6 +136,12 @@ echo "== push pick allocation guard =="
 # ns/op flat across the rows — a per-candidate cost is what it replaced).
 alloc_guard ./internal/piece BenchmarkSelectRandomMissing 0
 
+echo "== rarest pick allocation guard =="
+# The simulator's rarest-first pick runs once per transfer, millions of
+# times in Figure 4: a word pass masked by the rarity level of the running
+# best, so both rows (seeder and peer sender) must stay allocation-free.
+alloc_guard ./internal/piece BenchmarkSelectRarestMissing 0
+
 echo "== attestation adversary gate =="
 # The proof-first ledger's security claims again, explicitly and by name,
 # under the race detector: every forgery class (unsigned claim, re-signed
