@@ -20,7 +20,8 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/report"
 )
 
 // benchOptions collects the flag values; factored out so tests can drive run.
@@ -41,7 +42,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(core.Experiments(), "\n"))
+		fmt.Println(strings.Join(experiment.Names(), "\n"))
 		return
 	}
 	if err := run(opts, os.Stdout); err != nil {
@@ -51,9 +52,9 @@ func main() {
 }
 
 func run(opts benchOptions, stdout io.Writer) error {
-	scale := core.TestScale()
+	scale := experiment.TestScale()
 	if opts.full {
-		scale = core.FullScale()
+		scale = experiment.FullScale()
 	}
 
 	names := []string{"figure4", "figure5", "figure6"}
@@ -71,35 +72,27 @@ func run(opts benchOptions, stdout io.Writer) error {
 
 	// In JSON mode the text report is suppressed; the tables are still
 	// available as -out artifacts, and stdout carries only the summary.
-	report := stdout
+	out := stdout
 	if opts.output.JSON {
-		report = io.Discard
+		out = io.Discard
 	}
+	sink := report.NewSink(opts.output.Dir)
 	var phases cli.Phases
 	for _, name := range names {
 		err := phases.Run(name, func() error {
-			return core.RunExperiment(name, scale, report, opts.output.Dir)
+			return experiment.Run(name, scale, out, sink)
 		})
 		if err != nil {
 			return err
 		}
 		wall := phases.Entries()[phases.Len()-1].Wall
-		fmt.Fprintf(report, "[%s completed in %v]\n\n", name, wall.Round(time.Millisecond))
+		fmt.Fprintf(out, "[%s completed in %v]\n\n", name, wall.Round(time.Millisecond))
+	}
+	if err := sink.Flush(); err != nil {
+		return err
 	}
 	if opts.output.JSON {
-		type phaseJSON struct {
-			Name   string  `json:"name"`
-			WallMS float64 `json:"wall_ms"`
-		}
-		summary := struct {
-			Experiments []phaseJSON `json:"experiments"`
-			TotalMS     float64     `json:"total_ms"`
-		}{TotalMS: float64(phases.Total()) / float64(time.Millisecond)}
-		for _, e := range phases.Entries() {
-			summary.Experiments = append(summary.Experiments,
-				phaseJSON{Name: e.Name, WallMS: float64(e.Wall) / float64(time.Millisecond)})
-		}
-		return cli.WriteJSON(stdout, summary)
+		return phases.WriteJSON(stdout, "experiments")
 	}
 	if phases.Len() > 1 {
 		phases.Report(stdout)

@@ -16,10 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/report"
 )
 
 // modelOptions collects the flag values; factored out so tests can drive run.
@@ -45,35 +45,27 @@ func run(opts modelOptions, stdout io.Writer) error {
 	if opts.only != "" {
 		names = []string{opts.only}
 	}
-	scale := core.TestScale() // analytical artifacts ignore the scale
-	report := stdout
+	scale := experiment.TestScale() // analytical artifacts ignore the scale
+	out := stdout
 	if opts.output.JSON {
-		report = io.Discard
+		out = io.Discard
 	}
+	sink := report.NewSink(opts.output.Dir)
 	var phases cli.Phases
 	for _, name := range names {
 		err := phases.Run(name, func() error {
-			return core.RunExperiment(name, scale, report, opts.output.Dir)
+			return experiment.Run(name, scale, out, sink)
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(report)
+		fmt.Fprintln(out)
+	}
+	if err := sink.Flush(); err != nil {
+		return err
 	}
 	if opts.output.JSON {
-		type phaseJSON struct {
-			Name   string  `json:"name"`
-			WallMS float64 `json:"wall_ms"`
-		}
-		summary := struct {
-			Artifacts []phaseJSON `json:"artifacts"`
-			TotalMS   float64     `json:"total_ms"`
-		}{TotalMS: float64(phases.Total()) / float64(time.Millisecond)}
-		for _, e := range phases.Entries() {
-			summary.Artifacts = append(summary.Artifacts,
-				phaseJSON{Name: e.Name, WallMS: float64(e.Wall) / float64(time.Millisecond)})
-		}
-		return cli.WriteJSON(stdout, summary)
+		return phases.WriteJSON(stdout, "artifacts")
 	}
 	return nil
 }

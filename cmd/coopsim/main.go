@@ -16,8 +16,11 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/algo"
+	"repro/internal/attack"
 	"repro/internal/cli"
-	"repro/internal/core"
+	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // options collects the flag values; factored out so tests can drive run.
@@ -63,40 +66,39 @@ func main() {
 }
 
 func run(opts options, stdout io.Writer) error {
-	a, err := core.ParseAlgorithm(opts.algoName)
+	a, err := algo.Parse(opts.algoName)
 	if err != nil {
 		return err
 	}
-	simOpts := []core.Option{
-		core.WithScale(opts.scale.Peers, opts.scale.Pieces),
-		core.WithSeed(opts.scale.Seed),
-		core.WithHorizon(opts.scale.Horizon),
-		core.WithSeeder(opts.seederRate),
-	}
+	cfg := sim.Default(a, opts.scale.Peers, opts.scale.Pieces,
+		sim.WithSeed(opts.scale.Seed),
+		sim.WithHorizon(opts.scale.Horizon),
+		sim.WithSeeder(opts.seederRate),
+		sim.WithAbortRate(opts.abortRate),
+		sim.WithSeederExit(opts.seederExit),
+	)
 	if opts.freeRiders > 0 {
-		plan := core.MostEffectiveAttack(a)
+		plan := attack.MostEffective(a)
 		if opts.largeView {
 			plan = plan.WithLargeView()
 		}
-		simOpts = append(simOpts, core.WithFreeRiders(opts.freeRiders, plan))
-	}
-	if opts.abortRate > 0 || opts.seederExit > 0 {
-		simOpts = append(simOpts, core.WithFaults(opts.abortRate, opts.seederExit))
+		cfg.FreeRiderFraction, cfg.Attack = opts.freeRiders, plan
 	}
 
 	if opts.rep.Reps > 1 {
-		return runReplicated(a, opts, simOpts, stdout)
+		return runReplicated(cfg, opts, stdout)
 	}
 
-	res, manifest, err := core.SimulateManifested(a, simOpts...)
+	results, manifests, err := runner.New(1).RunManifested([]sim.Config{cfg})
 	if err != nil {
 		return err
 	}
+	res, manifest := results[0], manifests[0]
 
 	if opts.output.JSON {
 		return cli.WriteJSON(stdout, struct {
-			Result   *core.Result   `json:"result"`
-			Manifest *core.Manifest `json:"manifest"`
+			Result   *sim.Result      `json:"result"`
+			Manifest *runner.Manifest `json:"manifest"`
 		}{res, manifest})
 	}
 
@@ -115,25 +117,22 @@ func run(opts options, stdout io.Writer) error {
 	return nil
 }
 
-// runReplicated executes reps seeded replications on the parallel runner
-// and prints each metric's mean ± standard error.
-func runReplicated(a core.Algorithm, opts options, simOpts []core.Option, stdout io.Writer) error {
-	rep, err := core.SimulateReplicated(a, opts.rep.Reps, opts.rep.Workers, simOpts...)
+// runReplicated executes reps seeded replications of cfg on the parallel
+// runner and prints each metric's mean ± standard error.
+func runReplicated(cfg sim.Config, opts options, stdout io.Writer) error {
+	pool := runner.New(opts.rep.Workers)
+	rep, err := pool.Replicate(cfg, opts.rep.Reps)
 	if err != nil {
 		return err
 	}
 	if opts.output.JSON {
 		return cli.WriteJSON(stdout, rep)
 	}
-	workers := opts.rep.Workers
-	if workers <= 0 {
-		workers = core.DefaultWorkers()
-	}
-	fmt.Fprintf(stdout, "algorithm:           %v\n", a)
+	fmt.Fprintf(stdout, "algorithm:           %v\n", cfg.Algorithm)
 	fmt.Fprintf(stdout, "peers / pieces:      %d / %d\n", opts.scale.Peers, opts.scale.Pieces)
 	fmt.Fprintf(stdout, "replications:        %d (seeds %d..%d, %d workers)\n",
-		opts.rep.Reps, opts.scale.Seed, opts.scale.Seed+int64(opts.rep.Reps)-1, workers)
-	for _, name := range core.ReplicationMetrics() {
+		opts.rep.Reps, opts.scale.Seed, opts.scale.Seed+int64(opts.rep.Reps)-1, pool.Workers())
+	for _, name := range runner.MetricNames() {
 		s := rep.Metrics[name]
 		if s.N == 0 {
 			fmt.Fprintf(stdout, "%-20s never (in any replication)\n", name+":")

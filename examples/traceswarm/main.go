@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,13 +34,13 @@ func main() {
 	out := flag.String("out", "trace.json", "Chrome trace-event output file (empty = skip)")
 	flag.Parse()
 
-	if err := run(*nodes, *pieces, *sample, *k, *out); err != nil {
+	if err := run(os.Stdout, *nodes, *pieces, *sample, *k, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "traceswarm: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, numPieces, sample, k int, out string) error {
+func run(w io.Writer, nodes, numPieces, sample, k int, out string) error {
 	if nodes < 2 {
 		return fmt.Errorf("need at least 2 nodes, got %d", nodes)
 	}
@@ -53,7 +54,7 @@ func run(nodes, numPieces, sample, k int, out string) error {
 		content = append(content, piece.SyntheticPiece(i, pieceSize)...)
 	}
 
-	fmt.Printf("swarm: %d nodes, %d pieces, tracing 1 in %d pushes\n", nodes, numPieces, sample)
+	fmt.Fprintf(w, "swarm: %d nodes, %d pieces, tracing 1 in %d pushes\n", nodes, numPieces, sample)
 	start := time.Now()
 	c, err := node.StartCluster(manifest, content,
 		node.WithAlgorithm(algo.Altruism),
@@ -71,24 +72,24 @@ func run(nodes, numPieces, sample, k int, out string) error {
 	if err := c.WaitAllCompleteContext(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("download complete in %v\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "download complete in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	spans, dropped := c.Tracer.Snapshot()
 	traces := tracing.Traces(spans)
-	fmt.Printf("collected %d spans in %d traces (%d dropped)\n", len(spans), len(traces), dropped)
+	fmt.Fprintf(w, "collected %d spans in %d traces (%d dropped)\n", len(spans), len(traces), dropped)
 	if dropped > 0 {
-		fmt.Println("note: the ring overflowed; the slowest traces may be incomplete")
+		fmt.Fprintln(w, "note: the ring overflowed; the slowest traces may be incomplete")
 	}
 
-	fmt.Printf("\n%d slowest piece traces:\n\n", min(k, len(traces)))
+	fmt.Fprintf(w, "\n%d slowest piece traces:\n\n", min(k, len(traces)))
 	for i, t := range traces {
 		if i >= k {
 			break
 		}
-		if err := tracing.RenderTree(os.Stdout, t); err != nil {
+		if err := tracing.RenderTree(w, t); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if out == "" {
@@ -105,6 +106,6 @@ func run(nodes, numPieces, sample, k int, out string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s — load it in chrome://tracing or ui.perfetto.dev\n", out)
+	fmt.Fprintf(w, "wrote %s — load it in chrome://tracing or ui.perfetto.dev\n", out)
 	return nil
 }

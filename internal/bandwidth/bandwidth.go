@@ -36,12 +36,6 @@ func DefaultDistribution() Distribution {
 	}}
 }
 
-// UniformDistribution gives every peer the same rate; useful for the
-// idealized-equilibrium experiments where Uᵢ ≈ Uⱼ.
-func UniformDistribution(rate float64) Distribution {
-	return Distribution{Classes: []Class{{Name: "uniform", Rate: rate, Weight: 1}}}
-}
-
 // Validate checks the distribution for use in a simulation.
 func (d Distribution) Validate() error {
 	if len(d.Classes) == 0 {

@@ -10,9 +10,6 @@ func TestDefaultDistributionValid(t *testing.T) {
 	if err := DefaultDistribution().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := UniformDistribution(100).Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestValidateRejectsBadDistributions(t *testing.T) {

@@ -294,6 +294,22 @@ func (p *Phases) Total() time.Duration {
 	return total
 }
 
+// WriteJSON renders the phases as the batch binaries' -json summary:
+// {"<key>": [{"name", "wall_ms"}, …], "total_ms"}.
+func (p *Phases) WriteJSON(w io.Writer, key string) error {
+	type phaseJSON struct {
+		Name   string  `json:"name"`
+		WallMS float64 `json:"wall_ms"`
+	}
+	list := make([]phaseJSON, len(p.entries))
+	for i, e := range p.entries {
+		list[i] = phaseJSON{Name: e.Name, WallMS: ms(e.Wall)}
+	}
+	return WriteJSON(w, map[string]any{key: list, "total_ms": ms(p.Total())})
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // Report writes the per-phase wall-clock breakdown as an aligned text
 // block with each phase's share of the total.
 func (p *Phases) Report(w io.Writer) {

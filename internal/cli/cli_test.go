@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -164,6 +165,27 @@ func TestPhases(t *testing.T) {
 	empty.Report(&sb2)
 	if sb2.Len() != 0 {
 		t.Error("empty Phases rendered a report")
+	}
+}
+
+func TestPhasesWriteJSON(t *testing.T) {
+	p := Phases{entries: []Phase{{"table1", 2 * time.Millisecond}, {"figure2", time.Millisecond}}}
+	var sb strings.Builder
+	if err := p.WriteJSON(&sb, "artifacts"); err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Artifacts []struct {
+			Name   string  `json:"name"`
+			WallMS float64 `json:"wall_ms"`
+		} `json:"artifacts"`
+		TotalMS float64 `json:"total_ms"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
+		t.Fatalf("%v:\n%s", err, sb.String())
+	}
+	if len(got.Artifacts) != 2 || got.Artifacts[0].Name != "table1" || got.Artifacts[0].WallMS != 2 || got.TotalMS != 3 {
+		t.Errorf("summary = %+v", got)
 	}
 }
 

@@ -118,8 +118,12 @@ type Sink struct {
 	files map[string]string
 }
 
-// NewSink returns a sink writing under dir (created on demand).
+// NewSink returns a sink writing under dir (created on demand). An empty
+// dir returns the nil Sink, which discards everything.
 func NewSink(dir string) *Sink {
+	if dir == "" {
+		return nil
+	}
 	return &Sink{dir: dir, files: make(map[string]string)}
 }
 

@@ -107,6 +107,12 @@ func TestEmptySinkFlushNoDir(t *testing.T) {
 	}
 }
 
+func TestNewSinkEmptyDirDiscards(t *testing.T) {
+	if s := NewSink(""); s != nil {
+		t.Fatalf("NewSink(\"\") = %+v, want the nil (discarding) sink", s)
+	}
+}
+
 func TestChartRendersSeries(t *testing.T) {
 	a := stats.NewTimeSeries("rising")
 	b := stats.NewTimeSeries("flat")

@@ -101,7 +101,7 @@ func TestManifestRoundTripsJSON(t *testing.T) {
 
 func TestReplicateManifests(t *testing.T) {
 	cfg := testConfig(algo.BitTorrent, 5)
-	rep, err := Replicate(cfg, 3)
+	rep, err := New(0).Replicate(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,8 +242,3 @@ func (p *Pool) Replicate(cfg sim.Config, reps int) (*Replication, error) {
 	}
 	return &Replication{Config: cfg, Results: results, Manifests: manifests, Metrics: metrics}, nil
 }
-
-// Replicate runs reps seed-derived copies of cfg on a default-sized pool.
-func Replicate(cfg sim.Config, reps int) (*Replication, error) {
-	return New(0).Replicate(cfg, reps)
-}

@@ -88,7 +88,6 @@ func TestOptionsSetFields(t *testing.T) {
 	cfg := Default(algo.BitTorrent, 50, 16,
 		WithSeed(42),
 		WithHorizon(777),
-		WithScale(80, 32),
 		WithFreeRiders(0.25, plan),
 		WithSeeder(1<<18),
 		WithNeighbors(12),
@@ -101,7 +100,6 @@ func TestOptionsSetFields(t *testing.T) {
 	want := Default(algo.BitTorrent, 50, 16)
 	want.Seed = 42
 	want.Horizon = 777
-	want.NumPeers, want.NumPieces = 80, 32
 	want.FreeRiderFraction, want.Attack = 0.25, plan
 	want.SeederRate = 1 << 18
 	want.MaxNeighbors = 12

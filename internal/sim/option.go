@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/attack"
-	"repro/internal/bandwidth"
-)
+import "repro/internal/attack"
 
 // Option customizes a Config built by Default. Options are plain
 // functions over the config, applied in order, so they compose with each
@@ -22,15 +19,6 @@ func WithHorizon(seconds float64) Option {
 	return func(c *Config) { c.Horizon = seconds }
 }
 
-// WithScale sets the swarm size and file granularity (peers × pieces of
-// the configured piece size). The paper's full scale is WithScale(1000, 512).
-func WithScale(peers, pieces int) Option {
-	return func(c *Config) {
-		c.NumPeers = peers
-		c.NumPieces = pieces
-	}
-}
-
 // WithFreeRiders makes `fraction` of the peers free-ride using the given
 // attack plan (see attack.MostEffective).
 func WithFreeRiders(fraction float64, plan attack.Plan) Option {
@@ -38,11 +26,6 @@ func WithFreeRiders(fraction float64, plan attack.Plan) Option {
 		c.FreeRiderFraction = fraction
 		c.Attack = plan
 	}
-}
-
-// WithBandwidth sets the peer upload-capacity mix.
-func WithBandwidth(d bandwidth.Distribution) Option {
-	return func(c *Config) { c.Bandwidth = d }
 }
 
 // WithSeeder sets the origin server's upload rate in bytes/second.

@@ -3,9 +3,10 @@
 # vet, build, the full test suite under -race (the parallel replication
 # runner is exercised concurrently by the experiment tests), the benchmark
 # module's own vet and tests (bench/ is a separate module pinned against
-# this one's public API), the named membership and attestation gates, the
-# node's timer-site ceiling, the allocation guards on the hot paths, the
-# flush clock's frames-per-piece ceiling, and a report-only size table.
+# this one's public API), a refusal of any examples/ program no test runs,
+# the named membership and attestation gates, the node's timer-site
+# ceiling, the allocation guards on the hot paths, the flush clock's
+# frames-per-piece ceiling, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +57,16 @@ echo "== benchmark module =="
 # against the root packages' exported API; this is the step that catches a
 # deletion or rename here breaking it.
 (cd bench && go vet ./... && go test ./...)
+
+echo "== examples run under a test =="
+# An example whose only check is that it compiles can print nonsense for
+# months; each one keeps a _test.go that runs it (the suite above ran it).
+for dir in examples/*/; do
+  if ! compgen -G "${dir}*_test.go" >/dev/null; then
+    echo "examples guard: $dir has no test that runs it" >&2
+    exit 1
+  fi
+done
 
 echo "== membership churn race gate =="
 # Membership's integration test again, explicitly and by name: a 64-node
