@@ -327,6 +327,11 @@ func runGet(opts getOptions, stdout io.Writer) error {
 	if err := os.WriteFile(opts.outPath, content, 0o644); err != nil {
 		return err
 	}
+	// Read the frame counters after Stop has drained the writers: at the
+	// moment of completion the last announcements and receipt copies may
+	// still be queued, and on a fast transfer that can be all of them. A
+	// listener close error changes nothing once the file is written.
+	_ = n.Stop()
 	stats := n.Stats()
 	summary := cli.NewRunSummary(len(content), manifest.NumPieces(), wall,
 		stats.FramesSent, stats.FramesReceived, memAfter.Mallocs-memBefore.Mallocs)

@@ -51,10 +51,6 @@ type NodeView interface {
 	Neighbors() []PeerID
 	// WantsFromMe reports whether peer needs at least one piece I hold.
 	WantsFromMe(peer PeerID) bool
-	// INeedFrom reports whether peer holds at least one piece I need.
-	INeedFrom(peer PeerID) bool
-	// PieceCount returns the number of pieces peer is known to hold.
-	PieceCount(peer PeerID) int
 }
 
 // Strategy is one peer's incentive mechanism. Strategies are stateful and

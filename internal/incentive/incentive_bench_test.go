@@ -45,8 +45,6 @@ func (v *benchView) Neighbors() []PeerID {
 func (v *benchView) WantsFromMe(p PeerID) bool {
 	return p >= 0 && int(p) < len(v.wants) && v.wants[p]
 }
-func (v *benchView) INeedFrom(p PeerID) bool { return v.WantsFromMe(p) }
-func (v *benchView) PieceCount(PeerID) int   { return 0 }
 
 // BenchmarkNextReceiver times one upload decision per mechanism over 50
 // interested neighbours in two states. The plain rows are the busy decision:

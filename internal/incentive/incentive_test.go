@@ -19,25 +19,21 @@ func mustCredit(t *testing.T, l *reputation.Ledger, att attest.Attestation) {
 
 // fakeView is a scriptable NodeView for strategy unit tests.
 type fakeView struct {
-	self       PeerID
-	now        float64
-	rng        *rand.Rand
-	neighbors  []PeerID
-	wants      map[PeerID]bool // peer needs a piece I hold
-	iNeed      map[PeerID]bool // peer holds a piece I need
-	pieceCount map[PeerID]int
+	self      PeerID
+	now       float64
+	rng       *rand.Rand
+	neighbors []PeerID
+	wants     map[PeerID]bool // peer needs a piece I hold
 }
 
 var _ NodeView = (*fakeView)(nil)
 
 func newFakeView(neighbors ...PeerID) *fakeView {
 	v := &fakeView{
-		self:       100,
-		rng:        rand.New(rand.NewSource(1)),
-		neighbors:  neighbors,
-		wants:      make(map[PeerID]bool),
-		iNeed:      make(map[PeerID]bool),
-		pieceCount: make(map[PeerID]int),
+		self:      100,
+		rng:       rand.New(rand.NewSource(1)),
+		neighbors: neighbors,
+		wants:     make(map[PeerID]bool),
 	}
 	for _, n := range neighbors {
 		v.wants[n] = true
@@ -57,8 +53,6 @@ func (v *fakeView) Neighbors() []PeerID {
 	return out
 }
 func (v *fakeView) WantsFromMe(p PeerID) bool { return v.wants[p] }
-func (v *fakeView) INeedFrom(p PeerID) bool   { return v.iNeed[p] }
-func (v *fakeView) PieceCount(p PeerID) int   { return v.pieceCount[p] }
 
 func TestFactoryAllAlgorithms(t *testing.T) {
 	ledger := reputation.NewLedger(attest.AcceptAll{})

@@ -25,8 +25,6 @@ func (v *countingView) Now() float64              { v.calls++; return v.fakeView
 func (v *countingView) RNG() *rand.Rand           { v.calls++; return v.fakeView.RNG() }
 func (v *countingView) Neighbors() []PeerID       { v.calls++; return v.fakeView.Neighbors() }
 func (v *countingView) WantsFromMe(p PeerID) bool { v.calls++; return v.fakeView.WantsFromMe(p) }
-func (v *countingView) INeedFrom(p PeerID) bool   { v.calls++; return v.fakeView.INeedFrom(p) }
-func (v *countingView) PieceCount(p PeerID) int   { v.calls++; return v.fakeView.PieceCount(p) }
 
 // scanReciprocity is the mechanism's decision with no shortcut: the full
 // neighbour scan as it stood before the owing count went in front of it.

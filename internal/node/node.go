@@ -177,8 +177,9 @@ type remote struct {
 	// theyNeed counts pieces we hold that the peer lacks; iNeed counts
 	// pieces the peer holds that we lack. Maintained incrementally under
 	// Node.mu (bitfield merge, have announcements, our own piece gains),
-	// they make the strategy's WantsFromMe/INeedFrom probes O(1) instead
-	// of an O(pieces/64) bitfield scan per probe with the node locked.
+	// theyNeed makes the strategy's WantsFromMe probe O(1) instead of an
+	// O(pieces/64) bitfield scan per probe with the node locked; iNeed is
+	// reported on /debug/swarm.
 	theyNeed int
 	iNeed    int
 

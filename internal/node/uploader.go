@@ -54,19 +54,6 @@ func (v nodeView) WantsFromMe(p incentive.PeerID) bool {
 	return ok && r.theyNeed > 0
 }
 
-func (v nodeView) INeedFrom(p incentive.PeerID) bool {
-	r, ok := v.n.peers[int(p)]
-	return ok && r.iNeed > 0
-}
-
-func (v nodeView) PieceCount(p incentive.PeerID) int {
-	r, ok := v.n.peers[int(p)]
-	if !ok {
-		return 0
-	}
-	return r.have.Count()
-}
-
 // view returns the strategy view; callers must hold n.mu.
 func (n *Node) view() incentive.NodeView { return nodeView{n: n} }
 

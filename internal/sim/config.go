@@ -78,13 +78,6 @@ type Config struct {
 	SeederExitAt float64 `json:"seeder_exit_at"`
 	// Seed drives every random choice; runs replay bit-for-bit.
 	Seed int64 `json:"seed"`
-
-	// naiveScan disables the incremental interest index and routes interest
-	// queries through the original full-scan paths. Unexported on purpose:
-	// it exists so package tests can pin the two implementations against
-	// each other, not as a user knob — both paths produce byte-identical
-	// runs.
-	naiveScan bool
 }
 
 // Default returns the paper's experiment shape at a configurable scale:

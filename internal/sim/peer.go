@@ -18,19 +18,16 @@ type peer struct {
 	capacity float64
 	alloc    *bandwidth.Allocator
 	have     *piece.Bitfield
-	wordOff  int32           // have's word offset in Swarm.haveWords
 	pending  *piece.Bitfield // pieces currently in flight toward this peer
 	strategy incentive.Strategy
 	view     *peerView
 
 	// The per-neighbor interest index, structure-of-arrays: index i of each
-	// of adjacency's slices describes the link to neighbors[i], and idxByID
-	// resolves a neighbor ID to that slot. See interest.go for the
-	// invariants. Keeping counters and flags in this peer's contiguous
-	// storage lets the hot-path queries and the noteGained maintenance scan
-	// walk dense memory.
+	// of adjacency's slices describes the link to neighbors[i]. See
+	// interest.go for the invariants. Keeping counters and flags in this
+	// peer's contiguous storage lets the hot-path queries and the noteGained
+	// maintenance scan walk dense memory.
 	adjacency
-	idxByID map[incentive.PeerID]int32
 
 	freeRider bool
 	aborted   bool // crashed mid-download (failure injection)
@@ -58,8 +55,8 @@ type peer struct {
 // reused across decisions; the scratch slice keeps Neighbors allocation-free
 // on the hot path. When scratch is a wholesale copy of the peer's neighbor
 // IDs (direct == true), the cursor lets the strategies' sequential
-// WantsFromMe/INeedFrom pattern read the peer's live interest flags by
-// position — no map lookup, no edge dereference.
+// WantsFromMe pattern read the peer's live interest flags by position — no
+// lookup, no edge dereference.
 type peerView struct {
 	swarm   *Swarm
 	peer    *peer
@@ -108,25 +105,15 @@ func (v *peerView) Neighbors() []incentive.PeerID {
 // wantsFlags array; the flags are maintained incrementally on every piece
 // gain, so a hit is always current. The topology-generation check discards
 // the hint if any peer departed (shifting flag positions) since the scratch
-// was built; misses fall back to the edge map, and peers with no edge get
-// the exact pre-index scan semantics.
+// was built. Every other query scans the two bitfields — the predicate a
+// neighbor's flag mirrors — so the answer never depends on the path.
 func (v *peerView) WantsFromMe(id incentive.PeerID) bool {
 	if c := v.cursor; v.direct && c < len(v.scratch) && v.scratch[c] == id && v.topoGen == v.swarm.topoGen {
 		v.cursor = c + 1
 		return v.peer.wantsFlags[c]
 	}
-	if v.swarm.indexed {
-		if j, ok := v.peer.idxByID[id]; ok {
-			// A link implies the other side is an active neighbor; the flag
-			// mirrors its incrementally maintained needs counter.
-			return v.peer.wantsFlags[j]
-		}
-	}
 	other := v.swarm.lookup(id)
-	if other == nil || !other.active {
-		return false
-	}
-	return other.have.Needs(v.peer.have)
+	return other != nil && other.active && other.have.Needs(v.peer.have)
 }
 
 // WantingNeighbors returns the neighbors that currently need at least one
@@ -143,41 +130,8 @@ func (v *peerView) WantingNeighbors() ([]incentive.PeerID, bool) {
 	}
 	v.scratch = p.wantingIDs(v.scratch[:0])
 	// The scratch positions no longer line up with the peer's parallel
-	// arrays, so out-of-sequence queries must take the map path.
+	// arrays, so later queries must take the scan path.
 	v.direct = false
 	v.cursor = len(v.scratch)
 	return v.scratch, true
-}
-
-// INeedFrom reports whether the identified peer holds a piece we need.
-func (v *peerView) INeedFrom(id incentive.PeerID) bool {
-	if id == SeederID {
-		return !v.peer.have.Complete()
-	}
-	if c := v.cursor; v.direct && c < len(v.scratch) && v.scratch[c] == id && v.topoGen == v.swarm.topoGen {
-		v.cursor = c + 1
-		return v.peer.needsFlags[c]
-	}
-	if v.swarm.indexed {
-		if j, ok := v.peer.idxByID[id]; ok {
-			return v.peer.needsFlags[j]
-		}
-	}
-	other := v.swarm.lookup(id)
-	if other == nil {
-		return false
-	}
-	return v.peer.have.Needs(other.have)
-}
-
-// PieceCount returns how many pieces the identified peer holds.
-func (v *peerView) PieceCount(id incentive.PeerID) int {
-	if id == SeederID {
-		return v.swarm.cfg.NumPieces
-	}
-	other := v.swarm.lookup(id)
-	if other == nil {
-		return 0
-	}
-	return other.have.Count()
 }

@@ -106,22 +106,31 @@ func TestSimulationInvariantsProperty(t *testing.T) {
 // state, and draws nothing from the RNG, so running it mid-simulation cannot
 // perturb the trace it is checking.
 func checkInterestIndex(s *Swarm) error {
+	n := len(s.peers)
+	linkedTo := make([]int, n) // linkedTo[q.id] == p.id+1: q seen in p's adjacency
 	for _, p := range s.peers {
+		// The holder rows mirror every peer's have, departed peers included.
+		for i := 0; i < s.cfg.NumPieces; i++ {
+			if got := s.haveT[(i>>6)*n+int(p.id)]>>(uint(i)&63)&1 == 1; got != p.have.Has(i) {
+				return fmt.Errorf("peer %d piece %d: holder bit %v, have %v", p.id, i, got, p.have.Has(i))
+			}
+		}
 		if !p.active {
-			if len(p.neighbors) != 0 || len(p.idxByID) != 0 {
+			if len(p.neighbors) != 0 {
 				return fmt.Errorf("inactive peer %d still has %d neighbors", p.id, len(p.neighbors))
 			}
 			continue
-		}
-		if len(p.idxByID) != len(p.neighbors) {
-			return fmt.Errorf("peer %d: idxByID has %d entries for %d neighbors", p.id, len(p.idxByID), len(p.neighbors))
 		}
 		for k, q := range p.neighbors {
 			if !q.active {
 				return fmt.Errorf("peer %d: neighbor %d is inactive", p.id, q.id)
 			}
+			if q == p || linkedTo[q.id] == int(p.id)+1 {
+				return fmt.Errorf("peer %d: linked to %d more than once", p.id, q.id)
+			}
+			linkedTo[q.id] = int(p.id) + 1
 			r := p.revIdx[k]
-			if q.neighbors[r] != p || int(q.revIdx[r]) != k {
+			if int(r) >= len(q.neighbors) || q.neighbors[r] != p || int(q.revIdx[r]) != k {
 				return fmt.Errorf("peer %d slot %d: reverse index to %d broken", p.id, k, q.id)
 			}
 			if q.linkIdx[r] != p.linkIdx[k]^1 {
@@ -131,17 +140,11 @@ func checkInterestIndex(s *Swarm) error {
 			if got := s.linkNeeds[p.linkIdx[k]]; got != int32(qOnly) {
 				return fmt.Errorf("peer %d slot %d: needs counter %d, naive recount %d", p.id, k, got, qOnly)
 			}
-			if p.needsFlags[k] != (qOnly > 0) || p.needsFlags[k] != p.have.Needs(q.have) {
-				return fmt.Errorf("peer %d slot %d: needsFlag %v, naive Needs %v", p.id, k, p.needsFlags[k], qOnly > 0)
-			}
 			if p.wantsFlags[k] != (pOnly > 0) || p.wantsFlags[k] != q.have.Needs(p.have) {
 				return fmt.Errorf("peer %d slot %d: wantsFlag %v, naive Needs %v", p.id, k, p.wantsFlags[k], pOnly > 0)
 			}
-			if j, ok := p.idxByID[q.id]; !ok || int(j) != k {
-				return fmt.Errorf("peer %d: idxByID[%d] = %d, want %d", p.id, q.id, j, k)
-			}
-			if p.neighborIDs[k] != q.id || p.nbrOff[k] != q.wordOff {
-				return fmt.Errorf("peer %d slot %d: stale id/offset cache for %d", p.id, k, q.id)
+			if p.neighborIDs[k] != q.id {
+				return fmt.Errorf("peer %d slot %d: stale id %d for %d", p.id, k, p.neighborIDs[k], q.id)
 			}
 		}
 	}
@@ -219,9 +222,9 @@ func (p *indexCheckProbe) EndRun(float64)                         { p.check() }
 // identity churn, a seeder exit — while an attached probe cross-checks the
 // incremental indexes against naive Bitfield recomputation at every
 // topology change. Each trace then replays with the indexes disabled
-// (cfg.naiveScan, and pickPieceNaive for the piece pick) and must produce
-// the identical Result, proving the indexed
-// and naive paths are the same simulation.
+// (Swarm.indexed cleared, and pickPieceNaive for the piece pick) and must
+// produce the identical Result, proving the indexed and naive paths are the
+// same simulation.
 func TestInterestIndexMatchesNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test runs many simulations")
@@ -267,20 +270,18 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 		}
 
 		// Replay without the indexes: byte-identical results required.
-		naiveCfg := cfg
-		naiveCfg.naiveScan = true
-		naiveSwarm, err := NewSwarm(naiveCfg)
+		naiveSwarm, err := NewSwarm(cfg)
 		if err != nil {
 			t.Logf("naive config rejected: %v", err)
 			return false
 		}
+		naiveSwarm.indexed = false
 		naiveSwarm.refPick = naiveSwarm.pickPieceNaive
 		naiveRes, err := naiveSwarm.Run()
 		if err != nil {
 			t.Logf("naive run failed: %v", err)
 			return false
 		}
-		res.Config, naiveRes.Config = Config{}, Config{} // differ only in naiveScan
 		if !reflect.DeepEqual(res, naiveRes) {
 			t.Logf("seed %d %v: indexed and naive runs diverged", seed, a)
 			return false
@@ -289,6 +290,60 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLargeViewJoinLinksEachPairOnce runs Figure 6's large-view attack,
+// where a joining free-rider links to every active peer and every free-rider
+// grabs each newcomer, on top of the capped random links. The interest index
+// is rechecked at every join (and at a sample of other events), and it
+// refuses a pair linked twice or one-sidedly: connect does not look for an
+// existing link, so join must never offer it the same pair again.
+func TestLargeViewJoinLinksEachPairOnce(t *testing.T) {
+	cfg := Default(algo.BitTorrent, 200, 32)
+	cfg.Seed = 7
+	cfg.Horizon = 600
+	cfg.MaxNeighbors = 10
+	cfg.FreeRiderFraction = 0.2
+	cfg.Attack = attack.Plan{Kind: attack.Passive}.WithLargeView()
+	swarm, err := NewSwarm(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := &largeViewProbe{indexCheckProbe: indexCheckProbe{s: swarm}}
+	if err := swarm.Attach(chk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swarm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if chk.err != nil {
+		t.Fatalf("after %d joins: %v", chk.joins, chk.err)
+	}
+	if chk.joins != cfg.NumPeers {
+		t.Fatalf("checked %d joins, want %d", chk.joins, cfg.NumPeers)
+	}
+	// The attack must actually have lifted the cap, or the test proves
+	// nothing about the large-view loop.
+	if chk.maxDegree <= 2*cfg.MaxNeighbors {
+		t.Fatalf("largest free-rider degree %d: large view never exceeded 2×MaxNeighbors", chk.maxDegree)
+	}
+}
+
+// largeViewProbe is indexCheckProbe that also counts joins and records the
+// largest free-rider degree it saw.
+type largeViewProbe struct {
+	indexCheckProbe
+	joins, maxDegree int
+}
+
+func (p *largeViewProbe) PeerJoin(float64, probe.PeerInfo) {
+	p.joins++
+	p.check()
+	for _, q := range p.s.peers {
+		if q.freeRider {
+			p.maxDegree = max(p.maxDegree, len(q.neighbors))
+		}
 	}
 }
 

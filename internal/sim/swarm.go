@@ -33,12 +33,12 @@ type Swarm struct {
 	completedCount int // compliant completions
 	numCompliant   int
 
-	// haveWords is the shared backing slab for every peer's have bitfield:
-	// peer i's words are haveWords[i*W : (i+1)*W] where W is the per-peer
-	// word count (see peer.wordOff). One dense allocation keeps the interest
-	// index's membership tests cache-resident and lets edges address a
-	// neighbor's holdings by int32 offset instead of pointer.
-	haveWords []uint64
+	// haveT is every peer's holdings transposed: word w of peer id's have
+	// is haveT[w*NumPeers+id], set in credit beside have.Set. noteGained
+	// tests a gained piece against all of a peer's neighbors in one row of
+	// NumPeers words (8 KB at the paper's 1000 peers), addressed by neighbor
+	// ID, so the scan stays in a few cache-resident pages.
+	haveT []uint64
 	// linkNeeds holds the interest index's directional counters, two
 	// adjacent int32 slots per link (slot^1 is the opposite direction);
 	// freeLinks recycles slot pairs released by departs. See interest.go.
@@ -55,9 +55,9 @@ type Swarm struct {
 	actives    []*peer
 	incomplete []*peer
 
-	// indexed enables the incremental interest index (the default);
-	// cfg.naiveScan turns it off so tests and benchmarks can run the
-	// reference scan paths against the same inputs.
+	// indexed enables the incremental interest index. NewSwarm sets it; a
+	// test clears it on a built swarm (before Run, which makes every link)
+	// to run the reference scan paths against the same inputs.
 	indexed bool
 	// refPick, when set by a test, replaces the indexed piece pick with a
 	// reference implementation (see pickPiece).
@@ -92,9 +92,9 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 		ledger:       reputation.NewLedger(attest.AcceptAll{}),
 		availability: piece.NewAvailability(cfg.NumPieces),
 		adj:          adjacencySlabs{per: min(2*cfg.MaxNeighbors, cfg.NumPeers-1)},
+		indexed:      true,
 		metrics:      &metricsCollector{},
 	}
-	s.indexed = !cfg.naiveScan
 	s.info = probe.RunInfo{
 		Algorithm: cfg.Algorithm.String(),
 		NumPeers:  cfg.NumPeers,
@@ -118,17 +118,18 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 
 	arrivals := s.arrivalTimes(cfg)
 	s.peers = make([]*peer, cfg.NumPeers)
+	// Every peer's have bitfield is a window of one slab: one allocation,
+	// not NumPeers.
 	w := (cfg.NumPieces + 63) / 64
-	s.haveWords = make([]uint64, cfg.NumPeers*w)
+	haveWords := make([]uint64, cfg.NumPeers*w)
+	s.haveT = make([]uint64, cfg.NumPeers*w)
 	for i := 0; i < cfg.NumPeers; i++ {
 		p := &peer{
 			id:          incentive.PeerID(i),
 			capacity:    capacities[i],
 			alloc:       bandwidth.NewAllocator(capacities[i], cfg.UploadSlots),
-			have:        piece.NewBitfieldBacked(s.haveWords[i*w:(i+1)*w:(i+1)*w], cfg.NumPieces),
-			wordOff:     int32(i * w),
+			have:        piece.NewBitfieldBacked(haveWords[i*w:(i+1)*w:(i+1)*w], cfg.NumPieces),
 			pending:     piece.NewBitfield(cfg.NumPieces),
-			idxByID:     make(map[incentive.PeerID]int32),
 			distrust:    make(map[incentive.PeerID]bool),
 			freeRider:   freeRiderIdx[i],
 			arrival:     arrivals[i],
@@ -218,9 +219,10 @@ func (s *Swarm) join(p *peer) {
 	}
 	// Large-view free-riders connect to everyone: existing large-view
 	// attackers grab the newcomer, and a joining large-view attacker grabs
-	// every active peer.
+	// every active peer. candidates[:limit] are linked already, so each
+	// pair is linked once.
 	if s.cfg.FreeRiderFraction > 0 && s.cfg.Attack.LargeView {
-		for _, q := range candidates {
+		for _, q := range candidates[limit:] {
 			if q.freeRider || p.freeRider {
 				s.connect(p, q)
 			}

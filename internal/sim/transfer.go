@@ -175,9 +175,10 @@ func (s *Swarm) credited(sender, receiver *peer) bool {
 	if s.cfg.Attack.Kind != attack.Collusion {
 		return false
 	}
-	// Direct reciprocation demanded? Then the free-rider's refusal is
-	// detected immediately and no key is released.
-	if sender != nil && s.peerNeeds(sender, receiver) {
+	// Direct reciprocation demanded (the sender still needs a piece the
+	// receiver holds)? Then the free-rider's refusal is detected
+	// immediately and no key is released.
+	if sender != nil && sender.have.Needs(receiver.have) {
 		return false
 	}
 	// Indirect: the sender designates a random third peer as the
@@ -191,6 +192,7 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 	if !receiver.have.Set(pieceIdx) {
 		return // duplicate delivery; piece already held
 	}
+	s.haveT[(pieceIdx>>6)*len(s.peers)+int(receiver.id)] |= 1 << (uint(pieceIdx) & 63)
 	s.availability.AddPiece(pieceIdx)
 	if s.indexed {
 		s.noteGained(receiver, pieceIdx)
