@@ -79,3 +79,82 @@ func TestResultDigestsPinned(t *testing.T) {
 		})
 	}
 }
+
+// seriesDigest hashes what a run recorded over time and in total: every
+// point of the five series, in a fixed series order, and the four run-wide
+// volumes, as exact bit patterns. resultDigest sees only per-peer end
+// states, so a change to when or how the series are sampled, or to which
+// transfers count toward a volume, moves only this digest.
+func seriesDigest(res *Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(len(res.Series)))
+	for _, name := range []string{
+		SeriesFairness, SeriesContribution, SeriesBootstrapped,
+		SeriesCompleted, SeriesSusceptibility,
+	} {
+		ts := res.Series[name]
+		put(uint64(ts.Len()))
+		for _, pt := range ts.Points {
+			put(math.Float64bits(pt.T))
+			put(math.Float64bits(pt.V))
+		}
+	}
+	for _, v := range []float64{res.TotalUploaded, res.PeerUploaded, res.SeederUploaded, res.FreeRiderCredited} {
+		put(math.Float64bits(v))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSeriesDigestsPinned pins the Figures 4–6 series and the run totals bit
+// for bit over TestResultDigestsPinned's cases, plus passive and colluding
+// free-riders among crashing peers (the susceptibility numerator, PeerLeave
+// without completion). Re-record only with a change that means to alter
+// simulation results.
+func TestSeriesDigestsPinned(t *testing.T) {
+	freeRiders := func(a algo.Algorithm, plan attack.Plan) Config {
+		cfg := testConfig(a)
+		cfg.FreeRiderFraction = 0.2
+		cfg.Attack = plan
+		return cfg
+	}
+	aborting := func(a algo.Algorithm, plan attack.Plan) Config {
+		cfg := freeRiders(a, plan)
+		cfg.AbortRate = 0.1
+		return cfg
+	}
+	seederExit := testConfig(algo.Reciprocity)
+	seederExit.SeederExitAt = 30
+	seederExit.Horizon = 200
+
+	cases := []struct {
+		name   string
+		cfg    Config
+		digest string
+	}{
+		{"reciprocity", testConfig(algo.Reciprocity), "2dda2ff06db65063b4fcd1619da4e4a1605a6c169167fdb4a9c36582ea29a159"},
+		{"tchain", testConfig(algo.TChain), "7af54b1aa1240688aee3eb6f4e70cbfb676c467e3cdb6cdfdc6992a193913dbd"},
+		{"bittorrent", testConfig(algo.BitTorrent), "7a7eefe818926f90f784866ad678f71eb663d38142e9d6a63476404d76b13031"},
+		{"fairtorrent", testConfig(algo.FairTorrent), "973573ec224a97dfc95feb90e338503d4479ccfb4e4599956e37ede04a5b0b48"},
+		{"reputation", testConfig(algo.Reputation), "2170e466608533b4d47a05958725a8ae5623f1141fe7be66fcc7542b9799f927"},
+		{"altruism", testConfig(algo.Altruism), "9d9b1e9bc6d05dc88bd901914ca6c16bab2f7632a1aa349f8e0e75a996c374c5"},
+		{"propshare", testConfig(algo.PropShare), "de3589e4459129a0809c2134fcdbb174a046d916e7a4346ece392010a27b6a9a"},
+		{"fairtorrent/whitewash", freeRiders(algo.FairTorrent, attack.Plan{Kind: attack.Whitewash}), "f166873b3b7c6535c47952eb21525f69684a401f00accd3c0b2d71a8af30d0b4"},
+		{"reciprocity/whitewash", freeRiders(algo.Reciprocity, attack.Plan{Kind: attack.Whitewash}), "67a7367fbe9995384e216de6a4f40fa0b283d5464a8fdeba4dd27c1b063caa7a"},
+		{"reputation/whitewash", freeRiders(algo.Reputation, attack.Plan{Kind: attack.Whitewash}), "0ef7eaad5d2b0da98865263e54b49f6ec6dd68ade7ac0ef36dc8efd0c9e0ac78"},
+		{"reciprocity/seeder-exit", seederExit, "fdd3d8d96852688fbcfb64b78319b48633e331bcc7fc1e6dec84940e878381ba"},
+		{"bittorrent/passive-abort", aborting(algo.BitTorrent, attack.Plan{Kind: attack.Passive}), "3c648e56b9b8cece96f1b0ac71792d63b648600f2fce0fa7be7280b82ca322aa"},
+		{"tchain/collusion-abort", aborting(algo.TChain, attack.Plan{Kind: attack.Collusion}), "024d0cb8c7803ef0f86875c2162ef256f9446d2d5b750835d6a1f8d9c68c01ef"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := seriesDigest(mustRun(t, c.cfg)); got != c.digest {
+				t.Errorf("series digest %s, pinned %s", got, c.digest)
+			}
+		})
+	}
+}
