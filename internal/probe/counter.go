@@ -54,9 +54,6 @@ type Counter struct {
 
 var _ Probe = (*Counter)(nil)
 
-// BeginRun implements Probe as a no-op.
-func (c *Counter) BeginRun(RunInfo) {}
-
 // PeerJoin implements Probe.
 func (c *Counter) PeerJoin(float64, PeerInfo) { c.joins++ }
 
@@ -120,8 +117,8 @@ func (c *Counter) Counts() map[string]uint64 {
 	}
 }
 
-// Total returns the total number of hook invocations counted (BeginRun
-// and EndRun excluded).
+// Total returns the total number of hook invocations counted (EndRun
+// excluded).
 func (c *Counter) Total() uint64 {
 	var total uint64
 	for _, v := range c.Counts() {

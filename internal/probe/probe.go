@@ -13,14 +13,11 @@
 //     arguments (small structs, ints, float64s), never interface{} or
 //     closures, so dispatching to an attached probe does not allocate.
 //  3. Probes own their state. A probe derives everything from the hook
-//     stream (plus the RunInfo handed to BeginRun); it never reaches
-//     back into the swarm. This keeps probes trivially composable and
+//     stream; it never reaches back into the swarm. This keeps a probe
 //     race-free under the parallel runner (one probe per swarm).
 //
-// The simulator's own metric series (the five curves behind the paper's
-// Figures 4–6) are implemented as the first probe over exactly this
-// interface, which is the existence proof that the hook stream carries
-// enough information to reproduce the paper's evaluation.
+// A probe is one outside observer: a swarm takes at most one, and records
+// its own results without it.
 //
 // Implementers embed Base and override only the hooks they need:
 //
@@ -37,23 +34,6 @@ package probe
 // here (rather than imported) because sim depends on probe, not the
 // reverse.
 const SeederID = -2
-
-// RunInfo describes the run a probe is being attached to. It is a plain
-// snapshot of the configuration fields probes most often need; the full
-// config travels in the run manifest, not through the probe API.
-type RunInfo struct {
-	// Algorithm is the incentive mechanism's display name.
-	Algorithm string
-	// NumPeers and NumPieces give the swarm and file size.
-	NumPeers  int
-	NumPieces int
-	// PieceSize is the piece size in bytes.
-	PieceSize float64
-	// Horizon is the virtual-time cap in seconds.
-	Horizon float64
-	// Seed is the run's random seed.
-	Seed int64
-}
 
 // PeerInfo identifies a peer at join time.
 type PeerInfo struct {
@@ -101,8 +81,6 @@ type CreditInfo struct {
 // the matching choke is implicit when the transfer completes and the slot
 // is released (observable as TransferFinish from the same sender).
 type Probe interface {
-	// BeginRun fires once before any event, carrying the run's shape.
-	BeginRun(info RunInfo)
 	// PeerJoin fires when a peer arrives and activates.
 	PeerJoin(now float64, p PeerInfo)
 	// PeerLeave fires when a peer deactivates (completion departure,
@@ -144,9 +122,6 @@ type Probe interface {
 // Base is a no-op Probe; embed it and override the hooks of interest.
 type Base struct{}
 
-// BeginRun implements Probe as a no-op.
-func (Base) BeginRun(RunInfo) {}
-
 // PeerJoin implements Probe as a no-op.
 func (Base) PeerJoin(float64, PeerInfo) {}
 
@@ -187,125 +162,3 @@ func (Base) Sample(float64) {}
 func (Base) EndRun(float64) {}
 
 var _ Probe = Base{}
-
-// multi fans every hook out to a fixed list of probes, in order.
-type multi struct {
-	probes []Probe
-}
-
-// Multi combines probes into one that dispatches to each in order. Nil
-// entries are dropped; zero or one live probes collapse to nil or the
-// probe itself, so the swarm's nil-check stays meaningful.
-func Multi(probes ...Probe) Probe {
-	live := make([]Probe, 0, len(probes))
-	for _, p := range probes {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return &multi{probes: live}
-}
-
-// BeginRun implements Probe.
-func (m *multi) BeginRun(info RunInfo) {
-	for _, p := range m.probes {
-		p.BeginRun(info)
-	}
-}
-
-// PeerJoin implements Probe.
-func (m *multi) PeerJoin(now float64, pi PeerInfo) {
-	for _, p := range m.probes {
-		p.PeerJoin(now, pi)
-	}
-}
-
-// PeerLeave implements Probe.
-func (m *multi) PeerLeave(now float64, id int) {
-	for _, p := range m.probes {
-		p.PeerLeave(now, id)
-	}
-}
-
-// PeerAbort implements Probe.
-func (m *multi) PeerAbort(now float64, id int) {
-	for _, p := range m.probes {
-		p.PeerAbort(now, id)
-	}
-}
-
-// PeerBootstrap implements Probe.
-func (m *multi) PeerBootstrap(now float64, id int) {
-	for _, p := range m.probes {
-		p.PeerBootstrap(now, id)
-	}
-}
-
-// PeerComplete implements Probe.
-func (m *multi) PeerComplete(now float64, id int) {
-	for _, p := range m.probes {
-		p.PeerComplete(now, id)
-	}
-}
-
-// Unchoke implements Probe.
-func (m *multi) Unchoke(now float64, from, to int) {
-	for _, p := range m.probes {
-		p.Unchoke(now, from, to)
-	}
-}
-
-// TransferStart implements Probe.
-func (m *multi) TransferStart(now float64, t Transfer) {
-	for _, p := range m.probes {
-		p.TransferStart(now, t)
-	}
-}
-
-// TransferFinish implements Probe.
-func (m *multi) TransferFinish(now float64, t Transfer) {
-	for _, p := range m.probes {
-		p.TransferFinish(now, t)
-	}
-}
-
-// Credit implements Probe.
-func (m *multi) Credit(now float64, c CreditInfo) {
-	for _, p := range m.probes {
-		p.Credit(now, c)
-	}
-}
-
-// FreeRiderCredit implements Probe.
-func (m *multi) FreeRiderCredit(now float64, to int, bytes float64) {
-	for _, p := range m.probes {
-		p.FreeRiderCredit(now, to, bytes)
-	}
-}
-
-// SeederExit implements Probe.
-func (m *multi) SeederExit(now float64) {
-	for _, p := range m.probes {
-		p.SeederExit(now)
-	}
-}
-
-// Sample implements Probe.
-func (m *multi) Sample(now float64) {
-	for _, p := range m.probes {
-		p.Sample(now)
-	}
-}
-
-// EndRun implements Probe.
-func (m *multi) EndRun(now float64) {
-	for _, p := range m.probes {
-		p.EndRun(now)
-	}
-}

@@ -2,59 +2,9 @@ package probe
 
 import "testing"
 
-// recorder logs hook invocations in order.
-type recorder struct {
-	Base
-	log []string
-}
-
-func (r *recorder) BeginRun(RunInfo)           { r.log = append(r.log, "begin") }
-func (r *recorder) Sample(float64)             { r.log = append(r.log, "sample") }
-func (r *recorder) EndRun(float64)             { r.log = append(r.log, "end") }
-func (r *recorder) PeerJoin(float64, PeerInfo) { r.log = append(r.log, "join") }
-func (r *recorder) Credit(float64, CreditInfo) { r.log = append(r.log, "credit") }
-func (r *recorder) TransferStart(_ float64, t Transfer) {
-	r.log = append(r.log, "start")
-}
-
-func TestMultiCollapses(t *testing.T) {
-	if got := Multi(); got != nil {
-		t.Errorf("Multi() = %v, want nil", got)
-	}
-	if got := Multi(nil, nil); got != nil {
-		t.Errorf("Multi(nil, nil) = %v, want nil", got)
-	}
-	r := &recorder{}
-	if got := Multi(nil, r, nil); got != Probe(r) {
-		t.Errorf("Multi with one live probe should return it unchanged, got %T", got)
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	a, b := &recorder{}, &recorder{}
-	m := Multi(a, b)
-	m.BeginRun(RunInfo{NumPeers: 3})
-	m.PeerJoin(1, PeerInfo{ID: 0})
-	m.Credit(2, CreditInfo{From: SeederID, To: 0, Bytes: 7})
-	m.Sample(3)
-	m.EndRun(4)
-	want := []string{"begin", "join", "credit", "sample", "end"}
-	for _, r := range []*recorder{a, b} {
-		if len(r.log) != len(want) {
-			t.Fatalf("log = %v, want %v", r.log, want)
-		}
-		for i := range want {
-			if r.log[i] != want[i] {
-				t.Fatalf("log = %v, want %v", r.log, want)
-			}
-		}
-	}
-}
-
 func TestBaseImplementsProbe(t *testing.T) {
 	var p Probe = Base{}
 	// Every hook must be callable as a no-op.
-	p.BeginRun(RunInfo{})
 	p.PeerJoin(0, PeerInfo{})
 	p.PeerLeave(0, 0)
 	p.PeerAbort(0, 0)
@@ -72,7 +22,6 @@ func TestBaseImplementsProbe(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	c := &Counter{}
-	c.BeginRun(RunInfo{})
 	c.PeerJoin(0, PeerInfo{ID: 1})
 	c.PeerJoin(1, PeerInfo{ID: 2})
 	c.Unchoke(1, 1, 2)

@@ -47,22 +47,12 @@ type Manifest struct {
 // download time when nobody finished) are omitted so the map always
 // marshals cleanly through encoding/json.
 func MetricSummary(r *sim.Result) map[string]float64 {
-	out := make(map[string]float64, 8)
-	put := func(name string, v float64) {
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+	out := make(map[string]float64, len(MetricNames()))
+	for _, name := range MetricNames() {
+		if v := metricValue(r, name); !math.IsNaN(v) && !math.IsInf(v, 0) {
 			out[name] = v
 		}
 	}
-	put(MetricCompletion, r.CompletionFraction())
-	put(MetricMeanDownload, r.MeanDownloadTime())
-	if dl := r.DownloadTimeSummary(); dl.N > 0 {
-		put(MetricMedianDownload, dl.Median)
-	}
-	put(MetricFairness, r.FinalFairness())
-	put(MetricLogFairness, r.LogFairness())
-	put(MetricMeanBootstrap, r.MeanBootstrapTime())
-	put(MetricSusceptibility, r.Susceptibility())
-	put(MetricDuration, r.Duration)
 	return out
 }
 

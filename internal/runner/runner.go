@@ -187,6 +187,32 @@ func MetricNames() []string {
 	}
 }
 
+// metricValue returns one Metric* value of a result, NaN when the metric is
+// undefined for the run (download times when nobody finished).
+func metricValue(r *sim.Result, name string) float64 {
+	switch name {
+	case MetricCompletion:
+		return r.CompletionFraction()
+	case MetricMeanDownload:
+		return r.MeanDownloadTime()
+	case MetricMedianDownload:
+		if dl := r.DownloadTimeSummary(); dl.N > 0 {
+			return dl.Median
+		}
+	case MetricFairness:
+		return r.FinalFairness()
+	case MetricLogFairness:
+		return r.LogFairness()
+	case MetricMeanBootstrap:
+		return r.MeanBootstrapTime()
+	case MetricSusceptibility:
+		return r.Susceptibility()
+	case MetricDuration:
+		return r.Duration
+	}
+	return math.NaN()
+}
+
 // Replication aggregates repeated runs of one scenario under different
 // seeds. Metrics maps each metric name to a stats.Summary whose Mean and
 // Stderr give the headline "mean ± stderr" numbers; replications where a
@@ -221,23 +247,12 @@ func (p *Pool) Replicate(cfg sim.Config, reps int) (*Replication, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples := make(map[string][]float64, 8)
-	for _, r := range results {
-		samples[MetricCompletion] = append(samples[MetricCompletion], r.CompletionFraction())
-		samples[MetricMeanDownload] = append(samples[MetricMeanDownload], r.MeanDownloadTime())
-		median := math.NaN() // NaN (excluded) when nobody finished
-		if dl := r.DownloadTimeSummary(); dl.N > 0 {
-			median = dl.Median
+	metrics := make(map[string]stats.Summary, len(MetricNames()))
+	for _, name := range MetricNames() {
+		xs := make([]float64, len(results))
+		for i, r := range results {
+			xs[i] = metricValue(r, name)
 		}
-		samples[MetricMedianDownload] = append(samples[MetricMedianDownload], median)
-		samples[MetricFairness] = append(samples[MetricFairness], r.FinalFairness())
-		samples[MetricLogFairness] = append(samples[MetricLogFairness], r.LogFairness())
-		samples[MetricMeanBootstrap] = append(samples[MetricMeanBootstrap], r.MeanBootstrapTime())
-		samples[MetricSusceptibility] = append(samples[MetricSusceptibility], r.Susceptibility())
-		samples[MetricDuration] = append(samples[MetricDuration], r.Duration)
-	}
-	metrics := make(map[string]stats.Summary, len(samples))
-	for name, xs := range samples {
 		metrics[name] = stats.Summarize(xs)
 	}
 	return &Replication{Config: cfg, Results: results, Manifests: manifests, Metrics: metrics}, nil

@@ -6,17 +6,14 @@ import (
 	"repro/internal/probe"
 )
 
-// This file is the swarm side of the probe API: every emit helper first
-// updates the built-in metrics collector (which is itself a probe.Probe),
-// then fans out to the externally attached probe through one nil check.
-// With nothing attached the hot path pays a single nil comparison per
-// hook site and zero allocations — all hook arguments are values.
+// This file is the swarm side of the probe API: every emit helper calls
+// the attached probe through one nil check. The swarm records its own
+// results on its peers; a probe only observes. With nothing attached the
+// hot path pays a single nil comparison per hook site and zero
+// allocations — all hook arguments are values.
 
-// Attach registers an additional probe for this run and immediately
-// replays BeginRun to it, so a probe attached between NewSwarm and Run
-// still sees the full hook stream. Attach may be called multiple times
-// (probes compose via probe.Multi, dispatched in attachment order) but
-// not after Run has started. A nil probe is ignored.
+// Attach registers the run's probe. It must be called before Run, at most
+// once; a nil probe is ignored.
 func (s *Swarm) Attach(p probe.Probe) error {
 	if s.ran {
 		return fmt.Errorf("sim: cannot attach probe after Run")
@@ -24,25 +21,20 @@ func (s *Swarm) Attach(p probe.Probe) error {
 	if p == nil {
 		return nil
 	}
-	p.BeginRun(s.info)
-	if s.probe == nil {
-		s.probe = p // common case: one probe, no combinator allocation
-	} else {
-		s.probe = probe.Multi(s.probe, p)
+	if s.probe != nil {
+		return fmt.Errorf("sim: a probe is already attached")
 	}
+	s.probe = p
 	return nil
 }
 
 func (s *Swarm) emitPeerJoin(now float64, p *peer) {
-	info := probe.PeerInfo{ID: int(p.id), Capacity: p.capacity, FreeRider: p.freeRider}
-	s.metrics.PeerJoin(now, info)
 	if s.probe != nil {
-		s.probe.PeerJoin(now, info)
+		s.probe.PeerJoin(now, probe.PeerInfo{ID: int(p.id), Capacity: p.capacity, FreeRider: p.freeRider})
 	}
 }
 
 func (s *Swarm) emitPeerLeave(now float64, id int) {
-	s.metrics.PeerLeave(now, id)
 	if s.probe != nil {
 		s.probe.PeerLeave(now, id)
 	}
@@ -55,14 +47,12 @@ func (s *Swarm) emitPeerAbort(now float64, id int) {
 }
 
 func (s *Swarm) emitPeerBootstrap(now float64, id int) {
-	s.metrics.PeerBootstrap(now, id)
 	if s.probe != nil {
 		s.probe.PeerBootstrap(now, id)
 	}
 }
 
 func (s *Swarm) emitPeerComplete(now float64, id int) {
-	s.metrics.PeerComplete(now, id)
 	if s.probe != nil {
 		s.probe.PeerComplete(now, id)
 	}
@@ -81,21 +71,18 @@ func (s *Swarm) emitTransferStart(now float64, t probe.Transfer) {
 }
 
 func (s *Swarm) emitTransferFinish(now float64, t probe.Transfer) {
-	s.metrics.TransferFinish(now, t)
 	if s.probe != nil {
 		s.probe.TransferFinish(now, t)
 	}
 }
 
 func (s *Swarm) emitCredit(now float64, c probe.CreditInfo) {
-	s.metrics.Credit(now, c)
 	if s.probe != nil {
 		s.probe.Credit(now, c)
 	}
 }
 
 func (s *Swarm) emitFreeRiderCredit(now float64, to int, bytes float64) {
-	s.metrics.FreeRiderCredit(now, to, bytes)
 	if s.probe != nil {
 		s.probe.FreeRiderCredit(now, to, bytes)
 	}
@@ -108,7 +95,6 @@ func (s *Swarm) emitSeederExit(now float64) {
 }
 
 func (s *Swarm) emitSample(now float64) {
-	s.metrics.Sample(now)
 	if s.probe != nil {
 		s.probe.Sample(now)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"repro/internal/probe"
 	"repro/internal/stats"
 )
 
@@ -34,140 +33,53 @@ const (
 	SeriesSusceptibility = "susceptibility"
 )
 
-// metricsCollector records the paper's five time series. It is the
-// simulator's built-in probe: every number it produces is derived from
-// the probe.Probe hook stream alone (it never reads swarm internals),
-// which proves the probe API carries enough signal to reproduce the
-// Figures 4–6 evaluation. The swarm attaches one per run.
-type metricsCollector struct {
-	probe.Base
-
-	numPeers int
-	peers    []metricPeer
-
-	completed         int     // compliant completions
-	totalUploaded     float64 // all link bytes, peers + seeder
-	peerUploaded      float64 // link bytes uploaded by peers only
-	freeRiderCredited float64 // peer-uploaded bytes credited to free-riders
-
-	series map[string]*stats.TimeSeries
-}
-
-// metricPeer is the collector's per-peer view, maintained exclusively
-// from hook events.
-type metricPeer struct {
-	uploaded     float64
-	credited     float64
-	joined       bool
-	active       bool
-	freeRider    bool
-	bootstrapped bool
-}
-
-var _ probe.Probe = (*metricsCollector)(nil)
-
-// BeginRun sizes the per-peer records and creates the series.
-func (m *metricsCollector) BeginRun(info probe.RunInfo) {
-	m.numPeers = info.NumPeers
-	m.peers = make([]metricPeer, info.NumPeers)
-	m.series = make(map[string]*stats.TimeSeries)
-	for _, name := range []string{
-		SeriesFairness, SeriesContribution, SeriesBootstrapped,
-		SeriesCompleted, SeriesSusceptibility,
-	} {
-		m.series[name] = stats.NewTimeSeries(name)
-	}
-}
-
-// PeerJoin marks the peer joined and active.
-func (m *metricsCollector) PeerJoin(_ float64, p probe.PeerInfo) {
-	rec := &m.peers[p.ID]
-	rec.joined = true
-	rec.active = true
-	rec.freeRider = p.FreeRider
-}
-
-// PeerLeave marks the peer inactive.
-func (m *metricsCollector) PeerLeave(_ float64, id int) {
-	m.peers[id].active = false
-}
-
-// PeerBootstrap marks the peer's first credited piece.
-func (m *metricsCollector) PeerBootstrap(_ float64, id int) {
-	m.peers[id].bootstrapped = true
-}
-
-// PeerComplete counts compliant completions for the completed series.
-func (m *metricsCollector) PeerComplete(_ float64, id int) {
-	if !m.peers[id].freeRider {
-		m.completed++
-	}
-}
-
-// TransferFinish accumulates link-level upload volumes.
-func (m *metricsCollector) TransferFinish(_ float64, t probe.Transfer) {
-	m.totalUploaded += t.Bytes
-	if t.From >= 0 {
-		m.peers[t.From].uploaded += t.Bytes
-		m.peerUploaded += t.Bytes
-	}
-}
-
-// Credit accumulates the receiver's credited (plaintext) volume.
-func (m *metricsCollector) Credit(_ float64, c probe.CreditInfo) {
-	m.peers[c.To].credited += c.Bytes
-}
-
-// FreeRiderCredit accumulates the susceptibility numerator.
-func (m *metricsCollector) FreeRiderCredit(_ float64, _ int, bytes float64) {
-	m.freeRiderCredited += bytes
-}
-
-// Sample appends one point to each series from the collector's state.
-func (m *metricsCollector) Sample(now float64) {
+// sample appends one point to each series from the peers' own records,
+// then hands the instant to the attached probe.
+func (s *Swarm) sample(now float64) {
 	var fairSum, contribSum float64
 	var fairCount, contribCount int
 	bootstrapped := 0
-	for i := range m.peers {
-		p := &m.peers[i]
+	for _, p := range s.peers {
 		if !p.joined {
 			continue
 		}
-		if p.bootstrapped {
+		if p.bootstrapAt >= 0 {
 			bootstrapped++
 		}
 		if !p.freeRider && p.active {
-			if p.uploaded > 0 && p.credited > 0 {
-				fairSum += p.credited / p.uploaded
+			if p.uploaded > 0 && p.creditedDown > 0 {
+				fairSum += p.creditedDown / p.uploaded
 				fairCount++
 			}
-			if p.credited > 0 {
-				contribSum += p.uploaded / p.credited
+			if p.creditedDown > 0 {
+				contribSum += p.uploaded / p.creditedDown
 				contribCount++
 			}
 		}
 	}
 	if fairCount > 0 {
-		m.series[SeriesFairness].Add(now, fairSum/float64(fairCount))
+		s.series[SeriesFairness].Add(now, fairSum/float64(fairCount))
 	}
 	if contribCount > 0 {
-		m.series[SeriesContribution].Add(now, contribSum/float64(contribCount))
+		s.series[SeriesContribution].Add(now, contribSum/float64(contribCount))
 	}
 	// Fraction of the full population, matching the paper's z(t)/N.
-	m.series[SeriesBootstrapped].Add(now, float64(bootstrapped)/float64(m.numPeers))
-	m.series[SeriesCompleted].Add(now, float64(m.completed)/float64(m.numPeers))
-	if m.peerUploaded > 0 {
-		m.series[SeriesSusceptibility].Add(now, m.freeRiderCredited/m.peerUploaded)
+	n := float64(len(s.peers))
+	s.series[SeriesBootstrapped].Add(now, float64(bootstrapped)/n)
+	s.series[SeriesCompleted].Add(now, float64(s.completedCount)/n)
+	if s.peerUploaded > 0 {
+		s.series[SeriesSusceptibility].Add(now, s.freeRiderCredited/s.peerUploaded)
 	} else {
-		m.series[SeriesSusceptibility].Add(now, 0)
+		s.series[SeriesSusceptibility].Add(now, 0)
 	}
+	s.emitSample(now)
 }
 
-// sample is the recurring metrics event.
-func (s *Swarm) sample(now float64) {
-	s.emitSample(now)
+// sampleEvery is the recurring metrics event.
+func (s *Swarm) sampleEvery(now float64) {
+	s.sample(now)
 	if s.live() {
-		s.engine.After(s.cfg.SampleInterval, s.sample)
+		s.engine.After(s.cfg.SampleInterval, s.sampleEvery)
 	}
 }
 
@@ -204,11 +116,11 @@ func (s *Swarm) buildResult() *Result {
 	res := &Result{
 		Config:            s.cfg,
 		Peers:             make([]PeerStats, len(s.peers)),
-		Series:            s.metrics.series,
-		TotalUploaded:     s.metrics.totalUploaded,
-		PeerUploaded:      s.metrics.peerUploaded,
+		Series:            s.series,
+		TotalUploaded:     s.totalUploaded,
+		PeerUploaded:      s.peerUploaded,
 		SeederUploaded:    s.seeder.uploaded,
-		FreeRiderCredited: s.metrics.freeRiderCredited,
+		FreeRiderCredited: s.freeRiderCredited,
 		Duration:          s.engine.Now(),
 		EventsProcessed:   s.engine.Processed(),
 		snapshot:          s.snapshot,

@@ -116,6 +116,7 @@ func (sd *seeder) deliver(receiver *peer, pieceIdx int, now float64) {
 	sd.alloc.Release()
 	bytes := s.cfg.PieceSize
 	sd.uploaded += bytes
+	s.totalUploaded += bytes
 	receiver.pending.Clear(pieceIdx)
 	s.emitTransferFinish(now, probe.Transfer{
 		From:  int(SeederID),

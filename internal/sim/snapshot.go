@@ -30,12 +30,7 @@ const snapshotPairs = 4000
 
 // takeSnapshot records the availability state at virtual time now.
 func (s *Swarm) takeSnapshot(now float64) {
-	active := make([]*peer, 0, s.activeCount)
-	for _, p := range s.peers {
-		if p.active {
-			active = append(active, p)
-		}
-	}
+	active := s.actives // id-ascending, so the pair draws are reproducible
 	snap := &AvailabilitySnapshot{At: now, PieceCounts: make([]int, len(active))}
 	for i, p := range active {
 		snap.PieceCounts[i] = p.have.Count()

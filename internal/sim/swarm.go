@@ -29,9 +29,15 @@ type Swarm struct {
 	seeder       *seeder
 
 	arrivedCount   int
-	activeCount    int
 	completedCount int // compliant completions
 	numCompliant   int
+
+	// The run-wide volumes behind Result's totals and the susceptibility
+	// series; each peer's own volumes live on its record.
+	totalUploaded     float64 // all link bytes, peers + seeder
+	peerUploaded      float64 // link bytes uploaded by peers only
+	freeRiderCredited float64 // peer-uploaded bytes credited to free-riders
+	series            map[string]*stats.TimeSeries
 
 	// haveT is every peer's holdings transposed: word w of peer id's have
 	// is haveT[w*NumPeers+id], set in credit beside have.Set. noteGained
@@ -70,9 +76,7 @@ type Swarm struct {
 	flightPool  []*flight
 	joinScratch []*peer
 
-	info    probe.RunInfo     // replayed to late-attached probes
-	metrics *metricsCollector // built-in probe: the paper's five series
-	probe   probe.Probe       // externally attached; nil-checked per hook
+	probe probe.Probe // the one outside observer; nil-checked per hook
 
 	snapshot *AvailabilitySnapshot
 	ran      bool
@@ -93,17 +97,14 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 		availability: piece.NewAvailability(cfg.NumPieces),
 		adj:          adjacencySlabs{per: min(2*cfg.MaxNeighbors, cfg.NumPeers-1)},
 		indexed:      true,
-		metrics:      &metricsCollector{},
+		series:       make(map[string]*stats.TimeSeries),
 	}
-	s.info = probe.RunInfo{
-		Algorithm: cfg.Algorithm.String(),
-		NumPeers:  cfg.NumPeers,
-		NumPieces: cfg.NumPieces,
-		PieceSize: cfg.PieceSize,
-		Horizon:   cfg.Horizon,
-		Seed:      cfg.Seed,
+	for _, name := range []string{
+		SeriesFairness, SeriesContribution, SeriesBootstrapped,
+		SeriesCompleted, SeriesSusceptibility,
+	} {
+		s.series[name] = stats.NewTimeSeries(name)
 	}
-	s.metrics.BeginRun(s.info)
 
 	capacities, err := cfg.Bandwidth.Sample(s.rng, cfg.NumPeers)
 	if err != nil {
@@ -159,7 +160,7 @@ func NewSwarm(cfg Config) (*Swarm, error) {
 
 	s.seeder = newSeeder(s)
 	s.engine.Schedule(0, func(float64) { s.seeder.schedule() })
-	s.engine.Schedule(cfg.SampleInterval, s.sample)
+	s.engine.Schedule(cfg.SampleInterval, s.sampleEvery)
 	if cfg.SnapshotAt > 0 {
 		s.engine.Schedule(cfg.SnapshotAt, s.takeSnapshot)
 	}
@@ -199,7 +200,6 @@ func (s *Swarm) join(p *peer) {
 	p.joined = true
 	p.active = true
 	s.arrivedCount++
-	s.activeCount++
 	s.emitPeerJoin(s.engine.Now(), p)
 
 	// Connect to up to MaxNeighbors random active peers. The candidate
@@ -242,7 +242,6 @@ func (s *Swarm) depart(p *peer) {
 		return
 	}
 	p.active = false
-	s.activeCount--
 	s.actives = removePeerByID(s.actives, p)
 	s.incomplete = removePeerByID(s.incomplete, p)
 	s.emitPeerLeave(s.engine.Now(), int(p.id))
@@ -287,7 +286,7 @@ func (s *Swarm) Run() (*Result, error) {
 	if err := s.engine.Run(s.cfg.Horizon); err != nil && !errors.Is(err, eventsim.ErrStopped) {
 		return nil, err
 	}
-	s.emitSample(s.engine.Now())
+	s.sample(s.engine.Now())
 	s.emitEndRun(s.engine.Now())
 	return s.buildResult(), nil
 }
@@ -383,7 +382,7 @@ func (s *Swarm) scheduleFailures() {
 // compliant population shrinks.
 func (s *Swarm) maybeStopCompliantDone() {
 	if s.cfg.StopWhenCompliantDone && s.completedCount >= s.numCompliant {
-		s.emitSample(s.engine.Now())
+		s.sample(s.engine.Now())
 		s.engine.Stop()
 	}
 }

@@ -132,6 +132,8 @@ func (s *Swarm) deliver(sender, receiver *peer, pieceIdx int, now float64) {
 	sender.alloc.Release()
 	bytes := s.cfg.PieceSize
 	sender.uploaded += bytes
+	s.totalUploaded += bytes
+	s.peerUploaded += bytes
 	receiver.pending.Clear(pieceIdx)
 	s.emitTransferFinish(now, probe.Transfer{
 		From:  int(sender.id),
@@ -144,6 +146,7 @@ func (s *Swarm) deliver(sender, receiver *peer, pieceIdx int, now float64) {
 		receiver.rawDown += bytes
 		if s.credited(sender, receiver) {
 			if receiver.freeRider {
+				s.freeRiderCredited += bytes
 				s.emitFreeRiderCredit(now, int(receiver.id), bytes)
 			}
 			s.credit(sender.id, receiver, pieceIdx, bytes, now)
@@ -224,7 +227,7 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 			s.depart(receiver)
 		}
 		if s.cfg.StopWhenCompliantDone && s.completedCount == s.numCompliant {
-			s.emitSample(now)
+			s.sample(now)
 			s.engine.Stop()
 		}
 	}

@@ -268,6 +268,7 @@ loc() {
 }
 loc .
 loc internal/node internal/sim
+loc internal/sim internal/probe internal/runner
 loc internal/tchain internal/node
 loc internal/tchain internal/node internal/protocol
 loc bench
