@@ -86,10 +86,13 @@ func TestAdversariesEarnZeroVerifiedReputation(t *testing.T) {
 			if err := verified.Credit(att); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("verified ledger returned %v, want %v", err, tc.wantErr)
 			}
-			if got := verified.Total(); got != 0 {
-				t.Errorf("verified ledger total = %g after forgery, want 0", got)
+			snap := verified.Snapshot()
+			for peer, s := range snap {
+				if s.Score != 0 {
+					t.Errorf("verified ledger scored peer %d %g after forgery, want 0", peer, s.Score)
+				}
 			}
-			s := verified.Snapshot()[beneficiary]
+			s := snap[beneficiary]
 			if s.Score != 0 || s.Valid != 0 || s.Invalid != 1 {
 				t.Errorf("beneficiary standing = %+v, want zero score, zero valid, one invalid", s)
 			}

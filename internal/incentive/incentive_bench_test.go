@@ -26,16 +26,19 @@ type benchView struct {
 
 var _ NodeView = (*benchView)(nil)
 
-func newBenchView() *benchView {
-	v := &benchView{rng: rand.New(rand.NewSource(1))}
+// newBenchView returns a view of benchNeighbors interested neighbours whose
+// IDs are spread evenly over [0, peers).
+func newBenchView(peers int) *benchView {
+	v := &benchView{rng: rand.New(rand.NewSource(1)), wants: make([]bool, peers)}
 	for i := 0; i < benchNeighbors; i++ {
-		v.neighbors = append(v.neighbors, PeerID(i))
-		v.wants = append(v.wants, true)
+		id := i * peers / benchNeighbors
+		v.neighbors = append(v.neighbors, PeerID(id))
+		v.wants[id] = true
 	}
 	return v
 }
 
-func (v *benchView) Self() PeerID    { return benchNeighbors }
+func (v *benchView) Self() PeerID    { return PeerID(len(v.wants)) }
 func (v *benchView) Now() float64    { return 0 }
 func (v *benchView) RNG() *rand.Rand { return v.rng }
 func (v *benchView) Neighbors() []PeerID {
@@ -51,23 +54,28 @@ func (v *benchView) WantsFromMe(p PeerID) bool {
 // every neighbour has contributed (and holds a ledger score), so every
 // candidate is weighed. The idle rows are Figure 4's stalled case: the only
 // contributor so far is a pseudo-peer (the seeder), so no neighbour has
-// earned anything. scripts/check.sh holds every row at 0 allocs/op.
+// earned anything. The ledger1000 row is the busy Reputation decision as
+// Figure 4 makes it: the global ledger holds 1000 peers, and the 50
+// neighbours are spread among them (the other mechanisms never read the
+// ledger). scripts/check.sh holds every row at 0 allocs/op.
 func BenchmarkNextReceiver(b *testing.B) {
 	algorithms := append(algo.All(), algo.PropShare)
-	run := func(b *testing.B, a algo.Algorithm, busy bool) {
+	run := func(b *testing.B, a algo.Algorithm, busy bool, peers int) {
 		ledger := reputation.NewLedger(attest.AcceptAll{})
 		s, err := New(a, Params{}, ledger)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := newBenchView()
+		v := newBenchView(peers)
 		s.OnReceived(v, seederID, 1000)
 		if busy {
-			for i := 1; i < benchNeighbors; i++ {
+			for i := 1; i < peers; i++ {
 				if err := ledger.Credit(attest.Claim(int32(i), -1, 0, int64(i*1000))); err != nil {
 					b.Fatal(err)
 				}
-				s.OnReceived(v, PeerID(i), float64(i*100))
+			}
+			for _, p := range v.neighbors[1:] {
+				s.OnReceived(v, p, float64(p*100))
 			}
 		}
 		b.ReportAllocs()
@@ -77,11 +85,12 @@ func BenchmarkNextReceiver(b *testing.B) {
 		}
 	}
 	for _, a := range algorithms {
-		b.Run(a.String(), func(b *testing.B) { run(b, a, true) })
+		b.Run(a.String(), func(b *testing.B) { run(b, a, true, benchNeighbors) })
 	}
 	b.Run("idle", func(b *testing.B) {
 		for _, a := range algorithms {
-			b.Run(a.String(), func(b *testing.B) { run(b, a, false) })
+			b.Run(a.String(), func(b *testing.B) { run(b, a, false, benchNeighbors) })
 		}
 	})
+	b.Run("ledger1000/"+algo.Reputation.String(), func(b *testing.B) { run(b, algo.Reputation, true, 1000) })
 }

@@ -207,16 +207,16 @@ func TestFairTorrentTableEqualsMap(t *testing.T) {
 				picked++
 			}
 			for _, id := range ids {
-				if id >= 0 && f.deficit.get(id) != ref[id] {
-					t.Fatalf("seed %d step %d: deficit[%d] = %g, map %g", seed, step, id, f.deficit.get(id), ref[id])
+				if id >= 0 && f.deficit.Get(int(id)) != ref[id] {
+					t.Fatalf("seed %d step %d: deficit[%d] = %g, map %g", seed, step, id, f.deficit.Get(int(id)), ref[id])
 				}
 			}
 		}
 		if picked < 1000 {
 			t.Errorf("seed %d: only %d of 3000 decisions picked a peer", seed, picked)
 		}
-		if real := len(ids) - 2; f.deficit.used > real {
-			t.Errorf("seed %d: table holds %d entries for %d real IDs; pseudo-peers are never stored", seed, f.deficit.used, real)
+		if real := len(ids) - 2; f.deficit.Len() > real {
+			t.Errorf("seed %d: table holds %d entries for %d real IDs; pseudo-peers are never stored", seed, f.deficit.Len(), real)
 		}
 	}
 }

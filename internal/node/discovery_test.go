@@ -285,6 +285,79 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 	}
 }
 
+// TestPeerExchangeOvertakenHandshake: two joiners dial one seed, and the
+// later one's handshake finishes first, so the Nodes frame it is sent cannot
+// list the earlier one. When the earlier one links, the later one must be
+// told of it and dial it.
+func TestPeerExchangeOvertakenHandshake(t *testing.T) {
+	manifest, content := clusterFixture(t)
+	tr := transport.NewMem()
+	seedStore, err := piece.NewSeedStore(manifest, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := New(Config{ID: 0, Algorithm: algo.Altruism, Store: seedStore, Transport: tr, DecisionInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Stop()
+
+	// The earlier joiner is a bare connection that holds back its Hello; it
+	// listens where it says it does, so a dial to it is observable.
+	early, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer early.Close()
+	earlyConn, err := tr.Dial(seed.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer earlyConn.Close()
+
+	later, err := New(Config{ID: 2, Algorithm: algo.Altruism, Store: piece.NewStore(manifest), Transport: tr,
+		Bootstrap: []string{seed.Addr()}, DecisionInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := later.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer later.Stop()
+	for deadline := time.Now().Add(10 * time.Second); seed.Stats().Neighbors != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the later joiner never linked to the seed")
+		}
+	}
+
+	hello := protocol.Hello{PeerID: 1, NumPieces: int32(manifest.NumPieces()), Addr: early.Addr()}
+	if earlyConn.Send(hello) != nil || earlyConn.Send(protocol.Bitfield{NumPieces: hello.NumPieces, Bits: make([]byte, (manifest.NumPieces()+7)/8)}) != nil {
+		t.Fatal("early joiner's handshake failed")
+	}
+	go func() { // drain the seed's frames until the link closes
+		for {
+			if _, err := earlyConn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		if c, err := early.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	select {
+	case c := <-accepted:
+		c.Close()
+	case <-time.After(10 * time.Second):
+		t.Fatal("the later joiner never dialed the earlier one: the seed did not tell it of a handshake it overtook")
+	}
+}
+
 // TestClusterJoin: nodes attached to a running tracker-wired swarm get the
 // same kind of bootstrap list, dial no more than it, and complete.
 func TestClusterJoin(t *testing.T) {

@@ -109,13 +109,18 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 	n.peers[peerID] = r
 	n.contacts = slices.DeleteFunc(n.contacts, func(c contact) bool { return c.id == peerID })
 	var exchange protocol.Message
+	var overtaken []*remote
 	if !dialer {
 		exchange = n.peerExchangeLocked(r)
+		overtaken = n.overtakenLocked(r)
 	}
 	n.mu.Unlock()
 	n.log.Debug("peer connected", "peer", peerID, "dialer", dialer)
 	if exchange != nil {
 		r.enqueue(exchange, false, nil)
+	}
+	for _, p := range overtaken {
+		p.enqueue(protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: int32(r.id), Addr: r.addr}}}, false, nil)
 	}
 	n.wg.Add(1)
 	go func() {
@@ -135,12 +140,12 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 		n.log.Debug("peer disconnected", "peer", peerID)
 	}()
 
+	// The loop ends when the connection does, not when Stop begins: Stop
+	// drains the writers first and only then closes every connection. A
+	// reader that returned at the first frame after Stop would close the
+	// link under a drain still writing (the tail of receipt copies lost),
+	// and a TCP socket closed with input unread is reset, not shut.
 	for {
-		select {
-		case <-n.done:
-			return
-		default:
-		}
 		msg, err := conn.Recv()
 		if err != nil {
 			return

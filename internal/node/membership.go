@@ -14,7 +14,9 @@ import (
 //
 //   - Peer exchange. The accepting side of every handshake sends the dialer
 //     one Nodes frame: up to MaxNeighbors of its neighbours that arrived
-//     before the dialer did. The dialer keeps them as contacts.
+//     before the dialer did. A dialer whose handshake overtook an earlier
+//     arrival's is sent that one when it links. The dialer keeps them as
+//     contacts.
 //   - Refill. On the upload tick, a node with fewer than MaxNeighbors links
 //     and dial budget left dials one contact it is neither linked to nor
 //     already dialing. A failed dial forgets the contact.
@@ -135,6 +137,24 @@ func (n *Node) peerExchangeLocked(r *remote) protocol.Message {
 		infos = infos[:n.cfg.MaxNeighbors]
 	}
 	return protocol.Nodes{Contacts: infos}
+}
+
+// overtakenLocked returns the dialers that arrived after r but finished
+// their handshakes first (mu held): the Nodes frame each was sent could not
+// list r, which was not yet a neighbour. Each is sent r on its own, so which
+// of two concurrent joiners learns of the other does not depend on whose
+// handshake wins the race.
+func (n *Node) overtakenLocked(r *remote) []*remote {
+	if r.addr == "" {
+		return nil
+	}
+	var late []*remote
+	for _, p := range n.peers {
+		if p.arrival > r.arrival {
+			late = append(late, p)
+		}
+	}
+	return late
 }
 
 // watchConn bounds the life of a connection — transport.Conn has no

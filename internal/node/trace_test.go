@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,6 +314,114 @@ func TestStopDrainAccounting(t *testing.T) {
 			t.Errorf("wire saw %d receipt copies and announcements of %v in %+v, want %d and [6 7]", sentAcks, sentHaves, conn.sent, len(acks))
 		}
 	})
+}
+
+// scriptedConn is a link whose peer the test plays: Recv returns what is
+// pushed on in and counts its calls; Send lets the handshake through and
+// holds every later frame until gate opens; Close ends both.
+type scriptedConn struct {
+	in     chan protocol.Message
+	gate   chan struct{}
+	closed chan struct{}
+	once   sync.Once
+	recvs  atomic.Int64
+
+	mu   sync.Mutex
+	sent []protocol.Message
+}
+
+func (c *scriptedConn) Recv() (protocol.Message, error) {
+	c.recvs.Add(1)
+	select {
+	case m := <-c.in:
+		return m, nil
+	case <-c.closed:
+		return nil, transport.ErrClosed
+	}
+}
+
+func (c *scriptedConn) Send(m protocol.Message) error {
+	switch m.(type) {
+	case protocol.Hello, protocol.Bitfield:
+	default:
+		select {
+		case <-c.gate:
+		case <-c.closed:
+			return transport.ErrClosed
+		}
+	}
+	c.mu.Lock()
+	c.sent = append(c.sent, m)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *scriptedConn) Close() error       { c.once.Do(func() { close(c.closed) }); return nil }
+func (c *scriptedConn) RemoteAddr() string { return "script://peer" }
+
+func (c *scriptedConn) isClosed() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestStopDrainOutlivesInboundFrame: a frame that lands while Stop is
+// draining a link's writer must not end the link. The reader used to return
+// at the first frame after Stop began and close the connection under the
+// drain, so the receipt copies still queued never left (over TCP the close
+// also reset the link); it now reads on until Stop closes the connection.
+func TestStopDrainOutlivesInboundFrame(t *testing.T) {
+	manifest, _ := clusterFixture(t)
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest), DecisionInterval: time.Hour})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn := &scriptedConn{in: make(chan protocol.Message, 1), gate: make(chan struct{}), closed: make(chan struct{})}
+	conn.in <- protocol.Hello{PeerID: 1, NumPieces: int32(manifest.NumPieces())}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		n.handleConn(conn, 1)
+	}()
+	var r *remote
+	waitFor(t, "the link to register", func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		r = n.peers[1]
+		return r != nil
+	})
+	const copies = 3
+	for i := 0; i < copies; i++ {
+		r.enqueue(protocol.Attest{Att: attest.Claim(int32(n.cfg.ID), 1, int32(i), testPieceSize)}, false, nil)
+	}
+
+	stopped := make(chan error, 1)
+	go func() { stopped <- n.Stop() }()
+	waitFor(t, "the drain to reach the writer", r.isWriting)
+	before := conn.recvs.Load()
+	conn.in <- protocol.Have{Index: 0}
+	waitFor(t, "the reader to take the frame", func() bool { return conn.recvs.Load() > before || conn.isClosed() })
+	if conn.isClosed() {
+		t.Fatal("the reader closed the link while Stop was still draining it")
+	}
+	close(conn.gate)
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	sent := 0
+	for _, m := range conn.sent {
+		if _, ok := m.(protocol.Attest); ok {
+			sent++
+		}
+	}
+	if sent != copies {
+		t.Errorf("%d of %d receipt copies left before the link closed: %+v", sent, copies, conn.sent)
+	}
 }
 
 // TestDebugTraceEndpoint checks /debug/trace: 404 with tracing off, JSON

@@ -37,10 +37,8 @@ type Standing struct {
 type Ledger struct {
 	policy attest.Policy
 
-	mu      sync.RWMutex
-	scores  map[int]float64
-	valid   map[int]uint64
-	invalid map[int]uint64
+	mu        sync.RWMutex
+	standings Table[Standing]
 }
 
 // NewLedger returns an empty ledger enforcing policy. The policy is
@@ -50,12 +48,7 @@ func NewLedger(policy attest.Policy) *Ledger {
 	if policy == nil {
 		panic("reputation: NewLedger requires a policy (attest.AcceptAll for the unverified baseline)")
 	}
-	return &Ledger{
-		policy:  policy,
-		scores:  make(map[int]float64),
-		valid:   make(map[int]uint64),
-		invalid: make(map[int]uint64),
-	}
+	return &Ledger{policy: policy}
 }
 
 // Credit records that att.Sender uploaded att.Bytes of data, if and only
@@ -68,13 +61,14 @@ func (l *Ledger) Credit(att attest.Attestation) error {
 	}
 	if err := l.policy.Verify(att); err != nil {
 		l.mu.Lock()
-		l.invalid[int(att.Sender)]++
+		l.standings.At(int(att.Sender)).Invalid++
 		l.mu.Unlock()
 		return err
 	}
 	l.mu.Lock()
-	l.scores[int(att.Sender)] += float64(att.Bytes)
-	l.valid[int(att.Sender)]++
+	s := l.standings.At(int(att.Sender))
+	s.Score += float64(att.Bytes)
+	s.Valid++
 	l.mu.Unlock()
 	return nil
 }
@@ -83,7 +77,7 @@ func (l *Ledger) Credit(att attest.Attestation) error {
 func (l *Ledger) Score(peer int) float64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.scores[peer]
+	return l.standings.Get(peer).Score
 }
 
 // Scored pairs a peer with its score, for reading many scores at once.
@@ -98,7 +92,7 @@ type Scored struct {
 func (l *Ledger) Scores(entries []Scored) {
 	l.mu.RLock()
 	for i := range entries {
-		entries[i].Score = l.scores[entries[i].Peer]
+		entries[i].Score = l.standings.Get(entries[i].Peer).Score
 	}
 	l.mu.RUnlock()
 }
@@ -106,42 +100,23 @@ func (l *Ledger) Scores(entries []Scored) {
 // Reset erases peer's standing, modelling a whitewashing identity reset.
 func (l *Ledger) Reset(peer int) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.scores, peer)
-	delete(l.valid, peer)
-	delete(l.invalid, peer)
-}
-
-// Total returns the sum of all scores.
-func (l *Ledger) Total() float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var sum float64
-	for _, s := range l.scores {
-		sum += s
-	}
-	return sum
+	l.standings.Zero(peer)
+	l.mu.Unlock()
 }
 
 // Snapshot returns every peer's standing — including peers that only ever
 // produced rejected proofs — for metrics, the /verify endpoint, and
-// debugging.
+// debugging. A reset peer is left out: its standing is all zero, which no
+// credit or rejection leaves behind (credits are positive, and a rejection
+// counts one).
 func (l *Ledger) Snapshot() map[int]Standing {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make(map[int]Standing, len(l.scores))
-	for k, v := range l.scores {
-		out[k] = Standing{Score: v, Valid: l.valid[k]}
-	}
-	for k, n := range l.valid {
-		if _, ok := out[k]; !ok {
-			out[k] = Standing{Valid: n}
+	out := make(map[int]Standing, l.standings.Len())
+	l.standings.Range(func(peer int, s Standing) {
+		if s != (Standing{}) {
+			out[peer] = s
 		}
-	}
-	for k, n := range l.invalid {
-		s := out[k]
-		s.Invalid = n
-		out[k] = s
-	}
+	})
 	return out
 }

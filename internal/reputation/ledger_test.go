@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 
@@ -29,8 +30,9 @@ func TestCreditAndScore(t *testing.T) {
 	if got := l.Score(1); got != 150 {
 		t.Errorf("Score(1) = %g", got)
 	}
-	if got := l.Total(); got != 175 {
-		t.Errorf("Total = %g", got)
+	want := map[int]Standing{1: {Score: 150, Valid: 2}, 2: {Score: 25, Valid: 1}}
+	if got := l.Snapshot(); !maps.Equal(got, want) {
+		t.Errorf("Snapshot = %v, want %v", got, want)
 	}
 }
 
@@ -156,7 +158,7 @@ func TestLedgerConcurrent(t *testing.T) {
 					return
 				}
 				l.Score(id)
-				l.Total()
+				l.Snapshot()
 				for k := range batch {
 					batch[k].Peer = k
 				}
@@ -171,7 +173,13 @@ func TestLedgerConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := l.Total(); got != 1600 {
-		t.Errorf("Total = %g, want 1600", got)
+	snap := l.Snapshot()
+	for id := 0; id < 16; id++ {
+		if s := snap[id]; s != (Standing{Score: 100, Valid: 100}) {
+			t.Errorf("standing[%d] = %+v, want {100 100 0}", id, s)
+		}
+	}
+	if len(snap) != 16 {
+		t.Errorf("snapshot holds %d peers, want 16", len(snap))
 	}
 }

@@ -140,6 +140,14 @@ echo "== strategy decision allocation guard =="
 # benchmark's view reuses its buffers, so a nonzero count is the strategy's.
 alloc_guard ./internal/incentive BenchmarkNextReceiver 0 100000x
 
+echo "== ledger allocation guard =="
+# Every credited piece is one Ledger.Credit and every busy Reputation
+# decision one Ledger.Scores over its candidates, against Figure 4's
+# 1000-peer ledger: a probe into the standings table per credit or per
+# candidate, so neither may allocate once the table has grown.
+alloc_guard ./internal/reputation BenchmarkLedgerScores 0
+alloc_guard ./internal/reputation BenchmarkLedgerCredit 0
+
 echo "== push pick allocation guard =="
 # The live sender's piece pick runs once per push with the node lock held,
 # at 64, 1024 and 4096 wanted pieces of 4096: a few word passes over three
