@@ -191,7 +191,7 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 
 	// A third download with -metrics-out dumps a snapshot whose per-peer
 	// download counters sum to the run summary's byte total (the acceptance
-	// contract), plus the summary itself.
+	// contract), the sampler's rows and the summary itself.
 	dumpPath := filepath.Join(dir, "telemetry.json")
 	var out3 strings.Builder
 	err = runGet(getOptions{
@@ -223,6 +223,7 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	}
 	var dump struct {
 		Snapshot metrics.Snapshot `json:"snapshot"`
+		Samples  []sampleRow      `json:"samples"`
 		Summary  getReport        `json:"summary"`
 	}
 	if err := json.Unmarshal(raw, &dump); err != nil {
@@ -239,6 +240,23 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	}
 	if dump.Summary.Bytes != report3.Bytes {
 		t.Errorf("embedded summary bytes = %d, want %d", dump.Summary.Bytes, report3.Bytes)
+	}
+	// The sampler's series: non-empty, in time order, and closing on the
+	// whole file credited with a defined fairness index.
+	if len(dump.Samples) == 0 {
+		t.Fatal("dump has no sample rows")
+	}
+	for i := 1; i < len(dump.Samples); i++ {
+		if dump.Samples[i].TSec < dump.Samples[i-1].TSec {
+			t.Errorf("sample %d at t=%v precedes sample %d at t=%v", i, dump.Samples[i].TSec, i-1, dump.Samples[i-1].TSec)
+		}
+	}
+	last := dump.Samples[len(dump.Samples)-1]
+	if last.CreditedBytes != int64(len(content)) {
+		t.Errorf("last sample credited %d bytes, want %d", last.CreditedBytes, len(content))
+	}
+	if last.Jain <= 0 || last.Jain > 1 {
+		t.Errorf("last sample jain = %v, want (0, 1]", last.Jain)
 	}
 }
 

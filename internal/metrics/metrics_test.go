@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
-	"math"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -12,26 +11,23 @@ import (
 	"testing"
 )
 
-// TestMetricsConcurrent hammers one counter and one histogram from
-// GOMAXPROCS goroutines and asserts the merged totals — the sharded
-// write path must lose nothing under -race.
+// TestMetricsConcurrent hammers one counter from GOMAXPROCS goroutines
+// and asserts the total — the write path must lose nothing under -race.
 func TestMetricsConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("test_ops_total")
-	h := reg.Histogram("test_latency_ns")
 
 	workers := runtime.GOMAXPROCS(0)
 	const perWorker = 20000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Add(2)
-				h.Observe(int64(i%1000 + 1))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -39,24 +35,9 @@ func TestMetricsConcurrent(t *testing.T) {
 	if got := c.Value(); got != 2*total {
 		t.Errorf("counter = %d, want %d", got, 2*total)
 	}
-	hs := h.Snapshot()
-	if hs.Count != uint64(total) {
-		t.Errorf("histogram count = %d, want %d", hs.Count, total)
-	}
-	var bucketSum uint64
-	for _, n := range hs.Buckets {
-		bucketSum += n
-	}
-	if bucketSum != hs.Count {
-		t.Errorf("bucket sum %d != count %d", bucketSum, hs.Count)
-	}
-
 	snap := reg.Snapshot()
 	if snap.Counters["test_ops_total"] != 2*total {
 		t.Errorf("snapshot counter = %d, want %d", snap.Counters["test_ops_total"], 2*total)
-	}
-	if snap.Histograms["test_latency_ns"].Count != uint64(total) {
-		t.Errorf("snapshot histogram count = %d", snap.Histograms["test_latency_ns"].Count)
 	}
 }
 
@@ -66,9 +47,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Counter("x") != reg.Counter("x") {
 		t.Error("Counter not idempotent")
-	}
-	if reg.Histogram("z") != reg.Histogram("z") {
-		t.Error("Histogram not idempotent")
 	}
 }
 
@@ -86,62 +64,13 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets pins the log₂ bucket boundaries.
-func TestHistogramBuckets(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1 << 40, 41}}
-	for _, c := range cases {
-		if got := bucketIndex(c.v); got != c.want {
-			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	if got := BucketUpperBound(0); got != 0 {
-		t.Errorf("BucketUpperBound(0) = %g", got)
-	}
-	if got := BucketUpperBound(3); got != 7 {
-		t.Errorf("BucketUpperBound(3) = %g, want 7", got)
-	}
-	if !math.IsInf(BucketUpperBound(64), 1) {
-		t.Error("BucketUpperBound(64) not +Inf")
-	}
-}
-
-// TestHistogramQuantile sanity-checks the interpolated quantiles against
-// a uniform fill: estimates must land within the 2× log-bucket error.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram()
-	for v := int64(1); v <= 1024; v++ {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if got := s.Mean(); math.Abs(got-512.5) > 0.01 {
-		t.Errorf("mean = %g, want 512.5", got)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		want := q * 1024
-		got := s.Quantile(q)
-		if got < want/2 || got > want*2 {
-			t.Errorf("q%g = %g, want within 2x of %g", q, got, want)
-		}
-	}
-	var empty HistogramSnapshot
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Error("empty snapshot quantile/mean not 0")
-	}
-}
-
 // TestSnapshotJSONRoundTrip pins the /metrics JSON contract: a snapshot
 // marshals and decodes back into an equal Snapshot.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(`node_peer_upload_bytes_total{peer="3"}`).Add(4096)
+	reg.Counter(`node_peer_download_bytes_total{peer="3"}`).Add(4096)
 	reg.Counter("node_frames_received_total").Add(17)
 	reg.RegisterGaugeFunc("node_outbox_depth", func() int64 { return 5 })
-	h := reg.Histogram("node_span_want_to_verified_ns")
-	h.Observe(1500)
-	h.Observe(90000)
 
 	snap := reg.Snapshot()
 	blob, err := json.Marshal(snap)
@@ -152,18 +81,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters[`node_peer_upload_bytes_total{peer="3"}`] != 4096 {
+	if back.Counters[`node_peer_download_bytes_total{peer="3"}`] != 4096 {
 		t.Errorf("counter lost: %+v", back.Counters)
 	}
 	if back.Gauges["node_outbox_depth"] != 5 {
 		t.Errorf("gauge lost: %+v", back.Gauges)
 	}
-	hb := back.Histograms["node_span_want_to_verified_ns"]
-	if hb.Count != 2 || hb.Sum != 91500 {
-		t.Errorf("histogram lost: %+v", hb)
-	}
-	if len(hb.Buckets) != len(snap.Histograms["node_span_want_to_verified_ns"].Buckets) {
-		t.Error("bucket slice changed across round trip")
+	if back.Counters["node_frames_received_total"] != 17 {
+		t.Errorf("counter lost: %+v", back.Counters)
 	}
 }
 
@@ -172,7 +97,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestHandlerFormats(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_frames_total").Add(3)
-	reg.Histogram("test_ns").Observe(5)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -241,22 +165,5 @@ func BenchmarkCounterAdd(b *testing.B) {
 	})
 	if c.Value() == 0 {
 		b.Fatal("counter never incremented")
-	}
-}
-
-// BenchmarkHistogramObserve pins the hot-path cost of Histogram.Observe;
-// check.sh requires 0 allocs/op.
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		v := int64(0)
-		for pb.Next() {
-			v++
-			h.Observe(v)
-		}
-	})
-	if h.Snapshot().Count == 0 {
-		b.Fatal("histogram never observed")
 	}
 }

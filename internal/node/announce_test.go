@@ -243,11 +243,6 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 		if rs.theyNeed != rb.theyNeed || rs.iNeed != rb.iNeed {
 			t.Fatalf("round %d: theyNeed/iNeed = %d/%d as singles, %d/%d split", round, rs.theyNeed, rs.iNeed, rb.theyNeed, rb.iNeed)
 		}
-		// Neither node was started, so every set want-time is the same
-		// saturated stamp and the slices compare exactly.
-		if !slices.Equal(single.wantSince, split.wantSince) {
-			t.Fatalf("round %d: wantSince differs", round)
-		}
 		if wantTheyNeed, wantINeed := single.myBits.DiffCounts(rs.have); rs.theyNeed != wantTheyNeed || rs.iNeed != wantINeed {
 			t.Fatalf("round %d: counters %d/%d drifted from the bitfields' %d/%d", round, rs.theyNeed, rs.iNeed, wantTheyNeed, wantINeed)
 		}

@@ -177,7 +177,6 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		for i := 0; i < size; i++ {
 			if m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
 				r.have.Set(i)
-				n.noteWantedLocked(i)
 			}
 		}
 		// Re-derive both interest counters in one popcount pass.
@@ -288,7 +287,6 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	// extend the same trace from here.
 	cont := h.context()
 	n.mu.Lock()
-	n.noteFirstByteLocked(int(m.Index))
 	first := n.noteDeliveryLocked(r.id, int(m.Index), len(m.Data), cont)
 	n.mu.Unlock()
 	if first {
@@ -380,7 +378,6 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 	}
 	sealed := tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: m.Ciphertext}
 	n.pendingSeals[sealRef{origin: r.id, keyID: m.KeyID}] = pendingSeal{sealed: sealed, index: int(m.Index), tc: h.context()}
-	n.noteFirstByteLocked(int(m.Index))
 	n.mu.Unlock()
 
 	if n.cfg.FreeRide {
@@ -469,7 +466,7 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	if !witness.enqueue(forwarded, true, nil) {
 		return // witness saturated; same outcome as having no witness
 	}
-	n.metrics.noteUpload(witness.id, len(m.Ciphertext))
+	n.metrics.uploadedBytes.Add(int64(len(m.Ciphertext)))
 }
 
 // handleKey decrypts the seal r parked here under m.KeyID, verifies, stores,
@@ -682,7 +679,6 @@ func (n *Node) noteHaveLocked(r *remote, index int) {
 		r.theyNeed-- // they caught up on a piece we hold
 	} else {
 		r.iNeed++ // they now hold a piece we still need
-		n.noteWantedLocked(index)
 	}
 }
 
@@ -698,7 +694,7 @@ func (n *Node) noteGainedLocked(index int) bool {
 	if !n.myBits.Set(index) {
 		return false
 	}
-	n.noteVerifiedLocked(index)
+	n.metrics.piecesVerified.Inc()
 	at := n.gainLen.Load()
 	n.gainLog[at] = int32(index)
 	n.gainLen.Store(at + 1)

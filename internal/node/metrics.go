@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/metrics"
@@ -26,11 +25,7 @@ import (
 //	node_backpressure_refusals_total    bulk frames refused by a full peer queue
 //	node_pieces_verified_total
 //	node_duplicate_piece_bytes_total    verified deliveries of pieces already held
-//	node_peer_upload_bytes_total{peer="N"} / node_peer_download_bytes_total{peer="N"}
-//	node_upload_piece_bytes / node_download_piece_bytes     histograms
-//	node_span_want_to_first_byte_ns     first neighbor sighting -> first data
-//	node_span_first_byte_to_verified_ns first data -> hash-verified store
-//	node_span_want_to_verified_ns       the full piece-acquisition span
+//	node_peer_download_bytes_total{peer="N"}  credited bytes per sender
 //	node_pieces_held / node_neighbors / node_sealed_pending /
 //	node_complete / node_outbox_depth   pull-style gauges
 //	node_stop_drain_frames_total        frames flushed during Stop's drain window
@@ -85,15 +80,7 @@ type nodeMetrics struct {
 	rejUnsigned *metrics.Counter
 	rejOther    *metrics.Counter
 
-	uploadPieceBytes   *metrics.Histogram
-	downloadPieceBytes *metrics.Histogram
-
-	spanWantFirstByte     *metrics.Histogram
-	spanFirstByteVerified *metrics.Histogram
-	spanWantVerified      *metrics.Histogram
-
 	peerMu   sync.Mutex
-	peerUp   map[int]*metrics.Counter
 	peerDown map[int]*metrics.Counter
 }
 
@@ -102,25 +89,19 @@ type nodeMetrics struct {
 // (never call Registry.Snapshot with n.mu held).
 func newNodeMetrics(reg *metrics.Registry, n *Node) *nodeMetrics {
 	m := &nodeMetrics{
-		reg:                   reg,
-		uploadedBytes:         reg.Counter("node_uploaded_bytes_total"),
-		creditedBytes:         reg.Counter("node_credited_bytes_total"),
-		framesControl:         reg.Counter(`node_frames_sent_total{class="control"}`),
-		framesBulk:            reg.Counter(`node_frames_sent_total{class="bulk"}`),
-		drains:                reg.Counter("node_drains_total"),
-		framesIn:              reg.Counter("node_frames_received_total"),
-		backpressure:          reg.Counter("node_backpressure_refusals_total"),
-		piecesVerified:        reg.Counter("node_pieces_verified_total"),
-		duplicateBytes:        reg.Counter("node_duplicate_piece_bytes_total"),
-		stopDrainFrames:       reg.Counter("node_stop_drain_frames_total"),
-		stopDrainDropped:      reg.Counter("node_stop_drain_dropped_total"),
-		uploadPieceBytes:      reg.Histogram("node_upload_piece_bytes"),
-		downloadPieceBytes:    reg.Histogram("node_download_piece_bytes"),
-		spanWantFirstByte:     reg.Histogram("node_span_want_to_first_byte_ns"),
-		spanFirstByteVerified: reg.Histogram("node_span_first_byte_to_verified_ns"),
-		spanWantVerified:      reg.Histogram("node_span_want_to_verified_ns"),
-		peerUp:                make(map[int]*metrics.Counter),
-		peerDown:              make(map[int]*metrics.Counter),
+		reg:              reg,
+		uploadedBytes:    reg.Counter("node_uploaded_bytes_total"),
+		creditedBytes:    reg.Counter("node_credited_bytes_total"),
+		framesControl:    reg.Counter(`node_frames_sent_total{class="control"}`),
+		framesBulk:       reg.Counter(`node_frames_sent_total{class="bulk"}`),
+		drains:           reg.Counter("node_drains_total"),
+		framesIn:         reg.Counter("node_frames_received_total"),
+		backpressure:     reg.Counter("node_backpressure_refusals_total"),
+		piecesVerified:   reg.Counter("node_pieces_verified_total"),
+		duplicateBytes:   reg.Counter("node_duplicate_piece_bytes_total"),
+		stopDrainFrames:  reg.Counter("node_stop_drain_frames_total"),
+		stopDrainDropped: reg.Counter("node_stop_drain_dropped_total"),
+		peerDown:         make(map[int]*metrics.Counter),
 
 		attestSigned:           reg.Counter("node_attest_signed_total"),
 		attestCredited:         reg.Counter("node_attest_credited_total"),
@@ -164,18 +145,6 @@ func newNodeMetrics(reg *metrics.Registry, n *Node) *nodeMetrics {
 	return m
 }
 
-// peerUpload returns the get-or-create per-peer upload byte counter.
-func (m *nodeMetrics) peerUpload(peer int) *metrics.Counter {
-	m.peerMu.Lock()
-	defer m.peerMu.Unlock()
-	c, ok := m.peerUp[peer]
-	if !ok {
-		c = m.reg.Counter(fmt.Sprintf(`node_peer_upload_bytes_total{peer="%d"}`, peer))
-		m.peerUp[peer] = c
-	}
-	return c
-}
-
 // peerDownload returns the get-or-create per-peer download byte counter.
 func (m *nodeMetrics) peerDownload(peer int) *metrics.Counter {
 	m.peerMu.Lock()
@@ -188,18 +157,10 @@ func (m *nodeMetrics) peerDownload(peer int) *metrics.Counter {
 	return c
 }
 
-// noteUpload records one outbound piece payload toward peer.
-func (m *nodeMetrics) noteUpload(peer, bytes int) {
-	m.uploadedBytes.Add(int64(bytes))
-	m.uploadPieceBytes.Observe(int64(bytes))
-	m.peerUpload(peer).Add(int64(bytes))
-}
-
 // noteDownload records one verified (credited) inbound piece payload from
 // peer.
 func (m *nodeMetrics) noteDownload(peer, bytes int) {
 	m.creditedBytes.Add(int64(bytes))
-	m.downloadPieceBytes.Observe(int64(bytes))
 	m.peerDownload(peer).Add(int64(bytes))
 }
 
@@ -229,72 +190,6 @@ func (m *nodeMetrics) attestRejected(err error) *metrics.Counter {
 // equal verified content bytes exactly.
 func (m *nodeMetrics) noteDuplicate(bytes int) {
 	m.duplicateBytes.Add(int64(bytes))
-}
-
-// peerDownloadBytes snapshots the per-peer download counters — the
-// fairness-index input for the sampler.
-func (m *nodeMetrics) peerDownloadBytes() map[int]int64 {
-	m.peerMu.Lock()
-	defer m.peerMu.Unlock()
-	out := make(map[int]int64, len(m.peerDown))
-	for id, c := range m.peerDown {
-		out[id] = c.Value()
-	}
-	return out
-}
-
-// sinceStartNs returns the node's monotonic span clock: nanoseconds since
-// Start. Span timestamps store this value (0 = unset), so span histograms
-// never mix wall-clock bases.
-func (n *Node) sinceStartNs() int64 {
-	d := time.Since(n.start).Nanoseconds()
-	if d <= 0 {
-		return 1 // Start just happened; keep "set" distinguishable from 0
-	}
-	return d
-}
-
-// noteWantedLocked marks the want-time of a piece (mu held): the first
-// moment a neighbor is seen holding a piece we lack. In this push protocol
-// there is no explicit request, so this is the span's opening edge.
-func (n *Node) noteWantedLocked(index int) {
-	if index < 0 || index >= len(n.wantSince) || n.wantSince[index] != 0 {
-		return
-	}
-	if n.myBits.Has(index) {
-		return
-	}
-	n.wantSince[index] = n.sinceStartNs()
-}
-
-// noteFirstByteLocked marks first data arrival for a piece (mu held) —
-// plaintext hitting the verifier, or ciphertext entering the pending-seal
-// escrow — and records the want->first-byte span.
-func (n *Node) noteFirstByteLocked(index int) {
-	if index < 0 || index >= len(n.firstByteAt) || n.firstByteAt[index] != 0 {
-		return
-	}
-	now := n.sinceStartNs()
-	n.firstByteAt[index] = now
-	if w := n.wantSince[index]; w != 0 {
-		n.metrics.spanWantFirstByte.Observe(now - w)
-	}
-}
-
-// noteVerifiedLocked closes a piece's span at hash-verified store time (mu
-// held).
-func (n *Node) noteVerifiedLocked(index int) {
-	n.metrics.piecesVerified.Inc()
-	if index < 0 || index >= len(n.firstByteAt) {
-		return
-	}
-	now := n.sinceStartNs()
-	if f := n.firstByteAt[index]; f != 0 {
-		n.metrics.spanFirstByteVerified.Observe(now - f)
-	}
-	if w := n.wantSince[index]; w != 0 {
-		n.metrics.spanWantVerified.Observe(now - w)
-	}
 }
 
 // outboxDepth sums the queued outbound frames across peers.

@@ -549,14 +549,6 @@ type Node struct {
 	contacts []contact
 	dialing  map[string]bool
 
-	// wantSince and firstByteAt are per-piece span timestamps (nanoseconds
-	// on the sinceStartNs clock, 0 = unset), maintained under mu: want-time
-	// opens when a neighbor is first seen holding a piece we lack,
-	// first-byte when its data (plaintext or ciphertext) first arrives, and
-	// noteVerifiedLocked closes the span at hash-verified store time.
-	wantSince   []int64
-	firstByteAt []int64
-
 	// myBits mirrors the store's holdings under mu, so the decision loop
 	// and the per-peer interest counters never take the store's lock or
 	// clone a bitfield on the hot path. noteGainedLocked keeps it (and
@@ -671,8 +663,6 @@ func New(cfg Config) (*Node, error) {
 		rng:          stats.NewRNG(cfg.Seed),
 		myBits:       myBits,
 		gainLog:      make([]int32, myBits.Size()-myBits.Count()),
-		wantSince:    make([]int64, cfg.Store.Manifest().NumPieces()),
-		firstByteAt:  make([]int64, cfg.Store.Manifest().NumPieces()),
 		done:         make(chan struct{}),
 		completeCh:   make(chan struct{}),
 		tracer:       cfg.Tracer,

@@ -5,16 +5,12 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/tracing"
 )
 
@@ -307,117 +303,4 @@ func MetricsMux(n *Node) *http.ServeMux {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/verify", n.handleVerify)
 	return mux
-}
-
-// SampleRow is one time-series point from the Sampler: the aggregate view
-// the coopnode dashboard renders and -metrics-out dumps.
-type SampleRow struct {
-	// TSec is seconds since sampling started.
-	TSec float64 `json:"t_sec"`
-	// Pieces and Complete describe download progress.
-	Pieces   int  `json:"pieces"`
-	Complete bool `json:"complete"`
-	// CreditedBytes is cumulative verified download volume; BytesPerSec is
-	// its rate over the last sampling interval.
-	CreditedBytes int64   `json:"credited_bytes"`
-	BytesPerSec   float64 `json:"bytes_per_sec"`
-	// ActivePeers is the connected neighbor count.
-	ActivePeers int `json:"active_peers"`
-	// Jain is the Jain fairness index over per-peer download volume (0
-	// when fewer than one peer has delivered bytes).
-	Jain float64 `json:"jain"`
-	// OutboxDepth is the total queued outbound frames across peers.
-	OutboxDepth int64 `json:"outbox_depth"`
-}
-
-// Sampler periodically reduces a node's metrics into SampleRow points.
-// Stop it before stopping the node.
-type Sampler struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-
-	mu   sync.Mutex
-	rows []SampleRow
-}
-
-// StartSampler samples n every interval, appending each row to the
-// sampler's series and passing it to onRow (nil for none; called from the
-// sampler goroutine).
-func StartSampler(n *Node, interval time.Duration, onRow func(SampleRow)) *Sampler {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		start := time.Now()
-		var lastBytes int64
-		lastT := start
-		for {
-			select {
-			case <-s.stop:
-				return
-			case now := <-ticker.C:
-				row := sampleNode(n, now.Sub(start).Seconds())
-				if dt := now.Sub(lastT).Seconds(); dt > 0 {
-					row.BytesPerSec = float64(row.CreditedBytes-lastBytes) / dt
-				}
-				lastBytes, lastT = row.CreditedBytes, now
-				s.mu.Lock()
-				s.rows = append(s.rows, row)
-				s.mu.Unlock()
-				if onRow != nil {
-					onRow(row)
-				}
-			}
-		}
-	}()
-	return s
-}
-
-// sampleNode reduces the node's counters into one row at t seconds.
-func sampleNode(n *Node, t float64) SampleRow {
-	st := n.Stats()
-	perPeer := n.metrics.peerDownloadBytes()
-	xs := make([]float64, 0, len(perPeer))
-	for _, b := range perPeer {
-		if b > 0 {
-			xs = append(xs, float64(b))
-		}
-	}
-	jain := stats.JainIndex(xs)
-	if math.IsNaN(jain) || math.IsInf(jain, 0) {
-		jain = 0 // keep the row JSON-encodable
-	}
-	return SampleRow{
-		TSec:          t,
-		Pieces:        st.Pieces,
-		Complete:      st.Complete,
-		CreditedBytes: int64(st.CreditedBytes),
-		ActivePeers:   st.Neighbors,
-		Jain:          jain,
-		OutboxDepth:   n.outboxDepth(),
-	}
-}
-
-// Stop halts sampling and waits for the sampler goroutine.
-func (s *Sampler) Stop() {
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-// Rows returns the rows collected so far, oldest first.
-func (s *Sampler) Rows() []SampleRow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SampleRow(nil), s.rows...)
-}
-
-// DashboardLine renders one row as the coopnode -dashboard terminal line.
-func DashboardLine(r SampleRow, totalPieces int) string {
-	return fmt.Sprintf("t=%5.1fs pieces=%d/%d rate=%8.0f B/s peers=%d jain=%.3f outbox=%d",
-		r.TSec, r.Pieces, totalPieces, r.BytesPerSec, r.ActivePeers, r.Jain, r.OutboxDepth)
 }

@@ -57,10 +57,6 @@ func TestClusterMetricsHTTP(t *testing.T) {
 	if got := snap.Counters["node_pieces_verified_total"]; got != testPieces {
 		t.Errorf("pieces verified = %d, want %d", got, testPieces)
 	}
-	// The span histograms closed once per verified piece.
-	if h := snap.Histograms["node_span_first_byte_to_verified_ns"]; h.Count != testPieces {
-		t.Errorf("first-byte->verified span count = %d, want %d", h.Count, testPieces)
-	}
 
 	// Prometheus text: same counters, text exposition.
 	res, err = srv.Client().Get(srv.URL + "/metrics")
@@ -186,66 +182,5 @@ func TestSharedRegistryAcrossNodes(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["node_credited_bytes_total"]; got != int64(len(manifestCluster.content)) {
 		t.Errorf("supplied registry credited %d, want %d", got, len(manifestCluster.content))
-	}
-}
-
-// TestSampler covers the periodic reducer: rows accumulate, progress is
-// monotonic, and the final row reflects completion.
-func TestSampler(t *testing.T) {
-	c := newCluster(t, transport.NewMem(), memAddrs, algo.BitTorrent, 2, nil)
-	n := c.nodes[1]
-	rowCh := make(chan SampleRow, 256)
-	s := StartSampler(n, 5*time.Millisecond, func(r SampleRow) {
-		select {
-		case rowCh <- r:
-		default:
-		}
-	})
-	if err := waitComplete(t, n, 20*time.Second); err != nil {
-		s.Stop()
-		t.Fatal(err)
-	}
-	// Let a post-completion sample land with the books closed: the store
-	// reports complete a moment before the last piece's bytes are credited.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case r := <-rowCh:
-			if r.Complete && r.CreditedBytes == int64(len(c.content)) {
-				s.Stop()
-				goto done
-			}
-		case <-deadline:
-			s.Stop()
-			t.Fatal("no complete, fully credited sample observed")
-		}
-	}
-done:
-	rows := s.Rows()
-	if len(rows) == 0 {
-		t.Fatal("no rows collected")
-	}
-	last := rows[len(rows)-1]
-	for i := 1; i < len(rows); i++ {
-		if rows[i].TSec < rows[i-1].TSec || rows[i].CreditedBytes < rows[i-1].CreditedBytes {
-			t.Fatalf("rows not monotonic at %d: %+v -> %+v", i, rows[i-1], rows[i])
-		}
-	}
-	if !last.Complete || last.Pieces != testPieces {
-		t.Errorf("final row %+v, want complete with %d pieces", last, testPieces)
-	}
-	if last.CreditedBytes != int64(len(c.content)) {
-		t.Errorf("final credited %d, want %d", last.CreditedBytes, len(c.content))
-	}
-	if last.Jain <= 0 || last.Jain > 1 {
-		t.Errorf("jain = %v, want (0, 1]", last.Jain)
-	}
-	// Rows must survive JSON encoding (no NaN leaks from the fairness
-	// index).
-	if _, err := json.Marshal(rows); err != nil {
-		t.Errorf("rows not JSON-encodable: %v", err)
-	}
-	if line := DashboardLine(last, testPieces); !strings.Contains(line, "pieces=16/16") {
-		t.Errorf("dashboard line %q missing progress", line)
 	}
 }

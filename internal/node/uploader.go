@@ -22,8 +22,14 @@ type nodeView struct {
 
 var _ incentive.NodeView = nodeView{}
 
+// sinceStartNs returns the node's decision clock: monotonic nanoseconds
+// since Start. Strategies (through nodeView.Now), the T-Chain escrow, the
+// grace sweep and the resend cooldown all read it, so every deadline they
+// compare shares one base.
+func (n *Node) sinceStartNs() int64 { return time.Since(n.start).Nanoseconds() }
+
 func (v nodeView) Self() incentive.PeerID { return incentive.PeerID(v.n.cfg.ID) }
-func (v nodeView) Now() float64           { return time.Since(v.n.start).Seconds() }
+func (v nodeView) Now() float64           { return float64(v.n.sinceStartNs()) / 1e9 }
 func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
 
 func (v nodeView) Neighbors() []incentive.PeerID {
@@ -255,10 +261,10 @@ func (n *Node) sendPiece(r *remote, idx int, data []byte, repaysKeyID uint64, ut
 	return true
 }
 
-// noteSent accounts one accepted payload push to r: the upload counters,
+// noteSent accounts one accepted payload push to r: the upload counter,
 // then the strategy's view of it.
 func (n *Node) noteSent(r *remote, bytes int) {
-	n.metrics.noteUpload(r.id, bytes)
+	n.metrics.uploadedBytes.Add(int64(bytes))
 	n.mu.Lock()
 	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(bytes))
 	n.mu.Unlock()
