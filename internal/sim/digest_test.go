@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/probe"
 )
 
 // resultDigest hashes what a run decided: how many events it processed, when
@@ -110,12 +111,14 @@ func seriesDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSeriesDigestsPinned pins the Figures 4–6 series and the run totals bit
-// for bit over TestResultDigestsPinned's cases, plus passive and colluding
-// free-riders among crashing peers (the susceptibility numerator, PeerLeave
-// without completion). Re-record only with a change that means to alter
-// simulation results.
-func TestSeriesDigestsPinned(t *testing.T) {
+// pinnedRuns are the configurations TestSeriesDigestsPinned and
+// TestHookCountsPinned pin: TestResultDigestsPinned's cases plus passive
+// and colluding free-riders among crashing peers (the susceptibility
+// numerator, PeerLeave without completion).
+func pinnedRuns() []struct {
+	name string
+	cfg  Config
+} {
 	freeRiders := func(a algo.Algorithm, plan attack.Plan) Config {
 		cfg := testConfig(a)
 		cfg.FreeRiderFraction = 0.2
@@ -130,30 +133,107 @@ func TestSeriesDigestsPinned(t *testing.T) {
 	seederExit := testConfig(algo.Reciprocity)
 	seederExit.SeederExitAt = 30
 	seederExit.Horizon = 200
-
-	cases := []struct {
-		name   string
-		cfg    Config
-		digest string
+	return []struct {
+		name string
+		cfg  Config
 	}{
-		{"reciprocity", testConfig(algo.Reciprocity), "2dda2ff06db65063b4fcd1619da4e4a1605a6c169167fdb4a9c36582ea29a159"},
-		{"tchain", testConfig(algo.TChain), "7af54b1aa1240688aee3eb6f4e70cbfb676c467e3cdb6cdfdc6992a193913dbd"},
-		{"bittorrent", testConfig(algo.BitTorrent), "7a7eefe818926f90f784866ad678f71eb663d38142e9d6a63476404d76b13031"},
-		{"fairtorrent", testConfig(algo.FairTorrent), "973573ec224a97dfc95feb90e338503d4479ccfb4e4599956e37ede04a5b0b48"},
-		{"reputation", testConfig(algo.Reputation), "2170e466608533b4d47a05958725a8ae5623f1141fe7be66fcc7542b9799f927"},
-		{"altruism", testConfig(algo.Altruism), "9d9b1e9bc6d05dc88bd901914ca6c16bab2f7632a1aa349f8e0e75a996c374c5"},
-		{"propshare", testConfig(algo.PropShare), "de3589e4459129a0809c2134fcdbb174a046d916e7a4346ece392010a27b6a9a"},
-		{"fairtorrent/whitewash", freeRiders(algo.FairTorrent, attack.Plan{Kind: attack.Whitewash}), "f166873b3b7c6535c47952eb21525f69684a401f00accd3c0b2d71a8af30d0b4"},
-		{"reciprocity/whitewash", freeRiders(algo.Reciprocity, attack.Plan{Kind: attack.Whitewash}), "67a7367fbe9995384e216de6a4f40fa0b283d5464a8fdeba4dd27c1b063caa7a"},
-		{"reputation/whitewash", freeRiders(algo.Reputation, attack.Plan{Kind: attack.Whitewash}), "0ef7eaad5d2b0da98865263e54b49f6ec6dd68ade7ac0ef36dc8efd0c9e0ac78"},
-		{"reciprocity/seeder-exit", seederExit, "fdd3d8d96852688fbcfb64b78319b48633e331bcc7fc1e6dec84940e878381ba"},
-		{"bittorrent/passive-abort", aborting(algo.BitTorrent, attack.Plan{Kind: attack.Passive}), "3c648e56b9b8cece96f1b0ac71792d63b648600f2fce0fa7be7280b82ca322aa"},
-		{"tchain/collusion-abort", aborting(algo.TChain, attack.Plan{Kind: attack.Collusion}), "024d0cb8c7803ef0f86875c2162ef256f9446d2d5b750835d6a1f8d9c68c01ef"},
+		{"reciprocity", testConfig(algo.Reciprocity)},
+		{"tchain", testConfig(algo.TChain)},
+		{"bittorrent", testConfig(algo.BitTorrent)},
+		{"fairtorrent", testConfig(algo.FairTorrent)},
+		{"reputation", testConfig(algo.Reputation)},
+		{"altruism", testConfig(algo.Altruism)},
+		{"propshare", testConfig(algo.PropShare)},
+		{"fairtorrent/whitewash", freeRiders(algo.FairTorrent, attack.Plan{Kind: attack.Whitewash})},
+		{"reciprocity/whitewash", freeRiders(algo.Reciprocity, attack.Plan{Kind: attack.Whitewash})},
+		{"reputation/whitewash", freeRiders(algo.Reputation, attack.Plan{Kind: attack.Whitewash})},
+		{"reciprocity/seeder-exit", seederExit},
+		{"bittorrent/passive-abort", aborting(algo.BitTorrent, attack.Plan{Kind: attack.Passive})},
+		{"tchain/collusion-abort", aborting(algo.TChain, attack.Plan{Kind: attack.Collusion})},
 	}
-	for _, c := range cases {
+}
+
+// TestSeriesDigestsPinned pins the Figures 4–6 series and the run totals bit
+// for bit over pinnedRuns. Re-record only with a change that means to alter
+// simulation results.
+func TestSeriesDigestsPinned(t *testing.T) {
+	digests := map[string]string{
+		"reciprocity":              "2dda2ff06db65063b4fcd1619da4e4a1605a6c169167fdb4a9c36582ea29a159",
+		"tchain":                   "7af54b1aa1240688aee3eb6f4e70cbfb676c467e3cdb6cdfdc6992a193913dbd",
+		"bittorrent":               "7a7eefe818926f90f784866ad678f71eb663d38142e9d6a63476404d76b13031",
+		"fairtorrent":              "973573ec224a97dfc95feb90e338503d4479ccfb4e4599956e37ede04a5b0b48",
+		"reputation":               "2170e466608533b4d47a05958725a8ae5623f1141fe7be66fcc7542b9799f927",
+		"altruism":                 "9d9b1e9bc6d05dc88bd901914ca6c16bab2f7632a1aa349f8e0e75a996c374c5",
+		"propshare":                "de3589e4459129a0809c2134fcdbb174a046d916e7a4346ece392010a27b6a9a",
+		"fairtorrent/whitewash":    "f166873b3b7c6535c47952eb21525f69684a401f00accd3c0b2d71a8af30d0b4",
+		"reciprocity/whitewash":    "67a7367fbe9995384e216de6a4f40fa0b283d5464a8fdeba4dd27c1b063caa7a",
+		"reputation/whitewash":     "0ef7eaad5d2b0da98865263e54b49f6ec6dd68ade7ac0ef36dc8efd0c9e0ac78",
+		"reciprocity/seeder-exit":  "fdd3d8d96852688fbcfb64b78319b48633e331bcc7fc1e6dec84940e878381ba",
+		"bittorrent/passive-abort": "3c648e56b9b8cece96f1b0ac71792d63b648600f2fce0fa7be7280b82ca322aa",
+		"tchain/collusion-abort":   "024d0cb8c7803ef0f86875c2162ef256f9446d2d5b750835d6a1f8d9c68c01ef",
+	}
+	for _, c := range pinnedRuns() {
 		t.Run(c.name, func(t *testing.T) {
-			if got := seriesDigest(mustRun(t, c.cfg)); got != c.digest {
-				t.Errorf("series digest %s, pinned %s", got, c.digest)
+			if got := seriesDigest(mustRun(t, c.cfg)); got != digests[c.name] {
+				t.Errorf("series digest %s, pinned %s", got, digests[c.name])
+			}
+		})
+	}
+}
+
+// hookOrder fixes the order TestHookCountsPinned lists a run's counts in.
+var hookOrder = [...]string{
+	probe.HookPeerJoin, probe.HookPeerLeave, probe.HookPeerAbort,
+	probe.HookPeerBootstrap, probe.HookPeerComplete, probe.HookUnchoke,
+	probe.HookTransferStart, probe.HookTransferFinish, probe.HookCredit,
+	probe.HookFreeRiderCredit, probe.HookSeederExit, probe.HookSample,
+}
+
+// TestHookCountsPinned pins every event count a probe.Counter reports over
+// pinnedRuns: the counts run manifests record as hook_counts and the
+// benchmark reads as sim.transfers and sim.decisions. The digests above see
+// none of them directly, so a change to where or how often an event is
+// counted shows only here. Re-record only with a change that means to alter
+// what the simulator counts.
+func TestHookCountsPinned(t *testing.T) {
+	// In hookOrder: peer_join, peer_leave, peer_abort, peer_bootstrap,
+	// peer_complete, unchoke, transfer_start, transfer_finish, credit,
+	// free_rider_credit, seeder_exit, sample.
+	pinned := map[string][len(hookOrder)]uint64{
+		"reciprocity":              {100, 0, 0, 100, 0, 2800, 2800, 2792, 2792, 0, 0, 141},
+		"tchain":                   {100, 100, 0, 100, 100, 7892, 4800, 4800, 4800, 0, 0, 32},
+		"bittorrent":               {100, 100, 0, 100, 100, 7963, 4800, 4800, 4800, 0, 0, 43},
+		"fairtorrent":              {100, 100, 0, 100, 100, 11324, 4800, 4800, 4800, 0, 0, 44},
+		"reputation":               {100, 100, 0, 100, 100, 9352, 4800, 4800, 4800, 0, 0, 46},
+		"altruism":                 {100, 100, 0, 100, 100, 7568, 4800, 4800, 4800, 0, 0, 26},
+		"propshare":                {100, 100, 0, 100, 100, 8539, 4800, 4800, 4800, 0, 0, 44},
+		"fairtorrent/whitewash":    {100, 96, 0, 100, 96, 10166, 4797, 4792, 4792, 544, 0, 53},
+		"reciprocity/whitewash":    {100, 0, 0, 100, 0, 2800, 2800, 2792, 2792, 0, 0, 141},
+		"reputation/whitewash":     {100, 82, 0, 100, 82, 8076, 4607, 4596, 4596, 182, 0, 55},
+		"reciprocity/seeder-exit":  {100, 0, 0, 62, 0, 120, 120, 120, 120, 0, 1, 41},
+		"bittorrent/passive-abort": {100, 82, 3, 99, 79, 6803, 4656, 4638, 4632, 385, 0, 49},
+		"tchain/collusion-abort":   {100, 80, 2, 99, 78, 6002, 4375, 4362, 3922, 160, 0, 36},
+	}
+	for _, c := range pinnedRuns() {
+		t.Run(c.name, func(t *testing.T) {
+			sw, err := NewSwarm(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var counter probe.Counter
+			if err := sw.Attach(&counter); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sw.Run(); err != nil {
+				t.Fatal(err)
+			}
+			counts := counter.Counts()
+			var got [len(hookOrder)]uint64
+			for i, name := range hookOrder {
+				got[i] = counts[name]
+			}
+			if len(counts) != len(hookOrder) || got != pinned[c.name] {
+				t.Errorf("counts %v, pinned %v (all: %v)", got, pinned[c.name], counts)
 			}
 		})
 	}
