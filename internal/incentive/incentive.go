@@ -20,7 +20,7 @@ import (
 
 // PeerID identifies a peer within one swarm. Real peers have small dense
 // non-negative IDs assigned by the environment. Negative IDs are pseudo-peers
-// — NoPeer, and the origin server (sim.SeederID, probe.SeederID) — which may
+// — NoPeer, and the simulator's origin server (sim.SeederID) — which may
 // be the counterparty of OnSent/OnReceived/Forget but never appear in
 // Neighbors(), so no strategy can ever pick one. Environments must refuse a
 // real peer that claims a negative ID; strategies rely on it (reciprocity

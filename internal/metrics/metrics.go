@@ -3,8 +3,7 @@
 // point-in-time snapshots, Prometheus text-format and JSON exposition, and
 // expvar publication.
 //
-// Design constraints, in order (mirroring internal/probe's contract for
-// the simulator side):
+// Design constraints, in order:
 //
 //  1. Near-zero hot-path cost. Counter.Add is one atomic add — no locks,
 //     no allocation, no time lookups. scripts/check.sh pins it at

@@ -240,11 +240,11 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 		if !slices.Equal(rs.have.Words(), rb.have.Words()) || rs.have.Count() != rb.have.Count() {
 			t.Fatalf("round %d: r.have differs: %d vs %d pieces", round, rs.have.Count(), rb.have.Count())
 		}
-		if rs.theyNeed != rb.theyNeed || rs.iNeed != rb.iNeed {
-			t.Fatalf("round %d: theyNeed/iNeed = %d/%d as singles, %d/%d split", round, rs.theyNeed, rs.iNeed, rb.theyNeed, rb.iNeed)
+		if rs.theyNeed != rb.theyNeed {
+			t.Fatalf("round %d: theyNeed = %d as singles, %d split", round, rs.theyNeed, rb.theyNeed)
 		}
-		if wantTheyNeed, wantINeed := single.myBits.DiffCounts(rs.have); rs.theyNeed != wantTheyNeed || rs.iNeed != wantINeed {
-			t.Fatalf("round %d: counters %d/%d drifted from the bitfields' %d/%d", round, rs.theyNeed, rs.iNeed, wantTheyNeed, wantINeed)
+		if wantTheyNeed, _ := single.myBits.DiffCounts(rs.have); rs.theyNeed != wantTheyNeed {
+			t.Fatalf("round %d: theyNeed %d drifted from the bitfields' %d", round, rs.theyNeed, wantTheyNeed)
 		}
 	}
 }

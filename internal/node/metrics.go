@@ -195,7 +195,6 @@ func (m *nodeMetrics) noteDuplicate(bytes int) {
 // outboxDepth sums the queued outbound frames across peers.
 func (n *Node) outboxDepth() int64 { return queuedFrames(n.remotes()) }
 
-// Metrics returns the node's metric registry — the one from Config.Metrics,
-// or the private registry the node created when none was supplied. It is
-// live: counters keep moving while the node runs.
+// Metrics returns the node's own metric registry. It is live: counters keep
+// moving while the node runs.
 func (n *Node) Metrics() *metrics.Registry { return n.metrics.reg }

@@ -50,8 +50,6 @@ type Config struct {
 	ID int
 	// Algorithm is the incentive mechanism to run.
 	Algorithm algo.Algorithm
-	// Params tunes the mechanism; zero values take the paper's defaults.
-	Params incentive.Params
 	// Store holds this node's pieces (pre-seeded for a seed node).
 	Store *piece.Store
 	// Transport provides connectivity.
@@ -105,11 +103,6 @@ type Config struct {
 	// private one (reputation scores then stay local), verifying against
 	// Directory when Identity is set and accepting bare claims otherwise.
 	Ledger *reputation.Ledger
-	// Metrics receives the node's telemetry (the node_ series); nil
-	// creates a private registry, reachable via Node.Metrics. The registry
-	// is per-node — sharing one across nodes merges their counters into an
-	// aggregate view, which is valid but loses the per-node breakdown.
-	Metrics *metrics.Registry
 	// Tracer enables causal tracing of the live data path (see
 	// internal/tracing and trace.go). Cluster nodes share one collector so
 	// cross-node spans land in a single ring; nil disables tracing
@@ -174,14 +167,12 @@ type remote struct {
 	// this link (see newRemote) instead of signed with the identity key.
 	linkKeyed bool
 
-	// theyNeed counts pieces we hold that the peer lacks; iNeed counts
-	// pieces the peer holds that we lack. Maintained incrementally under
-	// Node.mu (bitfield merge, have announcements, our own piece gains),
-	// theyNeed makes the strategy's WantsFromMe probe O(1) instead of an
-	// O(pieces/64) bitfield scan per probe with the node locked; iNeed is
-	// reported on /debug/swarm.
+	// theyNeed counts pieces we hold that the peer lacks. Maintained
+	// incrementally under Node.mu (bitfield merge, have announcements, our
+	// own piece gains), it makes the strategy's WantsFromMe probe O(1)
+	// instead of an O(pieces/64) bitfield scan per probe with the node
+	// locked.
 	theyNeed int
-	iNeed    int
 
 	// cooling marks the pieces we pushed to this peer within
 	// resendCooldown, the set tryUpload's pick excludes; coolLog holds one
@@ -642,7 +633,7 @@ func New(cfg Config) (*Node, error) {
 	if strategyAlgo == algo.TChain {
 		strategyAlgo = algo.Altruism
 	}
-	strategy, err := incentive.New(strategyAlgo, cfg.Params, ledger)
+	strategy, err := incentive.New(strategyAlgo, incentive.Params{}, ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -679,11 +670,7 @@ func New(cfg Config) (*Node, error) {
 	if n.tracer != nil {
 		n.pieceTrace = make([]tracing.Context, cfg.Store.Manifest().NumPieces())
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	n.metrics = newNodeMetrics(reg, n)
+	n.metrics = newNodeMetrics(metrics.NewRegistry(), n)
 	if cfg.Store.Complete() {
 		n.completeOnce.Do(func() { close(n.completeCh) })
 	}
@@ -838,8 +825,8 @@ func (n *Node) WaitCompleteContext(ctx context.Context) error {
 // metrics core: every field reads the same counter the node_ series
 // exposes over /metrics.
 //
-// Consistency model: each individual value is tear-free (a sharded counter
-// merges its shards atomically), but the fields are read one after another
+// Consistency model: each individual value is tear-free (every counter is
+// one atomic word), but the fields are read one after another
 // while the node keeps running, so cross-field invariants may be off by
 // the handful of events that landed between reads — e.g. Pieces may
 // already include a piece whose CreditedBytes increment is read a

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attest"
-	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/reputation"
 	"repro/internal/transport"
@@ -291,18 +290,6 @@ func TestUploadRateThrottle(t *testing.T) {
 	}
 	if uploaded == 0 {
 		t.Error("throttled seed uploaded nothing")
-	}
-}
-
-// TestStrategyParamsPropagate: invalid params surface at construction.
-func TestStrategyParamsPropagate(t *testing.T) {
-	manifest, _ := piece.SyntheticManifest(4, 64)
-	_, err := New(Config{
-		ID: 0, Algorithm: algo.BitTorrent, Store: piece.NewStore(manifest),
-		Transport: transport.NewMem(), Params: incentive.Params{AlphaBT: 3},
-	})
-	if err == nil {
-		t.Fatal("invalid params accepted")
 	}
 }
 

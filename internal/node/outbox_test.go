@@ -70,7 +70,7 @@ func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 		close(conn.gate)
 	}
 	r := newRemote(n, id, conn, "", 0, n.gainLen.Load())
-	r.theyNeed, r.iNeed = n.myBits.DiffCounts(r.have)
+	r.theyNeed, _ = n.myBits.DiffCounts(r.have)
 	return r, conn
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/metrics"
-	"repro/internal/piece"
 	"repro/internal/transport"
 )
 
@@ -148,39 +147,5 @@ func TestStatsShim(t *testing.T) {
 	// one.
 	if got := c.nodes[0].Stats().UploadedBytes; got < float64(len(c.content)) {
 		t.Errorf("seed uploaded %v bytes, want >= %d", got, len(c.content))
-	}
-}
-
-// TestSharedRegistryAcrossNodes covers the documented aggregate mode: two
-// nodes feeding one registry merge their counters.
-func TestSharedRegistryAcrossNodes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := transport.NewMem()
-	manifestCluster := newCluster(t, tr, memAddrs, algo.Altruism, 0, nil) // seed only
-	seed := manifestCluster.nodes[0]
-
-	leech, err := New(Config{
-		ID:        1,
-		Algorithm: algo.Altruism,
-		Store:     piece.NewStore(manifestCluster.manifest),
-		Transport: tr,
-		Bootstrap: []string{seed.Addr()},
-		Metrics:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := leech.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer leech.Stop()
-	if err := waitComplete(t, leech, 20*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if leech.Metrics() != reg {
-		t.Error("Metrics() did not return the supplied registry")
-	}
-	if got := reg.Snapshot().Counters["node_credited_bytes_total"]; got != int64(len(manifestCluster.content)) {
-		t.Errorf("supplied registry credited %d, want %d", got, len(manifestCluster.content))
 	}
 }

@@ -31,7 +31,7 @@ func TestRunManifested(t *testing.T) {
 	}
 
 	for i, m := range manifests {
-		// The manifest's counting probe must not perturb the run.
+		// Run and RunManifested are one path: the results must agree.
 		if got, want := resultKey(t, results[i]), resultKey(t, plain[i]); got != want {
 			t.Errorf("member %d: manifested result differs from plain run", i)
 		}

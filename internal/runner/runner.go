@@ -62,46 +62,24 @@ func New(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run executes every config on the pool and returns the results in
-// submission order. Each swarm runs on its own goroutine with its own
-// seed-derived RNG, so the output is identical to running the configs
-// sequentially. On failure it returns the error of the lowest-indexed
+// RunManifested executes every config on the pool and returns the results
+// and a manifest per batch member, both in submission order. Each swarm
+// runs with its own seed-derived RNG, so the results are identical for any
+// worker count; only the manifests' wall-clock fields vary between
+// invocations. On failure it returns the error of the lowest-indexed
 // failing job.
-func (p *Pool) Run(cfgs []sim.Config) ([]*sim.Result, error) {
+func (p *Pool) RunManifested(cfgs []sim.Config) ([]*sim.Result, []*Manifest, error) {
 	if len(cfgs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	results := make([]*sim.Result, len(cfgs))
-	err := p.forEach(len(cfgs), func(i int) error {
-		res, err := runOne(cfgs[i])
-		results[i] = res
-		return err
-	})
-	if err := p.wrapJobError(cfgs, err); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// jobError carries the lowest failing job index out of forEach.
-type jobError struct {
-	index int
-	err   error
-}
-
-func (e *jobError) Error() string { return e.err.Error() }
-func (e *jobError) Unwrap() error { return e.err }
-
-// forEach runs job(0..n-1) across the pool's workers (sequentially for a
-// single worker) and returns a *jobError for the lowest-indexed failure,
-// or nil. Job completion order is unconstrained; callers index into
-// pre-sized slices to preserve submission order.
-func (p *Pool) forEach(n int, job func(i int) error) error {
-	errs := make([]error, n)
-	workers := min(p.workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = job(i)
+	manifests := make([]*Manifest, len(cfgs))
+	errs := make([]error, len(cfgs))
+	workers := min(p.workers, len(cfgs))
+	job := func(i int) { results[i], manifests[i], errs[i] = runOne(i, cfgs[i], workers) }
+	if workers == 1 {
+		for i := range cfgs {
+			job(i)
 		}
 	} else {
 		jobs := make(chan int)
@@ -111,11 +89,11 @@ func (p *Pool) forEach(n int, job func(i int) error) error {
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
-					errs[i] = job(i)
+					job(i)
 				}
 			}()
 		}
-		for i := 0; i < n; i++ {
+		for i := range cfgs {
 			jobs <- i
 		}
 		close(jobs)
@@ -123,36 +101,19 @@ func (p *Pool) forEach(n int, job func(i int) error) error {
 	}
 	for i, err := range errs {
 		if err != nil {
-			return &jobError{index: i, err: err}
+			return nil, nil, fmt.Errorf("runner: job %d (%v, seed %d): %w", i, cfgs[i].Algorithm, cfgs[i].Seed, err)
 		}
 	}
-	return nil
+	return results, manifests, nil
 }
 
-// wrapJobError annotates a forEach failure with the offending config.
-func (p *Pool) wrapJobError(cfgs []sim.Config, err error) error {
-	if err == nil {
-		return nil
-	}
-	je, ok := err.(*jobError)
-	if !ok {
-		return err
-	}
-	return fmt.Errorf("runner: job %d (%v, seed %d): %w",
-		je.index, cfgs[je.index].Algorithm, cfgs[je.index].Seed, je.err)
+// Run is RunManifested without the manifests.
+func (p *Pool) Run(cfgs []sim.Config) ([]*sim.Result, error) {
+	results, _, err := p.RunManifested(cfgs)
+	return results, err
 }
 
-// runOne builds and executes a single swarm.
-func runOne(cfg sim.Config) (*sim.Result, error) {
-	sw, err := sim.NewSwarm(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sw.Run()
-}
-
-// Run executes the configs on a pool of DefaultWorkers() workers. This is
-// the entry point the experiment harnesses use.
+// Run executes the configs on a pool of DefaultWorkers() workers.
 func Run(cfgs []sim.Config) ([]*sim.Result, error) {
 	return New(0).Run(cfgs)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 
+	"repro/internal/probe"
 	"repro/internal/stats"
 )
 
@@ -33,8 +34,8 @@ const (
 	SeriesSusceptibility = "susceptibility"
 )
 
-// sample appends one point to each series from the peers' own records,
-// then hands the instant to the attached probe.
+// sample appends one point to each series from the peers' own records and
+// counts the instant.
 func (s *Swarm) sample(now float64) {
 	var fairSum, contribSum float64
 	var fairCount, contribCount int
@@ -72,7 +73,7 @@ func (s *Swarm) sample(now float64) {
 	} else {
 		s.series[SeriesSusceptibility].Add(now, 0)
 	}
-	s.emitSample(now)
+	s.note(probe.Sample)
 }
 
 // sampleEvery is the recurring metrics event.

@@ -35,14 +35,14 @@ func TestProbeObservesRun(t *testing.T) {
 	if res.TotalUploaded != wantTotal {
 		t.Errorf("TotalUploaded = %v, want finishes*pieceSize = %v", res.TotalUploaded, wantTotal)
 	}
-	// Every credit credits one piece; the probe's byte view must agree
+	// Every credit credits one piece, so credits × piece size must agree
 	// with the per-peer credited sums.
 	var credited float64
 	for _, p := range res.Peers {
 		credited += p.Downloaded
 	}
-	if c.CreditedBytes() != credited {
-		t.Errorf("CreditedBytes = %v, want %v", c.CreditedBytes(), credited)
+	if got := float64(counts[probe.HookCredit]) * cfg.PieceSize; got != credited {
+		t.Errorf("credits*pieceSize = %v, want %v", got, credited)
 	}
 	if counts[probe.HookTransferStart] != counts[probe.HookTransferFinish] {
 		t.Errorf("starts = %d, finishes = %d; transfers must pair up",
@@ -94,16 +94,18 @@ func TestProbeSusceptibilityAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FreeRiderBytes() != res.FreeRiderCredited {
-		t.Errorf("FreeRiderBytes = %v, want %v", c.FreeRiderBytes(), res.FreeRiderCredited)
+	// Every free-rider credit credits one piece.
+	frBytes := float64(c.Counts()[probe.HookFreeRiderCredit]) * cfg.PieceSize
+	if frBytes != res.FreeRiderCredited {
+		t.Errorf("free_rider_credit*pieceSize = %v, want %v", frBytes, res.FreeRiderCredited)
 	}
-	if c.FreeRiderBytes() == 0 {
+	if frBytes == 0 {
 		t.Error("expected free-riders to capture credit under BitTorrent")
 	}
 }
 
-// TestProbeDoesNotPerturbRun pins the core probe contract: attaching a
-// probe must not change the simulation's outcome in any way.
+// TestProbeDoesNotPerturbRun pins the counting contract: attaching a
+// Counter must not change the simulation's outcome in any way.
 func TestProbeDoesNotPerturbRun(t *testing.T) {
 	cfg := testConfig(algo.TChain)
 	cfg.FreeRiderFraction = 0.2
@@ -132,12 +134,12 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Error("attaching a probe changed the run result")
+		t.Error("attaching a counter changed the run result")
 	}
 }
 
-// TestAttachRules covers the Attach edge cases: a nil probe is ignored, a
-// second probe is refused while the first still sees the whole run, and
+// TestAttachRules covers the Attach edge cases: a nil counter is ignored, a
+// second counter is refused while the first still sees the whole run, and
 // nothing attaches after Run.
 func TestAttachRules(t *testing.T) {
 	cfg := testConfig(algo.Altruism)
@@ -159,18 +161,20 @@ func TestAttachRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c1.Counts()[probe.HookPeerJoin]; got != uint64(cfg.NumPeers) {
-		t.Errorf("first probe saw %d joins, want %d", got, cfg.NumPeers)
+		t.Errorf("first counter saw %d joins, want %d", got, cfg.NumPeers)
 	}
-	if c2.Total() != 0 {
-		t.Errorf("refused probe saw %d events", c2.Total())
+	for name, n := range c2.Counts() {
+		if n != 0 {
+			t.Errorf("refused counter saw %d %s events", n, name)
+		}
 	}
 	if err := sw.Attach(&probe.Counter{}); err == nil {
 		t.Error("Attach after Run accepted")
 	}
 }
 
-// runBenchSwarm runs one small swarm, optionally with a probe attached.
-func runBenchSwarm(b *testing.B, p probe.Probe) {
+// runBenchSwarm runs one small swarm, optionally with a counter attached.
+func runBenchSwarm(b *testing.B, c *probe.Counter) {
 	b.Helper()
 	cfg := Default(algo.BitTorrent, 60, 24)
 	cfg.Seed = 11
@@ -179,7 +183,7 @@ func runBenchSwarm(b *testing.B, p probe.Probe) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sw.Attach(p); err != nil {
+	if err := sw.Attach(c); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := sw.Run(); err != nil {
@@ -187,8 +191,9 @@ func runBenchSwarm(b *testing.B, p probe.Probe) {
 	}
 }
 
-// BenchmarkSwarmNoProbe is the dispatch-overhead baseline: the same swarm
-// as BenchmarkSwarmCounterProbe with nothing attached.
+// BenchmarkSwarmNoProbe is the attach-overhead baseline: the same swarm as
+// BenchmarkSwarmCounterProbe with nothing attached (the swarm counts into
+// its own Counter).
 func BenchmarkSwarmNoProbe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -196,14 +201,13 @@ func BenchmarkSwarmNoProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkSwarmCounterProbe measures the full hook stream dispatched to
-// the cheapest useful probe; scripts/check.sh guards the allocation delta
-// against BenchmarkSwarmNoProbe (it must be zero).
+// BenchmarkSwarmCounterProbe runs the same swarm counting into a caller's
+// Counter; scripts/check.sh guards the allocation delta against
+// BenchmarkSwarmNoProbe (it must be zero).
 func BenchmarkSwarmCounterProbe(b *testing.B) {
 	b.ReportAllocs()
 	// One counter reused across iterations, outside the timed region, so
-	// the probe's own allocation doesn't show up in the dispatch-overhead
-	// delta even at -benchtime=1x.
+	// its own allocation doesn't show up in the delta even at -benchtime=1x.
 	c := &probe.Counter{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

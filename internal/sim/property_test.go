@@ -177,49 +177,64 @@ func checkInterestIndex(s *Swarm) error {
 	return nil
 }
 
-// indexCheckProbe revalidates the interest and rarity indexes against the
+// indexChecker revalidates the interest and rarity indexes against the
 // naive recomputation at every topology change and at a sample of other
 // events, so a maintenance bug is caught near the event that introduced it
-// rather than smeared into final metrics. The leave/abort hooks fire between
-// a peer's deactivation and its edge teardown, when the adjacency invariant
-// transiently does not hold, so departures arm a pending check that runs at
-// the next hook instead of checking in place.
-type indexCheckProbe struct {
-	probe.Base
+// rather than smeared into final metrics. It watches the run through the
+// swarm's observe seam (watch), and the caller runs one final check once Run
+// returns. The leave/abort events are counted between a peer's deactivation
+// and its edge teardown, when the adjacency invariant transiently does not
+// hold, so departures arm a pending check that runs at the next event
+// instead of checking in place.
+type indexChecker struct {
 	s       *Swarm
 	err     error
 	events  int
 	pending bool
+	// onJoin, if set, runs after the check at every join.
+	onJoin func()
 }
 
-func (p *indexCheckProbe) check() {
-	p.pending = false
-	if p.err == nil {
-		p.err = checkInterestIndex(p.s)
+// watch makes c observe s's events.
+func (c *indexChecker) watch(s *Swarm) {
+	c.s = s
+	s.observe = c.observe
+}
+
+func (c *indexChecker) check() {
+	c.pending = false
+	if c.err == nil {
+		c.err = checkInterestIndex(c.s)
 	}
 }
 
-func (p *indexCheckProbe) sampled() {
-	if p.pending {
-		p.check()
+func (c *indexChecker) sampled() {
+	if c.pending {
+		c.check()
 		return
 	}
-	if p.events++; p.events%17 == 0 {
-		p.check()
+	if c.events++; c.events%17 == 0 {
+		c.check()
 	}
 }
 
-func (p *indexCheckProbe) PeerJoin(float64, probe.PeerInfo)       { p.check() }
-func (p *indexCheckProbe) PeerLeave(float64, int)                 { p.pending = true }
-func (p *indexCheckProbe) PeerAbort(float64, int)                 { p.pending = true }
-func (p *indexCheckProbe) Unchoke(float64, int, int)              { p.sampled() }
-func (p *indexCheckProbe) Credit(float64, probe.CreditInfo)       { p.sampled() }
-func (p *indexCheckProbe) TransferFinish(float64, probe.Transfer) { p.sampled() }
-func (p *indexCheckProbe) EndRun(float64)                         { p.check() }
+func (c *indexChecker) observe(e probe.Event) {
+	switch e {
+	case probe.PeerJoin:
+		c.check()
+		if c.onJoin != nil {
+			c.onJoin()
+		}
+	case probe.PeerLeave, probe.PeerAbort:
+		c.pending = true
+	case probe.Unchoke, probe.Credit, probe.TransferFinish:
+		c.sampled()
+	}
+}
 
 // TestInterestIndexMatchesNaive drives randomized churn-heavy traces —
 // Poisson joins, mid-download crashes, leave-on-complete departs, whitewash
-// identity churn, a seeder exit — while an attached probe cross-checks the
+// identity churn, a seeder exit — while an observer cross-checks the
 // incremental indexes against naive Bitfield recomputation at every
 // topology change. Each trace then replays with the indexes disabled
 // (Swarm.indexed cleared, and pickPieceNaive for the piece pick) and must
@@ -254,16 +269,14 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
-		chk := &indexCheckProbe{s: swarm}
-		if err := swarm.Attach(chk); err != nil {
-			t.Logf("attach failed: %v", err)
-			return false
-		}
+		var chk indexChecker
+		chk.watch(swarm)
 		res, err := swarm.Run()
 		if err != nil {
 			t.Logf("run failed: %v", err)
 			return false
 		}
+		chk.check()
 		if chk.err != nil {
 			t.Logf("seed %d %v: index diverged from naive recomputation: %v", seed, a, chk.err)
 			return false
@@ -310,40 +323,31 @@ func TestLargeViewJoinLinksEachPairOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := &largeViewProbe{indexCheckProbe: indexCheckProbe{s: swarm}}
-	if err := swarm.Attach(chk); err != nil {
-		t.Fatal(err)
-	}
+	// Count the joins and record the largest free-rider degree seen.
+	var joins, maxDegree int
+	chk := indexChecker{onJoin: func() {
+		joins++
+		for _, q := range swarm.peers {
+			if q.freeRider {
+				maxDegree = max(maxDegree, len(q.neighbors))
+			}
+		}
+	}}
+	chk.watch(swarm)
 	if _, err := swarm.Run(); err != nil {
 		t.Fatal(err)
 	}
+	chk.check()
 	if chk.err != nil {
-		t.Fatalf("after %d joins: %v", chk.joins, chk.err)
+		t.Fatalf("after %d joins: %v", joins, chk.err)
 	}
-	if chk.joins != cfg.NumPeers {
-		t.Fatalf("checked %d joins, want %d", chk.joins, cfg.NumPeers)
+	if joins != cfg.NumPeers {
+		t.Fatalf("checked %d joins, want %d", joins, cfg.NumPeers)
 	}
 	// The attack must actually have lifted the cap, or the test proves
 	// nothing about the large-view loop.
-	if chk.maxDegree <= 2*cfg.MaxNeighbors {
-		t.Fatalf("largest free-rider degree %d: large view never exceeded 2×MaxNeighbors", chk.maxDegree)
-	}
-}
-
-// largeViewProbe is indexCheckProbe that also counts joins and records the
-// largest free-rider degree it saw.
-type largeViewProbe struct {
-	indexCheckProbe
-	joins, maxDegree int
-}
-
-func (p *largeViewProbe) PeerJoin(float64, probe.PeerInfo) {
-	p.joins++
-	p.check()
-	for _, q := range p.s.peers {
-		if q.freeRider {
-			p.maxDegree = max(p.maxDegree, len(q.neighbors))
-		}
+	if maxDegree <= 2*cfg.MaxNeighbors {
+		t.Fatalf("largest free-rider degree %d: large view never exceeded 2×MaxNeighbors", maxDegree)
 	}
 }
 

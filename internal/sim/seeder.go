@@ -87,7 +87,7 @@ func (sd *seeder) startUpload() bool {
 	if receiver == nil {
 		return false
 	}
-	s.emitUnchoke(s.engine.Now(), int(SeederID), int(receiver.id))
+	s.note(probe.Unchoke)
 	pieceIdx := s.pickPiece(nil, receiver)
 	if pieceIdx < 0 {
 		return false
@@ -97,13 +97,7 @@ func (sd *seeder) startUpload() bool {
 		return false
 	}
 	receiver.pending.Set(pieceIdx)
-	s.emitTransferStart(s.engine.Now(), probe.Transfer{
-		From:     int(SeederID),
-		To:       int(receiver.id),
-		Piece:    pieceIdx,
-		Bytes:    s.cfg.PieceSize,
-		Duration: duration,
-	})
+	s.note(probe.TransferStart)
 	s.engine.After(duration, s.newFlight(nil, receiver, pieceIdx).handler)
 	return true
 }
@@ -118,12 +112,7 @@ func (sd *seeder) deliver(receiver *peer, pieceIdx int, now float64) {
 	sd.uploaded += bytes
 	s.totalUploaded += bytes
 	receiver.pending.Clear(pieceIdx)
-	s.emitTransferFinish(now, probe.Transfer{
-		From:  int(SeederID),
-		To:    int(receiver.id),
-		Piece: pieceIdx,
-		Bytes: bytes,
-	})
+	s.note(probe.TransferFinish)
 
 	if receiver.active {
 		receiver.rawDown += bytes

@@ -86,7 +86,7 @@ func (s *Swarm) startUpload(p *peer) bool {
 	if receiverID == incentive.NoPeer {
 		return false
 	}
-	s.emitUnchoke(s.engine.Now(), int(p.id), int(receiverID))
+	s.note(probe.Unchoke)
 	receiver := s.lookup(receiverID)
 	if receiver == nil || !receiver.active {
 		return false
@@ -100,13 +100,7 @@ func (s *Swarm) startUpload(p *peer) bool {
 		return false
 	}
 	receiver.pending.Set(pieceIdx)
-	s.emitTransferStart(s.engine.Now(), probe.Transfer{
-		From:     int(p.id),
-		To:       int(receiver.id),
-		Piece:    pieceIdx,
-		Bytes:    s.cfg.PieceSize,
-		Duration: duration,
-	})
+	s.note(probe.TransferStart)
 	s.engine.After(duration, s.newFlight(p, receiver, pieceIdx).handler)
 	return true
 }
@@ -135,19 +129,14 @@ func (s *Swarm) deliver(sender, receiver *peer, pieceIdx int, now float64) {
 	s.totalUploaded += bytes
 	s.peerUploaded += bytes
 	receiver.pending.Clear(pieceIdx)
-	s.emitTransferFinish(now, probe.Transfer{
-		From:  int(sender.id),
-		To:    int(receiver.id),
-		Piece: pieceIdx,
-		Bytes: bytes,
-	})
+	s.note(probe.TransferFinish)
 
 	if receiver.active {
 		receiver.rawDown += bytes
 		if s.credited(sender, receiver) {
 			if receiver.freeRider {
 				s.freeRiderCredited += bytes
-				s.emitFreeRiderCredit(now, int(receiver.id), bytes)
+				s.note(probe.FreeRiderCredit)
 			}
 			s.credit(sender.id, receiver, pieceIdx, bytes, now)
 			if !sender.freeRider {
@@ -201,14 +190,10 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 		s.noteGained(receiver, pieceIdx)
 	}
 	receiver.creditedDown += bytes
-	s.emitCredit(now, probe.CreditInfo{
-		From:  int(senderID),
-		To:    int(receiver.id),
-		Bytes: bytes,
-	})
+	s.note(probe.Credit)
 	if receiver.bootstrapAt < 0 {
 		receiver.bootstrapAt = now
-		s.emitPeerBootstrap(now, int(receiver.id))
+		s.note(probe.PeerBootstrap)
 	}
 	// The simulator models the paper's unverified world: crediting is a
 	// bare claim the AcceptAll ledger takes at face value. The live node is
@@ -219,7 +204,7 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 	if receiver.have.Complete() {
 		receiver.finishAt = now
 		s.incomplete = removePeerByID(s.incomplete, receiver)
-		s.emitPeerComplete(now, int(receiver.id))
+		s.note(probe.PeerComplete)
 		if !receiver.freeRider {
 			s.completedCount++
 		}

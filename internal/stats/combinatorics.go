@@ -1,6 +1,6 @@
 // Package stats provides the numerical substrate for the incentive-mechanism
 // analysis and simulator: combinatorics for the piece-availability model,
-// summary statistics, quantiles, fairness indices, histograms, and
+// summary statistics, quantiles, fairness indices, time series, and
 // deterministic random-number helpers.
 //
 // Everything in this package is allocation-conscious and safe for concurrent

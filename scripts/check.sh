@@ -4,7 +4,7 @@
 # runner is exercised concurrently by the experiment tests), the benchmark
 # module's own vet and tests (bench/ is a separate module pinned against
 # this one's public API), a refusal of any examples/ program no test runs,
-# the named membership and attestation gates, the node's timer-site
+# the named simulator-pin, membership and attestation gates, the node's timer-site
 # ceiling, the allocation guards on the hot paths, the flush clock's
 # frames-per-piece ceiling, and a report-only size table.
 set -euo pipefail
@@ -68,6 +68,15 @@ for dir in examples/*/; do
   fi
 done
 
+echo "== simulator pins =="
+# The simulator's outputs again, explicitly and by name: every mechanism's
+# per-peer results, the Figures 4–6 series and run totals, and every event
+# count a manifest records, bit for bit over the pinned runs; and the
+# incremental interest/rarity indexes against a naive recomputation on
+# randomized churn-heavy traces. A change that moves any of these changes
+# what the figures say.
+go test -count=1 -run 'TestResultDigestsPinned|TestSeriesDigestsPinned|TestHookCountsPinned|TestInterestIndexMatchesNaive' ./internal/sim
+
 echo "== membership churn race gate =="
 # Membership's integration test again, explicitly and by name: a 64-node
 # tracker-wired swarm (MaxNeighbors 6) on a lossy, laggy transport with 20%
@@ -90,20 +99,23 @@ if [ "$timer_sites" -gt 3 ]; then
   exit 1
 fi
 
-echo "== probe overhead guard =="
-# -benchtime=3x, not 1x: a one-time lazy allocation in the first swarm run
-# of the process lands on whichever benchmark runs first; three iterations
-# amortize it so the comparison sees only the steady-state per-run counts.
+echo "== attaching a counter allocates nothing =="
+# A swarm counts its events into a probe.Counter of its own; attaching the
+# caller's instead (what every manifested run and the benchmark do) must not
+# add an allocation. -benchtime=3x, not 1x: a one-time lazy allocation in
+# the first swarm run of the process lands on whichever benchmark runs
+# first; three iterations amortize it so the comparison sees only the
+# steady-state per-run counts.
 bench_out=$(go test -run=NONE -bench='^BenchmarkSwarm(NoProbe|CounterProbe)$' -benchtime=3x -benchmem ./internal/sim)
 echo "$bench_out"
 no_probe=$(echo "$bench_out" | awk '/^BenchmarkSwarmNoProbe/ {print $(NF-1)}')
 counter=$(echo "$bench_out" | awk '/^BenchmarkSwarmCounterProbe/ {print $(NF-1)}')
 if [ -z "$no_probe" ] || [ -z "$counter" ]; then
-  echo "probe guard: could not parse benchmark output" >&2
+  echo "counter guard: could not parse benchmark output" >&2
   exit 1
 fi
 if [ "$no_probe" != "$counter" ]; then
-  echo "probe guard: allocs/op diverged (no probe: $no_probe, counter probe: $counter)" >&2
+  echo "counter guard: allocs/op diverged (own counter: $no_probe, attached counter: $counter)" >&2
   exit 1
 fi
 
