@@ -128,7 +128,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 
 // BenchmarkAnnounceFanout is what one verified piece costs to announce on a
 // node with 15 neighbors — the swarm_mem_small fan-out: one gain-log append
-// and each link's interest counters, no writer woken. Indices start at 256
+// and each link's interest counter, no writer woken. Indices start at 256
 // because boxing a smaller Have allocates nothing and would hide a
 // per-neighbor frame.
 // scripts/check.sh gates this at zero allocations.
