@@ -76,6 +76,44 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 }
 
+// bulkContent is swarm_mem_bulk's file: 1024 pieces of 64 KB.
+func bulkContent() ([]byte, int) {
+	const pieceSize = 64 << 10
+	return testContent(1024 * pieceSize), pieceSize
+}
+
+// BenchmarkNewManifest hashes a whole bulk-shaped file, as a seeder does
+// before it serves; run with -cpu 1,2 to compare one worker with two.
+func BenchmarkNewManifest(b *testing.B) {
+	content, pieceSize := bulkContent()
+	b.SetBytes(int64(len(content)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewManifest(content, pieceSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewSeedStore verifies and copies a whole bulk-shaped file into a
+// seed store: every piece's SHA-256 check plus its Put copy.
+func BenchmarkNewSeedStore(b *testing.B) {
+	content, pieceSize := bulkContent()
+	m, err := NewManifest(content, pieceSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(content)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSeedStore(m, content); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSelectRandomMissing is the live node's push pick at the recorded
 // swarm shape (4096 pieces, 64 words) with 64, 1024 and 4096 pieces wanted:
 // the cost must not depend on how many the receiver lacks, which is what the

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -44,8 +45,9 @@ func (m *Manifest) PieceLength(i int) int {
 	return m.PieceSize
 }
 
-// NewManifest splits content into pieceSize chunks and records their hashes.
-// It returns an error on a non-positive piece size or empty content.
+// NewManifest splits content into pieceSize chunks and records their hashes,
+// hashing on GOMAXPROCS workers. It returns an error on a non-positive piece
+// size or empty content.
 func NewManifest(content []byte, pieceSize int) (*Manifest, error) {
 	if pieceSize <= 0 {
 		return nil, fmt.Errorf("piece: piece size %d must be positive", pieceSize)
@@ -59,11 +61,12 @@ func NewManifest(content []byte, pieceSize int) (*Manifest, error) {
 		FileSize:  len(content),
 		Hashes:    make([]Hash, numPieces),
 	}
-	for i := 0; i < numPieces; i++ {
+	forEachPiece(numPieces, func(i int) error {
 		lo := i * pieceSize
 		hi := min(lo+pieceSize, len(content))
 		m.Hashes[i] = sha256.Sum256(content[lo:hi])
-	}
+		return nil
+	})
 	return m, nil
 }
 
@@ -80,10 +83,40 @@ func SyntheticManifest(numPieces, pieceSize int) (*Manifest, error) {
 		FileSize:  numPieces * pieceSize,
 		Hashes:    make([]Hash, numPieces),
 	}
-	for i := 0; i < numPieces; i++ {
+	forEachPiece(numPieces, func(i int) error {
 		m.Hashes[i] = sha256.Sum256(SyntheticPiece(i, pieceSize))
-	}
+		return nil
+	})
 	return m, nil
+}
+
+// forEachPiece calls fn for every index in [0, n), split into contiguous
+// ranges over min(GOMAXPROCS, n) goroutines, and returns once all have
+// finished. Each range stops at its first error and the lowest range's error
+// wins, so the result is the error of the lowest failing index whatever the
+// worker count. fn must be safe to call concurrently for distinct indexes.
+func forEachPiece(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				if errs[w] = fn(i); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SyntheticPiece returns the deterministic content of piece i in a synthetic
@@ -120,19 +153,26 @@ func NewStore(m *Manifest) *Store {
 	}
 }
 
-// NewSeedStore returns a store pre-populated with every piece of content.
-// The content must match the manifest.
+// NewSeedStore returns a store pre-populated with every piece of content,
+// each verified and copied by Put on GOMAXPROCS workers. The content must be
+// exactly m.FileSize bytes (any other length is an ErrOutOfRange error naming
+// both sizes) and every piece must match its manifest hash; on a mismatch the
+// error names the lowest bad piece.
 func NewSeedStore(m *Manifest, content []byte) (*Store, error) {
+	if len(content) != m.FileSize {
+		return nil, fmt.Errorf("piece: content is %d bytes, manifest file is %d: %w", len(content), m.FileSize, ErrOutOfRange)
+	}
 	s := NewStore(m)
-	for i := 0; i < m.NumPieces(); i++ {
+	err := forEachPiece(m.NumPieces(), func(i int) error {
 		lo := i * m.PieceSize
 		hi := min(lo+m.PieceSize, len(content))
-		if lo >= len(content) {
-			return nil, fmt.Errorf("piece: content too short for manifest: %w", ErrOutOfRange)
-		}
 		if err := s.Put(i, content[lo:hi]); err != nil {
-			return nil, fmt.Errorf("seeding piece %d: %w", i, err)
+			return fmt.Errorf("seeding piece %d: %w", i, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

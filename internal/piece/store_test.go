@@ -2,9 +2,13 @@ package piece
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testContent(n int) []byte {
@@ -178,6 +182,156 @@ func TestSeedStoreAndAssemble(t *testing.T) {
 	}
 	if _, err := NewSeedStore(m, content[:10]); err == nil {
 		t.Error("short content accepted for seeding")
+	}
+}
+
+// Seed content must be exactly the manifest's file: trailing bytes past a
+// whole-piece file used to be accepted silently, and a short final piece
+// used to surface as that piece's hash mismatch.
+func TestSeedStoreRequiresFileSize(t *testing.T) {
+	content := testContent(91)
+	m, _ := NewManifest(content[:90], 30)
+	for _, c := range []struct {
+		name    string
+		content []byte
+		want    string
+	}{
+		{"longer", content, "91 bytes, manifest file is 90"},
+		{"shorter", content[:89], "89 bytes, manifest file is 90"},
+	} {
+		_, err := NewSeedStore(m, c.content)
+		if !errors.Is(err, ErrOutOfRange) || errors.Is(err, ErrHashMismatch) {
+			t.Errorf("%s content: err = %v, want ErrOutOfRange", c.name, err)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s content: err = %q, want it to name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS p.
+func withProcs(t *testing.T, p int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func TestForEachPieceVisitsEachIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 7} {
+		withProcs(t, procs)
+		for _, n := range []int{0, 1, 2, 6, 7, 8, 100} {
+			seen := make([]int, n)
+			if err := forEachPiece(n, func(i int) error { seen[i]++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("GOMAXPROCS %d, n %d: index %d visited %d times", procs, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// Whole-file hashing splits across GOMAXPROCS workers; what it produces,
+// errors included, must not depend on how many there are.
+func TestHashingIndependentOfWorkers(t *testing.T) {
+	content := testContent(1000) // 16 pieces of 64, the last one 40 bytes
+	corrupt := append([]byte(nil), content...)
+	corrupt[0] ^= 0xff
+	corrupt[len(corrupt)-1] ^= 0xff
+	type outcome struct {
+		ragged, onePiece, synthetic []Hash
+		seeded                      [][]byte
+		seedErr                     string
+	}
+	var want outcome
+	for _, procs := range []int{1, 2, 7} {
+		withProcs(t, procs)
+		ragged, err := NewManifest(content, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onePiece, err := NewManifest(content[:50], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		synthetic, err := SyntheticManifest(13, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := NewSeedStore(ragged, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outcome{ragged: ragged.Hashes, onePiece: onePiece.Hashes, synthetic: synthetic.Hashes}
+		for i := 0; i < ragged.NumPieces(); i++ {
+			ref, err := seed.GetRef(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.seeded = append(got.seeded, ref)
+		}
+		_, err = NewSeedStore(ragged, corrupt)
+		if !errors.Is(err, ErrHashMismatch) {
+			t.Fatalf("GOMAXPROCS %d: corrupt seed err = %v, want ErrHashMismatch", procs, err)
+		}
+		got.seedErr = err.Error()
+
+		if procs == 1 {
+			if len(got.ragged) != 16 || got.ragged[15] != sha256.Sum256(content[960:]) {
+				t.Fatal("ragged last piece hashed wrong")
+			}
+			if len(got.onePiece) != 1 || got.onePiece[0] != sha256.Sum256(content[:50]) {
+				t.Fatal("one-piece file hashed wrong")
+			}
+			if !strings.HasPrefix(got.seedErr, "seeding piece 0:") {
+				t.Fatalf("corrupt seed err = %q, want it to name piece 0", got.seedErr)
+			}
+			want = got
+			continue
+		}
+		for name, pair := range map[string][2][]Hash{
+			"NewManifest ragged":    {got.ragged, want.ragged},
+			"NewManifest one piece": {got.onePiece, want.onePiece},
+			"SyntheticManifest":     {got.synthetic, want.synthetic},
+		} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("GOMAXPROCS %d: %s has %d hashes, want %d", procs, name, len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[0] {
+				if pair[0][i] != pair[1][i] {
+					t.Errorf("GOMAXPROCS %d: %s hash %d differs", procs, name, i)
+				}
+			}
+		}
+		for i := range got.seeded {
+			if !bytes.Equal(got.seeded[i], want.seeded[i]) {
+				t.Errorf("GOMAXPROCS %d: seeded piece %d differs", procs, i)
+			}
+		}
+		if got.seedErr != want.seedErr {
+			t.Errorf("GOMAXPROCS %d: corrupt seed err = %q, want %q", procs, got.seedErr, want.seedErr)
+		}
+	}
+}
+
+// A failed seed returns only after every worker has: none is left running.
+func TestSeedStoreErrorLeavesNoWorkers(t *testing.T) {
+	withProcs(t, 7)
+	content := testContent(64 << 10)
+	m, _ := NewManifest(content, 1<<10)
+	corrupt := append([]byte(nil), content...)
+	corrupt[len(corrupt)/2] ^= 0xff
+	before := runtime.NumGoroutine()
+	if _, err := NewSeedStore(m, corrupt); err == nil || !strings.HasPrefix(err.Error(), "seeding piece 32:") {
+		t.Fatalf("err = %v, want piece 32's mismatch", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after a failed seed", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

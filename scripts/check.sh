@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # check.sh — the repo's tier-1 gate plus the race detector: formatting,
 # vet, build, the full test suite under -race (the parallel replication
-# runner is exercised concurrently by the experiment tests), the benchmark
-# module's own vet and tests (bench/ is a separate module pinned against
-# this one's public API), a refusal of any examples/ program no test runs,
-# the named simulator-pin, membership and attestation gates, the node's timer-site
-# ceiling, the allocation guards on the hot paths, the flush clock's
-# frames-per-piece ceiling, and a report-only size table.
+# runner is exercised concurrently by the experiment tests), the piece
+# package at one and four workers, the benchmark module's own vet and tests
+# (bench/ is a separate module pinned against this one's public API), a
+# refusal of any examples/ program no test runs, the named simulator-pin,
+# membership and attestation gates, the node's timer-site ceiling, the
+# allocation guards on the hot paths, the flush clock's frames-per-piece
+# ceiling, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +51,10 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== piece hashing, serial and split =="
+# Whole-file hashing splits across GOMAXPROCS workers: run the package at one worker and at four.
+go test -count=1 -cpu 1,4 ./internal/piece
 
 echo "== benchmark module =="
 # bench/ is its own module (replace repro => ../), so the sweeps above do
