@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/cli"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/piece"
 )
@@ -179,7 +178,7 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seedSnap metrics.Snapshot
+	var seedSnap node.MetricsSnapshot
 	err = json.NewDecoder(res.Body).Decode(&seedSnap)
 	res.Body.Close()
 	if err != nil {
@@ -222,9 +221,9 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dump struct {
-		Snapshot metrics.Snapshot `json:"snapshot"`
-		Samples  []sampleRow      `json:"samples"`
-		Summary  getReport        `json:"summary"`
+		Snapshot node.MetricsSnapshot `json:"snapshot"`
+		Samples  []sampleRow          `json:"samples"`
+		Summary  getReport            `json:"summary"`
 	}
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatal(err)
@@ -327,11 +326,11 @@ func TestSeedAndGetSigned(t *testing.T) {
 	// poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if seed.Metrics().Snapshot().Counters[`node_attest_acks_total{result="ok"}`] > 0 {
+		if seed.Metrics().Counters[`node_attest_acks_total{result="ok"}`] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			for k, v := range seed.Metrics().Snapshot().Counters {
+			for k, v := range seed.Metrics().Counters {
 				if strings.Contains(k, "attest") {
 					t.Logf("seed %s = %d", k, v)
 				}

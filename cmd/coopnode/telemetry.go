@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/stats"
 	"repro/internal/tracing"
@@ -36,9 +35,9 @@ func traceCollector(flags cli.TelemetryFlags) *tracing.Collector {
 // get subcommand) the run summary — everything a scripted run needs to
 // reconstruct what the node saw without scraping the HTTP surface.
 type telemetryDump struct {
-	Snapshot metrics.Snapshot `json:"snapshot"`
-	Samples  []sampleRow      `json:"samples,omitempty"`
-	Summary  any              `json:"summary,omitempty"`
+	Snapshot node.MetricsSnapshot `json:"snapshot"`
+	Samples  []sampleRow          `json:"samples,omitempty"`
+	Summary  any                  `json:"summary,omitempty"`
 }
 
 // nodeTelemetry owns the optional observability surfaces for one live
@@ -106,7 +105,7 @@ func (t *nodeTelemetry) stop(summary any) error {
 	if t.flags.MetricsOut == "" {
 		return nil
 	}
-	dump := telemetryDump{Snapshot: t.n.Metrics().Snapshot(), Samples: rows, Summary: summary}
+	dump := telemetryDump{Snapshot: t.n.Metrics(), Samples: rows, Summary: summary}
 	f, err := os.Create(t.flags.MetricsOut)
 	if err != nil {
 		return err
@@ -215,7 +214,7 @@ func (s *sampler) finish() []sampleRow {
 // from the metric snapshot.
 func sampleNode(n *node.Node, t float64) sampleRow {
 	st := n.Stats()
-	snap := n.Metrics().Snapshot()
+	snap := n.Metrics()
 	var perPeer []float64
 	for name, b := range snap.Counters {
 		if b > 0 && strings.HasPrefix(name, "node_peer_download_bytes_total{") {

@@ -181,7 +181,7 @@ func TestWriterCoalescesGains(t *testing.T) {
 	if !reflect.DeepEqual(conn.sent, want) {
 		t.Errorf("wire saw %+v, want %+v", conn.sent, want)
 	}
-	if got := n.metrics.framesControl.Value(); got != 3 {
+	if got := n.metrics.framesControl.Load(); got != 3 {
 		t.Errorf(`node_frames_sent_total{class="control"} = %d, want 3`, got)
 	}
 }

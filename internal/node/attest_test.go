@@ -50,7 +50,7 @@ func startSignedCluster(t *testing.T, tr transport.Transport, leechers int) *Clu
 func sumCounter(c *Cluster, name string) int64 {
 	var total int64
 	for _, n := range c.Nodes {
-		total += n.Metrics().Snapshot().Counters[name]
+		total += n.Metrics().Counters[name]
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,23 @@ func BenchmarkAnnounceFanout(b *testing.B) {
 		// here, and the log is only ever read from a link's cursor on.
 		n.myBits.Clear(idx)
 		n.gainLen.Store(0)
+	}
+}
+
+// BenchmarkNoteDownload credits one verified piece from an already-seen
+// sender: the per-peer map lookup under peerMu plus two atomic adds, on the
+// path every first delivery takes with n.mu held. check.sh requires
+// 0 allocs/op; only a sender's first credit allocates its counter.
+func BenchmarkNoteDownload(b *testing.B) {
+	const senders = 15
+	m := &nodeMetrics{peerDown: make(map[int]*atomic.Int64)}
+	for id := 0; id < senders; id++ {
+		m.noteDownload(id, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.noteDownload(i%senders, 4096)
 	}
 }
 

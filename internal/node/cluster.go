@@ -30,11 +30,9 @@ type clusterOptions struct {
 	listenAddr       func(i int) string
 	leechers         int
 	freeRiders       map[int]bool
-	uploadRate       float64
 	decisionInterval time.Duration
 	maxNeighbors     int
 	identity         func(id int) *attest.Key
-	attScheme        attest.Scheme
 	unsigned         bool
 	tracing          *tracing.Config
 }
@@ -97,18 +95,6 @@ func WithFreeRiders(ids map[int]bool) ClusterOption {
 	}
 }
 
-// WithUploadRate throttles every node to rate bytes/second (0 =
-// unthrottled).
-func WithUploadRate(rate float64) ClusterOption {
-	return func(o *clusterOptions) error {
-		if rate < 0 {
-			return fmt.Errorf("node: UploadRate %g negative", rate)
-		}
-		o.uploadRate = rate
-		return nil
-	}
-}
-
 // WithDecisionInterval overrides every node's upload-scheduler tick.
 func WithDecisionInterval(d time.Duration) ClusterOption {
 	return func(o *clusterOptions) error {
@@ -141,19 +127,6 @@ func WithIdentity(keyFor func(id int) *attest.Key) ClusterOption {
 			return fmt.Errorf("node: WithIdentity(nil)")
 		}
 		o.identity = keyFor
-		return nil
-	}
-}
-
-// WithAttestScheme selects the per-piece receipt scheme (default
-// attest.SchemeSession, the pairwise-MAC fast path suited to in-process
-// swarms; pass attest.SchemeEd25519 to exercise full signatures).
-func WithAttestScheme(s attest.Scheme) ClusterOption {
-	return func(o *clusterOptions) error {
-		if s != attest.SchemeSession && s != attest.SchemeEd25519 {
-			return fmt.Errorf("node: WithAttestScheme(%v)", s)
-		}
-		o.attScheme = s
 		return nil
 	}
 }
@@ -228,7 +201,6 @@ func StartCluster(manifest *piece.Manifest, content []byte, opts ...ClusterOptio
 		algorithm:  algo.Altruism,
 		listenAddr: func(int) string { return "" },
 		identity:   func(id int) *attest.Key { return attest.NewKeyFromSeed(int32(id), clusterSeed) },
-		attScheme:  attest.SchemeSession,
 	}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
@@ -310,12 +282,11 @@ func (c *Cluster) startNode(id int) (*Node, error) {
 		ListenAddr:       c.opts.listenAddr(id),
 		Bootstrap:        c.bootstrapList(),
 		MaxNeighbors:     c.opts.maxNeighbors,
-		UploadRate:       c.opts.uploadRate,
 		DecisionInterval: c.opts.decisionInterval,
 		FreeRide:         c.opts.freeRiders[id],
 		Identity:         key,
 		Directory:        c.Directory,
-		AttestScheme:     c.opts.attScheme,
+		AttestScheme:     attest.SchemeSession,
 		Ledger:           c.Ledger,
 		Tracer:           c.Tracer,
 	})

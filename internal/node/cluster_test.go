@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/attest"
 	"repro/internal/piece"
 	"repro/internal/transport"
 )
@@ -37,9 +36,7 @@ func TestStartClusterValidation(t *testing.T) {
 		{"nil transport", manifest, content, []ClusterOption{WithTransport(nil)}},
 		{"nil listen func", manifest, content, []ClusterOption{WithListenAddr(nil)}},
 		{"negative leechers", manifest, content, []ClusterOption{WithLeechers(-1)}},
-		{"negative rate", manifest, content, []ClusterOption{WithUploadRate(-1)}},
 		{"nil identity func", manifest, content, []ClusterOption{WithIdentity(nil)}},
-		{"bad attest scheme", manifest, content, []ClusterOption{WithAttestScheme(attest.SchemeNone)}},
 	}
 	for _, tc := range bad {
 		if _, err := StartCluster(tc.manifest, tc.content, tc.opts...); err == nil {

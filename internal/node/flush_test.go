@@ -149,7 +149,7 @@ func TestFreeRiderAnnouncesAndAcknowledges(t *testing.T) {
 		return r != nil && r.have.Count() == testPieces
 	})
 	waitFor(t, "the free-rider to acknowledge every delivery", func() bool {
-		return seed.metrics.attestAcksOK.Value() == testPieces
+		return seed.metrics.attestAcksOK.Load() == testPieces
 	})
 	if got := rider.Stats().UploadedBytes; got != 0 {
 		t.Errorf("free-rider uploaded %g bytes", got)

@@ -87,7 +87,7 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 		// the pinned (or registered) one is an imposter — refuse the link; a
 		// sealed directory likewise refuses identities it was not told about.
 		if err := n.directory.Observe(theirHello.PeerID, theirHello.PubKey); err != nil {
-			n.metrics.attestTOFURejected.Inc()
+			n.metrics.attestTOFURejected.Add(1)
 			n.log.Warn("handshake refused: identity conflicts with directory",
 				"peer", peerID, "err", err)
 			return
@@ -150,7 +150,7 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 		if err != nil {
 			return
 		}
-		n.metrics.framesIn.Inc()
+		n.metrics.framesIn.Add(1)
 		if done := n.dispatch(r, msg); done {
 			return
 		}
@@ -405,7 +405,7 @@ func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrac
 		} else {
 			att = n.identity.Attest(attest.SchemeEd25519, m.ForwarderID, m.Index, hash, size)
 		}
-		n.metrics.attestSigned.Inc()
+		n.metrics.attestSigned.Add(1)
 	}
 	return protocol.AttestedReceipt{KeyID: m.KeyID, Att: att, Trace: h.context()}
 }
@@ -524,18 +524,18 @@ func (n *Node) signReceipt(sender, index int32, size int) attest.Attestation {
 // frame back to the uploader (who records its arrival as attest.ack).
 func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace) {
 	if err := n.ledger.Credit(att); err != nil {
-		n.metrics.attestRejected(err).Inc()
+		n.metrics.attestRejected(err).Add(1)
 		if n.logDebug {
 			n.log.Debug("attestation rejected", "sender", att.Sender, "piece", att.Index, "err", err)
 		}
 	} else {
-		n.metrics.attestCredited.Inc()
+		n.metrics.attestCredited.Add(1)
 	}
 	h.step(tracing.SpanLedgerCredit)
 	if att.Scheme == attest.SchemeNone {
 		return
 	}
-	n.metrics.attestSigned.Inc()
+	n.metrics.attestSigned.Add(1)
 	if to != nil {
 		// Queued without a signal (see enqueue): the sender is not blocked on
 		// its proof copy, and a writer woken per receipt is a write per piece.
@@ -572,10 +572,10 @@ func (n *Node) checkAck(att attest.Attestation) {
 		return // unsigned node: no key material to check against
 	}
 	if att.Sender != int32(n.cfg.ID) || n.verifier.Check(att) != nil {
-		n.metrics.attestAcksBad.Inc()
+		n.metrics.attestAcksBad.Add(1)
 		return
 	}
-	n.metrics.attestAcksOK.Inc()
+	n.metrics.attestAcksOK.Add(1)
 }
 
 // handleAttestedReceipt applies a witness's T-Chain receipt: the witness
@@ -596,18 +596,18 @@ func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
 	// Signed or not, a receipt for less than the whole piece is no
 	// reciprocation: a one-byte forward would buy every key owed.
 	if m.Att.Bytes <= 0 || m.Att.Bytes != int64(n.cfg.Store.Manifest().PieceLength(int(m.Att.Index))) {
-		n.metrics.attestReceiptsRejected.Inc()
+		n.metrics.attestReceiptsRejected.Add(1)
 		return
 	}
 	if n.verifier == nil {
 		n.confirmReceipt(int(m.Att.Sender))
 		return
 	}
-	verified := n.metrics.attestReceiptsEd25519
+	verified := &n.metrics.attestReceiptsEd25519
 	var err error
 	switch m.Att.Scheme {
 	case attest.SchemeLink:
-		verified = n.metrics.attestReceiptsLink
+		verified = &n.metrics.attestReceiptsLink
 		if from == nil || int32(from.id) != m.Att.Receiver {
 			err = attest.ErrLinkScoped
 		} else {
@@ -619,14 +619,14 @@ func (n *Node) handleAttestedReceipt(from *remote, m protocol.AttestedReceipt) {
 		err = attest.ErrBadScheme
 	}
 	if err != nil {
-		n.metrics.attestReceiptsRejected.Inc()
+		n.metrics.attestReceiptsRejected.Add(1)
 		return
 	}
 	if idx, held := n.escrow.Piece(m.KeyID); !held || int32(idx) != m.Att.Index {
-		n.metrics.attestReceiptsRejected.Inc()
+		n.metrics.attestReceiptsRejected.Add(1)
 		return
 	}
-	verified.Inc()
+	verified.Add(1)
 	n.confirmReceipt(int(m.Att.Sender))
 }
 
@@ -689,7 +689,7 @@ func (n *Node) noteGainedLocked(index int) bool {
 	if !n.myBits.Set(index) {
 		return false
 	}
-	n.metrics.piecesVerified.Inc()
+	n.metrics.piecesVerified.Add(1)
 	at := n.gainLen.Load()
 	n.gainLog[at] = int32(index)
 	n.gainLen.Store(at + 1)

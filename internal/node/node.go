@@ -32,7 +32,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/attest"
 	"repro/internal/incentive"
-	"repro/internal/metrics"
 	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/reputation"
@@ -114,8 +113,6 @@ type Config struct {
 	// run with, and the only mode the hot paths are benchmarked in;
 	// coopnode passes a stderr handler at Warn.
 	Log *slog.Logger
-	// Seed drives the node's random choices; 0 derives one from ID.
-	Seed int64
 }
 
 func (c *Config) validate() error {
@@ -259,7 +256,7 @@ func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	r.outMu.Lock()
 	if r.outClosed || (bulk && r.outData >= maxQueuedData) {
 		if !r.outClosed {
-			r.n.metrics.backpressure.Inc()
+			r.n.metrics.backpressure.Add(1)
 			if r.n.tracer != nil && !r.choked {
 				// First refusal of a saturated stretch; writeLoop emits the
 				// matching unchoke once the queue drains below the bound.
@@ -443,7 +440,7 @@ func (r *remote) writeLoop() {
 			// beyond the bookkeeping writeLoop already does.
 			nm.framesBulk.Add(int64(nData))
 			nm.framesControl.Add(int64(len(batch) - nData))
-			nm.drains.Inc()
+			nm.drains.Add(1)
 			if len(traced) > 0 {
 				doneNs := time.Now().UnixNano()
 				for _, tf := range traced {
@@ -594,9 +591,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DecisionInterval <= 0 {
 		cfg.DecisionInterval = 20 * time.Millisecond
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = int64(cfg.ID)*7919 + 17
-	}
 	if cfg.MaxNeighbors == 0 {
 		cfg.MaxNeighbors = incentive.DefaultMaxNeighbors
 	}
@@ -651,7 +645,7 @@ func New(cfg Config) (*Node, error) {
 		conns:        make(map[transport.Conn]bool),
 		pendingSeals: make(map[sealRef]pendingSeal),
 		dialing:      make(map[string]bool),
-		rng:          stats.NewRNG(cfg.Seed),
+		rng:          stats.NewRNG(int64(cfg.ID)*7919 + 17),
 		myBits:       myBits,
 		gainLog:      make([]int32, myBits.Size()-myBits.Count()),
 		done:         make(chan struct{}),
@@ -670,7 +664,7 @@ func New(cfg Config) (*Node, error) {
 	if n.tracer != nil {
 		n.pieceTrace = make([]tracing.Context, cfg.Store.Manifest().NumPieces())
 	}
-	n.metrics = newNodeMetrics(metrics.NewRegistry(), n)
+	n.metrics = &nodeMetrics{peerDown: make(map[int]*atomic.Int64)}
 	if cfg.Store.Complete() {
 		n.completeOnce.Do(func() { close(n.completeCh) })
 	}
@@ -821,9 +815,8 @@ func (n *Node) WaitCompleteContext(ctx context.Context) error {
 	}
 }
 
-// Stats returns a snapshot of the node's counters. It is a shim over the
-// metrics core: every field reads the same counter the node_ series
-// exposes over /metrics.
+// Stats returns a snapshot of the node's counters: every field reads the
+// same atomic word a node_ series in Metrics exposes over /metrics.
 //
 // Consistency model: each individual value is tear-free (every counter is
 // one atomic word), but the fields are read one after another
@@ -831,7 +824,7 @@ func (n *Node) WaitCompleteContext(ctx context.Context) error {
 // the handful of events that landed between reads — e.g. Pieces may
 // already include a piece whose CreditedBytes increment is read a
 // microsecond later. Snapshots are exact once the node is stopped or
-// complete. Registry.Snapshot makes the same promise per metric.
+// complete. Metrics makes the same promise per series.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -839,13 +832,13 @@ func (n *Node) Stats() Stats {
 		ID:             n.cfg.ID,
 		Pieces:         n.cfg.Store.Count(),
 		Complete:       n.cfg.Store.Complete(),
-		UploadedBytes:  float64(n.metrics.uploadedBytes.Value()),
-		CreditedBytes:  float64(n.metrics.creditedBytes.Value()),
+		UploadedBytes:  float64(n.metrics.uploadedBytes.Load()),
+		CreditedBytes:  float64(n.metrics.creditedBytes.Load()),
 		SealedPending:  len(n.pendingSeals),
 		Neighbors:      len(n.peers),
-		FramesSent:     n.metrics.framesControl.Value() + n.metrics.framesBulk.Value(),
-		Drains:         n.metrics.drains.Value(),
-		FramesReceived: n.metrics.framesIn.Value(),
+		FramesSent:     n.metrics.framesControl.Load() + n.metrics.framesBulk.Load(),
+		Drains:         n.metrics.drains.Load(),
+		FramesReceived: n.metrics.framesIn.Load(),
 	}
 }
 

@@ -99,7 +99,7 @@ func TestOutboxContract(t *testing.T) {
 			if r.enqueue(bulk, true, nil) {
 				t.Errorf("bulk frame %d accepted", maxQueuedData+1)
 			}
-			if got := n.metrics.backpressure.Value(); got != 1 {
+			if got := n.metrics.backpressure.Load(); got != 1 {
 				t.Errorf("node_backpressure_refusals_total = %d, want 1", got)
 			}
 			if !r.enqueue(control, false, nil) {
@@ -119,15 +119,15 @@ func TestOutboxContract(t *testing.T) {
 			if !n.sendPiece(r, 2, data, 7, nil) {
 				t.Fatal("repayment piece refused")
 			}
-			if r.outData != maxQueuedData || n.metrics.backpressure.Value() != 0 {
-				t.Errorf("outData = %d, refusals = %d: repayment counted as bulk", r.outData, n.metrics.backpressure.Value())
+			if r.outData != maxQueuedData || n.metrics.backpressure.Load() != 0 {
+				t.Errorf("outData = %d, refusals = %d: repayment counted as bulk", r.outData, n.metrics.backpressure.Load())
 			}
 			r.closeOutbox()
 			r.writeLoop() // drains what is queued, then returns
-			if got := n.metrics.framesControl.Value(); got != 1 {
+			if got := n.metrics.framesControl.Load(); got != 1 {
 				t.Errorf(`node_frames_sent_total{class="control"} = %d, want 1`, got)
 			}
-			if got := n.metrics.framesBulk.Value(); got != maxQueuedData {
+			if got := n.metrics.framesBulk.Load(); got != maxQueuedData {
 				t.Errorf(`node_frames_sent_total{class="bulk"} = %d, want %d`, got, maxQueuedData)
 			}
 			if last := conn.sent[len(conn.sent)-1].(protocol.Piece); last.RepaysKeyID != 7 {
@@ -183,7 +183,7 @@ func TestOutboxContract(t *testing.T) {
 			if r.enqueue(bulk, true, nil) || r.enqueue(control, false, nil) {
 				t.Error("closed outbox accepted a frame")
 			}
-			if got := n.metrics.backpressure.Value(); got != 0 || r.queued() != 0 {
+			if got := n.metrics.backpressure.Load(); got != 0 || r.queued() != 0 {
 				t.Errorf("refusals = %d, queued = %d, want 0 and 0", got, r.queued())
 			}
 		}},

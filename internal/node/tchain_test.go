@@ -78,7 +78,7 @@ func keysQueued(r *remote) []uint64 {
 }
 
 // counter reads one of n's counters by series name.
-func counter(n *Node, name string) int64 { return n.Metrics().Snapshot().Counters[name] }
+func counter(n *Node, name string) int64 { return n.Metrics().Counters[name] }
 
 // sealTo has n push piece idx sealed to r and returns the seal's KeyID.
 func sealTo(t *testing.T, n *Node, r *remote, idx int) uint64 {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/internal/attest"
-	"repro/internal/metrics"
 	"repro/internal/tracing"
 )
 
@@ -280,20 +279,17 @@ func (n *Node) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 
 // MetricsMux serves the node's telemetry over HTTP:
 //
-//	/metrics      Prometheus text (JSON Snapshot with ?format=json)
+//	/metrics      Prometheus text (a JSON MetricsSnapshot with ?format=json
+//	              or an Accept header asking for application/json)
 //	/debug/swarm  the DebugSwarm peer table and rarity summary
 //	/debug/trace  trace-collector spans (?format=chrome for chrome://tracing,
 //	              ?trace=<hex> to filter one trace); 404 when tracing is off
-//	/debug/vars   standard expvar, including this node's registry
+//	/debug/vars   the process's standard expvar page (memstats, cmdline)
 //	/verify       GET: proof-derived reputation standings;
 //	              POST: stateless audit of a JSON attestation batch
-//
-// The registry is also published as the expvar variable "node_<id>" (first
-// publication per process wins; republishing is a no-op).
 func MetricsMux(n *Node) *http.ServeMux {
-	n.metrics.reg.PublishExpvar(fmt.Sprintf("node_%d", n.cfg.ID))
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(n.metrics.reg))
+	mux.HandleFunc("/metrics", n.handleMetrics)
 	mux.HandleFunc("/debug/swarm", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

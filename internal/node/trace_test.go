@@ -260,10 +260,10 @@ func TestStopDrainAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if got := n.metrics.stopDrainDropped.Value(); got != stuck {
+		if got := n.metrics.stopDrainDropped.Load(); got != stuck {
 			t.Errorf("node_stop_drain_dropped_total = %d, want %d", got, stuck)
 		}
-		if got := n.metrics.stopDrainFrames.Value(); got != 0 {
+		if got := n.metrics.stopDrainFrames.Load(); got != 0 {
 			t.Errorf("node_stop_drain_frames_total = %d, want 0 (the drain window was wedged)", got)
 		}
 	})
@@ -297,7 +297,7 @@ func TestStopDrainAccounting(t *testing.T) {
 		if took := time.Since(began); took > stopFlushTimeout/4 {
 			t.Errorf("Stop took %v with a healthy link: it waited on a writer nobody signalled (stopFlushTimeout is %v)", took, stopFlushTimeout)
 		}
-		if got := n.metrics.stopDrainDropped.Value(); got != 0 {
+		if got := n.metrics.stopDrainDropped.Load(); got != 0 {
 			t.Errorf("node_stop_drain_dropped_total = %d, want 0", got)
 		}
 		conn.mu.Lock()

@@ -308,7 +308,7 @@ func (n *Node) sweepGrace(now int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, k := range n.escrow.Sweep(now, func(id int) bool { return n.peers[id] != nil }) {
-		n.metrics.graceReleases.Inc()
+		n.metrics.graceReleases.Add(1)
 		n.peers[k.Receiver].sendKey(k)
 	}
 }

@@ -237,9 +237,11 @@ alloc_guard ./internal/tchain BenchmarkSealFor 3
 alloc_guard ./internal/tchain BenchmarkOpenInto 2
 
 echo "== metrics allocation guard =="
-# A metrics Counter sits on every hot path the node instruments, so a
-# steady-state Counter.Add — one atomic add — must be allocation-free.
-alloc_guard ./internal/metrics BenchmarkCounterAdd 0
+# Every first delivery credits its sender's byte counter with the node lock
+# held: a map lookup and two atomic adds once the sender has been seen, so
+# it must be allocation-free. The writer side's counter adds ride
+# BenchmarkOutboxUntraced, guarded below.
+alloc_guard ./internal/node BenchmarkNoteDownload 0
 
 echo "== tracing overhead guard =="
 # The per-peer outbox is the path every live frame crosses, and
@@ -293,6 +295,7 @@ loc internal/node internal/sim
 loc internal/sim internal/probe internal/runner
 loc internal/tchain internal/node
 loc internal/tchain internal/node internal/protocol
+loc internal/node cmd/coopnode
 loc bench
 
 echo "check: OK"
