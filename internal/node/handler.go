@@ -13,27 +13,40 @@ import (
 	"repro/internal/transport"
 )
 
+// trackConn registers conn for Stop's sweep to close, and for tick to close
+// linger (0: never) past the latest tick. Once Stop has swept it closes conn
+// and reports false. The caller defers untrackConn.
+func (n *Node) trackConn(conn transport.Conn, linger time.Duration) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopping {
+		conn.Close()
+		return false
+	}
+	n.conns[conn] = 0
+	if linger > 0 {
+		n.conns[conn] = n.now + int64(linger)
+	}
+	return true
+}
+
+// untrackConn closes conn and drops it from n.conns.
+func (n *Node) untrackConn(conn transport.Conn) {
+	conn.Close()
+	n.mu.Lock()
+	delete(n.conns, conn)
+	n.mu.Unlock()
+}
+
 // handleConn performs the handshake and then dispatches inbound messages
 // until the connection dies. arrival is the link's place in this node's
 // accept order, 0 when this node dialed it; the dialer speaks first.
 func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 	dialer := arrival == 0
-	n.mu.Lock()
-	if n.stopping {
-		// Stop already swept the conns map; registering now would leak a
-		// connection nobody will ever close.
-		n.mu.Unlock()
-		conn.Close()
+	if !n.trackConn(conn, 0) {
 		return
 	}
-	n.conns[conn] = true
-	n.mu.Unlock()
-	defer func() {
-		conn.Close()
-		n.mu.Lock()
-		delete(n.conns, conn)
-		n.mu.Unlock()
-	}()
+	defer n.untrackConn(conn)
 
 	hello := protocol.Hello{
 		PeerID:    int32(n.cfg.ID),
@@ -414,7 +427,7 @@ func (n *Node) witnessReceipt(origin *remote, m protocol.SealedPiece, h *hopTrac
 func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	n.mu.Lock()
 	// Direct: send the origin a piece it needs.
-	directIdx := n.pickRepaymentLocked(r, n.sinceStartNs())
+	directIdx := n.pickRepaymentLocked(r, n.now)
 	n.mu.Unlock()
 
 	if directIdx >= 0 {
@@ -558,7 +571,7 @@ func (n *Node) handleAttest(r *remote, m protocol.Attest) {
 		n.tracer.Record(tracing.Span{
 			TraceID: m.Trace.TraceID, SpanID: n.tracer.NewID(), ParentID: m.Trace.SpanID,
 			Name: tracing.SpanAttestAck, Node: n.cfg.ID, Peer: r.id, Piece: int(m.Att.Index),
-			Start: time.Now().UnixNano(),
+			Start: spanNow(),
 		})
 	}
 	n.checkAck(m.Att)

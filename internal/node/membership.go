@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/protocol"
-	"repro/internal/transport"
 )
 
 // Membership is the simulator's (sim.Swarm.join): a newcomer links to up to
@@ -31,7 +30,7 @@ type contact struct {
 	addr string
 }
 
-// transientLinger bounds a transient receipt connection (see
+// transientLinger bounds a transient receipt connection in tick time (see
 // sendTransientReceipt); transport.Conn has no deadlines.
 const transientLinger = time.Second
 
@@ -157,34 +156,14 @@ func (n *Node) overtakenLocked(r *remote) []*remote {
 	return late
 }
 
-// watchConn bounds the life of a connection — transport.Conn has no
-// deadlines — by closing it after d or on node shutdown, whichever comes
-// first. The caller defers stop, which retires the watchdog goroutine.
-func (n *Node) watchConn(conn transport.Conn, d time.Duration) (stop func()) {
-	done := make(chan struct{})
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			conn.Close()
-		case <-n.done:
-			conn.Close()
-		}
-	}()
-	return func() { close(done) }
-}
-
 // sendTransientReceipt delivers a T-Chain witness receipt to an origin the
 // witness has no link to: dial, send it as the first frame (no Hello — the
 // origin's accept path reads a receipt there, see handleConn), and hold the
 // connection open until the origin hangs up (an asynchronous transport
-// would destroy the in-flight frame on an immediate close), bounded by
-// transientLinger. Fire-and-forget: a lost receipt costs one key release,
-// which the origin's endgame grace covers for trusted receivers.
+// would destroy the in-flight frame on an immediate close) or a tick
+// transientLinger on closes it. Fire-and-forget: a lost receipt costs one
+// key release, which the origin's endgame grace covers for trusted
+// receivers.
 func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 	n.wg.Add(1)
 	go func() {
@@ -193,8 +172,10 @@ func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 		if err != nil {
 			return
 		}
-		defer conn.Close()
-		defer n.watchConn(conn, transientLinger)()
+		if !n.trackConn(conn, transientLinger) {
+			return
+		}
+		defer n.untrackConn(conn)
 		if conn.Send(receipt) != nil || conn.Send(protocol.Bye{}) != nil {
 			return
 		}

@@ -251,7 +251,7 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64
 func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	var enqNs int64
 	if ut != nil {
-		enqNs = time.Now().UnixNano()
+		enqNs = spanNow()
 	}
 	r.outMu.Lock()
 	if r.outClosed || (bulk && r.outData >= maxQueuedData) {
@@ -422,7 +422,7 @@ func (r *remote) writeLoop() {
 		// for a timestamp here.
 		var drainNs int64
 		if len(traced) > 0 {
-			drainNs = time.Now().UnixNano()
+			drainNs = spanNow()
 		}
 		var err error
 		if batcher != nil {
@@ -442,7 +442,7 @@ func (r *remote) writeLoop() {
 			nm.framesControl.Add(int64(len(batch) - nData))
 			nm.drains.Add(1)
 			if len(traced) > 0 {
-				doneNs := time.Now().UnixNano()
+				doneNs := spanNow()
 				for _, tf := range traced {
 					// outbox.wait: accepted by the queue → this drain began.
 					tr.Record(tracing.Span{
@@ -526,8 +526,9 @@ type Node struct {
 
 	mu           sync.Mutex
 	stopping     bool
+	now          int64 // the latest tick's instant (see tick); 0 before the first
 	peers        map[int]*remote
-	conns        map[transport.Conn]bool // every live conn, incl. pre-handshake
+	conns        map[transport.Conn]int64 // every live conn, incl. pre-handshake: its close-by instant, 0 for none
 	pendingSeals map[sealRef]pendingSeal
 	rng          *rand.Rand
 	// contacts and dialing are the membership state (membership.go):
@@ -577,7 +578,8 @@ type Node struct {
 	closed   sync.Once
 	stopErr  error // set inside closed.Do, read after wg.Wait
 	wg       sync.WaitGroup
-	start    time.Time
+	start    time.Time // tick instants count from here
+	budget   float64   // tick's token bucket: bytes it may push
 
 	completeCh   chan struct{}
 	completeOnce sync.Once
@@ -642,7 +644,7 @@ func New(cfg Config) (*Node, error) {
 		verifier:     verifier,
 		attScheme:    cfg.AttestScheme,
 		peers:        make(map[int]*remote),
-		conns:        make(map[transport.Conn]bool),
+		conns:        make(map[transport.Conn]int64),
 		pendingSeals: make(map[sealRef]pendingSeal),
 		dialing:      make(map[string]bool),
 		rng:          stats.NewRNG(int64(cfg.ID)*7919 + 17),
@@ -652,6 +654,7 @@ func New(cfg Config) (*Node, error) {
 		completeCh:   make(chan struct{}),
 		tracer:       cfg.Tracer,
 		log:          cfg.Log,
+		budget:       float64(cfg.Store.Manifest().PieceSize), // an immediate first send
 	}
 	if n.log == nil {
 		n.log = slog.New(slog.DiscardHandler)

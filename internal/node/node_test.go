@@ -245,51 +245,32 @@ func TestNodeStopIdempotent(t *testing.T) {
 	_ = c.nodes[0].Stats()
 }
 
-// TestUploadRateThrottle: a throttled seed uploads no faster than its
-// token bucket allows.
+// TestUploadRateThrottle drives a throttled seed's token bucket with tick
+// instants: it starts one piece full, so the first tick pushes one piece,
+// then refills at UploadRate, and an idle stretch refills at most four
+// pieces' worth.
 func TestUploadRateThrottle(t *testing.T) {
-	manifest, _ := piece.SyntheticManifest(testPieces, testPieceSize)
-	content := make([]byte, 0, manifest.FileSize)
-	for i := 0; i < testPieces; i++ {
-		content = append(content, piece.SyntheticPiece(i, testPieceSize)...)
-	}
-	seedStore, _ := piece.NewSeedStore(manifest, content)
-	tr := transport.NewMem()
-	rate := float64(4 * testPieceSize) // four pieces per second
-	seed, err := New(Config{
-		ID: 0, Algorithm: algo.Altruism, Store: seedStore, Transport: tr,
-		UploadRate: rate, DecisionInterval: time.Millisecond,
-	})
+	manifest, content := clusterFixture(t)
+	store, err := piece.NewSeedStore(manifest, content)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer seed.Stop()
+	seed := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store, UploadRate: 4 * testPieceSize}) // four pieces a second
+	seed.peers[1], _ = fixtureRemote(seed, 1, false)
+	pushed := func() int { return int(seed.Stats().UploadedBytes) / testPieceSize }
 
-	leech, err := New(Config{
-		ID: 1, Algorithm: algo.Altruism, Store: piece.NewStore(manifest),
-		Transport: tr, Bootstrap: []string{seed.Addr()}, DecisionInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// 1.5 s of 125 ms ticks, each refilling exactly half a piece.
+	const step = int64(125 * time.Millisecond)
+	for k := int64(1); k <= 12; k++ {
+		seed.tick(k * step)
+		if got, want := pushed(), 1+int(k)/2; got != want {
+			t.Fatalf("after the tick at %v: %d pieces pushed, want %d", time.Duration(k*step), got, want)
+		}
 	}
-	if err := leech.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer leech.Stop()
-
-	const window = 1500 * time.Millisecond
-	time.Sleep(window)
-	uploaded := seed.Stats().UploadedBytes
-	// Allow bucket burst (4 pieces) plus rate*window.
-	limit := rate*window.Seconds() + 5*testPieceSize
-	if uploaded > limit {
-		t.Errorf("uploaded %g bytes in %v, limit %g", uploaded, window, limit)
-	}
-	if uploaded == 0 {
-		t.Error("throttled seed uploaded nothing")
+	// Two idle seconds refill eight pieces' worth; the bucket keeps four.
+	seed.tick(12*step + int64(2*time.Second))
+	if got := pushed(); got != 7+4 {
+		t.Errorf("after two idle seconds: %d pieces pushed, want %d", got, 7+4)
 	}
 }
 

@@ -242,7 +242,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // later, the reciprocation path prefers a piece outside the cooldown, stamps
 // what it picks and ignores the cooldown only when nothing else is wanted,
 // and the stamps belong to the link — a reconnected peer starts with none.
-// Time is the argument: instants on the sinceStartNs clock, no sleeping.
+// Time is the argument: tick instants, no sleeping.
 func TestResendCooldown(t *testing.T) {
 	n, r, _ := outboxFixture(t, nil, false)
 	n.mu.Lock()

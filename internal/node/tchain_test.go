@@ -80,14 +80,15 @@ func keysQueued(r *remote) []uint64 {
 // counter reads one of n's counters by series name.
 func counter(n *Node, name string) int64 { return n.Metrics().Counters[name] }
 
-// sealTo has n push piece idx sealed to r and returns the seal's KeyID.
+// sealTo has n push piece idx sealed to r at its latest tick and returns the
+// seal's KeyID.
 func sealTo(t *testing.T, n *Node, r *remote, idx int) uint64 {
 	t.Helper()
 	data, err := n.cfg.Store.GetRef(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.sendSealed(r, idx, data, nil) {
+	if !n.sendSealed(r, idx, data, n.now, nil) {
 		t.Fatalf("seal of piece %d to peer %d refused", idx, r.id)
 	}
 	r.outMu.Lock()
@@ -100,8 +101,8 @@ func sealTo(t *testing.T, n *Node, r *remote, idx int) uint64 {
 // node's clock and its neighbor set, and a released key leaves as a Key
 // frame on its receiver's outbox, counted. Three seals: to a receiver that
 // has reciprocated before, one that never has, and one that has but is no
-// longer in n.peers. The instants are sinceStartNs values handed to
-// sweepGrace — no sleeping.
+// longer in n.peers. The node never ticks, so every seal is stamped at
+// n.now = 0; the instants are handed to sweepGrace — no sleeping.
 func TestGraceSweep(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	store, err := piece.NewSeedStore(manifest, content)
@@ -109,7 +110,6 @@ func TestGraceSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: store})
-	n.start = time.Now() // sendSealed stamps on the sinceStartNs clock
 	const trustedID, strangerID, departedID = 1, 2, 3
 	trusted, _ := fixtureRemote(n, trustedID, false)
 	stranger, _ := fixtureRemote(n, strangerID, false)
@@ -120,18 +120,17 @@ func TestGraceSweep(t *testing.T) {
 		n.escrow.Confirm(r.id) // r has reciprocated once
 	}
 
-	earliest := n.sinceStartNs() + int64(reciprocationGrace)
 	trustedKey := sealTo(t, n, trusted, 1)
 	strangerKey := sealTo(t, n, stranger, 2)
 	departedKey := sealTo(t, n, departed, 3)
-	latest := n.sinceStartNs() + int64(reciprocationGrace)
+	due := n.now + int64(reciprocationGrace)
 
-	n.sweepGrace(earliest - 1)
+	n.sweepGrace(due - 1)
 	if n.escrow.Pending() != 3 || len(keysQueued(trusted))+len(keysQueued(stranger))+len(keysQueued(departed)) != 0 {
 		t.Fatalf("a sweep before any seal was due moved something: %d keys escrowed of 3", n.escrow.Pending())
 	}
 
-	n.sweepGrace(latest)
+	n.sweepGrace(due)
 	if got := keysQueued(trusted); len(got) != 1 || got[0] != trustedKey {
 		t.Errorf("trusted receiver was queued keys %v, want [%d]", got, trustedKey)
 	}
@@ -362,7 +361,6 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 		ID: originID, Algorithm: algo.TChain, Store: store,
 		Identity: keys[originID], Directory: dir, AttestScheme: attest.SchemeSession,
 	})
-	n.start = time.Now()
 	links := make(map[int]*remote)
 	for id := forwarderID; id <= bystanderID; id++ {
 		links[id], _ = fixtureRemote(n, id, false)
@@ -452,6 +450,78 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	})
 }
 
+// TestTransientReceiptLinger: a witness holds a transient receipt
+// connection open for the origin to hang up, and one whose origin never does
+// is closed by the first tick transientLinger past the tick it was sent
+// after — or, stopped sooner, by Stop.
+func TestTransientReceiptLinger(t *testing.T) {
+	// send has a never-ticked witness send a receipt to an origin that reads
+	// it and never hangs up, and returns the witness and the origin's end.
+	send := func(t *testing.T) (*Node, transport.Conn) {
+		manifest, _ := clusterFixture(t)
+		n := fixtureNode(t, Config{ID: 2, Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
+		l, err := n.cfg.Transport.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		n.sendTransientReceipt(l.Addr(), protocol.AttestedReceipt{KeyID: 1})
+		conn, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		for _, frame := range []string{"receipt", "Bye"} {
+			if _, err := conn.Recv(); err != nil {
+				t.Fatalf("the origin read no %s: %v", frame, err)
+			}
+		}
+		return n, conn
+	}
+	// lingering reports whether the witness still holds its end, registered
+	// for a tick to close.
+	lingering := func(n *Node, conn transport.Conn) bool {
+		n.mu.Lock()
+		registered := len(n.conns) == 1
+		n.mu.Unlock()
+		return registered && conn.Send(protocol.Bye{}) == nil
+	}
+	// hungUp waits for the witness's goroutines to end and reports whether
+	// the origin then reads the hang-up.
+	hungUp := func(n *Node, conn transport.Conn) bool {
+		ended := make(chan struct{})
+		go func() { n.wg.Wait(); close(ended) }()
+		select {
+		case <-ended:
+		case <-time.After(5 * time.Second):
+			return false
+		}
+		_, err := conn.Recv()
+		return err != nil
+	}
+
+	t.Run("tick", func(t *testing.T) {
+		n, conn := send(t)
+		n.tick(int64(transientLinger) - 1)
+		if !lingering(n, conn) {
+			t.Fatal("the witness let go of the conn before transientLinger")
+		}
+		n.tick(int64(transientLinger))
+		if !hungUp(n, conn) {
+			t.Error("the witness still holds the conn transientLinger on")
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		n, conn := send(t)
+		if err := n.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if !hungUp(n, conn) {
+			t.Error("the witness still holds the conn after Stop")
+		}
+	})
+}
+
 // firstFrameConn is an accepted connection whose dialer opens with one frame
 // and hangs up.
 type firstFrameConn struct {
@@ -479,7 +549,6 @@ func TestUnsignedWitnessReceipt(t *testing.T) {
 		t.Fatal(err)
 	}
 	origin := fixtureNode(t, Config{ID: originID, Algorithm: algo.TChain, Store: store})
-	origin.start = time.Now()
 	toForwarder, _ := fixtureRemote(origin, forwarderID, false)
 	fromWitness, _ := fixtureRemote(origin, witnessID, false)
 	origin.peers[forwarderID], origin.peers[witnessID] = toForwarder, fromWitness

@@ -84,7 +84,7 @@ func newUploadTrace(tr *tracing.Collector, traceID, parent uint64, piece, peer i
 		parent: parent,
 		piece:  piece,
 		peer:   peer,
-		mintNs: time.Now().UnixNano(),
+		mintNs: spanNow(),
 	}
 }
 
@@ -142,7 +142,7 @@ func (n *Node) hopStart(tc tracing.Context, peer, piece int) *hopTrace {
 	if tr == nil || !tc.Traced() {
 		return nil
 	}
-	now := time.Now().UnixNano()
+	now := spanNow()
 	h := &hopTrace{tr: tr, trace: tc.TraceID, last: tr.NewID(),
 		node: n.cfg.ID, peer: peer, piece: piece, startNs: now}
 	tr.Record(tracing.Span{
@@ -161,7 +161,7 @@ func (n *Node) hopResume(tc tracing.Context, peer, piece int) *hopTrace {
 		return nil
 	}
 	return &hopTrace{tr: tr, trace: tc.TraceID, last: tc.SpanID,
-		node: n.cfg.ID, peer: peer, piece: piece, startNs: time.Now().UnixNano()}
+		node: n.cfg.ID, peer: peer, piece: piece, startNs: spanNow()}
 }
 
 // step closes a span named name covering the work since the previous step
@@ -170,7 +170,7 @@ func (h *hopTrace) step(name string) {
 	if h == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := spanNow()
 	id := h.tr.NewID()
 	h.tr.Record(tracing.Span{
 		TraceID: h.trace, SpanID: id, ParentID: h.last,
@@ -195,9 +195,13 @@ func (h *hopTrace) context() tracing.Context {
 func instant(tr *tracing.Collector, name string, node, peer, piece int) {
 	tr.Record(tracing.Span{
 		SpanID: tr.NewID(), Name: name, Node: node, Peer: peer, Piece: piece,
-		Start: time.Now().UnixNano(),
+		Start: spanNow(),
 	})
 }
+
+// spanNow stamps spans in wall-clock Unix nanoseconds, a base shared across
+// nodes and processes. Decisions never read it; they take the tick's now.
+func spanNow() int64 { return time.Now().UnixNano() }
 
 // traceHex formats a trace ID for log correlation; grep for it across node
 // logs to reconstruct a cross-node story.

@@ -229,7 +229,7 @@ func TestStopDrainAccounting(t *testing.T) {
 		r := newRemote(n, 1, conn, "", 0, n.gainLen.Load())
 		n.mu.Lock()
 		n.peers[1] = r
-		n.conns[conn] = true
+		n.conns[conn] = 0
 		n.mu.Unlock()
 		n.wg.Add(1)
 		go func() {

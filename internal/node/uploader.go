@@ -22,14 +22,8 @@ type nodeView struct {
 
 var _ incentive.NodeView = nodeView{}
 
-// sinceStartNs returns the node's decision clock: monotonic nanoseconds
-// since Start. Strategies (through nodeView.Now), the T-Chain escrow, the
-// grace sweep and the resend cooldown all read it, so every deadline they
-// compare shares one base.
-func (n *Node) sinceStartNs() int64 { return time.Since(n.start).Nanoseconds() }
-
 func (v nodeView) Self() incentive.PeerID { return incentive.PeerID(v.n.cfg.ID) }
-func (v nodeView) Now() float64           { return float64(v.n.sinceStartNs()) / 1e9 }
+func (v nodeView) Now() float64           { return float64(v.n.now) / 1e9 }
 func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
 
 func (v nodeView) Neighbors() []incentive.PeerID {
@@ -75,48 +69,53 @@ const resendCooldown = 3 * time.Second
 // starve.
 const reciprocationGrace = 2 * time.Second
 
-// uploadLoop is the node's one clock. Each DecisionInterval tick sweeps the
-// endgame grace queue, flushes the control traffic nobody is waiting on (see
-// flushLinks), dials one peer-exchange contact if the node is short of
-// links (see refill) and then spends the upload budget: a token bucket
-// refilled at UploadRate drives strategy-chosen piece pushes. A free-rider
-// skips only that last part — it still owes its neighbors announcements and
-// receipts, and still needs links to download over.
+// uploadLoop is the runtime around tick: it owns the DecisionInterval
+// ticker and hands tick each tick's own instant as nanoseconds since Start.
 func (n *Node) uploadLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.DecisionInterval)
 	defer ticker.Stop()
-
-	pieceSize := float64(n.cfg.Store.Manifest().PieceSize)
-	budget := pieceSize // allow an immediate first send
-	last := time.Now()
 	for {
 		select {
 		case <-n.done:
 			return
-		case now := <-ticker.C:
-			n.sweepGrace(n.sinceStartNs())
-			n.flushLinks()
-			n.refill()
-			if n.cfg.FreeRide {
-				continue // free-riders never upload
-			}
-			if n.cfg.UploadRate > 0 {
-				budget += n.cfg.UploadRate * now.Sub(last).Seconds()
-				if maxBudget := 4 * pieceSize; budget > maxBudget {
-					budget = maxBudget
-				}
-			} else {
-				budget = 8 * pieceSize // unthrottled: bounded burst per tick
-			}
-			last = now
-			for budget >= pieceSize {
-				if !n.tryUpload() {
-					break
-				}
-				budget -= pieceSize
-			}
+		case t := <-ticker.C:
+			n.tick(t.Sub(n.start).Nanoseconds())
 		}
+	}
+}
+
+// tick is one decision step at now, nanoseconds since Start. It sets n.now,
+// which decisions between ticks read, closes transient conns past their
+// linger, sweeps the grace queue, flushes links, refills and then spends a
+// token bucket refilled at UploadRate on strategy-chosen pushes. A
+// free-rider skips only the pushes: it still owes announcements and
+// receipts, and still needs links to download over.
+func (n *Node) tick(now int64) {
+	n.mu.Lock()
+	elapsed := now - n.now
+	n.now = now
+	for conn, closeBy := range n.conns {
+		if closeBy != 0 && now >= closeBy {
+			conn.Close()
+			delete(n.conns, conn)
+		}
+	}
+	n.mu.Unlock()
+	n.sweepGrace(now)
+	n.flushLinks()
+	n.refill()
+	if n.cfg.FreeRide {
+		return // free-riders never upload
+	}
+	pieceSize := float64(n.cfg.Store.Manifest().PieceSize)
+	if n.cfg.UploadRate > 0 {
+		n.budget = min(n.budget+n.cfg.UploadRate*float64(elapsed)/1e9, 4*pieceSize)
+	} else {
+		n.budget = 8 * pieceSize // unthrottled: bounded burst per tick
+	}
+	for n.budget >= pieceSize && n.tryUpload(now) {
+		n.budget -= pieceSize
 	}
 }
 
@@ -135,11 +134,11 @@ func (n *Node) flushLinks() {
 	n.mu.Unlock()
 }
 
-// tryUpload asks the strategy for a receiver and pushes one piece; reports
-// whether a send happened. A peer whose bulk queue is full is skipped
+// tryUpload asks the strategy for a receiver and pushes one piece at now;
+// reports whether a send happened. A peer whose bulk queue is full is skipped
 // before any piece work — backpressure redirects the budget instead of
 // piling frames onto a stalled connection.
-func (n *Node) tryUpload() bool {
+func (n *Node) tryUpload(now int64) bool {
 	n.mu.Lock()
 	receiverID := n.strategy.NextReceiver(n.view())
 	if receiverID == incentive.NoPeer {
@@ -155,7 +154,6 @@ func (n *Node) tryUpload() bool {
 		n.mu.Unlock()
 		return false
 	}
-	now := n.sinceStartNs()
 	idx := n.pickWantedLocked(r, r.coolingAt(now))
 	if idx < 0 {
 		n.mu.Unlock()
@@ -176,7 +174,7 @@ func (n *Node) tryUpload() bool {
 		return false
 	}
 	if n.cfg.Algorithm == algo.TChain && !n.cfg.SeedMode {
-		return n.sendSealed(r, idx, data, ut)
+		return n.sendSealed(r, idx, data, now, ut)
 	}
 	return n.sendPiece(r, idx, data, protocol.NoRepay, ut)
 }
@@ -193,10 +191,10 @@ func (n *Node) pickWantedLocked(r *remote, exclude *piece.Bitfield) int {
 	return piece.SelectRandomMissing(n.rng, r.have, n.myBits, exclude)
 }
 
-// pickRepaymentLocked picks the piece that repays one of r's seals at now on
-// the sinceStartNs clock, or -1 (mu held), and starts its resend cooldown so
-// the upload scheduler does not seal r the same piece a moment later. A
-// piece outside r's cooling set is preferred — one we sealed to r just now
+// pickRepaymentLocked picks the piece that repays one of r's seals at now,
+// or -1 (mu held), and starts its resend cooldown so the upload scheduler
+// does not seal r the same piece a moment later. A piece outside r's
+// cooling set is preferred — one we sealed to r just now
 // would arrive twice — but when every wanted piece is cooling any of them
 // will do: a recently pushed piece is still a valid (and verifiable)
 // repayment.
@@ -211,17 +209,17 @@ func (n *Node) pickRepaymentLocked(r *remote, now int64) int {
 	return idx
 }
 
-// pushStamp is one coolLog entry: piece idx was pushed at sinceStartNs at.
+// pushStamp is one coolLog entry: piece idx was pushed at tick instant at.
 type pushStamp struct {
 	at  int64
 	idx int
 }
 
-// coolingAt returns r's cooling set as of now on the sinceStartNs clock (mu
-// held), after unmarking every piece whose resendCooldown has run out —
-// those stamps are a prefix of the log. The spent prefix is dropped once it
-// outweighs the live stamps, so the log stays within twice its live length
-// at amortized O(1) per push.
+// coolingAt returns r's cooling set as of tick instant now (mu held), after
+// unmarking every piece whose resendCooldown has run out — those stamps are
+// a prefix of the log. The spent prefix is dropped once it outweighs the
+// live stamps, so the log stays within twice its live length at amortized
+// O(1) per push.
 func (r *remote) coolingAt(now int64) *piece.Bitfield {
 	for r.coolHead < len(r.coolLog) && now-r.coolLog[r.coolHead].at >= int64(resendCooldown) {
 		r.cooling.Clear(r.coolLog[r.coolHead].idx)
@@ -236,7 +234,8 @@ func (r *remote) coolingAt(now int64) *piece.Bitfield {
 
 // cool starts piece idx's resend cooldown at now (mu held); a piece already
 // cooling keeps its stamp. now must not precede an earlier stamp: both
-// callers, tryUpload and pickRepaymentLocked, read it under mu.
+// callers, tryUpload and pickRepaymentLocked, take it from the tick, whose
+// instants only grow.
 func (r *remote) cool(idx int, now int64) {
 	if r.cooling.Set(idx) {
 		r.coolLog = append(r.coolLog, pushStamp{at: now, idx: idx})
@@ -270,12 +269,12 @@ func (n *Node) noteSent(r *remote, bytes int) {
 	n.mu.Unlock()
 }
 
-// sendSealed pushes an encrypted piece, booked in the escrow as owed by r;
-// the key stays there until r reciprocates — a repaying piece, or any
+// sendSealed pushes an encrypted piece at now, booked in the escrow as owed
+// by r; the key stays there until r reciprocates — a repaying piece, or any
 // witness's receipt for a forward — or the endgame sweep lets it go. ut,
 // when non-nil, traces the push.
-func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool {
-	sealed, err := n.escrow.SealFor(data, r.id, idx, n.sinceStartNs()+int64(reciprocationGrace))
+func (n *Node) sendSealed(r *remote, idx int, data []byte, now int64, ut *uploadTrace) bool {
+	sealed, err := n.escrow.SealFor(data, r.id, idx, now+int64(reciprocationGrace))
 	if err != nil {
 		return false
 	}
@@ -300,10 +299,10 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 	return true
 }
 
-// sweepGrace is the endgame fallback, run by the upload tick with now on
-// the sinceStartNs clock: the escrow releases what trusted receivers still
-// owe past their reciprocationGrace, and each key goes out on the link that
-// makes its receiver "still linked" — looked up in the section that said so.
+// sweepGrace is the endgame fallback, run by tick at now: the escrow
+// releases what trusted receivers still owe past their reciprocationGrace,
+// and each key goes out on the link that makes its receiver "still linked"
+// — looked up in the section that said so.
 func (n *Node) sweepGrace(now int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

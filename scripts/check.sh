@@ -5,9 +5,9 @@
 # package at one and four workers, the benchmark module's own vet and tests
 # (bench/ is a separate module pinned against this one's public API), a
 # refusal of any examples/ program no test runs, the named simulator-pin,
-# membership and attestation gates, the node's timer-site ceiling, the
-# allocation guards on the hot paths, the flush clock's frames-per-piece
-# ceiling, and a report-only size table.
+# membership and attestation gates, the node's timer-site and clock-read
+# ceilings, the allocation guards on the hot paths, the flush clock's
+# frames-per-piece ceiling, and a report-only size table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,15 +92,25 @@ echo "== membership churn race gate =="
 # mesh: 16 nodes open exactly 120 connections.
 go test -race -count=1 -run 'TestDiscoveryChurn64|TestFullMeshOpensEachLinkOnce' ./internal/node
 
-echo "== node timer-site ceiling =="
-# Every timer the live node arms is a site a clock seam must thread through
-# (ROADMAP keystone stage 1): the upload tick, the transient-receipt watchdog
-# and Stop's drain poll. A fourth needs a reason, not a quiet ticker.
-timer_sites=$(grep -cE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $(ls internal/node/*.go | grep -v '_test\.go$') | awk -F: '{s += $2} END {print s}')
-echo "internal/node timer sites: $timer_sites"
-if [ "$timer_sites" -gt 3 ]; then
-  echo "timer guard: non-test internal/node has $timer_sites timer sites (ceiling 3)" >&2
-  grep -nE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $(ls internal/node/*.go | grep -v '_test\.go$') >&2
+echo "== node timer-site and clock-read ceilings =="
+# The node decides on the tick's instant: uploadLoop hands tick(now) the
+# ticker's time, and every decision reads that now (ROADMAP keystone stage
+# 1). Two timers remain, the upload tick and Stop's drain poll; a third needs
+# a reason, not a quiet ticker. Four clock reads remain: Start's epoch,
+# Stop's drain deadline (two) and spanNow's trace stamps; a fifth is
+# decision code reading a clock of its own instead of the tick's now.
+node_src=$(ls internal/node/*.go | grep -v '_test\.go$')
+timer_sites=$(grep -cE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $node_src | awk -F: '{s += $2} END {print s}')
+clock_reads=$(grep -oE 'time\.(Now|Since|Until)\(' $node_src | wc -l)
+echo "internal/node timer sites: $timer_sites, clock reads: $clock_reads"
+if [ "$timer_sites" -gt 2 ]; then
+  echo "timer guard: non-test internal/node has $timer_sites timer sites (ceiling 2)" >&2
+  grep -nE 'time\.(NewTicker|NewTimer|Sleep|AfterFunc)' $node_src >&2
+  exit 1
+fi
+if [ "$clock_reads" -gt 4 ]; then
+  echo "clock guard: non-test internal/node reads the clock $clock_reads times (ceiling 4); decisions take tick's now" >&2
+  grep -nE 'time\.(Now|Since|Until)\(' $node_src >&2
   exit 1
 fi
 
@@ -186,8 +196,9 @@ echo "== attestation adversary gate =="
 # the ack audit path without touching the ledger. T-Chain's witness
 # receipts too: every receipt an origin must refuse (minted by the
 # forwarder, addressed elsewhere, off its link, a per-piece receipt
-# re-wrapped, wrong piece, replayed) leaves the key in escrow, and a stopped
-# node keeps nothing alive — no timer outlives it. The escrow those receipts
+# re-wrapped, wrong piece, replayed) leaves the key in escrow, a stopped
+# node keeps nothing alive — no timer outlives it — and a transient receipt
+# conn closes at its linger's tick or at Stop. The escrow those receipts
 # release from is one book, held to its invariants by a seeded property test
 # (every key leaves at most once, no sweep releases to a receiver that never
 # reciprocated) and read on passed-in time only; and a parked seal answers to
@@ -204,7 +215,7 @@ echo "== attestation adversary gate =="
 # signals a writer for an announcement or a copy, the tick does, a free-rider
 # still ticks, and Stop drains what the dead tick left.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
 go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains' ./internal/node
@@ -213,7 +224,7 @@ if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep
   exit 1
 fi
 if grep -n 'time\.\(Now\|Since\)' $(ls internal/tchain/*.go | grep -v '_test\.go$'); then
-  echo "internal/tchain reads a clock: the escrow takes time as an argument (the node's sinceStartNs)" >&2
+  echo "internal/tchain reads a clock: the escrow takes time as an argument (the node's tick instant)" >&2
   exit 1
 fi
 
