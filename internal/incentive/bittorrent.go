@@ -76,13 +76,14 @@ func (b *bitTorrent) rotate(now float64) {
 
 func (b *bitTorrent) NextReceiver(view NodeView) PeerID {
 	b.rotate(view.Now())
-	wanting := wantingNeighbors(view)
-	if len(wanting) == 0 {
+	// Whether anyone wants decides the draw; only the optimistic branch
+	// needs the full list.
+	if !anyWanting(view) {
 		return NoPeer
 	}
 	if view.RNG().Float64() < b.params.AlphaBT {
 		// Optimistic unchoke: uniformly random interested neighbor.
-		return randomPeer(view.RNG(), wanting)
+		return randomPeer(view.RNG(), wantingNeighbors(view))
 	}
 	// Tit-for-tat: serve one of the top n_BT interested contributors. The
 	// ranked list is already in (contribution desc, id asc) order, so the

@@ -161,8 +161,9 @@ func New(a algo.Algorithm, params Params, ledger *reputation.Ledger) (Strategy, 
 	}
 }
 
-// wantingLister is an optional NodeView capability: views backed by a live
-// interest index can produce the want-filtered neighbor list in one pass,
+// wantingLister is an optional NodeView capability: views that answer
+// interest from their own books (the simulator's holder rows, the node's
+// per-link counters) can produce the want-filtered neighbor list in one pass,
 // skipping the per-neighbor WantsFromMe round trips. Implementations must
 // return exactly the list the generic filter would build (same contents,
 // same order, same in-place-filterable storage contract as Neighbors), or
@@ -190,6 +191,26 @@ func wantingNeighbors(view NodeView) []PeerID {
 		}
 	}
 	return out
+}
+
+// wantingProber is an optional NodeView capability beside wantingLister:
+// whether any neighbor needs a piece the local peer holds, answered without
+// building the list, stopping at the first neighbor that does. It must agree
+// with len(wantingNeighbors(view)) > 0, or decline with ok == false.
+type wantingProber interface {
+	AnyWanting() (wanting, ok bool)
+}
+
+// anyWanting reports whether any neighbor needs a piece the local peer
+// holds, through the view's wantingProber when it has one and otherwise by
+// the generic filter, stopping at the first neighbor it passes.
+func anyWanting(view NodeView) bool {
+	if wp, ok := view.(wantingProber); ok {
+		if wanting, ok := wp.AnyWanting(); ok {
+			return wanting
+		}
+	}
+	return slices.ContainsFunc(view.Neighbors(), view.WantsFromMe)
 }
 
 // contribRecord is one peer's rolling contribution state for the round-based

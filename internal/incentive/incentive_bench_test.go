@@ -49,6 +49,30 @@ func (v *benchView) WantsFromMe(p PeerID) bool {
 	return p >= 0 && int(p) < len(v.wants) && v.wants[p]
 }
 
+// probingBenchView adds the optional capabilities the simulator's and the
+// node's views implement to benchView.
+type probingBenchView struct{ *benchView }
+
+func (v probingBenchView) WantingNeighbors() ([]PeerID, bool) {
+	out := v.scratch[:0]
+	for _, n := range v.neighbors {
+		if v.wants[n] {
+			out = append(out, n)
+		}
+	}
+	v.scratch = out
+	return out, true
+}
+
+func (v probingBenchView) AnyWanting() (wanting, ok bool) {
+	for _, n := range v.neighbors {
+		if v.wants[n] {
+			return true, true
+		}
+	}
+	return false, true
+}
+
 // BenchmarkNextReceiver times one upload decision per mechanism over 50
 // interested neighbours in two states. The plain rows are the busy decision:
 // every neighbour has contributed (and holds a ledger score), so every
@@ -57,16 +81,22 @@ func (v *benchView) WantsFromMe(p PeerID) bool {
 // earned anything. The ledger1000 row is the busy Reputation decision as
 // Figure 4 makes it: the global ledger holds 1000 peers, and the 50
 // neighbours are spread among them (the other mechanisms never read the
-// ledger). scripts/check.sh holds every row at 0 allocs/op.
+// ledger). The probing row is the busy BitTorrent decision over a view with
+// the wanting-list and any-wanting capabilities, as the simulator and the
+// node make it. scripts/check.sh holds every row at 0 allocs/op.
 func BenchmarkNextReceiver(b *testing.B) {
 	algorithms := append(algo.All(), algo.PropShare)
-	run := func(b *testing.B, a algo.Algorithm, busy bool, peers int) {
+	run := func(b *testing.B, a algo.Algorithm, busy bool, peers int, probing bool) {
 		ledger := reputation.NewLedger(attest.AcceptAll{})
 		s, err := New(a, Params{}, ledger)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := newBenchView(peers)
+		bv := newBenchView(peers)
+		var v NodeView = bv
+		if probing {
+			v = probingBenchView{bv}
+		}
 		s.OnReceived(v, seederID, 1000)
 		if busy {
 			for i := 1; i < peers; i++ {
@@ -74,7 +104,7 @@ func BenchmarkNextReceiver(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			for _, p := range v.neighbors[1:] {
+			for _, p := range bv.neighbors[1:] {
 				s.OnReceived(v, p, float64(p*100))
 			}
 		}
@@ -85,12 +115,13 @@ func BenchmarkNextReceiver(b *testing.B) {
 		}
 	}
 	for _, a := range algorithms {
-		b.Run(a.String(), func(b *testing.B) { run(b, a, true, benchNeighbors) })
+		b.Run(a.String(), func(b *testing.B) { run(b, a, true, benchNeighbors, false) })
 	}
 	b.Run("idle", func(b *testing.B) {
 		for _, a := range algorithms {
-			b.Run(a.String(), func(b *testing.B) { run(b, a, false, benchNeighbors) })
+			b.Run(a.String(), func(b *testing.B) { run(b, a, false, benchNeighbors, false) })
 		}
 	})
-	b.Run("ledger1000/"+algo.Reputation.String(), func(b *testing.B) { run(b, algo.Reputation, true, 1000) })
+	b.Run("ledger1000/"+algo.Reputation.String(), func(b *testing.B) { run(b, algo.Reputation, true, 1000, false) })
+	b.Run("probing/"+algo.BitTorrent.String(), func(b *testing.B) { run(b, algo.BitTorrent, true, benchNeighbors, true) })
 }

@@ -413,3 +413,83 @@ func TestReputationDecisionDuringCredit(t *testing.T) {
 	close(stop)
 	<-done
 }
+
+// probingView is a fakeView with the optional capabilities the simulator's
+// and the node's views implement: the wanting list in one call, and whether
+// anyone wants, stopping at the first. It counts the calls to each.
+type probingView struct {
+	*fakeView
+	lists, probes int
+}
+
+func (v *probingView) WantingNeighbors() ([]PeerID, bool) {
+	v.lists++
+	out := v.fakeView.Neighbors()[:0]
+	for _, n := range v.neighbors {
+		if v.wants[n] {
+			out = append(out, n)
+		}
+	}
+	return out, true
+}
+
+func (v *probingView) AnyWanting() (wanting, ok bool) {
+	v.probes++
+	return slices.ContainsFunc(v.neighbors, func(n PeerID) bool { return v.wants[n] }), true
+}
+
+// TestBitTorrentSameDecisionsWithProbe runs BitTorrent over a view with the
+// capabilities and over one with the same neighbours without them, on twin
+// RNGs, while contributions, rounds and interest change: the same pick at
+// every decision, through the all-uninterested, optimistic and tit-for-tat
+// branches alike, with the probed view asking for the full list only on the
+// optimistic branch.
+func TestBitTorrentSameDecisionsWithProbe(t *testing.T) {
+	const decisions = 10000
+	probed, plain := newBitTorrent(DefaultParams()), newBitTorrent(DefaultParams())
+	pv, v := &probingView{fakeView: newFakeView()}, newFakeView()
+	pv.rng, v.rng = rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	script := rand.New(rand.NewSource(-42))
+	var idle, optimistic, titForTat int
+	for d := 0; d < decisions; d++ {
+		switch op := script.Intn(10); {
+		case op < 3:
+			from, bytes := PeerID(script.Intn(12)), float64(1+script.Intn(1000))
+			probed.OnReceived(pv, from, bytes)
+			plain.OnReceived(v, from, bytes)
+		case op < 4:
+			pv.now += 4 // a round is 10 s
+			v.now = pv.now
+		case op < 6:
+			v.neighbors = v.neighbors[:0]
+			clear(v.wants)
+			for id := PeerID(0); id < 12; id++ {
+				if script.Intn(2) == 0 {
+					v.neighbors = append(v.neighbors, id)
+				}
+				// Often nobody wants: the all-uninterested branch.
+				v.wants[id] = script.Intn(8) == 0
+			}
+			pv.neighbors, pv.wants = v.neighbors, v.wants
+		}
+		lists := pv.lists
+		got, want := probed.NextReceiver(pv), plain.NextReceiver(v)
+		if got != want {
+			t.Fatalf("decision %d: probed view picked %v, plain view %v", d, got, want)
+		}
+		switch {
+		case !slices.ContainsFunc(v.neighbors, func(n PeerID) bool { return v.wants[n] }):
+			idle++
+		case pv.lists > lists:
+			optimistic++
+		default:
+			titForTat++
+		}
+	}
+	if pv.probes != decisions {
+		t.Errorf("AnyWanting asked %d times in %d decisions, want once each", pv.probes, decisions)
+	}
+	if idle < 1000 || optimistic < 500 || titForTat < 1000 {
+		t.Errorf("%d idle, %d optimistic and %d tit-for-tat decisions; the script must exercise every branch", idle, optimistic, titForTat)
+	}
+}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/algo"
@@ -26,18 +27,22 @@ func (v nodeView) Self() incentive.PeerID { return incentive.PeerID(v.n.cfg.ID) 
 func (v nodeView) Now() float64           { return float64(v.n.now) / 1e9 }
 func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
 
+// Neighbors returns the linked peers in ascending ID order, so a decision's
+// draws pick the same peer from the same rng state on every run (n.peers is
+// a map, whose iteration order is not).
 func (v nodeView) Neighbors() []incentive.PeerID {
 	out := v.n.neighborScratch[:0]
 	for id := range v.n.peers {
 		out = append(out, incentive.PeerID(id))
 	}
+	slices.Sort(out)
 	v.n.neighborScratch = out
 	return out
 }
 
 // WantingNeighbors implements the incentive package's optional fast path:
-// the neighbors whose cached theyNeed counter is positive, without the
-// per-neighbor WantsFromMe round trips.
+// the neighbors whose cached theyNeed counter is positive, in ascending ID
+// order, without the per-neighbor WantsFromMe round trips.
 func (v nodeView) WantingNeighbors() ([]incentive.PeerID, bool) {
 	out := v.n.wantScratch[:0]
 	for id, r := range v.n.peers {
@@ -45,8 +50,20 @@ func (v nodeView) WantingNeighbors() ([]incentive.PeerID, bool) {
 			out = append(out, incentive.PeerID(id))
 		}
 	}
+	slices.Sort(out)
 	v.n.wantScratch = out
 	return out, true
+}
+
+// AnyWanting implements the incentive package's optional any-wanting
+// capability: whether some neighbor's theyNeed counter is positive.
+func (v nodeView) AnyWanting() (wanting, ok bool) {
+	for _, r := range v.n.peers {
+		if r.theyNeed > 0 {
+			return true, true
+		}
+	}
+	return false, true
 }
 
 func (v nodeView) WantsFromMe(p incentive.PeerID) bool {

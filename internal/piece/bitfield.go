@@ -31,7 +31,7 @@ func NewBitfield(size int) *Bitfield {
 // live in the caller-provided slice, which must have length (size+63)/64 and
 // be all zero. Callers may carve many bitfields out of one shared slab so
 // the fields sit dense in memory — the simulator backs every peer's holdings
-// this way, which keeps its incremental interest index cache-resident. The
+// this way, which keeps its interest answers cache-resident. The
 // backing slice must not be mutated directly afterwards.
 func NewBitfieldBacked(words []uint64, size int) *Bitfield {
 	if size < 0 {
@@ -150,7 +150,7 @@ func (b *Bitfield) CountMissingFrom(other *Bitfield) int {
 
 // DiffCounts returns, in one popcount pass, how many pieces only b holds and
 // how many only other holds: (|b \ other|, |other \ b|). It seeds the
-// simulator's incremental per-edge interest counters when two peers connect.
+// live node's per-link interest counter when a peer's bitfield arrives.
 // A nil other counts as an empty bitfield.
 func (b *Bitfield) DiffCounts(other *Bitfield) (selfOnly, otherOnly int) {
 	if other == nil {

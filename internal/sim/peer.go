@@ -22,11 +22,9 @@ type peer struct {
 	strategy incentive.Strategy
 	view     *peerView
 
-	// The per-neighbor interest index, structure-of-arrays: index i of each
-	// of adjacency's slices describes the link to neighbors[i]. See
-	// interest.go for the invariants. Keeping counters and flags in this
-	// peer's contiguous storage lets the hot-path queries and the noteGained
-	// maintenance scan walk dense memory.
+	// The per-neighbor arrays, structure-of-arrays: index i of each of
+	// adjacency's slices describes the link to neighbors[i]. See
+	// interest.go for the invariants.
 	adjacency
 
 	freeRider bool
@@ -53,17 +51,11 @@ type peer struct {
 
 // peerView adapts a peer to incentive.NodeView. One instance per peer,
 // reused across decisions; the scratch slice keeps Neighbors allocation-free
-// on the hot path. When scratch is a wholesale copy of the peer's neighbor
-// IDs (direct == true), the cursor lets the strategies' sequential
-// WantsFromMe pattern read the peer's live interest flags by position — no
-// lookup, no edge dereference.
+// on the hot path.
 type peerView struct {
 	swarm   *Swarm
 	peer    *peer
 	scratch []incentive.PeerID
-	cursor  int
-	topoGen uint64 // swarm topology generation the scratch was built at
-	direct  bool   // scratch indices == the peer's parallel-array indices
 }
 
 var _ incentive.NodeView = (*peerView)(nil)
@@ -80,10 +72,8 @@ func (v *peerView) Neighbors() []incentive.PeerID {
 	if len(p.distrust) == 0 {
 		// Every adjacency entry is active (depart tears down its edges
 		// before control returns to the simulator), so the id array can be
-		// copied wholesale and scratch positions line up with the peer's
-		// parallel interest-flag arrays.
+		// copied wholesale.
 		v.scratch = append(v.scratch[:0], p.neighborIDs...)
-		v.direct = v.swarm.indexed
 	} else {
 		v.scratch = v.scratch[:0]
 		for _, n := range p.neighbors {
@@ -91,34 +81,26 @@ func (v *peerView) Neighbors() []incentive.PeerID {
 				v.scratch = append(v.scratch, n.id)
 			}
 		}
-		v.direct = false
 	}
-	v.cursor = 0
-	v.topoGen = v.swarm.topoGen
 	return v.scratch
 }
 
-// WantsFromMe reports whether the identified peer needs a piece we hold.
-//
-// Strategies overwhelmingly query neighbors in Neighbors() order, so a
-// cursor over the scratch slice answers most lookups from the peer's live
-// wantsFlags array; the flags are maintained incrementally on every piece
-// gain, so a hit is always current. The topology-generation check discards
-// the hint if any peer departed (shifting flag positions) since the scratch
-// was built. Every other query scans the two bitfields — the predicate a
-// neighbor's flag mirrors — so the answer never depends on the path.
+// WantsFromMe reports whether the identified peer needs a piece we hold:
+// from the holder rows, or through Bitfield.Needs with the index off.
 func (v *peerView) WantsFromMe(id incentive.PeerID) bool {
-	if c := v.cursor; v.direct && c < len(v.scratch) && v.scratch[c] == id && v.topoGen == v.swarm.topoGen {
-		v.cursor = c + 1
-		return v.peer.wantsFlags[c]
-	}
 	other := v.swarm.lookup(id)
-	return other != nil && other.active && other.have.Needs(v.peer.have)
+	if other == nil || !other.active {
+		return false
+	}
+	if !v.swarm.indexed {
+		return other.have.Needs(v.peer.have)
+	}
+	return v.swarm.wants(id, v.peer.have.Words())
 }
 
 // WantingNeighbors returns the neighbors that currently need at least one
 // piece this peer holds, implementing the incentive package's optional
-// fast-path interface: one pass over the live interest flags replaces the
+// fast-path interface: one pass over the holder rows replaces the
 // per-neighbor WantsFromMe calls of the generic filter, with the identical
 // result in the identical order. It declines (ok == false) when the index is
 // off or a T-Chain distrust filter applies, sending the caller down the
@@ -128,10 +110,17 @@ func (v *peerView) WantingNeighbors() ([]incentive.PeerID, bool) {
 	if !v.swarm.indexed || len(p.distrust) != 0 {
 		return nil, false
 	}
-	v.scratch = p.wantingIDs(v.scratch[:0])
-	// The scratch positions no longer line up with the peer's parallel
-	// arrays, so later queries must take the scan path.
-	v.direct = false
-	v.cursor = len(v.scratch)
+	v.scratch = v.swarm.wantingIDs(p, v.scratch[:0])
 	return v.scratch, true
+}
+
+// AnyWanting reports whether any neighbor needs a piece this peer holds,
+// stopping at the first that does: the incentive package's optional
+// capability beside WantingNeighbors, declining in the same cases.
+func (v *peerView) AnyWanting() (wanting, ok bool) {
+	p := v.peer
+	if !v.swarm.indexed || len(p.distrust) != 0 {
+		return false, false
+	}
+	return v.swarm.anyWanting(p), true
 }

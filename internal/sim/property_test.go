@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/incentive"
 	"repro/internal/piece"
 	"repro/internal/probe"
 )
@@ -133,19 +135,46 @@ func checkInterestIndex(s *Swarm) error {
 			if int(r) >= len(q.neighbors) || q.neighbors[r] != p || int(q.revIdx[r]) != k {
 				return fmt.Errorf("peer %d slot %d: reverse index to %d broken", p.id, k, q.id)
 			}
-			if q.linkIdx[r] != p.linkIdx[k]^1 {
-				return fmt.Errorf("peer %d slot %d: counter slots not paired (%d vs %d)", p.id, k, p.linkIdx[k], q.linkIdx[r])
+			// The holder-row answer, in both directions of the link, against
+			// the bitfields it reads.
+			if got, want := s.wants(q.id, p.have.Words()), q.have.Needs(p.have); got != want {
+				return fmt.Errorf("peer %d slot %d: holder rows say %d wants %v, Needs %v", p.id, k, q.id, got, want)
 			}
-			pOnly, qOnly := p.have.DiffCounts(q.have)
-			if got := s.linkNeeds[p.linkIdx[k]]; got != int32(qOnly) {
-				return fmt.Errorf("peer %d slot %d: needs counter %d, naive recount %d", p.id, k, got, qOnly)
-			}
-			if p.wantsFlags[k] != (pOnly > 0) || p.wantsFlags[k] != q.have.Needs(p.have) {
-				return fmt.Errorf("peer %d slot %d: wantsFlag %v, naive Needs %v", p.id, k, p.wantsFlags[k], pOnly > 0)
+			if got, want := s.wants(p.id, q.have.Words()), p.have.Needs(q.have); got != want {
+				return fmt.Errorf("peer %d slot %d: holder rows say %d wants from %d %v, Needs %v", p.id, k, p.id, q.id, got, want)
 			}
 			if p.neighborIDs[k] != q.id {
 				return fmt.Errorf("peer %d slot %d: stale id %d for %d", p.id, k, p.neighborIDs[k], q.id)
 			}
+		}
+	}
+	// The view's wanting list and any-wanting answer against the naive
+	// filter: the neighbors that lack a piece p holds, in adjacency order.
+	// A fresh view keeps the peers' own scratch untouched.
+	for _, p := range s.peers {
+		if !p.active {
+			continue
+		}
+		v := &peerView{swarm: s, peer: p}
+		list, listed := v.WantingNeighbors()
+		wanting, probed := v.AnyWanting()
+		if listed != probed || listed != (len(p.distrust) == 0) {
+			return fmt.Errorf("peer %d: WantingNeighbors ok %v, AnyWanting ok %v with %d distrusted", p.id, listed, probed, len(p.distrust))
+		}
+		if !listed {
+			continue // the generic filter answers for a distrusting peer
+		}
+		var naive []incentive.PeerID
+		for _, q := range p.neighbors {
+			if q.have.Needs(p.have) {
+				naive = append(naive, q.id)
+			}
+		}
+		if !slices.Equal(list, naive) {
+			return fmt.Errorf("peer %d: WantingNeighbors %v, naive filter %v", p.id, list, naive)
+		}
+		if wanting != (len(list) > 0) {
+			return fmt.Errorf("peer %d: AnyWanting %v with %d wanting neighbors", p.id, wanting, len(list))
 		}
 	}
 	// The rarity index must agree with a per-piece recount over active
@@ -303,6 +332,47 @@ func TestInterestIndexMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHolderRowsAcrossWords checks the interest answers where a bitfield
+// spans several words, the last one partial (150 pieces: 64 + 64 + 22), so a
+// column read from the wrong row or a word left out shows; the traces above
+// fit one word. The run then replays with the holder rows off and must give
+// the identical Result.
+func TestHolderRowsAcrossWords(t *testing.T) {
+	for _, a := range []algo.Algorithm{algo.BitTorrent, algo.Altruism, algo.TChain} {
+		cfg := Default(a, 40, 150)
+		cfg.Seed = 11
+		cfg.Horizon = 600
+		cfg.MaxNeighbors = 8
+		cfg.AbortRate = 0.2
+		swarm, err := NewSwarm(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chk indexChecker
+		chk.watch(swarm)
+		res, err := swarm.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk.check()
+		if chk.err != nil {
+			t.Fatalf("%v: %v", a, chk.err)
+		}
+		naive, err := NewSwarm(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive.indexed = false
+		naiveRes, err := naive.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, naiveRes) {
+			t.Errorf("%v: holder-row and Bitfield.Needs runs diverged", a)
+		}
 	}
 }
 

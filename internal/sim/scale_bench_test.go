@@ -6,8 +6,8 @@ import (
 	"repro/internal/algo"
 )
 
-// BenchmarkSwarmLarge measures the full upload hot path with the
-// incremental interest and rarity indexes: a 5000-peer flash crowd over a
+// BenchmarkSwarmLarge measures the full upload hot path with the holder-row
+// interest answers and the incremental rarity index: a 5000-peer flash crowd over a
 // 64 MB file (256 × 256 KB pieces) under BitTorrent, the mechanism with the
 // densest per-decision neighbor scanning. One run drives roughly 1.3 million
 // piece transfers; scripts/check.sh guards its allocs/op against

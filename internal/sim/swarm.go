@@ -40,16 +40,11 @@ type Swarm struct {
 	series            map[string]*stats.TimeSeries
 
 	// haveT is every peer's holdings transposed: word w of peer id's have
-	// is haveT[w*NumPeers+id], set in credit beside have.Set. noteGained
-	// tests a gained piece against all of a peer's neighbors in one row of
-	// NumPeers words (8 KB at the paper's 1000 peers), addressed by neighbor
-	// ID, so the scan stays in a few cache-resident pages.
+	// is haveT[w*NumPeers+id], set in credit beside have.Set. The interest
+	// answers read a neighbor's column by ID, one row per word (8 KB at the
+	// paper's 1000 peers), so a scan over a peer's neighbors stays in a few
+	// cache-resident pages (see interest.go).
 	haveT []uint64
-	// linkNeeds holds the interest index's directional counters, two
-	// adjacent int32 slots per link (slot^1 is the opposite direction);
-	// freeLinks recycles slot pairs released by departs. See interest.go.
-	linkNeeds []int32
-	freeLinks []int32
 	// adj backs every peer's per-neighbor arrays (see interest.go).
 	adj adjacencySlabs
 	// actives and incomplete are id-ascending lists of active peers and of
@@ -61,16 +56,13 @@ type Swarm struct {
 	actives    []*peer
 	incomplete []*peer
 
-	// indexed enables the incremental interest index. NewSwarm sets it; a
-	// test clears it on a built swarm (before Run, which makes every link)
-	// to run the reference scan paths against the same inputs.
+	// indexed enables the holder-row interest answers. NewSwarm sets it; a
+	// test clears it on a built swarm to run the reference Bitfield.Needs
+	// paths against the same inputs.
 	indexed bool
 	// refPick, when set by a test, replaces the indexed piece pick with a
 	// reference implementation (see pickPiece).
 	refPick func(senderHave *piece.Bitfield, receiver *peer) int
-	// topoGen increments whenever an edge is torn down; peerView uses it to
-	// invalidate cached edge pointers (see interest.go).
-	topoGen uint64
 	// flightPool and joinScratch recycle the churn-heavy allocations:
 	// in-flight transfer records and the join-time candidate slice.
 	flightPool  []*flight

@@ -186,9 +186,6 @@ func (s *Swarm) credit(senderID incentive.PeerID, receiver *peer, pieceIdx int, 
 	}
 	s.haveT[(pieceIdx>>6)*len(s.peers)+int(receiver.id)] |= 1 << (uint(pieceIdx) & 63)
 	s.availability.AddPiece(pieceIdx)
-	if s.indexed {
-		s.noteGained(receiver, pieceIdx)
-	}
 	receiver.creditedDown += bytes
 	s.note(probe.Credit)
 	if receiver.bootstrapAt < 0 {

@@ -135,14 +135,15 @@ if [ "$no_probe" != "$counter" ]; then
 fi
 
 echo "== scale regression guard =="
-# One 5000x256 run drives ~1.3M upload decisions; the interest/rarity
-# indexes keep the decision loop allocation-free, so whole-run allocs/op
-# stay dominated by per-peer setup (~171k: each peer's adjacency is carved
-# from swarm-level slabs, and no peer keeps a map of its neighbours). The
-# ceiling is the measured number plus 10%: an allocation sneaking into the
-# per-decision path would add millions, adjacency growing per link again
-# would add ~220k, and a per-peer neighbour map coming back ~90k.
-alloc_guard ./internal/sim BenchmarkSwarmLarge 188400 1x
+# One 5000x256 run drives ~1.3M upload decisions; the holder rows and the
+# rarity index keep the decision loop allocation-free, so whole-run
+# allocs/op stay dominated by per-peer setup (~161k: each peer's adjacency
+# is carved from swarm-level slabs, and no peer keeps a map of its
+# neighbours). The ceiling is the measured number plus 10%: an allocation
+# sneaking into the per-decision path would add millions, adjacency growing
+# per link again would add ~220k, and a per-peer neighbour map coming back
+# ~90k.
+alloc_guard ./internal/sim BenchmarkSwarmLarge 176800 1x
 
 echo "== event queue allocation guard =="
 # Figure 4's stalled run in miniature: 1000 idle polls re-arming U(0.5, 1.5)
