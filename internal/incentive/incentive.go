@@ -161,13 +161,13 @@ func New(a algo.Algorithm, params Params, ledger *reputation.Ledger) (Strategy, 
 	}
 }
 
-// wantingLister is an optional NodeView capability: views that answer
-// interest from their own books (the simulator's holder rows, the node's
-// per-link counters) can produce the want-filtered neighbor list in one pass,
-// skipping the per-neighbor WantsFromMe round trips. Implementations must
-// return exactly the list the generic filter would build (same contents,
-// same order, same in-place-filterable storage contract as Neighbors), or
-// decline with ok == false.
+// wantingLister is an optional NodeView capability: a view that answers
+// interest from its own books (the simulator's holder rows) can produce the
+// want-filtered neighbor list in one pass, skipping the per-neighbor
+// WantsFromMe round trips. Implementations must return exactly the list the
+// generic filter would build (same contents, same order, same
+// in-place-filterable storage contract as Neighbors), or decline with
+// ok == false.
 type wantingLister interface {
 	WantingNeighbors() (list []PeerID, ok bool)
 }

@@ -49,8 +49,8 @@ func (v *benchView) WantsFromMe(p PeerID) bool {
 	return p >= 0 && int(p) < len(v.wants) && v.wants[p]
 }
 
-// probingBenchView adds the optional capabilities the simulator's and the
-// node's views implement to benchView.
+// probingBenchView adds the optional capabilities the simulator's view
+// implements to benchView.
 type probingBenchView struct{ *benchView }
 
 func (v probingBenchView) WantingNeighbors() ([]PeerID, bool) {

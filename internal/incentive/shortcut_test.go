@@ -415,8 +415,8 @@ func TestReputationDecisionDuringCredit(t *testing.T) {
 }
 
 // probingView is a fakeView with the optional capabilities the simulator's
-// and the node's views implement: the wanting list in one call, and whether
-// anyone wants, stopping at the first. It counts the calls to each.
+// view implements: the wanting list in one call, and whether anyone wants,
+// stopping at the first. It counts the calls to each.
 type probingView struct {
 	*fakeView
 	lists, probes int

@@ -188,7 +188,9 @@ func TestWriterCoalescesGains(t *testing.T) {
 
 // TestHaveBatchEqualsSingleHaves: however a peer's gain sequence is cut
 // into Have and HaveBatch frames — repeats and empty batches included — the
-// receiver ends in the state the same indices as single Haves leave it in.
+// receiver ends in the state the same indices as single Haves leave it in,
+// and the strategy view's interest answer agrees with a recount of the two
+// holdings.
 func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 	const pieces = 200
 	manifest, err := piece.SyntheticManifest(pieces, 16)
@@ -211,6 +213,7 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 			}
 			n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
 			r, _ := fixtureRemote(n, 1, false)
+			n.peers[1] = r
 			return n, r
 		}
 
@@ -240,11 +243,11 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 		if !slices.Equal(rs.have.Words(), rb.have.Words()) || rs.have.Count() != rb.have.Count() {
 			t.Fatalf("round %d: r.have differs: %d vs %d pieces", round, rs.have.Count(), rb.have.Count())
 		}
-		if rs.theyNeed != rb.theyNeed {
-			t.Fatalf("round %d: theyNeed = %d as singles, %d split", round, rs.theyNeed, rb.theyNeed)
-		}
-		if wantTheyNeed, _ := single.myBits.DiffCounts(rs.have); rs.theyNeed != wantTheyNeed {
-			t.Fatalf("round %d: theyNeed %d drifted from the bitfields' %d", round, rs.theyNeed, wantTheyNeed)
+		for _, n := range []*Node{single, split} {
+			r := n.peers[1]
+			if got, want := n.view().WantsFromMe(1), r.have.CountMissingFrom(n.myBits) > 0; got != want {
+				t.Fatalf("round %d: WantsFromMe = %v, recount of the holdings says %v", round, got, want)
+			}
 		}
 	}
 }

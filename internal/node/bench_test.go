@@ -127,33 +127,85 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkAnnounceFanout is what one verified piece costs to announce on a
-// node with 15 neighbors — the swarm_mem_small fan-out: one gain-log append
-// and each link's interest counter, no writer woken. Indices start at 256
-// because boxing a smaller Have allocates nothing and would hide a
-// per-neighbor frame.
-// scripts/check.sh gates this at zero allocations.
-func BenchmarkAnnounceFanout(b *testing.B) {
-	const pieces, neighbors = 4096, 15
-	manifest := &piece.Manifest{PieceSize: 1, FileSize: pieces, Hashes: make([]piece.Hash, pieces)}
-	n, err := New(Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest), Transport: transport.NewMem()})
+// benchPieces and benchNeighbors are the swarm_mem_small shape the
+// per-piece micro-benchmarks below run at: 4096 pieces, 15 neighbors.
+const benchPieces, benchNeighbors = 4096, 15
+
+// benchNode returns a node running a over an empty store of benchPieces,
+// linked to peers 1..benchNeighbors over connections that swallow frames;
+// no goroutine runs.
+func benchNode(b *testing.B, a algo.Algorithm) *Node {
+	manifest := &piece.Manifest{PieceSize: 1, FileSize: benchPieces, Hashes: make([]piece.Hash, benchPieces)}
+	n, err := New(Config{Algorithm: a, Store: piece.NewStore(manifest), Transport: transport.NewMem()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for id := 1; id <= neighbors; id++ {
+	for id := 1; id <= benchNeighbors; id++ {
 		n.peers[id] = newRemote(n, id, nopConn{}, "", 0, 0)
 	}
+	return n
+}
+
+// BenchmarkAnnounceFanout is what one verified piece costs to announce on a
+// node with 15 neighbors — the swarm_mem_small fan-out: one gain-log append
+// and no per-link work, no writer woken. Indices start at 256 because boxing
+// a smaller Have allocates nothing and would hide a per-neighbor frame.
+// scripts/check.sh gates this at zero allocations.
+func BenchmarkAnnounceFanout(b *testing.B) {
+	n := benchNode(b, algo.Altruism)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := 256 + i%(pieces-256)
+		idx := 256 + i%(benchPieces-256)
 		n.noteGainedLocked(idx)
 		// Forget the gain, so that b.N may exceed the file: no writer runs
 		// here, and the log is only ever read from a link's cursor on.
 		n.myBits.Clear(idx)
 		n.gainLen.Store(0)
+	}
+}
+
+// BenchmarkNodeDecision is one upload decision through the node's strategy
+// view: NextReceiver over 15 linked peers at 4096 pieces, which asks each
+// neighbour's holdings whether it lacks a piece we hold. The rows are the
+// three answers that scan differs on: mid-download (half the pieces each,
+// settled at the first word), every peer lacking only a piece in the last
+// word, and every peer complete — the idle tick, each scan the full length
+// to say no. scripts/check.sh gates every row at zero allocations.
+func BenchmarkNodeDecision(b *testing.B) {
+	rows := []struct {
+		name       string
+		mine, peer func(i int) bool
+	}{
+		{"mid-download", func(i int) bool { return i%2 == 0 }, func(i int) bool { return i%4 < 2 }},
+		{"last-word", func(int) bool { return true }, func(i int) bool { return i != benchPieces-1 }},
+		{"complete", func(int) bool { return true }, func(int) bool { return true }},
+	}
+	for _, row := range rows {
+		for _, a := range []algo.Algorithm{algo.Altruism, algo.BitTorrent} {
+			b.Run(row.name+"/"+a.String(), func(b *testing.B) {
+				n := benchNode(b, a)
+				for i := 0; i < benchPieces; i++ {
+					if row.mine(i) {
+						n.myBits.Set(i)
+					}
+					if row.peer(i) {
+						for _, r := range n.peers {
+							r.have.Set(i)
+						}
+					}
+				}
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n.strategy.NextReceiver(n.view())
+				}
+			})
+		}
 	}
 }
 

@@ -116,9 +116,6 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 		n.mu.Unlock()
 		return // duplicate connection (simultaneous dial) or self-dial
 	}
-	// Seed the interest counter against an empty peer bitfield; the peer's
-	// Bitfield message re-derives it the moment it lands.
-	r.theyNeed, _ = n.myBits.DiffCounts(r.have)
 	n.peers[peerID] = r
 	n.contacts = slices.DeleteFunc(n.contacts, func(c contact) bool { return c.id == peerID })
 	var exchange protocol.Message
@@ -192,8 +189,6 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 				r.have.Set(i)
 			}
 		}
-		// Re-derive the interest counter in one popcount pass.
-		r.theyNeed, _ = n.myBits.DiffCounts(r.have)
 		n.mu.Unlock()
 
 	case protocol.Have:
@@ -201,7 +196,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 			return n.dropHostile(r, msg)
 		}
 		n.mu.Lock()
-		n.noteHaveLocked(r, int(m.Index))
+		r.have.Set(int(m.Index))
 		n.mu.Unlock()
 
 	case protocol.HaveBatch:
@@ -220,7 +215,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		}
 		n.mu.Lock()
 		for _, idx := range m.Indices {
-			n.noteHaveLocked(r, int(idx))
+			r.have.Set(int(idx))
 		}
 		n.mu.Unlock()
 
@@ -447,11 +442,13 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	// utility, and the witness discards the duplicate ciphertext but still
 	// receipts it. Without this fallback a node that joins after the swarm
 	// finishes has no obligation it can ever fulfil, earns no trust, and
-	// starves on undecryptable ciphertext forever.
+	// starves on undecryptable ciphertext forever. Neighbours are walked in
+	// ascending ID order, so one seed draws the same witnesses on every run.
 	n.mu.Lock()
 	var witness, fallback *remote
 	needySeen, anySeen := 0, 0
-	for _, p := range n.peers {
+	for _, id := range n.view().Neighbors() {
+		p := n.peers[int(id)]
 		if p.id == int(m.OriginID) {
 			continue
 		}
@@ -682,22 +679,13 @@ func (n *Node) handshakeBitfield() (protocol.Bitfield, int32) {
 	return protocol.Bitfield{NumPieces: int32(numPieces), Bits: packed}, at
 }
 
-// noteHaveLocked records that r announced holding piece index (mu held; the
-// caller has checked the index against the manifest).
-func (n *Node) noteHaveLocked(r *remote, index int) {
-	if r.have.Set(index) && n.myBits.Has(index) {
-		r.theyNeed-- // they caught up on a piece we hold
-	}
-}
-
 // noteGainedLocked records a verified piece (mu held) and reports whether
-// it was new: it mirrors the bit locally, publishes the index on the gain
-// log and adjusts every neighbor's interest counter — one append per gain,
-// not one queued Have per neighbor, and no writer is signalled: a link
-// announces the log's new tail in its next drain, which the upload tick's
-// flushLinks causes if nothing sooner does. Duplicate gains (two peers
-// racing the same piece through Store.Put) are detected by the bitfield and
-// ignored.
+// it was new: it mirrors the bit locally and publishes the index on the
+// gain log — one append per gain, no per-neighbor work and no writer
+// signalled: a link announces the log's new tail in its next drain, which
+// the upload tick's flushLinks causes if nothing sooner does. Duplicate
+// gains (two peers racing the same piece through Store.Put) are detected by
+// the bitfield and ignored.
 func (n *Node) noteGainedLocked(index int) bool {
 	if !n.myBits.Set(index) {
 		return false
@@ -706,11 +694,6 @@ func (n *Node) noteGainedLocked(index int) bool {
 	at := n.gainLen.Load()
 	n.gainLog[at] = int32(index)
 	n.gainLen.Store(at + 1)
-	for _, r := range n.peers {
-		if !r.have.Has(index) {
-			r.theyNeed++ // they now lack a piece we hold
-		}
-	}
 	return true
 }
 

@@ -120,11 +120,13 @@ func (n *Node) learnContacts(infos []protocol.NodeInfo) {
 // peerExchangeLocked builds the Nodes frame the accepting side of a
 // handshake sends its dialer r (mu held): up to MaxNeighbors neighbours that
 // arrived before r — every link this node dialed, and those it accepted
-// earlier — or nil when there are none.
+// earlier — or nil when there are none. Neighbours are listed in ascending
+// ID order before the shuffle, so one seed sends the same frame on every
+// run.
 func (n *Node) peerExchangeLocked(r *remote) protocol.Message {
 	var infos []protocol.NodeInfo
-	for _, p := range n.peers {
-		if p != r && p.arrival < r.arrival && p.addr != "" {
+	for _, id := range n.view().Neighbors() {
+		if p := n.peers[int(id)]; p != r && p.arrival < r.arrival && p.addr != "" {
 			infos = append(infos, protocol.NodeInfo{ID: int32(p.id), Addr: p.addr})
 		}
 	}

@@ -164,13 +164,6 @@ type remote struct {
 	// this link (see newRemote) instead of signed with the identity key.
 	linkKeyed bool
 
-	// theyNeed counts pieces we hold that the peer lacks. Maintained
-	// incrementally under Node.mu (bitfield merge, have announcements, our
-	// own piece gains), it makes the strategy's WantsFromMe probe O(1)
-	// instead of an O(pieces/64) bitfield scan per probe with the node
-	// locked.
-	theyNeed int
-
 	// cooling marks the pieces we pushed to this peer within
 	// resendCooldown, the set tryUpload's pick excludes; coolLog holds one
 	// stamp per marked piece in push order — which is clock order, so the
@@ -539,9 +532,9 @@ type Node struct {
 	dialing  map[string]bool
 
 	// myBits mirrors the store's holdings under mu, so the decision loop
-	// and the per-peer interest counters never take the store's lock or
-	// clone a bitfield on the hot path. noteGainedLocked keeps it (and
-	// every remote's counters) in sync with verified Puts.
+	// never takes the store's lock or clones a bitfield on the hot path:
+	// interest is read off myBits and each link's have. noteGainedLocked
+	// keeps it in sync with verified Puts.
 	myBits *piece.Bitfield
 	// gainLog lists the pieces verified since New in verification order,
 	// and gainLen is how many are published. It is append-only:
@@ -551,11 +544,10 @@ type Node struct {
 	// Sized at New for every piece the store lacked; never reallocated.
 	gainLog []int32
 	gainLen atomic.Int32
-	// neighborScratch and wantScratch back the strategy view's slice
-	// results; both are reused across decisions (valid until the next view
-	// call, per incentive.NodeView's contract) and protected by mu.
+	// neighborScratch backs the strategy view's Neighbors result; it is
+	// reused across decisions (valid until the next view call, per
+	// incentive.NodeView's contract) and protected by mu.
 	neighborScratch []incentive.PeerID
-	wantScratch     []incentive.PeerID
 
 	metrics *nodeMetrics // never nil after New
 
@@ -796,7 +788,7 @@ func (n *Node) remotes() []*remote {
 
 // unlinkLocked drops r from the neighbor set and the strategy's books (mu
 // held), unless a newer link to the same peer has already replaced it.
-// Everything else per-peer — interest counters, resend cooldown, outbox —
+// Everything else per-peer — its holdings, resend cooldown, outbox —
 // lives on r and goes with it.
 func (n *Node) unlinkLocked(r *remote) {
 	if n.peers[r.id] != r {

@@ -62,16 +62,14 @@ func fixtureNode(t *testing.T, cfg Config) *Node {
 	return n
 }
 
-// fixtureRemote builds n's link to peer id over a gateConn, interest
-// counters derived as a handshake would; it is not entered in n.peers.
+// fixtureRemote builds n's link to peer id over a gateConn, as a handshake
+// would before the peer's bitfield lands; it is not entered in n.peers.
 func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 	conn := &gateConn{gate: make(chan struct{})}
 	if !stalled {
 		close(conn.gate)
 	}
-	r := newRemote(n, id, conn, "", 0, n.gainLen.Load())
-	r.theyNeed, _ = n.myBits.DiffCounts(r.have)
-	return r, conn
+	return newRemote(n, id, conn, "", 0, n.gainLen.Load()), conn
 }
 
 // fillBulk queues bulk frames up to the backpressure bound.

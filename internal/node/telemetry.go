@@ -64,14 +64,13 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 	n.mu.Lock()
 	peers := make([]DebugPeer, 0, len(n.peers))
 	for _, r := range n.peers {
-		_, iNeed := n.myBits.DiffCounts(r.have)
 		peers = append(peers, DebugPeer{
 			ID:       r.id,
 			Addr:     r.addr,
 			Have:     r.have.Count(),
-			TheyNeed: r.theyNeed,
-			INeed:    iNeed,
-			Outbox:   r.queued(), // outMu nests inside mu, as in noteGainedLocked
+			TheyNeed: r.have.CountMissingFrom(n.myBits),
+			INeed:    n.myBits.CountMissingFrom(r.have),
+			Outbox:   r.queued(), // outMu nests inside mu, as in flushLinks
 		})
 		for _, idx := range r.have.Indices() {
 			holders[idx]++

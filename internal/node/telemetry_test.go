@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -82,7 +83,11 @@ func TestClusterMetricsHTTP(t *testing.T) {
 	}
 
 	// /debug/swarm: a complete node's table shows neighbors with nothing
-	// left to exchange.
+	// left to exchange, once their last announcements (which ride the tick)
+	// have landed.
+	waitFor(t, "the neighbors' last announcements", func() bool {
+		return !slices.ContainsFunc(getter.DebugSwarmInfo().Peers, func(p DebugPeer) bool { return p.TheyNeed != 0 })
+	})
 	res, err = srv.Client().Get(srv.URL + "/debug/swarm")
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +104,8 @@ func TestClusterMetricsHTTP(t *testing.T) {
 		t.Error("debug swarm shows no peers on a running mesh")
 	}
 	for _, p := range dbg.Peers {
-		if p.INeed != 0 {
-			t.Errorf("complete node still needs %d pieces from peer %d", p.INeed, p.ID)
+		if p.INeed != 0 || p.TheyNeed != 0 {
+			t.Errorf("complete node and peer %d still need %d and %d pieces of each other", p.ID, p.INeed, p.TheyNeed)
 		}
 	}
 

@@ -13,10 +13,10 @@ import (
 
 // nodeView adapts the node's state to incentive.NodeView. All methods are
 // called with n.mu held (the upload loop and message handlers lock before
-// consulting the strategy), so the interest queries read the per-remote
-// counters directly — O(1) per probe, no store lock, no bitfield clone —
-// and the slice results reuse node-owned scratch per the NodeView
-// contract ("valid only until the next call on the view").
+// consulting the strategy), so the interest query reads myBits and the
+// link's have directly — no store lock, no bitfield clone — and Neighbors
+// reuses node-owned scratch per the NodeView contract ("valid only until
+// the next call on the view").
 type nodeView struct {
 	n *Node
 }
@@ -40,35 +40,11 @@ func (v nodeView) Neighbors() []incentive.PeerID {
 	return out
 }
 
-// WantingNeighbors implements the incentive package's optional fast path:
-// the neighbors whose cached theyNeed counter is positive, in ascending ID
-// order, without the per-neighbor WantsFromMe round trips.
-func (v nodeView) WantingNeighbors() ([]incentive.PeerID, bool) {
-	out := v.n.wantScratch[:0]
-	for id, r := range v.n.peers {
-		if r.theyNeed > 0 {
-			out = append(out, incentive.PeerID(id))
-		}
-	}
-	slices.Sort(out)
-	v.n.wantScratch = out
-	return out, true
-}
-
-// AnyWanting implements the incentive package's optional any-wanting
-// capability: whether some neighbor's theyNeed counter is positive.
-func (v nodeView) AnyWanting() (wanting, ok bool) {
-	for _, r := range v.n.peers {
-		if r.theyNeed > 0 {
-			return true, true
-		}
-	}
-	return false, true
-}
-
+// WantsFromMe reports whether linked peer p lacks a piece we hold, reading
+// the two holdings up to the first word where one does.
 func (v nodeView) WantsFromMe(p incentive.PeerID) bool {
 	r, ok := v.n.peers[int(p)]
-	return ok && r.theyNeed > 0
+	return ok && r.have.Needs(v.n.myBits)
 }
 
 // view returns the strategy view; callers must hold n.mu.
@@ -199,12 +175,8 @@ func (n *Node) tryUpload(now int64) bool {
 // pickWantedLocked returns a uniformly random piece we hold that r lacks
 // and exclude does not mark, or -1 (mu held). The upload scheduler excludes
 // r's cooling set; the reciprocation path falls back to nil (see
-// pickRepaymentLocked). The cached theyNeed counter short-circuits peers
-// with nothing to gain.
+// pickRepaymentLocked).
 func (n *Node) pickWantedLocked(r *remote, exclude *piece.Bitfield) int {
-	if r.theyNeed == 0 {
-		return -1
-	}
 	return piece.SelectRandomMissing(n.rng, r.have, n.myBits, exclude)
 }
 

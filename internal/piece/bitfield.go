@@ -148,28 +148,6 @@ func (b *Bitfield) CountMissingFrom(other *Bitfield) int {
 	return total
 }
 
-// DiffCounts returns, in one popcount pass, how many pieces only b holds and
-// how many only other holds: (|b \ other|, |other \ b|). It seeds the
-// live node's per-link interest counter when a peer's bitfield arrives.
-// A nil other counts as an empty bitfield.
-func (b *Bitfield) DiffCounts(other *Bitfield) (selfOnly, otherOnly int) {
-	if other == nil {
-		return b.count, 0
-	}
-	n := min(len(b.words), len(other.words))
-	for w := 0; w < n; w++ {
-		selfOnly += bits.OnesCount64(b.words[w] &^ other.words[w])
-		otherOnly += bits.OnesCount64(other.words[w] &^ b.words[w])
-	}
-	for w := n; w < len(b.words); w++ {
-		selfOnly += bits.OnesCount64(b.words[w])
-	}
-	for w := n; w < len(other.words); w++ {
-		otherOnly += bits.OnesCount64(other.words[w])
-	}
-	return selfOnly, otherOnly
-}
-
 // Words returns the bitfield's backing words (bit i of word w is piece
 // w*64+i), shared rather than copied: the slice is allocated once and never
 // reallocated, so index structures may cache it for repeated membership

@@ -265,13 +265,20 @@ echo "== tracing overhead guard =="
 alloc_guard ./internal/node BenchmarkOutboxUntraced 0 10000x
 
 echo "== announcement fan-out allocation guard =="
-# A verified piece is announced from the node's gain log: one append and the
-# neighbors' interest counters, no frame queued and no writer woken — the
-# links announce the log's tail on their next drain, which the upload tick
-# causes if nothing sooner does. With 15 neighbors it must cost 0 allocs/op —
-# it was 15, one boxed Have queued per link, and that was most of
-# swarm_mem_small's allocations per piece.
+# A verified piece is announced from the node's gain log: one append and no
+# per-link work, no frame queued and no writer woken — the links announce
+# the log's tail on their next drain, which the upload tick causes if nothing
+# sooner does. With 15 neighbors it must cost 0 allocs/op — it was 15, one
+# boxed Have queued per link, and that was most of swarm_mem_small's
+# allocations per piece.
 alloc_guard ./internal/node BenchmarkAnnounceFanout 0
+
+echo "== node decision allocation guard =="
+# One upload decision through the node's strategy view reads each
+# neighbour's holdings against ours (mid-download, lacking only a piece in
+# the last word, every peer complete), over 15 links at 4096 pieces. Every
+# node makes several a tick, so every row must stay allocation-free.
+alloc_guard ./internal/node BenchmarkNodeDecision 0
 
 echo "== flush clock guard =="
 # Announcements and receipt copies ride the node's tick, not a writer
