@@ -90,8 +90,8 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 	if peerID < 0 {
 		// Negative IDs are the strategies' pseudo-peers. A neighbor
 		// announcing -1 *is* incentive.NoPeer: every time the strategy
-		// picked it, tryUpload would read "nothing to send" and the upload
-		// loop would abandon the rest of the tick's budget.
+		// picked it, tryUpload would read "nothing to send" and the tick
+		// would stop pushing.
 		n.log.Warn("handshake refused: negative peer ID", "peer", peerID)
 		return
 	}

@@ -63,7 +63,8 @@ type Config struct {
 	// newcomer's; links other nodes dial to it are not capped, as in the
 	// simulator. 0 means incentive.DefaultMaxNeighbors.
 	MaxNeighbors int
-	// UploadRate throttles uploads in bytes/second; 0 means unthrottled.
+	// UploadRate throttles uploads in bytes/second; 0 means unthrottled,
+	// paced only by each link's in-flight window (maxInFlight).
 	UploadRate float64
 	// DecisionInterval is the upload-scheduler tick (default 20 ms).
 	DecisionInterval time.Duration
@@ -137,7 +138,7 @@ func (c *Config) validate() error {
 // maxQueuedData bounds the bulk payload frames (Piece, SealedPiece) queued
 // per peer: enough to keep a healthy connection's writer busy, small enough
 // that a stalled peer pins at most maxQueuedData pieces of memory and the
-// upload scheduler redirects its budget elsewhere (see enqueue).
+// upload scheduler stops pushing to it (see enqueue).
 const maxQueuedData = 16
 
 // stopFlushTimeout bounds how long Stop waits, in total across all peers,
@@ -571,7 +572,7 @@ type Node struct {
 	stopErr  error // set inside closed.Do, read after wg.Wait
 	wg       sync.WaitGroup
 	start    time.Time // tick instants count from here
-	budget   float64   // tick's token bucket: bytes it may push
+	budget   float64   // throttled tick's token bucket: bytes it may push
 
 	completeCh   chan struct{}
 	completeOnce sync.Once

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/attest"
 	"repro/internal/piece"
+	"repro/internal/protocol"
 	"repro/internal/reputation"
 	"repro/internal/transport"
 )
@@ -271,6 +272,83 @@ func TestUploadRateThrottle(t *testing.T) {
 	seed.tick(12*step + int64(2*time.Second))
 	if got := pushed(); got != 7+4 {
 		t.Errorf("after two idle seconds: %d pieces pushed, want %d", got, 7+4)
+	}
+}
+
+// TestUploadWindow drives an unthrottled node's tick against one silent
+// remote: each tick pushes until a pick is refused, and the link's window —
+// pieces pushed within resendCooldown that the peer has not announced —
+// refuses it at maxInFlight. A Have frees one slot, the cooldown frees the
+// rest, and a T-Chain repayment, a control frame, is never refused. The node
+// is a T-Chain leecher holding every piece but the last, so its pushes are
+// seals and the seal it is sent for the last piece is one it can repay.
+func TestUploadWindow(t *testing.T) {
+	manifest, content := clusterFixture(t)
+	store := piece.NewStore(manifest)
+	for i := 0; i < testPieces-1; i++ {
+		if err := store.Put(i, content[i*testPieceSize:(i+1)*testPieceSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: store})
+	r, conn := fixtureRemote(n, 1, false)
+	n.peers[r.id] = r
+	writer := make(chan struct{})
+	go func() { defer close(writer); r.writeLoop() }()
+	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
+	inFlight := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return r.inFlight(n.now)
+	}
+	const ms = int64(time.Millisecond)
+
+	n.tick(1 * ms)
+	if got := pushed(); got != maxInFlight {
+		t.Fatalf("first tick pushed %d pieces, want %d", got, maxInFlight)
+	}
+	n.tick(2 * ms)
+	if got := pushed(); got != maxInFlight {
+		t.Fatalf("second tick pushed %d more pieces into a full window, want none", got-maxInFlight)
+	}
+
+	n.mu.Lock()
+	announced := r.cooling.Indices()[0]
+	n.mu.Unlock()
+	n.dispatch(r, protocol.Have{Index: int32(announced)})
+	if got := inFlight(); got != maxInFlight-1 {
+		t.Fatalf("a Have left %d pieces in flight, want %d", got, maxInFlight-1)
+	}
+	n.tick(3 * ms)
+	if got := pushed(); got != maxInFlight+1 {
+		t.Fatalf("the tick after a Have pushed %d pieces, want 1", got-maxInFlight)
+	}
+
+	// The first tick's pushes cool down; the one after the Have does not.
+	n.tick(1*ms + int64(resendCooldown))
+	if got := pushed(); got != 2*maxInFlight {
+		t.Fatalf("the tick past the cooldown pushed %d pieces, want %d", got-maxInFlight-1, maxInFlight-1)
+	}
+	if got := inFlight(); got != maxInFlight {
+		t.Fatalf("%d pieces in flight after the cooldown tick, want %d", got, maxInFlight)
+	}
+
+	// The window is full; a seal of the one piece we lack is still repaid.
+	const keyID = 7
+	seal, _ := rawSeal(t, int32(r.id), keyID, testPieces-1)
+	n.dispatch(r, seal)
+	if got := pushed(); got != 2*maxInFlight+1 {
+		t.Fatalf("the repayment pushed %d pieces, want 1", got-2*maxInFlight)
+	}
+	if got := inFlight(); got != maxInFlight+1 {
+		t.Errorf("%d pieces in flight after the repayment, want %d", got, maxInFlight+1)
+	}
+	r.closeOutbox()
+	<-writer
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if last, ok := conn.sent[len(conn.sent)-1].(protocol.Piece); !ok || last.RepaysKeyID != keyID {
+		t.Errorf("last frame on the wire is %+v, want a Piece repaying key %d", conn.sent[len(conn.sent)-1], keyID)
 	}
 }
 

@@ -107,6 +107,9 @@ func TestClusterMetricsHTTP(t *testing.T) {
 		if p.INeed != 0 || p.TheyNeed != 0 {
 			t.Errorf("complete node and peer %d still need %d and %d pieces of each other", p.ID, p.INeed, p.TheyNeed)
 		}
+		if p.InFlight != 0 {
+			t.Errorf("peer %d holds every piece yet has %d in flight", p.ID, p.InFlight)
+		}
 	}
 
 	// /debug/vars: the process's standard expvar page is still served.

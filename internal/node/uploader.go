@@ -78,12 +78,18 @@ func (n *Node) uploadLoop() {
 	}
 }
 
+// maxInFlight is how many pieces we pushed to one link and it has not yet
+// announced before tryUpload refuses that link: the window, not the tick,
+// paces an unthrottled node.
+const maxInFlight = 8
+
 // tick is one decision step at now, nanoseconds since Start. It sets n.now,
 // which decisions between ticks read, closes transient conns past their
-// linger, sweeps the grace queue, flushes links, refills and then spends a
-// token bucket refilled at UploadRate on strategy-chosen pushes. A
-// free-rider skips only the pushes: it still owes announcements and
-// receipts, and still needs links to download over.
+// linger, sweeps the grace queue, flushes links, refills and then pushes
+// strategy-chosen pieces until a pick is refused — throttled, also while a
+// token bucket refilled at UploadRate covers a piece. A free-rider skips
+// only the pushes: it still owes announcements and receipts, and still
+// needs links to download over.
 func (n *Node) tick(now int64) {
 	n.mu.Lock()
 	elapsed := now - n.now
@@ -101,12 +107,13 @@ func (n *Node) tick(now int64) {
 	if n.cfg.FreeRide {
 		return // free-riders never upload
 	}
-	pieceSize := float64(n.cfg.Store.Manifest().PieceSize)
-	if n.cfg.UploadRate > 0 {
-		n.budget = min(n.budget+n.cfg.UploadRate*float64(elapsed)/1e9, 4*pieceSize)
-	} else {
-		n.budget = 8 * pieceSize // unthrottled: bounded burst per tick
+	if n.cfg.UploadRate <= 0 {
+		for n.tryUpload(now) {
+		}
+		return
 	}
+	pieceSize := float64(n.cfg.Store.Manifest().PieceSize)
+	n.budget = min(n.budget+n.cfg.UploadRate*float64(elapsed)/1e9, 4*pieceSize)
 	for n.budget >= pieceSize && n.tryUpload(now) {
 		n.budget -= pieceSize
 	}
@@ -128,9 +135,9 @@ func (n *Node) flushLinks() {
 }
 
 // tryUpload asks the strategy for a receiver and pushes one piece at now;
-// reports whether a send happened. A peer whose bulk queue is full is skipped
-// before any piece work — backpressure redirects the budget instead of
-// piling frames onto a stalled connection.
+// reports whether a send happened. A receiver whose window is full or whose
+// bulk queue is full is refused before any piece work, which ends the tick's
+// pushes instead of piling frames onto a link that has not caught up.
 func (n *Node) tryUpload(now int64) bool {
 	n.mu.Lock()
 	receiverID := n.strategy.NextReceiver(n.view())
@@ -143,11 +150,11 @@ func (n *Node) tryUpload(now int64) bool {
 		n.mu.Unlock()
 		return false
 	}
-	if r.dataBacklogged() {
+	if r.inFlight(now) >= maxInFlight || r.dataBacklogged() {
 		n.mu.Unlock()
 		return false
 	}
-	idx := n.pickWantedLocked(r, r.coolingAt(now))
+	idx := n.pickWantedLocked(r, r.cooling) // inFlight brought it up to now
 	if idx < 0 {
 		n.mu.Unlock()
 		return false
@@ -219,6 +226,12 @@ func (r *remote) coolingAt(now int64) *piece.Bitfield {
 		r.coolHead = 0
 	}
 	return r.cooling
+}
+
+// inFlight counts the pieces we pushed to r within resendCooldown that r
+// has not announced, as of tick instant now (mu held).
+func (r *remote) inFlight(now int64) int {
+	return r.have.CountMissingFrom(r.coolingAt(now))
 }
 
 // cool starts piece idx's resend cooldown at now (mu held); a piece already

@@ -214,12 +214,13 @@ echo "== attestation adversary gate =="
 # ledger or in the node's books. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
 # signals a writer for an announcement or a copy, the tick does, a free-rider
-# still ticks, and Stop drains what the dead tick left.
+# still ticks, Stop drains what the dead tick left, and the tick's pushes stop
+# at a link's full in-flight window, which never holds back a repayment.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
-go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains' ./internal/node
+go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow' ./internal/node
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
   exit 1
