@@ -47,7 +47,9 @@ type NodeView interface {
 	// them real peers (ID >= 0). The returned slice is valid only until the
 	// next call on the view, and the caller may filter it in place —
 	// implementations must hand out storage they are not reading
-	// concurrently, not an internal slice they rely on.
+	// concurrently, not an internal slice they rely on. The candidates are
+	// the links that can take a piece now: an environment may leave out a
+	// link it cannot serve.
 	Neighbors() []PeerID
 	// WantsFromMe reports whether peer needs at least one piece I hold.
 	WantsFromMe(peer PeerID) bool

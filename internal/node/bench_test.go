@@ -167,21 +167,25 @@ func BenchmarkAnnounceFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeDecision is one upload decision through the node's strategy
-// view: NextReceiver over 15 linked peers at 4096 pieces, which asks each
-// neighbour's holdings whether it lacks a piece we hold. The rows are the
-// three answers that scan differs on: mid-download (half the pieces each,
-// settled at the first word), every peer lacking only a piece in the last
-// word, and every peer complete — the idle tick, each scan the full length
-// to say no. scripts/check.sh gates every row at zero allocations.
+// BenchmarkNodeDecision is one upload decision through the view tryUpload
+// decides through: NextReceiver over 15 linked peers at 4096 pieces, which
+// asks each neighbour's holdings whether it lacks a piece we hold and each
+// link's window whether it has room. The rows are the answers that scan
+// differs on: mid-download (half the pieces each, settled at the first
+// word), the same with every other link's window full, every peer lacking
+// only a piece in the last word, and every peer complete — the idle tick,
+// each scan the full length to say no. scripts/check.sh gates every row at
+// zero allocations.
 func BenchmarkNodeDecision(b *testing.B) {
 	rows := []struct {
 		name       string
 		mine, peer func(i int) bool
+		fullLinks  bool
 	}{
-		{"mid-download", func(i int) bool { return i%2 == 0 }, func(i int) bool { return i%4 < 2 }},
-		{"last-word", func(int) bool { return true }, func(i int) bool { return i != benchPieces-1 }},
-		{"complete", func(int) bool { return true }, func(int) bool { return true }},
+		{"mid-download", func(i int) bool { return i%2 == 0 }, func(i int) bool { return i%4 < 2 }, false},
+		{"full-windows", func(i int) bool { return i%2 == 0 }, func(i int) bool { return i%4 < 2 }, true},
+		{"last-word", func(int) bool { return true }, func(i int) bool { return i != benchPieces-1 }, false},
+		{"complete", func(int) bool { return true }, func(int) bool { return true }, false},
 	}
 	for _, row := range rows {
 		for _, a := range []algo.Algorithm{algo.Altruism, algo.BitTorrent} {
@@ -199,10 +203,22 @@ func BenchmarkNodeDecision(b *testing.B) {
 				}
 				n.mu.Lock()
 				defer n.mu.Unlock()
+				if row.fullLinks {
+					for id, r := range n.peers {
+						if id%2 != 0 {
+							continue
+						}
+						for i := 0; r.inFlight(n.now) < maxInFlight; i++ {
+							if row.mine(i) && !row.peer(i) {
+								r.cool(i, n.now)
+							}
+						}
+					}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n.strategy.NextReceiver(n.view())
+					n.strategy.NextReceiver(uploadView{nodeView{n}})
 				}
 			})
 		}

@@ -186,7 +186,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.mu.Lock()
 		for i := 0; i < size; i++ {
 			if m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
-				r.have.Set(i)
+				r.markHave(i)
 			}
 		}
 		n.mu.Unlock()
@@ -196,7 +196,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 			return n.dropHostile(r, msg)
 		}
 		n.mu.Lock()
-		r.have.Set(int(m.Index))
+		r.markHave(int(m.Index))
 		n.mu.Unlock()
 
 	case protocol.HaveBatch:
@@ -215,7 +215,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		}
 		n.mu.Lock()
 		for _, idx := range m.Indices {
-			r.have.Set(int(idx))
+			r.markHave(int(idx))
 		}
 		n.mu.Unlock()
 

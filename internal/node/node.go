@@ -171,10 +171,13 @@ type remote struct {
 	// due ones are always at coolHead (see coolingAt). A marked piece is
 	// not pushed again, so the live log never exceeds NumPieces. Both are
 	// guarded by Node.mu and live and die with the link: a reconnected
-	// peer starts with none.
+	// peer starts with none. flying counts the cooling pieces the peer has
+	// not announced, |cooling \ have|: the link's in-flight window (see
+	// inFlight), kept by cool, coolingAt and markHave.
 	cooling  *piece.Bitfield
 	coolLog  []pushStamp
 	coolHead int
+	flying   int
 
 	outMu     sync.Mutex
 	outCond   *sync.Cond

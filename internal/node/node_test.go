@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -276,10 +277,10 @@ func TestUploadRateThrottle(t *testing.T) {
 }
 
 // TestUploadWindow drives an unthrottled node's tick against one silent
-// remote: each tick pushes until a pick is refused, and the link's window —
-// pieces pushed within resendCooldown that the peer has not announced —
-// refuses it at maxInFlight. A Have frees one slot, the cooldown frees the
-// rest, and a T-Chain repayment, a control frame, is never refused. The node
+// remote: each tick pushes until the link's window — pieces pushed within
+// resendCooldown that the peer has not announced — is full at maxInFlight.
+// A Have frees one slot, the cooldown frees the rest, and a T-Chain
+// repayment, a control frame, is never refused. The node
 // is a T-Chain leecher holding every piece but the last, so its pushes are
 // seals and the seal it is sent for the last piece is one it can repay.
 func TestUploadWindow(t *testing.T) {
@@ -349,6 +350,130 @@ func TestUploadWindow(t *testing.T) {
 	defer conn.mu.Unlock()
 	if last, ok := conn.sent[len(conn.sent)-1].(protocol.Piece); !ok || last.RepaysKeyID != keyID {
 		t.Errorf("last frame on the wire is %+v, want a Piece repaying key %d", conn.sent[len(conn.sent)-1], keyID)
+	}
+}
+
+// TestUploadSkipsFullWindows: one link's full window does not end the tick.
+// A seeder with two silent links fills both windows in one tick, and after a
+// Have from one link the next tick pushes exactly one piece, to that link. A
+// tick that stopped at its first pick of a full link would stop short of
+// both counts whenever the draw lands on the full link first.
+func TestUploadSkipsFullWindows(t *testing.T) {
+	manifest, content := clusterFixture(t)
+	store, err := piece.NewSeedStore(manifest, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
+	a, _ := fixtureRemote(n, 1, false)
+	b, _ := fixtureRemote(n, 2, false)
+	n.peers[a.id], n.peers[b.id] = a, b
+	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
+	queued := func(r *remote) int {
+		r.outMu.Lock()
+		defer r.outMu.Unlock()
+		return r.outData
+	}
+	const ms = int64(time.Millisecond)
+
+	n.tick(1 * ms)
+	if got := pushed(); got != 2*maxInFlight {
+		t.Fatalf("first tick pushed %d pieces over two empty windows, want %d", got, 2*maxInFlight)
+	}
+	if qa, qb := queued(a), queued(b); qa != maxInFlight || qb != maxInFlight {
+		t.Fatalf("first tick queued %d and %d pieces, want %d on each link", qa, qb, maxInFlight)
+	}
+
+	n.mu.Lock()
+	announced := a.cooling.Indices()[0]
+	n.mu.Unlock()
+	n.dispatch(a, protocol.Have{Index: int32(announced)})
+	n.tick(2 * ms)
+	if got := pushed(); got != 2*maxInFlight+1 {
+		t.Fatalf("the tick after a Have pushed %d pieces, want 1", got-2*maxInFlight)
+	}
+	if qa, qb := queued(a), queued(b); qa != maxInFlight+1 || qb != maxInFlight {
+		t.Errorf("the tick after a Have left %d and %d pieces queued, want %d and %d", qa, qb, maxInFlight+1, maxInFlight)
+	}
+}
+
+// TestInFlightCountMatchesOracle: a link's window count, kept in O(1) where
+// its cooling set or its announced set changes, equals a recount of the
+// cooling pieces the peer has not announced after every event that moves
+// either set: pushes of fresh and already-cooling pieces, repayment picks,
+// Have, HaveBatch and Bitfield frames (duplicates and pieces that never
+// cooled included), and ticks that carry pushes past resendCooldown.
+func TestInFlightCountMatchesOracle(t *testing.T) {
+	const pieces, links, steps = 300, 12, 400
+	manifest, err := piece.SyntheticManifest(pieces, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := make([]byte, 0, pieces)
+	for i := 0; i < pieces; i++ {
+		content = append(content, piece.SyntheticPiece(i, 1)...)
+	}
+	store, err := piece.NewSeedStore(manifest, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
+	rng := rand.New(rand.NewSource(1))
+	var now int64
+	for link := 0; link < links; link++ {
+		r, _ := fixtureRemote(n, link+1, false)
+		for step := 0; step < steps; step++ {
+			var event string
+			switch rng.Intn(7) {
+			case 0:
+				event = "push"
+				n.mu.Lock()
+				r.cool(rng.Intn(pieces), now)
+				n.mu.Unlock()
+			case 1:
+				event = "re-push of a cooling piece"
+				n.mu.Lock()
+				if cooling := r.cooling.Indices(); len(cooling) > 0 {
+					r.cool(cooling[rng.Intn(len(cooling))], now)
+				}
+				n.mu.Unlock()
+			case 2:
+				event = "repayment"
+				n.mu.Lock()
+				n.pickRepaymentLocked(r, now)
+				n.mu.Unlock()
+			case 3:
+				event = "Have"
+				n.dispatch(r, protocol.Have{Index: int32(rng.Intn(pieces))})
+			case 4:
+				event = "HaveBatch"
+				batch := make([]int32, 1+rng.Intn(6))
+				for i := range batch {
+					batch[i] = int32(rng.Intn(pieces))
+				}
+				batch = append(batch, batch[0]) // a duplicate within the frame
+				n.dispatch(r, protocol.HaveBatch{Indices: batch})
+			case 5:
+				event = "Bitfield"
+				bits := make([]byte, (pieces+7)/8)
+				for i := 0; i < pieces; i++ {
+					if rng.Intn(60) == 0 {
+						bits[i/8] |= 1 << (uint(i) % 8)
+					}
+				}
+				n.dispatch(r, protocol.Bitfield{NumPieces: pieces, Bits: bits})
+			case 6:
+				event = "tick"
+				now += rng.Int63n(int64(resendCooldown))
+			}
+			n.mu.Lock()
+			got := r.inFlight(now)
+			want := r.have.CountMissingFrom(r.cooling)
+			n.mu.Unlock()
+			if got != want {
+				t.Fatalf("link %d step %d (%s): window count %d, recount %d", link, step, event, got, want)
+			}
+		}
 	}
 }
 

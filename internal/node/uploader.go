@@ -30,13 +30,29 @@ func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
 // Neighbors returns the linked peers in ascending ID order, so a decision's
 // draws pick the same peer from the same rng state on every run (n.peers is
 // a map, whose iteration order is not).
-func (v nodeView) Neighbors() []incentive.PeerID {
-	out := v.n.neighborScratch[:0]
-	for id := range v.n.peers {
-		out = append(out, incentive.PeerID(id))
+func (v nodeView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(false) }
+
+// uploadView is the view tryUpload decides through (mu held): the node
+// view, except that Neighbors leaves out every link whose in-flight window
+// is full, so a strategy's draw lands on a link that can take a piece now.
+// It embeds nodeView rather than adding a field so it stays one pointer
+// wide, which an interface holds without allocating.
+type uploadView struct{ nodeView }
+
+func (v uploadView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(true) }
+
+// neighborsLocked lists the linked peers in ascending ID order into
+// neighborScratch, only those whose window has room at n.now when roomOnly
+// is set (mu held).
+func (n *Node) neighborsLocked(roomOnly bool) []incentive.PeerID {
+	out := n.neighborScratch[:0]
+	for id, r := range n.peers {
+		if !roomOnly || r.inFlight(n.now) < maxInFlight {
+			out = append(out, incentive.PeerID(id))
+		}
 	}
 	slices.Sort(out)
-	v.n.neighborScratch = out
+	n.neighborScratch = out
 	return out
 }
 
@@ -79,17 +95,17 @@ func (n *Node) uploadLoop() {
 }
 
 // maxInFlight is how many pieces we pushed to one link and it has not yet
-// announced before tryUpload refuses that link: the window, not the tick,
-// paces an unthrottled node.
+// announced before the upload view leaves that link out: the window, not the
+// tick, paces an unthrottled node.
 const maxInFlight = 8
 
 // tick is one decision step at now, nanoseconds since Start. It sets n.now,
 // which decisions between ticks read, closes transient conns past their
 // linger, sweeps the grace queue, flushes links, refills and then pushes
-// strategy-chosen pieces until a pick is refused — throttled, also while a
-// token bucket refilled at UploadRate covers a piece. A free-rider skips
-// only the pushes: it still owes announcements and receipts, and still
-// needs links to download over.
+// strategy-chosen pieces until the strategy names no link with room or a
+// pick is refused — throttled, also while a token bucket refilled at
+// UploadRate covers a piece. A free-rider skips only the pushes: it still
+// owes announcements and receipts, and still needs links to download over.
 func (n *Node) tick(now int64) {
 	n.mu.Lock()
 	elapsed := now - n.now
@@ -134,13 +150,15 @@ func (n *Node) flushLinks() {
 	n.mu.Unlock()
 }
 
-// tryUpload asks the strategy for a receiver and pushes one piece at now;
-// reports whether a send happened. A receiver whose window is full or whose
-// bulk queue is full is refused before any piece work, which ends the tick's
-// pushes instead of piling frames onto a link that has not caught up.
+// tryUpload asks the strategy for a receiver among the links whose window
+// has room and pushes one piece at now; reports whether a send happened. A
+// pick that bypasses Neighbors (a T-Chain obligation, BitTorrent's ranked
+// contributors) can still name a full window, and it is refused, as is a
+// receiver whose bulk queue is full, before any piece work: that ends the
+// tick's pushes instead of piling frames onto a link that has not caught up.
 func (n *Node) tryUpload(now int64) bool {
 	n.mu.Lock()
-	receiverID := n.strategy.NextReceiver(n.view())
+	receiverID := n.strategy.NextReceiver(uploadView{nodeView{n}})
 	if receiverID == incentive.NoPeer {
 		n.mu.Unlock()
 		return false
@@ -218,7 +236,11 @@ type pushStamp struct {
 // O(1) per push.
 func (r *remote) coolingAt(now int64) *piece.Bitfield {
 	for r.coolHead < len(r.coolLog) && now-r.coolLog[r.coolHead].at >= int64(resendCooldown) {
-		r.cooling.Clear(r.coolLog[r.coolHead].idx)
+		idx := r.coolLog[r.coolHead].idx
+		r.cooling.Clear(idx)
+		if !r.have.Has(idx) {
+			r.flying--
+		}
 		r.coolHead++
 	}
 	if r.coolHead > len(r.coolLog)/2 {
@@ -231,7 +253,16 @@ func (r *remote) coolingAt(now int64) *piece.Bitfield {
 // inFlight counts the pieces we pushed to r within resendCooldown that r
 // has not announced, as of tick instant now (mu held).
 func (r *remote) inFlight(now int64) int {
-	return r.have.CountMissingFrom(r.coolingAt(now))
+	r.coolingAt(now)
+	return r.flying
+}
+
+// markHave records r's announcement of piece idx (mu held); a piece it had
+// not announced leaves the window if it was cooling.
+func (r *remote) markHave(idx int) {
+	if r.have.Set(idx) && r.cooling.Has(idx) {
+		r.flying--
+	}
 }
 
 // cool starts piece idx's resend cooldown at now (mu held); a piece already
@@ -241,6 +272,9 @@ func (r *remote) inFlight(now int64) int {
 func (r *remote) cool(idx int, now int64) {
 	if r.cooling.Set(idx) {
 		r.coolLog = append(r.coolLog, pushStamp{at: now, idx: idx})
+		if !r.have.Has(idx) {
+			r.flying++
+		}
 	}
 }
 

@@ -214,13 +214,15 @@ echo "== attestation adversary gate =="
 # ledger or in the node's books. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
 # signals a writer for an announcement or a copy, the tick does, a free-rider
-# still ticks, Stop drains what the dead tick left, and the tick's pushes stop
-# at a link's full in-flight window, which never holds back a repayment.
+# still ticks, Stop drains what the dead tick left, and the tick's pushes pass
+# over a link whose in-flight window is full — one full link does not end the
+# tick, and the window's O(1) count matches a recount — while the window never
+# holds back a repayment.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
-go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow' ./internal/node
+go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle' ./internal/node
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
   exit 1
@@ -275,10 +277,11 @@ echo "== announcement fan-out allocation guard =="
 alloc_guard ./internal/node BenchmarkAnnounceFanout 0
 
 echo "== node decision allocation guard =="
-# One upload decision through the node's strategy view reads each
-# neighbour's holdings against ours (mid-download, lacking only a piece in
-# the last word, every peer complete), over 15 links at 4096 pieces. Every
-# node makes several a tick, so every row must stay allocation-free.
+# One upload decision through the view tryUpload decides through reads each
+# neighbour's holdings against ours and each link's window (mid-download,
+# mid-download with half the windows full, lacking only a piece in the last
+# word, every peer complete), over 15 links at 4096 pieces. Every node makes
+# several a tick, so every row must stay allocation-free.
 alloc_guard ./internal/node BenchmarkNodeDecision 0
 
 echo "== flush clock guard =="
