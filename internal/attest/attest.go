@@ -37,9 +37,12 @@ package attest
 
 import (
 	"crypto/ed25519"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
+	"sync"
 )
 
 // Scheme selects how an attestation is signed.
@@ -176,53 +179,55 @@ const (
 // domainLink the origin a witness receipt is addressed to. The peer ID is
 // bound into the derivation so a tag computed for one counterparty cannot
 // be replayed as another's, and the domain so a per-piece receipt cannot
-// pass as a witness receipt to the same peer.
-func macKey(session *[32]byte, domain byte, peer int32) [32]byte {
+// pass as a witness receipt to the same peer. The secret is taken by value:
+// hmac.New keeps the slice it is given, and a pointer would move the
+// caller's copy to the heap on every cache hit too.
+func macKey(session [32]byte, domain byte, peer int32) []byte {
 	var ctx [5]byte
 	ctx[0] = domain
 	binary.BigEndian.PutUint32(ctx[1:5], uint32(peer))
-	return hmacSHA256(session, ctx[:])
+	kdf := hmac.New(sha256.New, session[:])
+	kdf.Write(ctx[:])
+	return kdf.Sum(nil)
 }
 
-// cachedMACKey returns cache[id], deriving and storing the key on first use.
-// The caller holds the lock that guards cache.
-func cachedMACKey[K comparable](cache map[K][32]byte, id K, session *[32]byte, domain byte, peer int32) [32]byte {
-	key, ok := cache[id]
+// macState is one derived key's HMAC-SHA256, keyed once and reused through
+// Reset, so a tag hashes the message and not the key's ipad and opad blocks
+// again. The canonical bytes and the sum are staged in its own fields under
+// its own lock: passed through the hash.Hash interface, stack buffers would
+// escape to the heap.
+type macState struct {
+	mu        sync.Mutex
+	h         hash.Hash
+	canonical [canonicalSize]byte
+	sum       [macSize]byte
+}
+
+func newMACState(key []byte) *macState {
+	return &macState{h: hmac.New(sha256.New, key)}
+}
+
+// tag returns the MAC of att's canonical encoding.
+func (m *macState) tag(att *Attestation) [macSize]byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sumLocked(att.AppendCanonical(m.canonical[:0]))
+}
+
+// sumLocked returns the MAC of msg (m.mu held).
+func (m *macState) sumLocked(msg []byte) [macSize]byte {
+	m.h.Reset()
+	m.h.Write(msg)
+	return [macSize]byte(m.h.Sum(m.sum[:0]))
+}
+
+// cachedMACState returns cache[id], deriving the key and keying its state
+// on first use. The caller holds the lock that guards cache.
+func cachedMACState[K comparable](cache map[K]*macState, id K, session *[32]byte, domain byte, peer int32) *macState {
+	m, ok := cache[id]
 	if !ok {
-		key = macKey(session, domain, peer)
-		cache[id] = key
+		m = newMACState(macKey(*session, domain, peer))
+		cache[id] = m
 	}
-	return key
-}
-
-// sessionTag computes the MAC tag for canonical bytes under a derived
-// (pairwise or link) key.
-func sessionTag(key *[32]byte, canonical []byte) [macSize]byte {
-	return hmacSHA256(key, canonical)
-}
-
-// hmacSHA256 is HMAC-SHA256 restricted to a 32-byte key and a single-block
-// message, computed over stack buffers. crypto/hmac allocates two digests
-// and an interface per New, which at per-piece receipt rates was the
-// delivery path's dominant allocation source; this open-coded equivalent
-// allocates nothing. Equivalence with crypto/hmac is pinned by a test.
-func hmacSHA256(key *[32]byte, msg []byte) [32]byte {
-	const blockSize = 64 // sha256 block size; both messages here fit one block
-	if len(msg) > blockSize {
-		panic("attest: hmacSHA256 message exceeds one block")
-	}
-	var inner [blockSize + blockSize]byte
-	var outer [blockSize + sha256.Size]byte
-	for i := 0; i < blockSize; i++ {
-		inner[i] = 0x36
-		outer[i] = 0x5c
-	}
-	for i, b := range key {
-		inner[i] ^= b
-		outer[i] ^= b
-	}
-	n := copy(inner[blockSize:], msg)
-	digest := sha256.Sum256(inner[:blockSize+n])
-	copy(outer[blockSize:], digest[:])
-	return sha256.Sum256(outer[:])
+	return m
 }

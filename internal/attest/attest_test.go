@@ -3,7 +3,9 @@ package attest
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -286,11 +288,13 @@ func TestWindowAdmit(t *testing.T) {
 	}
 }
 
-// TestHMACSHA256MatchesCrypto pins the open-coded single-block HMAC used on
-// the receipt hot path to the crypto/hmac reference for every message length
-// it can be handed, so the allocation-free rewrite cannot drift from RFC 2104.
+// TestHMACSHA256MatchesCrypto pins the keyed HMAC state the receipt hot path
+// reuses to a fresh crypto/hmac reference for every message length up to a
+// block: one state reused across all the messages, and a fresh state per
+// message, must both give the reference's tag, so reuse carries nothing from
+// one tag into the next.
 func TestHMACSHA256MatchesCrypto(t *testing.T) {
-	var key [32]byte
+	key := make([]byte, 32)
 	for i := range key {
 		key[i] = byte(i*7 + 3)
 	}
@@ -298,18 +302,95 @@ func TestHMACSHA256MatchesCrypto(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(255 - i)
 	}
+	reused := newMACState(key)
 	for n := 0; n <= len(msg); n++ {
-		got := hmacSHA256(&key, msg[:n])
-		ref := hmac.New(sha256.New, key[:])
+		ref := hmac.New(sha256.New, key)
 		ref.Write(msg[:n])
-		if !hmac.Equal(got[:], ref.Sum(nil)) {
-			t.Fatalf("hmacSHA256 diverges from crypto/hmac at message length %d", n)
+		want := ref.Sum(nil)
+		got := reused.sumLocked(msg[:n])
+		if !hmac.Equal(got[:], want) {
+			t.Fatalf("reused state diverges from crypto/hmac at message length %d", n)
+		}
+		fresh := newMACState(key).sumLocked(msg[:n])
+		if fresh != got {
+			t.Fatalf("fresh and reused states differ at message length %d", n)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("hmacSHA256 accepted a message over one block")
+}
+
+// referenceTag computes att's tag under k's key toward peer in domain with
+// fresh crypto/hmac states.
+func referenceTag(k *Key, att Attestation, domain byte, peer int32) []byte {
+	kdf := hmac.New(sha256.New, k.session[:])
+	kdf.Write([]byte{domain, byte(peer >> 24), byte(peer >> 16), byte(peer >> 8), byte(peer)})
+	mac := hmac.New(sha256.New, kdf.Sum(nil))
+	mac.Write(att.AppendCanonical(nil))
+	return mac.Sum(nil)
+}
+
+// Session and link receipt tags are HMAC(HMAC(session, domain ‖ peer),
+// canonical) bit for bit: pinned against crypto/hmac computed from scratch
+// and against fixed bytes, so a receipt signed by one build verifies under
+// another.
+func TestReceiptTagsPinned(t *testing.T) {
+	k := NewKeyFromSeed(2, 42)
+	var h [32]byte
+	for i := range h {
+		h[i] = byte(i)
+	}
+	for _, c := range []struct {
+		att    Attestation
+		domain byte
+		peer   int32
+		want   string
+	}{
+		{k.Attest(SchemeSession, 1, 7, h, 4096), domainPair, 1, "c59f2b0098d70607092b87b25968bd4344ab5fac63b9b449924bb4ca47e6fb57"},
+		{k.AttestLink(3, 1, 7, h, 4096), domainLink, 3, "361e16949240d2034ff9f742d929066861c81fce777c61caeec35a0d8f9a5b77"},
+		{k.Attest(SchemeSession, 1, 8, h, 1024), domainPair, 1, "057b15c9486e583d21e668fbbe6f611c1b971b320cd03ef5f72f2ee76881468b"},
+	} {
+		if got := hex.EncodeToString(c.att.Sig[:macSize]); got != c.want {
+			t.Errorf("%s receipt seq %d: tag %s, want %s", c.att.Scheme, c.att.Seq, got, c.want)
 		}
-	}()
-	hmacSHA256(&key, make([]byte, 65))
+		if !hmac.Equal(c.att.Sig[:macSize], referenceTag(k, c.att, c.domain, c.peer)) {
+			t.Errorf("%s receipt seq %d: tag differs from crypto/hmac", c.att.Scheme, c.att.Seq)
+		}
+		if [SigSize - macSize]byte(c.att.Sig[macSize:]) != [SigSize - macSize]byte{} {
+			t.Errorf("%s receipt seq %d: bytes past the tag are not zero", c.att.Scheme, c.att.Seq)
+		}
+	}
+}
+
+// One key's MAC states are shared by every goroutine signing toward the same
+// peer, and a verifier's by every goroutine checking that pair: concurrent
+// signs and checks through the same states must each produce their own
+// receipt's tag. Run under -race.
+func TestSharedMACStatesConcurrent(t *testing.T) {
+	dir, _, b := newTestPair(t)
+	dir.Register(3, NewKeyFromSeed(3, 42).Identity())
+	v := NewVerifier(dir)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				index := int32(g*1000 + i)
+				att := b.Attest(SchemeSession, 1, index, [32]byte{byte(g)}, 4096)
+				if !hmac.Equal(att.Sig[:macSize], referenceTag(b, att, domainPair, 1)) {
+					t.Errorf("session receipt %d: wrong tag", index)
+				}
+				if err := v.Check(att); err != nil { // Verify's window would refuse the goroutines' reordering
+					t.Errorf("session receipt %d: %v", index, err)
+				}
+				link := b.AttestLink(3, 1, index, [32]byte{byte(g)}, 4096)
+				if !hmac.Equal(link.Sig[:macSize], referenceTag(b, link, domainLink, 3)) {
+					t.Errorf("link receipt %d: wrong tag", index)
+				}
+				if err := v.CheckLink(link, 3); err != nil {
+					t.Errorf("link receipt %d: %v", index, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

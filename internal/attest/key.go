@@ -20,9 +20,9 @@ type Key struct {
 	session [32]byte
 
 	mu       sync.Mutex
-	seq      map[int32]uint64   // next unassigned Seq per counterparty sender
-	pairKeys map[int32][32]byte // cached pairwise MAC keys, by sender
-	linkKeys map[int32][32]byte // cached link MAC keys, by addressee
+	seq      map[int32]uint64    // next unassigned Seq per counterparty sender
+	pairKeys map[int32]*macState // keyed pairwise MAC states, by sender
+	linkKeys map[int32]*macState // keyed link MAC states, by addressee
 }
 
 // NewKey generates a fresh random identity for peer id.
@@ -52,8 +52,8 @@ func newKey(id int32, edSeed [ed25519.SeedSize]byte) *Key {
 		id:       id,
 		priv:     ed25519.NewKeyFromSeed(edSeed[:]),
 		seq:      make(map[int32]uint64),
-		pairKeys: make(map[int32][32]byte),
-		linkKeys: make(map[int32][32]byte),
+		pairKeys: make(map[int32]*macState),
+		linkKeys: make(map[int32]*macState),
 	}
 	k.pub = k.priv.Public().(ed25519.PublicKey)
 	// The session secret is independent of the Ed25519 scalar but derived
@@ -107,25 +107,24 @@ func (k *Key) attest(scheme Scheme, sender, keyedTo, index int32, hash [32]byte,
 		Bytes:    n,
 		Scheme:   scheme,
 	}
-	var key [32]byte
+	var mac *macState
 	k.mu.Lock()
 	k.seq[sender]++
 	att.Seq = k.seq[sender]
 	switch scheme {
 	case SchemeSession:
-		key = cachedMACKey(k.pairKeys, keyedTo, &k.session, domainPair, keyedTo)
+		mac = cachedMACState(k.pairKeys, keyedTo, &k.session, domainPair, keyedTo)
 	case SchemeLink:
-		key = cachedMACKey(k.linkKeys, keyedTo, &k.session, domainLink, keyedTo)
+		mac = cachedMACState(k.linkKeys, keyedTo, &k.session, domainLink, keyedTo)
 	}
 	k.mu.Unlock()
 
-	var canonical [canonicalSize]byte
-	c := att.AppendCanonical(canonical[:0])
 	switch scheme {
 	case SchemeEd25519:
-		copy(att.Sig[:], ed25519.Sign(k.priv, c))
+		var canonical [canonicalSize]byte
+		copy(att.Sig[:], ed25519.Sign(k.priv, att.AppendCanonical(canonical[:0])))
 	case SchemeSession, SchemeLink:
-		tag := sessionTag(&key, c)
+		tag := mac.tag(&att)
 		copy(att.Sig[:], tag[:])
 	case SchemeNone:
 		// unsigned claim — nothing to do

@@ -61,9 +61,9 @@ type Verifier struct {
 	dir *Directory
 
 	mu       sync.Mutex
-	windows  map[uint64]window   // (receiver, sender) pair → replay window
-	pairKeys map[uint64][32]byte // cached session MAC keys per pair
-	linkKeys map[uint64][32]byte // cached link MAC keys per (witness, addressee)
+	windows  map[uint64]window    // (receiver, sender) pair → replay window
+	pairKeys map[uint64]*macState // keyed session MAC states per pair
+	linkKeys map[uint64]*macState // keyed link MAC states per (witness, addressee)
 }
 
 // NewVerifier returns a verifier trusting identities admitted to dir.
@@ -71,8 +71,8 @@ func NewVerifier(dir *Directory) *Verifier {
 	return &Verifier{
 		dir:      dir,
 		windows:  make(map[uint64]window),
-		pairKeys: make(map[uint64][32]byte),
-		linkKeys: make(map[uint64][32]byte),
+		pairKeys: make(map[uint64]*macState),
+		linkKeys: make(map[uint64]*macState),
 	}
 }
 
@@ -110,16 +110,15 @@ func (v *Verifier) checkSig(att *Attestation) error {
 }
 
 // checkTag validates att's MAC under the key the signer ident derives
-// toward peer in the given domain; cache is that domain's key cache.
-func (v *Verifier) checkTag(att *Attestation, ident *Identity, cache map[uint64][32]byte, domain byte, peer int32) error {
+// toward peer in the given domain; cache is that domain's state cache.
+func (v *Verifier) checkTag(att *Attestation, ident *Identity, cache map[uint64]*macState, domain byte, peer int32) error {
 	if !ident.HasSession {
 		return ErrNoSession
 	}
 	v.mu.Lock()
-	key := cachedMACKey(cache, pairID(att.Receiver, peer), &ident.Session, domain, peer)
+	mac := cachedMACState(cache, pairID(att.Receiver, peer), &ident.Session, domain, peer)
 	v.mu.Unlock()
-	var canonical [canonicalSize]byte
-	tag := sessionTag(&key, att.AppendCanonical(canonical[:0]))
+	tag := mac.tag(att)
 	if !hmac.Equal(tag[:], att.Sig[:macSize]) {
 		return ErrBadSignature
 	}

@@ -133,6 +133,12 @@ func SyntheticPiece(i, pieceSize int) []byte {
 	return buf
 }
 
+// chunkSize is the size of one store arena chunk. Verified pieces are copied
+// into the current chunk's tail in arrival order, so a store allocates once
+// per chunk rather than once per piece; a piece larger than a chunk gets one
+// of its own.
+const chunkSize = 256 << 10
+
 // Store holds verified piece data for one peer. It verifies every Put
 // against the manifest hash, so corrupt or forged pieces never enter a
 // peer's store. Safe for concurrent use (the live network node accesses it
@@ -141,7 +147,8 @@ type Store struct {
 	mu       sync.RWMutex
 	manifest *Manifest
 	have     *Bitfield
-	data     map[int][]byte
+	data     [][]byte // piece i's bytes, a capacity-capped slice of a chunk; nil until held
+	free     []byte   // the unused tail of the current chunk
 }
 
 // NewStore returns an empty store for the given manifest.
@@ -149,7 +156,7 @@ func NewStore(m *Manifest) *Store {
 	return &Store{
 		manifest: m,
 		have:     NewBitfield(m.NumPieces()),
-		data:     make(map[int][]byte),
+		data:     make([][]byte, m.NumPieces()),
 	}
 }
 
@@ -180,19 +187,19 @@ func NewSeedStore(m *Manifest, content []byte) (*Store, error) {
 // Manifest returns the store's manifest.
 func (s *Store) Manifest() *Manifest { return s.manifest }
 
-// Put verifies data against the manifest hash for piece i and stores it.
-// It returns ErrHashMismatch if verification fails and ErrOutOfRange for a
-// bad index. Re-putting a held piece is a verified no-op: the held bytes
-// already passed the hash, so comparing against them (stricter than an
+// Put verifies data against the manifest hash for piece i and stores a
+// copy. It returns ErrHashMismatch if verification fails and ErrOutOfRange
+// for a bad index. Re-putting a held piece is a verified no-op: the held
+// bytes already passed the hash, so comparing against them (stricter than an
 // equal digest) decides a duplicate without hashing it again.
 func (s *Store) Put(i int, data []byte) error {
 	if i < 0 || i >= s.manifest.NumPieces() {
 		return fmt.Errorf("piece %d of %d: %w", i, s.manifest.NumPieces(), ErrOutOfRange)
 	}
 	s.mu.RLock()
-	held, ok := s.data[i]
+	held := s.data[i]
 	s.mu.RUnlock()
-	if ok {
+	if held != nil {
 		if !bytes.Equal(held, data) {
 			return fmt.Errorf("piece %d: %w", i, ErrHashMismatch)
 		}
@@ -203,27 +210,23 @@ func (s *Store) Put(i int, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.have.Has(i) {
+	if s.data[i] != nil {
 		return nil
 	}
-	stored := make([]byte, len(data))
+	n := len(data)
+	var stored []byte
+	if n > chunkSize {
+		stored = make([]byte, n)
+	} else {
+		if n > len(s.free) {
+			s.free = make([]byte, chunkSize)
+		}
+		stored, s.free = s.free[:n:n], s.free[n:]
+	}
 	copy(stored, data)
 	s.data[i] = stored
 	s.have.Set(i)
 	return nil
-}
-
-// Get returns a copy of piece i's data, or ErrNotHeld.
-func (s *Store) Get(i int) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.data[i]
-	if !ok {
-		return nil, fmt.Errorf("piece %d: %w", i, ErrNotHeld)
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
 }
 
 // GetRef returns piece i's stored bytes without copying, or ErrNotHeld.
@@ -231,12 +234,16 @@ func (s *Store) Get(i int) ([]byte, error) {
 // read-only. That contract is safe to offer because stored buffers are
 // private copies made by Put and never mutated afterwards — it is what
 // lets the live node hand pieces straight to the wire encoder with zero
-// per-send allocation.
+// per-send allocation. Its capacity ends at the piece, so an append to it
+// reallocates rather than writing into the next piece.
 func (s *Store) GetRef(i int) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.data[i]
-	if !ok {
+	var data []byte
+	if i >= 0 && i < len(s.data) {
+		s.mu.RLock()
+		data = s.data[i]
+		s.mu.RUnlock()
+	}
+	if data == nil {
 		return nil, fmt.Errorf("piece %d: %w", i, ErrNotHeld)
 	}
 	return data, nil
@@ -280,8 +287,8 @@ func (s *Store) Assemble() ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	buf.Grow(s.manifest.FileSize)
-	for i := 0; i < s.manifest.NumPieces(); i++ {
-		buf.Write(s.data[i])
+	for _, data := range s.data {
+		buf.Write(data)
 	}
 	return buf.Bytes(), nil
 }

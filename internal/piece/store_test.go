@@ -66,19 +66,19 @@ func TestStorePutGetVerify(t *testing.T) {
 	if !s.Has(0) || s.Count() != 1 {
 		t.Error("piece not recorded")
 	}
-	got, err := s.Get(0)
+	got, err := s.GetRef(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content[:40]) {
-		t.Error("Get returned wrong data")
+		t.Error("GetRef returned wrong data")
 	}
-	// Returned slice is a copy.
-	got[0] ^= 0xff
-	again, _ := s.Get(0)
-	if !bytes.Equal(again, content[:40]) {
-		t.Error("Get exposes internal buffer")
+	// The store holds a copy, not the caller's buffer.
+	content[0] ^= 0xff
+	if again, _ := s.GetRef(0); again[0] == content[0] {
+		t.Error("Put kept the caller's buffer")
 	}
+	content[0] ^= 0xff
 
 	if err := s.Put(1, content[:40]); !errors.Is(err, ErrHashMismatch) {
 		t.Errorf("forged piece err = %v, want ErrHashMismatch", err)
@@ -86,12 +86,25 @@ func TestStorePutGetVerify(t *testing.T) {
 	if err := s.Put(99, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("bad index err = %v, want ErrOutOfRange", err)
 	}
-	if _, err := s.Get(2); !errors.Is(err, ErrNotHeld) {
-		t.Errorf("missing Get err = %v, want ErrNotHeld", err)
+	for _, i := range []int{2, -1, 3} {
+		if _, err := s.GetRef(i); !errors.Is(err, ErrNotHeld) {
+			t.Errorf("GetRef(%d) err = %v, want ErrNotHeld", i, err)
+		}
 	}
 	// Idempotent re-put.
 	if err := s.Put(0, content[:40]); err != nil {
 		t.Errorf("re-put err = %v", err)
+	}
+	if _, err := s.Assemble(); !errors.Is(err, ErrNotHeld) {
+		t.Errorf("Assemble with pieces missing: err = %v, want ErrNotHeld", err)
+	}
+	for i, lo := range []int{40, 80} {
+		if err := s.Put(i+1, content[lo:min(lo+40, len(content))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := s.Assemble(); err != nil || !bytes.Equal(out, content) {
+		t.Errorf("Assemble = %v, %v; want the file", out, err)
 	}
 }
 
@@ -124,7 +137,7 @@ func TestStorePutHeldComparesBytes(t *testing.T) {
 			t.Errorf("held + %d bytes: err = %v, want ErrHashMismatch", len(wrongLen), err)
 		}
 	}
-	if got, _ := s.Get(0); !bytes.Equal(got, content[:40]) {
+	if got, _ := s.GetRef(0); !bytes.Equal(got, content[:40]) {
 		t.Error("a rejected duplicate changed the stored piece")
 	}
 }
@@ -393,5 +406,141 @@ func TestStoreBitfieldSnapshot(t *testing.T) {
 	}
 	if bf.Has(0) {
 		t.Error("snapshot mutated by later Put")
+	}
+}
+
+// The arena hands out capacity-capped slices: appending to a GetRef result
+// reallocates instead of writing into the piece stored after it.
+func TestStoreRefAppendCannotReachNextPiece(t *testing.T) {
+	m, _ := SyntheticManifest(4, 24)
+	s := NewStore(m)
+	for i := range 2 {
+		if err := s.Put(i, SyntheticPiece(i, 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, _ := s.GetRef(0)
+	if cap(ref) != len(ref) {
+		t.Fatalf("GetRef cap %d, len %d: an append would write past the piece", cap(ref), len(ref))
+	}
+	_ = append(ref, make([]byte, 24)...)
+	if next, _ := s.GetRef(1); !bytes.Equal(next, SyntheticPiece(1, 24)) {
+		t.Error("an append to piece 0's ref changed piece 1")
+	}
+}
+
+// Ragged and oversized pieces: a short final piece fills only its length,
+// and a piece larger than an arena chunk is stored whole in a chunk of its
+// own, without spoiling the chunk the pieces around it share.
+func TestStoreArenaPieceSizes(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		size, pieceSize int
+	}{
+		{"short final piece", 10*1000 + 7, 1000},
+		{"pieces larger than a chunk", 3*chunkSize + chunkSize/2, chunkSize + 1},
+		{"chunk-sized pieces", 2 * chunkSize, chunkSize},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			content := testContent(c.size)
+			m, err := NewManifest(content, c.pieceSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewStore(m)
+			// Out of order, so arrival order and index order differ.
+			for i := m.NumPieces() - 1; i >= 0; i-- {
+				lo := i * c.pieceSize
+				if err := s.Put(i, content[lo:min(lo+c.pieceSize, len(content))]); err != nil {
+					t.Fatalf("piece %d: %v", i, err)
+				}
+			}
+			last, _ := s.GetRef(m.NumPieces() - 1)
+			if len(last) != m.PieceLength(m.NumPieces()-1) || cap(last) != len(last) {
+				t.Errorf("last piece len %d cap %d, want both %d", len(last), cap(last), m.PieceLength(m.NumPieces()-1))
+			}
+			out, err := s.Assemble()
+			if err != nil || !bytes.Equal(out, content) {
+				t.Fatalf("Assemble: err %v, equal %v", err, bytes.Equal(out, content))
+			}
+		})
+	}
+}
+
+// Racing first Puts of one index while readers poll it through GetRef:
+// every reader sees either nothing or the whole verified piece, and the
+// piece held beside it in the chunk (100 bytes: the two share a word) reads
+// the same throughout. Run under -race.
+func TestStoreRacingPutsWithReaders(t *testing.T) {
+	m, _ := SyntheticManifest(3, 100)
+	s := NewStore(m)
+	held := SyntheticPiece(0, 100)
+	if err := s.Put(0, held); err != nil {
+		t.Fatal(err)
+	}
+	want := SyntheticPiece(1, 100)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Put(1, append([]byte(nil), want...)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !s.Has(1) {
+				if ref, err := s.GetRef(1); err == nil && !bytes.Equal(ref, want) {
+					t.Error("a reader saw a partial piece")
+					return
+				}
+				if ref, _ := s.GetRef(0); !bytes.Equal(ref, held) {
+					t.Error("the neighbouring piece changed under a Put")
+					return
+				}
+			}
+			if ref, err := s.GetRef(1); err != nil || !bytes.Equal(ref, want) {
+				t.Errorf("held piece read back wrong: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Put(2, SyntheticPiece(2, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if ref, _ := s.GetRef(i); !bytes.Equal(ref, SyntheticPiece(i, 100)) {
+			t.Errorf("piece %d changed", i)
+		}
+	}
+}
+
+// A duplicate Put is checked against the stored bytes, wherever in a chunk
+// they sit: different bytes of the same length are still a mismatch, and
+// the stored copy is unchanged.
+func TestStoreDuplicateDifferentBytesMismatch(t *testing.T) {
+	m, _ := SyntheticManifest(8, 64)
+	s := NewStore(m)
+	for i := range 8 {
+		if err := s.Put(i, SyntheticPiece(i, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 8 {
+		forged := SyntheticPiece(i, 64)
+		forged[63] ^= 0x80
+		if err := s.Put(i, forged); !errors.Is(err, ErrHashMismatch) {
+			t.Errorf("piece %d: duplicate with different bytes: err = %v, want ErrHashMismatch", i, err)
+		}
+		if err := s.Put(i, SyntheticPiece((i+1)%8, 64)); !errors.Is(err, ErrHashMismatch) {
+			t.Errorf("piece %d: another piece's bytes: err = %v, want ErrHashMismatch", i, err)
+		}
+		if ref, _ := s.GetRef(i); !bytes.Equal(ref, SyntheticPiece(i, 64)) {
+			t.Errorf("piece %d: a rejected duplicate changed the stored copy", i)
+		}
 	}
 }

@@ -13,6 +13,7 @@
 package tchain
 
 import (
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -162,9 +163,14 @@ func (e *Escrow) Revoke(keyID uint64) {
 	delete(e.owed, keyID)
 }
 
+// byKeyID orders a release in ascending KeyID: the book is a map, and the
+// keys one event releases leave in the same order on every run of a seed.
+func byKeyID(a, b Released) int { return cmp.Compare(a.KeyID, b.KeyID) }
+
 // Confirm reports a reciprocation by from, observed directly or by any
-// witness: every key from still owes is released, and from is trusted from
-// here on (see Sweep). A confirmation that finds nothing owed earns nothing.
+// witness: every key from still owes is released, in KeyID order, and from
+// is trusted from here on (see Sweep). A confirmation that finds nothing
+// owed earns nothing.
 func (e *Escrow) Confirm(from int) []Released {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -177,14 +183,16 @@ func (e *Escrow) Confirm(from int) []Released {
 	if len(out) > 0 {
 		e.trusted[from] = true
 	}
+	slices.SortFunc(out, byKeyID)
 	return out
 }
 
 // Sweep is the endgame fallback at now on the clock the deadlines were
 // given on: it releases every key past its deadline whose receiver has
 // reciprocated before and is still linked — typically owed only because
-// nobody in the swarm needs anything anymore. A receiver that never
-// reciprocated gets no grace, and an unlinked one's keys wait for Forget.
+// nobody in the swarm needs anything anymore. Keys leave in KeyID order. A
+// receiver that never reciprocated gets no grace, and an unlinked one's keys
+// wait for Forget.
 func (e *Escrow) Sweep(now int64, linked func(receiver int) bool) []Released {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -194,6 +202,7 @@ func (e *Escrow) Sweep(now int64, linked func(receiver int) bool) []Released {
 			out = append(out, e.take(keyID, o))
 		}
 	}
+	slices.SortFunc(out, byKeyID)
 	return out
 }
 

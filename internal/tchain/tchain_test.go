@@ -224,6 +224,42 @@ func TestLedgerConfirmMultiple(t *testing.T) {
 	}
 }
 
+// TestReleaseOrder: the keys one event releases leave in ascending KeyID
+// order, whichever event it is and however the book's map iterates; the
+// node sends them in this order, so every run of a seed sends them alike.
+func TestReleaseOrder(t *testing.T) {
+	for run := range 20 {
+		e := NewEscrowWithRand(testRand())
+		var want []uint64
+		for i := range 24 {
+			receiver := 42 + i%2 // interleaved: neither receiver's KeyIDs are contiguous
+			if id := sealFor(t, e, receiver, i, 10); receiver == 42 {
+				want = append(want, id)
+			}
+		}
+		if got := releasedIDs(e.Confirm(42)); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Confirm released %v, want %v in that order", run, got, want)
+		}
+		e.Confirm(43) // trusts 43 and settles what it owes so far
+		want = want[:0]
+		for i := range 12 {
+			want = append(want, sealFor(t, e, 43, 100+i, 10))
+		}
+		if got := releasedIDs(e.Sweep(10, everyone)); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Sweep released %v, want %v in that order", run, got, want)
+		}
+	}
+}
+
+// releasedIDs returns the KeyIDs of released in the order they left.
+func releasedIDs(released []Released) []uint64 {
+	ids := make([]uint64, 0, len(released))
+	for _, k := range released {
+		ids = append(ids, k.KeyID)
+	}
+	return ids
+}
+
 // TestLedgerTake: Release claims one key and leaves the same
 // receiver's others owed; a released key no longer confirms.
 func TestLedgerTake(t *testing.T) {

@@ -182,6 +182,14 @@ echo "== push pick allocation guard =="
 # ns/op flat across the rows — a per-candidate cost is what it replaced).
 alloc_guard ./internal/piece BenchmarkSelectRandomMissing 0
 
+echo "== piece store allocation guard =="
+# Every delivered piece is one Store.Put: verified, then copied into the tail
+# of the store's current 256 KB arena chunk. 64 pieces of 16 KB fill four
+# chunks, and with the store itself that is 8 allocs/op; an allocation per
+# piece coming back (it was 78 with one buffer per piece and a map) would
+# add 64.
+alloc_guard ./internal/piece BenchmarkStorePut 12
+
 echo "== rarest pick allocation guard =="
 # The simulator's rarest-first pick runs once per transfer, millions of
 # times in Figure 4: a word pass masked by the rarity level of the running
