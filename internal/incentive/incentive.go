@@ -164,8 +164,9 @@ func New(a algo.Algorithm, params Params, ledger *reputation.Ledger) (Strategy, 
 }
 
 // wantingLister is an optional NodeView capability: a view that answers
-// interest from its own books (the simulator's holder rows) can produce the
-// want-filtered neighbor list in one pass, skipping the per-neighbor
+// interest from its own books (the simulator's holder rows in sim.peerView,
+// the live node's link bitfields in its node and upload views) can produce
+// the want-filtered neighbor list in one pass, skipping the per-neighbor
 // WantsFromMe round trips. Implementations must return exactly the list the
 // generic filter would build (same contents, same order, same
 // in-place-filterable storage contract as Neighbors), or decline with

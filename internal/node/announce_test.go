@@ -150,7 +150,7 @@ func TestWriterCoalescesGains(t *testing.T) {
 	manifest, _ := clusterFixture(t)
 	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest)})
 	r, conn := fixtureRemote(n, 1, true)
-	n.peers[r.id] = r
+	link(t, n, r)
 	done := make(chan struct{})
 	go func() { defer close(done); r.writeLoop() }()
 
@@ -213,7 +213,7 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 			}
 			n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
 			r, _ := fixtureRemote(n, 1, false)
-			n.peers[1] = r
+			link(t, n, r)
 			return n, r
 		}
 
@@ -244,7 +244,7 @@ func TestHaveBatchEqualsSingleHaves(t *testing.T) {
 			t.Fatalf("round %d: r.have differs: %d vs %d pieces", round, rs.have.Count(), rb.have.Count())
 		}
 		for _, n := range []*Node{single, split} {
-			r := n.peers[1]
+			r := n.linkedLocked(1)
 			if got, want := n.view().WantsFromMe(1), r.have.CountMissingFrom(n.myBits) > 0; got != want {
 				t.Fatalf("round %d: WantsFromMe = %v, recount of the holdings says %v", round, got, want)
 			}

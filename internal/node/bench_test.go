@@ -141,7 +141,7 @@ func benchNode(b *testing.B, a algo.Algorithm) *Node {
 		b.Fatal(err)
 	}
 	for id := 1; id <= benchNeighbors; id++ {
-		n.peers[id] = newRemote(n, id, nopConn{}, "", 0, 0)
+		link(b, n, newRemote(n, id, nopConn{}, "", 0, 0))
 	}
 	return n
 }
@@ -196,7 +196,7 @@ func BenchmarkNodeDecision(b *testing.B) {
 						n.myBits.Set(i)
 					}
 					if row.peer(i) {
-						for _, r := range n.peers {
+						for _, r := range n.links {
 							r.have.Set(i)
 						}
 					}
@@ -204,8 +204,8 @@ func BenchmarkNodeDecision(b *testing.B) {
 				n.mu.Lock()
 				defer n.mu.Unlock()
 				if row.fullLinks {
-					for id, r := range n.peers {
-						if id%2 != 0 {
+					for _, r := range n.links {
+						if r.id%2 != 0 {
 							continue
 						}
 						for i := 0; r.inFlight(n.now) < maxInFlight; i++ {

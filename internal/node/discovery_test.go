@@ -274,7 +274,7 @@ func TestDiscoveryTChainLateJoiner(t *testing.T) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		joiner.mu.Lock()
-		seedLinked := joiner.peers[0] != nil
+		seedLinked := joiner.linkedLocked(0) != nil
 		joiner.mu.Unlock()
 		if seedLinked {
 			break

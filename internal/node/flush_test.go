@@ -75,7 +75,7 @@ func TestFlushClock(t *testing.T) {
 		manifest, _ := clusterFixture(t)
 		n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest)})
 		r, conn := fixtureRemote(n, 1, false)
-		n.peers[r.id] = r
+		link(t, n, r)
 		return n, r, conn
 	}
 	t.Run("a gain on an idle link is announced by the next tick and not before", func(t *testing.T) {
@@ -111,7 +111,7 @@ func TestFlushClock(t *testing.T) {
 	t.Run("the tick leaves a link with nothing to send alone", func(t *testing.T) {
 		n, r, _ := fixture(t)
 		busy, _ := fixtureRemote(n, 2, false)
-		n.peers[busy.id] = busy
+		link(t, n, busy)
 		busy.enqueue(protocol.Attest{}, false, nil)
 		idle, wokeBusy := parkOn(r), parkOn(busy)
 		n.flushLinks()
@@ -145,7 +145,7 @@ func TestFreeRiderAnnouncesAndAcknowledges(t *testing.T) {
 	waitFor(t, "the free-rider to announce every piece", func() bool {
 		seed.mu.Lock()
 		defer seed.mu.Unlock()
-		r := seed.peers[rider.ID()]
+		r := seed.linkedLocked(rider.ID())
 		return r != nil && r.have.Count() == testPieces
 	})
 	waitFor(t, "the free-rider to acknowledge every delivery", func() bool {

@@ -112,11 +112,10 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 
 	r := newRemote(n, peerID, conn, theirHello.Addr, arrival, announced)
 	n.mu.Lock()
-	if _, dup := n.peers[peerID]; dup || peerID == n.cfg.ID {
+	if peerID == n.cfg.ID || !n.linkLocked(r) {
 		n.mu.Unlock()
 		return // duplicate connection (simultaneous dial) or self-dial
 	}
-	n.peers[peerID] = r
 	n.contacts = slices.DeleteFunc(n.contacts, func(c contact) bool { return c.id == peerID })
 	var exchange protocol.Message
 	var overtaken []*remote
@@ -344,7 +343,9 @@ func (n *Node) receiptFor(to *remote, sender int, index int32, size int, h *hopT
 	att := n.signReceipt(int32(sender), index, size)
 	h.step(tracing.SpanAttestSign)
 	n.creditAttestation(to, att, h)
-	n.checkComplete()
+	if n.credited.Add(1) == int32(len(n.gainLog)) {
+		close(n.completeCh) // the last piece the node lacked, credited
+	}
 }
 
 // handleSealed parks the ciphertext and reciprocates per T-Chain: repay
@@ -360,7 +361,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		// dropped — the origin releases the key to the forwarder only, so a
 		// witness could never open a copy it kept.
 		n.mu.Lock()
-		origin := n.peers[int(m.OriginID)]
+		origin := n.linkedLocked(int(m.OriginID))
 		n.mu.Unlock()
 		switch {
 		case origin != nil:
@@ -447,8 +448,7 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	n.mu.Lock()
 	var witness, fallback *remote
 	needySeen, anySeen := 0, 0
-	for _, id := range n.view().Neighbors() {
-		p := n.peers[int(id)]
+	for _, p := range n.links {
 		if p.id == int(m.OriginID) {
 			continue
 		}
@@ -649,7 +649,7 @@ func (n *Node) confirmReceipt(forwarder int) {
 		return
 	}
 	n.mu.Lock()
-	receiver := n.peers[forwarder]
+	receiver := n.linkedLocked(forwarder)
 	n.mu.Unlock()
 	if receiver == nil {
 		return
@@ -695,11 +695,4 @@ func (n *Node) noteGainedLocked(index int) bool {
 	n.gainLog[at] = int32(index)
 	n.gainLen.Store(at + 1)
 	return true
-}
-
-// checkComplete closes the completion channel once the store fills up.
-func (n *Node) checkComplete() {
-	if n.cfg.Store.Complete() {
-		n.completeOnce.Do(func() { close(n.completeCh) })
-	}
 }

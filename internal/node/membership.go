@@ -73,7 +73,7 @@ func (n *Node) dial(addr string) {
 func (n *Node) refill() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.peers) >= n.cfg.MaxNeighbors || len(n.dialing) >= n.cfg.MaxNeighbors {
+	if len(n.links) >= n.cfg.MaxNeighbors || len(n.dialing) >= n.cfg.MaxNeighbors {
 		return
 	}
 	pick, seen := "", 0
@@ -109,7 +109,7 @@ func (n *Node) learnContacts(infos []protocol.NodeInfo) {
 		if len(n.contacts) >= 2*n.cfg.MaxNeighbors {
 			return
 		}
-		if id < 0 || id == n.cfg.ID || ni.Addr == "" || ni.Addr == self || n.peers[id] != nil ||
+		if id < 0 || id == n.cfg.ID || ni.Addr == "" || ni.Addr == self || n.linkedLocked(id) != nil ||
 			slices.ContainsFunc(n.contacts, func(c contact) bool { return c.id == id }) {
 			continue
 		}
@@ -125,8 +125,8 @@ func (n *Node) learnContacts(infos []protocol.NodeInfo) {
 // run.
 func (n *Node) peerExchangeLocked(r *remote) protocol.Message {
 	var infos []protocol.NodeInfo
-	for _, id := range n.view().Neighbors() {
-		if p := n.peers[int(id)]; p != r && p.arrival < r.arrival && p.addr != "" {
+	for _, p := range n.links {
+		if p != r && p.arrival < r.arrival && p.addr != "" {
 			infos = append(infos, protocol.NodeInfo{ID: int32(p.id), Addr: p.addr})
 		}
 	}
@@ -150,7 +150,7 @@ func (n *Node) overtakenLocked(r *remote) []*remote {
 		return nil
 	}
 	var late []*remote
-	for _, p := range n.peers {
+	for _, p := range n.links {
 		if p.arrival > r.arrival {
 			late = append(late, p)
 		}

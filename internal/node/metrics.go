@@ -169,13 +169,13 @@ func (n *Node) Metrics() MetricsSnapshot {
 	if n.cfg.Store.Complete() {
 		complete = 1
 	}
-	for _, r := range n.peers {
+	for _, r := range n.links {
 		outbox += int64(r.queued()) // outMu nests inside mu
 	}
 	s.Gauges = map[string]int64{
 		"node_pieces_held":    int64(n.cfg.Store.Count()),
 		"node_complete":       complete,
-		"node_neighbors":      int64(len(n.peers)),
+		"node_neighbors":      int64(len(n.links)),
 		"node_sealed_pending": int64(len(n.pendingSeals)),
 		"node_outbox_depth":   outbox,
 	}

@@ -19,6 +19,7 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -523,8 +524,8 @@ type Node struct {
 
 	mu           sync.Mutex
 	stopping     bool
-	now          int64 // the latest tick's instant (see tick); 0 before the first
-	peers        map[int]*remote
+	now          int64                    // the latest tick's instant (see tick); 0 before the first
+	links        []*remote                // the neighbour set, ascending by peer ID (see linkLocked)
 	conns        map[transport.Conn]int64 // every live conn, incl. pre-handshake: its close-by instant, 0 for none
 	pendingSeals map[sealRef]pendingSeal
 	rng          *rand.Rand
@@ -548,6 +549,12 @@ type Node struct {
 	// Sized at New for every piece the store lacked; never reallocated.
 	gainLog []int32
 	gainLen atomic.Int32
+	// credited counts the first deliveries whose receipts are credited;
+	// completeCh closes when it reaches len(gainLog), so a node reads
+	// complete only once every piece is held and every receipt for one is
+	// booked, whichever handler goroutine credits last.
+	credited   atomic.Int32
+	completeCh chan struct{}
 	// neighborScratch backs the strategy view's Neighbors result; it is
 	// reused across decisions (valid until the next view call, per
 	// incentive.NodeView's contract) and protected by mu.
@@ -576,9 +583,6 @@ type Node struct {
 	wg       sync.WaitGroup
 	start    time.Time // tick instants count from here
 	budget   float64   // throttled tick's token bucket: bytes it may push
-
-	completeCh   chan struct{}
-	completeOnce sync.Once
 }
 
 // New builds a node; call Start to bring it online.
@@ -639,7 +643,6 @@ func New(cfg Config) (*Node, error) {
 		directory:    directory,
 		verifier:     verifier,
 		attScheme:    cfg.AttestScheme,
-		peers:        make(map[int]*remote),
 		conns:        make(map[transport.Conn]int64),
 		pendingSeals: make(map[sealRef]pendingSeal),
 		dialing:      make(map[string]bool),
@@ -664,8 +667,8 @@ func New(cfg Config) (*Node, error) {
 		n.pieceTrace = make([]tracing.Context, cfg.Store.Manifest().NumPieces())
 	}
 	n.metrics = &nodeMetrics{peerDown: make(map[int]*atomic.Int64)}
-	if cfg.Store.Complete() {
-		n.completeOnce.Do(func() { close(n.completeCh) })
+	if len(n.gainLog) == 0 {
+		close(n.completeCh) // a seed
 	}
 	return n, nil
 }
@@ -783,11 +786,32 @@ func (n *Node) stopped() bool {
 func (n *Node) remotes() []*remote {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		out = append(out, r)
+	return slices.Clone(n.links)
+}
+
+// byID orders links by peer ID, for slices.BinarySearchFunc over n.links.
+func byID(r *remote, id int) int { return cmp.Compare(r.id, id) }
+
+// linkedLocked returns the link to peer id, or nil (mu held).
+func (n *Node) linkedLocked(id int) *remote {
+	if i, ok := slices.BinarySearchFunc(n.links, id, byID); ok {
+		return n.links[i]
 	}
-	return out
+	return nil
+}
+
+// linkLocked enters r into the neighbour set at its ID's place (mu held),
+// and reports false, entering nothing, when a link to that peer exists.
+// n.links stays in ascending ID order, so every walk of it — a decision's
+// candidate list, a witness pick, a peer exchange — hands the rng the same
+// order on every run; only linkLocked and unlinkLocked change it.
+func (n *Node) linkLocked(r *remote) bool {
+	i, dup := slices.BinarySearchFunc(n.links, r.id, byID)
+	if dup {
+		return false
+	}
+	n.links = slices.Insert(n.links, i, r)
+	return true
 }
 
 // unlinkLocked drops r from the neighbor set and the strategy's books (mu
@@ -795,16 +819,18 @@ func (n *Node) remotes() []*remote {
 // Everything else per-peer — its holdings, resend cooldown, outbox —
 // lives on r and goes with it.
 func (n *Node) unlinkLocked(r *remote) {
-	if n.peers[r.id] != r {
+	i, ok := slices.BinarySearchFunc(n.links, r.id, byID)
+	if !ok || n.links[i] != r {
 		return
 	}
-	delete(n.peers, r.id)
+	n.links = slices.Delete(n.links, i, i+1)
 	n.strategy.Forget(incentive.PeerID(r.id))
 }
 
-// WaitCompleteContext blocks until the node holds the full file or the
-// context is done. It returns nil on completion and ctx.Err() otherwise, so
-// callers compose cancellation, deadlines, and timeouts the standard way.
+// WaitCompleteContext blocks until the node holds the full file, every
+// piece's receipt credited, or the context is done. It returns nil on
+// completion and ctx.Err() otherwise, so callers compose cancellation,
+// deadlines, and timeouts the standard way.
 func (n *Node) WaitCompleteContext(ctx context.Context) error {
 	select {
 	case <-n.completeCh:
@@ -834,7 +860,7 @@ func (n *Node) Stats() Stats {
 		UploadedBytes:  float64(n.metrics.uploadedBytes.Load()),
 		CreditedBytes:  float64(n.metrics.creditedBytes.Load()),
 		SealedPending:  len(n.pendingSeals),
-		Neighbors:      len(n.peers),
+		Neighbors:      len(n.links),
 		FramesSent:     n.metrics.framesControl.Load() + n.metrics.framesBulk.Load(),
 		Drains:         n.metrics.drains.Load(),
 		FramesReceived: n.metrics.framesIn.Load(),

@@ -11,6 +11,7 @@ import (
 	"repro/internal/piece"
 	"repro/internal/protocol"
 	"repro/internal/reputation"
+	"repro/internal/tracing"
 	"repro/internal/transport"
 )
 
@@ -219,9 +220,6 @@ func TestReputationContributorPreferred(t *testing.T) {
 			t.Fatalf("leecher %d incomplete: %v", i, err)
 		}
 	}
-	// Completion does not close the books: a handler that stored an earlier
-	// piece may still be crediting it. Stop waits for every handler.
-	c.stopAll()
 	ledger := c.nodes[0].ledger
 	if ledger.Score(0) <= 0 {
 		t.Fatal("seed has no reputation despite uploading")
@@ -247,6 +245,54 @@ func TestNodeStopIdempotent(t *testing.T) {
 	_ = c.nodes[0].Stats()
 }
 
+// TestCompleteWaitsForEveryCredit: two handler goroutines deliver a node's
+// last two pieces, and the one that fills the store is not the last to
+// credit its receipt. The node reads complete only once both receipts are in
+// the ledger, so a caller woken by WaitCompleteContext sees every credit.
+func TestCompleteWaitsForEveryCredit(t *testing.T) {
+	manifest, content := clusterFixture(t)
+	store := piece.NewStore(manifest)
+	for i := 0; i < testPieces-2; i++ {
+		if err := store.Put(i, content[i*testPieceSize:(i+1)*testPieceSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
+	r, _ := fixtureRemote(n, 1, false)
+	link(t, n, r)
+	credits := func() (total uint64) {
+		for _, s := range n.ledger.Snapshot() {
+			total += s.Valid
+		}
+		return total
+	}
+	complete := func() bool {
+		select {
+		case <-n.completeCh:
+			return true
+		default:
+			return false
+		}
+	}
+	// The first goroutine has verified and booked its piece, not yet
+	// credited it; the second delivers the last piece from end to end.
+	early, last := testPieces-2, testPieces-1
+	if err := store.Put(early, content[early*testPieceSize:last*testPieceSize]); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.noteDeliveryLocked(r.id, early, testPieceSize, tracing.Context{})
+	n.mu.Unlock()
+	n.handlePiece(r, protocol.Piece{Index: int32(last), RepaysKeyID: protocol.NoRepay, Data: content[last*testPieceSize:]})
+	if !store.Complete() || complete() {
+		t.Fatalf("store complete %v, node complete %v with one receipt uncredited; want true, false", store.Complete(), complete())
+	}
+	n.receiptFor(r, r.id, int32(early), testPieceSize, nil)
+	if !complete() || credits() != 2 {
+		t.Errorf("after the last credit: node complete %v, %d receipts credited; want true, 2", complete(), credits())
+	}
+}
+
 // TestUploadRateThrottle drives a throttled seed's token bucket with tick
 // instants: it starts one piece full, so the first tick pushes one piece,
 // then refills at UploadRate, and an idle stretch refills at most four
@@ -258,7 +304,8 @@ func TestUploadRateThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store, UploadRate: 4 * testPieceSize}) // four pieces a second
-	seed.peers[1], _ = fixtureRemote(seed, 1, false)
+	r, _ := fixtureRemote(seed, 1, false)
+	link(t, seed, r)
 	pushed := func() int { return int(seed.Stats().UploadedBytes) / testPieceSize }
 
 	// 1.5 s of 125 ms ticks, each refilling exactly half a piece.
@@ -293,7 +340,7 @@ func TestUploadWindow(t *testing.T) {
 	}
 	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: store})
 	r, conn := fixtureRemote(n, 1, false)
-	n.peers[r.id] = r
+	link(t, n, r)
 	writer := make(chan struct{})
 	go func() { defer close(writer); r.writeLoop() }()
 	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
@@ -367,7 +414,7 @@ func TestUploadSkipsFullWindows(t *testing.T) {
 	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
 	a, _ := fixtureRemote(n, 1, false)
 	b, _ := fixtureRemote(n, 2, false)
-	n.peers[a.id], n.peers[b.id] = a, b
+	link(t, n, a, b)
 	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
 	queued := func(r *remote) int {
 		r.outMu.Lock()

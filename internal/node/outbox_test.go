@@ -63,13 +63,26 @@ func fixtureNode(t *testing.T, cfg Config) *Node {
 }
 
 // fixtureRemote builds n's link to peer id over a gateConn, as a handshake
-// would before the peer's bitfield lands; it is not entered in n.peers.
+// would before the peer's bitfield lands; link enters it in n.links.
 func fixtureRemote(n *Node, id int, stalled bool) (*remote, *gateConn) {
 	conn := &gateConn{gate: make(chan struct{})}
 	if !stalled {
 		close(conn.gate)
 	}
 	return newRemote(n, id, conn, "", 0, n.gainLen.Load()), conn
+}
+
+// link enters rs into n's neighbour set through the handshake's own insert,
+// so no fixture can build a set out of ID order or with a peer twice.
+func link(t testing.TB, n *Node, rs ...*remote) {
+	t.Helper()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, r := range rs {
+		if !n.linkLocked(r) {
+			t.Fatalf("peer %d linked twice", r.id)
+		}
+	}
 }
 
 // fillBulk queues bulk frames up to the backpressure bound.
@@ -332,7 +345,7 @@ func TestWitnessKeepsNoCiphertext(t *testing.T) {
 			n := fixtureNode(t, cfg)
 			origin, _ := fixtureRemote(n, originID, false)
 			other, _ := fixtureRemote(n, otherID, false)
-			n.peers[originID], n.peers[otherID] = origin, other
+			link(t, n, origin, other)
 			seal, key := rawSeal(t, originID, 11, 3)
 			ciphertext := bytes.Clone(seal.Ciphertext)
 			// attests: the receipt names otherID forwarding the seal, under a

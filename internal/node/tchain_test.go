@@ -101,7 +101,7 @@ func sealTo(t *testing.T, n *Node, r *remote, idx int) uint64 {
 // node's clock and its neighbor set, and a released key leaves as a Key
 // frame on its receiver's outbox, counted. Three seals: to a receiver that
 // has reciprocated before, one that never has, and one that has but is no
-// longer in n.peers. The node never ticks, so every seal is stamped at
+// longer in n.links. The node never ticks, so every seal is stamped at
 // n.now = 0; the instants are handed to sweepGrace — no sleeping.
 func TestGraceSweep(t *testing.T) {
 	manifest, content := clusterFixture(t)
@@ -114,7 +114,7 @@ func TestGraceSweep(t *testing.T) {
 	trusted, _ := fixtureRemote(n, trustedID, false)
 	stranger, _ := fixtureRemote(n, strangerID, false)
 	departed, _ := fixtureRemote(n, departedID, false)
-	n.peers[trustedID], n.peers[strangerID] = trusted, stranger
+	link(t, n, trusted, stranger)
 	for _, r := range []*remote{trusted, departed} {
 		sealTo(t, n, r, 0)
 		n.escrow.Confirm(r.id) // r has reciprocated once
@@ -291,7 +291,7 @@ func TestKeysOpenBackToBack(t *testing.T) {
 	manifest, _ := clusterFixture(t)
 	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
 	origin, _ := fixtureRemote(n, 1, false)
-	n.peers[1] = origin
+	link(t, n, origin)
 	pieces := []int{4, 9}
 	var keys []protocol.Key
 	for keyID, idx := range pieces {
@@ -320,7 +320,7 @@ func TestSealedPieceSpeaksOnlyForItsLink(t *testing.T) {
 	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest), Identity: attest.NewKeyFromSeed(0, 1)})
 	origin, _ := fixtureRemote(n, 1, false)
 	liar, _ := fixtureRemote(n, 2, false)
-	n.peers[1], n.peers[2] = origin, liar
+	link(t, n, origin, liar)
 	ciphertext := make([]byte, testPieceSize)
 	for name, frame := range map[string]protocol.SealedPiece{
 		"forwarder": {Index: 3, KeyID: 11, Ciphertext: ciphertext, OriginID: 1, Forwarded: true, ForwarderID: 3},
@@ -364,7 +364,7 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	links := make(map[int]*remote)
 	for id := forwarderID; id <= bystanderID; id++ {
 		links[id], _ = fixtureRemote(n, id, false)
-		n.peers[id] = links[id]
+		link(t, n, links[id])
 	}
 	keyID := sealTo(t, n, links[forwarderID], idx)
 
@@ -551,13 +551,13 @@ func TestUnsignedWitnessReceipt(t *testing.T) {
 	origin := fixtureNode(t, Config{ID: originID, Algorithm: algo.TChain, Store: store})
 	toForwarder, _ := fixtureRemote(origin, forwarderID, false)
 	fromWitness, _ := fixtureRemote(origin, witnessID, false)
-	origin.peers[forwarderID], origin.peers[witnessID] = toForwarder, fromWitness
+	link(t, origin, toForwarder, fromWitness)
 	keyID := sealTo(t, origin, toForwarder, 5)
 
 	witness := fixtureNode(t, Config{ID: witnessID, Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
 	toOrigin, _ := fixtureRemote(witness, originID, false)
 	fromForwarder, _ := fixtureRemote(witness, forwarderID, false)
-	witness.peers[originID], witness.peers[forwarderID] = toOrigin, fromForwarder
+	link(t, witness, toOrigin, fromForwarder)
 	forwarded := protocol.SealedPiece{
 		Index: 5, KeyID: keyID, Ciphertext: make([]byte, testPieceSize),
 		OriginID: originID, Forwarded: true, ForwarderID: forwarderID,

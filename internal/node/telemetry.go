@@ -65,8 +65,8 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 	holders := make([]int, numPieces)
 
 	n.mu.Lock()
-	peers := make([]DebugPeer, 0, len(n.peers))
-	for _, r := range n.peers {
+	peers := make([]DebugPeer, 0, len(n.links))
+	for _, r := range n.links {
 		peers = append(peers, DebugPeer{
 			ID:       r.id,
 			Addr:     r.addr,
@@ -84,7 +84,6 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 		holders[idx]++
 	}
 	n.mu.Unlock()
-	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 
 	var rarity DebugRarity
 	if numPieces > 0 {

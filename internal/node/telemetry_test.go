@@ -103,6 +103,9 @@ func TestClusterMetricsHTTP(t *testing.T) {
 	if len(dbg.Peers) == 0 {
 		t.Error("debug swarm shows no peers on a running mesh")
 	}
+	if !slices.IsSortedFunc(dbg.Peers, func(a, b DebugPeer) int { return a.ID - b.ID }) {
+		t.Errorf("debug swarm peers not in ascending ID order: %+v", dbg.Peers)
+	}
 	for _, p := range dbg.Peers {
 		if p.INeed != 0 || p.TheyNeed != 0 {
 			t.Errorf("complete node and peer %d still need %d and %d pieces of each other", p.ID, p.INeed, p.TheyNeed)

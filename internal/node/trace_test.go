@@ -227,8 +227,8 @@ func TestStopDrainAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newRemote(n, 1, conn, "", 0, n.gainLen.Load())
+		link(t, n, r)
 		n.mu.Lock()
-		n.peers[1] = r
 		n.conns[conn] = 0
 		n.mu.Unlock()
 		n.wg.Add(1)
@@ -390,7 +390,7 @@ func TestStopDrainOutlivesInboundFrame(t *testing.T) {
 	waitFor(t, "the link to register", func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		r = n.peers[1]
+		r = n.linkedLocked(1)
 		return r != nil
 	})
 	const copies = 3

@@ -2,7 +2,6 @@ package node
 
 import (
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/algo"
@@ -27,40 +26,67 @@ func (v nodeView) Self() incentive.PeerID { return incentive.PeerID(v.n.cfg.ID) 
 func (v nodeView) Now() float64           { return float64(v.n.now) / 1e9 }
 func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
 
-// Neighbors returns the linked peers in ascending ID order, so a decision's
-// draws pick the same peer from the same rng state on every run (n.peers is
-// a map, whose iteration order is not).
-func (v nodeView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(false) }
+// Neighbors returns the linked peers in n.links' ascending ID order, so a
+// decision's draws pick the same peer from the same rng state on every run.
+func (v nodeView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(false, false) }
+
+// WantingNeighbors and AnyWanting are incentive's optional one-pass
+// capabilities: the generic filter's list (Neighbors, then WantsFromMe) in
+// its order, built without a lookup per candidate.
+func (v nodeView) WantingNeighbors() ([]incentive.PeerID, bool) {
+	return v.n.neighborsLocked(false, true), true
+}
+func (v nodeView) AnyWanting() (wanting, ok bool) { return v.n.anyWantingLocked(false), true }
 
 // uploadView is the view tryUpload decides through (mu held): the node
-// view, except that Neighbors leaves out every link whose in-flight window
+// view, except that its lists leave out every link whose in-flight window
 // is full, so a strategy's draw lands on a link that can take a piece now.
 // It embeds nodeView rather than adding a field so it stays one pointer
 // wide, which an interface holds without allocating.
 type uploadView struct{ nodeView }
 
-func (v uploadView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(true) }
+func (v uploadView) Neighbors() []incentive.PeerID { return v.n.neighborsLocked(true, false) }
+func (v uploadView) WantingNeighbors() ([]incentive.PeerID, bool) {
+	return v.n.neighborsLocked(true, true), true
+}
+func (v uploadView) AnyWanting() (wanting, ok bool) { return v.n.anyWantingLocked(true), true }
 
-// neighborsLocked lists the linked peers in ascending ID order into
-// neighborScratch, only those whose window has room at n.now when roomOnly
-// is set (mu held).
-func (n *Node) neighborsLocked(roomOnly bool) []incentive.PeerID {
+// eligibleLocked reports whether link r passes a view's filter at n.now (mu
+// held): its window has room when roomOnly is set, and it lacks a piece we
+// hold when wanting is set.
+func (n *Node) eligibleLocked(r *remote, roomOnly, wanting bool) bool {
+	return (!roomOnly || r.inFlight(n.now) < maxInFlight) && (!wanting || r.have.Needs(n.myBits))
+}
+
+// neighborsLocked lists the IDs of the links that pass the filter, in
+// ascending order, into neighborScratch (mu held).
+func (n *Node) neighborsLocked(roomOnly, wanting bool) []incentive.PeerID {
 	out := n.neighborScratch[:0]
-	for id, r := range n.peers {
-		if !roomOnly || r.inFlight(n.now) < maxInFlight {
-			out = append(out, incentive.PeerID(id))
+	for _, r := range n.links {
+		if n.eligibleLocked(r, roomOnly, wanting) {
+			out = append(out, incentive.PeerID(r.id))
 		}
 	}
-	slices.Sort(out)
 	n.neighborScratch = out
 	return out
+}
+
+// anyWantingLocked reports whether any link passes the wanting filter,
+// stopping at the first that does (mu held).
+func (n *Node) anyWantingLocked(roomOnly bool) bool {
+	for _, r := range n.links {
+		if n.eligibleLocked(r, roomOnly, true) {
+			return true
+		}
+	}
+	return false
 }
 
 // WantsFromMe reports whether linked peer p lacks a piece we hold, reading
 // the two holdings up to the first word where one does.
 func (v nodeView) WantsFromMe(p incentive.PeerID) bool {
-	r, ok := v.n.peers[int(p)]
-	return ok && r.have.Needs(v.n.myBits)
+	r := v.n.linkedLocked(int(p))
+	return r != nil && r.have.Needs(v.n.myBits)
 }
 
 // view returns the strategy view; callers must hold n.mu.
@@ -138,13 +164,13 @@ func (n *Node) tick(now int64) {
 // flushLinks is the flush clock for control traffic no counterpart is
 // blocked on: piece announcements (gains past a link's announced cursor) and
 // receipt copies signal no writer when they arise, and this pass, once a
-// tick, signals every link that has any — one walk of n.peers under mu
+// tick, signals every link that has any — one walk of n.links under mu
 // (outMu nests inside it), nothing allocated, no idle link woken. Frames a
 // counterpart is waiting on signal their writer from enqueue, and whatever
 // drain they cause carries the link's announcements and copies with it.
 func (n *Node) flushLinks() {
 	n.mu.Lock()
-	for _, r := range n.peers {
+	for _, r := range n.links {
 		r.flush()
 	}
 	n.mu.Unlock()
@@ -163,8 +189,8 @@ func (n *Node) tryUpload(now int64) bool {
 		n.mu.Unlock()
 		return false
 	}
-	r, ok := n.peers[int(receiverID)]
-	if !ok {
+	r := n.linkedLocked(int(receiverID))
+	if r == nil {
 		n.mu.Unlock()
 		return false
 	}
@@ -342,8 +368,8 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, now int64, ut *upload
 func (n *Node) sweepGrace(now int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, k := range n.escrow.Sweep(now, func(id int) bool { return n.peers[id] != nil }) {
+	for _, k := range n.escrow.Sweep(now, func(id int) bool { return n.linkedLocked(id) != nil }) {
 		n.metrics.graceReleases.Add(1)
-		n.peers[k.Receiver].sendKey(k)
+		n.linkedLocked(k.Receiver).sendKey(k)
 	}
 }

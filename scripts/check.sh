@@ -219,18 +219,21 @@ echo "== attestation adversary gate =="
 # lands while its seal's forward is queued never opens into that buffer. And
 # the credit that needs no forgery: a client re-pushing one piece the
 # receiver holds earns nothing under any of the six mechanisms, on the
-# ledger or in the node's books. The receipt copies all of this
+# ledger or in the node's books, and a node reads complete only once every
+# receipt for its pieces is credited. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
 # signals a writer for an announcement or a copy, the tick does, a free-rider
 # still ticks, Stop drains what the dead tick left, and the tick's pushes pass
 # over a link whose in-flight window is full — one full link does not end the
 # tick, and the window's O(1) count matches a recount — while the window never
-# holds back a repayment.
+# holds back a repayment. The decision's candidate list rides the same links:
+# both views' one-pass wanting filter equals the generic one, the links stay
+# in ascending ID order through link and unlink, and the draws stay pinned.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack|TestCompleteWaitsForEveryCredit' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
-go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle' ./internal/node
+go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle|TestWantingViewMatchesFilter|TestLinksStaySorted|TestDecisionDrawsPinned' ./internal/node
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
   exit 1
