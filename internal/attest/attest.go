@@ -211,6 +211,11 @@ func newMACState(key []byte) *macState {
 func (m *macState) tag(att *Attestation) [macSize]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.tagLocked(att)
+}
+
+// tagLocked is tag with m.mu held.
+func (m *macState) tagLocked(att *Attestation) [macSize]byte {
 	return m.sumLocked(att.AppendCanonical(m.canonical[:0]))
 }
 
@@ -221,13 +226,14 @@ func (m *macState) sumLocked(msg []byte) [macSize]byte {
 	return [macSize]byte(m.h.Sum(m.sum[:0]))
 }
 
-// cachedMACState returns cache[id], deriving the key and keying its state
-// on first use. The caller holds the lock that guards cache.
-func cachedMACState[K comparable](cache map[K]*macState, id K, session *[32]byte, domain byte, peer int32) *macState {
-	m, ok := cache[id]
+// cachedMACState returns cache[peer], deriving the key toward peer under
+// domain and keying its state on first use. The caller holds the lock that
+// guards cache.
+func cachedMACState(cache map[int32]*macState, session *[32]byte, domain byte, peer int32) *macState {
+	m, ok := cache[peer]
 	if !ok {
 		m = newMACState(macKey(*session, domain, peer))
-		cache[id] = m
+		cache[peer] = m
 	}
 	return m
 }

@@ -394,3 +394,174 @@ func TestSharedMACStatesConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A key rotated through Register takes effect in a verifier that already
+// holds state derived from the retired key: the retired key's receipts fail
+// Check, Verify and CheckLink, the new key's pass all three — its sequence
+// numbers restart at 1 — exactly as at a verifier that never saw the old
+// key.
+func TestVerifierFollowsKeyRotation(t *testing.T) {
+	const sender, witness, origin = 1, 2, 3
+	dir := NewDirectory()
+	dir.Register(sender, NewKeyFromSeed(sender, 42).Identity())
+	retired, next := NewKeyFromSeed(witness, 42), NewKeyFromSeed(witness, 43)
+	dir.Register(witness, retired.Identity())
+	used := NewVerifier(dir)
+	// Derive and use every kind of state the verifier keeps for the pair.
+	if err := used.Verify(retired.Attest(SchemeSession, sender, 0, [32]byte{}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := used.CheckLink(retired.AttestLink(origin, sender, 0, [32]byte{}, 4096), origin); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := []Attestation{
+		retired.Attest(SchemeSession, sender, 1, [32]byte{}, 4096),
+		retired.Attest(SchemeEd25519, sender, 1, [32]byte{}, 4096),
+		retired.AttestLink(origin, sender, 1, [32]byte{}, 4096),
+	}
+	dir.Register(witness, next.Identity())
+	fresh := []Attestation{
+		next.Attest(SchemeSession, sender, 2, [32]byte{}, 4096),
+		next.Attest(SchemeEd25519, sender, 2, [32]byte{}, 4096),
+		next.AttestLink(origin, sender, 2, [32]byte{}, 4096),
+	}
+	if fresh[0].Seq != 1 {
+		t.Fatalf("a new key's first receipt carries Seq %d, want 1", fresh[0].Seq)
+	}
+	for _, v := range []struct {
+		name string
+		v    *Verifier
+	}{{"used", used}, {"fresh", NewVerifier(dir)}} {
+		checks := []struct {
+			name string
+			run  func(Attestation) error
+		}{
+			{"Check", v.v.Check},
+			{"CheckLink", func(att Attestation) error { return v.v.CheckLink(att, origin) }},
+			{"Verify", v.v.Verify},
+		}
+		for _, c := range checks {
+			for _, att := range stale {
+				if (att.Scheme == SchemeLink) != (c.name == "CheckLink") {
+					continue
+				}
+				if err := c.run(att); !errors.Is(err, ErrBadSignature) {
+					t.Errorf("%s verifier: %s of the retired key's %v receipt = %v, want ErrBadSignature", v.name, c.name, att.Scheme, err)
+				}
+			}
+			for _, att := range fresh {
+				if (att.Scheme == SchemeLink) != (c.name == "CheckLink") {
+					continue
+				}
+				if err := c.run(att); err != nil {
+					t.Errorf("%s verifier: %s of the new key's %v receipt = %v", v.name, c.name, att.Scheme, err)
+				}
+			}
+		}
+	}
+}
+
+// Lookups and verifications run against admissions and rotations of other
+// identities: every pair's receipts keep verifying, and each goroutine's
+// sequence numbers are spent exactly once. Run under -race.
+func TestVerifierConcurrentWithAdmissions(t *testing.T) {
+	dir := NewDirectory()
+	const receivers = 4
+	keys := make([]*Key, receivers)
+	for i := range keys {
+		keys[i] = NewKeyFromSeed(int32(i+10), 42)
+		dir.Register(int32(i+10), keys[i].Identity())
+	}
+	v := NewVerifier(dir)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range 200 {
+			dir.Register(100, NewKeyFromSeed(100, int64(i%2)).Identity())
+			if err := dir.Observe(int32(200+i), NewKeyFromSeed(int32(200+i), 1).Public()); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for _, k := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				att := k.Attest(SchemeSession, 1, int32(i), [32]byte{}, 4096)
+				if err := v.Verify(att); err != nil {
+					t.Errorf("receiver %d, receipt %d: %v", k.ID(), i, err)
+				}
+				if err := v.Verify(att); !errors.Is(err, ErrReplayed) {
+					t.Errorf("receiver %d, receipt %d replayed: %v, want ErrReplayed", k.ID(), i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := dir.Len(); got != receivers+1+200 {
+		t.Errorf("directory holds %d identities, want %d", got, receivers+1+200)
+	}
+}
+
+// A verifier keeps state only for pairs with a genuine receipt: forged
+// receipts naming arbitrary peers, checked or verified, store nothing, and
+// genuine ones racing to be a pair's first all land in the one state that
+// is kept.
+func TestForgedReceiptsLeaveNoState(t *testing.T) {
+	dir, _, b := newTestPair(t)
+	v := NewVerifier(dir)
+	states := func(m *sync.Map) (n int) {
+		m.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	for peer := int32(1000); peer < 1100; peer++ {
+		forged := Attestation{Sender: peer, Receiver: 2, Seq: 1, Scheme: SchemeSession}
+		if err := v.Check(forged); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("Check of a forged receipt: %v", err)
+		}
+		if err := v.Verify(forged); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("Verify of a forged receipt: %v", err)
+		}
+		forged.Scheme = SchemeLink
+		if err := v.CheckLink(forged, peer+1000); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("CheckLink of a forged receipt: %v", err)
+		}
+	}
+	if p, l := states(&v.pairs), states(&v.links); p != 0 || l != 0 {
+		t.Errorf("forged receipts left %d pair and %d link states", p, l)
+	}
+
+	const racers = 4
+	receipts := make([]Attestation, racers)
+	for i := range receipts {
+		receipts[i] = b.Attest(SchemeSession, 1, int32(i), [32]byte{}, 4096)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, att := range receipts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := v.Verify(att); err != nil {
+				t.Errorf("receipt %d: %v", att.Seq, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, att := range receipts {
+		if err := v.Verify(att); !errors.Is(err, ErrReplayed) {
+			t.Errorf("receipt %d again: %v, want ErrReplayed", att.Seq, err)
+		}
+	}
+	if err := v.CheckLink(b.AttestLink(3, 1, 0, [32]byte{}, 4096), 3); err != nil {
+		t.Fatal(err)
+	}
+	if p, l := states(&v.pairs), states(&v.links); p != 1 || l != 1 {
+		t.Errorf("genuine receipts of one pair and one link left %d and %d states, want 1 and 1", p, l)
+	}
+}

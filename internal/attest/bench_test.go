@@ -1,6 +1,10 @@
 package attest
 
-import "testing"
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
 
 // These measure the Ed25519 identity-signature cost (admission, witness
 // receipts without a keyed link, cross-process swarms) and the session MAC
@@ -75,4 +79,38 @@ func BenchmarkAttestVerifyLink(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkVerifyParallel is the contended credit shape: RunParallel's
+// GOMAXPROCS goroutines verifying session receipts of 16 (receiver, sender)
+// pairs (more if there are more goroutines) through one shared Verifier and
+// Directory, as a cluster's nodes do through its shared ledger. Goroutine g
+// owns the pairs whose index is g modulo the goroutine count, so each pair's
+// sequence numbers arrive in order, and it signs each receipt just before
+// verifying it: ns/op is one sign plus one verify under contention.
+func BenchmarkVerifyParallel(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	dir := NewDirectory()
+	dir.Register(1, NewKeyFromSeed(1, 42).Identity())
+	keys := make([]*Key, max(16, procs))
+	for i := range keys {
+		keys[i] = NewKeyFromSeed(int32(i+2), 42)
+		dir.Register(int32(i+2), keys[i].Identity())
+	}
+	v := NewVerifier(dir)
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		var own []*Key
+		for j := int(next.Add(1) - 1); j < len(keys); j += procs {
+			own = append(own, keys[j])
+		}
+		for i := 0; pb.Next(); i++ {
+			k := own[i%len(own)]
+			if err := v.Verify(k.Attest(SchemeSession, 1, int32(i), [32]byte{}, 4096)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

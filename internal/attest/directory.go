@@ -5,7 +5,9 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Identity is one admitted peer's verification material. HasSession marks
@@ -42,21 +44,37 @@ var (
 //     documented tradeoff for cross-process swarms without a CA; sealed
 //     directories refuse TOFU entirely, closing the Sybil door for
 //     closed-membership clusters.
+//
+// Every receipt checked reads the directory, from every node's handlers at
+// once, and admissions are rare, so Lookup and Len read an immutable
+// snapshot through an atomic pointer and take no lock; Register and Observe
+// copy it, change the copy and publish it under a plain mutex, so the n-th
+// admission copies n−1 identities: paid once per peer, not per receipt.
 type Directory struct {
-	mu     sync.RWMutex
-	ids    map[int32]Identity
+	ids    atomic.Pointer[map[int32]Identity] // never written once published
+	mu     sync.Mutex                         // serializes writers
 	sealed bool
 }
 
 // NewDirectory returns an empty open directory.
 func NewDirectory() *Directory {
-	return &Directory{ids: make(map[int32]Identity)}
+	d := &Directory{}
+	d.ids.Store(&map[int32]Identity{})
+	return d
+}
+
+// publishLocked installs a copy of the snapshot with id bound to ident
+// (d.mu held).
+func (d *Directory) publishLocked(id int32, ident Identity) {
+	next := maps.Clone(*d.ids.Load())
+	next[id] = ident
+	d.ids.Store(&next)
 }
 
 // Register admits (or rotates) an identity through the authorized path.
 func (d *Directory) Register(id int32, ident Identity) {
 	d.mu.Lock()
-	d.ids[id] = ident
+	d.publishLocked(id, ident)
 	d.mu.Unlock()
 }
 
@@ -69,7 +87,7 @@ func (d *Directory) Observe(id int32, pub ed25519.PublicKey) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if existing, ok := d.ids[id]; ok {
+	if existing, ok := (*d.ids.Load())[id]; ok {
 		if subtle.ConstantTimeCompare(existing.PubKey, pub) != 1 {
 			return fmt.Errorf("%w %d", ErrKeyConflict, id)
 		}
@@ -80,7 +98,7 @@ func (d *Directory) Observe(id int32, pub ed25519.PublicKey) error {
 	}
 	cp := make(ed25519.PublicKey, ed25519.PublicKeySize)
 	copy(cp, pub)
-	d.ids[id] = Identity{PubKey: cp}
+	d.publishLocked(id, Identity{PubKey: cp})
 	return nil
 }
 
@@ -94,16 +112,9 @@ func (d *Directory) Seal() {
 
 // Lookup returns the identity admitted for id.
 func (d *Directory) Lookup(id int32) (Identity, bool) {
-	d.mu.RLock()
-	ident, ok := d.ids[id]
-	d.mu.RUnlock()
+	ident, ok := (*d.ids.Load())[id]
 	return ident, ok
 }
 
 // Len returns the number of admitted identities.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	n := len(d.ids)
-	d.mu.RUnlock()
-	return n
-}
+func (d *Directory) Len() int { return len(*d.ids.Load()) }

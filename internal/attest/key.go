@@ -113,9 +113,9 @@ func (k *Key) attest(scheme Scheme, sender, keyedTo, index int32, hash [32]byte,
 	att.Seq = k.seq[sender]
 	switch scheme {
 	case SchemeSession:
-		mac = cachedMACState(k.pairKeys, keyedTo, &k.session, domainPair, keyedTo)
+		mac = cachedMACState(k.pairKeys, &k.session, domainPair, keyedTo)
 	case SchemeLink:
-		mac = cachedMACState(k.linkKeys, keyedTo, &k.session, domainLink, keyedTo)
+		mac = cachedMACState(k.linkKeys, &k.session, domainLink, keyedTo)
 	}
 	k.mu.Unlock()
 

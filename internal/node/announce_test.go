@@ -158,7 +158,7 @@ func TestWriterCoalescesGains(t *testing.T) {
 	n.flushLinks() // the writer takes the gain and stalls on the shut gate
 	waitFor(t, "the writer to take the first announcement", r.isWriting)
 	queued := protocol.Key{KeyID: 5}
-	r.enqueue(queued, false, nil)
+	r.enqueue(queued, reply, nil)
 	burst := []int32{4, 15, 0, 7, 11}
 	for _, idx := range burst {
 		gain(n, int(idx))

@@ -98,7 +98,7 @@ func TestFlushClock(t *testing.T) {
 		n, r, conn := fixture(t)
 		woke := parkOn(r)
 		ack := protocol.Attest{Att: n.signReceipt(int32(r.id), 3, testPieceSize)}
-		if !r.enqueue(ack, false, nil) {
+		if !r.enqueue(ack, receiptCopy, nil) {
 			t.Fatal("receipt copy refused")
 		}
 		expectParked(t, woke, "a queued receipt copy")
@@ -112,7 +112,7 @@ func TestFlushClock(t *testing.T) {
 		n, r, _ := fixture(t)
 		busy, _ := fixtureRemote(n, 2, false)
 		link(t, n, busy)
-		busy.enqueue(protocol.Attest{}, false, nil)
+		busy.enqueue(protocol.Attest{}, receiptCopy, nil)
 		idle, wokeBusy := parkOn(r), parkOn(busy)
 		n.flushLinks()
 		expectWoken(t, wokeBusy, "the tick")

@@ -126,10 +126,10 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 	n.mu.Unlock()
 	n.log.Debug("peer connected", "peer", peerID, "dialer", dialer)
 	if exchange != nil {
-		r.enqueue(exchange, false, nil)
+		r.enqueue(exchange, reply, nil)
 	}
 	for _, p := range overtaken {
-		p.enqueue(protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: int32(r.id), Addr: r.addr}}}, false, nil)
+		p.enqueue(protocol.Nodes{Contacts: []protocol.NodeInfo{{ID: int32(r.id), Addr: r.addr}}}, reply, nil)
 	}
 	n.wg.Add(1)
 	go func() {
@@ -365,7 +365,7 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		n.mu.Unlock()
 		switch {
 		case origin != nil:
-			origin.enqueue(n.witnessReceipt(origin, m, h), false, nil)
+			origin.enqueue(n.witnessReceipt(origin, m, h), reply, nil)
 		case m.OriginAddr != "":
 			// Below a full mesh the witness may not neighbor the origin;
 			// deliver the receipt over a transient connection so the
@@ -473,7 +473,7 @@ func (n *Node) reciprocate(r *remote, m protocol.SealedPiece) {
 	forwarded := m
 	forwarded.Forwarded = true
 	forwarded.ForwarderID = int32(n.cfg.ID)
-	if !witness.enqueue(forwarded, true, nil) {
+	if !witness.enqueue(forwarded, forwardedSeal, nil) {
 		return // witness saturated; same outcome as having no witness
 	}
 	n.metrics.uploadedBytes.Add(int64(len(m.Ciphertext)))
@@ -547,12 +547,12 @@ func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace
 	}
 	n.metrics.attestSigned.Add(1)
 	if to != nil {
-		// Queued without a signal (see enqueue): the sender is not blocked on
-		// its proof copy, and a writer woken per receipt is a write per piece.
-		// The upload tick's flushLinks sends it within a DecisionInterval even
-		// on a link with no other outbound traffic — a downloader never
+		// Queued without a signal (see frameClass): the sender is not blocked
+		// on its proof copy, and a writer woken per receipt is a write per
+		// piece. The upload tick's flushLinks sends it within a DecisionInterval
+		// even on a link with no other outbound traffic — a downloader never
 		// announces anything a complete seed is waiting to hear.
-		to.enqueue(protocol.Attest{Att: att, Trace: h.context()}, false, nil)
+		to.enqueue(protocol.Attest{Att: att, Trace: h.context()}, receiptCopy, nil)
 	}
 }
 
@@ -661,7 +661,7 @@ func (n *Node) confirmReceipt(forwarder int) {
 
 // sendKey queues one released key for r, the receiver it was sealed for.
 func (r *remote) sendKey(k tchain.Released) {
-	r.enqueue(protocol.Key{KeyID: k.KeyID, Index: int32(k.Piece), Key: k.Key}, false, nil)
+	r.enqueue(protocol.Key{KeyID: k.KeyID, Index: int32(k.Piece), Key: k.Key}, reply, nil)
 }
 
 // handshakeBitfield snapshots our holdings as a wire bitfield, together

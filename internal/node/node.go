@@ -230,6 +230,22 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64
 	return r
 }
 
+// frameClass is what enqueue needs to know of a frame: whether the bulk
+// bound may refuse it, and whether it wakes the writer at once. Only a frame
+// a counterpart may be blocked on does; the rest ride the next drain, which
+// the flushLinks closing each tick causes if nothing sooner does.
+type frameClass uint8
+
+const (
+	tickPush      frameClass = iota // a piece or seal tryUpload pushes: bulk, sent as the tick ends
+	forwardedSeal                   // bulk, wakes: the seal's origin waits on the witness's receipt
+	reply                           // a repayment, key, witness receipt or Nodes: control, wakes
+	receiptCopy                     // the sender's proof copy (protocol.Attest): control, waits
+)
+
+func (c frameClass) bulk() bool  { return c == tickPush || c == forwardedSeal }
+func (c frameClass) wakes() bool { return c == forwardedSeal || c == reply }
+
 // enqueue is the only way into the peer's outbox; it never blocks and
 // reports whether the frame was accepted. Bulk frames (ordinary Piece and
 // SealedPiece uploads) are bounded by maxQueuedData, the node's
@@ -239,19 +255,18 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64
 // frames — receipts and their signed copies, keys, and repayment pieces,
 // whose loss would strand the counterpart's escrowed key — are never
 // refused and never counted in outData. (Piece announcements are not outbox
-// entries at all: the writer reads them off the node's gain log.) Every
-// accepted frame signals the writer except a receipt copy (protocol.Attest):
-// its addressee is not waiting on it, so it rides the next drain — whichever
-// frame causes one, or the upload tick's flushLinks. A closed outbox drops
-// either class silently. ut, when non-nil, traces the frame: the writer
-// bookkeeping rides along and request.queued is recorded on acceptance; the
-// clock is read only then.
-func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
+// entries at all: the writer reads them off the node's gain log.) class
+// says which a frame is, and whether it signals the writer. A closed outbox
+// drops either class silently. ut, when non-nil, traces the frame: the
+// writer bookkeeping rides along and request.queued is recorded on
+// acceptance; the clock is read only then.
+func (r *remote) enqueue(m protocol.Message, class frameClass, ut *uploadTrace) bool {
 	var enqNs int64
 	if ut != nil {
 		enqNs = spanNow()
 	}
 	r.outMu.Lock()
+	bulk := class.bulk()
 	if r.outClosed || (bulk && r.outData >= maxQueuedData) {
 		if !r.outClosed {
 			r.n.metrics.backpressure.Add(1)
@@ -272,7 +287,7 @@ func (r *remote) enqueue(m protocol.Message, bulk bool, ut *uploadTrace) bool {
 	if ut != nil {
 		r.traced = append(r.traced, ut.frame(enqNs))
 	}
-	if _, lazy := m.(protocol.Attest); !lazy {
+	if class.wakes() {
 		r.outCond.Signal()
 	}
 	r.outMu.Unlock()
@@ -299,10 +314,10 @@ func (r *remote) unannounced() bool { return r.n.gainLen.Load() != r.announced }
 // gains past its announced cursor (outMu held).
 func (r *remote) pending() bool { return len(r.outbox) > 0 || r.unannounced() }
 
-// flush signals the writer if anything is pending — the announcements and
-// receipt copies that were left without a signal of their own. The check and
-// the signal share one outMu section, so the signal cannot fall between the
-// writer's own check and its Wait.
+// flush signals the writer if anything is pending — the announcements, tick
+// pushes and receipt copies that were left without a signal of their own.
+// The check and the signal share one outMu section, so the signal cannot
+// fall between the writer's own check and its Wait.
 func (r *remote) flush() {
 	r.outMu.Lock()
 	if r.pending() {

@@ -89,7 +89,7 @@ func link(t testing.TB, n *Node, rs ...*remote) {
 func fillBulk(t *testing.T, r *remote) {
 	t.Helper()
 	for i := 0; i < maxQueuedData; i++ {
-		if !r.enqueue(protocol.Piece{Index: int32(i % testPieces), RepaysKeyID: protocol.NoRepay}, true, nil) {
+		if !r.enqueue(protocol.Piece{Index: int32(i % testPieces), RepaysKeyID: protocol.NoRepay}, tickPush, nil) {
 			t.Fatalf("bulk frame %d refused below the bound", i+1)
 		}
 	}
@@ -107,13 +107,13 @@ func TestOutboxContract(t *testing.T) {
 		{"bulk is refused and counted at the bound, control is not", func(t *testing.T) {
 			n, r, _ := outboxFixture(t, nil, false)
 			fillBulk(t, r)
-			if r.enqueue(bulk, true, nil) {
+			if r.enqueue(bulk, tickPush, nil) {
 				t.Errorf("bulk frame %d accepted", maxQueuedData+1)
 			}
 			if got := n.metrics.backpressure.Load(); got != 1 {
 				t.Errorf("node_backpressure_refusals_total = %d, want 1", got)
 			}
-			if !r.enqueue(control, false, nil) {
+			if !r.enqueue(control, reply, nil) {
 				t.Error("control frame refused behind a full bulk queue")
 			}
 			if r.outData != maxQueuedData || r.queued() != maxQueuedData+1 {
@@ -151,47 +151,89 @@ func TestOutboxContract(t *testing.T) {
 			go func() { defer close(done); r.writeLoop() }()
 			fillBulk(t, r)
 			waitFor(t, "the writer to take the batch", r.isWriting)
-			if r.enqueue(bulk, true, nil) {
+			if r.enqueue(bulk, tickPush, nil) {
 				t.Error("bulk frame accepted while a full batch was still being written")
 			}
 			close(conn.gate)
 			waitFor(t, "the drain to land", r.flushed)
-			if !r.enqueue(bulk, true, nil) {
+			if !r.enqueue(bulk, tickPush, nil) {
 				t.Error("bulk frame refused after the drain landed")
 			}
 			r.closeOutbox()
 			<-done
 		}},
-		{"every frame but a receipt copy signals the writer at once", func(t *testing.T) {
-			// Whatever a counterpart is blocked on — a piece, the key or the
-			// receipt that releases one, the contacts a joiner dials next —
-			// wakes the writer from enqueue; only the sender's proof copy waits
-			// for the tick (TestFlushClock has that half).
+		{"tick pushes wait for the tick's flush, handler frames wake", func(t *testing.T) {
+			// Whatever a counterpart may be blocked on — the key or the
+			// repayment that releases one, a witness's receipt, the contacts a
+			// joiner dials next — wakes the writer from enqueue. A tick's push
+			// and the sender's proof copy wait for the flush that closes the
+			// tick, so the writer drains them with the tick's other frames.
 			n, r, _ := outboxFixture(t, nil, false)
-			for i, m := range []protocol.Message{
-				bulk, protocol.SealedPiece{KeyID: 1}, control,
-				protocol.AttestedReceipt{KeyID: 1}, protocol.Nodes{},
-			} {
-				woke := parkOn(r)
-				r.enqueue(m, i < 2, nil)
-				expectWoken(t, woke, "a queued "+reflect.TypeOf(m).Name())
-			}
+			link(t, n, r)
 			data, err := n.cfg.Store.GetRef(2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			woke := parkOn(r)
+			if !n.sendPiece(r, 2, data, protocol.NoRepay, nil) || !r.enqueue(protocol.Attest{}, receiptCopy, nil) {
+				t.Fatal("tick push or receipt copy refused")
+			}
+			expectParked(t, woke, "a tick push or a receipt copy")
+			n.flushLinks()
+			expectWoken(t, woke, "the tick's closing flush")
+
+			for _, m := range []protocol.Message{control, protocol.AttestedReceipt{KeyID: 1}, protocol.Nodes{}} {
+				woke := parkOn(r)
+				r.enqueue(m, reply, nil)
+				expectWoken(t, woke, "a queued "+reflect.TypeOf(m).Name())
+			}
+			woke = parkOn(r)
 			n.sendPiece(r, 2, data, 7, nil)
 			expectWoken(t, woke, "a repayment piece")
-
-			woke = parkOn(r)
-			r.enqueue(protocol.Attest{}, false, nil)
-			expectParked(t, woke, "a queued receipt copy")
+		}},
+		{"a forwarded seal wakes its witness's writer at once", func(t *testing.T) {
+			// The origin releases the seal's key only on the witness's
+			// receipt, so the forward must not wait for the forwarder's tick.
+			manifest, _ := clusterFixture(t)
+			n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest), Identity: attest.NewKeyFromSeed(0, 1)})
+			origin, _ := fixtureRemote(n, 1, false)
+			witness, _ := fixtureRemote(n, 2, false)
+			link(t, n, origin, witness)
+			seal, _ := rawSeal(t, int32(origin.id), 11, 3)
+			woke := parkOn(witness)
+			n.dispatch(origin, seal)
+			if witness.queued() != 1 {
+				t.Fatalf("the witness link holds %d frames, want the forwarded seal", witness.queued())
+			}
+			expectWoken(t, woke, "a forwarded seal")
+		}},
+		{"the tick's end wakes each link with a push, no other", func(t *testing.T) {
+			manifest, content := clusterFixture(t)
+			store, err := piece.NewSeedStore(manifest, content)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
+			a, _ := fixtureRemote(n, 1, false)
+			b, _ := fixtureRemote(n, 2, false)
+			done, _ := fixtureRemote(n, 3, false) // holds every piece: nothing to push
+			for i := 0; i < testPieces; i++ {
+				done.have.Set(i)
+			}
+			link(t, n, a, b, done)
+			wokeA, wokeB, wokeDone := parkOn(a), parkOn(b), parkOn(done)
+			n.tick(int64(time.Millisecond))
+			if a.queued() != maxInFlight || b.queued() != maxInFlight {
+				t.Fatalf("the tick queued %d and %d pushes, want %d on each link", a.queued(), b.queued(), maxInFlight)
+			}
+			expectWoken(t, wokeA, "the end of a tick that pushed to its link")
+			expectWoken(t, wokeB, "the end of a tick that pushed to its link")
+			expectParked(t, wokeDone, "a tick that pushed nothing to its link")
 		}},
 		{"a closed outbox drops both classes without counting a refusal", func(t *testing.T) {
 			n, r, _ := outboxFixture(t, nil, false)
 			r.closeOutbox()
-			if r.enqueue(bulk, true, nil) || r.enqueue(control, false, nil) {
+			if r.enqueue(bulk, tickPush, nil) || r.enqueue(control, reply, nil) {
 				t.Error("closed outbox accepted a frame")
 			}
 			if got := n.metrics.backpressure.Load(); got != 0 || r.queued() != 0 {
@@ -202,7 +244,7 @@ func TestOutboxContract(t *testing.T) {
 			tr := tracing.NewCollector(tracing.Config{SampleEvery: 1})
 			_, r, conn := outboxFixture(t, tr, false)
 			ut := newUploadTrace(tr, tr.NewID(), 0, 3, r.id)
-			if !r.enqueue(protocol.Piece{Index: 3, RepaysKeyID: protocol.NoRepay, Trace: ut.tc}, true, ut) {
+			if !r.enqueue(protocol.Piece{Index: 3, RepaysKeyID: protocol.NoRepay, Trace: ut.tc}, tickPush, ut) {
 				t.Fatal("traced frame refused")
 			}
 			r.closeOutbox()

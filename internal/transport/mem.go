@@ -8,15 +8,13 @@ import (
 )
 
 // Mem is an in-process Transport: listeners live in a shared registry and
-// connections are paired buffered channels. One Mem value is one isolated
+// a connection is a pair of bounded rings, one per direction. One Mem value is one isolated
 // network; nodes must share the same Mem to reach each other.
 //
-// Messages pass through the pipe by reference — no serialization, no
-// copies: the exact Message value (including its payload slices, typically
-// a piece store's pooled backing buffers) handed to Send is what Recv
-// returns on the other side. Senders must therefore treat payloads as
-// frozen once sent, which the node guarantees by never mutating stored
-// piece data.
+// Messages pass by reference — no serialization, no copies: the exact
+// Message value (payload slices included, typically a piece store's arena)
+// handed to Send is what Recv returns on the other side, so senders treat
+// payloads as frozen once sent, as the node does stored piece data.
 type Mem struct {
 	mu         sync.Mutex
 	listeners  map[string]*memListener
@@ -42,12 +40,7 @@ func (m *Mem) Listen(addr string) (Listener, error) {
 	if _, exists := m.listeners[addr]; exists {
 		return nil, fmt.Errorf("transport: address %q already bound", addr)
 	}
-	l := &memListener{
-		mem:     m,
-		addr:    addr,
-		backlog: make(chan *memConn, 64),
-		done:    make(chan struct{}),
-	}
+	l := &memListener{mem: m, addr: addr, backlog: make(chan *memConn, 64), done: make(chan struct{})}
 	m.listeners[addr] = l
 	return l, nil
 }
@@ -64,19 +57,10 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
-	// depth is how many frames a pipe holds each way before Send blocks,
-	// which is how far a sender can run ahead of its receiver. The live
-	// node writes ~4.6 frames per piece, so 64 frames are the ~14 pieces
-	// that 256 were when it wrote 17.4. A deeper pipe only adds delay
-	// between a push and the Have that tells other senders not to repeat
-	// it: swarm_mem_bulk's useful upload share read 0.60 at 256, 0.65 at
-	// 64, 0.70 at 32.
-	const depth = 64
-	aToB := make(chan protocol.Message, depth)
-	bToA := make(chan protocol.Message, depth)
-	dialSide := &memConn{send: aToB, recv: bToA, remote: addr, done: make(chan struct{})}
-	acceptSide := &memConn{send: bToA, recv: aToB, remote: dialerAddr, done: make(chan struct{})}
-	dialSide.peer, acceptSide.peer = acceptSide, dialSide
+	a, b := new(ring), new(ring)
+	a.notEmpty.L, a.notFull.L, b.notEmpty.L, b.notFull.L = &a.mu, &a.mu, &b.mu, &b.mu
+	dialSide := &memConn{in: a, out: b, remote: addr}
+	acceptSide := &memConn{in: b, out: a, remote: dialerAddr}
 	select {
 	case l.backlog <- acceptSide:
 		return dialSide, nil
@@ -116,73 +100,88 @@ func (l *memListener) Close() error {
 
 func (l *memListener) Addr() string { return l.addr }
 
+// depth is how many frames a pipe holds each way before Send blocks: how far
+// a sender can run ahead of its receiver, some 25 pieces at the live node's
+// 2.5–2.6 frames per piece. A deeper pipe only delays the Have that tells
+// other senders not to repeat a push: swarm_mem_bulk's useful upload share
+// read 0.60 at 256 frames, 0.65 at 64, 0.70 at 32.
+const depth = 64
+
+// ring is one direction of a pipe: a fixed ring of frames under one mutex,
+// the reader waiting on notEmpty and senders on notFull. Every push signals
+// the reader and every pop one sender; signalling only on the full edge
+// strands all but one of several senders waiting on a full ring.
+type ring struct {
+	mu                sync.Mutex
+	notEmpty, notFull sync.Cond
+	buf               [depth]protocol.Message
+	head, n           int
+	closed            bool
+}
+
+// memConn is one end of a pipe; the other end's in is its out.
 type memConn struct {
-	send   chan protocol.Message
-	recv   chan protocol.Message
-	remote string
-	peer   *memConn
-	done   chan struct{}
-	once   sync.Once
+	in, out *ring
+	remote  string
 }
 
 var _ Conn = (*memConn)(nil)
 var _ BatchSender = (*memConn)(nil)
 
-// SendBatch delivers the run in order, stopping at the first error. There
-// is no buffer to flush — each message lands in the peer's channel
-// directly — so batching here only saves the caller its fallback loop.
+// SendBatch appends the run under one lock and wakes the reader once per
+// stretch that fits; it fails with ErrClosed once either end has closed.
 func (c *memConn) SendBatch(ms []protocol.Message) error {
-	for _, m := range ms {
-		if err := c.Send(m); err != nil {
-			return err
+	r := c.out
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(ms) > 0 {
+		for r.n == depth && !r.closed {
+			r.notFull.Wait()
 		}
+		if r.closed {
+			return ErrClosed
+		}
+		for ; len(ms) > 0 && r.n < depth; ms = ms[1:] {
+			r.buf[(r.head+r.n)%depth] = ms[0]
+			r.n++
+		}
+		r.notEmpty.Signal()
 	}
 	return nil
 }
 
 func (c *memConn) Send(m protocol.Message) error {
-	// Check closed state first: with a buffered channel the send case may
-	// be ready simultaneously, and select would pick at random.
-	select {
-	case <-c.done:
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-c.done:
-		return ErrClosed
-	case <-c.peer.done:
-		return ErrClosed
-	case c.send <- m:
-		return nil
-	}
+	one := [1]protocol.Message{m} // stays on the stack
+	return c.SendBatch(one[:])
 }
 
+// Recv yields what is buffered even after either end closed, then ErrClosed.
 func (c *memConn) Recv() (protocol.Message, error) {
-	// Drain buffered messages even after close, then report ErrClosed.
-	select {
-	case m := <-c.recv:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-c.recv:
-		return m, nil
-	case <-c.done:
-		return nil, ErrClosed
-	case <-c.peer.done:
-		// Peer closed: drain anything already buffered.
-		select {
-		case m := <-c.recv:
-			return m, nil
-		default:
+	r := c.in
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.n == 0 {
+		if r.closed {
 			return nil, ErrClosed
 		}
+		r.notEmpty.Wait()
 	}
+	m := r.buf[r.head]
+	r.buf[r.head] = nil // drop the payload reference
+	r.head, r.n = (r.head+1)%depth, r.n-1
+	r.notFull.Signal()
+	return m, nil
 }
 
+// Close ends both directions and wakes every waiter; it is idempotent.
 func (c *memConn) Close() error {
-	c.once.Do(func() { close(c.done) })
+	for _, r := range [2]*ring{c.in, c.out} {
+		r.mu.Lock()
+		r.closed = true
+		r.mu.Unlock()
+		r.notEmpty.Broadcast()
+		r.notFull.Broadcast()
+	}
 	return nil
 }
 

@@ -222,18 +222,26 @@ echo "== attestation adversary gate =="
 # ledger or in the node's books, and a node reads complete only once every
 # receipt for its pieces is credited. The receipt copies all of this
 # audits travel on the flush clock, so its tests are gated here too: nothing
-# signals a writer for an announcement or a copy, the tick does, a free-rider
-# still ticks, Stop drains what the dead tick left, and the tick's pushes pass
+# signals a writer for an announcement, a copy or a tick's push, the flush
+# closing the tick does, while a frame a handler owes (a forwarded seal, a key,
+# a repayment) wakes it at once; a free-rider still ticks, Stop drains what the
+# dead tick left, the Mem pipe under them moves many blocked senders, blocks
+# the 65th unread frame and wakes both sides on Close, and the tick's pushes pass
 # over a link whose in-flight window is full — one full link does not end the
 # tick, and the window's O(1) count matches a recount — while the window never
 # holds back a repayment. The decision's candidate list rides the same links:
 # both views' one-pass wanting filter equals the generic one, the links stay
 # in ascending ID order through link and unlink, and the draws stay pinned.
+# The verifier that credits the receipts follows a key the directory rotates,
+# checks pairs concurrently with admissions, and keeps no state for a pair
+# until a receipt of it verifies.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack|TestCompleteWaitsForEveryCredit' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
 go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle|TestWantingViewMatchesFilter|TestLinksStaySorted|TestDecisionDrawsPinned' ./internal/node
+go test -race -count=1 -run 'TestMemPipeBlocksPastDepth|TestMemPipeManySenders|TestMemCloseUnblocks' ./internal/transport
+go test -race -count=1 -run 'TestVerifierFollowsKeyRotation|TestVerifierConcurrentWithAdmissions|TestForgedReceiptsLeaveNoState|TestSharedMACStatesConcurrent' ./internal/attest
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
   exit 1
@@ -255,6 +263,12 @@ alloc_guard ./internal/attest BenchmarkAttestVerifySession 0
 alloc_guard ./internal/attest BenchmarkAttestSignLink 0
 alloc_guard ./internal/attest BenchmarkAttestVerifyLink 0
 
+echo "== mem pipe allocation guard =="
+# Every frame of the mem workloads crosses a Mem pipe: a writer's drain
+# through SendBatch and a single Send, each against a concurrent Recv, are a
+# ring slot under the pipe's one lock and must allocate nothing.
+alloc_guard ./internal/transport BenchmarkMemPipe 0
+
 echo "== sealed path allocation guard =="
 # T-Chain's one buffer per hop: a 4 KB seal allocates its ciphertext, the
 # AES cipher and its CTR stream, nothing for the escrow's bookkeeping; an
@@ -272,7 +286,7 @@ alloc_guard ./internal/node BenchmarkNoteDownload 0
 echo "== tracing overhead guard =="
 # The per-peer outbox is the path every live frame crosses, and
 # remote.enqueue is the only way into it. With causal tracing compiled in
-# but not sampling, one bulk frame through enqueue(msg, true, nil) plus one
+# but not sampling, one bulk frame through enqueue(msg, tickPush, nil) plus one
 # writeLoop drain (takeBatch, Send, recycle) must stay at exactly 0
 # allocs/op — the proof that the trace arguments (uploadTrace, traced-frame
 # bookkeeping, clock reads) cost nothing until a push is actually sampled.
