@@ -192,7 +192,9 @@ type Cluster struct {
 // shared directory (sealed after startup — closed membership), receipts
 // travel signed, and the shared ledger credits only verified proofs;
 // WithoutAttestation restores the unsigned baseline. On error, any nodes
-// already started are stopped before returning.
+// already started are stopped before returning. The seed keeps content
+// itself (piece.NewSeedStore), and over Mem every node stores those very
+// bytes, so the caller must not modify content afterwards.
 func StartCluster(manifest *piece.Manifest, content []byte, opts ...ClusterOption) (*Cluster, error) {
 	if manifest == nil || len(content) == 0 {
 		return nil, fmt.Errorf("node: cluster needs a manifest and content")

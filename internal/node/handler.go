@@ -170,8 +170,10 @@ func (n *Node) handleConn(conn transport.Conn, arrival uint64) {
 // should close. Messages arrive under the transport's zero-copy contract:
 // Piece.Data and Bitfield.Bits may alias connection-owned scratch that the
 // next Recv reuses, so their handlers consume them synchronously (Piece via
-// Store.Put's verify-and-copy); a SealedPiece's ciphertext is the frame's
-// own, parked and forwarded as it is and never written to.
+// Store.Put's verify-and-copy) unless the link's payloads are frozen, as
+// over Mem, where a verified Piece.Data is adopted as it is; a
+// SealedPiece's ciphertext is the frame's own, parked and forwarded as it
+// is and never written to.
 func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	switch m := msg.(type) {
 	case protocol.Bitfield:
@@ -273,12 +275,13 @@ func (n *Node) dropHostile(r *remote, msg protocol.Message) bool {
 }
 
 // handlePiece verifies and stores a plaintext piece, credits the sender,
-// and — if the piece repays one of our seals — releases the key. m.Data may
-// alias the connection's decode scratch; Store.Put is the zero-copy
-// hand-off (verify, then copy into the store), after which the scratch is
-// free to be reused by the next Recv.
+// and — if the piece repays one of our seals — releases the key. On a link
+// whose payloads are frozen (Mem) m.Data is the sender's stored bytes, and
+// Store.Adopt keeps them after the same verify; otherwise m.Data may alias
+// the connection's decode scratch, and Store.Put copies it into the store
+// after verifying, after which the scratch is free for the next Recv.
 //
-// Only a first delivery earns anything. Store.Put accepts a copy of a held
+// Only a first delivery earns anything. The store accepts a copy of a held
 // piece (two peers racing the same index, or a client re-pushing one piece
 // on purpose), and every receipt carries a fresh sequence number, so the
 // ledger's replay window would credit each copy; whether this is the
@@ -286,8 +289,14 @@ func (n *Node) dropHostile(r *remote, msg protocol.Message) bool {
 // duplicate is counted and otherwise ignored.
 func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	h := n.hopStart(m.Trace, r.id, int(m.Index))
-	if err := n.cfg.Store.Put(int(m.Index), m.Data); err != nil {
-		return // forged data; Put verified the hash
+	var err error
+	if r.frozen {
+		err = n.cfg.Store.Adopt(int(m.Index), m.Data)
+	} else {
+		err = n.cfg.Store.Put(int(m.Index), m.Data)
+	}
+	if err != nil {
+		return // forged data; the store verified the hash
 	}
 	h.step(tracing.SpanStoreVerify)
 	// Continuation anchored at the verify span: onward uploads of this piece
@@ -321,7 +330,7 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 // copy only counts as duplicate bytes.
 func (n *Node) noteDeliveryLocked(sender, index, size int, cont tracing.Context) bool {
 	if !n.noteGainedLocked(index) {
-		n.metrics.noteDuplicate(size)
+		n.metrics.noteDuplicate(size, n.myBits.Count(), n.myBits.Size())
 		return false
 	}
 	maps.DeleteFunc(n.pendingSeals, func(_ sealRef, p pendingSeal) bool { return p.index == index })
@@ -498,7 +507,8 @@ func (n *Node) handleKey(r *remote, m protocol.Key) {
 	h := n.hopResume(pending.tc, r.id, pending.index)
 	// Into the link's scratch, never in place: Confirm releases every key a
 	// receiver owes, so this one can land while a forward of the very same
-	// buffer is still queued for a witness. Store.Put copies what it keeps.
+	// buffer is still queued for a witness. Store.Put copies what it keeps,
+	// on every transport: the next key opens into the same scratch.
 	plaintext, err := tchain.OpenInto(r.opened, &pending.sealed, tchain.Key(m.Key))
 	if err != nil {
 		return
@@ -684,7 +694,7 @@ func (n *Node) handshakeBitfield() (protocol.Bitfield, int32) {
 // gain log — one append per gain, no per-neighbor work and no writer
 // signalled: a link announces the log's new tail in its next drain, which
 // the upload tick's flushLinks causes if nothing sooner does. Duplicate
-// gains (two peers racing the same piece through Store.Put) are detected by
+// gains (two peers racing the same piece into the store) are detected by
 // the bitfield and ignored.
 func (n *Node) noteGainedLocked(index int) bool {
 	if !n.myBits.Set(index) {

@@ -28,6 +28,7 @@ type nodeMetrics struct {
 	backpressure   atomic.Int64
 	piecesVerified atomic.Int64
 	duplicateBytes atomic.Int64
+	earlyDupBytes  atomic.Int64
 
 	stopDrainFrames  atomic.Int64
 	stopDrainDropped atomic.Int64
@@ -92,9 +93,15 @@ func (m *nodeMetrics) attestRejected(err error) *atomic.Int64 {
 // noteDuplicate records a verified delivery of a piece we already held —
 // real wire traffic, but not useful volume (two peers pushed the same piece
 // concurrently). Kept out of the credited/per-peer counters so their sums
-// equal verified content bytes exactly.
-func (m *nodeMetrics) noteDuplicate(bytes int) {
+// equal verified content bytes exactly. A copy that lands while the node
+// holds under a tenth of its pieces also counts as early: it shows the few
+// pieces a new leecher holds forwarded faster than the Haves that say who
+// holds them.
+func (m *nodeMetrics) noteDuplicate(bytes, held, pieces int) {
 	m.duplicateBytes.Add(int64(bytes))
+	if held*10 < pieces {
+		m.earlyDupBytes.Add(int64(bytes))
+	}
 }
 
 // MetricsSnapshot is a point-in-time view of a node's series, keyed by
@@ -127,8 +134,10 @@ func (n *Node) Metrics() MetricsSnapshot {
 		// Bulk frames refused by a full peer queue.
 		"node_backpressure_refusals_total": m.backpressure.Load(),
 		"node_pieces_verified_total":       m.piecesVerified.Load(),
-		// Verified deliveries of pieces already held.
-		"node_duplicate_piece_bytes_total": m.duplicateBytes.Load(),
+		// Verified deliveries of pieces already held, and those of them
+		// received while under a tenth of the pieces were held.
+		"node_duplicate_piece_bytes_total":       m.duplicateBytes.Load(),
+		"node_early_duplicate_piece_bytes_total": m.earlyDupBytes.Load(),
 		// Frames Stop's drain window flushed, and those still queued when
 		// it closed the connections.
 		"node_stop_drain_frames_total":  m.stopDrainFrames.Load(),

@@ -165,6 +165,10 @@ type remote struct {
 	// linkKeyed: a witness receipt for this peer's seals can be MAC'd to
 	// this link (see newRemote) instead of signed with the identity key.
 	linkKeyed bool
+	// frozen: the conn hands over the sender's frozen payloads
+	// (transport.FrozenPayloads), so handlePiece adopts a verified piece
+	// instead of copying it.
+	frozen bool
 
 	// cooling marks the pieces we pushed to this peer within
 	// resendCooldown, the set tryUpload's pick excludes; coolLog holds one
@@ -213,7 +217,8 @@ type remote struct {
 // link is keyed for witness receipts when per-piece receipts already ride
 // session MACs and the directory holds the peer's session secret — the
 // peer then holds ours the same way, an in-process registration both ends
-// made; a peer known only by the public key in its Hello is not.
+// made; a peer known only by the public key in its Hello is not. Whether
+// the conn's payloads are frozen is asked here, once per link.
 func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64, announced int32) *remote {
 	numPieces := n.cfg.Store.Manifest().NumPieces()
 	r := &remote{
@@ -221,6 +226,7 @@ func newRemote(n *Node, id int, conn transport.Conn, addr string, arrival uint64
 		have:      piece.NewBitfield(numPieces),
 		cooling:   piece.NewBitfield(numPieces),
 		announced: announced,
+		frozen:    transport.PayloadsFrozen(conn),
 	}
 	r.outCond = sync.NewCond(&r.outMu)
 	if n.identity != nil && n.attScheme == attest.SchemeSession {

@@ -99,8 +99,8 @@ func BenchmarkNewManifest(b *testing.B) {
 	}
 }
 
-// BenchmarkNewSeedStore verifies and copies a whole bulk-shaped file into a
-// seed store: every piece's SHA-256 check plus its Put copy.
+// BenchmarkNewSeedStore verifies a whole bulk-shaped file into a seed
+// store: every piece's SHA-256 check, the content adopted, not copied.
 func BenchmarkNewSeedStore(b *testing.B) {
 	content, pieceSize := bulkContent()
 	m, err := NewManifest(content, pieceSize)
@@ -171,5 +171,32 @@ func BenchmarkSelectRarestMissing(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreAdopt adopts 64 verified 16 KB pieces into an empty store:
+// the SHA-256 check per piece and no copy. The stores are built before the
+// timer starts, so a nonzero allocs/op is Adopt's own (check.sh guards 0).
+func BenchmarkStoreAdopt(b *testing.B) {
+	m, err := SyntheticManifest(64, 16<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([][]byte, 64)
+	for i := range data {
+		data[i] = SyntheticPiece(i, 16<<10)
+	}
+	stores := make([]*Store, b.N)
+	for i := range stores {
+		stores[i] = NewStore(m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			if err := stores[i].Adopt(j, data[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

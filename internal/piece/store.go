@@ -133,21 +133,21 @@ func SyntheticPiece(i, pieceSize int) []byte {
 	return buf
 }
 
-// chunkSize is the size of one store arena chunk. Verified pieces are copied
+// chunkSize is the size of one store arena chunk. Pieces Put copies go
 // into the current chunk's tail in arrival order, so a store allocates once
 // per chunk rather than once per piece; a piece larger than a chunk gets one
 // of its own.
 const chunkSize = 256 << 10
 
-// Store holds verified piece data for one peer. It verifies every Put
-// against the manifest hash, so corrupt or forged pieces never enter a
+// Store holds verified piece data for one peer. It verifies every Put and
+// Adopt against the manifest hash, so corrupt or forged pieces never enter a
 // peer's store. Safe for concurrent use (the live network node accesses it
 // from multiple goroutines).
 type Store struct {
 	mu       sync.RWMutex
 	manifest *Manifest
 	have     *Bitfield
-	data     [][]byte // piece i's bytes, a capacity-capped slice of a chunk; nil until held
+	data     [][]byte // piece i's bytes, capacity-capped: a chunk's slice or adopted bytes; nil until held
 	free     []byte   // the unused tail of the current chunk
 }
 
@@ -161,10 +161,12 @@ func NewStore(m *Manifest) *Store {
 }
 
 // NewSeedStore returns a store pre-populated with every piece of content,
-// each verified and copied by Put on GOMAXPROCS workers. The content must be
-// exactly m.FileSize bytes (any other length is an ErrOutOfRange error naming
-// both sizes) and every piece must match its manifest hash; on a mismatch the
-// error names the lowest bad piece.
+// each verified and adopted by Adopt on GOMAXPROCS workers: the store keeps
+// content itself, capacity-capped per piece, not a copy, so the caller must
+// not modify content afterwards. The content must be exactly m.FileSize
+// bytes (any other length is an ErrOutOfRange error naming both sizes) and
+// every piece must match its manifest hash; on a mismatch the error names
+// the lowest bad piece.
 func NewSeedStore(m *Manifest, content []byte) (*Store, error) {
 	if len(content) != m.FileSize {
 		return nil, fmt.Errorf("piece: content is %d bytes, manifest file is %d: %w", len(content), m.FileSize, ErrOutOfRange)
@@ -173,7 +175,7 @@ func NewSeedStore(m *Manifest, content []byte) (*Store, error) {
 	err := forEachPiece(m.NumPieces(), func(i int) error {
 		lo := i * m.PieceSize
 		hi := min(lo+m.PieceSize, len(content))
-		if err := s.Put(i, content[lo:hi]); err != nil {
+		if err := s.Adopt(i, content[lo:hi]); err != nil {
 			return fmt.Errorf("seeding piece %d: %w", i, err)
 		}
 		return nil
@@ -192,7 +194,17 @@ func (s *Store) Manifest() *Manifest { return s.manifest }
 // for a bad index. Re-putting a held piece is a verified no-op: the held
 // bytes already passed the hash, so comparing against them (stricter than an
 // equal digest) decides a duplicate without hashing it again.
-func (s *Store) Put(i int, data []byte) error {
+func (s *Store) Put(i int, data []byte) error { return s.store(i, data, false) }
+
+// Adopt is Put without the copy: the same checks, then the store keeps data
+// itself, its capacity capped at the piece. The caller hands the bytes over
+// frozen: neither it nor anyone else may modify them afterwards, since
+// GetRef hands them on as the stored piece. A rejected piece is not kept.
+func (s *Store) Adopt(i int, data []byte) error { return s.store(i, data, true) }
+
+// store is Put's and Adopt's one verify path; adopt says whether a piece
+// that passes keeps data or a copy of it in the arena.
+func (s *Store) store(i int, data []byte, adopt bool) error {
 	if i < 0 || i >= s.manifest.NumPieces() {
 		return fmt.Errorf("piece %d of %d: %w", i, s.manifest.NumPieces(), ErrOutOfRange)
 	}
@@ -214,16 +226,18 @@ func (s *Store) Put(i int, data []byte) error {
 		return nil
 	}
 	n := len(data)
-	var stored []byte
-	if n > chunkSize {
-		stored = make([]byte, n)
-	} else {
-		if n > len(s.free) {
-			s.free = make([]byte, chunkSize)
+	stored := data[:n:n]
+	if !adopt {
+		if n > chunkSize {
+			stored = make([]byte, n)
+		} else {
+			if n > len(s.free) {
+				s.free = make([]byte, chunkSize)
+			}
+			stored, s.free = s.free[:n:n], s.free[n:]
 		}
-		stored, s.free = s.free[:n:n], s.free[n:]
+		copy(stored, data)
 	}
-	copy(stored, data)
 	s.data[i] = stored
 	s.have.Set(i)
 	return nil
@@ -232,10 +246,12 @@ func (s *Store) Put(i int, data []byte) error {
 // GetRef returns piece i's stored bytes without copying, or ErrNotHeld.
 // The returned slice is the store's own buffer: callers must treat it as
 // read-only. That contract is safe to offer because stored buffers are
-// private copies made by Put and never mutated afterwards — it is what
-// lets the live node hand pieces straight to the wire encoder with zero
-// per-send allocation. Its capacity ends at the piece, so an append to it
-// reallocates rather than writing into the next piece.
+// never mutated afterwards — Put's private copies, or bytes an Adopt or
+// NewSeedStore caller handed over frozen — and it is what lets the live
+// node hand pieces straight to the wire encoder with zero per-send
+// allocation, and a Mem receiver adopt them in turn. Its capacity ends at
+// the piece, so an append to it reallocates rather than writing into the
+// next piece.
 func (s *Store) GetRef(i int) ([]byte, error) {
 	var data []byte
 	if i >= 0 && i < len(s.data) {

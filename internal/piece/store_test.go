@@ -544,3 +544,139 @@ func TestStoreDuplicateDifferentBytesMismatch(t *testing.T) {
 		}
 	}
 }
+
+// Adopt runs Put's checks and then keeps the caller's bytes: a forged piece
+// is refused and leaves nothing behind, and a verified one is stored as the
+// caller's slice with its capacity capped at the piece.
+func TestStoreAdopt(t *testing.T) {
+	m, _ := SyntheticManifest(4, 64)
+	s := NewStore(m)
+
+	forged := SyntheticPiece(0, 64)
+	forged[5] ^= 0x01
+	if err := s.Adopt(0, forged); !errors.Is(err, ErrHashMismatch) {
+		t.Errorf("forged piece: err = %v, want ErrHashMismatch", err)
+	}
+	if _, err := s.GetRef(0); !errors.Is(err, ErrNotHeld) || s.Has(0) || s.Count() != 0 {
+		t.Errorf("a forged Adopt stored something: GetRef err %v, Has %v, Count %d", err, s.Has(0), s.Count())
+	}
+	if err := s.Adopt(9, forged); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("bad index: err = %v, want ErrOutOfRange", err)
+	}
+
+	buf := make([]byte, 64, 128)
+	copy(buf, SyntheticPiece(0, 64))
+	if err := s.Adopt(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := s.GetRef(0)
+	if &ref[0] != &buf[0] || len(ref) != 64 {
+		t.Fatal("Adopt stored a copy, not the caller's bytes")
+	}
+	if cap(ref) != len(ref) {
+		t.Fatalf("adopted ref cap %d, len %d: an append would write into the caller's spare capacity", cap(ref), len(ref))
+	}
+	grown := append(ref, 0xaa)
+	if &grown[0] == &buf[0] || buf[:65][64] != 0 {
+		t.Error("an append to the adopted ref wrote into the caller's buffer")
+	}
+}
+
+// A held piece decides a later Put or Adopt of it by its stored bytes,
+// whichever of the two stored it: the same bytes are a no-op that keeps the
+// first holder's slice, different ones a mismatch that changes nothing.
+func TestStoreHeldPutAndAdopt(t *testing.T) {
+	m, _ := SyntheticManifest(2, 64)
+	for _, c := range []struct {
+		name         string
+		first, later func(s *Store, i int, data []byte) error
+	}{
+		{"Adopt after Put", (*Store).Put, (*Store).Adopt},
+		{"Put after Adopt", (*Store).Adopt, (*Store).Put},
+		{"Adopt after Adopt", (*Store).Adopt, (*Store).Adopt},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewStore(m)
+			if err := c.first(s, 1, SyntheticPiece(1, 64)); err != nil {
+				t.Fatal(err)
+			}
+			first, _ := s.GetRef(1)
+			same := SyntheticPiece(1, 64)
+			if err := c.later(s, 1, same); err != nil {
+				t.Errorf("held + same bytes: err = %v, want nil", err)
+			}
+			if got, _ := s.GetRef(1); &got[0] != &first[0] || s.Count() != 1 {
+				t.Error("a duplicate replaced the stored slice")
+			}
+			same[0] ^= 0x80
+			if err := c.later(s, 1, same); !errors.Is(err, ErrHashMismatch) {
+				t.Errorf("held + different bytes: err = %v, want ErrHashMismatch", err)
+			}
+			if got, _ := s.GetRef(1); &got[0] != &first[0] || !bytes.Equal(got, SyntheticPiece(1, 64)) {
+				t.Error("a rejected duplicate changed the stored piece")
+			}
+		})
+	}
+}
+
+// NewSeedStore keeps the content itself, one capacity-capped slice per
+// piece, and still names the lowest bad piece of corrupt content.
+func TestSeedStoreKeepsContent(t *testing.T) {
+	content := testContent(1000)
+	m, _ := NewManifest(content, 64)
+	s, err := NewSeedStore(m, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.NumPieces() {
+		ref, _ := s.GetRef(i)
+		if &ref[0] != &content[i*64] || len(ref) != m.PieceLength(i) || cap(ref) != len(ref) {
+			t.Fatalf("piece %d: not content[%d:] capped at its length (len %d cap %d)", i, i*64, len(ref), cap(ref))
+		}
+	}
+	corrupt := append([]byte(nil), content...)
+	corrupt[11*64] ^= 0xff
+	corrupt[3*64+1] ^= 0xff
+	if _, err := NewSeedStore(m, corrupt); !errors.Is(err, ErrHashMismatch) || !strings.HasPrefix(err.Error(), "seeding piece 3:") {
+		t.Errorf("corrupt content: err = %v, want piece 3's mismatch", err)
+	}
+}
+
+// Racing first Puts and Adopts of one index while readers poll it: the
+// store keeps one holder's slice, every reader sees nothing or the whole
+// piece, and every racer returns nil. Run under -race.
+func TestStoreRacingPutAdoptWithReaders(t *testing.T) {
+	m, _ := SyntheticManifest(2, 100)
+	s := NewStore(m)
+	want := SyntheticPiece(1, 100)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			store := s.Put
+			if g%2 == 0 {
+				store = s.Adopt
+			}
+			if err := store(1, SyntheticPiece(1, 100)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !s.Has(1) {
+				if ref, err := s.GetRef(1); err == nil && !bytes.Equal(ref, want) {
+					t.Error("a reader saw a partial piece")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ref, err := s.GetRef(1); err != nil || !bytes.Equal(ref, want) || s.Count() != 1 {
+		t.Errorf("after the race: GetRef err %v, equal %v, Count %d", err, bytes.Equal(ref, want), s.Count())
+	}
+}

@@ -171,6 +171,11 @@ type flakyConn struct {
 
 var _ Conn = (*flakyConn)(nil)
 var _ BatchSender = (*flakyConn)(nil)
+var _ FrozenPayloads = (*flakyConn)(nil)
+
+// PayloadsFrozen is the inner conn's answer: dropping and delaying a frame
+// leave its payloads as the sender handed them over.
+func (c *flakyConn) PayloadsFrozen() bool { return PayloadsFrozen(c.inner) }
 
 // SendBatch feeds each message through the connection's own Send so every
 // one rolls the drop dice and draws its own latency — batching must not

@@ -12,9 +12,12 @@ import (
 // network; nodes must share the same Mem to reach each other.
 //
 // Messages pass by reference — no serialization, no copies: the exact
-// Message value (payload slices included, typically a piece store's arena)
-// handed to Send is what Recv returns on the other side, so senders treat
-// payloads as frozen once sent, as the node does stored piece data.
+// Message value (payload slices included, typically a piece store's stored
+// bytes) handed to Send is what Recv returns on the other side. Senders
+// treat payloads as frozen once sent, as the node does stored piece data,
+// and every conn reports FrozenPayloads, so a receiver keeps them as they
+// are: over Mem one piece's bytes exist once per process, however many
+// nodes store it.
 type Mem struct {
 	mu         sync.Mutex
 	listeners  map[string]*memListener
@@ -127,6 +130,11 @@ type memConn struct {
 
 var _ Conn = (*memConn)(nil)
 var _ BatchSender = (*memConn)(nil)
+var _ FrozenPayloads = (*memConn)(nil)
+
+// PayloadsFrozen is always true: Recv returns the very payloads a sender
+// handed Send, which the Mem contract has it freeze.
+func (c *memConn) PayloadsFrozen() bool { return true }
 
 // SendBatch appends the run under one lock and wakes the reader once per
 // stretch that fits; it fails with ErrClosed once either end has closed.

@@ -23,8 +23,10 @@ type Conn interface {
 	// Zero-copy contract: the bulk byte fields of a returned message
 	// (Piece.Data, Bitfield.Bits) may alias transport-owned buffers that
 	// the next Recv on the same connection reuses. Consume or copy them
-	// before the next Recv call. SealedPiece.Ciphertext may be kept, read
-	// only: over Mem it is the sender's own buffer.
+	// before the next Recv call, unless the connection reports
+	// FrozenPayloads: then they are the sender's frozen bytes, which the
+	// receiver may keep, read only. SealedPiece.Ciphertext may be kept,
+	// read only, on every transport: over Mem it is the sender's own buffer.
 	Recv() (protocol.Message, error)
 	// Close tears the connection down; it is idempotent.
 	Close() error
@@ -40,6 +42,22 @@ type Conn interface {
 // for concurrent use and stops at the first error.
 type BatchSender interface {
 	SendBatch(ms []protocol.Message) error
+}
+
+// FrozenPayloads is an optional Conn capability: PayloadsFrozen reporting
+// true means Recv's byte fields are the sender's frozen bytes, never reused
+// by a later Recv nor written by anyone, so a receiver may keep them
+// without a copy (the live node stores such a piece by reference). A Conn
+// without it is read under the zero-copy contract above: TCP decodes into
+// scratch the next Recv overwrites.
+type FrozenPayloads interface {
+	PayloadsFrozen() bool
+}
+
+// PayloadsFrozen reports whether c offers FrozenPayloads and says true.
+func PayloadsFrozen(c Conn) bool {
+	f, ok := c.(FrozenPayloads)
+	return ok && f.PayloadsFrozen()
 }
 
 // Listener accepts inbound connections.

@@ -594,3 +594,58 @@ func TestBatchSenderDelivery(t *testing.T) {
 		})
 	}
 }
+
+// TestPayloadsFrozen: Mem conns report frozen payloads at both ends, and
+// hand over the very bytes sent; Flaky reports what it wraps, with or
+// without a delay queue; TCP decodes into scratch and does not.
+func TestPayloadsFrozen(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tr     Transport
+		addr   string
+		frozen bool
+	}{
+		{"mem", NewMem(), "", true},
+		{"flaky-mem", mustFlakyQuiet(NewMem()), "", true},
+		{"flaky-mem-latency", mustFlakyQuiet(NewMem(), WithLatency(0, time.Millisecond)), "", true},
+		{"tcp", NewTCP(), "127.0.0.1:0", false},
+		{"flaky-tcp", mustFlakyQuiet(NewTCP()), "127.0.0.1:0", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := tc.tr.Listen(tc.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			accepted := make(chan Conn, 1)
+			go func() {
+				c, err := l.Accept()
+				if err == nil {
+					accepted <- c
+				}
+			}()
+			dialer, err := tc.tr.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dialer.Close()
+			acceptor := <-accepted
+			defer acceptor.Close()
+			if PayloadsFrozen(dialer) != tc.frozen || PayloadsFrozen(acceptor) != tc.frozen {
+				t.Fatalf("PayloadsFrozen dialer %v, acceptor %v; want %v", PayloadsFrozen(dialer), PayloadsFrozen(acceptor), tc.frozen)
+			}
+			data := []byte("frozen piece bytes")
+			if err := dialer.Send(protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay, Data: data}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := acceptor.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.(protocol.Piece).Data
+			if same := &got[0] == &data[0]; same != tc.frozen {
+				t.Errorf("received Data is the sent slice: %v, want %v", same, tc.frozen)
+			}
+		})
+	}
+}

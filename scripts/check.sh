@@ -189,6 +189,10 @@ echo "== piece store allocation guard =="
 # piece coming back (it was 78 with one buffer per piece and a map) would
 # add 64.
 alloc_guard ./internal/piece BenchmarkStorePut 12
+# A Mem receiver and the seeder verify and then keep the bytes they were
+# handed: Store.Adopt of 64 pieces of 16 KB into stores built before the
+# timer is a hash per piece and no copy, so it must allocate nothing.
+alloc_guard ./internal/piece BenchmarkStoreAdopt 0
 
 echo "== rarest pick allocation guard =="
 # The simulator's rarest-first pick runs once per transfer, millions of
@@ -234,13 +238,17 @@ echo "== attestation adversary gate =="
 # in ascending ID order through link and unlink, and the draws stay pinned.
 # The verifier that credits the receipts follows a key the directory rotates,
 # checks pairs concurrently with admissions, and keeps no state for a pair
-# until a receipt of it verifies.
+# until a receipt of it verifies. The pieces those receipts are for are
+# stored once per process: the store adopts only after the same verify, a
+# Mem receiver (a Flaky-wrapped one too) keeps the sender's frozen bytes,
+# and a TCP receiver copies out of the decoder's scratch.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce|TestRePusherEarnsNothing' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestWitnessReceiptAdversaries|TestHostileFramesDropLinkNotNode|TestStoppedTChainNodeIsCollectable|TestTransientReceiptLinger|TestParkedSealsDoNotCollideAcrossOrigins|TestKeyOpensOnlyItsSendersSeal|TestMootSealsAreDropped|TestWitnessKeepsNoCiphertext|TestKeysOpenBackToBack|TestCompleteWaitsForEveryCredit' ./internal/node
 go test -race -count=1 -run 'TestEscrowProperty|TestEscrowConcurrent|TestSweepGrace|TestSealForByValue|TestOpenIntoLeavesSealAlone' ./internal/tchain
 go test -race -count=1 -run 'TestDecoderOwnsCiphertext' ./internal/protocol
-go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle|TestWantingViewMatchesFilter|TestLinksStaySorted|TestDecisionDrawsPinned' ./internal/node
-go test -race -count=1 -run 'TestMemPipeBlocksPastDepth|TestMemPipeManySenders|TestMemCloseUnblocks' ./internal/transport
+go test -race -count=1 -run 'TestFlushClock|TestFreeRiderAnnouncesAndAcknowledges|TestOutboxContract|TestStopDrainAccounting|TestWriterCoalescesGains|TestUploadWindow|TestUploadSkipsFullWindows|TestInFlightCountMatchesOracle|TestWantingViewMatchesFilter|TestLinksStaySorted|TestDecisionDrawsPinned|TestMemPiecesStoredByReference|TestTCPPiecesOwnStorage|TestEarlyDuplicateBytes' ./internal/node
+go test -race -count=1 -run 'TestMemPipeBlocksPastDepth|TestMemPipeManySenders|TestMemCloseUnblocks|TestPayloadsFrozen' ./internal/transport
+go test -race -count=1 -run 'TestStoreAdopt|TestStoreHeldPutAndAdopt|TestSeedStoreKeepsContent|TestStoreRacingPutAdoptWithReaders' ./internal/piece
 go test -race -count=1 -run 'TestVerifierFollowsKeyRotation|TestVerifierConcurrentWithAdmissions|TestForgedReceiptsLeaveNoState|TestSharedMACStatesConcurrent' ./internal/attest
 if grep -n 'time\.AfterFunc' $(ls internal/node/*.go internal/tchain/*.go | grep -v '_test\.go$'); then
   echo "internal/node or internal/tchain arms a time.AfterFunc: its closure pins the node past Stop; queue the work for a tick instead" >&2
