@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"path/filepath"
 	"strconv"
@@ -229,5 +231,52 @@ func TestValidateFluid(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "Fluid t(s)") {
 		t.Errorf("missing comparison table:\n%s", sb.String())
+	}
+}
+
+// TestExperimentOutputsPinned pins the text every registered experiment
+// prints at TestScale, byte for byte: Tables I–III, Figures 2–6, the
+// ablations and the validations. The substring checks above catch a broken
+// shape; this catches a shifted digit. Re-record a digest only for a change
+// that means to alter what an experiment prints, with the reason in
+// CHANGES.md.
+func TestExperimentOutputsPinned(t *testing.T) {
+	pinned := []struct{ name, digest string }{
+		{"ablation-alphabt", "c76a979ac56c6b74a3176d595c879555448e92faf2d1459a7841928eb0ceeecc"},
+		{"ablation-arrival", "6634ace6361836f6f6eb929310167426131d08f5158cba48b568dc311d030246"},
+		{"ablation-churn", "b009eebfd2c9e6931bf6f980baab973c0b07e738c142ee852b22c7ba1afa88cc"},
+		{"ablation-indirect", "66a29e6c24ce99a6fffb53460353a7b59c2a5f16050979d1bce91f59f2ec8f0d"},
+		{"ablation-largeview", "e8cf68e70dc5a8795318514dc222a0076d9ff986e80189fb1ed3341d4311ee41"},
+		{"ablation-nbt", "e6db86c79e58c14a0775eb1c3d3e8ea8c39150e6ef2a1649a8d563d92c6ff32a"},
+		{"ablation-praise", "042ae76626cb72f0b348308bfacc5f91c8e51d4dcbc8b20017c7d79711e5960c"},
+		{"ablation-propshare", "2e2cb8d77c7d4357d35b4ef80fc54f5b6db41270a9707b0bd9932294ff9758e0"},
+		{"ablation-seeder", "110016673752cae9431380e1561200aa80998d47c33f73982d3e36de2c1bd7ef"},
+		{"ablation-whitewash", "87806e2191c5eb301bb36791a27ad3f45bef552a806e03b0bf9929f5e6e2605f"},
+		{"figure2", "55bfc98d000a9105c89951818f373f654b959130af4c79684f0f735cdc0a3f27"},
+		{"figure3", "b12fc757ff2a6b924f138932be93beee0b19b1aebd273c1b17502bb0ae80b380"},
+		{"figure4", "9afcdf0f8f4ae142948087f259291c89fabda7a5d0fc38388a26c49a4adf02b7"},
+		{"figure5", "7e1fb66db76a7493377987ff281873ae377747ad74b461acd5346a27b759fa6f"},
+		{"figure6", "fa4091672717649ffc98ef87dafb49da0c60f03cd8a7953b0e7c13af1d42b072"},
+		{"lemma3", "4f56a28b85ad39c8ebf3c7b72d2de78a796a727d452844dc04507b3f2eb78671"},
+		{"prop3", "bc426ad07059ea29e3b31849ae11749780633f253c5b35723d02e0ef9bf52692"},
+		{"table1", "7c59e795660e86eb5e82f60865b519e7e1cf98758bc99f7254cf080f2e4fefc2"},
+		{"table2", "e3b4cc227797c7ee3fbeb2ff7048719d3fef5d22a3b32215f48d84499002de7d"},
+		{"table3", "ef0a7c2aefdc609c3809dedda04beea1b64930a8320bae140eff6446837cd415"},
+		{"validate-availability", "0143dddf8b3642797fe074a5e9118341be313837c63072e3b9acd76feea5999c"},
+		{"validate-bootstrap", "e4a888dbcc5e818e041655b408d1d6875c3f367b8f38d83f4f0950d78c2ca3e5"},
+		{"validate-fluid", "eadc991f9552e088014d7d137941a6c174dc5723cbd56743d3b4f0ac305a92a8"},
+	}
+	if len(pinned) != len(Names()) {
+		t.Errorf("%d experiments pinned, %d registered", len(pinned), len(Names()))
+	}
+	for _, p := range pinned {
+		var sb strings.Builder
+		if err := Run(p.name, TestScale(), &sb, nil); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		if got := hex.EncodeToString(sum[:]); got != p.digest {
+			t.Errorf("%s: output digest %s, pinned %s", p.name, got, p.digest)
+		}
 	}
 }

@@ -76,11 +76,13 @@ done
 echo "== simulator pins =="
 # The simulator's outputs again, explicitly and by name: every mechanism's
 # per-peer results, the Figures 4–6 series and run totals, and every event
-# count a manifest records, bit for bit over the pinned runs; and the
+# count a manifest records, bit for bit over the pinned runs; the
 # incremental interest/rarity indexes against a naive recomputation on
-# randomized churn-heavy traces. A change that moves any of these changes
-# what the figures say.
+# randomized churn-heavy traces; and the text every experiment prints at
+# test scale. A change that moves any of these changes what the figures say;
+# re-record a pin only with the reason in CHANGES.md.
 go test -count=1 -run 'TestResultDigestsPinned|TestSeriesDigestsPinned|TestHookCountsPinned|TestInterestIndexMatchesNaive' ./internal/sim
+go test -count=1 -run 'TestExperimentOutputsPinned' ./internal/experiment
 
 echo "== membership churn race gate =="
 # Membership's integration test again, explicitly and by name: a 64-node
