@@ -9,6 +9,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // runOne executes a single configured run through the runner.
@@ -55,8 +56,8 @@ func AblationAlphaBT(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, alpha := range alphas {
 		res := results[i]
-		tbl.AddRow(alpha, fmtOr(res.MeanBootstrapTime(), "never"),
-			fmtOr(res.MeanDownloadTime(), "never"), res.Susceptibility())
+		tbl.AddRow(alpha, fmtOr(stats.MeanBootstrapTime(res.Peers), "never"),
+			fmtOr(stats.MeanDownloadTime(res.Peers), "never"), res.Susceptibility())
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err
@@ -82,8 +83,8 @@ func AblationNBT(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, nbt := range slots {
 		res := results[i]
-		tbl.AddRow(nbt, fmtOr(res.MeanDownloadTime(), "never"),
-			fmtOr(res.FinalFairness(), "n/a"), fmtOr(res.LogFairness(), "n/a"))
+		tbl.AddRow(nbt, fmtOr(stats.MeanDownloadTime(res.Peers), "never"),
+			fmtOr(stats.FairnessDU(res.Peers), "n/a"), fmtOr(stats.Fairness(res.Peers), "n/a"))
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err
@@ -114,8 +115,8 @@ func AblationSeeder(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, pt := range points {
 		res := results[i]
-		tbl.AddRow(pt.rate, pt.a.String(), fmtOr(res.MeanBootstrapTime(), "never"),
-			fmtOr(res.MeanDownloadTime(), "never"),
+		tbl.AddRow(pt.rate, pt.a.String(), fmtOr(stats.MeanBootstrapTime(res.Peers), "never"),
+			fmtOr(stats.MeanDownloadTime(res.Peers), "never"),
 			fmt.Sprintf("%.0f%%", 100*res.CompletionFraction()))
 	}
 	if err := tbl.WriteText(w); err != nil {
@@ -154,7 +155,7 @@ func AblationNeighborView(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, pt := range points {
 		res := results[i]
-		tbl.AddRow(pt.neighbors, pt.largeView, res.Susceptibility(), fmtOr(res.MeanDownloadTime(), "never"))
+		tbl.AddRow(pt.neighbors, pt.largeView, res.Susceptibility(), fmtOr(stats.MeanDownloadTime(res.Peers), "never"))
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err
@@ -184,7 +185,7 @@ func AblationWhitewash(scale Scale, w io.Writer, sink *report.Sink) error {
 		if interval >= 1e9 {
 			label = "never"
 		}
-		tbl.AddRow(label, res.Susceptibility(), fmtOr(res.MeanDownloadTime(), "never"))
+		tbl.AddRow(label, res.Susceptibility(), fmtOr(stats.MeanDownloadTime(res.Peers), "never"))
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err
@@ -211,7 +212,7 @@ func AblationFalsePraise(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, plan := range plans {
 		res := results[i]
-		tbl.AddRow(plan.Kind.String(), res.Susceptibility(), fmtOr(res.MeanDownloadTime(), "never"))
+		tbl.AddRow(plan.Kind.String(), res.Susceptibility(), fmtOr(stats.MeanDownloadTime(res.Peers), "never"))
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err
@@ -236,7 +237,7 @@ func AblationIndirect(scale Scale, w io.Writer, sink *report.Sink) error {
 	}
 	for i, a := range algos {
 		res := results[i]
-		tbl.AddRow(a.String(), fmtOr(res.MeanBootstrapTime(), "never"),
+		tbl.AddRow(a.String(), fmtOr(stats.MeanBootstrapTime(res.Peers), "never"),
 			fmt.Sprintf("%.0f%%", 100*res.BootstrapFraction(30)))
 	}
 	if err := tbl.WriteText(w); err != nil {

@@ -61,14 +61,14 @@ func summarizeRuns(title, prefix string, results map[algo.Algorithm]*sim.Result,
 		"Algorithm", "Completed", "MeanDL(s)", "MedianDL(s)", "Fairness(d/u)", "F(Eq.3)", "MeanBoot(s)", "Susceptibility")
 	for _, a := range algo.All() {
 		r := results[a]
-		summary := r.DownloadTimeSummary()
+		summary := stats.DownloadTimeSummary(r.Peers)
 		tbl.AddRow(a.String(),
 			fmt.Sprintf("%.0f%%", 100*r.CompletionFraction()),
-			fmtOr(r.MeanDownloadTime(), "never"),
+			fmtOr(stats.MeanDownloadTime(r.Peers), "never"),
 			fmtOr(summary.Median, "never"),
-			fmtOr(r.FinalFairness(), "n/a"),
-			fmtOr(r.LogFairness(), "n/a"),
-			fmtOr(r.MeanBootstrapTime(), "never"),
+			fmtOr(stats.FairnessDU(r.Peers), "n/a"),
+			fmtOr(stats.Fairness(r.Peers), "n/a"),
+			fmtOr(stats.MeanBootstrapTime(r.Peers), "never"),
 			fmt.Sprintf("%.4f", r.Susceptibility()),
 		)
 	}

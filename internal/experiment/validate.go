@@ -10,6 +10,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // ValidateAvailability cross-validates the paper's piece-availability model
@@ -24,7 +25,7 @@ func ValidateAvailability(scale Scale, w io.Writer, sink *report.Sink) error {
 	if err != nil {
 		return err
 	}
-	meanDL := calib.MeanDownloadTime()
+	meanDL := stats.MeanDownloadTime(calib.Peers)
 	if meanDL != meanDL { // NaN: nobody finished
 		return errors.New("experiment: calibration run never completed; raise the horizon")
 	}
@@ -117,8 +118,8 @@ func AblationPropShare(scale Scale, w io.Writer, sink *report.Sink) error {
 	for i, pt := range points {
 		res := results[i]
 		tbl.AddRow(pt.a.String(), fmt.Sprintf("%.0f%%", pt.fr*100),
-			fmtOr(res.MeanDownloadTime(), "never"),
-			fmtOr(res.LogFairness(), "n/a"),
+			fmtOr(stats.MeanDownloadTime(res.Peers), "never"),
+			fmtOr(stats.Fairness(res.Peers), "n/a"),
 			res.Susceptibility())
 	}
 	if err := tbl.WriteText(w); err != nil {
@@ -158,8 +159,8 @@ func AblationArrival(scale Scale, w io.Writer, sink *report.Sink) error {
 	for i, pt := range points {
 		res := results[i]
 		tbl.AddRow(pt.a.String(), pt.label,
-			fmtOr(res.MeanBootstrapTime(), "never"),
-			fmtOr(res.MeanDownloadTime(), "never"),
+			fmtOr(stats.MeanBootstrapTime(res.Peers), "never"),
+			fmtOr(stats.MeanDownloadTime(res.Peers), "never"),
 			fmt.Sprintf("%.0f%%", 100*res.CompletionFraction()))
 	}
 	if err := tbl.WriteText(w); err != nil {
@@ -202,7 +203,7 @@ func AblationChurn(scale Scale, w io.Writer, sink *report.Sink) error {
 		res := results[i]
 		tbl.AddRow(pt.a.String(), pt.label,
 			fmt.Sprintf("%.0f%%", 100*res.CompletionFraction()),
-			fmtOr(res.MeanDownloadTime(), "never"))
+			fmtOr(stats.MeanDownloadTime(res.Peers), "never"))
 	}
 	if err := tbl.WriteText(w); err != nil {
 		return err

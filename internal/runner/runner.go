@@ -155,17 +155,17 @@ func metricValue(r *sim.Result, name string) float64 {
 	case MetricCompletion:
 		return r.CompletionFraction()
 	case MetricMeanDownload:
-		return r.MeanDownloadTime()
+		return stats.MeanDownloadTime(r.Peers)
 	case MetricMedianDownload:
-		if dl := r.DownloadTimeSummary(); dl.N > 0 {
+		if dl := stats.DownloadTimeSummary(r.Peers); dl.N > 0 {
 			return dl.Median
 		}
 	case MetricFairness:
-		return r.FinalFairness()
+		return stats.FairnessDU(r.Peers)
 	case MetricLogFairness:
-		return r.LogFairness()
+		return stats.Fairness(r.Peers)
 	case MetricMeanBootstrap:
-		return r.MeanBootstrapTime()
+		return stats.MeanBootstrapTime(r.Peers)
 	case MetricSusceptibility:
 		return r.Susceptibility()
 	case MetricDuration:

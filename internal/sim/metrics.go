@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"repro/internal/probe"
 	"repro/internal/stats"
 )
@@ -84,24 +82,10 @@ func (s *Swarm) sampleEvery(now float64) {
 	}
 }
 
-// PeerStats is the per-peer outcome of a run.
-type PeerStats struct {
-	ID          int     `json:"id"`
-	Capacity    float64 `json:"capacity"`
-	FreeRider   bool    `json:"free_rider"`
-	Aborted     bool    `json:"aborted"`
-	Arrival     float64 `json:"arrival"`
-	BootstrapAt float64 `json:"bootstrap_at"` // -1 if never bootstrapped
-	FinishAt    float64 `json:"finish_at"`    // -1 if never finished
-	Uploaded    float64 `json:"uploaded"`
-	Downloaded  float64 `json:"downloaded"` // credited bytes
-	RawDown     float64 `json:"raw_down"`   // includes undecryptable ciphertext
-}
-
 // Result is everything a run produced.
 type Result struct {
 	Config            Config                       `json:"config"`
-	Peers             []PeerStats                  `json:"peers"`
+	Peers             []stats.Peer                 `json:"peers"`
 	Series            map[string]*stats.TimeSeries `json:"series"`
 	TotalUploaded     float64                      `json:"total_uploaded"`
 	PeerUploaded      float64                      `json:"peer_uploaded"`
@@ -116,7 +100,7 @@ type Result struct {
 func (s *Swarm) buildResult() *Result {
 	res := &Result{
 		Config:            s.cfg,
-		Peers:             make([]PeerStats, len(s.peers)),
+		Peers:             make([]stats.Peer, len(s.peers)),
 		Series:            s.series,
 		TotalUploaded:     s.totalUploaded,
 		PeerUploaded:      s.peerUploaded,
@@ -127,7 +111,7 @@ func (s *Swarm) buildResult() *Result {
 		snapshot:          s.snapshot,
 	}
 	for i, p := range s.peers {
-		res.Peers[i] = PeerStats{
+		res.Peers[i] = stats.Peer{
 			ID:          int(p.id),
 			Capacity:    p.capacity,
 			FreeRider:   p.freeRider,
@@ -143,79 +127,8 @@ func (s *Swarm) buildResult() *Result {
 	return res
 }
 
-// CompletionFraction returns the fraction of compliant peers that finished.
-func (r *Result) CompletionFraction() float64 {
-	total, done := 0, 0
-	for _, p := range r.Peers {
-		if p.FreeRider || p.Aborted {
-			continue
-		}
-		total++
-		if p.FinishAt >= 0 {
-			done++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(done) / float64(total)
-}
-
-// MeanDownloadTime returns the paper's efficiency metric: the mean
-// completion time (finish − arrival) over compliant peers that finished.
-// NaN when nobody finished (pure reciprocity).
-func (r *Result) MeanDownloadTime() float64 {
-	times := r.downloadTimes()
-	if len(times) == 0 {
-		return math.NaN()
-	}
-	return stats.Mean(times)
-}
-
-// DownloadTimeSummary summarizes compliant completion times.
-func (r *Result) DownloadTimeSummary() stats.Summary {
-	return stats.Summarize(r.downloadTimes())
-}
-
-func (r *Result) downloadTimes() []float64 {
-	out := make([]float64, 0, len(r.Peers))
-	for _, p := range r.Peers {
-		if !p.FreeRider && p.FinishAt >= 0 {
-			out = append(out, p.FinishAt-p.Arrival)
-		}
-	}
-	return out
-}
-
-// FinalFairness returns the end-of-run mean dᵢ/uᵢ over compliant peers with
-// positive uploads and downloads (1 is perfectly fair; see SeriesFairness).
-func (r *Result) FinalFairness() float64 {
-	var sum float64
-	var count int
-	for _, p := range r.Peers {
-		if !p.FreeRider && p.Downloaded > 0 && p.Uploaded > 0 {
-			sum += p.Downloaded / p.Uploaded
-			count++
-		}
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
-}
-
-// LogFairness returns the paper's analytical fairness statistic F (Eq. 3)
-// over compliant peers' cumulative rates.
-func (r *Result) LogFairness() float64 {
-	var up, down []float64
-	for _, p := range r.Peers {
-		if !p.FreeRider {
-			up = append(up, p.Uploaded)
-			down = append(down, p.Downloaded)
-		}
-	}
-	return stats.LogFairness(down, up)
-}
+// CompletionFraction is stats.CompletionFraction of the run's records.
+func (r *Result) CompletionFraction() float64 { return stats.CompletionFraction(r.Peers) }
 
 // Susceptibility returns the fraction of peer-uploaded bytes credited to
 // free-riders, the paper's Figure 5a/6a metric.
@@ -224,21 +137,6 @@ func (r *Result) Susceptibility() float64 {
 		return 0
 	}
 	return r.FreeRiderCredited / r.PeerUploaded
-}
-
-// MeanBootstrapTime returns the mean time from arrival to first credited
-// piece over compliant peers that bootstrapped; NaN if none did.
-func (r *Result) MeanBootstrapTime() float64 {
-	var times []float64
-	for _, p := range r.Peers {
-		if !p.FreeRider && p.BootstrapAt >= 0 {
-			times = append(times, p.BootstrapAt-p.Arrival)
-		}
-	}
-	if len(times) == 0 {
-		return math.NaN()
-	}
-	return stats.Mean(times)
 }
 
 // BootstrapFraction returns the fraction of compliant peers that received

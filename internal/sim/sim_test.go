@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/attack"
+	"repro/internal/stats"
 )
 
 // testConfig returns a small, fast configuration with the paper's shape.
@@ -106,7 +107,7 @@ func TestAllCompliantPeersComplete(t *testing.T) {
 		if got := res.CompletionFraction(); got != 1 {
 			t.Errorf("%v completion = %g, want 1", a, got)
 		}
-		if math.IsNaN(res.MeanDownloadTime()) {
+		if math.IsNaN(stats.MeanDownloadTime(res.Peers)) {
 			t.Errorf("%v has no mean download time", a)
 		}
 	}
@@ -134,7 +135,7 @@ func TestLemma2ReciprocityStalls(t *testing.T) {
 func TestFigure4aEfficiencyOrdering(t *testing.T) {
 	times := make(map[algo.Algorithm]float64, 6)
 	for _, a := range []algo.Algorithm{algo.TChain, algo.BitTorrent, algo.FairTorrent, algo.Reputation, algo.Altruism} {
-		times[a] = mustRun(t, testConfig(a)).MeanDownloadTime()
+		times[a] = stats.MeanDownloadTime(mustRun(t, testConfig(a)).Peers)
 	}
 	alt := times[algo.Altruism]
 	for a, dl := range times {
@@ -153,7 +154,7 @@ func TestFigure4aEfficiencyOrdering(t *testing.T) {
 func TestFigure4bFairnessOrdering(t *testing.T) {
 	f := make(map[algo.Algorithm]float64, 6)
 	for _, a := range []algo.Algorithm{algo.TChain, algo.BitTorrent, algo.FairTorrent, algo.Reputation, algo.Altruism} {
-		f[a] = mustRun(t, testConfig(a)).LogFairness()
+		f[a] = stats.Fairness(mustRun(t, testConfig(a)).Peers)
 	}
 	for _, a := range []algo.Algorithm{algo.TChain, algo.BitTorrent, algo.FairTorrent} {
 		if f[a] >= f[algo.Altruism] {
@@ -168,7 +169,7 @@ func TestFigure4bFairnessOrdering(t *testing.T) {
 func TestFigure4cBootstrapOrdering(t *testing.T) {
 	boot := make(map[algo.Algorithm]float64, 6)
 	for _, a := range algo.All() {
-		boot[a] = mustRun(t, testConfig(a)).MeanBootstrapTime()
+		boot[a] = stats.MeanBootstrapTime(mustRun(t, testConfig(a)).Peers)
 	}
 	fastest := []algo.Algorithm{algo.Altruism, algo.FairTorrent, algo.TChain}
 	for _, a := range fastest {
@@ -300,13 +301,13 @@ func TestFreeRidingDegradesEfficiencyAndFairness(t *testing.T) {
 	for _, a := range []algo.Algorithm{algo.Altruism, algo.FairTorrent, algo.BitTorrent} {
 		base := mustRun(t, testConfig(a))
 		fr := mustRun(t, withFreeRiders(a, false))
-		if fr.MeanDownloadTime() <= base.MeanDownloadTime() {
+		if stats.MeanDownloadTime(fr.Peers) <= stats.MeanDownloadTime(base.Peers) {
 			t.Errorf("%v: download time %.1f with free-riders not above baseline %.1f",
-				a, fr.MeanDownloadTime(), base.MeanDownloadTime())
+				a, stats.MeanDownloadTime(fr.Peers), stats.MeanDownloadTime(base.Peers))
 		}
-		if fr.FinalFairness() >= base.FinalFairness() {
+		if stats.FairnessDU(fr.Peers) >= stats.FairnessDU(base.Peers) {
 			t.Errorf("%v: fairness %.3f with free-riders not below baseline %.3f",
-				a, fr.FinalFairness(), base.FinalFairness())
+				a, stats.FairnessDU(fr.Peers), stats.FairnessDU(base.Peers))
 		}
 	}
 }
@@ -403,9 +404,9 @@ func TestStayOnCompleteKeepsSeeding(t *testing.T) {
 	rStay := mustRun(t, stay)
 	// Finished peers that stay become extra seeders, so the swarm finishes
 	// no slower (virtually always faster).
-	if rStay.MeanDownloadTime() > rLeave.MeanDownloadTime()*1.1 {
+	if stats.MeanDownloadTime(rStay.Peers) > stats.MeanDownloadTime(rLeave.Peers)*1.1 {
 		t.Errorf("staying seeders slowed the swarm: %.1f vs %.1f",
-			rStay.MeanDownloadTime(), rLeave.MeanDownloadTime())
+			stats.MeanDownloadTime(rStay.Peers), stats.MeanDownloadTime(rLeave.Peers))
 	}
 }
 
@@ -482,9 +483,9 @@ func TestPropShareSimulation(t *testing.T) {
 	}
 	// Like BitTorrent, PropShare's fairness beats altruism's.
 	alt := mustRun(t, testConfig(algo.Altruism))
-	if res.LogFairness() >= alt.LogFairness() {
+	if stats.Fairness(res.Peers) >= stats.Fairness(alt.Peers) {
 		t.Errorf("PropShare F %.3f not fairer than altruism %.3f",
-			res.LogFairness(), alt.LogFairness())
+			stats.Fairness(res.Peers), stats.Fairness(alt.Peers))
 	}
 }
 

@@ -124,45 +124,3 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
-
-// LogFairness computes the paper's fairness statistic F (Eq. 3):
-// the mean of |log(dᵢ/uᵢ)| over users with positive uᵢ and dᵢ.
-// Users with a zero rate on either side are excluded (their ratio is
-// undefined); if no user qualifies the result is NaN.
-func LogFairness(download, upload []float64) float64 {
-	n := min(len(download), len(upload))
-	var sum float64
-	var count int
-	for i := 0; i < n; i++ {
-		if download[i] <= 0 || upload[i] <= 0 {
-			continue
-		}
-		sum += math.Abs(math.Log(download[i] / upload[i]))
-		count++
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
-}
-
-// RatioFairness computes the experimental fairness metric the paper uses in
-// Section V: the mean of uᵢ/dᵢ over users with positive dᵢ. Perfectly fair
-// systems score 1; values below 1 mean users download more than they upload
-// on average.
-func RatioFairness(upload, download []float64) float64 {
-	n := min(len(download), len(upload))
-	var sum float64
-	var count int
-	for i := 0; i < n; i++ {
-		if download[i] <= 0 {
-			continue
-		}
-		sum += upload[i] / download[i]
-		count++
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
-}

@@ -128,38 +128,6 @@ func TestJainIndexRangeProperty(t *testing.T) {
 	}
 }
 
-func TestLogFairness(t *testing.T) {
-	// Perfectly fair: d == u.
-	if got := LogFairness([]float64{2, 3}, []float64{2, 3}); got != 0 {
-		t.Errorf("fair F = %g, want 0", got)
-	}
-	// d = 2u everywhere -> F = ln 2.
-	got := LogFairness([]float64{2, 4}, []float64{1, 2})
-	if !almostEqual(got, math.Log(2), 1e-12) {
-		t.Errorf("F = %g, want ln2", got)
-	}
-	// Zero rates are excluded.
-	got = LogFairness([]float64{0, 4}, []float64{1, 2})
-	if !almostEqual(got, math.Log(2), 1e-12) {
-		t.Errorf("F with zero d = %g, want ln2", got)
-	}
-	if got := LogFairness([]float64{0}, []float64{0}); !math.IsNaN(got) {
-		t.Errorf("all-zero F = %g, want NaN", got)
-	}
-}
-
-func TestRatioFairness(t *testing.T) {
-	// u == d -> 1.
-	if got := RatioFairness([]float64{3, 5}, []float64{3, 5}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("fair ratio = %g, want 1", got)
-	}
-	// u = 0 (free-rider) -> 0 contribution to the mean.
-	got := RatioFairness([]float64{0, 4}, []float64{2, 4})
-	if !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("ratio = %g, want 0.5", got)
-	}
-}
-
 func TestMeanSum(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %g", got)
