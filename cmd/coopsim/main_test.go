@@ -108,6 +108,34 @@ func TestRunReplicatedJSON(t *testing.T) {
 	}
 }
 
+// TestRunReciprocityFairnessUndefined runs a Reciprocity swarm in which no
+// compliant peer uploads, so neither fairness statistic has a ratio to
+// average: both modes say so instead of printing NaN or "never".
+func TestRunReciprocityFairnessUndefined(t *testing.T) {
+	for _, reps := range []int{1, 3} {
+		var sb strings.Builder
+		opts := testOptions()
+		opts.algoName = "reciprocity"
+		opts.scale = cli.ScaleFlags{Peers: 50, Pieces: 16, Seed: 1, Horizon: 200}
+		opts.rep = cli.ReplicationFlags{Reps: reps, Workers: 1}
+		if err := run(opts, &sb); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		if strings.Contains(out, "NaN") {
+			t.Errorf("reps %d: output prints NaN:\n%s", reps, out)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "fairness") && !strings.Contains(line, "undefined") {
+				t.Errorf("reps %d: %q does not say undefined", reps, line)
+			}
+		}
+		if got := strings.Count(out, "undefined"); got != 2 {
+			t.Errorf("reps %d: %d undefined statistics, want the two fairness ones:\n%s", reps, got, out)
+		}
+	}
+}
+
 func TestRunUnknownAlgorithm(t *testing.T) {
 	opts := testOptions()
 	opts.algoName = "bitcoin"
