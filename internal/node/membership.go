@@ -47,7 +47,8 @@ func (n *Node) reserveDialLocked(addr string) bool {
 
 // dial connects to addr, which reserveDialLocked has marked, and runs the link on
 // its own goroutine; the mark is returned when the link ends. A failed dial
-// returns it at once and forgets every contact at addr.
+// returns it at once and forgets every contact at addr. Either way, witness
+// receipts still held for an origin at addr leave without the link.
 func (n *Node) dial(addr string) {
 	conn, err := n.cfg.Transport.Dial(addr)
 	if err != nil {
@@ -55,6 +56,7 @@ func (n *Node) dial(addr string) {
 		delete(n.dialing, addr)
 		n.contacts = slices.DeleteFunc(n.contacts, func(c contact) bool { return c.addr == addr })
 		n.mu.Unlock()
+		n.releaseReceipts(addr, nil)
 		return
 	}
 	n.wg.Add(1)
@@ -64,6 +66,7 @@ func (n *Node) dial(addr string) {
 		n.mu.Lock()
 		delete(n.dialing, addr)
 		n.mu.Unlock()
+		n.releaseReceipts(addr, nil)
 	}()
 }
 

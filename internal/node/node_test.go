@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -293,10 +294,19 @@ func TestCompleteWaitsForEveryCredit(t *testing.T) {
 	}
 }
 
+// askFor has peer r ask n for pieces, as its next announcement would.
+func askFor(t *testing.T, n *Node, r *remote, pieces ...int32) {
+	t.Helper()
+	if n.dispatch(r, protocol.HaveBatch{Requests: pieces}) {
+		t.Fatalf("requests %v cost the link", pieces)
+	}
+}
+
 // TestUploadRateThrottle drives a throttled seed's token bucket with tick
 // instants: it starts one piece full, so the first tick pushes one piece,
 // then refills at UploadRate, and an idle stretch refills at most four
-// pieces' worth.
+// pieces' worth. The peer keeps maxInFlight requests outstanding throughout,
+// so the bucket, not the requests, paces the pushes.
 func TestUploadRateThrottle(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	store, err := piece.NewSeedStore(manifest, content)
@@ -307,29 +317,39 @@ func TestUploadRateThrottle(t *testing.T) {
 	r, _ := fixtureRemote(seed, 1, false)
 	link(t, seed, r)
 	pushed := func() int { return int(seed.Stats().UploadedBytes) / testPieceSize }
+	next := int32(0)
+	tick := func(now int64) {
+		for r.wants.n < maxInFlight && next < testPieces {
+			askFor(t, seed, r, next)
+			next++
+		}
+		seed.tick(now)
+	}
 
 	// 1.5 s of 125 ms ticks, each refilling exactly half a piece.
 	const step = int64(125 * time.Millisecond)
 	for k := int64(1); k <= 12; k++ {
-		seed.tick(k * step)
+		tick(k * step)
 		if got, want := pushed(), 1+int(k)/2; got != want {
 			t.Fatalf("after the tick at %v: %d pieces pushed, want %d", time.Duration(k*step), got, want)
 		}
 	}
 	// Two idle seconds refill eight pieces' worth; the bucket keeps four.
-	seed.tick(12*step + int64(2*time.Second))
+	tick(12*step + int64(2*time.Second))
 	if got := pushed(); got != 7+4 {
 		t.Errorf("after two idle seconds: %d pieces pushed, want %d", got, 7+4)
 	}
 }
 
-// TestUploadWindow drives an unthrottled node's tick against one silent
-// remote: each tick pushes until the link's window — pieces pushed within
-// resendCooldown that the peer has not announced — is full at maxInFlight.
-// A Have frees one slot, the cooldown frees the rest, and a T-Chain
-// repayment, a control frame, is never refused. The node
-// is a T-Chain leecher holding every piece but the last, so its pushes are
-// seals and the seal it is sent for the last piece is one it can repay.
+// TestUploadWindow drives an unthrottled node's tick against one remote
+// that asks for pieces: each tick serves what the remote asked for, oldest
+// first, and nothing else, so the remote's requests are the window — at most
+// maxInFlight outstanding; past that the oldest give way, as the requester
+// returns its oldest to the pool first. A request for a piece the node lacks,
+// the remote holds or already asked for is ignored, and a T-Chain repayment
+// serves the origin's oldest request. The node is a T-Chain leecher holding every piece but the
+// last, so its pushes are seals and the seal it is sent for the last piece
+// is one it can repay.
 func TestUploadWindow(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	store := piece.NewStore(manifest)
@@ -341,70 +361,74 @@ func TestUploadWindow(t *testing.T) {
 	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: store})
 	r, conn := fixtureRemote(n, 1, false)
 	link(t, n, r)
-	writer := make(chan struct{})
-	go func() { defer close(writer); r.writeLoop() }()
 	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
-	inFlight := func() int {
+	wants := func() []int32 {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return r.inFlight(n.now)
+		var idx []int32
+		for _, a := range r.wants.q[:r.wants.n] {
+			idx = append(idx, a.idx)
+		}
+		return idx
 	}
 	const ms = int64(time.Millisecond)
 
 	n.tick(1 * ms)
-	if got := pushed(); got != maxInFlight {
-		t.Fatalf("first tick pushed %d pieces, want %d", got, maxInFlight)
+	if got := pushed(); got != 0 {
+		t.Fatalf("a tick with nothing asked pushed %d pieces", got)
 	}
+	askFor(t, n, r, 0, 1, 2, 3, 4, 5, 6, 7)
 	n.tick(2 * ms)
 	if got := pushed(); got != maxInFlight {
-		t.Fatalf("second tick pushed %d more pieces into a full window, want none", got-maxInFlight)
-	}
-
-	n.mu.Lock()
-	announced := r.cooling.Indices()[0]
-	n.mu.Unlock()
-	n.dispatch(r, protocol.Have{Index: int32(announced)})
-	if got := inFlight(); got != maxInFlight-1 {
-		t.Fatalf("a Have left %d pieces in flight, want %d", got, maxInFlight-1)
+		t.Fatalf("the tick after %d requests pushed %d pieces", maxInFlight, got)
 	}
 	n.tick(3 * ms)
-	if got := pushed(); got != maxInFlight+1 {
-		t.Fatalf("the tick after a Have pushed %d pieces, want 1", got-maxInFlight)
+	if got := pushed(); got != maxInFlight {
+		t.Fatalf("a tick with every request served pushed %d more", got-maxInFlight)
 	}
 
-	// The first tick's pushes cool down; the one after the Have does not.
-	n.tick(1*ms + int64(resendCooldown))
-	if got := pushed(); got != 2*maxInFlight {
-		t.Fatalf("the tick past the cooldown pushed %d pieces, want %d", got-maxInFlight-1, maxInFlight-1)
+	n.dispatch(r, protocol.Have{Index: 14})
+	askFor(t, n, r, 8, 9, 10, 15, 14, 8) // 15 we lack, 14 it holds, 8 twice
+	if got := wants(); !slices.Equal(got, []int32{8, 9, 10}) {
+		t.Fatalf("requests booked %v, want [8 9 10]", got)
 	}
-	if got := inFlight(); got != maxInFlight {
-		t.Fatalf("%d pieces in flight after the cooldown tick, want %d", got, maxInFlight)
+	askFor(t, n, r, 11, 12, 13, 0, 1) // the queue is full
+	askFor(t, n, r, 2, 3, 4)          // past the window the oldest three give way
+	if got := wants(); !slices.Equal(got, []int32{11, 12, 13, 0, 1, 2, 3, 4}) {
+		t.Fatalf("past the window the queue is %v, want [11 12 13 0 1 2 3 4]", got)
+	}
+	if n.dispatch(r, protocol.HaveBatch{Requests: make([]int32, maxInFlight+1)}) != true {
+		t.Fatal("a batch of more than maxInFlight requests kept its link")
 	}
 
-	// The window is full; a seal of the one piece we lack is still repaid.
+	// The remote's oldest request is repaid in plaintext for its seal of the
+	// one piece we lack.
+	writer := make(chan struct{})
+	go func() { defer close(writer); r.writeLoop() }()
 	const keyID = 7
 	seal, _ := rawSeal(t, int32(r.id), keyID, testPieces-1)
 	n.dispatch(r, seal)
-	if got := pushed(); got != 2*maxInFlight+1 {
-		t.Fatalf("the repayment pushed %d pieces, want 1", got-2*maxInFlight)
+	if got := pushed(); got != maxInFlight+1 {
+		t.Fatalf("the repayment pushed %d pieces, want 1", got-maxInFlight)
 	}
-	if got := inFlight(); got != maxInFlight+1 {
-		t.Errorf("%d pieces in flight after the repayment, want %d", got, maxInFlight+1)
+	if got := wants(); len(got) != maxInFlight-1 || got[0] != 12 {
+		t.Errorf("after the repayment the queue is %v, want request 11 served", got)
 	}
 	r.closeOutbox()
 	<-writer
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	if last, ok := conn.sent[len(conn.sent)-1].(protocol.Piece); !ok || last.RepaysKeyID != keyID {
-		t.Errorf("last frame on the wire is %+v, want a Piece repaying key %d", conn.sent[len(conn.sent)-1], keyID)
+	if last, ok := conn.sent[len(conn.sent)-1].(protocol.Piece); !ok || last.RepaysKeyID != keyID || last.Index != 11 {
+		t.Errorf("last frame on the wire is %+v, want piece 11 repaying key %d", conn.sent[len(conn.sent)-1], keyID)
 	}
 }
 
-// TestUploadSkipsFullWindows: one link's full window does not end the tick.
-// A seeder with two silent links fills both windows in one tick, and after a
-// Have from one link the next tick pushes exactly one piece, to that link. A
-// tick that stopped at its first pick of a full link would stop short of
-// both counts whenever the draw lands on the full link first.
+// TestUploadSkipsFullWindows: a link with nothing asked is left out of the
+// view, and does not end the tick. A seeder with three links, two of which
+// ask for maxInFlight pieces each, serves all of them in one tick, and after
+// one more request from one link the next tick pushes exactly one piece, to
+// that link. A tick that stopped at its first pick of a link with no request
+// would stop short of both counts whenever the draw lands on that link.
 func TestUploadSkipsFullWindows(t *testing.T) {
 	manifest, content := clusterFixture(t)
 	store, err := piece.NewSeedStore(manifest, content)
@@ -414,7 +438,8 @@ func TestUploadSkipsFullWindows(t *testing.T) {
 	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
 	a, _ := fixtureRemote(n, 1, false)
 	b, _ := fixtureRemote(n, 2, false)
-	link(t, n, a, b)
+	idle, _ := fixtureRemote(n, 3, false)
+	link(t, n, a, b, idle)
 	pushed := func() int { return int(n.Stats().UploadedBytes) / testPieceSize }
 	queued := func(r *remote) int {
 		r.outMu.Lock()
@@ -423,104 +448,140 @@ func TestUploadSkipsFullWindows(t *testing.T) {
 	}
 	const ms = int64(time.Millisecond)
 
+	askFor(t, n, a, 0, 1, 2, 3, 4, 5, 6, 7)
+	askFor(t, n, b, 8, 9, 10, 11, 12, 13, 14, 15)
 	n.tick(1 * ms)
 	if got := pushed(); got != 2*maxInFlight {
-		t.Fatalf("first tick pushed %d pieces over two empty windows, want %d", got, 2*maxInFlight)
+		t.Fatalf("first tick pushed %d pieces over two full request queues, want %d", got, 2*maxInFlight)
 	}
-	if qa, qb := queued(a), queued(b); qa != maxInFlight || qb != maxInFlight {
-		t.Fatalf("first tick queued %d and %d pieces, want %d on each link", qa, qb, maxInFlight)
+	if qa, qb, qi := queued(a), queued(b), queued(idle); qa != maxInFlight || qb != maxInFlight || qi != 0 {
+		t.Fatalf("first tick queued %d, %d and %d pieces, want %d, %d and 0", qa, qb, qi, maxInFlight, maxInFlight)
 	}
 
-	n.mu.Lock()
-	announced := a.cooling.Indices()[0]
-	n.mu.Unlock()
-	n.dispatch(a, protocol.Have{Index: int32(announced)})
+	askFor(t, n, a, 15)
 	n.tick(2 * ms)
 	if got := pushed(); got != 2*maxInFlight+1 {
-		t.Fatalf("the tick after a Have pushed %d pieces, want 1", got-2*maxInFlight)
+		t.Fatalf("the tick after one request pushed %d pieces, want 1", got-2*maxInFlight)
 	}
 	if qa, qb := queued(a), queued(b); qa != maxInFlight+1 || qb != maxInFlight {
-		t.Errorf("the tick after a Have left %d and %d pieces queued, want %d and %d", qa, qb, maxInFlight+1, maxInFlight)
+		t.Errorf("the tick after one request left %d and %d pieces queued, want %d and %d", qa, qb, maxInFlight+1, maxInFlight)
 	}
 }
 
-// TestInFlightCountMatchesOracle: a link's window count, kept in O(1) where
-// its cooling set or its announced set changes, equals a recount of the
-// cooling pieces the peer has not announced after every event that moves
-// either set: pushes of fresh and already-cooling pieces, repayment picks,
-// Have, HaveBatch and Bitfield frames (duplicates and pieces that never
-// cooled included), and ticks that carry pushes past resendCooldown.
+// TestInFlightCountMatchesOracle holds the requester's state to its oracle
+// after every event that moves it — request passes, deliveries over the
+// link a piece was asked of and over another, Have, HaveBatch and Bitfield
+// frames, ticks past resendCooldown, a writer's drain, and links going down
+// and coming up: no link has more than maxInFlight requests outstanding or
+// unsent, every pending piece is pending on exactly one link and is not
+// held, and every queued request is pending.
 func TestInFlightCountMatchesOracle(t *testing.T) {
-	const pieces, links, steps = 300, 12, 400
+	const pieces, links, steps = 300, 12, 2000
 	manifest, err := piece.SyntheticManifest(pieces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := make([]byte, 0, pieces)
-	for i := 0; i < pieces; i++ {
-		content = append(content, piece.SyntheticPiece(i, 1)...)
-	}
-	store, err := piece.NewSeedStore(manifest, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
+	n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: piece.NewStore(manifest)})
 	rng := rand.New(rand.NewSource(1))
+	for id := 1; id <= links; id++ {
+		r, _ := fixtureRemote(n, id, false)
+		link(t, n, r)
+	}
 	var now int64
-	for link := 0; link < links; link++ {
-		r, _ := fixtureRemote(n, link+1, false)
-		for step := 0; step < steps; step++ {
-			var event string
-			switch rng.Intn(7) {
-			case 0:
-				event = "push"
-				n.mu.Lock()
-				r.cool(rng.Intn(pieces), now)
-				n.mu.Unlock()
-			case 1:
-				event = "re-push of a cooling piece"
-				n.mu.Lock()
-				if cooling := r.cooling.Indices(); len(cooling) > 0 {
-					r.cool(cooling[rng.Intn(len(cooling))], now)
-				}
-				n.mu.Unlock()
-			case 2:
-				event = "repayment"
-				n.mu.Lock()
-				n.pickRepaymentLocked(r, now)
-				n.mu.Unlock()
-			case 3:
-				event = "Have"
-				n.dispatch(r, protocol.Have{Index: int32(rng.Intn(pieces))})
-			case 4:
-				event = "HaveBatch"
-				batch := make([]int32, 1+rng.Intn(6))
-				for i := range batch {
-					batch[i] = int32(rng.Intn(pieces))
-				}
-				batch = append(batch, batch[0]) // a duplicate within the frame
-				n.dispatch(r, protocol.HaveBatch{Indices: batch})
-			case 5:
-				event = "Bitfield"
-				bits := make([]byte, (pieces+7)/8)
-				for i := 0; i < pieces; i++ {
-					if rng.Intn(60) == 0 {
-						bits[i/8] |= 1 << (uint(i) % 8)
-					}
-				}
-				n.dispatch(r, protocol.Bitfield{NumPieces: pieces, Bits: bits})
-			case 6:
-				event = "tick"
-				now += rng.Int63n(int64(resendCooldown))
+	check := func(step int, event string) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.pending == nil {
+			return
+		}
+		owner := make(map[int]int)
+		for _, r := range n.links {
+			r.outMu.Lock()
+			unsent := len(r.requests)
+			r.outMu.Unlock()
+			if r.asked.n > maxInFlight || unsent > maxInFlight {
+				t.Fatalf("step %d (%s): link %d has %d requests outstanding, %d unsent", step, event, r.id, r.asked.n, unsent)
 			}
-			n.mu.Lock()
-			got := r.inFlight(now)
-			want := r.have.CountMissingFrom(r.cooling)
-			n.mu.Unlock()
-			if got != want {
-				t.Fatalf("link %d step %d (%s): window count %d, recount %d", link, step, event, got, want)
+			for _, a := range r.asked.q[:r.asked.n] {
+				idx := int(a.idx)
+				if other, dup := owner[idx]; dup {
+					t.Fatalf("step %d (%s): piece %d pending on links %d and %d", step, event, idx, other, r.id)
+				}
+				owner[idx] = r.id
+				if !n.pending.Has(idx) {
+					t.Fatalf("step %d (%s): piece %d queued on link %d but not pending", step, event, idx, r.id)
+				}
 			}
 		}
+		for _, idx := range n.pending.Indices() {
+			if _, ok := owner[idx]; !ok || n.myBits.Has(idx) {
+				t.Fatalf("step %d (%s): piece %d pending on link %d (found %v), held %v", step, event, idx, owner[idx], ok, n.myBits.Has(idx))
+			}
+		}
+	}
+	deliver := func(r *remote, idx int) {
+		n.handlePiece(r, protocol.Piece{Index: int32(idx), RepaysKeyID: protocol.NoRepay, Data: piece.SyntheticPiece(idx, 1)})
+	}
+	for step := 0; step < steps; step++ {
+		n.mu.Lock()
+		r := n.links[rng.Intn(len(n.links))]
+		n.mu.Unlock()
+		var event string
+		switch rng.Intn(9) {
+		case 0:
+			event = "Bitfield"
+			bits := make([]byte, (pieces+7)/8)
+			for i := 0; i < pieces; i++ {
+				if rng.Intn(8) == 0 {
+					bits[i/8] |= 1 << (uint(i) % 8)
+				}
+			}
+			n.dispatch(r, protocol.Bitfield{NumPieces: pieces, Bits: bits})
+		case 1:
+			event = "Have"
+			n.dispatch(r, protocol.Have{Index: int32(rng.Intn(pieces))})
+		case 2:
+			event = "HaveBatch"
+			batch := make([]int32, 1+rng.Intn(6))
+			for i := range batch {
+				batch[i] = int32(rng.Intn(pieces))
+			}
+			n.dispatch(r, protocol.HaveBatch{Indices: append(batch, batch[0])})
+		case 3, 4:
+			event = "request pass"
+			n.request(now)
+		case 5:
+			event = "delivery over the link asked"
+			n.mu.Lock()
+			idx := -1
+			if r.asked.n > 0 {
+				idx = int(r.asked.q[rng.Intn(r.asked.n)].idx)
+			}
+			n.mu.Unlock()
+			if idx >= 0 {
+				deliver(r, idx)
+			}
+		case 6:
+			event = "delivery over another link"
+			deliver(r, rng.Intn(pieces))
+		case 7:
+			event = "tick"
+			now += rng.Int63n(int64(resendCooldown))
+			r.outMu.Lock()
+			r.requests = nil // a drain
+			r.outMu.Unlock()
+		case 8:
+			event = "link down and up"
+			n.mu.Lock()
+			n.unlinkLocked(r)
+			n.mu.Unlock()
+			again, _ := fixtureRemote(n, r.id, false)
+			link(t, n, again)
+		}
+		check(step, event)
+	}
+	if n.myBits.Count() == 0 || n.pending == nil {
+		t.Errorf("the run gained %d pieces and built no requester state (%v): it tested nothing", n.myBits.Count(), n.pending == nil)
 	}
 }
 

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -216,11 +217,13 @@ func TestOutboxContract(t *testing.T) {
 			n := fixtureNode(t, Config{Algorithm: algo.Altruism, Store: store})
 			a, _ := fixtureRemote(n, 1, false)
 			b, _ := fixtureRemote(n, 2, false)
-			done, _ := fixtureRemote(n, 3, false) // holds every piece: nothing to push
+			done, _ := fixtureRemote(n, 3, false) // holds every piece: asks for nothing
 			for i := 0; i < testPieces; i++ {
 				done.have.Set(i)
 			}
 			link(t, n, a, b, done)
+			askFor(t, n, a, 0, 1, 2, 3, 4, 5, 6, 7)
+			askFor(t, n, b, 8, 9, 10, 11, 12, 13, 14, 15)
 			wokeA, wokeB, wokeDone := parkOn(a), parkOn(b), parkOn(done)
 			n.tick(int64(time.Millisecond))
 			if a.queued() != maxInFlight || b.queued() != maxInFlight {
@@ -289,71 +292,100 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestResendCooldown pins the one picker's two modes: the upload scheduler
-// (excluding the link's cooling set) never re-offers a piece it pushed to
-// this peer within resendCooldown and may again exactly resendCooldown
-// later, the reciprocation path prefers a piece outside the cooldown, stamps
-// what it picks and ignores the cooldown only when nothing else is wanted,
-// and the stamps belong to the link — a reconnected peer starts with none.
-// Time is the argument: tick instants, no sleeping.
+// TestResendCooldown pins how long a request holds its piece. A leecher
+// linked to two peers holding everything asks each for maxInFlight pieces,
+// every piece pending on one link; a request not served within
+// resendCooldown returns its piece to the pool exactly then, not a
+// nanosecond before, and the pass that returns it asks again. A piece whose
+// seal is parked stays pending on the sealing link until its key opens it;
+// one whose key never comes returns with the cooldown. The requests belong
+// to the link: a reconnected peer starts with none, and what the old link
+// was asked returns to the pool. Time is the argument: tick instants, no
+// sleeping.
 func TestResendCooldown(t *testing.T) {
-	n, r, _ := outboxFixture(t, nil, false)
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	manifest, _ := clusterFixture(t)
+	n := fixtureNode(t, Config{Algorithm: algo.TChain, Store: piece.NewStore(manifest)})
+	a, _ := fixtureRemote(n, 1, false)
+	b, _ := fixtureRemote(n, 2, false)
+	for _, r := range []*remote{a, b} {
+		for i := 0; i < testPieces; i++ {
+			r.have.Set(i)
+		}
+	}
+	link(t, n, a, b)
+	// asked lists r's requests, each with the instant it was asked at.
+	asked := func(r *remote) map[int32]int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		out := make(map[int32]int64)
+		for _, q := range r.asked.q[:r.asked.n] {
+			out[q.idx] = q.at
+		}
+		return out
+	}
+	pending := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.pending.Count()
+	}
+	all := func(at int64) {
+		t.Helper()
+		qa, qb := asked(a), asked(b)
+		if len(qa) != maxInFlight || len(qb) != maxInFlight || pending() != testPieces {
+			t.Fatalf("%d and %d pieces asked, %d pending; want %d each and all %d", len(qa), len(qb), pending(), maxInFlight, testPieces)
+		}
+		for idx, when := range qa {
+			if _, twice := qb[idx]; twice || when != at {
+				t.Fatalf("piece %d asked of both links (%v) or at %d, want once at %d", idx, twice, when, at)
+			}
+		}
+	}
 
-	const fresh, aged = 5, 9
 	t0 := int64(time.Minute)
-	t1 := t0 + int64(time.Millisecond)
-	r.cool(aged, t0) // the oldest stamp: the head of the log
-	for i := 0; i < testPieces; i++ {
-		if i != fresh && i != aged {
-			r.cool(i, t1)
-		}
-	}
-	for draw := 0; draw < 64; draw++ {
-		if got := n.pickWantedLocked(r, r.coolingAt(t1)); got != fresh {
-			t.Fatalf("draw %d picked %d, want %d: every other piece is cooling down", draw, got, fresh)
-		}
-	}
-	// The reciprocation pick prefers the one piece not pushed to r lately,
-	// and stamps it: the scheduler must not seal r the same piece next tick.
-	if got := n.pickRepaymentLocked(r, t1); got != fresh {
-		t.Errorf("the reciprocation pick chose %d, want %d: the only piece outside the cooldown", got, fresh)
-	}
-	if got := n.pickWantedLocked(r, r.coolingAt(t1)); got != -1 {
-		t.Errorf("picked %d with every wanted piece cooling down", got)
-	}
-	if got := n.pickRepaymentLocked(r, t1); got < 0 {
-		t.Error("the reciprocation pick found nothing: with every wanted piece cooling it must ignore the cooldown")
-	}
-
+	n.request(t0)
+	all(t0)
 	due := t0 + int64(resendCooldown)
-	if got := n.pickWantedLocked(r, r.coolingAt(due-1)); got != -1 {
-		t.Errorf("picked %d one nanosecond before the oldest stamp is due", got)
+	n.request(due - 1)
+	all(t0)
+	n.request(due)
+	all(due)
+
+	// A parked seal keeps its piece pending on the link that sealed it.
+	var ids []int32
+	for idx := range asked(a) {
+		ids = append(ids, idx)
 	}
-	if got := n.pickWantedLocked(r, r.coolingAt(due)); got != aged {
-		t.Errorf("picked %d, want %d: its stamp has aged out", got, aged)
+	slices.Sort(ids)
+	opened, unopened := ids[0], ids[1]
+	seal, key := rawSeal(t, int32(a.id), 1, int(opened))
+	n.dispatch(a, seal)
+	other, _ := rawSeal(t, int32(a.id), 2, int(unopened))
+	n.dispatch(a, other)
+	if _, still := asked(a)[opened]; !still || pending() != testPieces {
+		t.Fatal("a parked seal's piece left its request or the pending set")
+	}
+	n.dispatch(a, key)
+	if _, still := asked(a)[opened]; still || !n.myBits.Has(int(opened)) || pending() != testPieces-1 {
+		t.Fatalf("the opened piece is still asked (%v) or not held (%v), %d pending", still, n.myBits.Has(int(opened)), pending())
+	}
+	n.request(due + int64(resendCooldown) - 1)
+	if at, still := asked(a)[unopened]; !still || at != due {
+		t.Fatal("a sealed piece whose key has not come left the queue before the cooldown")
+	}
+	n.request(due + int64(resendCooldown))
+	if qa, qb := asked(a), asked(b); qa[unopened] == due || qb[unopened] == due {
+		t.Error("a sealed piece whose key never came is still asked at its old instant past the cooldown")
 	}
 
-	again, _ := fixtureRemote(n, r.id, false) // the same peer, reconnected
-	if again.cooling.Count() != 0 || len(again.coolLog) != 0 || n.pickWantedLocked(again, again.coolingAt(due)) < 0 {
-		t.Error("a reconnected peer inherited the old link's cooldown")
+	again, _ := fixtureRemote(n, a.id, false) // the same peer, reconnected
+	if again.asked.n != 0 {
+		t.Error("a reconnected peer inherited the old link's requests")
 	}
-
-	// A steady push stream — one piece per step, each cooling for half a
-	// sweep of the file — always finds a piece, keeps exactly one live stamp
-	// per marked piece, and never lets the log outgrow twice its live part.
-	step := int64(resendCooldown) / (testPieces / 2)
-	for i, now := 0, due; i < 10*testPieces; i, now = i+1, now+step {
-		idx := n.pickWantedLocked(again, again.coolingAt(now))
-		if idx < 0 {
-			t.Fatalf("step %d: nothing to push with half the file cooling", i)
-		}
-		again.cool(idx, now)
-		live := len(again.coolLog) - again.coolHead
-		if again.cooling.Count() != live || live > testPieces/2+1 || len(again.coolLog) > 2*live {
-			t.Fatalf("step %d: %d pieces cooling, %d live stamps in a log of %d", i, again.cooling.Count(), live, len(again.coolLog))
-		}
+	n.mu.Lock()
+	n.unlinkLocked(a)
+	n.mu.Unlock()
+	if got, want := pending(), len(asked(b)); got != want {
+		t.Errorf("%d pieces pending once link %d went down, want the %d asked of link %d", got, a.id, want, b.id)
 	}
 }
 

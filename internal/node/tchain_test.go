@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,8 +117,7 @@ func TestGraceSweep(t *testing.T) {
 	departed, _ := fixtureRemote(n, departedID, false)
 	link(t, n, trusted, stranger)
 	for _, r := range []*remote{trusted, departed} {
-		sealTo(t, n, r, 0)
-		n.escrow.Confirm(r.id) // r has reciprocated once
+		n.escrow.Confirm(r.id, sealTo(t, n, r, 0)) // r has reciprocated once
 	}
 
 	trustedKey := sealTo(t, n, trusted, 1)
@@ -447,6 +447,28 @@ func TestWitnessReceiptAdversaries(t *testing.T) {
 	t.Run("replay-after-release", func(t *testing.T) {
 		links[forwarderID].outbox = nil
 		refused(t, honest, witnessID)
+	})
+	// Nielson et al.'s minimum-reciprocation client reciprocates one seal in
+	// four. Each reciprocation — a witness's receipt, or a direct repayment —
+	// names its seal, and buys that key and no other.
+	t.Run("one-in-four-reciprocator", func(t *testing.T) {
+		var owed []uint64
+		for i := 6; i < 14; i++ {
+			owed = append(owed, sealTo(t, n, links[forwarderID], i))
+		}
+		links[forwarderID].outbox = nil
+		receipt := witness.AttestLink(originID, forwarderID, 9, hash(9), testPieceSize)
+		if n.dispatch(links[witnessID], protocol.AttestedReceipt{KeyID: owed[3], Att: receipt}) {
+			t.Fatal("an honest receipt cost the witness its link")
+		}
+		repayment := protocol.Piece{Index: 1, RepaysKeyID: owed[7], Data: piece.SyntheticPiece(1, testPieceSize)}
+		if n.dispatch(links[forwarderID], repayment) {
+			t.Fatal("a repayment cost the forwarder its link")
+		}
+		if got := keysQueued(links[forwarderID]); !slices.Equal(got, []uint64{owed[3], owed[7]}) || n.escrow.Pending() != 6 {
+			t.Errorf("two reciprocations for eight seals queued keys %v with %d escrowed, want [%d %d] and 6",
+				got, n.escrow.Pending(), owed[3], owed[7])
+		}
 	})
 }
 

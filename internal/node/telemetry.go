@@ -25,8 +25,8 @@ type DebugPeer struct {
 	TheyNeed int `json:"they_need"`
 	// INeed counts pieces the peer holds that we lack.
 	INeed int `json:"i_need"`
-	// InFlight counts pieces we pushed to the peer within the resend
-	// cooldown that it has not announced: its use of the upload window.
+	// InFlight counts pieces we asked the peer for and do not hold yet: its
+	// use of the request window.
 	InFlight int `json:"in_flight"`
 	// Outbox is the peer's queued outbound frame count.
 	Outbox int `json:"outbox"`
@@ -73,7 +73,7 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 			Have:     r.have.Count(),
 			TheyNeed: r.have.CountMissingFrom(n.myBits),
 			INeed:    n.myBits.CountMissingFrom(r.have),
-			InFlight: r.inFlight(n.now),
+			InFlight: r.asked.n,
 			Outbox:   r.queued(), // outMu nests inside mu, as in flushLinks
 		})
 		for _, idx := range r.have.Indices() {

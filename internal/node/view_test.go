@@ -18,8 +18,8 @@ import (
 // decisionFixture is a node linked to 40 peers, entered in ascending or
 // descending ID order, with an rng seeded alike either way. It holds every
 // other piece of 256; a third of the peers hold everything it holds, the
-// rest pieces it lacks and one it has, and every fifth link's window is
-// full.
+// rest pieces it lacks and one it has, and every fifth link holds no
+// request of it.
 func decisionFixture(t testing.TB, descending bool) *Node {
 	const peers, pieces = 40, 256
 	mine := piece.NewBitfield(pieces)
@@ -40,8 +40,8 @@ func decisionFixture(t testing.TB, descending bool) *Node {
 			have.Set(2 * id)
 		}
 		r := &remote{n: n, id: id, have: have}
-		if id%5 == 1 {
-			r.flying = maxInFlight
+		if id%5 != 1 {
+			r.wants.n = 1
 		}
 		link(t, n, r)
 	}
@@ -212,14 +212,13 @@ func TestDecisionDrawsPinned(t *testing.T) {
 	}
 }
 
-// TestWantingViewMatchesFilter: on random links, holdings and windows —
-// full windows, expired stamps, complete and empty peers among them — both
+// TestWantingViewMatchesFilter: on random links, holdings and requests —
+// links with none and with full queues, complete and empty peers among them — both
 // views' one-pass WantingNeighbors is the generic filter's list (Neighbors,
 // then WantsFromMe) in contents and order, AnyWanting agrees with it, and
 // Neighbors lists every link once in ascending ID order.
 func TestWantingViewMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cooldown := int64(resendCooldown)
 	for round := 0; round < 500; round++ {
 		pieces := []int{1, 63, 64, 65, 300}[rng.Intn(5)]
 		random := func(density float64) *piece.Bitfield {
@@ -232,7 +231,7 @@ func TestWantingViewMatchesFilter(t *testing.T) {
 			return b
 		}
 		mine := random([]float64{0, 0.1, 0.5, 1}[rng.Intn(4)])
-		n := &Node{myBits: mine, now: cooldown + rng.Int63n(cooldown)}
+		n := &Node{myBits: mine}
 		var ids []int
 		for k := rng.Intn(51); k > 0; k-- {
 			id := rng.Intn(100)
@@ -243,7 +242,7 @@ func TestWantingViewMatchesFilter(t *testing.T) {
 				continue
 			}
 			ids = append(ids, id)
-			r := &remote{n: n, id: id, cooling: piece.NewBitfield(pieces)}
+			r := &remote{n: n, id: id}
 			switch rng.Intn(4) {
 			case 0:
 				r.have = random(1) // complete
@@ -252,16 +251,10 @@ func TestWantingViewMatchesFilter(t *testing.T) {
 			default:
 				r.have = random(rng.Float64())
 			}
-			// Pushes stamped from two cooldowns before n.now on: the older
-			// ones have run out. Every third link is then pushed until its
-			// window is full, if it lacks enough pieces.
-			at := rng.Int63n(cooldown)
-			for p := rng.Intn(2 * maxInFlight); p > 0; p-- {
-				r.cool(rng.Intn(pieces), at)
-				at = min(at+rng.Int63n(cooldown/4), n.now)
-			}
-			for i := 0; k%3 == 0 && i < pieces && r.inFlight(n.now) < maxInFlight; i++ {
-				r.cool(i, n.now)
+			// Every third link asks for nothing; the rest hold anything from
+			// one request to a full queue.
+			if k%3 != 0 {
+				r.wants.n = 1 + rng.Intn(maxInFlight)
 			}
 			link(t, n, r)
 		}

@@ -239,9 +239,11 @@ func appendPayload(dst []byte, m Message) ([]byte, error) {
 		w.attestation(&msg.Att)
 		w.traceContext(msg.Trace)
 	case HaveBatch:
-		w.u32(uint32(len(msg.Indices)))
-		for _, idx := range msg.Indices {
-			w.i32(idx)
+		for _, list := range [2][]int32{msg.Indices, msg.Requests} {
+			w.u32(uint32(len(list)))
+			for _, idx := range list {
+				w.i32(idx)
+			}
 		}
 	default:
 		return dst, fmt.Errorf("protocol: cannot marshal %T", m)
@@ -313,17 +315,33 @@ func unmarshalPayload(t Type, payload []byte, zeroCopy bool) (Message, error) {
 		m = AttestedReceipt{KeyID: r.u64(), Att: r.attestation(), Trace: r.traceContext()}
 	case TypeHaveBatch:
 		msg := HaveBatch{}
-		count := r.u32()
-		// Indices are fixed-width, so the count must account for the rest of
-		// the payload exactly — reject before allocating the slice a forged
-		// header asks for.
-		if r.err == nil && uint64(count)*4 != uint64(len(r.buf)) {
+		// Two counted lists of fixed-width indices: the counts must account
+		// for the rest of the payload exactly — reject before allocating the
+		// one slice both lists share, which a forged header would size.
+		count := uint64(r.u32())
+		var asked uint64
+		if r.err == nil && count*4+4 <= uint64(len(r.buf)) {
+			asked = uint64(binary.BigEndian.Uint32(r.buf[count*4:]))
+		}
+		if r.err == nil && (count+asked)*4+4 != uint64(len(r.buf)) {
 			r.err = ErrMalformed
 		}
-		if r.err == nil && count > 0 {
-			msg.Indices = make([]int32, count)
-			for i := range msg.Indices {
-				msg.Indices[i] = r.i32()
+		if r.err == nil {
+			both := make([]int32, count+asked) // no allocation when both are empty
+			for i := range both {
+				if uint64(i) == count {
+					r.u32() // asked, read above
+				}
+				both[i] = r.i32()
+			}
+			if asked == 0 {
+				r.u32()
+			}
+			if count > 0 {
+				msg.Indices = both[:count:count]
+			}
+			if asked > 0 {
+				msg.Requests = both[count:]
 			}
 		}
 		m = msg

@@ -236,7 +236,8 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 // TestHaveBatchRoundTripAllocs pins what a coalesced announcement costs on
 // the coded path: encoding one allocates nothing (pooled frame buffer), and
 // decoding one allocates exactly the index slice on top of what a single
-// Have costs (the interface box every decoded frame above index 255 pays).
+// Have costs (the interface box every decoded frame above index 255 pays),
+// whether or not it also carries requests: both lists share that slice.
 func TestHaveBatchRoundTripAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	dec := NewDecoder(&buf)
@@ -259,17 +260,21 @@ func TestHaveBatchRoundTripAllocs(t *testing.T) {
 		buf.Reset()
 		return encAllocs, testing.AllocsPerRun(200, func() { encode(m); decode() }) - encAllocs
 	}
-	var batch Message = HaveBatch{Indices: []int32{300, 301, 4095, 256, 1024, 2048, 777, 3000}}
 	haveEnc, haveDec := measure(Have{Index: 300})
-	batchEnc, batchDec := measure(batch)
-	if haveEnc != 0 || batchEnc != 0 {
-		t.Errorf("encode allocs: Have %.0f, HaveBatch %.0f, want 0 and 0", haveEnc, batchEnc)
-	}
-	if batchDec-haveDec != 1 {
-		t.Errorf("decode allocs: Have %.0f, HaveBatch %.0f, want exactly one more (the index slice)", haveDec, batchDec)
-	}
-	encode(batch)
-	if got := decode(); !reflect.DeepEqual(got, batch) {
-		t.Errorf("round trip: got %#v, want %#v", got, batch)
+	for _, batch := range []Message{
+		HaveBatch{Indices: []int32{300, 301, 4095, 256, 1024, 2048, 777, 3000}},
+		HaveBatch{Indices: []int32{300, 301, 4095, 256}, Requests: []int32{1024, 2048, 777, 3000}},
+	} {
+		batchEnc, batchDec := measure(batch)
+		if haveEnc != 0 || batchEnc != 0 {
+			t.Errorf("encode allocs: Have %.0f, %+v %.0f, want 0 and 0", haveEnc, batch, batchEnc)
+		}
+		if batchDec-haveDec != 1 {
+			t.Errorf("decode allocs: Have %.0f, %+v %.0f, want exactly one more (the index slice)", haveDec, batch, batchDec)
+		}
+		encode(batch)
+		if got := decode(); !reflect.DeepEqual(got, batch) {
+			t.Errorf("round trip: got %#v, want %#v", got, batch)
+		}
 	}
 }

@@ -23,6 +23,7 @@ func FuzzDecode(f *testing.F) {
 		HaveBatch{},
 		HaveBatch{Indices: []int32{300}},
 		HaveBatch{Indices: []int32{7, 4095, 0, 256, 1024}},
+		HaveBatch{Indices: []int32{7, 4095}, Requests: []int32{3, 9, 4000}},
 		Piece{Index: 3, RepaysKeyID: NoRepay, Data: []byte("payload")},
 		// The trace-context frame extension: a trailing 17-byte block on
 		// data-path frames.

@@ -108,11 +108,14 @@ type Have struct {
 }
 
 // HaveBatch announces several newly acquired pieces, in the order they
-// were acquired — semantically that many Have frames. Indices is read-only
-// on both sides: over an in-process transport it is a window of the
-// sender's own gain log, shared by every link that announces it.
+// were acquired — semantically that many Have frames — and carries the
+// pieces the sender asks the receiver to upload to it next, oldest first.
+// Both lists are read-only on both sides: over an in-process transport
+// Indices is a window of the sender's own gain log, shared by every link
+// that announces it, and Requests a window of its request log.
 type HaveBatch struct {
-	Indices []int32
+	Indices  []int32
+	Requests []int32
 }
 
 // Piece delivers plaintext piece data. RepaysKeyID, when nonzero−1 (i.e.,

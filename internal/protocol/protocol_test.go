@@ -38,6 +38,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 		HaveBatch{},
 		HaveBatch{Indices: []int32{300}},
 		HaveBatch{Indices: []int32{7, 4095, 0, 256}},
+		HaveBatch{Requests: []int32{5}},
+		HaveBatch{Indices: []int32{7, 4095}, Requests: []int32{3, 9, 4000}},
 		Piece{Index: 3, RepaysKeyID: NoRepay, Data: []byte("payload")},
 		Piece{Index: 3, RepaysKeyID: 77, Data: nil},
 		SealedPiece{
@@ -156,23 +158,24 @@ func TestDecodeRejectsRetiredType7(t *testing.T) {
 	}
 }
 
-// A HaveBatch whose count disagrees with its payload is malformed in either
+// A HaveBatch whose counts disagree with its payload is malformed in either
 // direction, and is refused before the index slice is allocated: a forged
-// count of 2^32-1 must cost nothing.
+// count of 2^32-1, of announcements or of requests, must cost nothing.
 func TestDecodeRejectsHaveBatchCountMismatch(t *testing.T) {
 	overrun := []byte{0, 0, 0, 8, byte(TypeHaveBatch), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1}
+	askOverrun := []byte{0, 0, 0, 8, byte(TypeHaveBatch), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
 	short := []byte{0, 0, 0, 12, byte(TypeHaveBatch), 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2}
 	truncated := []byte{0, 0, 0, 2, byte(TypeHaveBatch), 0, 0}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, raw := range [][]byte{overrun, short, truncated} {
+	for _, raw := range [][]byte{overrun, askOverrun, short, truncated} {
 		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("frame %x: err = %v, want ErrMalformed", raw, err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("refusing three 7-17 byte frames allocated %d bytes", grew)
+		t.Errorf("refusing four 7-17 byte frames allocated %d bytes", grew)
 	}
 }
 

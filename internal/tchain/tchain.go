@@ -164,27 +164,22 @@ func (e *Escrow) Revoke(keyID uint64) {
 }
 
 // byKeyID orders a release in ascending KeyID: the book is a map, and the
-// keys one event releases leave in the same order on every run of a seed.
+// keys one sweep releases leave in the same order on every run of a seed.
 func byKeyID(a, b Released) int { return cmp.Compare(a.KeyID, b.KeyID) }
 
-// Confirm reports a reciprocation by from, observed directly or by any
-// witness: every key from still owes is released, in KeyID order, and from
-// is trusted from here on (see Sweep). A confirmation that finds nothing
-// owed earns nothing.
-func (e *Escrow) Confirm(from int) []Released {
+// Confirm reports one reciprocation by from, observed directly or by any
+// witness, for the seal keyID: that key is released, and from is trusted
+// from here on (see Sweep), only when from owes it. One reciprocation buys
+// one key; a confirmation naming a key from does not owe earns nothing.
+func (e *Escrow) Confirm(from int, keyID uint64) (Released, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []Released
-	for keyID, o := range e.owed {
-		if o.receiver == from {
-			out = append(out, e.take(keyID, o))
-		}
+	o, ok := e.owed[keyID]
+	if !ok || o.receiver != from || from == noReceiver {
+		return Released{}, false
 	}
-	if len(out) > 0 {
-		e.trusted[from] = true
-	}
-	slices.SortFunc(out, byKeyID)
-	return out
+	e.trusted[from] = true
+	return e.take(keyID, o), true
 }
 
 // Sweep is the endgame fallback at now on the clock the deadlines were

@@ -132,12 +132,12 @@ func TestEscrowConcurrent(t *testing.T) {
 			if idx, held := e.Piece(first.KeyID); !held || idx != 1 {
 				t.Errorf("Piece(%d) = %d, %v before anything settled it", first.KeyID, idx, held)
 			}
-			got := e.Confirm(receiver)
-			if len(got) != 1 || got[0].KeyID != first.KeyID || got[0].Receiver != receiver {
-				t.Errorf("Confirm(%d) = %+v, want key %d", receiver, got, first.KeyID)
+			got, ok := e.Confirm(receiver, first.KeyID)
+			if !ok || got.KeyID != first.KeyID || got.Receiver != receiver {
+				t.Errorf("Confirm(%d, %d) = %+v, %v, want that key", receiver, first.KeyID, got, ok)
 				return
 			}
-			if plain, err := Open(&first, got[0].Key); err != nil || !bytes.Equal(plain, payload) {
+			if plain, err := Open(&first, got.Key); err != nil || !bytes.Equal(plain, payload) {
 				t.Errorf("released key does not open its seal: %q, %v", plain, err)
 			}
 			second, err := e.SealFor(payload, receiver, 2, 10)
@@ -194,56 +194,55 @@ func keyIDs(released []Released) []uint64 {
 // everyone is the Sweep argument of a caller linked to every receiver.
 func everyone(int) bool { return true }
 
-// TestLedgerConfirmMultiple: one reciprocation by a receiver releases every
-// key it owes and nobody else's, whoever witnessed it; a replay, or a
-// confirmation for a receiver that owes nothing, releases nothing.
+// TestLedgerConfirmMultiple: a receiver owing several keys is released one
+// per reciprocation, exactly the key each names — the minimum-reciprocation
+// client that repays one seal in N gets one key in N. A confirmation naming
+// another receiver's key, a replay, or one from a receiver owing nothing
+// releases nothing, and earns no trust.
 func TestLedgerConfirmMultiple(t *testing.T) {
 	e := NewEscrowWithRand(testRand())
-	a, b := sealFor(t, e, 42, 1, 0), sealFor(t, e, 42, 2, 0)
-	other := sealFor(t, e, 43, 3, 0)
-	if got := e.Confirm(5); got != nil {
-		t.Errorf("a receiver owing nothing was released %+v", got)
+	a, b := sealFor(t, e, 42, 1, 10), sealFor(t, e, 42, 2, 10)
+	other := sealFor(t, e, 43, 3, 10)
+	if k, ok := e.Confirm(5, a); ok {
+		t.Errorf("a receiver owing nothing was released %+v", k)
 	}
-	got := e.Confirm(42)
-	if ids := keyIDs(got); !slices.Equal(ids, []uint64{a, b}) {
-		t.Fatalf("Confirm(42) released keys %v, want [%d %d]", ids, a, b)
+	if k, ok := e.Confirm(43, a); ok {
+		t.Errorf("receiver 43 was released receiver 42's key %+v", k)
 	}
-	for _, k := range got {
-		if k.Receiver != 42 {
-			t.Errorf("key %d released for receiver %d, want 42", k.KeyID, k.Receiver)
-		}
+	if got := e.Sweep(10, everyone); got != nil {
+		t.Errorf("Sweep released %+v: a confirmation for a key not owed earned trust", got)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want receiver 43's one key", e.Pending())
+	k, ok := e.Confirm(42, a)
+	if !ok || k.KeyID != a || k.Receiver != 42 || k.Piece != 1 {
+		t.Fatalf("Confirm(42, %d) = %+v, %v, want that key for piece 1", a, k, ok)
 	}
-	if got := e.Confirm(42); got != nil {
-		t.Errorf("replayed confirmation released %+v", got)
+	if e.Pending() != 2 {
+		t.Errorf("Pending = %d, want receiver 42's other key and receiver 43's", e.Pending())
+	}
+	if k, ok := e.Confirm(42, a); ok {
+		t.Errorf("replayed confirmation released %+v", k)
+	}
+	if k, ok := e.Confirm(42, b); !ok || k.KeyID != b {
+		t.Errorf("Confirm(42, %d) = %+v, %v, want the second key", b, k, ok)
 	}
 	if _, err := e.Release(other); err != nil {
 		t.Errorf("the other receiver's key was disturbed: %v", err)
 	}
 }
 
-// TestReleaseOrder: the keys one event releases leave in ascending KeyID
-// order, whichever event it is and however the book's map iterates; the
-// node sends them in this order, so every run of a seed sends them alike.
+// TestReleaseOrder: the keys one sweep releases leave in ascending KeyID
+// order however the book's map iterates; the node sends them in this order,
+// so every run of a seed sends them alike.
 func TestReleaseOrder(t *testing.T) {
 	for run := range 20 {
 		e := NewEscrowWithRand(testRand())
+		for _, receiver := range []int{42, 43} {
+			e.Confirm(receiver, sealFor(t, e, receiver, 0, 10)) // trusted
+		}
 		var want []uint64
 		for i := range 24 {
 			receiver := 42 + i%2 // interleaved: neither receiver's KeyIDs are contiguous
-			if id := sealFor(t, e, receiver, i, 10); receiver == 42 {
-				want = append(want, id)
-			}
-		}
-		if got := releasedIDs(e.Confirm(42)); !slices.Equal(got, want) {
-			t.Fatalf("run %d: Confirm released %v, want %v in that order", run, got, want)
-		}
-		e.Confirm(43) // trusts 43 and settles what it owes so far
-		want = want[:0]
-		for i := range 12 {
-			want = append(want, sealFor(t, e, 43, 100+i, 10))
+			want = append(want, sealFor(t, e, receiver, i, 10))
 		}
 		if got := releasedIDs(e.Sweep(10, everyone)); !slices.Equal(got, want) {
 			t.Fatalf("run %d: Sweep released %v, want %v in that order", run, got, want)
@@ -271,8 +270,11 @@ func TestLedgerTake(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", e.Pending())
 	}
-	if ids := keyIDs(e.Confirm(42)); !slices.Equal(ids, []uint64{b}) {
-		t.Errorf("Confirm after Release(%d) released %v, want [%d]", a, ids, b)
+	if k, ok := e.Confirm(42, a); ok {
+		t.Errorf("Confirm of the released key %d released %+v", a, k)
+	}
+	if k, ok := e.Confirm(42, b); !ok || k.KeyID != b {
+		t.Errorf("Confirm after Release(%d) = %+v, %v, want key %d", a, k, ok, b)
 	}
 }
 
@@ -281,8 +283,7 @@ func TestLedgerTake(t *testing.T) {
 // after a reconnect the sweep still covers it.
 func TestLedgerForget(t *testing.T) {
 	e := NewEscrowWithRand(testRand())
-	sealFor(t, e, 42, 1, 0)
-	e.Confirm(42) // 42 has reciprocated once
+	e.Confirm(42, sealFor(t, e, 42, 1, 0)) // 42 has reciprocated once
 	gone := sealFor(t, e, 42, 2, 0)
 	kept := sealFor(t, e, 43, 3, 0)
 	e.Forget(42)
@@ -310,10 +311,10 @@ func TestLedgerCarriesPiece(t *testing.T) {
 			t.Errorf("Piece(%d) = %d, %v, want %d", keyID, got, ok, want)
 		}
 	}
-	if got := e.Confirm(42); len(got) != 1 || got[0].KeyID != confirmed || got[0].Piece != 11 {
-		t.Errorf("Confirm = %+v, want key %d for piece 11", got, confirmed)
+	if got, ok := e.Confirm(42, confirmed); !ok || got.KeyID != confirmed || got.Piece != 11 {
+		t.Errorf("Confirm = %+v, %v, want key %d for piece 11", got, ok, confirmed)
 	}
-	e.Confirm(43) // owes nothing yet: earns no trust
+	e.Confirm(43, confirmed) // not a key 43 owes: earns no trust
 	if got := e.Sweep(5, everyone); got != nil {
 		t.Errorf("Sweep released %+v to a receiver that never reciprocated", got)
 	}
@@ -341,16 +342,15 @@ func TestSweepGrace(t *testing.T) {
 	const due = int64(2e9)
 	e := NewEscrowWithRand(testRand())
 	for _, id := range []int{trusted, departed, settled} {
-		sealFor(t, e, id, 0, 0)
-		e.Confirm(id)
+		e.Confirm(id, sealFor(t, e, id, 0, 0))
 	}
 	linked := func(id int) bool { return id != departed }
 	keys := map[int]uint64{}
 	for _, id := range []int{trusted, stranger, departed, settled} {
 		keys[id] = sealFor(t, e, id, 10+id, due)
 	}
-	if ids := keyIDs(e.Confirm(settled)); !slices.Equal(ids, []uint64{keys[settled]}) {
-		t.Fatalf("Confirm(settled) released %v, want [%d]", ids, keys[settled])
+	if k, ok := e.Confirm(settled, keys[settled]); !ok || k.KeyID != keys[settled] {
+		t.Fatalf("Confirm(settled) = %+v, %v, want key %d", k, ok, keys[settled])
 	}
 
 	if got := e.Sweep(due-1, linked); got != nil || e.Pending() != 3 {
@@ -382,15 +382,13 @@ func TestSweepGrace(t *testing.T) {
 func TestEscrowSteadyStream(t *testing.T) {
 	const grace, perGrace = int64(2e9), 64
 	e := NewEscrowWithRand(testRand())
-	sealFor(t, e, 1, 0, 0)
-	e.Confirm(1) // receiver 1 is trusted: the sweep settles what it is left owing
+	e.Confirm(1, sealFor(t, e, 1, 0, 0)) // receiver 1 is trusted: the sweep settles what it is left owing
 	for i, now := 0, int64(0); i < 10_000; i, now = i+1, now+grace/perGrace {
 		switch i % 4 {
 		case 0:
 			sealFor(t, e, 1, i, now+grace) // left for the sweep
 		case 1:
-			sealFor(t, e, 2, i, now+grace)
-			e.Confirm(2)
+			e.Confirm(2, sealFor(t, e, 2, i, now+grace))
 		case 2:
 			e.Revoke(sealFor(t, e, 3, i, now+grace))
 		case 3:
@@ -450,11 +448,16 @@ func TestEscrowProperty(t *testing.T) {
 					leave("Revoke", keyID)
 				}
 				e.Revoke(keyID)
-			case 3:
-				for _, k := range e.Confirm(receiver) {
-					if s := leave("Confirm", k.KeyID); s.receiver != receiver || k.Receiver != receiver {
-						t.Fatalf("seed %d: Confirm(%d) released key %d, owed by %d", seed, receiver, k.KeyID, s.receiver)
-					}
+			case 3: // confirm a key, held or not, owed by receiver or not
+				keyID := uint64(rng.Intn(len(seals) + 1))
+				s := seals[keyID]
+				owes := s != nil && !s.gone && s.receiver == receiver
+				k, ok := e.Confirm(receiver, keyID)
+				if ok != owes || ok && (k.KeyID != keyID || k.Receiver != receiver) {
+					t.Fatalf("seed %d: Confirm(%d, %d) = %+v, %v; the model says owed %v", seed, receiver, keyID, k, ok, owes)
+				}
+				if ok {
+					leave("Confirm", keyID)
 					confirmed[receiver] = true
 				}
 			case 4:
@@ -509,8 +512,8 @@ func TestSealForByValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		released := e.Confirm(42)
-		if len(released) != 1 || released[0].Key != key || sealed.Nonce != nonce {
+		released, ok := e.Confirm(42, sealed.KeyID)
+		if !ok || released.Key != key || sealed.Nonce != nonce {
 			t.Fatalf("seal %d: released %+v with nonce %x, want key %x and nonce %x", i, released, sealed.Nonce, key, nonce)
 		}
 		if got, err := Open(&sealed, key); err != nil || !bytes.Equal(got, plaintext) {
