@@ -1,7 +1,6 @@
 package piece
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -114,32 +113,6 @@ func BenchmarkNewSeedStore(b *testing.B) {
 		if _, err := NewSeedStore(m, content); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSelectRandomMissing is the live node's push pick at the recorded
-// swarm shape (4096 pieces, 64 words) with 64, 1024 and 4096 pieces wanted:
-// the cost must not depend on how many the receiver lacks, which is what the
-// per-candidate reservoir walk it replaced got wrong. 0 allocs/op (check.sh).
-func BenchmarkSelectRandomMissing(b *testing.B) {
-	const size = 4096
-	for _, wanted := range []int{64, 1024, 4096} {
-		b.Run(fmt.Sprintf("wanted-%d", wanted), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			from, have, cooling := NewBitfield(size), NewBitfield(size), NewBitfield(size)
-			from.SetAll()
-			have.SetAll()
-			for _, i := range rng.Perm(size)[:wanted] {
-				have.Clear(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if SelectRandomMissing(rng, have, from, cooling) < 0 {
-					b.Fatal("no piece picked")
-				}
-			}
-		})
 	}
 }
 

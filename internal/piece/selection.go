@@ -132,48 +132,6 @@ func (a *Availability) RarestFirst(rng *rand.Rand, candidates []int) int {
 	return best
 }
 
-// SelectRandomMissing picks, uniformly at random, a piece that from holds and
-// have lacks, excluding pieces marked in exclude; -1 when there is none. Only
-// exclude may be nil (nothing excluded); from and exclude count as empty
-// beyond their last word when shorter than have. It is the live node's push
-// pick, where which piece goes out is mechanism-neutral: one pass of word ops
-// counts the eligible set, a single rng draw (none for an empty set) chooses a
-// rank in it, and a second pass finds the word holding that rank — O(words)
-// whatever the number of eligible pieces, no allocation.
-func SelectRandomMissing(rng *rand.Rand, have, from, exclude *Bitfield) int {
-	limit := min(len(have.words), len(from.words))
-	eligible := func(w int) uint64 {
-		cand := from.words[w] &^ have.words[w]
-		if exclude != nil && w < len(exclude.words) {
-			cand &^= exclude.words[w]
-		}
-		if w == len(have.words)-1 && have.size%64 != 0 {
-			cand &= 1<<uint(have.size%64) - 1 // bits beyond Size() are not pieces
-		}
-		return cand
-	}
-	total := 0
-	for w := 0; w < limit; w++ {
-		total += bits.OnesCount64(eligible(w))
-	}
-	if total == 0 {
-		return -1
-	}
-	k := rng.Intn(total)
-	for w := 0; w < limit; w++ {
-		cand := eligible(w)
-		if c := bits.OnesCount64(cand); k >= c {
-			k -= c
-			continue
-		}
-		for ; k > 0; k-- {
-			cand &= cand - 1 // drop the k lowest set bits
-		}
-		return w*64 + bits.TrailingZeros64(cand)
-	}
-	return -1 // unreachable: k < total
-}
-
 // SelectRarestMissing picks, local-rarest-first with uniform tie-breaking, a
 // piece that from holds and have lacks, excluding pieces marked in pending.
 // A nil from means the sender holds everything (the seeder); a nil pending
@@ -229,4 +187,78 @@ func (a *Availability) SelectRarestMissing(rng *rand.Rand, have, from, pending *
 		}
 	}
 	return best
+}
+
+// PickRarestMissing is SelectRarestMissing's rule — a piece from holds, have
+// lacks and pending does not mark, held by as few peers as any such piece,
+// ties broken uniformly — drawn with one rng draw instead of one per tie. A
+// pass masked by the level below the running best finds the lowest count, a
+// second counts the candidates at that level, a third finds the drawn one:
+// O(words) however wide the tie, no allocation. Its draws are not
+// SelectRarestMissing's, so the simulator, whose runs are pinned to those,
+// keeps that one; the live requester, whose ties span most of a file early
+// in a download, picks with this.
+func (a *Availability) PickRarestMissing(rng *rand.Rand, have, from, pending *Bitfield) int {
+	if have == nil {
+		return -1
+	}
+	candidates := func(w int) uint64 {
+		var cand uint64
+		if from == nil {
+			cand = ^have.words[w]
+		} else if w < len(from.words) {
+			cand = from.words[w] &^ have.words[w]
+		}
+		if pending != nil && w < len(pending.words) {
+			cand &^= pending.words[w]
+		}
+		if w == len(have.words)-1 && have.size%64 != 0 {
+			cand &= 1<<uint(have.size%64) - 1 // bits beyond Size() are not pieces
+		}
+		return cand
+	}
+	// level returns word w of the pieces held by at most c peers; a piece
+	// beyond the availability's range is held by nobody.
+	level := func(c, w int) uint64 {
+		if w < a.words {
+			return a.level(c)[w]
+		}
+		return ^uint64(0)
+	}
+	best := -1
+	for w := range have.words {
+		cand := candidates(w)
+		for cand != 0 && best != 0 {
+			if best > 0 {
+				if cand &= level(best-1, w); cand == 0 {
+					break
+				}
+			}
+			idx := w*64 + bits.TrailingZeros64(cand)
+			best = 0
+			if idx < len(a.counts) {
+				best = a.counts[idx]
+			}
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	total := 0
+	for w := range have.words {
+		total += bits.OnesCount64(candidates(w) & level(best, w))
+	}
+	k := rng.Intn(total)
+	for w := range have.words {
+		cand := candidates(w) & level(best, w)
+		if c := bits.OnesCount64(cand); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			cand &= cand - 1
+		}
+		return w*64 + bits.TrailingZeros64(cand)
+	}
+	return -1 // unreachable: k < total
 }

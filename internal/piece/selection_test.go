@@ -73,18 +73,6 @@ func TestRarestFirstTieBreakUniform(t *testing.T) {
 	}
 }
 
-// eligibleRef enumerates from &^ have &^ exclude bit by bit through the
-// public accessors — the reference SelectRandomMissing is checked against.
-func eligibleRef(have, from, exclude *Bitfield) []int {
-	var out []int
-	for i := 0; i < have.Size(); i++ {
-		if from.Has(i) && !have.Has(i) && (exclude == nil || !exclude.Has(i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func randomBitfield(rng *rand.Rand, size int, density float64) *Bitfield {
 	b := NewBitfield(size)
 	for i := 0; i < size; i++ {
@@ -93,92 +81,6 @@ func randomBitfield(rng *rand.Rand, size int, density float64) *Bitfield {
 		}
 	}
 	return b
-}
-
-// TestSelectRandomMissingProperty checks the selector against the
-// enumerate-and-index reference over random operands: sizes off the 64-bit
-// word boundary, nil exclude, from/exclude longer and shorter than have,
-// empty and full sets. A twin rng replays the draws the contract allows —
-// one Intn(len(eligible)) for a non-empty set, none for an empty one — so the
-// pick must be exactly the drawn rank of the reference and both generators
-// must end in the same state.
-func TestSelectRandomMissingProperty(t *testing.T) {
-	gen := rand.New(rand.NewSource(3))
-	rng, twin := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
-	sizes := []int{1, 5, 63, 64, 65, 100, 128, 191, 1000}
-	densities := []float64{0, 0.05, 0.5, 0.95, 1}
-	empty, nonEmpty := 0, 0
-	for trial := 0; trial < 4000; trial++ {
-		size := sizes[gen.Intn(len(sizes))]
-		// from and exclude may track a different piece count than have.
-		fromSize, exclSize := size, size
-		switch gen.Intn(4) {
-		case 0:
-			fromSize = sizes[gen.Intn(len(sizes))]
-		case 1:
-			exclSize = sizes[gen.Intn(len(sizes))]
-		}
-		have := randomBitfield(gen, size, densities[gen.Intn(len(densities))])
-		from := randomBitfield(gen, fromSize, densities[gen.Intn(len(densities))])
-		var exclude *Bitfield
-		if gen.Intn(3) != 0 {
-			exclude = randomBitfield(gen, exclSize, densities[gen.Intn(len(densities))])
-		}
-
-		want := -1
-		ref := eligibleRef(have, from, exclude)
-		if len(ref) > 0 {
-			want = ref[twin.Intn(len(ref))]
-			nonEmpty++
-		} else {
-			empty++
-		}
-		if got := SelectRandomMissing(rng, have, from, exclude); got != want {
-			t.Fatalf("trial %d (size %d, from %d, exclude %v): picked %d, want %d of %v",
-				trial, size, fromSize, exclude != nil, got, want, ref)
-		}
-		if a, b := rng.Int63(), twin.Int63(); a != b {
-			t.Fatalf("trial %d: rng state diverged after a pick over %d eligible pieces", trial, len(ref))
-		}
-	}
-	if empty < 100 || nonEmpty < 100 {
-		t.Fatalf("generator covered %d empty and %d non-empty sets; want both well represented", empty, nonEmpty)
-	}
-}
-
-// TestSelectRandomMissingUniform draws 60000 picks over 12 eligible pieces
-// spread across three words (5000 expected each, sigma ~68) and requires
-// every one within +-6 % of its share.
-func TestSelectRandomMissingUniform(t *testing.T) {
-	const size, draws = 150, 60000
-	have, from, exclude := NewBitfield(size), NewBitfield(size), NewBitfield(size)
-	from.SetAll()
-	eligible := []int{0, 1, 31, 62, 63, 64, 65, 100, 127, 128, 148, 149}
-	for i := 0; i < size; i++ { // every piece is ruled out by have or by exclude…
-		if i%2 == 0 {
-			have.Set(i)
-		} else {
-			exclude.Set(i)
-		}
-	}
-	for _, i := range eligible { // …except these
-		have.Clear(i)
-		exclude.Clear(i)
-	}
-	rng := rand.New(rand.NewSource(5))
-	counts := make(map[int]int, len(eligible))
-	for i := 0; i < draws; i++ {
-		counts[SelectRandomMissing(rng, have, from, exclude)]++
-	}
-	if len(counts) != len(eligible) {
-		t.Fatalf("picked %d distinct pieces, want %d: %v", len(counts), len(eligible), counts)
-	}
-	expect := float64(draws) / float64(len(eligible))
-	for _, idx := range eligible {
-		if c := float64(counts[idx]); c < 0.94*expect || c > 1.06*expect {
-			t.Errorf("piece %d picked %d times, want %.0f +-6%%", idx, counts[idx], expect)
-		}
-	}
 }
 
 // rarestRef is the reference SelectRarestMissing is checked against: the
@@ -267,5 +169,91 @@ func TestSelectRarestMissingMatchesRarestFirst(t *testing.T) {
 	}
 	if picked < 1000 {
 		t.Fatalf("only %d non-empty picks; the generator is not exercising the selector", picked)
+	}
+}
+
+// TestPickRarestMissingMatchesRule holds the one-draw pick to
+// SelectRarestMissing's rule over the same random sequences: it finds a
+// piece exactly when SelectRarestMissing does, the piece is a candidate (from
+// holds it, or from is nil; have lacks it; pending does not mark it; it is
+// below have's size) and it is as rare as SelectRarestMissing's pick. Ties
+// are broken uniformly: eight candidates tied at the lowest count, beside
+// rarer-by-none and commoner ones, are each drawn about an eighth of the
+// time, and each pick costs one draw.
+func TestPickRarestMissingMatchesRule(t *testing.T) {
+	gen := rand.New(rand.NewSource(8))
+	rng := rand.New(rand.NewSource(9))
+	sizes := []int{1, 5, 63, 64, 65, 100, 130, 512}
+	densities := []float64{0, 0.05, 0.5, 0.95, 1}
+	picked := 0
+	for trial := 0; trial < 60; trial++ {
+		n := sizes[gen.Intn(len(sizes))]
+		a := NewAvailability(n)
+		for step := 0; step < 150; step++ {
+			if gen.Intn(2) == 0 {
+				a.AddBitfield(randomBitfield(gen, n, densities[gen.Intn(len(densities))]))
+			} else {
+				a.RemovePiece(gen.Intn(n + 2))
+			}
+			size := n
+			if gen.Intn(4) == 0 {
+				size = sizes[gen.Intn(len(sizes))]
+			}
+			have := randomBitfield(gen, size, densities[gen.Intn(len(densities))])
+			var from, pending *Bitfield
+			if gen.Intn(3) != 0 {
+				from = randomBitfield(gen, size, densities[gen.Intn(len(densities))])
+			}
+			if gen.Intn(3) != 0 {
+				pending = randomBitfield(gen, size, 0.2)
+			}
+			want := a.SelectRarestMissing(rng, have, from, pending)
+			got := a.PickRarestMissing(rng, have, from, pending)
+			if (got < 0) != (want < 0) {
+				t.Fatalf("trial %d step %d: picked %d where SelectRarestMissing picked %d", trial, step, got, want)
+			}
+			if got < 0 {
+				continue
+			}
+			picked++
+			candidate := got < have.Size() && !have.Has(got) && (from == nil || from.Has(got)) && (pending == nil || !pending.Has(got))
+			if !candidate || a.Count(got) != a.Count(want) {
+				t.Fatalf("trial %d step %d: picked %d (candidate %v, held by %d), SelectRarestMissing %d (held by %d)",
+					trial, step, got, candidate, a.Count(got), want, a.Count(want))
+			}
+		}
+	}
+	if picked < 1000 {
+		t.Fatalf("only %d non-empty picks; the generator is not exercising the pick", picked)
+	}
+
+	a := NewAvailability(200)
+	have, from := NewBitfield(200), NewBitfield(200)
+	for i := 0; i < 200; i++ {
+		from.Set(i)
+		a.AddPiece(i)
+		if i%25 != 0 {
+			a.AddPiece(i) // the eight multiples of 25 are the rarest
+		}
+	}
+	counts := map[int]int{}
+	const draws = 8000
+	for d := 0; d < draws; d++ {
+		counts[a.PickRarestMissing(rng, have, from, nil)]++
+	}
+	for i := 0; i < 200; i += 25 {
+		if c := counts[i]; c < draws/8*8/10 || c > draws/8*12/10 {
+			t.Errorf("piece %d drawn %d times of %d, want about %d", i, c, draws, draws/8)
+		}
+	}
+	if len(counts) != 8 {
+		t.Errorf("drew %d distinct pieces, want the 8 rarest only: %v", len(counts), counts)
+	}
+	twin := rand.New(rand.NewSource(3))
+	one := rand.New(rand.NewSource(3))
+	a.PickRarestMissing(one, have, from, nil)
+	twin.Intn(8)
+	if one.Int63() != twin.Int63() {
+		t.Error("a pick over an eight-way tie drew more than once")
 	}
 }
